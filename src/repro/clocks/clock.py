@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 
 from repro.clocks.time import Picoseconds, ghz_to_period_ps, period_ps_to_ghz
 
@@ -26,12 +27,16 @@ class DomainClock:
     perturbation of edge *i* is a pure function of ``(name, seed, i)``
     (crc32-based, like the trace RNGs, so it is identical across interpreter
     invocations and worker processes).  Because no generator state is
-    consumed, :meth:`edge_at_or_after` can enumerate the exact future edge
-    times :meth:`advance` will later produce, and :meth:`skip_edges` can
-    bulk-consume jittered edges and land on precisely the same ``next_edge``
-    as the equivalent sequence of individual advances — which is what allows
-    the processor's quiescent-phase fast-forward to stay enabled on jittered
-    clocks.
+    consumed, future edge times are known in advance, and the clock
+    memoises them: each jittered edge is computed once, under the current
+    period, and :meth:`advance`, :meth:`edge_at_or_after` and
+    :meth:`skip_edges_before` index or ``bisect`` the memo.  So every
+    prediction is a true jittered edge that :meth:`advance` will later
+    produce, and a bulk skip lands on precisely the ``next_edge`` the
+    equivalent individual advances would — which is what allows the
+    processor's quiescent-phase fast-forward to stay enabled on jittered
+    clocks.  A frequency change clears the memo, and consumed entries are
+    trimmed when it is extended, so it holds at most the furthest look-ahead.
 
     ``next_edge``, ``period_ps``, ``cycle_count`` and ``jitter_fraction`` are
     plain attributes (not properties): the simulator's main loop reads them
@@ -63,6 +68,8 @@ class DomainClock:
         "next_edge",
         "cycle_count",
         "_jitter_key",
+        "_memo",
+        "_memo_pos",
     )
 
     def __init__(
@@ -84,6 +91,12 @@ class DomainClock:
         self._jitter_key = (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
         self.next_edge: Picoseconds = start_time_ps
         self.cycle_count = 0
+        # The memo of future jittered edges: ``_memo[_memo_pos + k]`` is the
+        # edge ``k + 1`` advances past ``next_edge``, under the current
+        # period.  Entries before ``_memo_pos`` are consumed; they are trimmed
+        # when the memo is next extended.
+        self._memo: list[Picoseconds] = []
+        self._memo_pos = 0
 
     # ------------------------------------------------------------------ API
 
@@ -94,13 +107,16 @@ class DomainClock:
 
     def set_frequency(self, frequency_ghz: float) -> None:
         """Change the clock frequency, effective from the next edge onward."""
-        self.period_ps = ghz_to_period_ps(frequency_ghz)
+        self.set_period_ps(ghz_to_period_ps(frequency_ghz))
 
     def set_period_ps(self, period_ps: Picoseconds) -> None:
         """Change the clock period directly, effective from the next edge."""
         if period_ps <= 0:
             raise ValueError("period must be positive")
         self.period_ps = period_ps
+        # The memoised edges were stepped under the old period.
+        self._memo.clear()
+        self._memo_pos = 0
 
     def _jitter_step(self, index: int) -> Picoseconds:
         """Jittered step leading to edge *index* (1-based advance count).
@@ -117,33 +133,43 @@ class DomainClock:
         """Consume the current edge and return the time of the following one."""
         index = self.cycle_count = self.cycle_count + 1
         if self.jitter_fraction:
-            self.next_edge += self._jitter_step(index)
+            memo = self._memo
+            pos = self._memo_pos
+            if pos < len(memo):
+                self.next_edge = memo[pos]
+                self._memo_pos = pos + 1
+            else:
+                # Past the memo's end ``_memo_pos`` stays put: the memo reads
+                # as fully consumed, so its next extension starts from
+                # ``next_edge``, not from its stale last entry.
+                self.next_edge += self._jitter_step(index)
         else:
             self.next_edge += self.period_ps
         return self.next_edge
 
-    def skip_edges(self, count: int) -> None:
-        """Consume *count* edges at once without per-edge cycle work.
+    def _memo_index(self, time_ps: Picoseconds) -> int:
+        """Memo position of the first jittered edge at or after *time_ps*.
 
-        Valid on jittered clocks too: the offset stream is index-addressable,
-        so the bulk skip reproduces exactly the ``next_edge`` and
-        ``cycle_count`` the equivalent sequence of :meth:`advance` calls
-        would have produced.  The quiescent-phase fast-forward in the
-        processor uses this to batch idle cycles.
+        Requires ``time_ps > next_edge``.  The memo is first extended, one
+        :meth:`_jitter_step` per new edge, until its last edge reaches
+        *time_ps*; consumed entries are trimmed on the way.
         """
-        if count <= 0:
-            return
-        if self.jitter_fraction:
-            index = self.cycle_count
-            edge = self.next_edge
+        memo = self._memo
+        if not memo or memo[-1] < time_ps:
+            # Any entry with an edge at or after *time_ps* would be
+            # unconsumed (it lies past ``next_edge``), so the memo falls
+            # short: drop the consumed prefix and extend from the last
+            # unconsumed edge, or from ``next_edge`` when none is left.
+            del memo[: self._memo_pos]
+            self._memo_pos = 0
+            edge = memo[-1] if memo else self.next_edge
+            index = self.cycle_count + len(memo)
             step = self._jitter_step
-            for offset in range(1, count + 1):
-                edge += step(index + offset)
-            self.cycle_count = index + count
-            self.next_edge = edge
-        else:
-            self.cycle_count += count
-            self.next_edge += count * self.period_ps
+            while edge < time_ps:
+                index += 1
+                edge += step(index)
+                memo.append(edge)
+        return bisect_left(memo, time_ps, self._memo_pos)
 
     def edge_at_or_after(self, time_ps: Picoseconds) -> Picoseconds:
         """Return the first edge at or after *time_ps* without advancing.
@@ -161,40 +187,15 @@ class DomainClock:
             delta = time_ps - edge
             cycles = -(-delta // self.period_ps)  # ceiling division
             return edge + cycles * self.period_ps
-        index = self.cycle_count
-        step = self._jitter_step
-        while edge < time_ps:
-            index += 1
-            edge += step(index)
-        return edge
-
-    def edges_before(self, time_ps: Picoseconds) -> int:
-        """Number of unconsumed edges strictly before *time_ps*.
-
-        ``skip_edges(edges_before(t))`` consumes exactly the edges a
-        one-at-a-time loop would have walked before reaching time *t*;
-        :meth:`skip_edges_before` does both in one pass.
-        """
-        edge = self.next_edge
-        if edge >= time_ps:
-            return 0
-        if not self.jitter_fraction:
-            return -(-(time_ps - edge) // self.period_ps)  # ceiling division
-        count = 0
-        index = self.cycle_count
-        step = self._jitter_step
-        while edge < time_ps:
-            count += 1
-            index += 1
-            edge += step(index)
-        return count
+        return self._memo[self._memo_index(time_ps)]
 
     def skip_edges_before(self, time_ps: Picoseconds) -> int:
         """Consume every unconsumed edge strictly before *time_ps*.
 
-        Equivalent to ``skip_edges(edges_before(time_ps))`` but with a single
-        walk of the jitter stream — the fast-forward's batching primitive.
-        Returns the number of edges consumed.
+        Lands on exactly the ``next_edge`` and ``cycle_count`` that calling
+        :meth:`advance` until ``next_edge >= time_ps`` would reach — the
+        fast-forward's batching primitive.  Returns the number of edges
+        consumed.
         """
         edge = self.next_edge
         if edge >= time_ps:
@@ -204,15 +205,11 @@ class DomainClock:
             self.cycle_count += count
             self.next_edge += count * self.period_ps
             return count
-        count = 0
-        index = self.cycle_count
-        step = self._jitter_step
-        while edge < time_ps:
-            count += 1
-            index += 1
-            edge += step(index)
-        self.cycle_count = index
-        self.next_edge = edge
+        landing = self._memo_index(time_ps)
+        count = landing - self._memo_pos + 1
+        self._memo_pos = landing + 1
+        self.cycle_count += count
+        self.next_edge = self._memo[landing]
         return count
 
     def cycles_to_ps(self, cycles: int) -> Picoseconds:

@@ -725,9 +725,8 @@ class MCDProcessor:
 
             skipped = 0
             # skip_edges_before consumes the edges strictly before the
-            # horizon — on a jittered clock by walking the index-addressable
-            # offset stream once, landing exactly where per-edge advances
-            # would have.
+            # horizon — on a jittered clock from its memo of jittered edges,
+            # landing exactly where per-edge advances would have.
             count = fe_clock.skip_edges_before(horizon)
             if count:
                 frontend.stats.fetch_stall_cycles += count

@@ -23,6 +23,7 @@ from repro.analysis.digests import (
     result_digest,
 )
 from repro.engine import SimulationJob, SpecKind, run_job
+from repro.scenarios import get_scenario
 from repro.workloads import get_workload
 
 __all__ = [
@@ -98,6 +99,17 @@ def golden_jobs() -> dict[str, SimulationJob]:
             warmup=1_000,
             jitter_fraction=0.10,
             sync_window_fraction=0.45,
+        ),
+        # A frequency change on a jittered clock, which no job above makes:
+        # the fp-queue controller fires one reconfiguration, so the PLL
+        # re-locks a jittered domain mid-run.
+        "apsi-capacity/phase_adaptive_jittered_reconfig": SimulationJob(
+            profile=get_scenario("paper-apsi-capacity").build_profile(),
+            spec_kind=SpecKind.ADAPTIVE,
+            phase_adaptive=True,
+            window=3_000,
+            warmup=2_000,
+            jitter_fraction=0.05,
         ),
     }
 

@@ -103,13 +103,13 @@ class TestDomainClock:
         assert edge >= time_ps
         assert (edge - clock.next_edge) % clock.period_ps == 0
 
-    def test_edges_before_counts_strictly_earlier_edges(self):
+    @pytest.mark.parametrize("time_ps", [0, 1, 1000, 1001, 2500])
+    def test_skip_edges_before_consumes_strictly_earlier_edges(self, time_ps):
         clock = DomainClock("test", 1.0)  # edges at 0, 1000, 2000, ...
-        assert clock.edges_before(0) == 0
-        assert clock.edges_before(1) == 1
-        assert clock.edges_before(1000) == 1
-        assert clock.edges_before(1001) == 2
-        assert clock.edges_before(2500) == 3
+        walker = DomainClock("test", 1.0)
+        assert clock.skip_edges_before(time_ps) == advances_until(walker, time_ps)
+        assert clock.next_edge == walker.next_edge
+        assert clock.cycle_count == walker.cycle_count
 
 
 def jittered_clock(**kwargs) -> DomainClock:
@@ -118,10 +118,69 @@ def jittered_clock(**kwargs) -> DomainClock:
     return DomainClock("jitter-test", 1.0, **kwargs)
 
 
+def advances_until(walker, time_ps: int) -> int:
+    """Advance *walker* one edge at a time until its next edge is at or after
+    *time_ps*; return the number of edges consumed."""
+    count = 0
+    while walker.next_edge < time_ps:
+        walker.advance()
+        count += 1
+    return count
+
+
+class StepwiseClock:
+    """A jittered clock without the memo: every query walks the offset stream
+    one ``_jitter_step`` at a time from ``next_edge``.
+
+    It borrows only ``_jitter_step`` (and the period it reads) from a twin
+    :class:`DomainClock` and keeps its own edge state, so it is an
+    independent reference for the memoised clock.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        self.stream = jittered_clock(**kwargs)
+        self.next_edge = self.stream.next_edge
+        self.cycle_count = 0
+
+    def advance(self) -> int:
+        self.cycle_count += 1
+        self.next_edge += self.stream._jitter_step(self.cycle_count)
+        return self.next_edge
+
+    def edge_at_or_after(self, time_ps: int) -> int:
+        edge, index = self.next_edge, self.cycle_count
+        while edge < time_ps:
+            index += 1
+            edge += self.stream._jitter_step(index)
+        return edge
+
+    def skip_edges_before(self, time_ps: int) -> int:
+        return advances_until(self, time_ps)
+
+    def set_frequency(self, frequency_ghz: float) -> None:
+        self.stream.set_frequency(frequency_ghz)
+
+
+#: One step of an interleaved clock workload: an operation and its argument.
+#: Query times are offsets from the clock's ``next_edge``, so they land both
+#: inside and beyond the memo; ``advance`` repeats its argument many times.
+clock_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=40)),
+        st.tuples(
+            st.sampled_from(["edge_at_or_after", "skip_edges_before"]),
+            st.integers(min_value=-2_000, max_value=80_000),
+        ),
+        st.tuples(st.just("set_frequency"), st.sampled_from([0.5, 0.8, 1.0, 1.6, 2.5])),
+    ),
+    max_size=40,
+)
+
+
 class TestJitteredClock:
     """The jitter stream must be index-addressable: every prediction API
-    (edge_at_or_after, edges_before, skip_edges) must agree exactly with the
-    edge times a sequence of advance() calls actually produces."""
+    (edge_at_or_after, skip_edges_before) must agree exactly with the edge
+    times a sequence of advance() calls actually produces."""
 
     def test_stream_reproducible_across_instances(self):
         first = [jittered_clock().advance() for _ in range(1)]
@@ -138,11 +197,12 @@ class TestJitteredClock:
         assert [reseeded.advance() for _ in range(50)] != base
         assert [renamed.advance() for _ in range(50)] != base
 
-    def test_skip_edges_matches_individual_advances(self):
+    def test_skip_edges_before_matches_individual_advances(self):
         bulk, stepwise = jittered_clock(), jittered_clock()
-        bulk.skip_edges(7)
         for _ in range(7):
             stepwise.advance()
+        # Every edge strictly before the seventh advance's edge: seven edges.
+        assert bulk.skip_edges_before(stepwise.next_edge) == 7
         assert bulk.next_edge == stepwise.next_edge
         assert bulk.cycle_count == stepwise.cycle_count
         # And the streams stay locked after the bulk skip.
@@ -152,11 +212,10 @@ class TestJitteredClock:
 
     def test_skip_then_advance_equals_pure_advances(self):
         mixed, pure = jittered_clock(), jittered_clock()
-        mixed.skip_edges(3)
+        edges = [pure.advance() for _ in range(9)]
+        assert mixed.skip_edges_before(edges[2]) == 3
         mixed.advance()
-        mixed.skip_edges(5)
-        for _ in range(9):
-            pure.advance()
+        assert mixed.skip_edges_before(edges[8]) == 5
         assert mixed.next_edge == pure.next_edge
         assert mixed.cycle_count == pure.cycle_count
 
@@ -176,24 +235,16 @@ class TestJitteredClock:
         assert not any(time_ps <= edge < probe for edge in actual_edges)
 
     @given(st.integers(min_value=0, max_value=200_000))
-    def test_edges_before_agrees_with_skip_edges(self, time_ps):
+    def test_skip_edges_before_agrees_with_stepwise_advances(self, time_ps):
         clock = jittered_clock()
-        count = clock.edges_before(time_ps)
-        clock.skip_edges(count)
-        # All skipped edges were strictly before time_ps...
+        walker = jittered_clock()
+        count = clock.skip_edges_before(time_ps)
+        assert count == advances_until(walker, time_ps)
+        assert clock.cycle_count == walker.cycle_count == count
+        assert clock.next_edge == walker.next_edge
+        # Every skipped edge was strictly before time_ps, and none remaining is.
         assert clock.next_edge >= time_ps or count == 0
-        # ...and none remaining is.
-        assert clock.edges_before(time_ps) == 0
-
-    @given(st.integers(min_value=0, max_value=200_000))
-    def test_skip_edges_before_is_the_one_pass_equivalent(self, time_ps):
-        combined = jittered_clock()
-        two_step = jittered_clock()
-        count = combined.skip_edges_before(time_ps)
-        two_step.skip_edges(two_step.edges_before(time_ps))
-        assert count == two_step.cycle_count
-        assert combined.cycle_count == two_step.cycle_count
-        assert combined.next_edge == two_step.next_edge
+        assert clock.skip_edges_before(time_ps) == 0
 
     def test_skip_edges_before_on_a_jitter_free_clock(self):
         clock = DomainClock("test", 1.0)  # edges at 0, 1000, 2000, ...
@@ -217,3 +268,66 @@ class TestJitteredClock:
             step = clock.advance() - previous
             previous = clock.next_edge
             assert 450 <= step <= 550  # 500 ps +- 5% (jitter_fraction 0.1)
+
+
+class TestJitterMemo:
+    """The memo of future jittered edges is invisible: a memoised clock
+    reports exactly what :class:`StepwiseClock` computes edge by edge."""
+
+    @given(
+        jitter=st.sampled_from([0.05, 0.1, 0.45]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        operations=clock_operations,
+    )
+    def test_interleaved_operations_match_the_stepwise_reference(self, jitter, seed, operations):
+        clock = jittered_clock(jitter_fraction=jitter, seed=seed)
+        reference = StepwiseClock(jitter_fraction=jitter, seed=seed)
+        for name, argument in operations:
+            if name == "advance":
+                for _ in range(argument):
+                    assert clock.advance() == reference.advance()
+            elif name == "set_frequency":
+                clock.set_frequency(argument)
+                reference.set_frequency(argument)
+            else:
+                time_ps = reference.next_edge + argument
+                assert getattr(clock, name)(time_ps) == getattr(reference, name)(time_ps)
+            assert clock.next_edge == reference.next_edge
+            assert clock.cycle_count == reference.cycle_count
+
+    def test_advancing_past_the_memo_end_then_looking_ahead(self):
+        clock, reference = jittered_clock(), StepwiseClock()
+        clock.edge_at_or_after(5_000)  # memoises about five edges
+        for _ in range(12):  # ...then runs past them
+            assert clock.advance() == reference.advance()
+        time_ps = reference.next_edge + 7_500
+        assert clock.edge_at_or_after(time_ps) == reference.edge_at_or_after(time_ps)
+        assert clock.skip_edges_before(time_ps) == reference.skip_edges_before(time_ps)
+        assert clock.next_edge == reference.next_edge
+
+    def test_frequency_change_drops_memoised_edges(self):
+        clock, reference = jittered_clock(), StepwiseClock()
+        clock.edge_at_or_after(20_000)  # memoised under the 1 GHz period
+        clock.advance()
+        reference.advance()
+        clock.set_frequency(2.0)
+        reference.set_frequency(2.0)
+        time_ps = reference.next_edge + 9_000
+        assert clock.edge_at_or_after(time_ps) == reference.edge_at_or_after(time_ps)
+        assert [clock.advance() for _ in range(30)] == [reference.advance() for _ in range(30)]
+
+    def test_memo_stays_bounded_over_a_long_run(self):
+        clock = jittered_clock()
+        reach = 200 * clock.period_ps
+        # A jittered step is at least (1 - jitter/2) of the period, so a query
+        # ``reach`` ahead of ``next_edge`` memoises at most this many edges.
+        bound = reach // int(clock.period_ps * (1 - clock.jitter_fraction / 2)) + 2
+        longest = 0
+        for cycle in range(20_000):
+            clock.edge_at_or_after(clock.next_edge + reach)
+            if cycle % 1_000 == 999:
+                clock.skip_edges_before(clock.next_edge + reach // 2)
+            clock.advance()
+            longest = max(longest, len(clock._memo))
+        assert clock.cycle_count > 20_000
+        assert longest <= bound

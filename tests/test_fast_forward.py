@@ -216,25 +216,15 @@ class TestFastForwardGating:
 
 
 class TestBulkEdgeSkip:
-    def test_skip_edges_matches_individual_advances(self):
+    @pytest.mark.parametrize("jitter_fraction", [0.0, 0.2])
+    def test_skip_edges_before_matches_individual_advances(self, jitter_fraction):
         from repro.clocks.clock import DomainClock
 
-        bulk = DomainClock("test", 1.0)
-        stepwise = DomainClock("test", 1.0)
-        bulk.skip_edges(7)
+        bulk = DomainClock("test", 1.0, jitter_fraction=jitter_fraction, seed=3)
+        stepwise = DomainClock("test", 1.0, jitter_fraction=jitter_fraction, seed=3)
         for _ in range(7):
             stepwise.advance()
-        assert bulk.next_edge == stepwise.next_edge
-        assert bulk.cycle_count == stepwise.cycle_count
-
-    def test_skip_edges_matches_individual_advances_under_jitter(self):
-        from repro.clocks.clock import DomainClock
-
-        bulk = DomainClock("test", 1.0, jitter_fraction=0.2, seed=3)
-        stepwise = DomainClock("test", 1.0, jitter_fraction=0.2, seed=3)
-        bulk.skip_edges(7)
-        for _ in range(7):
-            stepwise.advance()
+        assert bulk.skip_edges_before(stepwise.next_edge) == 7
         assert bulk.next_edge == stepwise.next_edge
         assert bulk.cycle_count == stepwise.cycle_count
 

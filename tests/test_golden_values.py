@@ -35,7 +35,9 @@ from repro.engine import run_job
 #: landed (the index-addressable offset stream replaced the stateful RNG,
 #: which is an intentional modelling change for jittered runs only — the
 #: jitter-free digests did not move) and pin the timing-uncertainty path the
-#: same way.
+#: same way.  ``apsi-capacity/phase_adaptive_jittered_reconfig`` was recorded
+#: before the clock memoised its jittered edges, and pins a frequency change
+#: on a jittered clock.
 GOLDEN_DIGESTS = {
     "gcc/synchronous": "efbdc3d7065a9e2790b3e670ad11f0ead0da4f5af9e9817dd1b51466dbd686c2",
     "gcc/program_adaptive": "ebfa232fb92aec7af5066a5ea153d5fb53e3ef0d4f46ad58c15a7857c8180654",
@@ -44,6 +46,7 @@ GOLDEN_DIGESTS = {
     "em3d/phase_adaptive": "dbf359ae27200da9f7041d4237f351a443fb009d97b54122238ef38b2323a6a1",
     "gcc/phase_adaptive_jittered": "8c20b2cbb219fd7abdc9103c55c622ab71ee6269972bcb65c8e1f10fa30c862e",
     "em3d/program_adaptive_jittered_wide_window": "32062bfa9bba2cc895b950377bc1f5a24a1f8c51e1d812685e4f26162fb23fdf",
+    "apsi-capacity/phase_adaptive_jittered_reconfig": "b4ae665a7972a94aa36f2c7799e0e68c20f5e2a576144a674dcb6a87397cbc93",
 }
 
 
