@@ -8,8 +8,8 @@ their field partition is a *contract*, not a convention:
   fields can never move a pinned timing digest — only a change to simulated
   behaviour can.
 * :data:`FAST_PATH_OBSERVABILITY_FIELDS` — counters describing how a run
-  was *simulated* (fast-forward, horizon scheduling, compiled-trace reuse),
-  not what the machine did.  Excluded from both digests and from result
+  was *simulated* (work-horizon skip, compiled-trace reuse), not what the
+  machine did.  Excluded from both digests and from result
   equality.
 * Everything else — activity counters and structural sizes hashed by
   ``energy_digest`` together with the derived energy report.
@@ -73,15 +73,12 @@ TIMING_DIGEST_FIELDS = (
 )
 
 #: Observation-only counters describing how a run was *simulated* (compiled
-#: trace columns, horizon scheduling, fast-forward), not what the machine
-#: did.  They vary with the fast-path knobs while the simulated behaviour is
+#: trace columns, the work-horizon skip), not what the machine did.  They
+#: vary with the fast-path knobs while the simulated behaviour is
 #: bit-identical, so they are excluded from the energy digest exactly as the
 #: timing fields are (and were never part of the timing digest).
 FAST_PATH_OBSERVABILITY_FIELDS = frozenset(
     {
-        "fast_forward_invocations",
-        "fast_forward_cycles",
-        "steady_stretches_skipped",
         "horizon_skipped_edges",
         "compiled_trace_cache_hits",
     }

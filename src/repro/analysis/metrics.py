@@ -114,15 +114,11 @@ class RunResult:
     predictor_size_kb: float = 0.0
 
     # Simulator fast-path observability (how the run was *simulated*, not
-    # what the machine did): quiescent-phase fast-forward activity, idle
-    # edges bulk-skipped by event-horizon scheduling, and fetches served
-    # from pre-compiled trace columns.  Defaulted so old-schema JSON still
-    # deserialises, excluded from equality (``compare=False``) so a run is
-    # the same result however it was accelerated, and excluded from both
-    # result digests.
-    fast_forward_invocations: int = field(default=0, compare=False)
-    fast_forward_cycles: int = field(default=0, compare=False)
-    steady_stretches_skipped: int = field(default=0, compare=False)
+    # what the machine did): idle clock edges of all four domains consumed
+    # by the work-horizon skip, and fetches served from pre-compiled trace
+    # columns.  Defaulted so old-schema JSON still deserialises, excluded
+    # from equality (``compare=False``) so a run is the same result however
+    # it was accelerated, and excluded from both result digests.
     horizon_skipped_edges: int = field(default=0, compare=False)
     compiled_trace_cache_hits: int = field(default=0, compare=False)
 

@@ -250,7 +250,7 @@ def run_sensitivity_suite(*, quick: bool = False, workers: int = 1) -> BenchEntr
 
     Every grid point carries at least one jittered or knob-perturbed MCD
     simulation, so this suite doubles as the performance guard for the
-    jittered fast-forward path.
+    jittered work-horizon skip.
     """
     window, warmup = (QUICK_WINDOW, QUICK_WARMUP) if quick else (4_000, 12_000)
     names = QUICK_SENSITIVITY_WORKLOADS if quick else FULL_SENSITIVITY_WORKLOADS

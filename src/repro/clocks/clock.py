@@ -34,9 +34,9 @@ class DomainClock:
     prediction is a true jittered edge that :meth:`advance` will later
     produce, and a bulk skip lands on precisely the ``next_edge`` the
     equivalent individual advances would — which is what allows the
-    processor's quiescent-phase fast-forward to stay enabled on jittered
-    clocks.  A frequency change clears the memo, and consumed entries are
-    trimmed when it is extended, so it holds at most the furthest look-ahead.
+    processor's work-horizon skip to stay enabled on jittered clocks.  A
+    frequency change clears the memo, and consumed entries are trimmed when
+    it is extended, so it holds at most the furthest look-ahead.
 
     ``next_edge``, ``period_ps``, ``cycle_count`` and ``jitter_fraction`` are
     plain attributes (not properties): the simulator's main loop reads them
@@ -194,7 +194,7 @@ class DomainClock:
 
         Lands on exactly the ``next_edge`` and ``cycle_count`` that calling
         :meth:`advance` until ``next_edge >= time_ps`` would reach — the
-        fast-forward's batching primitive.  Returns the number of edges
+        work-horizon skip's batching primitive.  Returns the number of edges
         consumed.
         """
         edge = self.next_edge

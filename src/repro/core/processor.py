@@ -9,11 +9,15 @@ line of pipeline modelling and differ only where the paper says they differ.
 
 The simulation is event driven over clock edges: the main loop repeatedly
 advances whichever domain has the earliest pending clock edge and performs
-that domain's work for one cycle.  Times are integer picoseconds throughout.
+that domain's work for one cycle.  Edges on which no domain can do any work
+are not walked: the work-horizon skip consumes them in bulk and applies
+their per-cycle counter updates arithmetically.  Times are integer
+picoseconds throughout.
 """
 
 from __future__ import annotations
 
+from math import inf
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +47,6 @@ from repro.isa.opcodes import (
 from repro.isa.registers import FP_BASE_INDEX
 from repro.obs.events import (
     CONTROLLER_INTERVAL,
-    FAST_FORWARD,
     FREQUENCY_CHANGE,
     HORIZON_SKIP,
     RECONFIGURATION,
@@ -80,17 +83,18 @@ _SEQ_KEY = attrgetter("seq")
 #: Shared empty result for wake-up scans of an empty queue.
 _NO_READY: tuple = ()
 
+#: The work horizon when no domain can bound its next work from the machine
+#: state (only a deadlocked machine gets here).
+_NO_BOUND = inf
+
 #: Main-loop iterations without a commit after which the simulator assumes a
 #: modelling bug rather than spinning forever.
 _DEADLOCK_LIMIT = 2_000_000
 
-#: Upper bounds on the fast-path bookkeeping: retired DynInst records kept
-#: for recycling between quiescent points (matching the front end's pool
-#: capacity — keeping more would never be reused), and consecutive quiescent
-#: stretches one fast-forward invocation may chain (a backstop against a
-#: modelling bug looping forever inside the fast-forward).
+#: Retired DynInst records kept for recycling between quiescent points
+#: (matching the front end's pool capacity — keeping more would never be
+#: reused).
 _RETIRED_KEEP_LIMIT = 512
-_MAX_FF_STRETCHES = 1024
 
 
 class MCDProcessor:
@@ -114,36 +118,21 @@ class MCDProcessor:
         Fraction of the faster clock's period forming the unsafe capture
         window at domain crossings (0.3 in the paper; the knob behind the
         paper's synchronisation-window sensitivity analysis).
-    fast_forward:
-        Enable the quiescent-phase fast-forward: when the pipeline is
-        completely drained and fetch is stalled (branch redirect or I-cache
-        miss in flight), idle clock edges are batch-consumed instead of being
-        walked one main-loop iteration at a time — and when fetch comes up
-        empty again at the resume edge (an I-cache miss streak), the next
-        quiescent stretch is skipped in the same invocation.  Bit-identical
-        by construction — the skipped edges provably perform no work beyond
-        stall/occupancy accounting, which is applied in bulk — and therefore
-        on by default; the flag exists so tests can compare both paths.
-        Valid under clock jitter too: the jitter offset stream is
-        index-addressable, so bulk-skipped edges land exactly where
-        one-at-a-time advances would have.
     horizon_scheduling:
-        Enable event-horizon edge scheduling: an execution-domain clock edge
-        that provably has no work (empty issue queue, or a load/store queue
-        with nothing left to issue) is bulk-skipped together with every
-        following idle edge of that domain up to the next front-end edge —
-        the earliest instant new work can reach the domain, since issue-queue
-        arrivals and LSQ allocations originate only from front-end dispatch.
-        The per-cycle zero-occupancy samples the skipped edges would have
-        taken are applied in bulk, so this is bit-identical too (and, like
-        the fast-forward, jitter-correct); disabled automatically while a
-        reconfiguration event is pending so events keep firing at exactly
-        the edge they would have fired at.  On by default; the flag exists
-        so tests can compare both paths.
+        Enable the work-horizon skip: at the top of every main-loop
+        iteration the simulator computes, from the machine state, the
+        earliest time at which any domain can do work, and consumes every
+        domain's clock edges before it in bulk, applying the counter updates
+        those idle edges would have made (stall cycles, commit-attempt
+        synchronisation statistics, issue-queue occupancy samples)
+        arithmetically — see :meth:`_skip_idle_edges`.  Bit-identical by
+        construction, jitter-correct (bulk skips land on the memoised
+        jittered edges) and on by default; ``False`` walks every edge one at
+        a time, the reference path the identity tests compare against.
     recorder:
         Optional :class:`~repro.obs.recorder.TraceRecorder` receiving the
         telemetry event stream (controller intervals, reconfigurations,
-        frequency changes, sync penalties, fast-forward/horizon activity).
+        frequency changes, sync penalties, work-horizon skips).
         Strictly observation-only: results are bit-identical with and
         without a recorder, and the ``None`` default (the null object) adds
         no work to the hot paths — every emission guard is a precomputed
@@ -159,7 +148,6 @@ class MCDProcessor:
         seed: int = 0,
         jitter_fraction: float = 0.0,
         sync_window_fraction: float = DEFAULT_WINDOW_FRACTION,
-        fast_forward: bool = True,
         horizon_scheduling: bool = True,
         recorder: TraceRecorder | None = None,
     ) -> None:
@@ -197,11 +185,6 @@ class MCDProcessor:
         # every wake-window rebuild, so a frequency change invalidates every
         # cached ``DynInst.wake_time`` at once.
         self._wake_epoch = 0
-        # Per-queue idle horizons fed by _ready_entries: the earliest time at
-        # which a non-empty queue can possibly issue (0 = unknown / disabled).
-        self._scan_idle_until: Picoseconds = 0
-        self._int_idle_until: Picoseconds = 0
-        self._fp_idle_until: Picoseconds = 0
         # Scratch list reused by every wake-up scan (one per execution-domain
         # edge; the scans never overlap, and each caller consumes the result
         # before the next scan runs), sparing the allocator and the GC.
@@ -270,20 +253,11 @@ class MCDProcessor:
         self._interval_start_time: dict[str, Picoseconds] = {}
         self._last_interval_duration: Picoseconds = 0
 
-        # Quiescent-phase fast-forward and event-horizon edge scheduling
-        # (see the constructor docstring).  The counters are observational
-        # only — excluded from result digests — and reset together with the
-        # warm-up reset so they describe the measured window.
-        self._fast_forward_enabled = fast_forward
+        # Work-horizon skip (see the constructor docstring).  The counter is
+        # observational only — excluded from result digests — and reset with
+        # the warm-up reset so it describes the measured window.
         self._horizon_enabled = horizon_scheduling
-        #: Number of times the fast-forward batch-consumed at least one edge.
-        self.fast_forward_invocations = 0
-        #: Total clock edges consumed in bulk across all domains.
-        self.fast_forward_cycles = 0
-        #: Quiescent stretches consumed by the fast-forward (several per
-        #: invocation when an I-cache miss streak chains stalls).
-        self.steady_stretches_skipped = 0
-        #: Idle execution-domain edges bulk-skipped by horizon scheduling.
+        #: Idle clock edges of all four domains consumed by the skip.
         self.horizon_skipped_edges = 0
 
         # Telemetry (observation-only).  The per-event-type booleans are
@@ -296,20 +270,18 @@ class MCDProcessor:
             self._trace_reconfig = recorder.wants(RECONFIGURATION)
             self._trace_freq = recorder.wants(FREQUENCY_CHANGE)
             self._trace_sync = recorder.wants(SYNC_PENALTY)
-            self._trace_ff = recorder.wants(FAST_FORWARD)
             self._trace_horizon = recorder.wants(HORIZON_SKIP)
             if self._trace_sync:
                 # Penalties recorded inside SynchronizationModel.transfer
-                # reach the recorder through this callback; the two inlined
-                # penalty sites in _commit (which bypass transfer) emit
-                # directly under the same boolean.
+                # reach the recorder through this callback; the inlined
+                # penalty sites in _commit and _skip_idle_edges (which bypass
+                # transfer) emit directly under the same boolean.
                 self.sync.on_penalty = self._emit_sync_penalty
         else:
             self._trace_interval = False
             self._trace_reconfig = False
             self._trace_freq = False
             self._trace_sync = False
-            self._trace_ff = False
             self._trace_horizon = False
 
     # ------------------------------------------------------------------ run
@@ -404,13 +376,6 @@ class MCDProcessor:
         frontend.reset_warm_state()
         self.hierarchy.reset_statistics()
         self.memory.reset()
-        self._reset_fast_path_counters()
-
-    def _reset_fast_path_counters(self) -> None:
-        """Zero the fast-path observability counters (with the warm-up reset)."""
-        self.fast_forward_invocations = 0
-        self.fast_forward_cycles = 0
-        self.steady_stretches_skipped = 0
         self.horizon_skipped_edges = 0
 
     def _emit_sync_penalty(
@@ -509,12 +474,12 @@ class MCDProcessor:
         frontend = self.frontend
         assert frontend is not None
         rob = self.rob
-        # Hot bindings: the loop body runs once per clock edge across the
-        # whole run, so every attribute lookup it avoids matters.  The edge
-        # selection is an explicit four-way compare (ties resolve in Domain
-        # declaration order, exactly as ``min(Domain, key=...)`` did).
-        # The ROB and fetch-queue containers are mutated only in place, so
-        # binding them once keeps the quiescence check to two truth tests.
+        # Hot bindings: the loop body runs once per processed clock edge, so
+        # every attribute lookup it avoids matters.  The edge selection is an
+        # explicit four-way compare (ties resolve in Domain declaration
+        # order, exactly as ``min(Domain, key=...)`` did).  The ROB and
+        # fetch-queue containers are mutated only in place, so binding them
+        # once keeps the quiescence check to two truth tests.
         rob_entries = rob._entries
         fq_entries = frontend.fetch_queue._entries
         fe_clock = self._fe_clock
@@ -525,13 +490,8 @@ class MCDProcessor:
         int_cycle = self._integer_cycle
         fp_cycle = self._floating_point_cycle
         ls_cycle = self._load_store_cycle
-        fast_forward = self._fast_forward_enabled
         horizon_scheduling = self._horizon_enabled
-        trace_horizon = self._trace_horizon
-        try_fast_forward = self._try_fast_forward
-        int_queue = self.int_queue
-        fp_queue = self.fp_queue
-        lsq = self.lsq
+        skip_idle_edges = self._skip_idle_edges
         retired = self._retired
         # Jitter never changes mid-run, so on jitter-free machines the
         # per-edge ``clock.advance()`` call reduces to its two attribute
@@ -555,77 +515,10 @@ class MCDProcessor:
                     retired.clear()
                 if frontend.trace_exhausted:
                     break
-                if fast_forward:
-                    try_fast_forward(fe_clock, int_clock, fp_clock, ls_clock)
-
-            if horizon_scheduling and not self._pending_events:
-                # Event-horizon edge scheduling: every execution-domain edge
-                # strictly before the next front-end edge is provably a no-op
-                # while the domain holds no work — issue-queue arrivals and
-                # LSQ allocations originate only from front-end dispatch, and
-                # a memory op awaiting address generation keeps
-                # ``lsq.unissued`` non-zero — so each idle domain's pending
-                # edges are bulk-skipped together.  Skipping runs at the top
-                # of the iteration, before an edge is selected and processed,
-                # so it never consumes edges past the run's final cycle; the
-                # per-cycle zero-occupancy samples the skipped edges would
-                # have taken are applied in bulk, and pending events disable
-                # skipping so reconfigurations keep firing at exactly the
-                # edge they would have.
-                fe_next = fe_clock.next_edge
-                skipped = 0
-                if int_clock.next_edge < fe_next and not int_queue._incoming:
-                    if not int_queue._entries:
-                        count = int_clock.skip_edges_before(fe_next)
-                        int_queue.occupancy_samples += count
-                        skipped = count
-                    else:
-                        # Occupied-queue horizon: the last wake-up scan proved
-                        # every entry sleeps until _int_idle_until (producer
-                        # completions are final and new entries arrive only
-                        # via _incoming, which is empty), so edges strictly
-                        # before min(idle, fe_next) sample occupancy and do
-                        # nothing else.
-                        bound = self._int_idle_until
-                        if bound > int_clock.next_edge:
-                            if bound > fe_next:
-                                bound = fe_next
-                            count = int_clock.skip_edges_before(bound)
-                            if count:
-                                int_queue.occupancy_samples += count
-                                int_queue.occupancy_accumulator += count * len(
-                                    int_queue._entries
-                                )
-                                skipped = count
-                if fp_clock.next_edge < fe_next and not fp_queue._incoming:
-                    if not fp_queue._entries:
-                        count = fp_clock.skip_edges_before(fe_next)
-                        fp_queue.occupancy_samples += count
-                        skipped += count
-                    else:
-                        bound = self._fp_idle_until
-                        if bound > fp_clock.next_edge:
-                            if bound > fe_next:
-                                bound = fe_next
-                            count = fp_clock.skip_edges_before(bound)
-                            if count:
-                                fp_queue.occupancy_samples += count
-                                fp_queue.occupancy_accumulator += count * len(
-                                    fp_queue._entries
-                                )
-                                skipped += count
-                if ls_clock.next_edge < fe_next and lsq.unissued == 0:
-                    skipped += ls_clock.skip_edges_before(fe_next)
-                if skipped:
-                    self.horizon_skipped_edges += skipped
-                    if trace_horizon:
-                        assert self.recorder is not None
-                        self.recorder.emit(
-                            HORIZON_SKIP,
-                            fe_next,
-                            rob.total_committed,
-                            edges=skipped,
-                        )
+            if horizon_scheduling:
+                # Before an edge is selected, so the skip never consumes
+                # edges past the run's final cycle.
+                skip_idle_edges()
 
             edge = fe_clock.next_edge
             clock = fe_clock
@@ -661,7 +554,7 @@ class MCDProcessor:
                 if idle_iterations > _DEADLOCK_LIMIT:
                     raise RuntimeError(
                         "simulation made no forward progress for "
-                        f"{_DEADLOCK_LIMIT} cycles (committed="
+                        f"{_DEADLOCK_LIMIT} main-loop iterations (committed="
                         f"{committed}); this indicates a "
                         "pipeline modelling bug"
                     )
@@ -669,110 +562,242 @@ class MCDProcessor:
                 idle_iterations = 0
                 last_committed = committed
 
-    def _try_fast_forward(
-        self,
-        fe_clock: DomainClock,
-        int_clock: DomainClock,
-        fp_clock: DomainClock,
-        ls_clock: DomainClock,
-    ) -> None:
-        """Batch-consume provably idle clock edges while the machine drains.
+    def _skip_idle_edges(self) -> None:
+        """Consume every clock edge before the work horizon, in bulk.
 
-        Preconditions (checked by the caller): the reorder buffer and fetch
-        queue are empty, so no instruction is in flight anywhere — the issue
-        queues, LSQ and functional units are all drained.  Until the front
-        end fetches again, every domain's cycle is a no-op whose only side
-        effects are the front end's stall counter and the issue queues'
-        zero-occupancy samples, so those edges can be consumed in bulk with
-        the same counter updates.
+        The work horizon is the earliest time at which any domain can do
+        more than per-cycle bookkeeping, read off the machine state:
 
-        Fetch resumes at the first front-end edge at or after the front
-        end's stall horizon (branch redirect or I-cache refill time), so
-        edges strictly before that — across all four domains — are skippable.
-        Pending reconfiguration events cap the horizon (they must fire at
-        exactly the edge they would have fired at), and any in-progress
-        reconfiguration bypasses the fast-forward entirely: while the
-        controllers are mid-change the conservative path keeps the event and
-        frequency sequencing trivially identical.
+        - front end: the ROB head's completion plus its front-end wake
+          window (commit); the fetch-queue head's ``dispatch_ready_time``
+          when no ROB, register, issue-queue or LSQ hazard blocks it
+          (dispatch); fetch's ``stall_until``, or the next edge when fetch
+          can run (fetch);
+        - integer and floating point: the issue queue's earliest incoming
+          arrival or entry wake-up (:meth:`_issue_queue_horizon`);
+        - load/store: the earliest ``lsq_arrival_time`` of an unissued entry;
+        - the earliest pending reconfiguration event, which fires at the
+          first edge of any domain at or after its time.
 
-        When no reconfiguration event is pending, one invocation chains
-        across *multiple* quiescent stretches: after skipping to the stall
-        horizon it runs the front end's fetch at the resume edge itself (the
-        commit and dispatch halves of that front-end cycle are provably
-        no-ops while the ROB and fetch queue are empty).  If fetch comes up
-        empty and stalls again — an I-cache miss streak walking through the
-        L2 — the next stretch is skipped immediately, without surfacing to
-        the main loop between stretches.
+        Each candidate is aligned to its domain's clock.  An unknown — a
+        producer that has not completed, an unresolved mispredicted branch, a
+        structural hazard — gives no bound, because the domain that will
+        resolve it has a bound of its own.  Nothing changes state before the
+        horizon, so every edge strictly before it is idle; they are consumed
+        with ``skip_edges_before`` and the only side effects they would have
+        had are applied in bulk, exactly as the per-edge paths record them:
+
+        - a branch-stall cycle per front-end edge while fetch waits on a
+          mispredicted branch, otherwise a fetch-stall cycle per edge when
+          ``stall_until`` lies beyond the front end's next edge;
+        - one commit-attempt synchronisation transfer per front-end edge
+          when the ROB head is a cross-domain result with a known completion
+          time, plus one penalty per edge when its capture edge
+          ``edge_at_or_after(completion)``, taken before the skip, falls
+          inside its unsafe window (see :meth:`_commit`);
+        - each issue queue's per-cycle occupancy sample.
+
+        Edges at the horizon itself are left to the main loop, which
+        processes them in the usual domain order.
         """
+        fe_clock = self._fe_clock
+        int_clock = self._int_clock
+        fp_clock = self._fp_clock
+        ls_clock = self._ls_clock
+        fe_next = fe_clock.next_edge
+        int_next = int_clock.next_edge
+        fp_next = fp_clock.next_edge
+        ls_next = ls_clock.next_edge
+        floor = fe_next
+        if int_next < floor:
+            floor = int_next
+        if fp_next < floor:
+            floor = fp_next
+        if ls_next < floor:
+            floor = ls_next
+
+        # A domain's candidates never precede its own next edge, so each
+        # domain is consulted only while that edge is below the horizon
+        # found so far; once the horizon reaches the earliest edge, nothing
+        # further is computed.
+        horizon = _NO_BOUND
+        if self._pending_events:
+            horizon = min(event[0] for event in self._pending_events)
         frontend = self.frontend
         assert frontend is not None
-        if self._changes_in_progress or frontend.waiting_for_branch is not None:
+        fetch_queue = frontend.fetch_queue
+        fq_entries = fetch_queue._entries
+        rob_entries = self.rob._entries
+        sync_enabled = self.sync.enabled
+        if fe_next < horizon and frontend._waiting_branch is None:
+            stall_until = frontend._stall_until
+            if stall_until > fe_next:
+                edge = fe_clock.edge_at_or_after(stall_until)
+                if edge < horizon:
+                    horizon = edge
+            elif (
+                len(fq_entries) < fetch_queue._capacity
+                and not frontend.trace_exhausted
+            ):
+                horizon = fe_next
+        if fe_next < horizon and rob_entries:
+            head = rob_entries[0]
+            completion = head.completion_time
+            if completion is not None:
+                if sync_enabled:
+                    completion += self._wake_windows(_FRONT_END_DOMAIN)[
+                        head.exec_domain
+                    ]
+                edge = fe_clock.edge_at_or_after(completion)
+                if edge < horizon:
+                    horizon = edge
+        if fe_next < horizon and fq_entries:
+            inst = fq_entries[0]
+            ready = inst.dispatch_ready_time
+            if ready < horizon and not self._dispatch_blocked(inst):
+                edge = fe_clock.edge_at_or_after(ready)
+                if edge < horizon:
+                    horizon = edge
+        if int_next < horizon:
+            edge = self._issue_queue_horizon(self.int_queue, int_clock, _INTEGER_DOMAIN)
+            if edge < horizon:
+                horizon = edge
+        if fp_next < horizon:
+            edge = self._issue_queue_horizon(
+                self.fp_queue, fp_clock, _FLOATING_POINT_DOMAIN
+            )
+            if edge < horizon:
+                horizon = edge
+        lsq = self.lsq
+        if ls_next < horizon and lsq.unissued:
+            earliest = _NO_BOUND
+            for inst in lsq._entries:
+                if not inst.memory_issued:
+                    arrival = inst.lsq_arrival_time
+                    if arrival is not None and arrival < earliest:
+                        earliest = arrival
+                        if arrival <= ls_next:
+                            break
+            if earliest < horizon:
+                edge = ls_clock.edge_at_or_after(earliest)
+                if edge < horizon:
+                    horizon = edge
+        if not floor < horizon < _NO_BOUND:
             return
-        int_queue = self.int_queue
-        fp_queue = self.fp_queue
-        total_skipped = 0
-        stretches = 0
-        while True:
-            horizon = fe_clock.edge_at_or_after(frontend.stall_until)
-            # Any pending event disables chaining: the event must be fired by
-            # the main loop at the first processed edge at or after its time,
-            # which the chained fetch below would bypass.
-            chain = not self._pending_events
-            if not chain:
-                earliest = min(event[0] for event in self._pending_events)
-                if earliest < horizon:
-                    horizon = earliest
 
-            skipped = 0
-            # skip_edges_before consumes the edges strictly before the
-            # horizon — on a jittered clock from its memo of jittered edges,
-            # landing exactly where per-edge advances would have.
+        skipped = 0
+        if fe_next < horizon:
+            head = rob_entries[0] if sync_enabled and rob_entries else None
+            if head is not None and head.completion_time is not None:
+                # Every skipped edge makes the same commit attempt: the
+                # capture edge of the head's completion does not move.
+                completion = head.completion_time
+                window = self._wake_windows(_FRONT_END_DOMAIN)[head.exec_domain]
+                penalised = fe_clock.edge_at_or_after(completion) - completion < window
+            else:
+                head = None
             count = fe_clock.skip_edges_before(horizon)
-            if count:
-                frontend.stats.fetch_stall_cycles += count
-                skipped += count
-            for clock, queue in ((int_clock, int_queue), (fp_clock, fp_queue)):
+            stats = frontend.stats
+            if frontend._waiting_branch is not None:
+                stats.branch_stall_cycles += count
+            elif frontend._stall_until > fe_next:
+                stats.fetch_stall_cycles += count
+            if head is not None:
+                sync_stats = self.sync.stats
+                sync_stats.transfers += count
+                if penalised:
+                    sync_stats.penalties += count
+                    if self._trace_sync:
+                        for _ in range(count):
+                            self._emit_sync_penalty(
+                                completion, head.exec_domain, _FRONT_END_DOMAIN
+                            )
+            skipped = count
+        for queue, clock in ((self.int_queue, int_clock), (self.fp_queue, fp_clock)):
+            if clock.next_edge < horizon:
                 count = clock.skip_edges_before(horizon)
-                if count:
-                    # The per-cycle occupancy sample of an empty queue, in bulk.
-                    queue.occupancy_samples += count
-                    skipped += count
-            skipped += ls_clock.skip_edges_before(horizon)
-            if skipped:
-                stretches += 1
-                total_skipped += skipped
-
-            if not chain or not skipped or stretches >= _MAX_FF_STRETCHES:
-                break
-            if fe_clock.next_edge != horizon:
-                break
-            # The resume edge is now the globally earliest edge (every other
-            # domain was skipped up to the horizon; the front end wins ties),
-            # so run its front-end cycle here: commit and dispatch are no-ops
-            # with the ROB and fetch queue empty, leaving just fetch.
-            fetched = frontend.fetch_cycle(horizon, fe_clock.period_ps)
-            fe_clock.advance()
-            if fetched or frontend.trace_exhausted:
-                break
-            if frontend.stall_until <= horizon:
-                # Fetch made no progress yet recorded no new stall; bail out
-                # to the main loop rather than risk spinning here (the
-                # deadlock guard lives there).
-                break
-
-        if total_skipped:
-            self.fast_forward_invocations += 1
-            self.fast_forward_cycles += total_skipped
-            self.steady_stretches_skipped += stretches
-            if self._trace_ff:
-                assert self.recorder is not None
-                self.recorder.emit(
-                    FAST_FORWARD,
-                    fe_clock.next_edge,
-                    self.rob.total_committed,
-                    edges=total_skipped,
-                    stretches=stretches,
+                queue.occupancy_samples += count
+                queue.occupancy_accumulator += count * (
+                    len(queue._entries) + len(queue._incoming)
                 )
+                skipped += count
+        if ls_next < horizon:
+            skipped += ls_clock.skip_edges_before(horizon)
+        self.horizon_skipped_edges += skipped
+        if self._trace_horizon:
+            assert self.recorder is not None
+            self.recorder.emit(
+                HORIZON_SKIP, horizon, self.rob.total_committed, edges=skipped
+            )
+
+    def _dispatch_blocked(self, inst: DynInst) -> bool:
+        """True when a structural hazard stops *inst* from dispatching.
+
+        A full ROB, destination register file, issue queue (arrivals still
+        crossing into it included) or, for a memory operation, LSQ.
+        """
+        rob = self.rob
+        if len(rob._entries) >= rob._capacity:
+            return True
+        dest = inst.dest
+        if dest >= 0:
+            regfile = self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs
+            if regfile._total <= regfile._allocated:
+                return True
+        queue = self.fp_queue if inst.is_fp else self.int_queue
+        if len(queue._entries) + len(queue._incoming) >= queue._capacity:
+            return True
+        lsq = self.lsq
+        return inst.is_memory_op and len(lsq._entries) >= lsq._capacity
+
+    def _issue_queue_horizon(
+        self, queue: IssueQueue, clock: DomainClock, domain_name: str
+    ) -> float:
+        """First edge of *clock* at which *queue* can admit or issue an entry.
+
+        That is the earliest incoming arrival or the earliest wake-up time
+        over entries whose producers have all completed, aligned to the
+        domain's clock; ``_NO_BOUND`` when neither exists.
+        """
+        next_edge = clock.next_edge
+        earliest = _NO_BOUND
+        for inst in queue._incoming:
+            arrival = inst.queue_arrival_time
+            if arrival < earliest:
+                earliest = arrival
+        entries = queue._entries
+        if entries and earliest > next_edge:
+            windows = self._wake_windows(domain_name)
+            epoch = self._wake_epoch
+            for inst in entries:
+                if inst.wake_epoch == epoch:
+                    wake = inst.wake_time
+                else:
+                    # Memoised as in _ready_entries; a producer still in
+                    # flight leaves the entry unbounded.
+                    wake = 0
+                    for producer in inst.producers:
+                        if producer is None:
+                            continue
+                        completion = producer.completion_time
+                        if completion is None:
+                            wake = _NO_BOUND
+                            break
+                        exec_domain = producer.exec_domain
+                        if exec_domain != domain_name:
+                            completion += windows[exec_domain]
+                        if completion > wake:
+                            wake = completion
+                    else:
+                        inst.wake_time = wake
+                        inst.wake_epoch = epoch
+                if wake < earliest:
+                    earliest = wake
+                    if wake <= next_edge:
+                        break
+        if earliest == _NO_BOUND:
+            return _NO_BOUND
+        return clock.edge_at_or_after(earliest)
 
     def _process_pending_events(self, now: Picoseconds) -> None:
         due = [event for event in self._pending_events if event[0] <= now]
@@ -786,12 +811,8 @@ class MCDProcessor:
         # Domain frequencies change only inside pending-event actions (the
         # reconfiguration ``finish`` closures), so the wake-window table is
         # invalidated eagerly here and its per-call validity check reduces
-        # to one ``is None`` test (see :meth:`_wake_windows`).  The per-queue
-        # idle horizons were computed under the old windows, so they fall
-        # with the table.
+        # to one ``is None`` test (see :meth:`_wake_windows`).
         self._wake_window_periods = None
-        self._int_idle_until = 0
-        self._fp_idle_until = 0
 
     # ------------------------------------------------------------ front end
 
@@ -802,7 +823,7 @@ class MCDProcessor:
         # Stalled fetch cycles (unresolved branch, I-cache refill) only bump
         # a counter; the checks are inlined here so the common stalled cycle
         # skips the fetch_cycle call entirely.  fetch_cycle performs the
-        # same checks itself for its other callers (the fast-forward chain).
+        # same checks itself for direct callers.
         frontend = self.frontend
         if frontend._waiting_branch is not None:
             frontend.stats.branch_stall_cycles += 1
@@ -897,9 +918,8 @@ class MCDProcessor:
         if not fq_entries or fq_entries[0].dispatch_ready_time > now:
             return
         rob = self.rob
-        rob_entries = rob._entries
-        rob_capacity = rob._capacity
         lsq = self.lsq
+        dispatch_blocked = self._dispatch_blocked
         last_writer = self._last_writer
         last_writer_get = last_writer.get
         sync = self.sync
@@ -912,24 +932,7 @@ class MCDProcessor:
         decode_width = self._decode_width
         while dispatched < decode_width:
             inst = fq_entries[0] if fq_entries else None
-            if inst is None or inst.dispatch_ready_time > now:
-                break
-            # Structural-hazard checks, inlined from the respective
-            # ``has_space`` / ``can_allocate`` properties.
-            if len(rob_entries) >= rob_capacity:
-                break
-            dest = inst.dest
-            regfile = None
-            if dest >= 0:
-                regfile = self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs
-                if regfile._total <= regfile._allocated:
-                    break
-            is_fp_op = inst.is_fp
-            queue = self.fp_queue if is_fp_op else self.int_queue
-            if len(queue._entries) + len(queue._incoming) >= queue._capacity:
-                break
-            is_memory_op = inst.is_memory_op
-            if is_memory_op and len(lsq._entries) >= lsq._capacity:
+            if inst is None or inst.dispatch_ready_time > now or dispatch_blocked(inst):
                 break
 
             fetch_queue.pop()
@@ -943,13 +946,15 @@ class MCDProcessor:
                     last_writer_get(inst.src0),
                     last_writer_get(inst.src1),
                 )
-            if regfile is not None:
-                regfile.allocate()
+            dest = inst.dest
+            if dest >= 0:
+                (self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs).allocate()
                 last_writer[dest] = inst
             rob.dispatch(inst)
-            if is_memory_op:
+            if inst.is_memory_op:
                 lsq.allocate(inst)
             inst.dispatch_time = now
+            is_fp_op = inst.is_fp
             if sync_enabled:
                 # Inline ``sync.transfer(now, fe_clock, queue_clock,
                 # fifo=True)``: dispatch runs while the front-end edge *now*
@@ -962,7 +967,7 @@ class MCDProcessor:
                 arrival = (fp_clock if is_fp_op else int_clock).next_edge
             else:
                 arrival = now
-            queue.dispatch(inst, arrival)
+            (self.fp_queue if is_fp_op else self.int_queue).dispatch(inst, arrival)
             dispatched += 1
 
             if feed_controllers:
@@ -1060,21 +1065,13 @@ class MCDProcessor:
         epoch = self._wake_epoch
         ready = self._ready_scratch
         ready.clear()
-        # Side output for the event-horizon scheduler: when nothing is ready
-        # and every entry's wake-up time is known, the earliest of them bounds
-        # the next edge at which this queue can possibly issue.
-        min_wake = 0
-        all_known = True
         for inst in entries:
             if inst.wake_epoch == epoch:
                 # Memoised: every producer's completion is final once set,
                 # so the wake-up time computed on a previous scan holds for
                 # as long as the windows do.
-                wake = inst.wake_time
-                if wake <= now:
+                if inst.wake_time <= now:
                     ready.append(inst)
-                elif min_wake == 0 or wake < min_wake:
-                    min_wake = wake
                 continue
             wake = 0
             for producer in inst.producers:
@@ -1082,7 +1079,6 @@ class MCDProcessor:
                     continue
                 completion = producer.completion_time
                 if completion is None:
-                    all_known = False
                     break
                 exec_domain = producer.exec_domain
                 if exec_domain != domain_name:
@@ -1094,12 +1090,6 @@ class MCDProcessor:
                 inst.wake_epoch = epoch
                 if wake <= now:
                     ready.append(inst)
-                elif min_wake == 0 or wake < min_wake:
-                    min_wake = wake
-        if ready or not all_known:
-            self._scan_idle_until = 0
-        else:
-            self._scan_idle_until = min_wake
         ready.sort(key=_SEQ_KEY)
         return ready
 
@@ -1113,7 +1103,6 @@ class MCDProcessor:
             units = self.int_units
             units.begin_cycle(now)
             ready = self._ready_entries(queue, now, _INTEGER_DOMAIN)
-            self._int_idle_until = self._scan_idle_until
             issue_width = self._issue_width
             execution_latency = EXECUTION_LATENCY
             sync = self.sync
@@ -1163,7 +1152,6 @@ class MCDProcessor:
             units = self.fp_units
             units.begin_cycle(now)
             ready = self._ready_entries(queue, now, _FLOATING_POINT_DOMAIN)
-            self._fp_idle_until = self._scan_idle_until
             issue_width = self._issue_width
             execution_latency = EXECUTION_LATENCY
             issued = 0
@@ -1629,9 +1617,6 @@ class MCDProcessor:
                 "fp_queue": fp_queue_entries,
             },
             predictor_size_kb=self._predictor_size_kb(spec.icache.predictor),
-            fast_forward_invocations=self.fast_forward_invocations,
-            fast_forward_cycles=self.fast_forward_cycles,
-            steady_stretches_skipped=self.steady_stretches_skipped,
             horizon_skipped_edges=self.horizon_skipped_edges,
             compiled_trace_cache_hits=frontend.compiled_trace_cache_hits,
         )

@@ -52,9 +52,12 @@ DEFAULT_TRACE_SEED = 1234
 #: ``src/repro/checks/snapshots/fingerprint_schema.json`` and fails CI when
 #: either changes under an unchanged version.  After a deliberate bump, run
 #: ``python -m repro.checks --update-snapshots`` and commit the result.
-FINGERPRINT_VERSION = 6  # v6: trace field on SimulationJob (observation-only,
-# excluded from the payload — the bump records the schema change, not a
-# semantic one; results are bit-identical with and without tracing)
+FINGERPRINT_VERSION = 7  # v7: RunResult lost the fast_forward_invocations,
+# fast_forward_cycles and steady_stretches_skipped counters when one
+# work-horizon skip replaced the fast-forward and event-horizon scheduling
+# (the bump records the store-schema change; simulated results are
+# bit-identical).  v6: trace field on SimulationJob (observation-only,
+# excluded from the payload).
 
 
 def default_warmup(profile: WorkloadProfile, window: int | None = None) -> int:

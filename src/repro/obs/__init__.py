@@ -7,7 +7,7 @@ off):
 - :mod:`repro.obs.events` / :mod:`repro.obs.recorder` — typed,
   schema-versioned trace events from the processor's instrumentation hooks
   (controller decisions, reconfigurations, frequency changes, sync
-  penalties, fast-forward/horizon activity), recorded through a
+  penalties, work-horizon skips), recorded through a
   :class:`TraceRecorder` into bounded ring buffers and JSONL files.
 - :mod:`repro.obs.metrics` — :class:`EngineMetrics`: per-job wall-clock and
   queue-latency histograms plus worker utilization, accumulated by the
@@ -38,7 +38,6 @@ from __future__ import annotations
 from repro.obs.events import (
     CONTROLLER_INTERVAL,
     EVENT_TYPES,
-    FAST_FORWARD,
     FREQUENCY_CHANGE,
     HORIZON_SKIP,
     PHASE_BOUNDARY,
@@ -68,7 +67,6 @@ __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
     "EngineMetrics",
-    "FAST_FORWARD",
     "FREQUENCY_CHANGE",
     "HORIZON_SKIP",
     "Histogram",

@@ -2,8 +2,8 @@
 
 One :class:`TraceEvent` is one observation: a controller interval was
 evaluated, a reconfiguration was applied, a domain clock changed frequency,
-a synchronisation penalty was paid, the fast-forward or event-horizon
-scheduler skipped edges, or a scenario phase boundary passed.  Events are
+a synchronisation penalty was paid, the work-horizon skip consumed idle
+clock edges, or a scenario phase boundary passed.  Events are
 observation-only by construction — nothing in the simulator reads them back
 — so a traced run and an untraced run of the same job produce bit-identical
 :class:`~repro.analysis.metrics.RunResult` digests.
@@ -23,7 +23,6 @@ from typing import Any, Mapping
 __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
-    "FAST_FORWARD",
     "FREQUENCY_CHANGE",
     "HORIZON_SKIP",
     "PHASE_BOUNDARY",
@@ -35,8 +34,9 @@ __all__ = [
 ]
 
 #: Version of the event payloads and the JSONL container format.  Bump when
-#: an event type changes shape; readers refuse other versions.
-SCHEMA_VERSION = 1
+#: an event type changes shape; readers refuse other versions.  v2: the
+#: fast-forward event type is gone and horizon-skip covers all four domains.
+SCHEMA_VERSION = 2
 
 #: A phase-adaptive controller finished an adaptation interval.  Payload:
 #: ``structure``, ``kind`` ("cache"/"queue"), the per-configuration
@@ -52,13 +52,13 @@ RECONFIGURATION = "reconfiguration"
 FREQUENCY_CHANGE = "frequency-change"
 
 #: A cross-domain transfer landed in the unsafe capture window and paid the
-#: extra synchroniser cycle.
+#: extra synchroniser cycle.  Also emitted once per penalised commit attempt
+#: on a front-end edge the work-horizon skip consumed.
 SYNC_PENALTY = "sync-penalty"
 
-#: The quiescent-phase fast-forward batch-consumed idle edges.
-FAST_FORWARD = "fast-forward"
-
-#: Event-horizon scheduling bulk-skipped idle execution-domain edges.
+#: The work-horizon skip consumed idle clock edges of all four domains.
+#: Payload: ``edges``, the number of edges consumed; ``time_ps`` is the
+#: horizon the skip stopped at.
 HORIZON_SKIP = "horizon-skip"
 
 #: A scenario phase-program boundary fell inside the measured window
@@ -72,7 +72,6 @@ EVENT_TYPES = frozenset(
         RECONFIGURATION,
         FREQUENCY_CHANGE,
         SYNC_PENALTY,
-        FAST_FORWARD,
         HORIZON_SKIP,
         PHASE_BOUNDARY,
     }

@@ -419,7 +419,7 @@ def test_energy_field_misclassified_as_excluded_flagged():
 
 def test_excluded_field_misclassified_as_energy_flagged():
     classification = load_classification()
-    classification["fast_forward_cycles"] = "energy"
+    classification["horizon_skipped_edges"] = "energy"
     messages = [finding.message for finding in check_classification(classification)]
     assert any(
         "in FAST_PATH_OBSERVABILITY_FIELDS but classified" in message

@@ -134,5 +134,5 @@ class TestCounterSchemaCompatibility:
         other = self.run_result()
         assert result == other
         other.horizon_skipped_edges += 1
-        other.fast_forward_cycles += 7
+        other.compiled_trace_cache_hits += 7
         assert result == other  # compare=False fields

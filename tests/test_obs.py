@@ -22,7 +22,15 @@ from golden_digests import (
     golden_jobs,
     result_digest,
 )
-from repro.engine import SimulationJob, TraceOptions, canonical_payload, run_job
+from repro.core.processor import MCDProcessor
+from repro.engine import (
+    SimulationJob,
+    SpecKind,
+    TraceOptions,
+    canonical_payload,
+    make_trace,
+    run_job,
+)
 from repro.engine.cache import CacheStats, ResultCache
 from repro.obs.cli import main as obs_main
 from repro.obs.events import (
@@ -47,7 +55,7 @@ from test_golden_values import GOLDEN_DIGESTS
 
 #: Golden jobs re-run with a recorder attached: one phase-adaptive job per
 #: workload (the controller hooks fire) plus a jittered one (the sync-penalty
-#: and jittered fast-forward hooks fire).
+#: and jittered work-horizon skip hooks fire).
 _TRACED_GOLDEN_JOBS = (
     "gcc/phase_adaptive",
     "em3d/phase_adaptive",
@@ -90,6 +98,41 @@ def test_traced_and_untraced_runs_are_bit_identical(tmp_path):
     assert energy_digest(traced) == energy_digest(untraced)
     _, events = read_trace(tmp_path / "trace.jsonl")
     assert events
+
+
+@pytest.mark.parametrize("skip", [True, False], ids=["skip", "walk"])
+def test_events_add_up_to_the_run_counters(skip):
+    """On an unsampled MCD run, one sync-penalty event per recorded penalty
+    (including those of commit attempts the work-horizon skip consumed), and
+    horizon-skip events whose edges sum to the skipped-edge counter."""
+    job = SimulationJob(
+        profile=get_workload("gcc"),
+        spec_kind=SpecKind.ADAPTIVE,
+        window=1_500,
+        warmup=1_000,
+        jitter_fraction=0.05,
+    )
+    ring = RingBufferSink(capacity=1_000_000)
+    recorder = TraceRecorder([ring], event_types=(SYNC_PENALTY, HORIZON_SKIP))
+    processor = MCDProcessor(
+        job.build_spec(),
+        seed=job.seed,
+        jitter_fraction=job.jitter_fraction,
+        horizon_scheduling=skip,
+        recorder=recorder,
+    )
+    result = processor.run(
+        make_trace(job.profile, seed=job.trace_seed),
+        max_instructions=job.resolved_window(),
+        warmup_instructions=job.resolved_warmup(),
+    )
+    events = ring.events
+    assert len(events) == sum(recorder.emitted.values())  # none fell off
+    penalties = [event for event in events if event.type == SYNC_PENALTY]
+    assert len(penalties) == result.sync_penalties > 0
+    skipped = sum(event.data["edges"] for event in events if event.type == HORIZON_SKIP)
+    assert skipped == result.horizon_skipped_edges
+    assert (skipped > 0) is skip
 
 
 # ------------------------------------------------------- job integration

@@ -24,7 +24,7 @@ from repro.bench.schema import BenchEntry, BenchRun
 from repro.engine import ExperimentEngine, run_job
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
-from repro.engine.fabric import ShardSpec, run_shard
+from repro.engine.fabric import ShardSpec, run_shard, shard_index
 from repro.obs.cli import main as obs_main
 from repro.obs.export import (
     prometheus_text,
@@ -416,8 +416,23 @@ def test_snapshot_writers_dispatch_on_extension(tmp_path):
 # ----------------------------------------------------------------- report
 
 
+def _two_jobs_per_shard():
+    """Four golden jobs, two owned by each of two shards.
+
+    A job's shard hashes its fingerprint, which moves with every
+    FINGERPRINT_VERSION bump, so the jobs are picked by owner, not by
+    position: both shards of the fleet always have work.
+    """
+    owned: dict[int, list] = {0: [], 1: []}
+    for job in golden_jobs().values():
+        jobs = owned[shard_index(job.fingerprint(), 2)]
+        if len(jobs) < 2:
+            jobs.append(job)
+    return owned[0] + owned[1]
+
+
 def _fleet_summary(tmp_path):
-    jobs = list(golden_jobs().values())[:4]
+    jobs = _two_jobs_per_shard()
     for index in range(2):
         engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
         engine.ledger = open_ledger(tmp_path / "ledgers", label="r", shard=f"{index}/2")
@@ -453,7 +468,7 @@ def test_render_histogram_empty():
 
 
 def test_obs_ledger_cli_merge_summarize_report(tmp_path, capsys):
-    jobs = list(golden_jobs().values())[:4]
+    jobs = _two_jobs_per_shard()
     for index in range(2):
         engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
         engine.ledger = open_ledger(tmp_path / "ledgers", label="cli", shard=f"{index}/2")
