@@ -191,12 +191,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         import json
 
         from repro.bench.history import load_trajectories, render_history
+        from repro.obs.records import RecordFileError
 
         try:
             trajectories = load_trajectories(
                 output_dir, tolerance=args.tolerance, limit=args.limit
             )
-        except FileNotFoundError as error:
+        except (RecordFileError, FileNotFoundError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
         if args.as_json:

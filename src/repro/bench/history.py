@@ -107,8 +107,10 @@ def load_trajectories(
     Experiment keys follow the recording layer (a file can hold several —
     ``BENCH_sweep.json`` carries the sweep, sensitivity, energy and
     scenarios trajectories).  Schema-invalid entries are skipped, matching
-    :func:`repro.bench.recording.latest_entry`'s tolerance for old rows.
-    *limit* keeps only the newest N rows per experiment.
+    :func:`repro.bench.recording.latest_entry`'s tolerance for old rows;
+    a file that is not a JSON object raises
+    :class:`~repro.obs.records.RecordFileError`.  *limit* keeps only the
+    newest N rows per experiment.
     """
     output_dir = Path(output_dir)
     paths = sorted(output_dir.glob("BENCH_*.json"))

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.schema import BenchEntry
+from repro.obs.records import RecordFileError
 
 #: Recorded entries kept per experiment (oldest dropped first).
 BENCH_HISTORY_LIMIT = 50
@@ -49,15 +50,20 @@ def bench_file_for_suite(suite: str, output_dir: Path | None = None) -> Path:
 
 
 def load_history(path: Path) -> dict[str, list[dict[str, Any]]]:
-    """Load a BENCH file; tolerate absence and corruption (returns ``{}``)."""
+    """Load a BENCH file; an absent file reads as empty.
+
+    A file that is not a JSON object raises :class:`RecordFileError` and is
+    left untouched, so a corrupt file never has its committed history
+    overwritten by :func:`append_entry`.
+    """
     if not path.exists():
         return {}
     try:
         data = json.loads(path.read_text())
-    except ValueError:
-        return {}
+    except ValueError as error:
+        raise RecordFileError(f"{path} is not valid JSON ({error}); not a BENCH file") from error
     if not isinstance(data, dict):
-        return {}
+        raise RecordFileError(f"{path} holds no JSON object; not a BENCH file")
     return data
 
 

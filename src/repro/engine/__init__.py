@@ -8,8 +8,7 @@ makes every experiment driver batchable, parallelisable and memoised.
 
 A process-wide default engine backs the convenience ``engine=None`` paths in
 :mod:`repro.analysis.sweep`.  It is serial with an in-memory cache unless
-overridden programmatically (:func:`set_default_engine`,
-:func:`configure_default_engine`) or via environment variables:
+configured via environment variables:
 
 ``REPRO_ENGINE_WORKERS``
     Worker-process count for the default engine (``0``/``1`` = serial,
@@ -31,7 +30,7 @@ from repro.engine.cache import (
     MergeReport,
     ResultCache,
 )
-from repro.engine.engine import EngineStats, ExperimentEngine, JobHandle
+from repro.engine.engine import EngineStats, ExperimentEngine
 from repro.engine.executors import (
     Executor,
     ParallelExecutor,
@@ -57,7 +56,7 @@ from repro.engine.job import (
     default_warmup,
     make_trace,
 )
-from repro.engine.runner import run_job, run_jobs
+from repro.engine.runner import run_job
 from repro.obs.metrics import EngineMetrics
 from repro.obs.options import TraceOptions
 
@@ -71,7 +70,6 @@ __all__ = [
     "Executor",
     "ExperimentEngine",
     "FINGERPRINT_VERSION",
-    "JobHandle",
     "MergeReport",
     "ParallelExecutor",
     "ResultCache",
@@ -82,7 +80,6 @@ __all__ = [
     "SpecKind",
     "TraceOptions",
     "canonical_payload",
-    "configure_default_engine",
     "default_control_params",
     "default_engine",
     "default_warmup",
@@ -91,10 +88,8 @@ __all__ = [
     "make_trace",
     "parse_shard",
     "run_job",
-    "run_jobs",
     "run_shard",
     "select_shard",
-    "set_default_engine",
     "shard_index",
     "shard_jobs",
 ]
@@ -121,36 +116,13 @@ def make_engine(
     return ExperimentEngine(executor, cache)
 
 
-def _engine_from_env() -> ExperimentEngine:
-    workers: int | str | None = os.environ.get("REPRO_ENGINE_WORKERS") or None
-    cache_dir = os.environ.get("REPRO_ENGINE_CACHE_DIR") or None
-    use_cache = os.environ.get("REPRO_ENGINE_CACHE", "1") != "0"
-    return make_engine(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
-
-
 def default_engine() -> ExperimentEngine:
     """The process-wide engine used when callers do not pass one."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = _engine_from_env()
+        _default_engine = make_engine(
+            workers=os.environ.get("REPRO_ENGINE_WORKERS") or None,
+            cache_dir=os.environ.get("REPRO_ENGINE_CACHE_DIR") or None,
+            use_cache=os.environ.get("REPRO_ENGINE_CACHE", "1") != "0",
+        )
     return _default_engine
-
-
-def set_default_engine(engine: ExperimentEngine | None) -> ExperimentEngine | None:
-    """Replace the process-wide default engine; returns the previous one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def configure_default_engine(
-    *,
-    workers: int | str | None = None,
-    cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
-) -> ExperimentEngine:
-    """Build an engine from knobs and install it as the process default."""
-    engine = make_engine(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
-    set_default_engine(engine)
-    return engine

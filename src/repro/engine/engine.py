@@ -9,14 +9,8 @@ Results are checkpointed *incrementally*: every finished simulation is
 written to the result cache the moment its executor yields it, so a batch
 killed part-way through keeps all completed work — the substrate of the
 ``matrix --resume`` workflow and the distributed campaign fabric
-(:mod:`repro.engine.fabric`).
-
-The engine can also be driven asynchronously by many concurrent clients:
-:meth:`ExperimentEngine.submit` returns a :class:`JobHandle` immediately and
-runs the simulation on a background executor, deduplicating in-flight
-fingerprints so two clients submitting the same job share one simulation.
-:meth:`~ExperimentEngine.poll` and :meth:`~ExperimentEngine.result` complete
-the submit/poll/result serving surface.
+(:mod:`repro.engine.fabric`).  Executors stream results back to the calling
+thread, so the engine is single-threaded and needs no lock.
 """
 
 from __future__ import annotations
@@ -24,11 +18,9 @@ from __future__ import annotations
 import copy
 import itertools
 import os
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.analysis.metrics import RunResult
 from repro.engine.cache import ResultCache
@@ -62,43 +54,6 @@ class EngineStats:
         return self.cache_hits + self.batch_duplicates
 
 
-class JobHandle:
-    """One asynchronous submission: poll it, then collect its result.
-
-    Handles are created by :meth:`ExperimentEngine.submit`; several handles
-    may share one underlying simulation (in-flight fingerprint dedup), and
-    each :meth:`result` call returns a private deep copy so concurrent
-    clients can never corrupt each other through a shared
-    :class:`RunResult`.
-    """
-
-    __slots__ = ("job", "fingerprint", "source", "_future")
-
-    def __init__(self, job: SimulationJob, fingerprint: str, source: str, future: Future) -> None:
-        self.job = job
-        self.fingerprint = fingerprint
-        #: How the submission was satisfied: ``"cache"`` (already stored),
-        #: ``"duplicate"`` (rides an in-flight simulation) or ``"simulated"``.
-        self.source = source
-        self._future = future
-
-    def done(self) -> bool:
-        """True once the result (or a failure) is available."""
-        return self._future.done()
-
-    def result(self, timeout: float | None = None) -> RunResult:
-        """Block up to *timeout* seconds and return a copy of the result."""
-        return copy.deepcopy(self._future.result(timeout))
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        """The simulation's exception, if it failed; blocks like ``result``."""
-        return self._future.exception(timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done() else "pending"
-        return f"JobHandle({self.job.describe()}, {self.source}, {state})"
-
-
 class ExperimentEngine:
     """Submit :class:`SimulationJob` batches; receive :class:`RunResult` lists."""
 
@@ -108,7 +63,6 @@ class ExperimentEngine:
         cache: ResultCache | None = None,
         *,
         runner: JobRunner = run_job,
-        async_workers: int | None = None,
     ) -> None:
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
@@ -120,20 +74,11 @@ class ExperimentEngine:
         #: When set, ``run_all`` logs a progress line on the ``repro.engine``
         #: logger (INFO) at most once per this many seconds.
         self.heartbeat_seconds: float | None = None
-        #: When set, every ``run_all`` batch and every asynchronous
-        #: ``submit`` simulation appends an accounting record (see
-        #: :mod:`repro.obs.ledger`).  Observability-only: nothing here flows
-        #: into fingerprints, results or digests.
+        #: When set, every ``run_all`` batch appends an accounting record
+        #: (see :mod:`repro.obs.ledger`).  Observability-only: nothing here
+        #: flows into fingerprints, results or digests.
         self.ledger: LedgerWriter | None = None
         self._engine_session = f"{os.getpid()}.{next(_ENGINE_SESSION_COUNTER)}"
-        # One lock guards the cache and stats across run_all and the async
-        # serving surface; simulations themselves run outside it.
-        self._lock = threading.RLock()
-        self._inflight: dict[str, Future] = {}
-        self._async_workers = async_workers
-        self._async_pool: ThreadPoolExecutor | None = None
-
-    # ------------------------------------------------------------- batch API
 
     def run(self, job: SimulationJob) -> RunResult:
         """Run one job (through the cache)."""
@@ -152,25 +97,24 @@ class ExperimentEngine:
         pending: dict[str, list[int]] = {}
         served: list[str] = []
         duplicates = 0
-        with self._lock:
-            self.stats.jobs_submitted += len(jobs)
-            for position, job in enumerate(jobs):
-                fingerprint = job.fingerprint()
-                if fingerprint in pending:
-                    pending[fingerprint].append(position)
-                    self.stats.batch_duplicates += 1
-                    duplicates += 1
-                    continue
-                cached = self.cache.get(fingerprint) if self.cache is not None else None
-                if cached is not None:
-                    results[position] = cached
-                    self.stats.cache_hits += 1
-                    served.append(fingerprint)
-                else:
-                    pending[fingerprint] = [position]
+        self.stats.jobs_submitted += len(jobs)
+        for position, job in enumerate(jobs):
+            fingerprint = job.fingerprint()
+            if fingerprint in pending:
+                pending[fingerprint].append(position)
+                self.stats.batch_duplicates += 1
+                duplicates += 1
+                continue
+            cached = self.cache.get(fingerprint) if self.cache is not None else None
+            if cached is not None:
+                results[position] = cached
+                self.stats.cache_hits += 1
+                served.append(fingerprint)
+            else:
+                pending[fingerprint] = [position]
 
         unique_jobs = [jobs[positions[0]] for positions in pending.values()]
-        stream = self._stream(unique_jobs)
+        stream = self.executor.imap_jobs(unique_jobs, self.runner)
         # Metrics/heartbeat accounting is observation-only: per-result
         # inter-arrival time stands in for job wall-clock (exact under the
         # serial executor), arrival-since-batch-start is the queue latency.
@@ -182,12 +126,11 @@ class ExperimentEngine:
         job_seconds: dict[str, float] = {}
         for (fingerprint, positions), result in zip(pending.items(), stream):
             arrival = time.perf_counter()
-            with self._lock:
-                self.stats.simulations += 1
-                self.metrics.record_job(arrival - last_arrival, arrival - batch_start)
-                job_seconds[fingerprint] = arrival - last_arrival
-                if self.cache is not None:
-                    self.cache.put(fingerprint, result)
+            self.stats.simulations += 1
+            self.metrics.record_job(arrival - last_arrival, arrival - batch_start)
+            job_seconds[fingerprint] = arrival - last_arrival
+            if self.cache is not None:
+                self.cache.put(fingerprint, result)
             last_arrival = arrival
             completed += 1
             if next_beat is not None and arrival >= next_beat:
@@ -204,35 +147,28 @@ class ExperimentEngine:
             for position in positions[1:]:
                 results[position] = copy.deepcopy(result)
         if unique_jobs:
-            with self._lock:
-                self.metrics.record_batch(
-                    time.perf_counter() - batch_start, self.executor.workers
-                )
+            self.metrics.record_batch(time.perf_counter() - batch_start, self.executor.workers)
         if self.ledger is not None and jobs:
-            with self._lock:
-                self.ledger.append(
-                    self._ledger_record(
-                        "batch",
-                        jobs=len(jobs),
-                        duplicates=duplicates,
-                        cached=sorted(served),
-                        simulated=list(pending),
-                        job_seconds={
-                            fp: round(seconds, 6) for fp, seconds in job_seconds.items()
-                        },
-                        batch_seconds=round(time.perf_counter() - batch_start, 6),
-                    )
+            self.ledger.append(
+                self._ledger_record(
+                    jobs=len(jobs),
+                    duplicates=duplicates,
+                    cached=sorted(served),
+                    simulated=list(pending),
+                    job_seconds={fp: round(seconds, 6) for fp, seconds in job_seconds.items()},
+                    batch_seconds=round(time.perf_counter() - batch_start, 6),
                 )
+            )
         return results  # type: ignore[return-value]
 
-    def _ledger_record(self, kind: str, **payload: object) -> dict[str, object]:
-        """One ledger record: the payload plus engine-wide accounting.
+    def _ledger_record(self, **payload: object) -> dict[str, object]:
+        """One ``batch`` ledger record: the payload plus engine-wide accounting.
 
         Every record carries the executor mode, shard-independent engine
         session token, the cache's hit/miss/merge counters and the engine's
         cumulative :class:`EngineMetrics` snapshot — enough for
         ``python -m repro.obs ledger summarize`` to rebuild the campaign
-        view with no process left alive.  Called with ``self._lock`` held.
+        view with no process left alive.
         """
         cache_stats = None
         if self.cache is not None:
@@ -246,7 +182,7 @@ class ExperimentEngine:
                 "merge_duplicates": stats.merge_duplicates,
             }
         return {
-            "record": kind,
+            "record": "batch",
             "t": round(wallclock_timestamp(), 3),
             "engine_session": self._engine_session,
             "executor": type(self.executor).__name__.removesuffix("Executor").lower(),
@@ -255,116 +191,3 @@ class ExperimentEngine:
             "metrics": self.metrics.to_dict(),
             **payload,
         }
-
-    def _stream(self, jobs: Sequence[SimulationJob]) -> Iterator[RunResult]:
-        """Results of *jobs* in order, as they finish."""
-        imap = getattr(self.executor, "imap_jobs", None)
-        if imap is not None:
-            return iter(imap(jobs, self.runner))
-        # Third-party executors only required to implement run_jobs: no
-        # incremental checkpointing, but identical results.
-        return iter(self.executor.run_jobs(jobs, self.runner))
-
-    # ------------------------------------------------------------- async API
-
-    def submit(self, job: SimulationJob) -> JobHandle:
-        """Queue *job* on the background executor and return a handle.
-
-        Returns immediately.  A fingerprint already in the cache yields an
-        already-completed handle (``source="cache"``); one currently being
-        simulated by another client's submission shares that simulation
-        (``source="duplicate"``); anything else is scheduled on the
-        background pool (``source="simulated"``).
-        """
-        fingerprint = job.fingerprint()
-        with self._lock:
-            self.stats.jobs_submitted += 1
-            existing = self._inflight.get(fingerprint)
-            if existing is not None:
-                self.stats.batch_duplicates += 1
-                return JobHandle(job, fingerprint, "duplicate", existing)
-            cached = self.cache.get(fingerprint) if self.cache is not None else None
-            if cached is not None:
-                self.stats.cache_hits += 1
-                future: Future = Future()
-                future.set_result(cached)
-                return JobHandle(job, fingerprint, "cache", future)
-            future = Future()
-            self._inflight[fingerprint] = future
-            pool = self._ensure_async_pool()
-        pool.submit(self._run_submitted, fingerprint, job, future)
-        return JobHandle(job, fingerprint, "simulated", future)
-
-    def poll(self, handle: JobHandle) -> bool:
-        """True once *handle*'s simulation has completed (or failed)."""
-        return handle.done()
-
-    def result(self, handle: JobHandle, timeout: float | None = None) -> RunResult:
-        """Block up to *timeout* seconds for *handle* and return its result."""
-        return handle.result(timeout)
-
-    def drain(self) -> None:
-        """Block until every in-flight asynchronous submission has finished."""
-        while True:
-            with self._lock:
-                futures = list(self._inflight.values())
-            if not futures:
-                return
-            for future in futures:
-                try:
-                    future.result()
-                except Exception:
-                    # The submitting client observes the failure through its
-                    # handle; drain only waits for quiescence.
-                    pass
-
-    def close(self) -> None:
-        """Drain the async surface and shut the background pool down."""
-        self.drain()
-        with self._lock:
-            pool, self._async_pool = self._async_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _ensure_async_pool(self) -> ThreadPoolExecutor:
-        if self._async_pool is None:
-            workers = self._async_workers
-            if workers is None:
-                workers = max(2, self.executor.workers)
-            self._async_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-engine"
-            )
-        return self._async_pool
-
-    def _run_submitted(self, fingerprint: str, job: SimulationJob, future: Future) -> None:
-        start = time.perf_counter()
-        try:
-            result = self.executor.run_jobs([job], self.runner)[0]
-        except BaseException as error:  # noqa: BLE001 - delivered via the future
-            with self._lock:
-                self._inflight.pop(fingerprint, None)
-            future.set_exception(error)
-            return
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self.stats.simulations += 1
-            # An async submission is its own single-job batch: duration and
-            # queue latency coincide.
-            self.metrics.record_job(elapsed, elapsed)
-            self.metrics.record_batch(elapsed, 1)
-            if self.cache is not None:
-                self.cache.put(fingerprint, result)
-            self._inflight.pop(fingerprint, None)
-            if self.ledger is not None:
-                self.ledger.append(
-                    self._ledger_record(
-                        "submit",
-                        jobs=1,
-                        duplicates=0,
-                        cached=[],
-                        simulated=[fingerprint],
-                        job_seconds={fingerprint: round(elapsed, 6)},
-                        batch_seconds=round(elapsed, 6),
-                    )
-                )
-        future.set_result(result)

@@ -30,12 +30,6 @@ class Executor(Protocol):
         """Degree of parallelism the executor provides."""
         ...
 
-    def run_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> list[RunResult]:
-        """Run *jobs* through *runner*, returning results in input order."""
-        ...
-
     def imap_jobs(
         self, jobs: Sequence[SimulationJob], runner: JobRunner
     ) -> Iterator[RunResult]:
@@ -57,11 +51,6 @@ class SerialExecutor:
     @property
     def workers(self) -> int:
         return 1
-
-    def run_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> list[RunResult]:
-        return list(self.imap_jobs(jobs, runner))
 
     def imap_jobs(
         self, jobs: Sequence[SimulationJob], runner: JobRunner
@@ -119,11 +108,6 @@ class ParallelExecutor:
         if self.chunk_size is not None:
             return self.chunk_size
         return max(1, math.ceil(job_count / (self.max_workers * 4)))
-
-    def run_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> list[RunResult]:
-        return list(self.imap_jobs(jobs, runner))
 
     def imap_jobs(
         self, jobs: Sequence[SimulationJob], runner: JobRunner

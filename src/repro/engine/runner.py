@@ -18,8 +18,6 @@ without writing a trace).  Drivers that need the trace file call
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.analysis.metrics import RunResult
 from repro.core.processor import MCDProcessor
 from repro.engine.job import SimulationJob, make_trace
@@ -74,8 +72,3 @@ def run_job(job: SimulationJob, *, recorder: TraceRecorder | None = None) -> Run
         if owns_recorder:
             assert recorder is not None
             recorder.close()
-
-
-def run_jobs(jobs: Iterable[SimulationJob]) -> list[RunResult]:
-    """Simulate *jobs* in order (convenience wrapper for scripts)."""
-    return [run_job(job) for job in jobs]

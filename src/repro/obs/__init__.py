@@ -15,17 +15,18 @@ off):
   round-trip through ``to_dict``/``from_dict`` and fuse with ``merge``.
 - :mod:`repro.obs.ledger` — the persistent, append-only run ledger
   (JSONL): durable per-batch campaign accounting that shard workers write
-  and ``ledger merge``/``summarize`` fuse into one campaign view.
-- :mod:`repro.obs.export` — Prometheus-textfile/JSON metrics snapshot
-  writers for long-running ``submit()`` servers and fabric workers.
+  and ``ledger summarize``/``report`` fuse into one campaign view.
+- :mod:`repro.obs.records` — the schema-versioned JSONL container that
+  trace files and ledgers share: header builder, the one reader and the
+  :class:`RecordFileError` base of both files' errors.
 - :mod:`repro.obs.report` — the rendered campaign report (throughput,
   histograms, per-shard balance, store health, reconfiguration totals).
 - :mod:`repro.obs.logging` — the shared stdlib-logging setup
   (``-v``/``-q``) every ``python -m repro.*`` CLI adopts.
 
 ``python -m repro.obs`` (:mod:`repro.obs.cli`) records traces and renders
-them (``summarize``, ``timeline``, ``diff``) and operates on run ledgers
-(``ledger merge``, ``ledger summarize``, ``report``).
+them (``summarize``, ``timeline``, ``diff``) and reads run ledgers
+(``ledger summarize``, ``report``).
 
 This package ``__init__`` deliberately imports only the engine-independent
 modules: :mod:`repro.engine.job` imports :class:`TraceOptions` from here,
@@ -47,13 +48,11 @@ from repro.obs.events import (
     TraceEvent,
     TraceSchemaError,
 )
-from repro.obs.export import prometheus_text, write_metrics_snapshot
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerSchemaError,
     LedgerSummary,
     LedgerWriter,
-    merge_ledgers,
     open_ledger,
     read_ledger,
     summarize_ledgers,
@@ -62,6 +61,7 @@ from repro.obs.logging import add_logging_arguments, configure_logging, get_logg
 from repro.obs.metrics import EngineMetrics, Histogram
 from repro.obs.options import TraceOptions
 from repro.obs.recorder import JsonlSink, RingBufferSink, TraceRecorder, read_trace
+from repro.obs.records import RecordFileError
 
 __all__ = [
     "CONTROLLER_INTERVAL",
@@ -77,6 +77,7 @@ __all__ = [
     "LedgerWriter",
     "PHASE_BOUNDARY",
     "RECONFIGURATION",
+    "RecordFileError",
     "RingBufferSink",
     "SCHEMA_VERSION",
     "SYNC_PENALTY",
@@ -87,11 +88,8 @@ __all__ = [
     "add_logging_arguments",
     "configure_logging",
     "get_logger",
-    "merge_ledgers",
     "open_ledger",
-    "prometheus_text",
     "read_ledger",
     "read_trace",
     "summarize_ledgers",
-    "write_metrics_snapshot",
 ]

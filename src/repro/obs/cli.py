@@ -1,6 +1,7 @@
 """``python -m repro.obs`` — record and render telemetry traces and ledgers.
 
-Six subcommands:
+Six subcommands; an unreadable trace or ledger file
+(:class:`~repro.obs.records.RecordFileError`) prints ``error:`` and exits 1:
 
 ``trace``
     Run one phase-adaptive simulation of a scenario or benchmark workload
@@ -25,11 +26,11 @@ Six subcommands:
     sequences (first divergence) and reconfiguration ledgers.
 
 ``ledger``
-    Operate on persistent run ledgers (:mod:`repro.obs.ledger`):
-    ``ledger merge OUT SOURCE...`` fuses shard ledger files into one
-    campaign ledger; ``ledger summarize SOURCE...`` prints the fused
-    campaign accounting (``--json`` for the machine-readable form,
-    including the partition-independent ``equivalence_key``).
+    Read persistent run ledgers (:mod:`repro.obs.ledger`):
+    ``ledger summarize SOURCE...`` fuses ledger files, or the shard
+    ledgers in a directory, into the campaign accounting (``--json`` for
+    the machine-readable form, including the partition-independent
+    ``equivalence_key``).
 
 ``report``
     Render the full campaign report from one or more ledgers: work
@@ -54,6 +55,7 @@ from repro.obs.events import (
 )
 from repro.obs.logging import add_logging_arguments, configure_logging
 from repro.obs.recorder import read_trace
+from repro.obs.records import RecordFileError
 
 __all__ = ["build_parser", "main"]
 
@@ -140,17 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("left", help="first JSONL trace file")
     diff.add_argument("right", help="second JSONL trace file")
 
-    ledger = sub.add_parser("ledger", help="merge and summarise persistent run ledgers")
+    ledger = sub.add_parser("ledger", help="summarise persistent run ledgers")
     ledger_sub = ledger.add_subparsers(dest="ledger_command", required=True)
-    ledger_merge = ledger_sub.add_parser(
-        "merge", help="fuse shard ledger files into one campaign ledger"
-    )
-    ledger_merge.add_argument("destination", help="output ledger file")
-    ledger_merge.add_argument(
-        "sources",
-        nargs="+",
-        help="source ledger files or directories of *.ledger.jsonl",
-    )
     ledger_summarize = ledger_sub.add_parser(
         "summarize", help="fused campaign accounting of one or more ledgers"
     )
@@ -477,49 +470,38 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import LedgerSchemaError, merge_ledgers, summarize_ledgers
+    from repro.obs.ledger import summarize_ledgers
 
-    try:
-        if args.ledger_command == "merge":
-            written = merge_ledgers(args.destination, args.sources)
-            print(f"merged {written} record(s) into {args.destination}")
-            return 0
-        summary = summarize_ledgers(args.sources)
-        if args.json:
-            print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
-            return 0
-        print(
-            f"{summary.ledgers} ledger(s), {summary.records} record(s) "
-            f"({summary.batches} batch, {summary.submits} submit)"
-        )
-        print(
-            f"  jobs: {summary.jobs_submitted} submitted, "
-            f"{len(summary.unique_fingerprints)} unique, "
-            f"{summary.simulations} simulation(s), "
-            f"{summary.cache_hits} cache hit(s), "
-            f"{summary.batch_duplicates} duplicate(s)"
-        )
-        print(f"  campaign digest: {summary.fingerprint_digest()}")
-        for shard in sorted(summary.shards):
-            stats = summary.shards[shard]
-            print(
-                f"  shard {shard}: {stats['jobs']} job(s), "
-                f"{stats['simulations']} simulation(s), "
-                f"{stats['cache_hits']} cache hit(s), "
-                f"busy {stats['busy_seconds']:.3f}s"
-            )
-        for line in summary.metrics.summary_lines():
-            print(f"  {line}")
+    summary = summarize_ledgers(args.sources)
+    if args.json:
+        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
         return 0
-    except (LedgerSchemaError, FileNotFoundError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    print(f"{summary.ledgers} ledger(s), {summary.records} batch record(s)")
+    print(
+        f"  jobs: {summary.jobs_submitted} submitted, "
+        f"{len(summary.unique_fingerprints)} unique, "
+        f"{summary.simulations} simulation(s), "
+        f"{summary.cache_hits} cache hit(s), "
+        f"{summary.batch_duplicates} duplicate(s)"
+    )
+    print(f"  campaign digest: {summary.fingerprint_digest()}")
+    for shard in sorted(summary.shards):
+        stats = summary.shards[shard]
+        print(
+            f"  shard {shard}: {stats['jobs']} job(s), "
+            f"{stats['simulations']} simulation(s), "
+            f"{stats['cache_hits']} cache hit(s), "
+            f"busy {stats['busy_seconds']:.3f}s"
+        )
+    for line in summary.metrics.summary_lines():
+        print(f"  {line}")
+    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.obs.ledger import LedgerSchemaError, summarize_ledgers
+    from repro.obs.ledger import summarize_ledgers
     from repro.obs.report import render_report
 
     store = None
@@ -533,14 +515,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"error: store {directory} is not a directory", file=sys.stderr)
             return 2
         store = inspect_store(directory)
-    try:
-        summary = summarize_ledgers(args.sources)
-        text = render_report(
-            summary, store=store, traces=args.traces, markdown=args.markdown
-        )
-    except (LedgerSchemaError, FileNotFoundError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    summary = summarize_ledgers(args.sources)
+    text = render_report(summary, store=store, traces=args.traces, markdown=args.markdown)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote report to {args.out}")
@@ -554,14 +530,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    if args.command == "ledger":
-        return _cmd_ledger(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return _cmd_diff(args)
+    command = {
+        "trace": _cmd_trace,
+        "summarize": _cmd_summarize,
+        "timeline": _cmd_timeline,
+        "diff": _cmd_diff,
+        "ledger": _cmd_ledger,
+        "report": _cmd_report,
+    }[args.command]
+    try:
+        return command(args)
+    except (RecordFileError, FileNotFoundError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1

@@ -10,15 +10,18 @@ observation-only by construction — nothing in the simulator reads them back
 
 Every event carries the simulated time (integer picoseconds), the committed
 instruction count of the measured window at emission, and a plain-data
-payload specific to its type.  ``SCHEMA_VERSION`` governs the JSONL file
-format (:mod:`repro.obs.recorder`): readers reject files written under a
-different schema instead of misparsing them.
+payload specific to its type.  ``SCHEMA_VERSION`` versions the trace file
+(:mod:`repro.obs.recorder`, in the :mod:`repro.obs.records` container):
+readers reject files written under a different schema instead of
+misparsing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from repro.obs.records import RecordFileError
 
 __all__ = [
     "CONTROLLER_INTERVAL",
@@ -78,8 +81,8 @@ EVENT_TYPES = frozenset(
 )
 
 
-class TraceSchemaError(ValueError):
-    """A trace file or event was written under an incompatible schema."""
+class TraceSchemaError(RecordFileError):
+    """A trace file is foreign, torn, or from another schema version."""
 
 
 @dataclass(frozen=True, slots=True)

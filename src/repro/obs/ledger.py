@@ -1,16 +1,16 @@
 """The persistent run ledger: append-only JSONL accounting of engine work.
 
-Every :class:`~repro.engine.engine.ExperimentEngine` batch (and every
-asynchronous ``submit()`` simulation) can be appended to a **ledger file** —
-one JSON object per line, first line a schema-versioned header, mirroring
-the trace-file format of :mod:`repro.obs.recorder`.  Where a trace records
-what one *simulation* did, the ledger records what a *campaign* did: which
-job fingerprints ran where, how long each took, what the cache served, and
-the engine's cumulative :class:`~repro.obs.metrics.EngineMetrics` snapshot
+Every :class:`~repro.engine.engine.ExperimentEngine` batch can be appended
+to a **ledger file**, in the schema-versioned JSONL container that trace
+files also use (:mod:`repro.obs.records`).  Where a trace records what one
+*simulation* did, the ledger records what a *campaign* did: which job
+fingerprints ran where, how long each took, what the cache served, and the
+engine's cumulative :class:`~repro.obs.metrics.EngineMetrics` snapshot
 after each batch.  Ledgers are durable — an operator can query a campaign
 long after every worker process has exited — and shard workers each write
-their own file into a shared ``--ledger DIR``, fused afterwards by
-``python -m repro.obs ledger merge``.
+their own file into a shared ``--ledger DIR``, which
+``python -m repro.obs ledger summarize DIR`` and ``report DIR`` read
+directly.
 
 Ledgers are *observability-only*: nothing in them flows back into a
 simulation, a fingerprint or a digest.  They are also the one sanctioned
@@ -20,13 +20,11 @@ and nothing simulation-visible can read it back.
 
 File layout (``*.ledger.jsonl``)::
 
-    {"kind": "repro-obs-ledger", "schema": 1, "meta": {...}}   <- header
-    {"record": "batch",  ...}                                  <- one per batch
-    {"record": "submit", ...}                                  <- one per async sim
+    {"kind": "repro-obs-ledger", "meta": {...}, "schema": 1}   <- header
+    {"record": "batch", ...}                                   <- one per batch
 
-:func:`read_ledger` validates the header (and every record line) the same
-way :func:`repro.obs.recorder.read_trace` validates traces: foreign, stale
-or truncated files raise :class:`LedgerSchemaError` instead of misparsing.
+:func:`read_ledger` rejects foreign, stale, torn and unknown-record files
+with :class:`LedgerSchemaError` instead of misparsing them.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 from repro.obs.metrics import EngineMetrics
+from repro.obs.records import RecordFileError, read_records, record_header
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -47,8 +46,6 @@ __all__ = [
     "LedgerSummary",
     "LedgerWriter",
     "ledger_files",
-    "ledger_header",
-    "merge_ledgers",
     "open_ledger",
     "read_ledger",
     "summarize_ledgers",
@@ -65,34 +62,20 @@ _LEDGER_KIND = "repro-obs-ledger"
 #: Canonical file suffix; :func:`ledger_files` discovers by it.
 LEDGER_SUFFIX = ".ledger.jsonl"
 
-#: The record types this build writes and reads.
-_RECORD_TYPES = frozenset({"batch", "submit"})
+#: The one record type this build writes and reads.
+_RECORD_TYPE = "batch"
 
 
-class LedgerSchemaError(ValueError):
+class LedgerSchemaError(RecordFileError):
     """A ledger file is foreign, truncated, or from another schema version."""
 
 
-def ledger_header(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """The JSONL header object for a new ledger file."""
-    return {
-        "kind": _LEDGER_KIND,
-        "schema": LEDGER_SCHEMA_VERSION,
-        "meta": dict(meta) if meta else {},
-    }
-
-
-def _validate_header(header: Any, path: Path) -> dict[str, Any]:
-    if not isinstance(header, dict) or header.get("kind") != _LEDGER_KIND:
-        raise LedgerSchemaError(f"{path} is not a {_LEDGER_KIND} file")
-    schema = header.get("schema")
-    if schema != LEDGER_SCHEMA_VERSION:
-        raise LedgerSchemaError(
-            f"{path} was written under ledger schema {schema!r}, but this "
-            f"build reads schema {LEDGER_SCHEMA_VERSION}; regenerate the ledger"
-        )
-    meta = header.get("meta", {})
-    return dict(meta) if isinstance(meta, dict) else {}
+def _checked_record(record: Mapping[str, Any]) -> dict[str, Any]:
+    """*record* as a plain dict, refusing any record type but ``batch``."""
+    kind = record.get("record")
+    if kind != _RECORD_TYPE:
+        raise ValueError(f"unknown ledger record type {kind!r}; expected {_RECORD_TYPE!r}")
+    return dict(record)
 
 
 class LedgerWriter:
@@ -118,18 +101,13 @@ class LedgerWriter:
             self.meta = header_meta
         self._handle: IO[str] = self.path.open("a", encoding="utf-8")
         if not existing:
-            self._handle.write(json.dumps(ledger_header(self.meta), sort_keys=True) + "\n")
+            header = record_header(_LEDGER_KIND, LEDGER_SCHEMA_VERSION, self.meta)
+            self._handle.write(json.dumps(header, sort_keys=True) + "\n")
             self._handle.flush()
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Write one record line (caller supplies ``record`` type key)."""
-        kind = record.get("record")
-        if kind not in _RECORD_TYPES:
-            raise ValueError(
-                f"unknown ledger record type {kind!r}; expected one of "
-                f"{sorted(_RECORD_TYPES)}"
-            )
-        self._handle.write(json.dumps(dict(record), sort_keys=True) + "\n")
+        self._handle.write(json.dumps(_checked_record(record), sort_keys=True) + "\n")
         self._handle.flush()
 
     def close(self) -> None:
@@ -193,40 +171,18 @@ def read_ledger(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
     """Parse a ledger file into ``(header_meta, records)``.
 
     Raises :class:`LedgerSchemaError` when the file is not a ledger, was
-    written under a different :data:`LEDGER_SCHEMA_VERSION`, or contains a
-    truncated/malformed record line — a versioned format must reject, not
-    misparse, and a torn tail line (killed writer) must surface rather than
-    silently shortening the campaign's history.
+    written under a different :data:`LEDGER_SCHEMA_VERSION`, or holds a
+    torn or malformed line or a record type other than ``batch`` — a torn
+    tail line (killed writer) must surface rather than silently shortening
+    the campaign's history.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise LedgerSchemaError(f"{path} is empty; not a ledger file")
-        try:
-            header = json.loads(first)
-        except ValueError as error:
-            raise LedgerSchemaError(f"{path} has no JSON header line: {error}") from error
-        meta = _validate_header(header, path)
-        records: list[dict[str, Any]] = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as error:
-                raise LedgerSchemaError(
-                    f"{path}:{line_number}: truncated or malformed ledger "
-                    f"record ({error}); the writer may have been killed "
-                    f"mid-append — repair by deleting the torn final line"
-                ) from error
-            if not isinstance(record, dict) or record.get("record") not in _RECORD_TYPES:
-                raise LedgerSchemaError(
-                    f"{path}:{line_number}: unknown ledger record "
-                    f"{record.get('record') if isinstance(record, dict) else record!r}"
-                )
-            records.append(record)
-    return meta, records
+    return read_records(
+        path,
+        kind=_LEDGER_KIND,
+        schema=LEDGER_SCHEMA_VERSION,
+        parse=_checked_record,
+        error=LedgerSchemaError,
+    )
 
 
 def ledger_files(source: str | Path) -> list[Path]:
@@ -246,73 +202,6 @@ def ledger_files(source: str | Path) -> list[Path]:
     return [source]
 
 
-def _expand_sources(sources: Iterable[str | Path]) -> list[Path]:
-    paths: list[Path] = []
-    for source in sources:
-        for path in ledger_files(source):
-            if path not in paths:
-                paths.append(path)
-    return paths
-
-
-def merge_ledgers(destination: str | Path, sources: Sequence[str | Path]) -> int:
-    """Fuse shard ledger files into one campaign ledger at *destination*.
-
-    Mirrors :meth:`repro.engine.cache.ResultCache.merge`: every source file
-    is fully validated (header kind, schema version, every record line)
-    *before* anything is written, so a foreign or torn source refuses the
-    merge instead of half-applying it.  Records keep their per-file order,
-    with files processed in sorted-name order; each record is annotated
-    with its source ledger's shard identity (``shard`` key, when absent) so
-    the fused view keeps per-worker attribution.  Returns the number of
-    records written.
-    """
-    paths = _expand_sources(sources)
-    destination = Path(destination)
-    loaded: list[tuple[dict[str, Any], list[dict[str, Any]]]] = []
-    for path in paths:
-        if path.resolve() == destination.resolve():
-            raise ValueError(f"merge source {path} is the destination itself")
-        loaded.append(read_ledger(path))
-
-    merged_meta: dict[str, Any] = {
-        "label": "merged",
-        "merged_from": [str(path) for path in paths],
-        "shards": sorted(
-            {str(meta.get("shard")) for meta, _ in loaded if meta.get("shard") is not None}
-        ),
-    }
-    versions = sorted(
-        {
-            str(meta["fingerprint_version"])
-            for meta, _ in loaded
-            if "fingerprint_version" in meta
-        }
-    )
-    if len(versions) > 1:
-        raise LedgerSchemaError(
-            f"refusing to merge ledgers written under different "
-            f"FINGERPRINT_VERSIONs ({', '.join(versions)}); the campaigns "
-            f"they describe are not comparable"
-        )
-    if versions:
-        merged_meta["fingerprint_version"] = int(versions[0])
-
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with destination.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(ledger_header(merged_meta), sort_keys=True) + "\n")
-        for (meta, records), path in zip(loaded, paths):
-            shard = meta.get("shard")
-            for record in records:
-                annotated = dict(record)
-                annotated.setdefault("shard", shard)
-                annotated.setdefault("source_ledger", path.name)
-                handle.write(json.dumps(annotated, sort_keys=True) + "\n")
-                written += 1
-    return written
-
-
 # ------------------------------------------------------------- aggregation
 
 
@@ -321,16 +210,14 @@ class LedgerSummary:
     """The campaign view fused from one or more ledgers.
 
     The deterministic fields — job/fingerprint accounting — are equal
-    between an N-shard merged ledger and a single-process run of the same
-    campaign; the timing fields (metrics, seconds, timestamps) are
+    between the shard ledgers of an N-shard campaign and a single-process
+    run of it; the timing fields (metrics, seconds, timestamps) are
     host-and-partition dependent by nature and are excluded from
     equivalence comparisons (:meth:`equivalence_key`).
     """
 
     ledgers: int = 0
     records: int = 0
-    batches: int = 0
-    submits: int = 0
     jobs_submitted: int = 0
     cache_hits: int = 0
     batch_duplicates: int = 0
@@ -339,7 +226,6 @@ class LedgerSummary:
     executor_modes: set[str] = field(default_factory=set)
     shards: dict[str, dict[str, Any]] = field(default_factory=dict)
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
-    busy_seconds_by_shard: dict[str, float] = field(default_factory=dict)
 
     @property
     def simulations(self) -> int:
@@ -354,9 +240,10 @@ class LedgerSummary:
     def fingerprint_digest(self) -> str:
         """sha256 over the sorted unique fingerprints — the campaign identity.
 
-        Two ledgers summarize to the same digest exactly when they cover the
-        same simulated work, however it was partitioned; the CI equivalence
-        check compares merged-shard and single-process digests.
+        Two ledger sets summarize to the same digest exactly when they cover
+        the same simulated work, however it was partitioned; the CI
+        equivalence check compares the shard ledgers' digest with a
+        single-process run's.
         """
         payload = "\n".join(sorted(self.unique_fingerprints)).encode("ascii")
         return hashlib.sha256(payload).hexdigest()
@@ -380,8 +267,6 @@ class LedgerSummary:
         return {
             "ledgers": self.ledgers,
             "records": self.records,
-            "batches": self.batches,
-            "submits": self.submits,
             "jobs_submitted": self.jobs_submitted,
             "cache_hits": self.cache_hits,
             "batch_duplicates": self.batch_duplicates,
@@ -395,38 +280,29 @@ class LedgerSummary:
         }
 
 
-def _shard_key(record: Mapping[str, Any], meta: Mapping[str, Any]) -> str:
-    shard = record.get("shard", meta.get("shard"))
-    return str(shard) if shard is not None else "unsharded"
-
-
 def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
-    """Fuse *sources* (ledger files, directories, or a merged ledger).
+    """Fuse *sources* (ledger files or directories of them).
 
-    Validates every file via :func:`read_ledger`; metrics snapshots are
-    reloaded through :meth:`EngineMetrics.from_dict` and fused bucket-wise
-    with :meth:`EngineMetrics.merge`.  Because each record carries the
-    writer's *cumulative* metrics snapshot, only the final snapshot per
-    ledger file is merged (per-batch deltas would double-count).
+    Validates every file via :func:`read_ledger`; records are attributed to
+    the shard named in their file's header.  Metrics snapshots are reloaded
+    through :meth:`EngineMetrics.from_dict` and fused bucket-wise with
+    :meth:`EngineMetrics.merge`.  Because each record carries the writer's
+    *cumulative* metrics snapshot, only the final snapshot per engine
+    session of each file is merged (per-batch deltas would double-count).
     """
+    paths: list[Path] = []
+    for source in sources:
+        paths += [path for path in ledger_files(source) if path not in paths]
     summary = LedgerSummary()
-    for path in _expand_sources(sources):
+    for path in paths:
         meta, records = read_ledger(path)
         summary.ledgers += 1
+        shard = str(meta["shard"]) if meta.get("shard") is not None else "unsharded"
         final_metrics: dict[str, Mapping[str, Any]] = {}
         for record in records:
             summary.records += 1
-            shard = _shard_key(record, meta)
             stats = summary.shards.setdefault(
-                shard,
-                {
-                    "batches": 0,
-                    "submits": 0,
-                    "jobs": 0,
-                    "simulations": 0,
-                    "cache_hits": 0,
-                    "busy_seconds": 0.0,
-                },
+                shard, {"jobs": 0, "simulations": 0, "cache_hits": 0, "busy_seconds": 0.0}
             )
             simulated = [str(fp) for fp in record.get("simulated", [])]
             served = [str(fp) for fp in record.get("cached", [])]
@@ -441,27 +317,19 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
             job_seconds = record.get("job_seconds", {})
             if isinstance(job_seconds, Mapping):
                 stats["busy_seconds"] += sum(float(s) for s in job_seconds.values())
-            if record.get("record") == "batch":
-                summary.batches += 1
-                stats["batches"] += 1
-            else:
-                summary.submits += 1
-                stats["submits"] += 1
             executor = record.get("executor")
             if executor:
                 summary.executor_modes.add(str(executor))
             metrics_snapshot = record.get("metrics")
             if isinstance(metrics_snapshot, Mapping):
                 # Snapshots are cumulative per engine session, so the last
-                # one per (writer, session) wins.  In a merged ledger the
-                # writer is the record's source_ledger annotation; the
-                # session token distinguishes a worker re-run appending to
-                # its own ledger (each process starts fresh metrics).
-                writer = str(record.get("source_ledger", path))
-                session = str(record.get("engine_session", ""))
-                final_metrics[f"{writer}#{session}"] = metrics_snapshot
+                # one per session wins; the session token distinguishes a
+                # worker re-run appending to its own ledger (each process
+                # starts fresh metrics).
+                final_metrics[str(record.get("engine_session", ""))] = metrics_snapshot
         for snapshot in final_metrics.values():
-            summary.metrics.merge(EngineMetrics.from_dict(snapshot))
-    for shard, stats in summary.shards.items():
-        summary.busy_seconds_by_shard[shard] = float(stats["busy_seconds"])
+            try:
+                summary.metrics.merge(EngineMetrics.from_dict(snapshot))
+            except (ValueError, KeyError, TypeError) as error:
+                raise LedgerSchemaError(f"{path}: invalid metrics snapshot ({error})") from error
     return summary

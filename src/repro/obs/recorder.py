@@ -13,8 +13,9 @@ Sinks receive every surviving event:
     A bounded in-memory ring (``collections.deque(maxlen=...)``) for
     programmatic inspection; old events fall off the front.
 :class:`JsonlSink`
-    One JSON object per line, first line a schema-versioned header.
-    :func:`read_trace` round-trips the file and rejects other schemas.
+    One JSON object per line, first line a schema-versioned header (the
+    :mod:`repro.obs.records` container).  :func:`read_trace` round-trips
+    the file and rejects other schemas.
 
 Sampling is deterministic and per event type: ``sampling={"sync-penalty":
 100}`` keeps the 1st, 101st, 201st... sync-penalty event, counted in
@@ -30,13 +31,13 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.obs.events import EVENT_TYPES, SCHEMA_VERSION, TraceEvent, TraceSchemaError
+from repro.obs.records import read_records, record_header
 
 __all__ = [
     "JsonlSink",
     "RingBufferSink",
     "TraceRecorder",
     "read_trace",
-    "trace_header",
 ]
 
 #: Marker stored in the JSONL header line so arbitrary JSON files are not
@@ -92,7 +93,8 @@ class JsonlSink:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("w", encoding="utf-8")
-        self._handle.write(json.dumps(trace_header(meta), sort_keys=True) + "\n")
+        header = record_header(_TRACE_KIND, SCHEMA_VERSION, meta)
+        self._handle.write(json.dumps(header, sort_keys=True) + "\n")
 
     def write(self, event: TraceEvent) -> None:
         self._handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
@@ -100,15 +102,6 @@ class JsonlSink:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-
-def trace_header(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """The JSONL header object for a new trace file."""
-    return {
-        "kind": _TRACE_KIND,
-        "schema": SCHEMA_VERSION,
-        "meta": dict(meta) if meta else {},
-    }
 
 
 class TraceRecorder:
@@ -194,35 +187,14 @@ class TraceRecorder:
 def read_trace(path: str | Path) -> tuple[dict[str, Any], list[TraceEvent]]:
     """Parse a JSONL trace file into ``(header_meta, events)``.
 
-    Raises :class:`TraceSchemaError` when the file is not a trace or was
-    written under a different :data:`~repro.obs.events.SCHEMA_VERSION` —
-    a versioned format must reject, not misparse.
+    Raises :class:`TraceSchemaError` when the file is not a trace, was
+    written under a different :data:`~repro.obs.events.SCHEMA_VERSION`, or
+    holds a torn or malformed event (see :func:`repro.obs.records.read_records`).
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise TraceSchemaError(f"{path} is empty; not a trace file")
-        try:
-            header = json.loads(first)
-        except ValueError as error:
-            raise TraceSchemaError(f"{path} has no JSON header line: {error}") from error
-        if not isinstance(header, dict) or header.get("kind") != _TRACE_KIND:
-            raise TraceSchemaError(f"{path} is not a {_TRACE_KIND} file")
-        schema = header.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise TraceSchemaError(
-                f"{path} was written under trace schema {schema!r}, but this "
-                f"build reads schema {SCHEMA_VERSION}; regenerate the trace"
-            )
-        events = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as error:
-                raise TraceSchemaError(
-                    f"{path}:{line_number}: malformed trace event ({error})"
-                ) from error
-    return dict(header.get("meta", {})), events
+    return read_records(
+        path,
+        kind=_TRACE_KIND,
+        schema=SCHEMA_VERSION,
+        parse=TraceEvent.from_dict,
+        error=TraceSchemaError,
+    )

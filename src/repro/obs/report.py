@@ -121,7 +121,7 @@ def render_report(
         ["field", "value"],
         [
             ["ledgers", str(summary.ledgers)],
-            ["records", f"{summary.records} ({summary.batches} batch, {summary.submits} submit)"],
+            ["batch records", str(summary.records)],
             ["executor modes", executor],
             ["campaign digest", summary.fingerprint_digest()[:16]],
         ],
@@ -176,11 +176,11 @@ def render_report(
 
     if summary.shards:
         lines += _heading("Per-shard balance", markdown)
-        peak_busy = max(summary.busy_seconds_by_shard.values(), default=0.0)
+        peak_busy = max(stats["busy_seconds"] for stats in summary.shards.values())
         rows = []
         for shard in sorted(summary.shards):
             stats = summary.shards[shard]
-            busy = summary.busy_seconds_by_shard.get(shard, 0.0)
+            busy = stats["busy_seconds"]
             bar = _bar(busy, peak_busy)
             rows.append(
                 [

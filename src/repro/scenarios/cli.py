@@ -25,16 +25,14 @@ The matrix is also the driver of the distributed campaign fabric
     python -m repro.engine merge merged shard0 shard1
     # complete the result-dependent tail and render the matrix
     python -m repro.scenarios matrix --quick --resume --cache-dir merged
-    # fuse and render the campaign's run ledgers
+    # summarize and render the campaign's shard ledgers
     python -m repro.obs ledger summarize ledgers
     python -m repro.obs report ledgers --store merged
 
 ``--ledger DIR`` appends durable per-batch accounting records (job
-fingerprints, per-job wall-clock, cache counters, engine metrics) into a
-per-worker ``*.ledger.jsonl`` file; ``--metrics-out PATH`` writes the final
-engine-metrics snapshot as a Prometheus textfile (or ``.json``) for
-scraping.  Both are observability-only and leave every result digest
-bit-identical.
+fingerprints, per-job wall-clock, cache counters, the engine's cumulative
+metrics snapshot) into a per-worker ``*.ledger.jsonl`` file.  It is
+observability-only and leaves every result digest bit-identical.
 
 ``--shard K/N`` simulates only the fingerprints owned by shard *K* of *N*
 into the worker's private cache and prints shard accounting instead of the
@@ -127,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="append per-batch run-ledger records into DIR "
             "(one *.ledger.jsonl per worker; see python -m repro.obs ledger)",
-        )
-        sub.add_argument(
-            "--metrics-out",
-            default=None,
-            metavar="PATH",
-            help="write the final engine-metrics snapshot to PATH "
-            "(.json = JSON, anything else = Prometheus textfile format)",
         )
         sub.add_argument("--json", action="store_true", dest="as_json")
 
@@ -314,15 +305,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if engine.ledger is not None:
             engine.ledger.close()
-        if args.metrics_out is not None:
-            from repro.obs.export import write_metrics_snapshot
-
-            labels = {"command": args.command}
-            if shard is not None:
-                labels["shard"] = shard
-            path = write_metrics_snapshot(args.metrics_out, engine.metrics, labels=labels)
-            if not args.as_json:
-                print(f"wrote metrics snapshot to {path}")
 
 
 def _run_or_matrix(

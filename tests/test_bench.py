@@ -12,10 +12,12 @@ from repro.bench.baseline import (
     load_baseline,
     save_baseline,
 )
+from repro.bench.cli import main as bench_main
 from repro.bench.environment import EnvironmentFingerprint
 from repro.bench.recording import append_entry, latest_entry, load_history
 from repro.bench.schema import SCHEMA_VERSION, BenchEntry, BenchRun, validate_entry
 from repro.bench.timer import calibrate, timed
+from repro.obs.records import RecordFileError
 
 
 def make_entry(seconds=10.0, *, suite="sweep", normalized=100.0, env=None, parameters=None):
@@ -178,12 +180,18 @@ class TestRecordingAndBaseline:
         assert len(history) == 3
         assert history[0]["runs"][0]["seconds"] == pytest.approx(2.0)
 
-    def test_corrupt_history_is_tolerated(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_corrupt_history_raises_and_is_left_untouched(self, tmp_path, capsys, text):
         path = tmp_path / "BENCH_sweep.json"
-        path.write_text("{not json")
-        assert load_history(path) == {}
-        append_entry(path, make_entry(1.0))
-        assert len(load_history(path)["sweep"]) == 1
+        path.write_text(text)
+        with pytest.raises(RecordFileError, match="BENCH_sweep.json"):
+            load_history(path)
+        with pytest.raises(RecordFileError):
+            append_entry(path, make_entry(1.0))
+        assert path.read_text() == text
+        assert bench_main(["history", "--output-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert load_history(tmp_path / "BENCH_absent.json") == {}
 
     def test_baseline_round_trip(self, tmp_path):
         path = tmp_path / "baseline.json"

@@ -237,13 +237,15 @@ class TestFingerprint:
 class TestExecutors:
     def test_parallel_matches_serial(self, quick_profile):
         jobs = _jobs(quick_profile)
-        serial = SerialExecutor().run_jobs(jobs, run_job)
-        parallel = ParallelExecutor(max_workers=2).run_jobs(jobs, run_job)
+        serial = list(SerialExecutor().imap_jobs(jobs, run_job))
+        parallel = list(ParallelExecutor(max_workers=2).imap_jobs(jobs, run_job))
         assert serial == parallel
 
     def test_parallel_single_worker_falls_back(self, quick_profile):
         jobs = _jobs(quick_profile)[:1]
-        assert ParallelExecutor(max_workers=1).run_jobs(jobs, run_job) == [run_job(jobs[0])]
+        assert list(ParallelExecutor(max_workers=1).imap_jobs(jobs, run_job)) == [
+            run_job(jobs[0])
+        ]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

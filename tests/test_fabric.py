@@ -1,9 +1,8 @@
-"""Tests for the distributed campaign fabric: shard, merge, resume, async."""
+"""Tests for the distributed campaign fabric: shard, merge, resume."""
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 
 import pytest
@@ -254,87 +253,6 @@ class TestResumeSemantics:
         warm.run_all(jobs)
         assert warm.stats.simulations == 0
         assert warm.stats.cache_hits == len(jobs)
-
-
-class TestAsyncServing:
-    def test_submit_poll_result_roundtrip(self, profile, tmp_path):
-        engine = _engine(tmp_path / "store")
-        job = _jobs(profile)[0]
-        try:
-            handle = engine.submit(job)
-            assert handle.source == "simulated"
-            result = engine.result(handle, timeout=60)
-            assert engine.poll(handle)
-            assert result.committed_instructions > 0
-            # a fresh submission of the same fingerprint is a cache hit
-            again = engine.submit(job)
-            assert again.source == "cache"
-            assert engine.result(again, timeout=60) == result
-            assert engine.stats.simulations == 1
-        finally:
-            engine.close()
-
-    def test_inflight_duplicate_shares_one_simulation(self, profile, tmp_path):
-        release = threading.Event()
-
-        def gated_runner(job):
-            release.wait(timeout=60)
-            return run_job(job)
-
-        engine = _engine(tmp_path / "store", runner=gated_runner)
-        job = _jobs(profile)[1]
-        try:
-            first = engine.submit(job)
-            second = engine.submit(job)
-            assert first.source == "simulated"
-            assert second.source == "duplicate"
-            assert not engine.poll(first)
-            release.set()
-            assert engine.result(first, timeout=60) == engine.result(second, timeout=60)
-            assert engine.stats.simulations == 1
-            assert engine.stats.batch_duplicates == 1
-        finally:
-            release.set()
-            engine.close()
-
-    def test_two_concurrent_clients_never_duplicate_a_simulation(self, profile, tmp_path):
-        engine = _engine(tmp_path / "store")
-        job = _jobs(profile)[2]
-        barrier = threading.Barrier(2)
-        results = []
-
-        def client():
-            barrier.wait(timeout=60)
-            handle = engine.submit(job)
-            results.append(engine.result(handle, timeout=120))
-
-        try:
-            threads = [threading.Thread(target=client) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert len(results) == 2
-            assert results[0] == results[1]
-            assert engine.stats.simulations == 1
-        finally:
-            engine.close()
-
-    def test_failed_submission_surfaces_through_the_handle(self, profile, tmp_path):
-        def failing_runner(job):
-            raise RuntimeError("boom")
-
-        engine = _engine(tmp_path / "store", runner=failing_runner)
-        job = _jobs(profile)[3]
-        try:
-            handle = engine.submit(job)
-            assert isinstance(handle.exception(timeout=60), RuntimeError)
-            with pytest.raises(RuntimeError, match="boom"):
-                engine.result(handle, timeout=60)
-            # the failure was not cached; the engine stays usable
-            assert ResultCache(tmp_path / "store").disk_fingerprints() == []
-        finally:
-            engine.close()
 
 
 class TestCanonicalisation:

@@ -1,14 +1,14 @@
-"""Tests for the campaign observatory: run ledger, aggregation, exporters.
+"""Tests for the campaign observatory: run ledger, aggregation and report.
 
-The load-bearing properties first: the ledger is observation-only (the ten
+The load-bearing properties first: the ledger is observation-only (the
 golden digests are bit-identical with a ledger attached), and the fleet is
-equivalent to the single process (a merged N-shard ledger summarizes to
-the same partition-independent equivalence key as one process running the
-whole job list).  The rest covers the JSONL schema validation (foreign,
-stale and truncated files reject loudly), ``merge_ledgers``'
-validate-before-write contract, the metrics ``from_dict``/``merge``
-round-trips, the Prometheus/JSON exporters, the campaign report renderer,
-the ``bench history`` trajectory analysis and the CLI surfaces.
+equivalent to the single process (the shard ledgers of an N-shard campaign
+summarize to the same partition-independent equivalence key as one process
+running the whole job list).  The rest covers the ledger writer, the
+metrics ``from_dict``/``merge`` round-trips, the campaign report renderer,
+the ``bench history`` trajectory analysis and the CLI surfaces.  Rejection
+of unreadable ledger files is tested with trace files in
+``tests/test_records.py``.
 """
 
 from __future__ import annotations
@@ -21,23 +21,15 @@ from golden_digests import golden_jobs, result_digest
 from repro.bench.environment import EnvironmentFingerprint
 from repro.bench.history import load_trajectories, render_history
 from repro.bench.schema import BenchEntry, BenchRun
-from repro.engine import ExperimentEngine, run_job
+from repro.engine import ExperimentEngine
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
 from repro.engine.fabric import ShardSpec, run_shard, shard_index
 from repro.obs.cli import main as obs_main
-from repro.obs.export import (
-    prometheus_text,
-    write_json_snapshot,
-    write_metrics_snapshot,
-    write_prometheus_snapshot,
-)
 from repro.obs.ledger import (
-    LEDGER_SCHEMA_VERSION,
     LedgerSchemaError,
     LedgerWriter,
     ledger_files,
-    merge_ledgers,
     open_ledger,
     read_ledger,
     summarize_ledgers,
@@ -73,16 +65,6 @@ def test_golden_digests_bit_identical_with_ledger_attached(name, tmp_path):
     # ...and the ledger actually recorded the work.
     _, records = read_ledger(tmp_path / "golden.ledger.jsonl")
     assert [job.fingerprint()] in [record["simulated"] for record in records]
-
-
-def test_exporters_do_not_perturb_results(tmp_path):
-    """Digest parity with the exporter writing snapshots after engine work."""
-    job = golden_jobs()["gcc/synchronous"]
-    engine = ExperimentEngine()
-    result = engine.run_all([job])[0]
-    write_metrics_snapshot(tmp_path / "metrics.prom", engine.metrics)
-    assert result_digest(result) == GOLDEN_DIGESTS["gcc/synchronous"]
-    assert result_digest(run_job(job)) == GOLDEN_DIGESTS["gcc/synchronous"]
 
 
 # ------------------------------------------------------- metrics round-trip
@@ -163,10 +145,10 @@ def test_ledger_writer_is_append_only_across_reopens(tmp_path):
     # header and all previous records.
     with LedgerWriter(path, meta={"label": "ignored"}) as writer:
         assert writer.meta["label"] == "first"
-        writer.append({"record": "submit", "jobs": 1})
+        writer.append({"record": "batch", "jobs": 2})
     meta, records = read_ledger(path)
     assert meta["label"] == "first"
-    assert [record["record"] for record in records] == ["batch", "submit"]
+    assert [record["jobs"] for record in records] == [1, 2]
 
 
 def test_ledger_writer_rejects_unknown_record_type(tmp_path):
@@ -182,43 +164,6 @@ def test_ledger_writer_refuses_foreign_existing_file(tmp_path):
         LedgerWriter(path)
 
 
-def test_read_ledger_rejects_foreign_stale_and_truncated(tmp_path):
-    empty = tmp_path / "empty.ledger.jsonl"
-    empty.write_text("")
-    with pytest.raises(LedgerSchemaError, match="empty"):
-        read_ledger(empty)
-
-    foreign = tmp_path / "foreign.ledger.jsonl"
-    foreign.write_text('{"kind": "repro-obs-trace", "schema": 1}\n')
-    with pytest.raises(LedgerSchemaError, match="not a repro-obs-ledger"):
-        read_ledger(foreign)
-
-    stale = tmp_path / "stale.ledger.jsonl"
-    stale.write_text(
-        json.dumps({"kind": "repro-obs-ledger", "schema": LEDGER_SCHEMA_VERSION + 1}) + "\n"
-    )
-    with pytest.raises(LedgerSchemaError, match="schema"):
-        read_ledger(stale)
-
-    torn = tmp_path / "torn.ledger.jsonl"
-    torn.write_text(
-        json.dumps({"kind": "repro-obs-ledger", "schema": LEDGER_SCHEMA_VERSION, "meta": {}})
-        + "\n"
-        + '{"record": "batch", "jobs":'
-    )
-    with pytest.raises(LedgerSchemaError, match="truncated or malformed"):
-        read_ledger(torn)
-
-    alien_record = tmp_path / "alien.ledger.jsonl"
-    alien_record.write_text(
-        json.dumps({"kind": "repro-obs-ledger", "schema": LEDGER_SCHEMA_VERSION, "meta": {}})
-        + "\n"
-        + '{"record": "mystery"}\n'
-    )
-    with pytest.raises(LedgerSchemaError, match="unknown ledger record"):
-        read_ledger(alien_record)
-
-
 def test_ledger_files_discovers_directory_sorted(tmp_path):
     for name in ("b", "a"):
         with LedgerWriter(tmp_path / f"{name}.ledger.jsonl"):
@@ -227,63 +172,6 @@ def test_ledger_files_discovers_directory_sorted(tmp_path):
     assert [path.name for path in found] == ["a.ledger.jsonl", "b.ledger.jsonl"]
     with pytest.raises(FileNotFoundError):
         ledger_files(tmp_path / "missing")
-
-
-# ----------------------------------------------------------- ledger merge
-
-
-def test_merge_ledgers_annotates_and_counts(tmp_path):
-    for index in range(2):
-        with open_ledger(tmp_path / "shards", label="m", shard=f"{index}/2") as writer:
-            writer.append({"record": "batch", "jobs": 1, "simulated": [f"fp{index}"]})
-    destination = tmp_path / "merged.ledger.jsonl"
-    assert merge_ledgers(destination, [tmp_path / "shards"]) == 2
-    meta, records = read_ledger(destination)
-    assert meta["label"] == "merged"
-    assert meta["shards"] == ["0/2", "1/2"]
-    assert sorted(record["shard"] for record in records) == ["0/2", "1/2"]
-    assert all("source_ledger" in record for record in records)
-
-
-def test_merge_ledgers_refuses_destination_as_source(tmp_path):
-    with open_ledger(tmp_path, label="solo") as writer:
-        writer.append({"record": "batch", "jobs": 0})
-    destination = tmp_path / "solo.ledger.jsonl"
-    with pytest.raises(ValueError, match="destination"):
-        merge_ledgers(destination, [destination])
-
-
-def test_merge_ledgers_refuses_mixed_fingerprint_versions(tmp_path):
-    with open_ledger(tmp_path, label="current") as writer:
-        writer.append({"record": "batch", "jobs": 0})
-    other = tmp_path / "old.ledger.jsonl"
-    other.write_text(
-        json.dumps(
-            {
-                "kind": "repro-obs-ledger",
-                "schema": LEDGER_SCHEMA_VERSION,
-                "meta": {"fingerprint_version": 0},
-            }
-        )
-        + "\n"
-    )
-    with pytest.raises(LedgerSchemaError, match="FINGERPRINT_VERSION"):
-        merge_ledgers(tmp_path / "merged.ledger.jsonl", [tmp_path])
-
-
-def test_merge_ledgers_validates_all_sources_before_writing(tmp_path):
-    with open_ledger(tmp_path / "shards", label="good") as writer:
-        writer.append({"record": "batch", "jobs": 1})
-    torn = tmp_path / "shards" / "torn.ledger.jsonl"
-    torn.write_text(
-        json.dumps({"kind": "repro-obs-ledger", "schema": LEDGER_SCHEMA_VERSION, "meta": {}})
-        + "\n"
-        + '{"record":'
-    )
-    destination = tmp_path / "merged.ledger.jsonl"
-    with pytest.raises(LedgerSchemaError):
-        merge_ledgers(destination, [tmp_path / "shards"])
-    assert not destination.exists(), "a refused merge must not half-write"
 
 
 # ------------------------------------------------- engine/fabric integration
@@ -312,17 +200,6 @@ def test_engine_ledger_records_batches_and_cache_hits(tmp_path):
         assert isinstance(record["t"], float)
 
 
-def test_engine_submit_appends_ledger_records(tmp_path):
-    job = golden_jobs()["gcc/synchronous"]
-    engine = ExperimentEngine()
-    engine.ledger = open_ledger(tmp_path, label="server")
-    engine.submit(job).result()
-    engine.ledger.close()
-    _, records = read_ledger(tmp_path / "server.ledger.jsonl")
-    assert [record["record"] for record in records] == ["submit"]
-    assert records[0]["simulated"] == [job.fingerprint()]
-
-
 def test_shard_report_carries_ledger_path(tmp_path):
     jobs = list(golden_jobs().values())[:3]
     engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache"))
@@ -337,17 +214,15 @@ def test_shard_report_carries_ledger_path(tmp_path):
     assert run_shard(jobs, ShardSpec(0, 1), bare).ledger_path is None
 
 
-def test_fleet_equivalence_merged_shards_match_single_process(tmp_path):
-    """The tentpole invariant: N-shard ledgers fuse to the one-process view."""
+def test_fleet_equivalence_shard_ledgers_match_single_process(tmp_path):
+    """The fleet invariant: N shard ledgers fuse to the one-process view."""
     jobs = list(golden_jobs().values())
     for index in range(2):
         engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
         engine.ledger = open_ledger(tmp_path / "ledgers", label="fleet", shard=f"{index}/2")
         run_shard(jobs, ShardSpec(index, 2), engine)
         engine.ledger.close()
-    merged = tmp_path / "merged.ledger.jsonl"
-    merge_ledgers(merged, [tmp_path / "ledgers"])
-    fleet = summarize_ledgers([merged])
+    fleet = summarize_ledgers([tmp_path / "ledgers"])
 
     single = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache-single"))
     single.ledger = open_ledger(tmp_path / "single", label="fleet")
@@ -357,8 +232,8 @@ def test_fleet_equivalence_merged_shards_match_single_process(tmp_path):
 
     assert fleet.equivalence_key() == solo.equivalence_key()
     assert fleet.simulations == len(jobs)
-    # Per-shard attribution survived the merge; timing fields are per-host
-    # and deliberately not part of the equivalence key.
+    # Records are attributed to their ledger's shard; timing fields are
+    # per-host and deliberately not part of the equivalence key.
     assert set(fleet.shards) == {"0/2", "1/2"}
     assert fleet.metrics.jobs_completed == solo.metrics.jobs_completed
 
@@ -376,41 +251,13 @@ def test_summarize_keeps_final_snapshot_per_engine_session(tmp_path):
     assert summary.simulations == 2
 
 
-# -------------------------------------------------------------- exporters
-
-
-def test_prometheus_text_exposes_cumulative_histogram():
-    metrics = _sample_metrics()
-    text = prometheus_text(metrics, labels={"shard": "0/2"})
-    assert 'repro_engine_jobs_completed_total{shard="0/2"} 4' in text
-    assert "# TYPE repro_engine_job_seconds histogram" in text
-    assert 'repro_engine_job_seconds_bucket{le="+Inf",shard="0/2"} 4' in text
-    assert 'repro_engine_job_seconds_count{shard="0/2"} 4' in text
-    # Buckets are cumulative and non-decreasing.
-    counts = [
-        int(line.rsplit(" ", 1)[1])
-        for line in text.splitlines()
-        if line.startswith("repro_engine_job_seconds_bucket")
-    ]
-    assert counts == sorted(counts)
-    assert counts[-1] == 4
-
-
-def test_snapshot_writers_dispatch_on_extension(tmp_path):
-    metrics = _sample_metrics()
-    prom = write_metrics_snapshot(tmp_path / "out.prom", metrics)
-    assert prom.read_text().startswith("# HELP repro_engine_jobs_completed_total")
-    jsonpath = write_metrics_snapshot(tmp_path / "out.json", metrics, labels={"a": "b"})
-    payload = json.loads(jsonpath.read_text())
-    assert payload["labels"] == {"a": "b"}
-    assert payload["metrics"] == metrics.to_dict()
-    assert payload["exported"]
-    # Direct writers agree with the dispatcher.
-    assert (
-        write_prometheus_snapshot(tmp_path / "direct.prom", metrics).read_text()
-        == prom.read_text()
-    )
-    write_json_snapshot(tmp_path / "direct.json", metrics, labels={"a": "b"})
+def test_summarize_names_a_corrupt_metrics_snapshot(tmp_path, capsys):
+    with LedgerWriter(tmp_path / "bad.ledger.jsonl") as writer:
+        writer.append({"record": "batch", "jobs": 1, "metrics": {"jobs_completed": 1}})
+    with pytest.raises(LedgerSchemaError, match="invalid metrics snapshot"):
+        summarize_ledgers([tmp_path])
+    assert obs_main(["ledger", "summarize", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- report
@@ -467,28 +314,28 @@ def test_render_histogram_empty():
 # ------------------------------------------------------------ CLI surfaces
 
 
-def test_obs_ledger_cli_merge_summarize_report(tmp_path, capsys):
+def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
     jobs = _two_jobs_per_shard()
     for index in range(2):
         engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
         engine.ledger = open_ledger(tmp_path / "ledgers", label="cli", shard=f"{index}/2")
         run_shard(jobs, ShardSpec(index, 2), engine)
         engine.ledger.close()
-    merged = tmp_path / "merged.ledger.jsonl"
-    assert obs_main(["ledger", "merge", str(merged), str(tmp_path / "ledgers")]) == 0
-    assert "merged 2 record(s)" in capsys.readouterr().out
+    ledgers = str(tmp_path / "ledgers")
 
-    assert obs_main(["ledger", "summarize", str(merged), "--json"]) == 0
+    assert obs_main(["ledger", "summarize", ledgers, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["records"] == 2
     assert payload["simulations"] == 4
     assert payload["equivalence_key"]["unique_jobs"] == 4
+    assert sorted(payload["shards"]) == ["0/2", "1/2"]
 
     report_path = tmp_path / "report.md"
     assert (
         obs_main(
             [
                 "report",
-                str(merged),
+                ledgers,
                 "--markdown",
                 "--store",
                 str(tmp_path / "cache0"),
@@ -500,14 +347,8 @@ def test_obs_ledger_cli_merge_summarize_report(tmp_path, capsys):
     )
     rendered = report_path.read_text()
     assert "## Per-shard balance" in rendered
+    assert "| 0/2 |" in rendered and "| 1/2 |" in rendered
     assert "## Result store" in rendered
-
-
-def test_obs_ledger_cli_rejects_foreign_file(tmp_path, capsys):
-    foreign = tmp_path / "foreign.ledger.jsonl"
-    foreign.write_text('{"kind": "nope", "schema": 1}\n')
-    assert obs_main(["ledger", "summarize", str(foreign)]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_inspect_store_json_payload(tmp_path):

@@ -1,0 +1,129 @@
+"""Tests for the record-file container shared by traces and run ledgers.
+
+One reader (:func:`repro.obs.records.read_records`) serves both file kinds,
+so every way a file can be unreadable must raise that kind's named error —
+a :class:`RecordFileError` — through the reader and through the
+``python -m repro.obs`` CLI, never a misparse or a bare ``TypeError``.
+Files written by earlier builds must still read back.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import pytest
+
+from repro.obs.cli import main as obs_main
+from repro.obs.events import SCHEMA_VERSION, TraceSchemaError
+from repro.obs.ledger import LEDGER_SCHEMA_VERSION, LedgerSchemaError, LedgerWriter, read_ledger
+from repro.obs.recorder import JsonlSink, read_trace
+from repro.obs.records import RecordFileError
+
+
+@dataclass(frozen=True)
+class FileKind:
+    kind: str
+    schema: int
+    read: Callable[[Any], tuple[dict[str, Any], list[Any]]]
+    write_empty: Callable[[Any, dict[str, Any]], None]
+    error: type[RecordFileError]
+    cli: list[str]
+    #: A header line and a row exactly as the previous build wrote them.
+    parent_header: str
+    parent_row: str
+    #: A row of a type this build does not read (a deleted one).
+    unknown_row: dict[str, Any]
+    unknown_name: str
+
+
+KINDS = {
+    "trace": FileKind(
+        kind="repro-obs-trace",
+        schema=SCHEMA_VERSION,
+        read=read_trace,
+        write_empty=lambda path, meta: JsonlSink(path, meta=meta).close(),
+        error=TraceSchemaError,
+        cli=["summarize"],
+        parent_header=(
+            '{"kind": "repro-obs-trace", "meta": {"fingerprint": '
+            '"d88c60188b690bff13c67a12d63afd894d11ff38d93ee913394504eb50b6f95e", '
+            '"job": "adv-period-2x-interval/base_adaptive/w1200", "kind": "scenario", '
+            '"target": "adv-period-2x-interval", "warmup": 2000, "window": 1200}, '
+            '"schema": 2}\n'
+        ),
+        parent_row=(
+            '{"committed": 0, "data": {"edges": 4}, "time_ps": 575, "type": "horizon-skip"}\n'
+        ),
+        unknown_row={"type": "fast-forward", "time_ps": 0, "committed": 0, "data": {}},
+        unknown_name="'fast-forward'",
+    ),
+    "ledger": FileKind(
+        kind="repro-obs-ledger",
+        schema=LEDGER_SCHEMA_VERSION,
+        read=read_ledger,
+        write_empty=lambda path, meta: LedgerWriter(path, meta=meta).close(),
+        error=LedgerSchemaError,
+        cli=["ledger", "summarize"],
+        parent_header=(
+            '{"kind": "repro-obs-ledger", "meta": {"created": "2026-10-17T04:14:29+0000", '
+            '"fingerprint_version": 7, "label": "compat", "shard": "0/1"}, "schema": 1}\n'
+        ),
+        parent_row=(
+            '{"cached": [], "duplicates": 0, "jobs": 1, "record": "batch", "simulated": ["a"]}\n'
+        ),
+        unknown_row={"record": "submit", "jobs": 1, "simulated": ["a"]},
+        unknown_name="'submit'",
+    ),
+}
+
+
+def _header(kind: str, schema: int, meta: Any = None) -> str:
+    return json.dumps({"kind": kind, "schema": schema, "meta": {} if meta is None else meta}) + "\n"
+
+
+#: Unreadable-file cases: the file's text, and what the error must name.
+CASES: dict[str, Callable[[FileKind], tuple[str, str]]] = {
+    "empty": lambda k: ("", "empty"),
+    "foreign kind": lambda k: (_header("something-else", k.schema), f"not a {k.kind} file"),
+    "other schema": lambda k: (_header(k.kind, k.schema + 1), f"schema {k.schema + 1}"),
+    "torn last line": lambda k: (
+        _header(k.kind, k.schema) + k.parent_row + k.parent_row[:-9],
+        ":3: truncated or malformed",
+    ),
+    "unknown type": lambda k: (
+        _header(k.kind, k.schema) + json.dumps(k.unknown_row) + "\n",
+        f":2: .*{re.escape(k.unknown_name)}",
+    ),
+    "non-object meta": lambda k: (_header(k.kind, k.schema, meta=[1]), "meta is not a JSON object"),
+    "non-object row": lambda k: (_header(k.kind, k.schema) + "[1]\n", ":2: row is not a JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_unreadable_file_raises_the_named_error(name, case, tmp_path, capsys):
+    spec = KINDS[name]
+    text, match = CASES[case](spec)
+    path = tmp_path / f"bad.{name}.jsonl"
+    path.write_text(text)
+    with pytest.raises(spec.error, match=match):
+        spec.read(path)
+    assert obs_main([*spec.cli, str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_file_written_by_the_previous_build_reads_back(name, tmp_path):
+    spec = KINDS[name]
+    path = tmp_path / f"parent.{name}.jsonl"
+    path.write_text(spec.parent_header + spec.parent_row)
+    meta, rows = spec.read(path)
+    assert meta == json.loads(spec.parent_header)["meta"]
+    assert len(rows) == 1
+    # This build writes the byte-identical header for the same metadata.
+    fresh = tmp_path / f"fresh.{name}.jsonl"
+    spec.write_empty(fresh, meta)
+    assert fresh.read_text() == spec.parent_header
