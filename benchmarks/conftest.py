@@ -1,12 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-The Figure 6 / Table 9 sweep runs through the experiment engine
-(:mod:`repro.engine`); the harness times it once per configured executor
-mode and records the wall-clocks through the :mod:`repro.bench` subsystem
-(schema, environment fingerprint, calibration) into ``BENCH_sweep.json`` at
-the repo root under the ``figure6_sweep`` experiment, so the sweep layer's
-performance trajectory is tracked across PRs in the same format as the
-``python -m repro.bench`` CLI.
+The Figure 6 / Table 9 sweep runs once, through the default experiment
+engine (:func:`repro.engine.default_engine`), and its comparisons are shared
+by every bench that needs them.  The engine's executor and result cache
+follow the ``REPRO_ENGINE_*`` variables.
 
 Environment variables scale the heavy experiments:
 
@@ -20,41 +17,25 @@ Environment variables scale the heavy experiments:
     minutes; EXPERIMENTS.md records full-suite numbers.
 ``REPRO_BENCH_SEARCH``
     ``factored`` (default) or ``exhaustive`` Program-Adaptive search.
-``REPRO_BENCH_WORKERS``
-    Worker processes for the parallel executor mode (default 2; ``auto``
-    uses one worker per available core).
-``REPRO_BENCH_MODES``
-    Comma-separated executor modes to time, from ``serial`` and
-    ``parallel`` (default ``serial,parallel``).  The last mode's results
-    feed the benchmarks; every mode's wall-clock is recorded.
-
-Each timed mode gets a fresh in-memory result cache — never a shared or
-on-disk one — so the recorded wall-clocks measure simulation and stay
-comparable across modes and sessions.  (The untimed drivers still benefit
-from the default engine's cache, configurable via the ``REPRO_ENGINE_*``
-variables.)
 """
 
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweep import compare_workloads
-from repro.bench import BenchEntry, BenchRun, EnvironmentFingerprint, append_entry, calibrate
-from repro.bench.suites import FULL_SWEEP_WORKLOADS
-from repro.engine import ExperimentEngine, default_worker_count, make_engine
+from repro.engine import default_engine
 from repro.workloads import full_suite, get_workload
 
 #: Representative subset: small media kernels, instruction-bound codes,
 #: memory-bound codes, FP codes and the strongly phased applications.
-DEFAULT_BENCH_WORKLOADS = FULL_SWEEP_WORKLOADS
-
-#: Where the sweep wall-clock trajectory is persisted (repo root).
-BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+DEFAULT_BENCH_WORKLOADS = (
+    "adpcm_encode", "adpcm_decode", "g721_encode", "jpeg_compress",
+    "mpeg2_encode", "gsm_encode", "ghostscript", "power",
+    "em3d", "health", "bzip2", "gcc", "vortex", "galgel", "apsi", "art",
+)
 
 
 def bench_window() -> int:
@@ -63,22 +44,6 @@ def bench_window() -> int:
 
 def bench_search_mode() -> str:
     return os.environ.get("REPRO_BENCH_SEARCH", "factored")
-
-
-def bench_workers() -> int:
-    value = os.environ.get("REPRO_BENCH_WORKERS", "2")
-    if value.strip().lower() == "auto":
-        return max(2, default_worker_count())
-    return max(2, int(value))
-
-
-def bench_modes() -> tuple[str, ...]:
-    value = os.environ.get("REPRO_BENCH_MODES", "serial,parallel")
-    modes = tuple(mode.strip() for mode in value.split(",") if mode.strip())
-    unknown = set(modes) - {"serial", "parallel"}
-    if unknown:
-        raise ValueError(f"unknown REPRO_BENCH_MODES entries: {sorted(unknown)}")
-    return modes or ("serial",)
 
 
 def bench_workloads():
@@ -90,86 +55,12 @@ def bench_workloads():
     return tuple(get_workload(name) for name in DEFAULT_BENCH_WORKLOADS)
 
 
-def _bench_engine(mode: str) -> ExperimentEngine:
-    # A fresh in-memory cache per timing run: wall-clocks must measure
-    # simulation, not whatever an earlier mode (or session) left behind.
-    return make_engine(workers=bench_workers() if mode == "parallel" else 1)
-
-
-def _comparisons_equal(left, right) -> bool:
-    if len(left) != len(right):
-        return False
-    return all(
-        a.workload == b.workload
-        and a.program_best_indices == b.program_best_indices
-        and a.synchronous == b.synchronous
-        and a.program_adaptive == b.program_adaptive
-        and a.phase_adaptive == b.phase_adaptive
-        for a, b in zip(left, right)
-    )
-
-
 @pytest.fixture(scope="session")
 def figure6_comparisons():
-    """Run the three-machine comparison once per executor mode, record the
-    wall-clocks through :mod:`repro.bench`, and share the results across
-    benches."""
-    profiles = bench_workloads()
-    window = bench_window()
-    search_mode = bench_search_mode()
-    calibration = calibrate()
-
-    runs: list[BenchRun] = []
-    comparisons = None
-    reference = None
-    for mode in bench_modes():
-        engine = _bench_engine(mode)
-        started = time.perf_counter()
-        comparisons = compare_workloads(
-            profiles, search_mode=search_mode, window=window, engine=engine
-        )
-        elapsed = time.perf_counter() - started
-        runs.append(
-            BenchRun(
-                name=f"figure6_sweep_{mode}",
-                seconds=elapsed,
-                normalized=elapsed / calibration if calibration > 0 else 0.0,
-                simulations=engine.stats.simulations,
-                cache_hits=engine.stats.cache_hits,
-                extra={"workers": engine.executor.workers},
-            )
-        )
-        if reference is None:
-            reference = comparisons
-        elif not _comparisons_equal(reference, comparisons):
-            raise AssertionError(
-                f"executor mode {mode!r} produced different sweep results"
-            )
-
-    by_mode = {run.name: run.seconds for run in runs}
-    serial = by_mode.get("figure6_sweep_serial")
-    parallel = by_mode.get("figure6_sweep_parallel")
-    # parameters is the like-for-like comparison key of the regression
-    # checker, so it holds knobs only; measured outputs such as the
-    # parallel speedup go into the runs' extra payload.
-    parameters = {
-        "window": window,
-        "warmup": None,
-        "workloads": [profile.name for profile in profiles],
-        "search_mode": search_mode,
-        "harness": "pytest",
-    }
-    if serial and parallel:
-        for run in runs:
-            if run.name == "figure6_sweep_parallel":
-                run.extra["parallel_speedup"] = round(serial / parallel, 3)
-    entry = BenchEntry(
-        suite="sweep",
-        environment=EnvironmentFingerprint.collect(),
-        calibration_seconds=calibration,
-        parameters=parameters,
-        runs=runs,
+    """Run the three-machine comparison once and share it across benches."""
+    return compare_workloads(
+        bench_workloads(),
+        search_mode=bench_search_mode(),
+        window=bench_window(),
+        engine=default_engine(),
     )
-    append_entry(BENCH_RESULTS_PATH, entry, experiment="figure6_sweep")
-
-    return comparisons

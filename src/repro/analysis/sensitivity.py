@@ -108,9 +108,9 @@ FULL_GRIDS: Mapping[str, tuple[float, ...]] = {
     "queue_hysteresis_values": DEFAULT_QUEUE_HYSTERESIS,
 }
 
-#: CI-sized parameterisation, shared by the CLI ``--quick`` flag, the example
-#: script and the bench suite so they cannot drift apart: one value per axis
-#: plus small windows.
+#: CI-sized parameterisation, shared by the CLI ``--quick`` flag and the
+#: example script so they cannot drift apart: one value per axis plus small
+#: windows.
 QUICK_GRIDS: Mapping[str, tuple[float, ...]] = {
     "jitter_fractions": (0.05,),
     "sync_window_fractions": (0.45,),

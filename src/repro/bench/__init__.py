@@ -1,63 +1,5 @@
-"""Benchmark and performance-regression subsystem.
+"""The host-speed probe shared with the repository benchmark.
 
-``repro.bench`` is the first-class home of the repository's performance
-trajectory.  It owns
-
-* the JSON schema of one benchmark entry (:mod:`repro.bench.schema`),
-* the environment fingerprint that makes entries comparable across hosts
-  (:mod:`repro.bench.environment`),
-* the calibrated wall-clock timer (:mod:`repro.bench.timer`),
-* baseline comparison with a configurable tolerance
-  (:mod:`repro.bench.baseline`),
-* the fig2 / fig6 / sweep benchmark suites (:mod:`repro.bench.suites`), and
-* the ``python -m repro.bench`` command line (:mod:`repro.bench.cli`).
-
-Entries are appended to ``BENCH_<suite>.json`` at the repository root, so the
-wall-clock history of every suite is tracked across PRs, and ``--check``
-compares the freshest entry against the committed baseline
-(``benchmarks/baseline.json``), exiting non-zero on a regression beyond the
-tolerance.
+Only :func:`repro.bench.timer.calibrate` lives here: ``perfbench/`` scales
+its ``sim_kips`` by the probe, so the kernel stays fixed.
 """
-
-from __future__ import annotations
-
-from repro.bench.baseline import (
-    DEFAULT_TOLERANCE,
-    Regression,
-    compare_entries,
-    load_baseline,
-    save_baseline,
-)
-from repro.bench.environment import EnvironmentFingerprint
-from repro.bench.recording import (
-    BENCH_HISTORY_LIMIT,
-    append_entry,
-    bench_file_for_suite,
-    default_output_dir,
-    load_history,
-)
-from repro.bench.schema import SCHEMA_VERSION, BenchEntry, BenchRun, validate_entry
-from repro.bench.suites import SUITES, run_suite
-from repro.bench.timer import calibrate, timed
-
-__all__ = [
-    "BENCH_HISTORY_LIMIT",
-    "BenchEntry",
-    "BenchRun",
-    "DEFAULT_TOLERANCE",
-    "EnvironmentFingerprint",
-    "Regression",
-    "SCHEMA_VERSION",
-    "SUITES",
-    "append_entry",
-    "bench_file_for_suite",
-    "calibrate",
-    "compare_entries",
-    "default_output_dir",
-    "load_baseline",
-    "load_history",
-    "run_suite",
-    "save_baseline",
-    "timed",
-    "validate_entry",
-]

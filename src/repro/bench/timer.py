@@ -1,18 +1,13 @@
-"""Wall-clock timing and host-speed calibration.
+"""Host-speed calibration.
 
-``timed`` measures one callable with ``time.perf_counter``.  ``calibrate``
-times a fixed pure-Python workload and returns its best-of-N seconds; the
-suites divide measured wall-clocks by this number to produce a
-hardware-normalised metric (``normalized``), which is what the regression
-checker uses when two entries come from non-identical environments.
+``calibrate`` times a fixed pure-Python workload and returns its best-of-N
+seconds.  The repository benchmark (``perfbench/``) divides by it to scale
+``sim_kips`` to a reference host, so results from different hosts compare.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, TypeVar
-
-T = TypeVar("T")
 
 #: Iterations of the calibration kernel (fixed forever so the normalised
 #: metric stays comparable across history).
@@ -37,10 +32,3 @@ def calibrate(repeats: int = 5) -> float:
         _calibration_kernel()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def timed(fn: Callable[..., T], *args: Any, **kwargs: Any) -> tuple[T, float]:
-    """Call ``fn(*args, **kwargs)`` and return ``(result, seconds)``."""
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started

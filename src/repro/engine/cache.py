@@ -175,10 +175,12 @@ class ResultCache:
         """Parse the disk entry into the memory tier; ``None`` if invalid.
 
         A syntactically broken file (truncated write, not JSON, missing
-        keys) is a miss — it simply re-simulates.  A *well-formed* entry
-        recorded under a different ``FINGERPRINT_VERSION`` raises
-        :class:`CacheVersionError` instead: that is a configuration error
-        (pointing the engine at a stale store), not a transient artefact.
+        keys) is a miss — it simply re-simulates.  So is an entry whose
+        recorded fingerprint is not its file name's: it holds another job's
+        result.  A *well-formed* entry recorded under a different
+        ``FINGERPRINT_VERSION`` raises :class:`CacheVersionError` instead:
+        that is a configuration error (pointing the engine at a stale
+        store), not a transient artefact.
         """
         path = self._path(fingerprint)
         if path is None or not path.exists():
@@ -191,6 +193,8 @@ class ResultCache:
         if not isinstance(data, dict) or "result" not in data:
             return None
         self._check_version(data, path)
+        if data.get("fingerprint") != fingerprint:
+            return None
         try:
             result = RunResult.from_dict(data["result"])
         except (ValueError, KeyError, TypeError):

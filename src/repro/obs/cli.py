@@ -8,7 +8,9 @@ Six subcommands; an unreadable trace or ledger file
     with the trace recorder attached and write the JSONL event stream.
     Runs the job directly (never through the engine cache — trace options
     are excluded from fingerprints, so a cache hit would skip the
-    simulation and produce no trace).
+    simulation and produce no trace).  An unknown target, event type or
+    malformed ``--sample`` prints ``error:`` and exits 2 before any file is
+    opened.
 
 ``summarize``
     Event counts, the reconfiguration ledger and per-structure controller
@@ -54,6 +56,7 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.logging import add_logging_arguments, configure_logging
+from repro.obs.options import TraceOptions
 from repro.obs.recorder import read_trace
 from repro.obs.records import RecordFileError
 
@@ -246,7 +249,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # Imported lazily: the driver pulls in the engine and scenario layers,
     # which summarize/timeline/diff (pure file readers) never need.
     from repro.engine.job import DEFAULT_TRACE_SEED
-    from repro.obs.driver import run_traced
+    from repro.obs.driver import resolve_target, run_traced
 
     window = args.window
     warmup = args.warmup
@@ -256,13 +259,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     events: tuple[str, ...] | None = None
     if args.events:
         events = tuple(name.strip() for name in args.events.split(",") if name.strip())
-    sampling: dict[str, int] = {}
-    for entry in args.sample:
-        name, _, stride = entry.partition("=")
-        if not stride:
-            raise SystemExit(f"--sample expects TYPE=N, got {entry!r}")
-        sampling[name.strip()] = int(stride)
     out = args.out if args.out is not None else f"{args.target}.trace.jsonl"
+    # Bad input is reported before anything runs or any file is opened.
+    try:
+        sampling: dict[str, int] = {}
+        for entry in args.sample:
+            name, _, stride = entry.partition("=")
+            if not stride.strip().isdigit():
+                raise ValueError(f"--sample expects TYPE=N, got {entry!r}")
+            sampling[name.strip()] = int(stride)
+        # Rejects unknown event types and strides below 1.
+        TraceOptions(out, events=events, sampling=sampling or None)
+        resolve_target(args.target)
+    except (KeyError, ValueError) as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
     run = run_traced(
         args.target,
         path=out,

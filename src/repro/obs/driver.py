@@ -27,7 +27,7 @@ from repro.obs.recorder import JsonlSink, TraceRecorder
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.characteristics import WorkloadProfile
-from repro.workloads.suites import get_workload
+from repro.workloads.suites import get_workload, workload_names
 
 __all__ = ["TracedRun", "resolve_target", "run_traced", "traced_job"]
 
@@ -56,8 +56,8 @@ def resolve_target(name: str) -> tuple[WorkloadProfile, ScenarioSpec | None]:
     except KeyError:
         raise KeyError(
             f"unknown scenario or workload {name!r}; see "
-            f"'python -m repro.scenarios list' for scenarios and "
-            f"'python -m repro.bench --list' for workloads"
+            f"'python -m repro.scenarios list' for scenarios; known workloads: "
+            f"{', '.join(sorted(workload_names()))}"
         ) from None
 
 

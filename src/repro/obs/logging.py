@@ -1,7 +1,7 @@
 """Shared stdlib-logging setup for every ``python -m repro.*`` CLI.
 
 One place defines the verbosity flags (``-v``/``--verbose``, ``-q``/
-``--quiet``) and the handler/format they control, so the bench, engine,
+``--quiet``) and the handler/format they control, so the engine, obs,
 scenarios and sensitivity CLIs behave identically: diagnostics go to a
 ``repro``-rooted logger on *stderr* (primary results stay on stdout, where
 scripts and the CI greps read them).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from repro.analysis.sweep import (
 from repro.core.configuration import AdaptiveConfigIndices, best_overall_synchronous_spec
 from repro.core.processor import MCDProcessor
 from repro.engine import (
+    CacheMergeError,
     ExperimentEngine,
     ParallelExecutor,
     ResultCache,
@@ -26,6 +28,7 @@ from repro.engine import (
     make_trace,
     run_job,
 )
+from repro.engine.cli import inspect_store
 from repro.workloads import PhaseSpec, WorkloadProfile, full_suite
 
 
@@ -269,6 +272,43 @@ def _counting_engine(executor=None, cache=None):
     return engine, calls
 
 
+#: Ways a committed disk entry can be unservable, one per rejection branch of
+#: ``ResultCache._load_disk``.
+UNSERVABLE_DAMAGE = ["truncated", "not-an-object", "no-result", "misfiled", "bad-result"]
+
+
+def _unservable_entry(profile: WorkloadProfile, directory, damage: str) -> SimulationJob:
+    """Leave *directory* holding one entry, damaged as *damage* names.
+
+    Returns the job whose file name the entry has.
+    """
+    job, other = _jobs(profile)[:2]
+    cache = ResultCache(directory)
+    path = directory / f"{job.fingerprint()}.json"
+    if damage == "misfiled":
+        # Another job's entry filed under this job's name.
+        cache.put(other.fingerprint(), run_job(other))
+        (directory / f"{other.fingerprint()}.json").replace(path)
+        return job
+    cache.put(job.fingerprint(), run_job(job))
+    text = path.read_text()
+    data = json.loads(text)
+    if damage == "truncated":
+        text = text[: len(text) // 2]  # truncated mid-write JSON
+    elif damage == "not-an-object":
+        text = json.dumps([data])
+    elif damage == "no-result":
+        del data["result"]
+        text = json.dumps(data)
+    elif damage == "bad-result":
+        data["result"] = {"workload": data["result"]["workload"]}
+        text = json.dumps(data)
+    else:
+        raise ValueError(f"unknown damage {damage!r}")
+    path.write_text(text)
+    return job
+
+
 class TestEngineAndCache:
     def test_cache_hit_skips_resimulation_and_matches(self, quick_profile):
         engine, calls = _counting_engine()
@@ -301,21 +341,47 @@ class TestEngineAndCache:
         assert restored == original
         assert engine.cache.stats.disk_hits == 1
 
-    def test_truncated_disk_entry_is_not_a_member_and_misses(self, quick_profile, tmp_path):
-        """A corrupt disk file must answer ``in`` and ``get`` consistently."""
-        job = _jobs(quick_profile)[0]
-        fingerprint = job.fingerprint()
-        writer = ResultCache(tmp_path)
-        writer.put(fingerprint, run_job(job))
-
-        path = tmp_path / f"{fingerprint}.json"
-        full = path.read_text()
-        path.write_text(full[: len(full) // 2])  # truncated mid-write JSON
-
+    @pytest.mark.parametrize("damage", UNSERVABLE_DAMAGE)
+    def test_truncated_disk_entry_is_not_a_member_and_misses(
+        self, quick_profile, tmp_path, damage
+    ):
+        """An unservable disk file must answer ``in`` and ``get`` consistently."""
+        fingerprint = _unservable_entry(quick_profile, tmp_path, damage).fingerprint()
         fresh = ResultCache(tmp_path)
         assert fingerprint not in fresh
         assert fresh.get(fingerprint) is None
         assert fresh.stats.misses == 1
+
+    @pytest.mark.parametrize("damage", UNSERVABLE_DAMAGE)
+    def test_unservable_disk_entry_is_resimulated_and_overwritten(
+        self, quick_profile, tmp_path, damage
+    ):
+        job = _unservable_entry(quick_profile, tmp_path, damage)
+        engine, calls = _counting_engine(cache=ResultCache(tmp_path))
+        result = engine.run(job)
+        assert calls == [job.fingerprint()]
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(job.fingerprint()) == result
+        assert fresh.stats.disk_hits == 1
+
+    @pytest.mark.parametrize("damage", UNSERVABLE_DAMAGE)
+    def test_inspect_counts_unservable_disk_entry_as_unreadable(
+        self, quick_profile, tmp_path, damage
+    ):
+        _unservable_entry(quick_profile, tmp_path, damage)
+        summary = inspect_store(tmp_path)
+        assert summary["entries"] == 1
+        assert summary["servable_entries"] == 0
+        assert summary["unreadable_entries"] == 1
+
+    @pytest.mark.parametrize("damage", UNSERVABLE_DAMAGE)
+    def test_merge_refuses_unservable_disk_entry(self, quick_profile, tmp_path, damage):
+        """Merge and lookup agree: an entry ``get`` misses is one merge refuses."""
+        _unservable_entry(quick_profile, tmp_path / "source", damage)
+        destination = ResultCache(tmp_path / "destination")
+        with pytest.raises(CacheMergeError):
+            destination.merge(tmp_path / "source")
+        assert destination.disk_fingerprints() == []
 
     def test_valid_disk_entry_is_a_member(self, quick_profile, tmp_path):
         job = _jobs(quick_profile)[0]

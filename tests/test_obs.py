@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.cache import CacheStats, ResultCache
 from repro.obs.cli import main as obs_main
+from repro.obs.driver import resolve_target
 from repro.obs.events import (
     CONTROLLER_INTERVAL,
     EVENT_TYPES,
@@ -48,7 +49,7 @@ from repro.obs.recorder import (
     TraceRecorder,
     read_trace,
 )
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 from test_golden_values import GOLDEN_DIGESTS
 
 #: Golden jobs re-run with a recorder attached: one phase-adaptive job per
@@ -439,6 +440,41 @@ def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
     assert "seen" in out  # the sampled type reports "N (of M seen)"
 
 
-def test_cli_trace_rejects_unknown_target(capsys):
-    with pytest.raises(KeyError):
-        obs_main(["trace", "no-such-target", "--quick", "--out", "/tmp/x.jsonl"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-target"],
+        ["gzip", "--sample", f"{SYNC_PENALTY}=x"],
+        ["gzip", "--sample", f"{SYNC_PENALTY}=0"],
+        ["gzip", "--sample", f"{SYNC_PENALTY}=-1"],
+        ["gzip", "--sample", SYNC_PENALTY],
+        ["gzip", "--sample", "nosuch=2"],
+        ["gzip", "--events", "nosuch"],
+        ["gzip", "--events", f"{SYNC_PENALTY},nosuch"],
+    ],
+    ids=[
+        "unknown-target",
+        "sample-not-a-number",
+        "sample-zero-stride",
+        "sample-negative-stride",
+        "sample-missing-stride",
+        "sample-unknown-event",
+        "unknown-event",
+        "known-and-unknown-event",
+    ],
+)
+def test_cli_trace_rejects_unknown_target(tmp_path, capsys, argv):
+    out = tmp_path / "trace.jsonl"
+    assert obs_main(["trace", *argv, "--quick", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_target_error_points_at_scenarios_and_workloads():
+    with pytest.raises(KeyError) as excinfo:
+        resolve_target("no-such-target")
+    message = excinfo.value.args[0]
+    assert "'no-such-target'" in message
+    assert "python -m repro.scenarios list" in message
+    assert all(name in message for name in workload_names())

@@ -5,10 +5,9 @@ golden digests are bit-identical with a ledger attached), and the fleet is
 equivalent to the single process (the shard ledgers of an N-shard campaign
 summarize to the same partition-independent equivalence key as one process
 running the whole job list).  The rest covers the ledger writer, the
-metrics ``from_dict``/``merge`` round-trips, the campaign report renderer,
-the ``bench history`` trajectory analysis and the CLI surfaces.  Rejection
-of unreadable ledger files is tested with trace files in
-``tests/test_records.py``.
+metrics ``from_dict``/``merge`` round-trips, the campaign report renderer
+and the CLI surfaces.  Rejection of unreadable ledger files is tested with
+trace files in ``tests/test_records.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ import json
 import pytest
 
 from golden_digests import golden_jobs, result_digest
-from repro.bench.environment import EnvironmentFingerprint
-from repro.bench.history import load_trajectories, render_history
-from repro.bench.schema import BenchEntry, BenchRun
 from repro.engine import ExperimentEngine
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
@@ -361,73 +357,3 @@ def test_inspect_store_json_payload(tmp_path):
     assert summary["unreadable_entries"] == 0
     assert summary["version_mismatches"] == 0
     assert "cache_stats" in summary and "hits" in summary["cache_stats"]
-
-
-# ------------------------------------------------------------ bench history
-
-
-def _bench_entry(seconds: float, calibration: float, *, quick: bool = True) -> dict:
-    entry = BenchEntry(
-        suite="sweep",
-        environment=EnvironmentFingerprint.collect(),
-        calibration_seconds=calibration,
-        parameters={"quick": quick},
-        runs=[
-            BenchRun(
-                name="figure6_sweep_serial",
-                seconds=seconds,
-                normalized=seconds / calibration,
-                simulations=62,
-            )
-        ],
-    )
-    return entry.to_dict()
-
-
-def test_bench_history_trajectory_and_regression_flags(tmp_path):
-    history = {
-        "sweep": [
-            _bench_entry(10.0, 0.1),
-            _bench_entry(5.0, 0.1),
-            _bench_entry(9.0, 0.1),  # +80% normalized: regression
-            _bench_entry(2.0, 0.1, quick=False),  # different mode: no delta
-        ]
-    }
-    (tmp_path / "BENCH_sweep.json").write_text(json.dumps(history))
-    trajectories = load_trajectories(tmp_path, tolerance=0.15)
-    rows = trajectories["sweep"]
-    assert [row.mode for row in rows] == ["quick", "quick", "quick", "full"]
-    assert rows[0].delta_percent is None
-    assert rows[1].delta_percent == pytest.approx(-50.0)
-    assert not rows[1].regression
-    assert rows[2].delta_percent == pytest.approx(80.0)
-    assert rows[2].regression
-    assert rows[3].delta_percent is None, "full-mode rows never compare to quick rows"
-
-    text = render_history(trajectories)
-    assert "REGRESSION" in text
-    markdown = render_history(trajectories, markdown=True)
-    assert "### sweep" in markdown
-    assert "| timestamp |" in markdown
-
-
-def test_bench_history_skips_invalid_entries_and_honours_limit(tmp_path):
-    history = {"sweep": [{"not": "an entry"}, _bench_entry(4.0, 0.1), _bench_entry(3.0, 0.1)]}
-    (tmp_path / "BENCH_sweep.json").write_text(json.dumps(history))
-    trajectories = load_trajectories(tmp_path, limit=1)
-    assert len(trajectories["sweep"]) == 1
-    # The delta is computed over the full history before limiting.
-    assert trajectories["sweep"][0].delta_percent == pytest.approx(-25.0)
-    with pytest.raises(FileNotFoundError):
-        load_trajectories(tmp_path / "missing")
-
-
-def test_bench_history_cli(tmp_path, capsys):
-    from repro.bench.cli import main as bench_main
-
-    (tmp_path / "BENCH_sweep.json").write_text(
-        json.dumps({"sweep": [_bench_entry(4.0, 0.1)]})
-    )
-    assert bench_main(["history", "--output-dir", str(tmp_path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["sweep"][0]["simulations"] == 62
