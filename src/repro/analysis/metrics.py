@@ -126,9 +126,8 @@ class RunResult:
     #: trace-compilation cache is warm for the second job on a trace, cold
     #: for the first) rather than on the job alone.  The result cache resets
     #: them to their defaults when persisting, so on-disk stores are
-    #: byte-identical however the job list was partitioned across processes
-    #: — the property the distributed fabric's merge/verify workflow rests
-    #: on.
+    #: byte-identical however the job list was split across runs — the
+    #: property the cold-versus-resumed store ``diff -r`` check rests on.
     PROCESS_DEPENDENT_FIELDS: ClassVar[tuple[str, ...]] = (
         "compiled_trace_cache_hits",
     )

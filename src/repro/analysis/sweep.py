@@ -680,10 +680,9 @@ def comparison_jobs(
     For every profile: the synchronous baseline, the Phase-Adaptive run and
     every Program-Adaptive search candidate, in the exact order
     :func:`compare_workloads` submits them.  This is the *plannable* part of
-    a campaign — what the distributed fabric shards across workers (see
-    :mod:`repro.engine.fabric`).  The factored search's combined-winner jobs
-    depend on these results and so cannot be enumerated up front; the resume
-    pass simulates that small tail.
+    a campaign — what ``matrix --resume`` counts against its store.  The
+    factored search's combined-winner jobs depend on these results and so
+    cannot be enumerated up front.
     """
     candidates = _search_candidates(search_mode, "adaptive")
     jobs: list[SimulationJob] = []

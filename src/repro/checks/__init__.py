@@ -1,8 +1,8 @@
 """Project-invariant static analysis (``python -m repro.checks``).
 
 Every optimisation PR in this repo is gated on bit-identical golden digests,
-and the distributed fabric merges result stores produced on different hosts.
-The invariants that make that safe — no unseeded or salted randomness, a
+and persistent result stores are served across runs and interpreter
+sessions.  The invariants that make that safe — no unseeded or salted randomness, a
 ``FINGERPRINT_VERSION`` bump on every schema change, process-dependent
 counters excluded from digests, frozen/round-trippable data-plane types —
 used to live in reviewers' heads.  This subsystem enforces them mechanically:

@@ -2,7 +2,7 @@
 
 Everything threaded through :class:`SimulationJob`, the process-pool
 executors and the persistent :class:`ResultCache` must uphold a contract the
-rest of the fabric assumes silently:
+rest of the engine assumes silently:
 
 * **frozen dataclass** where the value participates in fingerprints (a
   mutable job could change identity after being cached);
@@ -11,8 +11,8 @@ rest of the fabric assumes silently:
 * **pickle round-trip** — executors ship jobs and results across process
   boundaries;
 * **dict round-trip** — the disk cache persists via ``to_dict`` and must
-  rebuild an *equal* object via ``from_dict`` (losslessness is what makes
-  sharded stores mergeable byte-for-byte).
+  rebuild an *equal* object via ``from_dict`` (losslessness is what lets a
+  resumed run serve a stored result as if it had just simulated it).
 
 This rule verifies all of it by import-and-introspect on representative
 instances rather than by convention: each contract below names the type, the

@@ -1,6 +1,6 @@
 """Determinism lint: the AST rules behind the repo's bit-identical gates.
 
-Every golden digest, fingerprint and mergeable cache store rests on the
+Every golden digest, fingerprint and persistent cache store rests on the
 simulator being a pure function of its inputs.  These rules flag the ways
 that property has broken (or nearly broken) in this repo's history:
 

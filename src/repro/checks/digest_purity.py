@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.checks.findings import Finding
 from repro.checks.registry import Rule, register
@@ -221,8 +221,8 @@ def check_classification(
                 message=(
                     f"{name!r} is classified 'process-dependent' but is missing "
                     "from RunResult.PROCESS_DEPENDENT_FIELDS, so the result "
-                    "cache will not canonicalise it and merged stores can "
-                    "disagree byte-for-byte"
+                    "cache will not canonicalise it and two stores of the "
+                    "same jobs can disagree byte-for-byte"
                 ),
             )
         if process_dependent and klass != "process-dependent":

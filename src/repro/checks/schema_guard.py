@@ -1,8 +1,8 @@
 """Fingerprint-schema guard: no schema change without a version bump.
 
 ``FINGERPRINT_VERSION`` is the protocol number of every persistent result
-store: workers refuse to merge stores recorded under another version, and a
-forgotten bump silently poisons merged caches with results computed under a
+store: the cache refuses entries recorded under another version, and a
+forgotten bump silently poisons a store with results computed under a
 different schema.  The repo has bumped it four times by hand (2→3→4→5), each
 time because a reviewer remembered; this rule remembers instead.
 

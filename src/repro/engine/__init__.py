@@ -23,28 +23,13 @@ from __future__ import annotations
 
 import os
 
-from repro.engine.cache import (
-    CacheMergeError,
-    CacheStats,
-    CacheVersionError,
-    MergeReport,
-    ResultCache,
-)
+from repro.engine.cache import CacheStats, CacheVersionError, ResultCache
 from repro.engine.engine import EngineStats, ExperimentEngine
 from repro.engine.executors import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
     default_worker_count,
-)
-from repro.engine.fabric import (
-    ShardReport,
-    ShardSpec,
-    parse_shard,
-    run_shard,
-    select_shard,
-    shard_index,
-    shard_jobs,
 )
 from repro.engine.job import (
     DEFAULT_TRACE_SEED,
@@ -61,7 +46,6 @@ from repro.obs.metrics import EngineMetrics
 from repro.obs.options import TraceOptions
 
 __all__ = [
-    "CacheMergeError",
     "CacheStats",
     "CacheVersionError",
     "DEFAULT_TRACE_SEED",
@@ -70,12 +54,9 @@ __all__ = [
     "Executor",
     "ExperimentEngine",
     "FINGERPRINT_VERSION",
-    "MergeReport",
     "ParallelExecutor",
     "ResultCache",
     "SerialExecutor",
-    "ShardReport",
-    "ShardSpec",
     "SimulationJob",
     "SpecKind",
     "TraceOptions",
@@ -86,15 +67,27 @@ __all__ = [
     "default_worker_count",
     "make_engine",
     "make_trace",
-    "parse_shard",
+    "parse_workers",
     "run_job",
-    "run_shard",
-    "select_shard",
-    "shard_index",
-    "shard_jobs",
 ]
 
 _default_engine: ExperimentEngine | None = None
+
+
+def parse_workers(workers: int | str | None) -> int:
+    """The worker count *workers* names: an int (or its decimal string),
+    ``"auto"`` (one worker per available core) or ``None`` (serial).
+
+    Raises :class:`ValueError` for anything else.
+    """
+    if workers is None:
+        return 1
+    if workers == "auto":
+        return default_worker_count()
+    try:
+        return int(workers)
+    except ValueError:
+        raise ValueError(f"workers must be an integer or 'auto', got {workers!r}") from None
 
 
 def make_engine(
@@ -105,12 +98,9 @@ def make_engine(
 ) -> ExperimentEngine:
     """Build an engine from simple knobs (the CLI/benchmark entry point).
 
-    ``workers`` accepts an int, ``"auto"`` (one worker per available core) or
-    ``None``/``0``/``1`` for serial execution.
+    ``workers`` is read by :func:`parse_workers`; ``0``/``1`` run serially.
     """
-    if workers == "auto":
-        workers = default_worker_count()
-    workers = int(workers) if workers is not None else 1
+    workers = parse_workers(workers)
     executor = ParallelExecutor(max_workers=workers) if workers > 1 else SerialExecutor()
     cache = ResultCache(cache_dir) if use_cache else None
     return ExperimentEngine(executor, cache)

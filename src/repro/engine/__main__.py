@@ -1,8 +1,7 @@
 """Module entry point for ``python -m repro.engine``.
 
-Dispatches to :mod:`repro.engine.cli`, the maintenance CLI for persistent
-result-cache stores (``merge`` worker caches into a canonical store,
-``inspect`` a store's entry and version census).
+Dispatches to :mod:`repro.engine.cli`, which inspects a persistent
+result-cache store (``inspect``: its entry and version census).
 """
 
 from repro.engine.cli import main

@@ -8,14 +8,12 @@ deterministic functions of the job fingerprint, which is what makes caching
 sound.
 
 Disk entries are *versioned*: every file records the
-:data:`~repro.engine.job.FINGERPRINT_VERSION` it was written under, and both
-the load path and :meth:`ResultCache.merge` refuse entries from a different
-version with an error naming both versions — a stale cache directory must
-fail loudly rather than silently miss (or, worse, collide with) current
-fingerprints.  The merge operation is what makes the distributed campaign
-fabric work: worker processes fill private cache directories and
-:meth:`ResultCache.merge` folds them into one canonical store, byte-for-byte
-identical to the store a single process would have produced.
+:data:`~repro.engine.job.FINGERPRINT_VERSION` it was written under, and the
+load path refuses entries from a different version with an error naming
+both versions — a stale cache directory must fail loudly rather than
+silently miss (or, worse, collide with) current fingerprints.  Entries are
+also *canonical* (:meth:`ResultCache.put`), so a store's bytes depend only
+on which jobs it holds, not on how the work was split across invocations.
 
 Stored results are returned as deep copies: :class:`RunResult` is mutable,
 and callers must never be able to corrupt the cache (or each other) through
@@ -31,7 +29,6 @@ import tempfile
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
 
 from repro.analysis.metrics import RunResult
 from repro.engine.job import FINGERPRINT_VERSION
@@ -41,14 +38,10 @@ class CacheVersionError(ValueError):
     """A cache entry was written under a different ``FINGERPRINT_VERSION``.
 
     Raised instead of silently mixing stores: entries from different
-    fingerprint versions describe different simulator semantics, so folding
-    them into one directory (or serving them to a newer engine) would let a
-    stale result masquerade as a current one.
+    fingerprint versions describe different simulator semantics, so serving
+    them to a newer engine would let a stale result masquerade as a current
+    one.
     """
-
-
-class CacheMergeError(ValueError):
-    """A merge source entry is invalid or conflicts with the destination."""
 
 
 @dataclass(slots=True)
@@ -59,8 +52,6 @@ class CacheStats:
     disk_hits: int = 0
     misses: int = 0
     stores: int = 0
-    merged_entries: int = 0
-    merge_duplicates: int = 0
 
     @property
     def hits(self) -> int:
@@ -69,33 +60,10 @@ class CacheStats:
 
     def describe(self) -> str:
         """One summary line for CLI output."""
-        line = (
+        return (
             f"cache: {self.hits} hit(s) ({self.memory_hits} memory, "
             f"{self.disk_hits} disk), {self.misses} miss(es), "
             f"{self.stores} store(s)"
-        )
-        if self.merged_entries or self.merge_duplicates:
-            line += (
-                f", {self.merged_entries} merged entr(ies), "
-                f"{self.merge_duplicates} merge duplicate(s)"
-            )
-        return line
-
-
-@dataclass(slots=True)
-class MergeReport:
-    """Outcome of folding one source directory into a canonical store."""
-
-    source: str
-    examined: int = 0
-    merged: int = 0
-    duplicates: int = 0
-
-    def describe(self) -> str:
-        """One summary line for CLI output."""
-        return (
-            f"{self.source}: {self.merged} merged, "
-            f"{self.duplicates} duplicate(s), {self.examined} examined"
         )
 
 
@@ -226,7 +194,7 @@ class ResultCache:
         warm *this* process happened to be, not what the job computed;
         resetting them makes cached (and persisted) results canonical, so
         two stores covering the same fingerprints are byte-identical no
-        matter how the work was partitioned.
+        matter how the work was split across runs.
         """
         stored = copy.deepcopy(result)
         defaults = {spec.name: spec.default for spec in fields(RunResult)}
@@ -252,16 +220,13 @@ class ResultCache:
             "version": FINGERPRINT_VERSION,
             "result": stored.to_dict(),
         }
-        self._write_payload(path, json.dumps(payload))
-
-    def _write_payload(self, path: Path, text: str) -> None:
         # Write-then-rename keeps concurrent readers from seeing partial files.
         handle = tempfile.NamedTemporaryFile(
             "w", dir=self._directory, prefix=".tmp-", suffix=".json", delete=False
         )
         try:
             with handle:
-                handle.write(text)
+                handle.write(json.dumps(payload))
             os.replace(handle.name, path)
         except BaseException:
             try:
@@ -271,90 +236,6 @@ class ResultCache:
                 # reaped the temp file already; don't mask the original error.
                 pass
             raise
-
-    # ------------------------------------------------------------------ merge
-
-    def _validated_source_entries(self, source: Path) -> Iterator[tuple[Path, str]]:
-        """Yield ``(path, text)`` for every valid entry under *source*.
-
-        Every committed entry is fully validated — JSON parse, fingerprint
-        consistent with its file name, matching ``FINGERPRINT_VERSION`` and a
-        :class:`RunResult` schema round-trip — before anything is written to
-        the destination, so a bad source refuses the merge instead of
-        half-applying it.
-        """
-        for path in sorted(source.glob("*.json")):
-            text = path.read_text()
-            try:
-                data = json.loads(text)
-            except ValueError as error:
-                raise CacheMergeError(
-                    f"merge source entry {path} is not valid JSON ({error}); "
-                    f"delete the file and re-run the worker that produced it"
-                ) from error
-            if not isinstance(data, dict) or "result" not in data:
-                raise CacheMergeError(
-                    f"merge source entry {path} has no result payload; "
-                    f"delete the file and re-run the worker that produced it"
-                )
-            self._check_version(data, path)
-            if data.get("fingerprint") != path.stem:
-                raise CacheMergeError(
-                    f"merge source entry {path} records fingerprint "
-                    f"{data.get('fingerprint')!r}, which does not match its "
-                    f"file name — the store is corrupt or hand-edited"
-                )
-            try:
-                RunResult.from_dict(data["result"])
-            except (ValueError, KeyError, TypeError) as error:
-                raise CacheMergeError(
-                    f"merge source entry {path} does not deserialise as a "
-                    f"RunResult ({error}); delete the file and re-run the "
-                    f"worker that produced it"
-                ) from error
-            yield path, text
-
-    def merge(self, other: str | os.PathLike | "ResultCache") -> MergeReport:
-        """Fold another on-disk store into this cache's directory.
-
-        *other* is a cache directory (or a disk-backed :class:`ResultCache`).
-        Every source entry is validated first — including the
-        ``FINGERPRINT_VERSION`` check, so cross-version mixes are refused
-        with :class:`CacheVersionError` — then copied byte-for-byte into this
-        cache's directory via the same atomic write-then-rename as
-        :meth:`put`.  Entries already present must be byte-identical (the
-        simulations are deterministic); a differing duplicate raises
-        :class:`CacheMergeError` rather than silently preferring one side.
-        """
-        if self._directory is None:
-            raise ValueError("cannot merge into a memory-only cache")
-        source = other.directory if isinstance(other, ResultCache) else Path(other)
-        if source is None:
-            raise ValueError("cannot merge from a memory-only cache")
-        if not source.is_dir():
-            raise FileNotFoundError(f"merge source {source} is not a directory")
-        if source.resolve() == self._directory.resolve():
-            raise ValueError(f"merge source {source} is the destination itself")
-
-        report = MergeReport(source=str(source))
-        for path, text in self._validated_source_entries(source):
-            report.examined += 1
-            destination = self._directory / path.name
-            if destination.exists():
-                if destination.read_text() == text:
-                    report.duplicates += 1
-                    continue
-                raise CacheMergeError(
-                    f"merge conflict on fingerprint {path.stem}: {path} and "
-                    f"{destination} hold different bytes for the same "
-                    f"fingerprint — the stores were produced by diverging "
-                    f"code and must not be mixed"
-                )
-            self._write_payload(destination, text)
-            report.merged += 1
-        self.stats.merged_entries += report.merged
-        self.stats.merge_duplicates += report.duplicates
-        return report
 
     def _sweep_stale_temp_files(self, max_age_seconds: float | None = None) -> int:
         """Remove orphaned ``.tmp-*`` files left by writers killed mid-`put`.

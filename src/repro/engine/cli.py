@@ -1,24 +1,15 @@
-"""``python -m repro.engine`` — operate on persistent result-cache stores.
-
-The maintenance surface of the distributed campaign fabric: worker
-processes fill private cache directories (``matrix --shard K/N
---cache-dir DIR``), and this CLI folds and inspects them.
+"""``python -m repro.engine`` — inspect a persistent result-cache store.
 
 Examples::
 
-    python -m repro.engine merge merged/ shard0/ shard1/
-    python -m repro.engine inspect merged/
-    python -m repro.engine inspect merged/ --json
+    python -m repro.engine inspect store/
+    python -m repro.engine inspect store/ --json
 
-``merge`` validates every source entry (JSON parse, fingerprint/file-name
-consistency, ``FINGERPRINT_VERSION`` match, result-schema round-trip)
-before copying it byte-for-byte into the destination store, refusing
-cross-version mixes and conflicting duplicates; its summary ends with the
-destination cache's hit/miss/merge counters.  ``inspect`` summarises a
-store and probes every committed entry through a real :class:`ResultCache`
-— the store's committed entries are never altered, though stale temp files
-(orphaned ``.tmp-*`` older than an hour) are reaped as on any cache open.
-See ``docs/OPERATIONS.md`` for the full shard / merge / resume workflows.
+``inspect`` summarises a store and probes every committed entry through a
+real :class:`ResultCache` — the store's committed entries are never
+altered, though stale temp files (orphaned ``.tmp-*`` older than an hour)
+are reaped as on any cache open.  See ``docs/OPERATIONS.md`` for the store
+layout, the version rules and the resume workflow.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.engine.cache import CacheMergeError, CacheVersionError, ResultCache
+from repro.engine.cache import CacheVersionError, ResultCache
 from repro.engine.job import FINGERPRINT_VERSION
 from repro.obs.logging import add_logging_arguments, configure_logging
 
@@ -40,18 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro.engine`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.engine",
-        description="Maintain persistent result-cache stores (merge, inspect).",
+        description="Inspect persistent result-cache stores.",
     )
     add_logging_arguments(parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    merge_parser = subparsers.add_parser(
-        "merge", help="fold worker cache directories into one canonical store"
-    )
-    merge_parser.add_argument("destination", help="destination store directory")
-    merge_parser.add_argument(
-        "sources", nargs="+", help="source cache directories (one per worker)"
-    )
 
     inspect_parser = subparsers.add_parser(
         "inspect", help="summarise and validate a result-cache store"
@@ -108,8 +91,6 @@ def inspect_store(directory: Path) -> dict:
             "disk_hits": cache.stats.disk_hits,
             "misses": cache.stats.misses,
             "stores": cache.stats.stores,
-            "merged_entries": cache.stats.merged_entries,
-            "merge_duplicates": cache.stats.merge_duplicates,
         },
     }
 
@@ -119,51 +100,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args)
 
-    if args.command == "merge":
-        destination = ResultCache(args.destination)
-        total = 0
-        try:
-            for source in args.sources:
-                report = destination.merge(source)
-                total += report.merged
-                print(report.describe())
-        except (CacheMergeError, CacheVersionError, FileNotFoundError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        entries = len(destination.disk_fingerprints())
-        print(f"merged {total} new entr(y/ies) into {args.destination} ({entries} total)")
-        print(destination.stats.describe())
+    # inspect is the only subcommand.
+    directory = Path(args.directory)
+    if not directory.is_dir():
+        print(f"error: {directory} is not a directory", file=sys.stderr)
+        return 2
+    summary = inspect_store(directory)
+    if args.as_json:
+        print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
-
-    if args.command == "inspect":
-        directory = Path(args.directory)
-        if not directory.is_dir():
-            print(f"error: {directory} is not a directory", file=sys.stderr)
-            return 2
-        summary = inspect_store(directory)
-        if args.as_json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
-        print(f"store     : {summary['directory']}")
-        print(f"entries   : {summary['entries']}")
-        for version in sorted(summary["versions"]):
-            marker = (
-                ""
-                if version == str(summary["expected_version"])
-                else "  (incompatible with this build)"
-            )
-            print(f"  version {version}: {summary['versions'][version]}{marker}")
-        print(f"temp files: {summary['orphaned_temp_files']}")
-        print(f"this build: FINGERPRINT_VERSION {summary['expected_version']}")
-        print(
-            f"validation: {summary['servable_entries']} servable, "
-            f"{summary['unreadable_entries']} unreadable, "
-            f"{summary['version_mismatches']} version mismatch(es)"
+    print(f"store     : {summary['directory']}")
+    print(f"entries   : {summary['entries']}")
+    for version in sorted(summary["versions"]):
+        marker = (
+            ""
+            if version == str(summary["expected_version"])
+            else "  (incompatible with this build)"
         )
-        print(summary["cache_stats_line"])
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+        print(f"  version {version}: {summary['versions'][version]}{marker}")
+    print(f"temp files: {summary['orphaned_temp_files']}")
+    print(f"this build: FINGERPRINT_VERSION {summary['expected_version']}")
+    print(
+        f"validation: {summary['servable_entries']} servable, "
+        f"{summary['unreadable_entries']} unreadable, "
+        f"{summary['version_mismatches']} version mismatch(es)"
+    )
+    print(summary["cache_stats_line"])
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -8,8 +8,7 @@ served from the cache, and everything comes back in submission order.
 Results are checkpointed *incrementally*: every finished simulation is
 written to the result cache the moment its executor yields it, so a batch
 killed part-way through keeps all completed work — the substrate of the
-``matrix --resume`` workflow and the distributed campaign fabric
-(:mod:`repro.engine.fabric`).  Executors stream results back to the calling
+``matrix --resume`` workflow.  Executors stream results back to the calling
 thread, so the engine is single-threaded and needs no lock.
 """
 
@@ -164,9 +163,9 @@ class ExperimentEngine:
     def _ledger_record(self, **payload: object) -> dict[str, object]:
         """One ``batch`` ledger record: the payload plus engine-wide accounting.
 
-        Every record carries the executor mode, shard-independent engine
-        session token, the cache's hit/miss/merge counters and the engine's
-        cumulative :class:`EngineMetrics` snapshot — enough for
+        Every record carries the executor mode, the engine session token,
+        the cache's hit/miss/store counters and the engine's cumulative
+        :class:`EngineMetrics` snapshot — enough for
         ``python -m repro.obs ledger summarize`` to rebuild the campaign
         view with no process left alive.
         """
@@ -178,8 +177,6 @@ class ExperimentEngine:
                 "disk_hits": stats.disk_hits,
                 "misses": stats.misses,
                 "stores": stats.stores,
-                "merged_entries": stats.merged_entries,
-                "merge_duplicates": stats.merge_duplicates,
             }
         return {
             "record": "batch",

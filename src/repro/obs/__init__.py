@@ -14,13 +14,13 @@ off):
   experiment engine and surfaced in campaign/sweep summaries; snapshots
   round-trip through ``to_dict``/``from_dict`` and fuse with ``merge``.
 - :mod:`repro.obs.ledger` — the persistent, append-only run ledger
-  (JSONL): durable per-batch campaign accounting that shard workers write
-  and ``ledger summarize``/``report`` fuse into one campaign view.
+  (JSONL): durable per-batch campaign accounting that ``--ledger`` runs
+  write and ``ledger summarize``/``report`` fuse into one campaign view.
 - :mod:`repro.obs.records` — the schema-versioned JSONL container that
   trace files and ledgers share: header builder, the one reader and the
   :class:`RecordFileError` base of both files' errors.
 - :mod:`repro.obs.report` — the rendered campaign report (throughput,
-  histograms, per-shard balance, store health, reconfiguration totals).
+  histograms, store health, reconfiguration totals).
 - :mod:`repro.obs.logging` — the shared stdlib-logging setup
   (``-v``/``-q``) every ``python -m repro.*`` CLI adopts.
 

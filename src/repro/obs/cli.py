@@ -21,7 +21,8 @@ Six subcommands; an unreadable trace or ledger file
     interval (the configuration chosen), with a marker row showing changes
     (``*``), hysteresis-suppressed winners (``h``), streak-suppressed
     winners (``s``) and plain holds (``.``), plus scenario phase boundaries
-    (``P``) aligned to the interval they fell in.
+    (``P``) aligned to the interval they fell in.  A ``--width`` below 1 or
+    a ``--structure`` absent from the trace prints ``error:`` and exits 2.
 
 ``diff``
     Compare two traces: per-type event counts, per-structure decision
@@ -29,16 +30,15 @@ Six subcommands; an unreadable trace or ledger file
 
 ``ledger``
     Read persistent run ledgers (:mod:`repro.obs.ledger`):
-    ``ledger summarize SOURCE...`` fuses ledger files, or the shard
-    ledgers in a directory, into the campaign accounting (``--json`` for
-    the machine-readable form, including the partition-independent
-    ``equivalence_key``).
+    ``ledger summarize SOURCE...`` fuses ledger files, or every ledger in
+    a directory, into the campaign accounting (``--json`` for the
+    machine-readable form).
 
 ``report``
     Render the full campaign report from one or more ledgers: work
     accounting, throughput/utilization, wall-clock and queue-latency
-    histograms, per-shard balance, plus result-store health (``--store``)
-    and reconfiguration totals joined from traces (``--traces``).
+    histograms, plus result-store health (``--store``) and reconfiguration
+    totals joined from traces (``--traces``).
 """
 
 from __future__ import annotations
@@ -377,14 +377,19 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    if args.width < 1:
+        print(f"error: --width must be at least 1, got {args.width}", file=sys.stderr)
+        return 2
     meta, events = read_trace(args.trace)
     grouped = _interval_events(events)
     if args.structure is not None:
         if args.structure not in grouped:
             known = ", ".join(sorted(grouped)) or "none"
-            raise SystemExit(
-                f"structure {args.structure!r} not in trace (present: {known})"
+            print(
+                f"error: structure {args.structure!r} not in trace (present: {known})",
+                file=sys.stderr,
             )
+            return 2
         grouped = {args.structure: grouped[args.structure]}
     if not grouped:
         print("no controller-interval events in trace")
@@ -412,12 +417,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         phase_row = _phase_row(intervals, boundaries)
         if phase_row is not None:
             rows["phs"] = phase_row
-        width = max(1, args.width)
         length = len(rows["cfg"])
-        for start in range(0, length, width):
+        for start in range(0, length, args.width):
             for name, row in rows.items():
-                print(f"    {name} {row[start:start + width]}")
-            if start + width < length:
+                print(f"    {name} {row[start:start + args.width]}")
+            if start + args.width < length:
                 print()
     return 0
 
@@ -496,14 +500,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         f"{summary.batch_duplicates} duplicate(s)"
     )
     print(f"  campaign digest: {summary.fingerprint_digest()}")
-    for shard in sorted(summary.shards):
-        stats = summary.shards[shard]
-        print(
-            f"  shard {shard}: {stats['jobs']} job(s), "
-            f"{stats['simulations']} simulation(s), "
-            f"{stats['cache_hits']} cache hit(s), "
-            f"busy {stats['busy_seconds']:.3f}s"
-        )
     for line in summary.metrics.summary_lines():
         print(f"  {line}")
     return 0

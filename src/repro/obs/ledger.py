@@ -7,8 +7,8 @@ files also use (:mod:`repro.obs.records`).  Where a trace records what one
 fingerprints ran where, how long each took, what the cache served, and the
 engine's cumulative :class:`~repro.obs.metrics.EngineMetrics` snapshot
 after each batch.  Ledgers are durable — an operator can query a campaign
-long after every worker process has exited — and shard workers each write
-their own file into a shared ``--ledger DIR``, which
+long after its process has exited — and each command writes its own file
+into a shared ``--ledger DIR``, which
 ``python -m repro.obs ledger summarize DIR`` and ``report DIR`` read
 directly.
 
@@ -82,10 +82,10 @@ class LedgerWriter:
     """Append engine accounting records to one ledger file.
 
     The file is opened in append mode and is genuinely append-only: a
-    re-started worker pointed at its existing ledger validates the header
+    re-run command pointed at its existing ledger validates the header
     and continues after the previous records (the campaign's full history
     stays in one place).  Every record is written as one line and flushed
-    immediately, so a killed worker loses at most the line it was writing
+    immediately, so a killed run loses at most the line it was writing
     — and :func:`read_ledger` rejects that torn tail loudly.
     """
 
@@ -125,11 +125,10 @@ def wallclock_timestamp() -> float:
     """Host wall-clock for ledger record timestamps (observability-only).
 
     The one sanctioned wall-clock source of the ledger layer: timestamps
-    let an operator line a ledger up against worker logs and dashboards.
-    Nothing simulation-visible reads them — summaries and equivalence
-    checks explicitly ignore timestamp fields.
+    let an operator line a ledger up against run logs.  Nothing
+    simulation-visible reads them — summaries ignore timestamp fields.
     """
-    # repro: allow(det-wallclock) — ledger record timestamps: operator-facing provenance only; excluded from fingerprints, digests and ledger-equivalence comparisons
+    # repro: allow(det-wallclock) — ledger record timestamps: operator-facing provenance only; excluded from fingerprints, digests and ledger summaries
     return time.time()
 
 
@@ -137,34 +136,24 @@ def open_ledger(
     directory: str | Path,
     *,
     label: str,
-    shard: str | None = None,
     meta: Mapping[str, Any] | None = None,
 ) -> LedgerWriter:
-    """Open (or continue) the ledger file for one worker in *directory*.
+    """Open (or continue) the ledger file ``<label>.ledger.jsonl`` in *directory*.
 
-    The file name is derived from *label* and the shard identity, so the
-    shard workers of one campaign sharing a ``--ledger DIR`` never collide:
-    ``DIR/<label>-shard-0-of-2.ledger.jsonl`` for shard ``0/2``, plain
-    ``DIR/<label>.ledger.jsonl`` otherwise.  *meta* (plus the shard and the
-    writer's ``FINGERPRINT_VERSION``) lands in the header.
+    *meta* (plus the label and the writer's ``FINGERPRINT_VERSION``) lands
+    in the header.
     """
     directory = Path(directory)
     safe_label = "".join(ch if (ch.isalnum() or ch in "-_.") else "-" for ch in label)
-    if shard is not None:
-        index, _, count = shard.partition("/")
-        name = f"{safe_label}-shard-{index}-of-{count}{LEDGER_SUFFIX}"
-    else:
-        name = f"{safe_label}{LEDGER_SUFFIX}"
     # Imported here: repro.engine.job imports repro.obs at package level, so
     # a module-level import would create a cycle.
     from repro.engine.job import FINGERPRINT_VERSION
 
     header_meta: dict[str, Any] = dict(meta) if meta else {}
     header_meta.setdefault("label", label)
-    header_meta.setdefault("shard", shard)
     header_meta.setdefault("fingerprint_version", FINGERPRINT_VERSION)
     header_meta.setdefault("created", time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    return LedgerWriter(directory / name, meta=header_meta)
+    return LedgerWriter(directory / f"{safe_label}{LEDGER_SUFFIX}", meta=header_meta)
 
 
 def read_ledger(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -209,11 +198,8 @@ def ledger_files(source: str | Path) -> list[Path]:
 class LedgerSummary:
     """The campaign view fused from one or more ledgers.
 
-    The deterministic fields — job/fingerprint accounting — are equal
-    between the shard ledgers of an N-shard campaign and a single-process
-    run of it; the timing fields (metrics, seconds, timestamps) are
-    host-and-partition dependent by nature and are excluded from
-    equivalence comparisons (:meth:`equivalence_key`).
+    The job/fingerprint accounting is deterministic; the timing fields
+    (metrics, seconds, timestamps) are host-dependent by nature.
     """
 
     ledgers: int = 0
@@ -224,7 +210,6 @@ class LedgerSummary:
     simulated_fingerprints: set[str] = field(default_factory=set)
     served_fingerprints: set[str] = field(default_factory=set)
     executor_modes: set[str] = field(default_factory=set)
-    shards: dict[str, dict[str, Any]] = field(default_factory=dict)
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
 
     @property
@@ -241,26 +226,10 @@ class LedgerSummary:
         """sha256 over the sorted unique fingerprints — the campaign identity.
 
         Two ledger sets summarize to the same digest exactly when they cover
-        the same simulated work, however it was partitioned; the CI
-        equivalence check compares the shard ledgers' digest with a
-        single-process run's.
+        the same jobs, however the work was split across runs.
         """
         payload = "\n".join(sorted(self.unique_fingerprints)).encode("ascii")
         return hashlib.sha256(payload).hexdigest()
-
-    def equivalence_key(self) -> dict[str, Any]:
-        """The partition-independent fields, for fleet-equivalence checks.
-
-        Deliberately excludes timestamps, wall-clock seconds, cache-hit and
-        duplicate counts (a shard worker's pre-deduplicated slice sees
-        neither the duplicates nor the warm entries a single process
-        would), shard identities and executor modes.
-        """
-        return {
-            "simulations": self.simulations,
-            "unique_jobs": len(self.unique_fingerprints),
-            "fingerprint_digest": self.fingerprint_digest(),
-        }
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form for ``--json`` output."""
@@ -274,18 +243,15 @@ class LedgerSummary:
             "unique_jobs": len(self.unique_fingerprints),
             "fingerprint_digest": self.fingerprint_digest(),
             "executor_modes": sorted(self.executor_modes),
-            "shards": {name: dict(stats) for name, stats in sorted(self.shards.items())},
             "metrics": self.metrics.to_dict(),
-            "equivalence_key": self.equivalence_key(),
         }
 
 
 def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
     """Fuse *sources* (ledger files or directories of them).
 
-    Validates every file via :func:`read_ledger`; records are attributed to
-    the shard named in their file's header.  Metrics snapshots are reloaded
-    through :meth:`EngineMetrics.from_dict` and fused bucket-wise with
+    Validates every file via :func:`read_ledger`.  Metrics snapshots are
+    reloaded through :meth:`EngineMetrics.from_dict` and fused bucket-wise with
     :meth:`EngineMetrics.merge`.  Because each record carries the writer's
     *cumulative* metrics snapshot, only the final snapshot per engine
     session of each file is merged (per-batch deltas would double-count).
@@ -295,15 +261,11 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
         paths += [path for path in ledger_files(source) if path not in paths]
     summary = LedgerSummary()
     for path in paths:
-        meta, records = read_ledger(path)
+        _, records = read_ledger(path)
         summary.ledgers += 1
-        shard = str(meta["shard"]) if meta.get("shard") is not None else "unsharded"
         final_metrics: dict[str, Mapping[str, Any]] = {}
         for record in records:
             summary.records += 1
-            stats = summary.shards.setdefault(
-                shard, {"jobs": 0, "simulations": 0, "cache_hits": 0, "busy_seconds": 0.0}
-            )
             simulated = [str(fp) for fp in record.get("simulated", [])]
             served = [str(fp) for fp in record.get("cached", [])]
             summary.simulated_fingerprints.update(simulated)
@@ -311,12 +273,6 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
             summary.jobs_submitted += int(record.get("jobs", 0))
             summary.cache_hits += len(served)
             summary.batch_duplicates += int(record.get("duplicates", 0))
-            stats["jobs"] += int(record.get("jobs", 0))
-            stats["simulations"] += len(simulated)
-            stats["cache_hits"] += len(served)
-            job_seconds = record.get("job_seconds", {})
-            if isinstance(job_seconds, Mapping):
-                stats["busy_seconds"] += sum(float(s) for s in job_seconds.values())
             executor = record.get("executor")
             if executor:
                 summary.executor_modes.add(str(executor))
@@ -324,8 +280,8 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
             if isinstance(metrics_snapshot, Mapping):
                 # Snapshots are cumulative per engine session, so the last
                 # one per session wins; the session token distinguishes a
-                # worker re-run appending to its own ledger (each process
-                # starts fresh metrics).
+                # re-run appending to its own ledger (each process starts
+                # fresh metrics).
                 final_metrics[str(record.get("engine_session", ""))] = metrics_snapshot
         for snapshot in final_metrics.values():
             try:

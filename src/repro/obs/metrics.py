@@ -1,4 +1,4 @@
-"""Engine/fabric metrics: histograms, utilization and progress accounting.
+"""Engine metrics: histograms, utilization and progress accounting.
 
 :class:`EngineMetrics` is the accumulator the
 :class:`~repro.engine.engine.ExperimentEngine` feeds as results stream out
@@ -93,8 +93,8 @@ class Histogram:
         """Rebuild a histogram from :meth:`to_dict` output (validating it).
 
         This is what lets a snapshot outlive its process: ledger records
-        store ``to_dict`` payloads, and cross-shard aggregation reloads them
-        here before :meth:`merge`-ing bucket-wise.
+        store ``to_dict`` payloads, and ledger summaries reload them here
+        before :meth:`merge`-ing bucket-wise.
         """
         histogram = cls(bounds=tuple(float(b) for b in data["bounds_seconds"]))
         counts = [int(c) for c in data["counts"]]
@@ -216,10 +216,10 @@ class EngineMetrics:
         """Fold *other*'s accounting into this accumulator.
 
         Scalars add; histograms add bucket-wise (:meth:`Histogram.merge`).
-        This is the cross-shard fusion primitive: merging every worker's
-        final snapshot yields the campaign-wide job-count, busy-time and
-        latency distribution, with utilization re-derived from the summed
-        busy and capacity seconds.
+        This is how a ledger summary fuses several files and engine
+        sessions: merging each session's final snapshot yields the
+        campaign-wide job-count, busy-time and latency distribution, with
+        utilization re-derived from the summed busy and capacity seconds.
         """
         self.jobs_completed += other.jobs_completed
         self.batches += other.batches

@@ -86,7 +86,7 @@ class JsonlSink:
     metadata (job label, fingerprint...); :func:`read_trace` validates it
     before parsing any event.  Trace files are diagnostic artefacts, not
     result-cache content — they carry no fingerprint version and must never
-    be merged into a result store (see ``docs/OPERATIONS.md``).
+    be placed in a result store (see ``docs/OPERATIONS.md``).
     """
 
     def __init__(self, path: str | Path, *, meta: Mapping[str, Any] | None = None) -> None:

@@ -1,11 +1,11 @@
 """The campaign report: one ASCII/Markdown view of a campaign's ledgers.
 
-``python -m repro.obs report`` fuses shard ledgers through
+``python -m repro.obs report`` fuses run ledgers through
 :func:`~repro.obs.ledger.summarize_ledgers` and renders the operator-facing
 summary in one place: work accounting (jobs, simulations, cache
 efficiency), engine throughput and utilization, the job wall-clock and
-queue-latency histograms as ASCII bars, per-shard balance, and — when the
-operator points it at them — result-store health (``--store``, via
+queue-latency histograms as ASCII bars, and — when the operator points it
+at them — result-store health (``--store``, via
 :func:`repro.engine.cli.inspect_store`) and reconfiguration totals joined
 from telemetry traces (``--traces``, via
 :func:`repro.obs.recorder.read_trace`).
@@ -27,15 +27,8 @@ from repro.obs.recorder import read_trace
 
 __all__ = ["render_histogram", "render_report"]
 
-#: Width (characters) of the widest histogram/balance bar.
+#: Width (characters) of the widest histogram bar.
 _BAR_WIDTH = 30
-
-
-def _bar(value: float, maximum: float, width: int = _BAR_WIDTH) -> str:
-    if maximum <= 0 or value <= 0:
-        return ""
-    length = max(1, round(width * value / maximum))
-    return "#" * length
 
 
 def _heading(title: str, markdown: bool) -> list[str]:
@@ -76,7 +69,7 @@ def render_histogram(histogram: Histogram, *, markdown: bool = False) -> list[st
             if index < len(histogram.bounds)
             else f"> {format(histogram.bounds[-1], 'g')}s"
         )
-        bar = _bar(count, peak)
+        bar = "#" * max(1, round(_BAR_WIDTH * count / peak))
         rows.append([label, str(count), f"`{bar}`" if markdown else bar])
     lines = _table(["bucket", "count", "share"], rows, markdown)
     lines.append(
@@ -173,29 +166,6 @@ def render_report(
     lines += _heading("Queue latency", markdown)
     lines += render_histogram(metrics.queue_latency, markdown=markdown)
     lines.append("")
-
-    if summary.shards:
-        lines += _heading("Per-shard balance", markdown)
-        peak_busy = max(stats["busy_seconds"] for stats in summary.shards.values())
-        rows = []
-        for shard in sorted(summary.shards):
-            stats = summary.shards[shard]
-            busy = stats["busy_seconds"]
-            bar = _bar(busy, peak_busy)
-            rows.append(
-                [
-                    shard,
-                    str(stats["jobs"]),
-                    str(stats["simulations"]),
-                    str(stats["cache_hits"]),
-                    f"{busy:.3f}",
-                    f"`{bar}`" if markdown else bar,
-                ]
-            )
-        lines += _table(
-            ["shard", "jobs", "simulations", "cache hits", "busy s", "balance"], rows, markdown
-        )
-        lines.append("")
 
     if store is not None:
         lines += _heading("Result store", markdown)

@@ -2,8 +2,7 @@
 
 Dispatches to :mod:`repro.scenarios.cli`: browse the scenario library
 (``list``/``describe``), run one scenario's three-machine comparison
-(``run``), or drive the campaign matrix (``matrix``) — including the
-distributed fabric's ``--shard K/N`` worker mode and ``--resume``.
+(``run``), or drive the campaign matrix (``matrix``, with ``--resume``).
 """
 
 from repro.scenarios.cli import main

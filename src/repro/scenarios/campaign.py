@@ -259,12 +259,11 @@ def campaign_jobs(
 
     Exactly the first (and overwhelmingly largest) batch
     :func:`run_campaign` submits — synchronous baseline, Phase-Adaptive run
-    and every Program-Adaptive search candidate, per scenario.  The
-    distributed fabric shards this list across workers by job fingerprint
-    (:func:`repro.engine.fabric.shard_jobs`); the result-dependent tail (the
-    factored search's combined winners) is simulated by the resume pass.
-    Parameters mirror :func:`run_campaign` so a worker and the final resume
-    run always plan the identical job list.
+    and every Program-Adaptive search candidate, per scenario.
+    ``matrix --resume`` counts how much of this list its store already
+    holds; the result-dependent tail (the factored search's combined
+    winners) cannot be planned up front.  Parameters mirror
+    :func:`run_campaign` so the count and the run plan the identical list.
     """
     profiles = [scenario.build_profile() for scenario in scenarios]
     return comparison_jobs(

@@ -14,31 +14,31 @@ with ``--cache-dir`` a second invocation is served entirely from the result
 cache (the summary line reports ``0 simulations``).  ``--json`` switches any
 subcommand's output to machine-readable JSON.
 
-The matrix is also the driver of the distributed campaign fabric
-(:mod:`repro.engine.fabric`)::
+A campaign is one process (``--workers N`` adds a process pool) writing
+one on-disk store and one ledger file::
 
-    # two shard workers (separate processes or hosts), private caches,
-    # shared run-ledger directory
-    python -m repro.scenarios matrix --quick --shard 0/2 --cache-dir shard0 --ledger ledgers
-    python -m repro.scenarios matrix --quick --shard 1/2 --cache-dir shard1 --ledger ledgers
-    # fold the worker stores into one canonical store
-    python -m repro.engine merge merged shard0 shard1
-    # complete the result-dependent tail and render the matrix
-    python -m repro.scenarios matrix --quick --resume --cache-dir merged
-    # summarize and render the campaign's shard ledgers
+    # a cold run fills the store and writes ledgers/matrix.ledger.jsonl
+    python -m repro.scenarios matrix --quick --cache-dir store --ledger ledgers
+    # an interrupted campaign resumes from its store
+    python -m repro.scenarios matrix --quick --resume --cache-dir store
+    # summarize and render the campaign's ledger
     python -m repro.obs ledger summarize ledgers
-    python -m repro.obs report ledgers --store merged
+    python -m repro.obs report ledgers --store store
 
 ``--ledger DIR`` appends durable per-batch accounting records (job
 fingerprints, per-job wall-clock, cache counters, the engine's cumulative
-metrics snapshot) into a per-worker ``*.ledger.jsonl`` file.  It is
+metrics snapshot) into one ``*.ledger.jsonl`` file per command.  It is
 observability-only and leaves every result digest bit-identical.
 
-``--shard K/N`` simulates only the fingerprints owned by shard *K* of *N*
-into the worker's private cache and prints shard accounting instead of the
-matrix; ``--resume`` reports how much of the planned job list is already
-cached, then simulates only the remainder (a warm store reports
-``0 simulations``).  See ``docs/OPERATIONS.md`` for the full workflows.
+``--resume`` reports how much of the planned job list is already cached,
+then simulates only the remainder (a warm store reports ``0 simulations``).
+Bad input (an unknown scenario, an empty selection, a ``--heartbeat``
+that is not positive, ``--workers`` that is neither an integer nor ``auto``,
+``--window`` below 1, a negative ``--warmup``, ``--resume`` without
+``--cache-dir``) prints ``error:`` and exits 2 before any file or directory
+is created.  A store written under another ``FINGERPRINT_VERSION`` prints
+``error:`` naming both versions and exits 1.  See ``docs/OPERATIONS.md``
+for the store layout and recovery.
 """
 
 from __future__ import annotations
@@ -49,14 +49,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.reporting import format_table
-from repro.engine import (
-    CacheVersionError,
-    ExperimentEngine,
-    ShardSpec,
-    make_engine,
-    parse_shard,
-    run_shard,
-)
+from repro.engine import CacheVersionError, ExperimentEngine, make_engine, parse_workers
 from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
 from repro.scenarios.campaign import CampaignResult, campaign_jobs, run_campaign
 from repro.scenarios.library import (
@@ -124,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="append per-batch run-ledger records into DIR "
-            "(one *.ledger.jsonl per worker; see python -m repro.obs ledger)",
+            "(one *.ledger.jsonl per command; see python -m repro.obs ledger)",
         )
         sub.add_argument("--json", action="store_true", dest="as_json")
 
@@ -152,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"16-scenario subset at CI-sized windows "
         f"(window {QUICK_WINDOW}, warmup {QUICK_WARMUP})",
-    )
-    matrix_parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="worker mode: simulate only shard K of N into the private "
-        "--cache-dir and print shard accounting instead of the matrix",
     )
     matrix_parser.add_argument(
         "--resume",
@@ -260,34 +246,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"    [{index}] {phase.length} instructions: {overrides}")
         return 0
 
-    shard = getattr(args, "shard", None)
-    resume = getattr(args, "resume", False)
-    if shard is not None and resume:
-        print(
-            "error: --shard and --resume are mutually exclusive (workers "
-            "resume implicitly when re-run against their private cache)",
-            file=sys.stderr,
-        )
+    # run / matrix: bad input is rejected before any file or directory exists.
+    try:
+        scenarios = _selected_scenarios(args)
+        _check_run_options(args)
+        workers = parse_workers(args.workers)
+    except (KeyError, ValueError) as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    if (shard is not None or resume) and args.cache_dir is None:
-        print("error: --shard/--resume require --cache-dir", file=sys.stderr)
-        return 2
-    shard_spec = None
-    if shard is not None:
-        try:
-            shard_spec = parse_shard(shard)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
 
-    # run / matrix share the engine and campaign plumbing.
-    engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
-    heartbeat = getattr(args, "heartbeat", None)
-    if heartbeat is not None:
-        if heartbeat <= 0:
-            print("error: --heartbeat must be positive", file=sys.stderr)
-            return 2
-        engine.heartbeat_seconds = heartbeat
+    engine = make_engine(workers=workers, cache_dir=args.cache_dir)
+    if args.heartbeat is not None:
+        engine.heartbeat_seconds = args.heartbeat
         # The progress line logs at INFO on repro.engine; the flag implies
         # the user wants to see it regardless of the -v/-q level.
         get_logger("repro.engine").setLevel("INFO")
@@ -298,68 +268,63 @@ def main(argv: Sequence[str] | None = None) -> int:
         engine.ledger = open_ledger(
             args.ledger,
             label=args.command if args.command == "matrix" else f"run-{args.name}",
-            shard=shard,
         )
     try:
-        return _run_or_matrix(args, engine, shard_spec)
+        return _run_or_matrix(args, engine, scenarios)
+    except CacheVersionError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     finally:
         if engine.ledger is not None:
             engine.ledger.close()
 
 
-def _run_or_matrix(
-    args: argparse.Namespace, engine: ExperimentEngine, shard_spec: ShardSpec | None
-) -> int:
-    """The shared run/matrix body (scenario selection, shard/resume/campaign)."""
-    resume = getattr(args, "resume", False)
-    if args.command == "run":
-        try:
-            scenarios = [get_scenario(args.name)]
-        except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        if args.scenarios is not None:
-            try:
-                scenarios = [get_scenario(name) for name in args.scenarios]
-            except KeyError as error:
-                print(f"error: {error.args[0]}", file=sys.stderr)
-                return 2
-        elif args.quick:
-            scenarios = [get_scenario(name) for name in QUICK_MATRIX_SCENARIOS]
-        else:
-            scenarios = list(SCENARIOS.values())
-        if args.family is not None:
-            scenarios = [s for s in scenarios if s.family == args.family]
-        if not scenarios:
-            print("error: no scenarios selected", file=sys.stderr)
-            return 2
+def _selected_scenarios(args: argparse.Namespace) -> list[ScenarioSpec]:
+    """The scenarios a run/matrix invocation names.
 
+    Raises :class:`KeyError` for an unknown name and :class:`ValueError` for
+    an empty selection.
+    """
+    if args.command == "run":
+        return [get_scenario(args.name)]
+    if args.scenarios is not None:
+        scenarios = [get_scenario(name) for name in args.scenarios]
+    elif args.quick:
+        scenarios = [get_scenario(name) for name in QUICK_MATRIX_SCENARIOS]
+    else:
+        scenarios = list(SCENARIOS.values())
+    if args.family is not None:
+        scenarios = [s for s in scenarios if s.family == args.family]
+    if not scenarios:
+        raise ValueError("no scenarios selected")
+    return scenarios
+
+
+def _check_run_options(args: argparse.Namespace) -> None:
+    """Raise :class:`ValueError` naming the first invalid run/matrix option."""
+    if args.window is not None and args.window < 1:
+        raise ValueError(f"--window must be at least 1, got {args.window}")
+    if args.warmup is not None and args.warmup < 0:
+        raise ValueError(f"--warmup must not be negative, got {args.warmup}")
+    if args.heartbeat is not None and not args.heartbeat > 0:  # NaN fails too
+        raise ValueError(f"--heartbeat must be positive, got {args.heartbeat}")
+    if getattr(args, "resume", False) and args.cache_dir is None:
+        raise ValueError("--resume requires --cache-dir")
+
+
+def _run_or_matrix(
+    args: argparse.Namespace, engine: ExperimentEngine, scenarios: list[ScenarioSpec]
+) -> int:
+    """The shared run/matrix body (resume count, campaign, output)."""
     window, warmup = args.window, args.warmup
     if getattr(args, "quick", False):
         window = window if window is not None else QUICK_WINDOW
         warmup = warmup if warmup is not None else QUICK_WARMUP
 
-    if shard_spec is not None:
-        # Worker mode: simulate this shard's slice of the planned job list
-        # into the private cache; the matrix itself is rendered later by the
-        # post-merge resume pass, which sees every shard's results.
-        jobs = campaign_jobs(scenarios, search_mode=args.search_mode, window=window, warmup=warmup)
-        report = run_shard(jobs, shard_spec, engine)
-        if args.as_json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.describe())
-        return 0
-
-    if resume:
+    if getattr(args, "resume", False):
         jobs = campaign_jobs(scenarios, search_mode=args.search_mode, window=window, warmup=warmup)
         fingerprints = {job.fingerprint() for job in jobs}
-        try:
-            cached = sum(1 for fp in fingerprints if fp in engine.cache)
-        except CacheVersionError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+        cached = sum(1 for fp in fingerprints if fp in engine.cache)
         print(
             f"resume: {cached} of {len(fingerprints)} planned job(s) already "
             f"in {args.cache_dir}; simulating the remainder"

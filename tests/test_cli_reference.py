@@ -36,15 +36,10 @@ def test_render_is_deterministic():
     assert render_reference() == render_reference()
 
 
-def test_reference_covers_fabric_surface():
-    """The distributed-fabric CLI surface is documented."""
+def test_reference_covers_store_surface():
+    """The result-store CLI surface (inspect, resume) is documented."""
     text = render_reference()
-    for needle in (
-        "`python -m repro.engine merge`",
-        "`python -m repro.engine inspect`",
-        "--shard K/N",
-        "--resume",
-    ):
+    for needle in ("`python -m repro.engine inspect`", "--resume"):
         assert needle in text
 
 

@@ -17,8 +17,9 @@ from repro.analysis.sweep import (
 from repro.core.configuration import AdaptiveConfigIndices, best_overall_synchronous_spec
 from repro.core.processor import MCDProcessor
 from repro.engine import (
-    CacheMergeError,
+    CacheVersionError,
     ExperimentEngine,
+    FINGERPRINT_VERSION,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
@@ -29,6 +30,7 @@ from repro.engine import (
     run_job,
 )
 from repro.engine.cli import inspect_store
+from repro.engine.cli import main as engine_main
 from repro.workloads import PhaseSpec, WorkloadProfile, full_suite
 
 
@@ -374,14 +376,33 @@ class TestEngineAndCache:
         assert summary["servable_entries"] == 0
         assert summary["unreadable_entries"] == 1
 
-    @pytest.mark.parametrize("damage", UNSERVABLE_DAMAGE)
-    def test_merge_refuses_unservable_disk_entry(self, quick_profile, tmp_path, damage):
-        """Merge and lookup agree: an entry ``get`` misses is one merge refuses."""
-        _unservable_entry(quick_profile, tmp_path / "source", damage)
-        destination = ResultCache(tmp_path / "destination")
-        with pytest.raises(CacheMergeError):
-            destination.merge(tmp_path / "source")
-        assert destination.disk_fingerprints() == []
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["older-build", "newer-build"])
+    def test_load_rejects_version_mismatch(self, quick_profile, tmp_path, offset):
+        """A well-formed entry from an older or newer FINGERPRINT_VERSION
+        fails loudly.
+
+        ``get`` and ``in`` both raise, naming both versions, and ``inspect``
+        counts the entry as a version mismatch rather than as unreadable.
+        """
+        job = _jobs(quick_profile)[0]
+        fingerprint = job.fingerprint()
+        ResultCache(tmp_path).put(fingerprint, run_job(job))
+        path = tmp_path / f"{fingerprint}.json"
+        data = json.loads(path.read_text())
+        data["version"] = FINGERPRINT_VERSION + offset
+        path.write_text(json.dumps(data))
+
+        with pytest.raises(CacheVersionError) as excinfo:
+            ResultCache(tmp_path).get(fingerprint)
+        message = str(excinfo.value)
+        assert f"FINGERPRINT_VERSION {FINGERPRINT_VERSION + offset}" in message
+        assert f"FINGERPRINT_VERSION {FINGERPRINT_VERSION}" in message
+        with pytest.raises(CacheVersionError):
+            _ = fingerprint in ResultCache(tmp_path)
+        summary = inspect_store(tmp_path)
+        assert summary["version_mismatches"] == 1
+        assert summary["servable_entries"] == 0
+        assert summary["unreadable_entries"] == 0
 
     def test_valid_disk_entry_is_a_member(self, quick_profile, tmp_path):
         job = _jobs(quick_profile)[0]
@@ -428,6 +449,150 @@ class TestEngineAndCache:
         assert isinstance(parallel.executor, ParallelExecutor)
         assert parallel.executor.workers == 3
         assert parallel.cache.directory == tmp_path
+        with pytest.raises(ValueError, match="workers must be an integer or 'auto'"):
+            make_engine(workers="2.5")
+
+
+def _store_bytes(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.json"))}
+
+
+def _disk_engine(cache_dir, **kwargs) -> ExperimentEngine:
+    return ExperimentEngine(SerialExecutor(), ResultCache(cache_dir), **kwargs)
+
+
+class TestResumeSemantics:
+    def test_killed_batch_keeps_completed_prefix_and_resumes(self, quick_profile, tmp_path):
+        jobs = _jobs(quick_profile)
+        budget = 2
+
+        simulated = 0
+
+        def budgeted_runner(job):
+            nonlocal simulated
+            if simulated >= budget:
+                raise RuntimeError("run killed (job budget exhausted)")
+            simulated += 1
+            return run_job(job)
+
+        interrupted = _disk_engine(tmp_path / "store", runner=budgeted_runner)
+        with pytest.raises(RuntimeError, match="run killed"):
+            interrupted.run_all(jobs)
+        # the completed prefix was committed incrementally
+        survivors = ResultCache(tmp_path / "store").disk_fingerprints()
+        assert len(survivors) == budget
+
+        resumed = _disk_engine(tmp_path / "store")
+        resumed.run_all(jobs)
+        assert resumed.stats.cache_hits == budget
+        assert resumed.stats.simulations == len(jobs) - budget
+
+        uninterrupted = _disk_engine(tmp_path / "reference")
+        uninterrupted.run_all(jobs)
+        assert _store_bytes(tmp_path / "store") == _store_bytes(tmp_path / "reference")
+
+        warm = _disk_engine(tmp_path / "store")
+        warm.run_all(jobs)
+        assert warm.stats.simulations == 0
+        assert warm.stats.cache_hits == len(jobs)
+
+
+#: Ways to fill a store with the jobs of ``_jobs``: one engine per
+#: invocation, each given as (parallel executor?, the indices it runs).
+STORE_FILLS = {
+    "parallel": [(True, [0, 1, 2, 3])],
+    "reversed": [(False, [3, 2, 1, 0])],
+    "serial-then-parallel": [(False, [0, 1]), (True, [0, 1, 2, 3])],
+    "one-job-per-invocation": [(False, [0]), (False, [1]), (False, [2]), (False, [3])],
+}
+
+
+@pytest.fixture(scope="module")
+def serial_store_bytes(quick_profile, tmp_path_factory) -> dict[str, bytes]:
+    """The store one serial pass over ``_jobs`` writes."""
+    directory = tmp_path_factory.mktemp("serial-store")
+    _disk_engine(directory).run_all(_jobs(quick_profile))
+    return _store_bytes(directory)
+
+
+class TestStoreBytes:
+    @pytest.mark.parametrize("fill", sorted(STORE_FILLS))
+    def test_store_depends_only_on_the_job_set(
+        self, quick_profile, serial_store_bytes, tmp_path, fill
+    ):
+        """However the work is ordered, split or executed, the store's bytes
+        are those of one serial pass."""
+        jobs = _jobs(quick_profile)
+        for parallel, indices in STORE_FILLS[fill]:
+            executor = ParallelExecutor(max_workers=2) if parallel else SerialExecutor()
+            engine = ExperimentEngine(executor, ResultCache(tmp_path))
+            engine.run_all([jobs[index] for index in indices])
+        assert _store_bytes(tmp_path) == serial_store_bytes
+
+
+class TestCanonicalisation:
+    def test_process_dependent_counters_are_reset_on_put(self, quick_profile, tmp_path):
+        job = _jobs(quick_profile)[0]
+        fingerprint = job.fingerprint()
+        result = run_job(job)
+        result.compiled_trace_cache_hits = 7
+
+        cache = ResultCache(tmp_path / "store")
+        cache.put(fingerprint, result)
+
+        on_disk = json.loads((tmp_path / "store" / f"{fingerprint}.json").read_text())
+        assert on_disk["result"]["compiled_trace_cache_hits"] == 0
+        assert cache.get(fingerprint).compiled_trace_cache_hits == 0
+        # the caller's object is untouched
+        assert result.compiled_trace_cache_hits == 7
+
+
+def _inspected_store(profile, directory) -> None:
+    """Leave *directory* holding one servable, one corrupt and one stale entry."""
+    servable, corrupt, stale = _jobs(profile)[:3]
+    cache = ResultCache(directory)
+    for job in (servable, corrupt, stale):
+        cache.put(job.fingerprint(), run_job(job))
+    path = directory / f"{corrupt.fingerprint()}.json"
+    path.write_text(path.read_text()[:40])
+    path = directory / f"{stale.fingerprint()}.json"
+    data = json.loads(path.read_text())
+    data["version"] = FINGERPRINT_VERSION - 1
+    path.write_text(json.dumps(data))
+
+
+class TestInspectCli:
+    def test_text_report_classifies_every_entry(self, quick_profile, tmp_path, capsys):
+        _inspected_store(quick_profile, tmp_path)
+        before = _store_bytes(tmp_path)
+        assert engine_main(["inspect", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "entries   : 3" in lines
+        assert "  version invalid: 1  (incompatible with this build)" in lines
+        assert f"  version {FINGERPRINT_VERSION - 1}: 1  (incompatible with this build)" in lines
+        assert f"  version {FINGERPRINT_VERSION}: 1" in lines
+        assert "validation: 1 servable, 1 unreadable, 1 version mismatch(es)" in lines
+        # Inspecting never alters a committed entry.
+        assert _store_bytes(tmp_path) == before
+
+    def test_json_report_is_the_inspect_store_payload(self, quick_profile, tmp_path, capsys):
+        _inspected_store(quick_profile, tmp_path)
+        assert engine_main(["inspect", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == inspect_store(tmp_path)
+        assert payload["versions"] == {
+            "invalid": 1,
+            str(FINGERPRINT_VERSION - 1): 1,
+            str(FINGERPRINT_VERSION): 1,
+        }
+
+    def test_missing_directory_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert engine_main(["inspect", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {missing} is not a directory\n"
+        assert not missing.exists()
 
 
 class TestSweepThroughEngine:

@@ -31,7 +31,7 @@ from repro.engine import (
     make_trace,
     run_job,
 )
-from repro.engine.cache import CacheStats, ResultCache
+from repro.engine.cache import CacheStats
 from repro.obs.cli import main as obs_main
 from repro.obs.driver import resolve_target
 from repro.obs.events import (
@@ -317,22 +317,9 @@ def test_engine_populates_metrics():
 # -------------------------------------------------------------- cache stats
 
 
-def test_cache_stats_describe_includes_merge_counters(tmp_path):
+def test_cache_stats_describe():
     stats = CacheStats(memory_hits=2, disk_hits=1, misses=3, stores=4)
-    line = stats.describe()
-    assert "3 hit(s) (2 memory, 1 disk)" in line
-    assert "merged" not in line
-    stats.merged_entries = 5
-    assert "5 merged entr(ies)" in stats.describe()
-
-    source = ResultCache(tmp_path / "src")
-    destination = ResultCache(tmp_path / "dst")
-    job = SimulationJob(profile=get_workload("gzip"), window=400, warmup=400)
-    source.put(job.fingerprint(), run_job(job))
-    destination.merge(tmp_path / "src")
-    destination.merge(tmp_path / "src")  # second pass: all duplicates
-    assert destination.stats.merged_entries == 1
-    assert destination.stats.merge_duplicates == 1
+    assert stats.describe() == "cache: 3 hit(s) (2 memory, 1 disk), 3 miss(es), 4 store(s)"
 
 
 # ------------------------------------------------------------------ logging
@@ -399,8 +386,24 @@ def test_cli_timeline(cli_trace, capsys):
     assert obs_main(["timeline", str(cli_trace)]) == 0
     out = capsys.readouterr().out
     assert "one column per controller interval" in out
-    with pytest.raises(SystemExit):
-        obs_main(["timeline", str(cli_trace), "--structure", "nope"])
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--structure", "nope"], "error: structure 'nope' not in trace"),
+        (["--width", "0"], "error: --width must be at least 1, got 0"),
+        (["--width", "-3"], "error: --width must be at least 1, got -3"),
+    ],
+    ids=["unknown-structure", "zero-width", "negative-width"],
+)
+def test_cli_timeline_rejects_bad_input(cli_trace, capsys, option, message):
+    """Bad input prints one error line and exits 2, like `trace`'s."""
+    assert obs_main(["timeline", str(cli_trace), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(message)
 
 
 def test_cli_diff(cli_trace, tmp_path, capsys):

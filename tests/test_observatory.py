@@ -1,12 +1,9 @@
 """Tests for the campaign observatory: run ledger, aggregation and report.
 
-The load-bearing properties first: the ledger is observation-only (the
-golden digests are bit-identical with a ledger attached), and the fleet is
-equivalent to the single process (the shard ledgers of an N-shard campaign
-summarize to the same partition-independent equivalence key as one process
-running the whole job list).  The rest covers the ledger writer, the
-metrics ``from_dict``/``merge`` round-trips, the campaign report renderer
-and the CLI surfaces.  Rejection of unreadable ledger files is tested with
+The load-bearing property first: the ledger is observation-only (the
+golden digests are bit-identical with a ledger attached).  The rest covers
+the ledger writer, the metrics ``from_dict``/``merge`` round-trips, the
+campaign report renderer and the CLI surfaces.  Rejection of unreadable ledger files is tested with
 trace files in ``tests/test_records.py``.
 """
 
@@ -20,7 +17,6 @@ from golden_digests import golden_jobs, result_digest
 from repro.engine import ExperimentEngine
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
-from repro.engine.fabric import ShardSpec, run_shard, shard_index
 from repro.obs.cli import main as obs_main
 from repro.obs.ledger import (
     LedgerSchemaError,
@@ -33,6 +29,7 @@ from repro.obs.ledger import (
 from repro.obs.metrics import EngineMetrics, Histogram
 from repro.obs.report import render_histogram, render_report
 from test_golden_values import GOLDEN_DIGESTS
+from test_records import KINDS
 
 
 def _sample_metrics(values=(0.002, 0.05, 0.4, 2.0)) -> EngineMetrics:
@@ -170,7 +167,7 @@ def test_ledger_files_discovers_directory_sorted(tmp_path):
         ledger_files(tmp_path / "missing")
 
 
-# ------------------------------------------------- engine/fabric integration
+# ------------------------------------------------------ engine integration
 
 
 def test_engine_ledger_records_batches_and_cache_hits(tmp_path):
@@ -194,44 +191,6 @@ def test_engine_ledger_records_batches_and_cache_hits(tmp_path):
         assert record["engine_session"]
         assert record["metrics"]["jobs_completed"] == 2
         assert isinstance(record["t"], float)
-
-
-def test_shard_report_carries_ledger_path(tmp_path):
-    jobs = list(golden_jobs().values())[:3]
-    engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache"))
-    engine.ledger = open_ledger(tmp_path, label="w", shard="0/1")
-    report = run_shard(jobs, ShardSpec(0, 1), engine)
-    engine.ledger.close()
-    assert report.ledger_path == str(tmp_path / "w-shard-0-of-1.ledger.jsonl")
-    assert report.ledger_path in report.describe()
-    assert report.to_dict()["ledger_path"] == report.ledger_path
-
-    bare = ExperimentEngine()
-    assert run_shard(jobs, ShardSpec(0, 1), bare).ledger_path is None
-
-
-def test_fleet_equivalence_shard_ledgers_match_single_process(tmp_path):
-    """The fleet invariant: N shard ledgers fuse to the one-process view."""
-    jobs = list(golden_jobs().values())
-    for index in range(2):
-        engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
-        engine.ledger = open_ledger(tmp_path / "ledgers", label="fleet", shard=f"{index}/2")
-        run_shard(jobs, ShardSpec(index, 2), engine)
-        engine.ledger.close()
-    fleet = summarize_ledgers([tmp_path / "ledgers"])
-
-    single = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache-single"))
-    single.ledger = open_ledger(tmp_path / "single", label="fleet")
-    run_shard(jobs, ShardSpec(0, 1), single)
-    single.ledger.close()
-    solo = summarize_ledgers([tmp_path / "single"])
-
-    assert fleet.equivalence_key() == solo.equivalence_key()
-    assert fleet.simulations == len(jobs)
-    # Records are attributed to their ledger's shard; timing fields are
-    # per-host and deliberately not part of the equivalence key.
-    assert set(fleet.shards) == {"0/2", "1/2"}
-    assert fleet.metrics.jobs_completed == solo.metrics.jobs_completed
 
 
 def test_summarize_keeps_final_snapshot_per_engine_session(tmp_path):
@@ -259,48 +218,32 @@ def test_summarize_names_a_corrupt_metrics_snapshot(tmp_path, capsys):
 # ----------------------------------------------------------------- report
 
 
-def _two_jobs_per_shard():
-    """Four golden jobs, two owned by each of two shards.
-
-    A job's shard hashes its fingerprint, which moves with every
-    FINGERPRINT_VERSION bump, so the jobs are picked by owner, not by
-    position: both shards of the fleet always have work.
-    """
-    owned: dict[int, list] = {0: [], 1: []}
-    for job in golden_jobs().values():
-        jobs = owned[shard_index(job.fingerprint(), 2)]
-        if len(jobs) < 2:
-            jobs.append(job)
-    return owned[0] + owned[1]
-
-
-def _fleet_summary(tmp_path):
-    jobs = _two_jobs_per_shard()
-    for index in range(2):
-        engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
-        engine.ledger = open_ledger(tmp_path / "ledgers", label="r", shard=f"{index}/2")
-        run_shard(jobs, ShardSpec(index, 2), engine)
-        engine.ledger.close()
-    return summarize_ledgers([tmp_path / "ledgers"])
+def _ledgered_run(tmp_path, label="r"):
+    """Four golden jobs through one ledgered engine; returns the ledger dir."""
+    engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache"))
+    engine.ledger = open_ledger(tmp_path / "ledgers", label=label)
+    engine.run_all(list(golden_jobs().values())[:4])
+    engine.ledger.close()
+    return tmp_path / "ledgers"
 
 
 def test_render_report_sections(tmp_path):
-    summary = _fleet_summary(tmp_path)
+    summary = summarize_ledgers([_ledgered_run(tmp_path)])
     text = render_report(summary)
-    for section in ("Campaign", "Work", "Engine", "Per-shard balance", "Job wall-clock"):
+    for section in ("Campaign", "Work", "Engine", "Job wall-clock", "Queue latency"):
         assert section in text
-    assert "0/2" in text and "1/2" in text
+    assert summary.fingerprint_digest()[:16] in text
     markdown = render_report(summary, markdown=True)
-    assert "## Per-shard balance" in markdown
-    assert "| shard |" in markdown
+    assert "## Work" in markdown
+    assert "| field | value |" in markdown
 
 
 def test_render_report_with_store(tmp_path):
-    summary = _fleet_summary(tmp_path)
-    store = inspect_store(tmp_path / "cache0")
+    summary = summarize_ledgers([_ledgered_run(tmp_path)])
+    store = inspect_store(tmp_path / "cache")
     text = render_report(summary, store=store)
     assert "Result store" in text
-    assert str(tmp_path / "cache0") in text
+    assert str(tmp_path / "cache") in text
 
 
 def test_render_histogram_empty():
@@ -311,20 +254,13 @@ def test_render_histogram_empty():
 
 
 def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
-    jobs = _two_jobs_per_shard()
-    for index in range(2):
-        engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / f"cache{index}"))
-        engine.ledger = open_ledger(tmp_path / "ledgers", label="cli", shard=f"{index}/2")
-        run_shard(jobs, ShardSpec(index, 2), engine)
-        engine.ledger.close()
-    ledgers = str(tmp_path / "ledgers")
+    ledgers = str(_ledgered_run(tmp_path, label="cli"))
 
     assert obs_main(["ledger", "summarize", ledgers, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["records"] == 2
+    assert payload["records"] == 1
     assert payload["simulations"] == 4
-    assert payload["equivalence_key"]["unique_jobs"] == 4
-    assert sorted(payload["shards"]) == ["0/2", "1/2"]
+    assert payload["unique_jobs"] == 4
 
     report_path = tmp_path / "report.md"
     assert (
@@ -334,7 +270,7 @@ def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
                 ledgers,
                 "--markdown",
                 "--store",
-                str(tmp_path / "cache0"),
+                str(tmp_path / "cache"),
                 "--out",
                 str(report_path),
             ]
@@ -342,9 +278,20 @@ def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
         == 0
     )
     rendered = report_path.read_text()
-    assert "## Per-shard balance" in rendered
-    assert "| 0/2 |" in rendered and "| 1/2 |" in rendered
+    assert "## Work" in rendered
     assert "## Result store" in rendered
+
+
+def test_ledger_written_by_the_previous_build_summarizes_and_reports(tmp_path, capsys):
+    """The previous build's header meta carried a key this build no longer
+    writes; its ledgers still go through `ledger summarize` and `report`."""
+    parent = KINDS["ledger"]
+    (tmp_path / "matrix.ledger.jsonl").write_text(parent.parent_header + parent.parent_row)
+    assert obs_main(["ledger", "summarize", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["ledgers"], payload["records"], payload["simulations"]) == (1, 1, 1)
+    assert obs_main(["report", str(tmp_path)]) == 0
+    assert payload["fingerprint_digest"][:16] in capsys.readouterr().out
 
 
 def test_inspect_store_json_payload(tmp_path):

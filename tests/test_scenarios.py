@@ -8,7 +8,14 @@ import pickle
 import pytest
 
 from repro.analysis.metrics import ConfigurationChange, RunResult
-from repro.engine import ExperimentEngine, ResultCache, SerialExecutor
+from repro.engine import (
+    ExperimentEngine,
+    FINGERPRINT_VERSION,
+    ResultCache,
+    SerialExecutor,
+    run_job,
+)
+from repro.obs.ledger import summarize_ledgers
 from repro.scenarios import (
     ARCHETYPES,
     CONTROLLER_INTERVAL,
@@ -19,6 +26,7 @@ from repro.scenarios import (
     SCENARIOS,
     ScenarioSpec,
     archetype_overrides,
+    campaign_jobs,
     count_reconfigurations,
     get_scenario,
     run_campaign,
@@ -358,9 +366,182 @@ class TestCli:
         assert [row["scenario"] for row in payload["rows"]] == ["arch-mixed"]
         assert payload["simulations"] > 0
 
-    def test_matrix_rejects_empty_selection(self, capsys):
-        code = scenarios_main(
-            ["matrix", "--scenarios", "arch-mixed", "--family", "adversarial"]
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["run", "nosuch"], "unknown scenario", id="run-unknown"),
+            pytest.param(
+                ["matrix", "--scenarios", "arch-mixed", "nosuch"],
+                "unknown scenario",
+                id="matrix-unknown",
+            ),
+            pytest.param(
+                ["matrix", "--scenarios", "arch-mixed", "--family", "adversarial"],
+                "no scenarios selected",
+                id="empty-selection",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--heartbeat", "-1"],
+                "--heartbeat must be positive",
+                id="negative-heartbeat",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--heartbeat", "0"],
+                "--heartbeat must be positive",
+                id="zero-heartbeat",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--heartbeat", "nan"],
+                "--heartbeat must be positive",
+                id="nan-heartbeat",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--workers", "abc"],
+                "workers must be an integer or 'auto'",
+                id="word-workers",
+            ),
+            pytest.param(
+                ["run", "arch-mixed", "--workers", "2.5"],
+                "workers must be an integer or 'auto'",
+                id="fractional-workers",
+            ),
+            pytest.param(
+                ["run", "arch-mixed", "--window", "0"],
+                "--window must be at least 1",
+                id="zero-window",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--warmup", "-1"],
+                "--warmup must not be negative",
+                id="negative-warmup",
+            ),
+            pytest.param(
+                ["matrix", "--quick", "--resume"],
+                "--resume requires --cache-dir",
+                id="resume-without-store",
+            ),
+        ],
+    )
+    def test_bad_input_is_rejected_before_any_file_is_created(
+        self, argv, message, tmp_path, capsys
+    ):
+        argv = [*argv, "--ledger", str(tmp_path / "ledgers")]
+        if "--resume" not in argv:
+            argv += ["--cache-dir", str(tmp_path / "store")]
+        assert scenarios_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matrix_resume_completes_a_partial_store_then_serves_it(self, tmp_path, capsys):
+        """Resuming a larger selection simulates only what the store lacks;
+        resuming again simulates nothing.
+
+        Every session appends to the one command ledger, which fuses the
+        three sessions' work.
+        """
+        names = ["arch-mixed", "adv-period-2x-interval"]
+        planned = _planned(names)
+        cached = _planned(names[:1])
+        assert 0 < cached < planned
+        ledger_dir = tmp_path / "ledgers"
+        options = ["--ledger", str(ledger_dir), *_tiny_store_args(tmp_path / "store")]
+
+        assert scenarios_main(["matrix", "--scenarios", names[0], *options]) == 0
+        capsys.readouterr()
+        resume = ["matrix", "--scenarios", *names, "--resume", *options]
+        assert scenarios_main([*resume, "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"resume: {cached} of {planned} planned job(s)" in out
+        assert f"({planned - cached} simulations, {cached} cache hits" in out
+        assert scenarios_main(resume) == 0
+        out = capsys.readouterr().out
+        assert f"resume: {planned} of {planned} planned job(s)" in out
+        assert f"(0 simulations, {planned} cache hits" in out
+
+        assert [path.name for path in ledger_dir.iterdir()] == ["matrix.ledger.jsonl"]
+        summary = summarize_ledgers([ledger_dir])
+        assert summary.records == 3
+        assert summary.simulations == planned
+        assert summary.cache_hits == cached + planned
+        assert summary.metrics.jobs_completed == planned
+        assert summary.executor_modes == {"serial", "parallel"}
+
+    def test_each_command_writes_its_own_ledger(self, tmp_path, capsys):
+        """`run NAME` and `matrix` share a --ledger DIR without colliding, and
+        summarizing the directory fuses the two files."""
+        names = ["arch-mixed", "adv-period-2x-interval"]
+        ledger_dir = tmp_path / "ledgers"
+        options = ["--ledger", str(ledger_dir), *_tiny_store_args(tmp_path / "store")]
+        assert scenarios_main(["run", names[0], *options]) == 0
+        assert scenarios_main(["matrix", "--scenarios", *names, *options]) == 0
+        capsys.readouterr()
+        files = sorted(path.name for path in ledger_dir.iterdir())
+        assert files == ["matrix.ledger.jsonl", "run-arch-mixed.ledger.jsonl"]
+        cached = _planned(names[:1])
+        planned = _planned(names)
+        run_summary = summarize_ledgers([ledger_dir / "run-arch-mixed.ledger.jsonl"])
+        assert (run_summary.simulations, run_summary.cache_hits) == (cached, 0)
+        assert run_summary.metrics.jobs_completed == cached
+        # The matrix found every job in the store the run filled.
+        matrix_summary = summarize_ledgers([ledger_dir / "matrix.ledger.jsonl"])
+        assert (matrix_summary.simulations, matrix_summary.cache_hits) == (
+            planned - cached,
+            cached,
         )
-        assert code == 2
-        assert "no scenarios selected" in capsys.readouterr().err
+        assert matrix_summary.metrics.jobs_completed == planned - cached
+
+        fused = summarize_ledgers([ledger_dir])
+        assert fused.ledgers == 2
+        for name in ("records", "simulations", "cache_hits"):
+            total = getattr(run_summary, name) + getattr(matrix_summary, name)
+            assert getattr(fused, name) == total
+        assert fused.metrics.jobs_completed == planned
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "arch-mixed"],
+            ["matrix", "--scenarios", "arch-mixed"],
+            ["matrix", "--scenarios", "arch-mixed", "--resume"],
+        ],
+        ids=["run", "matrix", "matrix-resume"],
+    )
+    def test_stale_store_is_an_error_naming_both_versions(self, command, tmp_path, capsys):
+        job = _tiny_jobs(["arch-mixed"])[0]
+        ResultCache(tmp_path).put(job.fingerprint(), run_job(job))
+        path = tmp_path / f"{job.fingerprint()}.json"
+        data = json.loads(path.read_text())
+        data["version"] = FINGERPRINT_VERSION - 1
+        path.write_text(json.dumps(data))
+
+        assert scenarios_main([*command, *_tiny_store_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert f"FINGERPRINT_VERSION {FINGERPRINT_VERSION - 1}" in err
+        assert f"FINGERPRINT_VERSION {FINGERPRINT_VERSION}" in err
+
+
+def _tiny_store_args(store) -> list[str]:
+    """Tiny-window run options against the store *store*."""
+    return [
+        "--window",
+        str(TINY_WINDOW),
+        "--warmup",
+        str(TINY_WARMUP),
+        "--cache-dir",
+        str(store),
+    ]
+
+
+def _tiny_jobs(names):
+    """The planned jobs of a tiny-window run or matrix over *names*."""
+    scenarios = [get_scenario(name) for name in names]
+    return campaign_jobs(scenarios, window=TINY_WINDOW, warmup=TINY_WARMUP)
+
+
+def _planned(names) -> int:
+    """How many distinct jobs a tiny-window matrix over *names* plans."""
+    return len({job.fingerprint() for job in _tiny_jobs(names)})
