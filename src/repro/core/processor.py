@@ -301,10 +301,12 @@ class MCDProcessor:
         measured window starts from a warm memory hierarchy (the stand-in for
         the paper's 100 M-instruction fast-forward windows).
 
-        *trace* may be anything the front end accepts: a plain iterable of
-        instructions, or a pre-compiled trace (``CompiledTrace`` /
-        ``ReplayableTrace``), in which case the flat columns are shared
-        across every run in the process.
+        *trace* may be anything the front end accepts: a ``CompiledTrace``,
+        a trace with a ``compiled`` attribute such as the ``ReplayableTrace``
+        that ``make_trace`` returns (its columns are shared by every run in
+        the process), a ``SyntheticTraceGenerator`` (compiled as the run
+        reads it), or an iterable of ``Instruction`` objects (encoded row by
+        row).
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -333,9 +335,8 @@ class MCDProcessor:
 
     def _warm_up(self, count: int) -> None:
         # Stream the warm-up window straight out of the compiled columns:
-        # same accesses as warming per-instruction objects (I-cache once per
-        # block, predictor/BTB per branch, data hierarchy per memory op), but
-        # with no Instruction materialisation at all.
+        # the I-cache once per block, the predictor/BTB per branch and the
+        # data hierarchy per memory op, with no per-instruction object.
         frontend = self.frontend
         assert frontend is not None
         trace = frontend.trace

@@ -96,12 +96,10 @@ def default_control_params(window: int) -> AdaptiveControlParams:
 def make_trace(profile: WorkloadProfile, seed: int = DEFAULT_TRACE_SEED):
     """The deterministic trace for *profile* (memoised per process).
 
-    Returns a :class:`~repro.workloads.trace_cache.ReplayableTrace`: the
-    same consumption API as :class:`SyntheticTraceGenerator`, but sweeps
-    that simulate one workload under many machine configurations generate
-    the instruction stream once and replay it, instead of re-rolling the
-    identical pseudo-random trace per job.  Set ``REPRO_TRACE_CACHE=0`` to
-    fall back to uncached generation.
+    Returns a :class:`~repro.workloads.trace_cache.ReplayableTrace`, which
+    :meth:`~repro.core.processor.MCDProcessor.run` accepts.  Sweeps that
+    simulate one workload under many machine configurations compile its
+    columns once and every job reads them from row 0.
     """
     return cached_trace(profile, seed=seed)
 

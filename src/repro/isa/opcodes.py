@@ -81,7 +81,7 @@ USES_FP_QUEUE: dict[OpClass, bool] = dict(IS_FLOATING_POINT)
 
 # ---------------------------------------------------------------- flat encoding
 #
-# The compiled-trace fast path (:mod:`repro.workloads.trace_cache`) stores
+# The compiled trace (:class:`repro.workloads.generator.CompiledTrace`) stores
 # instruction streams as flat array columns instead of object lists.  Opcodes
 # are encoded as dense ids, and the per-opclass predicates above are folded
 # into one flag bitmask per instruction so the pipeline decodes a dynamic

@@ -9,21 +9,20 @@ configured misprediction penalty has elapsed (the standard trace-driven
 modelling of branch mispredictions).
 
 Fetch consumes the trace through its *compiled* flat-column form
-(:class:`~repro.workloads.trace_cache.CompiledTrace`): the fetch loop reads
+(:class:`~repro.workloads.generator.CompiledTrace`): the fetch loop reads
 parallel ``array`` columns by cursor index and populates pooled
 :class:`~repro.pipeline.dyninst.DynInst` records, so the per-instruction hot
 path performs no object construction and no attribute chasing through
-``Instruction``.  Caller-supplied iterators are wrapped into a compiled
-trace that keeps the original ``Instruction`` objects, which preserves
-object identity for legacy consumers (warm-up, tests) while sharing the one
-fetch implementation.
+``Instruction``.  A caller-supplied iterable of ``Instruction`` objects is
+encoded into a compiled trace of its own, so there is one fetch
+implementation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.hybrid import HybridPredictor, build_predictor
@@ -44,7 +43,7 @@ from repro.isa.opcodes import (
 from repro.isa.registers import NO_REGISTER
 from repro.pipeline.dyninst import DynInst
 from repro.timing.tables import ICacheConfig
-from repro.workloads.trace_cache import CompiledTrace
+from repro.workloads.generator import CompiledTrace
 
 #: Upper bound on the DynInst free list (enough to cover ROB + queues with
 #: slack; beyond this, retired records are simply dropped to the GC).
@@ -116,11 +115,12 @@ class FrontEnd:
     ----------
     trace:
         The instruction stream in program order: a
-        :class:`~repro.workloads.trace_cache.CompiledTrace`, an object
+        :class:`~repro.workloads.generator.CompiledTrace`, an object
         exposing a ``compiled`` attribute (e.g.
-        :class:`~repro.workloads.trace_cache.ReplayableTrace`), or any
-        iterable/iterator of :class:`~repro.isa.instruction.Instruction`
-        (compiled on the fly, originals retained).
+        :class:`~repro.workloads.trace_cache.ReplayableTrace`), a
+        :class:`~repro.workloads.generator.SyntheticTraceGenerator`, or any
+        iterable of :class:`~repro.isa.instruction.Instruction` (encoded on
+        the fly).
     icache_config:
         The active I-cache / branch-predictor configuration.
     fetch_width:
@@ -138,7 +138,7 @@ class FrontEnd:
 
     def __init__(
         self,
-        trace: CompiledTrace | Iterable[Instruction] | Iterator[Instruction],
+        trace: CompiledTrace | Iterable[Instruction],
         *,
         icache_config: ICacheConfig,
         physical_geometry: CacheGeometry | None = None,
@@ -155,7 +155,7 @@ class FrontEnd:
             if isinstance(candidate, CompiledTrace):
                 compiled = candidate
             else:
-                compiled = CompiledTrace(iter(trace), keep_objects=True)
+                compiled = CompiledTrace(trace)
         self._trace = compiled
         self._cursor = 0
         #: Rows already compiled before this run started — fetches below this
@@ -232,14 +232,6 @@ class FrontEnd:
             self._waiting_branch = None
             self._stall_until = max(self._stall_until, redirect_time)
             self._last_block = None
-
-    def take_instruction(self) -> Instruction | None:
-        """Consume and return the next trace instruction (used for warm-up)."""
-        cursor = self._cursor
-        if self._trace.ensure(cursor + 1) <= cursor:
-            return None
-        self._cursor = cursor + 1
-        return self._trace.instruction_at(cursor)
 
     def advance_cursor(self, count: int) -> None:
         """Skip *count* instructions (bulk warm-up reads columns directly)."""

@@ -72,6 +72,18 @@ class PhaseSpec:
         return cls(length=data["length"], overrides=dict(data.get("overrides", {})))
 
 
+#: The smallest hot region: one 8-byte word, the generator's access stride.
+_MIN_HOT_DATA_KB = 8 / 1024
+
+
+def _check_hot_region(hot_data_kb: float, *, context: str) -> None:
+    if hot_data_kb < _MIN_HOT_DATA_KB:
+        raise ValueError(
+            f"{context}: hot_data_kb ({hot_data_kb!r}) must cover at least one "
+            f"8-byte word ({_MIN_HOT_DATA_KB:g} KB)"
+        )
+
+
 #: Dynamic parameters that must stay inside the unit interval, checked by
 #: :meth:`WorkloadProfile.validate` for the base profile and every phase.
 _UNIT_FRACTION_FIELDS = (
@@ -201,6 +213,7 @@ class WorkloadProfile:
             raise ValueError("inner_window_kb cannot exceed code_footprint_kb")
         if self.data_footprint_kb <= 0 or self.hot_data_kb <= 0:
             raise ValueError("data footprint parameters must be positive")
+        _check_hot_region(self.hot_data_kb, context=f"profile {self.name!r}")
         if self.hot_data_kb > self.data_footprint_kb:
             raise ValueError("hot_data_kb cannot exceed data_footprint_kb")
         if self.mean_dependence_distance < 1:
@@ -261,6 +274,7 @@ class WorkloadProfile:
                 f"{context}: data_footprint_kb ({values['data_footprint_kb']!r}) and "
                 f"hot_data_kb ({values['hot_data_kb']!r}) must be positive"
             )
+        _check_hot_region(values["hot_data_kb"], context=context)
         if values["hot_data_kb"] > values["data_footprint_kb"]:
             raise ValueError(
                 f"{context}: hot_data_kb ({values['hot_data_kb']:g}) cannot exceed "

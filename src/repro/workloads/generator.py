@@ -1,32 +1,41 @@
-"""Deterministic synthetic trace generator.
+"""Deterministic synthetic trace generator and the compiled trace format.
 
 The generator turns a :class:`~repro.workloads.characteristics.WorkloadProfile`
-into an infinite stream of :class:`~repro.isa.instruction.Instruction`
-objects.  The static program is a two-level loop nest over
-``code_footprint_kb`` of code: an inner window of ``inner_window_kb`` repeats
-``inner_iterations`` times before sliding onward, wrapping at the end of the
-program.  Basic blocks end in loop-control branches; additional
-data-dependent conditional branches appear inside blocks with per-static-PC
-biases so the branch predictor sees a stable population of easy and hard
-branches.  Data addresses mix a hot region with a larger cold footprint, and
-register dependences follow a geometric producer-distance distribution that
-sets the workload's exploitable ILP.
+into a dynamic instruction trace, written row by row straight into the flat
+columns of a :class:`CompiledTrace`.  The static program is a two-level loop
+nest over ``code_footprint_kb`` of code: an inner window of
+``inner_window_kb`` repeats ``inner_iterations`` times before sliding onward,
+wrapping at the end of the program.  Basic blocks end in loop-control
+branches; additional data-dependent conditional branches appear inside blocks
+with per-static-PC biases so the branch predictor sees a stable population of
+easy and hard branches.  Data addresses mix a hot region with a larger cold
+footprint, and register dependences follow a geometric producer-distance
+distribution that sets the workload's exploitable ILP.
 
 Everything is driven by ``random.Random(seed)``, so the same profile and seed
-always produce bit-identical traces.
+always produce bit-identical traces.  ``tests/test_trace_columns.py`` pins a
+sha256 of every column for every shipped profile.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from array import array
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
-from repro.workloads.characteristics import WorkloadProfile
+from repro.isa.opcodes import (
+    FLAG_BRANCH,
+    FLAG_MEMORY,
+    FLAG_TAKEN,
+    OPCLASS_FLAGS,
+    OPCLASSES,
+    OPCODE_ID,
+    OpClass,
+)
+from repro.isa.registers import NO_REGISTER, REGISTER_NAMES, register_index
+from repro.workloads.characteristics import PHASE_OVERRIDABLE_FIELDS, WorkloadProfile
 
 #: Base virtual address of the code segment.
 CODE_BASE = 0x0040_0000
@@ -38,58 +47,174 @@ HOT_DATA_BASE = 0x1000_0000
 #: Bytes per instruction.
 INSTRUCTION_BYTES = 4
 
-# Registers r0/f0 hold long-ready values ("far" dependences); destinations
-# rotate through a window of scratch registers.  r2 is the loop-carried
+# Registers r1/f1 hold long-ready values ("far" dependences); destinations
+# rotate through a pool of scratch registers, and a source reaches back at
+# most _RECENT_DESTS allocations into that rotation.  r2 is the loop-carried
 # accumulator (induction variable) that gives every workload a serial chain
 # whose height scales with 1/mean_dependence_distance.
-_FAR_INT_REG = "r1"
-_FAR_FP_REG = "f1"
-_ACCUMULATOR_REG = "r2"
-_INT_DEST_POOL = tuple(f"r{i}" for i in range(8, 28))
-_FP_DEST_POOL = tuple(f"f{i}" for i in range(8, 28))
+_FAR_INT_REG = register_index("r1")
+_FAR_FP_REG = register_index("f1")
+_ACCUMULATOR_REG = register_index("r2")
+_INT_DEST_POOL = tuple(register_index(f"r{i}") for i in range(8, 28))
+_FP_DEST_POOL = tuple(register_index(f"f{i}") for i in range(8, 28))
+_POOL_SIZE = len(_INT_DEST_POOL)
+_RECENT_DESTS = 96
+
+_INT_ALU, _INT_MULT, _INT_DIV, _FP_ALU, _FP_MULT, _FP_DIV, _LOAD, _STORE, _BRANCH = (
+    OPCODE_ID[op]
+    for op in (
+        OpClass.INT_ALU,
+        OpClass.INT_MULT,
+        OpClass.INT_DIV,
+        OpClass.FP_ALU,
+        OpClass.FP_MULT,
+        OpClass.FP_DIV,
+        OpClass.LOAD,
+        OpClass.STORE,
+        OpClass.BRANCH,
+    )
+)
+_NOT_TAKEN_FLAGS = OPCLASS_FLAGS[_BRANCH] | FLAG_BRANCH
+_TAKEN_FLAGS = _NOT_TAKEN_FLAGS | FLAG_TAKEN
 
 
-@dataclass(slots=True)
-class _DynamicParams:
-    """The phase-overridable knobs, resolved for the current phase."""
+class CompiledTrace:
+    """Flat structure-of-arrays form of one instruction stream.
 
-    load_fraction: float
-    store_fraction: float
-    fp_fraction: float
-    int_mult_fraction: float
-    fp_mult_fraction: float
-    cond_branch_density: float
-    predictable_branch_fraction: float
-    hard_branch_bias: float
-    data_footprint_kb: float
-    hot_data_kb: float
-    hot_data_fraction: float
-    sequential_fraction: float
-    mean_dependence_distance: float
-    far_dependence_fraction: float
+    Each instruction is one row across nine parallel ``array`` columns:
+    program counter, dense opcode id, opclass/branch flag bitmask, register
+    ids (destination and up to two sources, ``NO_REGISTER`` when absent —
+    the source ids carry the stream's dependence structure), effective
+    memory address (0 when none), branch target (0 when none) and sequence
+    number.  Fetch and warm-up read the columns by index, so the simulation
+    never builds a per-instruction object.
 
-    @classmethod
-    def from_profile(cls, profile: WorkloadProfile) -> "_DynamicParams":
-        return cls(
-            load_fraction=profile.load_fraction,
-            store_fraction=profile.store_fraction,
-            fp_fraction=profile.fp_fraction,
-            int_mult_fraction=profile.int_mult_fraction,
-            fp_mult_fraction=profile.fp_mult_fraction,
-            cond_branch_density=profile.cond_branch_density,
-            predictable_branch_fraction=profile.predictable_branch_fraction,
-            hard_branch_bias=profile.hard_branch_bias,
-            data_footprint_kb=profile.data_footprint_kb,
-            hot_data_kb=profile.hot_data_kb,
-            hot_data_fraction=profile.hot_data_fraction,
-            sequential_fraction=profile.sequential_fraction,
-            mean_dependence_distance=profile.mean_dependence_distance,
-            far_dependence_fraction=profile.far_dependence_fraction,
+    The columns grow lazily as :meth:`ensure` asks for rows.  The source is
+    either a :class:`SyntheticTraceGenerator`, which writes its rows straight
+    into the columns, or any iterable of
+    :class:`~repro.isa.instruction.Instruction` (such as a hand-written test
+    trace), which is encoded row by row.  :meth:`instruction_at` rebuilds a
+    row as an ``Instruction``.
+    """
+
+    __slots__ = (
+        "pc",
+        "op",
+        "flags",
+        "dest",
+        "src0",
+        "src1",
+        "address",
+        "target",
+        "seq",
+        "_source",
+        "_exhausted",
+    )
+
+    def __init__(self, source: SyntheticTraceGenerator | Iterable[Instruction] = ()) -> None:
+        self.pc = array("Q")
+        self.op = array("B")
+        self.flags = array("B")
+        self.dest = array("b")
+        self.src0 = array("b")
+        self.src1 = array("b")
+        self.address = array("Q")
+        self.target = array("Q")
+        self.seq = array("q")
+        self._source = source if isinstance(source, SyntheticTraceGenerator) else iter(source)
+        self._exhausted = False
+
+    @property
+    def length(self) -> int:
+        """Number of instructions compiled into the columns so far."""
+        return len(self.seq)
+
+    @property
+    def exhausted(self) -> bool:
+        """True once the source stream has ended (never, for generators)."""
+        return self._exhausted
+
+    def ensure(self, count: int) -> int:
+        """Compile the stream up to *count* rows; return the available length."""
+        length = len(self.seq)
+        if length >= count or self._exhausted:
+            return length
+        source = self._source
+        if isinstance(source, SyntheticTraceGenerator):
+            source._write_rows(self, count - length)
+            return count
+        while length < count:
+            inst = next(source, None)
+            if inst is None:
+                self._exhausted = True
+                break
+            sources = inst.sources
+            if len(sources) > 2:
+                raise ValueError(
+                    "compiled traces encode at most two source operands, got "
+                    f"{sources!r}"
+                )
+            registers = [register_index(name) for name in sources]
+            registers += [NO_REGISTER] * (2 - len(registers))
+            op = OPCODE_ID[inst.op]
+            bits = OPCLASS_FLAGS[op]
+            if inst.is_branch:
+                bits |= FLAG_BRANCH | (FLAG_TAKEN if inst.taken else 0)
+            self.pc.append(inst.pc)
+            self.op.append(op)
+            self.flags.append(bits)
+            self.dest.append(NO_REGISTER if inst.dest is None else register_index(inst.dest))
+            self.src0.append(registers[0])
+            self.src1.append(registers[1])
+            self.address.append(inst.address or 0)
+            self.target.append(inst.target or 0)
+            self.seq.append(inst.seq)
+            length += 1
+        return length
+
+    def instruction_at(self, index: int) -> Instruction:
+        """The row at *index*, rebuilt as an ``Instruction``."""
+        bits = self.flags[index]
+        d = self.dest[index]
+        is_branch = bool(bits & FLAG_BRANCH)
+        return Instruction(
+            pc=self.pc[index],
+            op=OPCLASSES[self.op[index]],
+            sources=tuple(
+                REGISTER_NAMES[s]
+                for s in (self.src0[index], self.src1[index])
+                if s != NO_REGISTER
+            ),
+            dest=None if d == NO_REGISTER else REGISTER_NAMES[d],
+            address=self.address[index] if bits & FLAG_MEMORY else None,
+            is_branch=is_branch,
+            taken=bool(bits & FLAG_TAKEN),
+            target=self.target[index] if is_branch else None,
+            seq=self.seq[index],
         )
 
-    def apply_overrides(self, overrides) -> None:
-        for key, value in overrides.items():
-            setattr(self, key, value)
+
+def _resolve_phase(profile: WorkloadProfile, overrides: Mapping[str, Any]) -> tuple:
+    """One phase's dynamic knobs, in the order :meth:`_write_rows` unpacks them."""
+    values = {name: getattr(profile, name) for name in PHASE_OVERRIDABLE_FIELDS}
+    values.update(overrides)
+    hot_bytes = int(values["hot_data_kb"] * 1024)
+    return (
+        values["load_fraction"],
+        values["load_fraction"] + values["store_fraction"],
+        values["fp_fraction"],
+        values["int_mult_fraction"],
+        values["fp_mult_fraction"],
+        values["mean_dependence_distance"],
+        1.0 / values["mean_dependence_distance"],
+        values["far_dependence_fraction"],
+        values["hot_data_fraction"],
+        values["sequential_fraction"],
+        hot_bytes,
+        # The cold region covers the remainder of the data footprint and is
+        # laid out directly after the hot region.
+        max(64, int(values["data_footprint_kb"] * 1024) - hot_bytes),
+    )
 
 
 class SyntheticTraceGenerator:
@@ -103,6 +228,10 @@ class SyntheticTraceGenerator:
         Seed for the trace's pseudo-random choices.  The static program
         (branch positions and biases) and the dynamic stream are both
         functions of ``(profile, seed)``.
+
+    ``CompiledTrace(generator)`` is the trace the simulator reads;
+    :meth:`generate` and :meth:`instructions` hand out the same rows as
+    ``Instruction`` objects.
     """
 
     def __init__(self, profile: WorkloadProfile, *, seed: int = 1234) -> None:
@@ -143,255 +272,230 @@ class SyntheticTraceGenerator:
                     self._static_branch_bias[slot] = bias
 
         # --- dynamic state ----------------------------------------------
-        self._params = _DynamicParams.from_profile(profile)
-        self._phase_index = 0
-        self._phase_remaining = (
-            profile.phases[0].length if profile.phases else 0
-        )
-        if profile.phases:
-            self._params.apply_overrides(profile.phases[0].overrides)
-
-        self._window_start = 0
-        self._iteration = 0
-        self._block_in_window = 0
-        self._instr_in_block = 0
-
-        self._recent_int_dests: deque[str] = deque(maxlen=96)
-        self._recent_fp_dests: deque[str] = deque(maxlen=96)
-        self._int_dest_cursor = 0
-        self._fp_dest_cursor = 0
-        self._hot_pointer = 0
-        self._cold_pointer = 0
-        self._since_accumulator = 0
-        self._seq = 0
+        overrides = [phase.overrides for phase in profile.phases] or [{}]
+        self._phase_params = [_resolve_phase(profile, each) for each in overrides]
+        # (phase index, rows left in the phase, window start block, loop
+        # iteration, block in window, instruction in block, int and fp
+        # destination cursors, hot and cold sequential pointers, instructions
+        # since the accumulator update, next sequence number)
+        first_phase = profile.phases[0].length if profile.phases else 0
+        self._state = (0, first_phase, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------ API
 
     @property
-    def n_static_blocks(self) -> int:
-        """Number of basic blocks in the static program."""
-        return self._n_blocks
-
-    @property
-    def window_blocks(self) -> int:
-        """Number of blocks in the inner loop window."""
-        return self._window_blocks
-
-    @property
     def current_phase_index(self) -> int:
-        """Index of the phase currently generating instructions."""
-        return self._phase_index
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return self.instructions()
+        """Index of the phase of the most recently generated instruction."""
+        return self._state[0]
 
     def instructions(self) -> Iterator[Instruction]:
-        """Yield dynamic instructions forever."""
+        """Yield the next dynamic instructions forever, one row at a time."""
+        rows = CompiledTrace(self)
+        index = 0
         while True:
-            yield self._next_instruction()
+            rows.ensure(index + 1)
+            yield rows.instruction_at(index)
+            index += 1
 
     def generate(self, count: int) -> list[Instruction]:
         """Return the next *count* dynamic instructions as a list."""
-        return [self._next_instruction() for _ in range(count)]
+        rows = CompiledTrace(self)
+        rows.ensure(count)
+        return [rows.instruction_at(index) for index in range(count)]
 
     # ----------------------------------------------------------- internals
 
-    def _next_instruction(self) -> Instruction:
-        has_phases = bool(self.profile.phases)
-        if has_phases and self._phase_remaining <= 0:
-            self._advance_phase_if_needed()
+    def _write_rows(self, trace: CompiledTrace, count: int) -> None:
+        """Append the stream's next *count* rows to *trace*'s columns."""
+        rand = self._rng.random
+        expovariate = self._rng.expovariate
+        randrange = self._rng.randrange
+        phases = self.profile.phases
+        phase_params = self._phase_params
+        bias_of = self._static_branch_bias.get
         block_size = self._block_size
-        block = (self._window_start + self._block_in_window) % self._n_blocks
-        instr_in_block = self._instr_in_block
-        slot = block * block_size + instr_in_block
-        pc = CODE_BASE + slot * INSTRUCTION_BYTES
+        closing_offset = block_size - 1
+        n_blocks = self._n_blocks
+        window_blocks = self._window_blocks
+        last_iteration = self.profile.inner_iterations - 1
+        (
+            phase_index,
+            phase_remaining,
+            window_start,
+            iteration,
+            block_in_window,
+            instr_in_block,
+            int_cursor,
+            fp_cursor,
+            hot_pointer,
+            cold_pointer,
+            since_accumulator,
+            seq,
+        ) = self._state
 
-        if instr_in_block == block_size - 1:
-            instruction = self._emit_block_end_branch(pc, block)
-        else:
-            bias = self._static_branch_bias.get(slot)
-            if bias is not None:
-                instruction = self._emit_conditional_branch(pc, block, bias)
+        def pick(pool: tuple[int, ...], cursor: int, far: int) -> int:
+            """A source: the far register or a recent destination from *pool*."""
+            if not cursor or rand() < far_fraction:
+                return far
+            distance = 1 + int(expovariate(rate))
+            if distance > cursor or distance > _RECENT_DESTS:
+                return far
+            return pool[(cursor - distance) % _POOL_SIZE]
+
+        def data_address() -> int:
+            """A hot- or cold-region address, sequential or random."""
+            nonlocal hot_pointer, cold_pointer
+            if rand() < hot_fraction:
+                if rand() < sequential_fraction:
+                    hot_pointer = (hot_pointer + 8) % hot_bytes
+                    return HOT_DATA_BASE + hot_pointer
+                return HOT_DATA_BASE + randrange(0, hot_bytes, 8)
+            if rand() < sequential_fraction:
+                cold_pointer = (cold_pointer + 64) % cold_bytes
+                return HOT_DATA_BASE + hot_bytes + cold_pointer
+            return HOT_DATA_BASE + hot_bytes + randrange(0, cold_bytes, 8)
+
+        pc_append = trace.pc.append
+        op_append = trace.op.append
+        flags_append = trace.flags.append
+        dest_append = trace.dest.append
+        src0_append = trace.src0.append
+        src1_append = trace.src1.append
+        address_append = trace.address.append
+        target_append = trace.target.append
+        seq_append = trace.seq.append
+        while count:
+            # One run of rows within a single phase.
+            if phases:
+                if not phase_remaining:
+                    phase_index = (phase_index + 1) % len(phases)
+                    phase_remaining = phases[phase_index].length
+                run = min(count, phase_remaining)
+                phase_remaining -= run
             else:
-                instruction = self._emit_regular(pc)
-                self._instr_in_block = instr_in_block + 1
-
-        instruction.seq = self._seq
-        self._seq += 1
-        if has_phases:
-            self._phase_remaining -= 1
-        return instruction
-
-    def _advance_phase_if_needed(self) -> None:
-        if not self.profile.phases or self._phase_remaining > 0:
-            return
-        self._phase_index = (self._phase_index + 1) % len(self.profile.phases)
-        phase = self.profile.phases[self._phase_index]
-        self._phase_remaining = phase.length
-        self._params = _DynamicParams.from_profile(self.profile)
-        self._params.apply_overrides(phase.overrides)
-
-    # --- control flow --------------------------------------------------
-
-    def _block_start_pc(self, block: int) -> int:
-        return CODE_BASE + (block % self._n_blocks) * self._block_size * INSTRUCTION_BYTES
-
-    def _emit_block_end_branch(self, pc: int, block: int) -> Instruction:
-        last_in_window = self._block_in_window == self._window_blocks - 1
-        if last_in_window:
-            if self._iteration < self.profile.inner_iterations - 1:
-                # Loop back to the start of the window.
-                self._iteration += 1
-                self._block_in_window = 0
-                next_block = self._window_start
-            else:
-                # Slide the window onward (wrapping at the end of the code).
-                self._iteration = 0
-                self._block_in_window = 0
-                self._window_start = (
-                    self._window_start + self._window_blocks
-                ) % self._n_blocks
-                next_block = self._window_start
-        else:
-            self._block_in_window += 1
-            next_block = (self._window_start + self._block_in_window) % self._n_blocks
-        self._instr_in_block = 0
-
-        fallthrough_block = (block + 1) % self._n_blocks
-        taken = next_block != fallthrough_block
-        target = self._block_start_pc(next_block)
-        return Instruction(
-            pc=pc,
-            op=OpClass.BRANCH,
-            sources=(self._pick_source(fp=False),),
-            is_branch=True,
-            taken=taken,
-            target=target,
+                run = count
+            count -= run
+            (
+                load_fraction,
+                memory_fraction,
+                fp_fraction,
+                int_mult_fraction,
+                fp_mult_fraction,
+                mean_distance,
+                rate,
+                far_fraction,
+                hot_fraction,
+                sequential_fraction,
+                hot_bytes,
+                cold_bytes,
+            ) = phase_params[phase_index]
+            for row_seq in range(seq, seq + run):
+                block = (window_start + block_in_window) % n_blocks
+                slot = block * block_size + instr_in_block
+                pc = CODE_BASE + slot * INSTRUCTION_BYTES
+                dest = src1 = NO_REGISTER
+                address = target = 0
+                if instr_in_block == closing_offset:
+                    # The block-closing loop branch: on to the next block,
+                    # back to the window start, or on to the next window.
+                    if block_in_window == window_blocks - 1:
+                        block_in_window = 0
+                        if iteration < last_iteration:
+                            iteration += 1
+                        else:
+                            iteration = 0
+                            window_start = (window_start + window_blocks) % n_blocks
+                        next_block = window_start
+                    else:
+                        block_in_window += 1
+                        next_block = (window_start + block_in_window) % n_blocks
+                    instr_in_block = 0
+                    op = _BRANCH
+                    fallthrough = next_block == (block + 1) % n_blocks
+                    flags = _NOT_TAKEN_FLAGS if fallthrough else _TAKEN_FLAGS
+                    src0 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                    target = CODE_BASE + next_block * block_size * INSTRUCTION_BYTES
+                elif (bias := bias_of(slot)) is not None:
+                    # A taken in-block branch skips ahead to the closing one.
+                    op = _BRANCH
+                    target = CODE_BASE + (block * block_size + closing_offset) * INSTRUCTION_BYTES
+                    if rand() < bias:
+                        instr_in_block = closing_offset
+                        flags = _TAKEN_FLAGS
+                    else:
+                        instr_in_block += 1
+                        flags = _NOT_TAKEN_FLAGS
+                    src0 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                else:
+                    instr_in_block += 1
+                    since_accumulator += 1
+                    if since_accumulator >= mean_distance:
+                        # The loop-carried accumulator update, every
+                        # ~mean_dependence_distance instructions: the serial
+                        # chain that caps the exploitable ILP at that distance.
+                        since_accumulator = 0
+                        op = _INT_ALU
+                        src0 = dest = _ACCUMULATOR_REG
+                    else:
+                        roll = rand()
+                        if roll < load_fraction:
+                            op = _LOAD
+                            if rand() < fp_fraction:
+                                dest = _FP_DEST_POOL[fp_cursor % _POOL_SIZE]
+                                fp_cursor += 1
+                            else:
+                                dest = _INT_DEST_POOL[int_cursor % _POOL_SIZE]
+                                int_cursor += 1
+                            src0 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                            address = data_address()
+                        elif roll < memory_fraction:
+                            op = _STORE
+                            if rand() < fp_fraction:
+                                src0 = pick(_FP_DEST_POOL, fp_cursor, _FAR_FP_REG)
+                            else:
+                                src0 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                            src1 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                            address = data_address()
+                        elif rand() < fp_fraction:
+                            if rand() < fp_mult_fraction:
+                                op = _FP_MULT if rand() > 0.08 else _FP_DIV
+                            else:
+                                op = _FP_ALU
+                            src0 = pick(_FP_DEST_POOL, fp_cursor, _FAR_FP_REG)
+                            src1 = pick(_FP_DEST_POOL, fp_cursor, _FAR_FP_REG)
+                            dest = _FP_DEST_POOL[fp_cursor % _POOL_SIZE]
+                            fp_cursor += 1
+                        else:
+                            if rand() < int_mult_fraction:
+                                op = _INT_MULT if rand() > 0.1 else _INT_DIV
+                            else:
+                                op = _INT_ALU
+                            src0 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                            src1 = pick(_INT_DEST_POOL, int_cursor, _FAR_INT_REG)
+                            dest = _INT_DEST_POOL[int_cursor % _POOL_SIZE]
+                            int_cursor += 1
+                    flags = OPCLASS_FLAGS[op]
+                pc_append(pc)
+                op_append(op)
+                flags_append(flags)
+                dest_append(dest)
+                src0_append(src0)
+                src1_append(src1)
+                address_append(address)
+                target_append(target)
+                seq_append(row_seq)
+            seq += run
+        self._state = (
+            phase_index,
+            phase_remaining,
+            window_start,
+            iteration,
+            block_in_window,
+            instr_in_block,
+            int_cursor,
+            fp_cursor,
+            hot_pointer,
+            cold_pointer,
+            since_accumulator,
+            seq,
         )
-
-    def _emit_conditional_branch(self, pc: int, block: int, bias: float) -> Instruction:
-        taken = self._rng.random() < bias
-        # A taken in-block branch skips ahead to the block-closing branch.
-        target_slot = block * self._block_size + self._block_size - 1
-        target = CODE_BASE + target_slot * INSTRUCTION_BYTES
-        if taken:
-            self._instr_in_block = self._block_size - 1
-        else:
-            self._instr_in_block += 1
-        return Instruction(
-            pc=pc,
-            op=OpClass.BRANCH,
-            sources=(self._pick_source(fp=False),),
-            is_branch=True,
-            taken=taken,
-            target=target,
-        )
-
-    # --- regular instructions -------------------------------------------
-
-    def _emit_regular(self, pc: int) -> Instruction:
-        params = self._params
-        # A loop-carried accumulator update (induction variable) every
-        # ~mean_dependence_distance instructions: the serial chain that caps
-        # the workload's exploitable ILP at that distance, independent of the
-        # window size an observer measures it over.
-        self._since_accumulator += 1
-        if self._since_accumulator >= params.mean_dependence_distance:
-            self._since_accumulator = 0
-            return Instruction(
-                pc=pc,
-                op=OpClass.INT_ALU,
-                sources=(_ACCUMULATOR_REG,),
-                dest=_ACCUMULATOR_REG,
-            )
-        roll = self._rng.random()
-        if roll < params.load_fraction:
-            return self._emit_load(pc)
-        if roll < params.load_fraction + params.store_fraction:
-            return self._emit_store(pc)
-        return self._emit_compute(pc)
-
-    def _emit_load(self, pc: int) -> Instruction:
-        params = self._params
-        fp_dest = self._rng.random() < params.fp_fraction
-        dest = self._allocate_dest(fp=fp_dest)
-        return Instruction(
-            pc=pc,
-            op=OpClass.LOAD,
-            sources=(self._pick_source(fp=False),),
-            dest=dest,
-            address=self._data_address(),
-        )
-
-    def _emit_store(self, pc: int) -> Instruction:
-        params = self._params
-        fp_data = self._rng.random() < params.fp_fraction
-        return Instruction(
-            pc=pc,
-            op=OpClass.STORE,
-            sources=(self._pick_source(fp=fp_data), self._pick_source(fp=False)),
-            address=self._data_address(),
-        )
-
-    def _emit_compute(self, pc: int) -> Instruction:
-        params = self._params
-        if self._rng.random() < params.fp_fraction:
-            if self._rng.random() < params.fp_mult_fraction:
-                op = OpClass.FP_MULT if self._rng.random() > 0.08 else OpClass.FP_DIV
-            else:
-                op = OpClass.FP_ALU
-            sources = (self._pick_source(fp=True), self._pick_source(fp=True))
-            dest = self._allocate_dest(fp=True)
-        else:
-            if self._rng.random() < params.int_mult_fraction:
-                op = OpClass.INT_MULT if self._rng.random() > 0.1 else OpClass.INT_DIV
-            else:
-                op = OpClass.INT_ALU
-            sources = (self._pick_source(fp=False), self._pick_source(fp=False))
-            dest = self._allocate_dest(fp=False)
-        return Instruction(pc=pc, op=op, sources=sources, dest=dest)
-
-    # --- operands --------------------------------------------------------
-
-    def _allocate_dest(self, *, fp: bool) -> str:
-        if fp:
-            register = _FP_DEST_POOL[self._fp_dest_cursor % len(_FP_DEST_POOL)]
-            self._fp_dest_cursor += 1
-            self._recent_fp_dests.append(register)
-        else:
-            register = _INT_DEST_POOL[self._int_dest_cursor % len(_INT_DEST_POOL)]
-            self._int_dest_cursor += 1
-            self._recent_int_dests.append(register)
-        return register
-
-    def _pick_source(self, *, fp: bool) -> str:
-        params = self._params
-        recents = self._recent_fp_dests if fp else self._recent_int_dests
-        far_register = _FAR_FP_REG if fp else _FAR_INT_REG
-        if not recents or self._rng.random() < params.far_dependence_fraction:
-            return far_register
-        mean = params.mean_dependence_distance
-        distance = 1 + int(self._rng.expovariate(1.0 / mean))
-        if distance > len(recents):
-            return far_register
-        return recents[-distance]
-
-    def _data_address(self) -> int:
-        params = self._params
-        hot_bytes = int(params.hot_data_kb * 1024)
-        if self._rng.random() < params.hot_data_fraction:
-            if self._rng.random() < params.sequential_fraction:
-                self._hot_pointer = (self._hot_pointer + 8) % hot_bytes
-                offset = self._hot_pointer
-            else:
-                offset = self._rng.randrange(0, max(8, hot_bytes), 8)
-            return HOT_DATA_BASE + offset
-        # The cold region covers the remainder of the data footprint and is
-        # laid out directly after the hot region.
-        cold_bytes = max(64, int(params.data_footprint_kb * 1024) - hot_bytes)
-        if self._rng.random() < params.sequential_fraction:
-            self._cold_pointer = (self._cold_pointer + 64) % cold_bytes
-            offset = self._cold_pointer
-        else:
-            offset = self._rng.randrange(0, max(8, cold_bytes), 8)
-        return HOT_DATA_BASE + hot_bytes + offset

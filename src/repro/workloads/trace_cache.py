@@ -1,316 +1,46 @@
-"""Per-process memoisation of synthetic instruction traces.
+"""Per-process memoisation of compiled synthetic traces.
 
-Every simulation job regenerates its dynamic instruction stream from the
-deterministic :class:`~repro.workloads.generator.SyntheticTraceGenerator`.
 Within one sweep the same ``(profile, seed)`` trace is consumed by dozens of
-machine configurations, and generating it — random draws, operand selection,
-:class:`~repro.isa.instruction.Instruction` construction — dominated the
-sweep's wall-clock.  A :class:`ReplayableTrace` materialises the stream
-lazily the first time it is consumed and replays the shared, immutable
-``Instruction`` objects to every later consumer, which is bit-identical by
-construction: replay yields exactly the objects the generator produced, in
-order, including their ``seq`` numbers.
+machine configurations.  :func:`cached_trace` compiles each trace once per
+process: the generator writes its rows into one shared
+:class:`~repro.workloads.generator.CompiledTrace`, whose columns grow as far
+as the longest consumer reads, and every job fetches from those columns
+through its own cursor starting at row 0.
 
 The cache is per process (worker processes of the parallel executor each
-build their own) and bounded: ``REPRO_TRACE_CACHE`` sets the number of
-distinct traces kept (default 4; ``0`` disables memoisation entirely).
+build their own) and keeps the :data:`DEFAULT_CACHE_TRACES` most recently
+used traces.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import warnings
-from array import array
 from collections import OrderedDict
-from typing import Iterable, Iterator
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import (
-    FLAG_BRANCH,
-    FLAG_MEMORY,
-    FLAG_TAKEN,
-    OPCLASS_FLAGS,
-    OPCLASSES,
-    OPCODE_ID,
-)
-from repro.isa.registers import NO_REGISTER, REGISTER_NAMES, register_index
 from repro.workloads.characteristics import DOC_ONLY_FIELDS, WorkloadProfile
-from repro.workloads.generator import SyntheticTraceGenerator
+from repro.workloads.generator import CompiledTrace, SyntheticTraceGenerator
 
-#: Default number of distinct (profile, seed) traces memoised per process.
+__all__ = [
+    "DEFAULT_CACHE_TRACES",
+    "CompiledTrace",
+    "ReplayableTrace",
+    "cached_trace",
+    "clear_trace_cache",
+]
+
+#: Number of distinct (profile, seed) traces memoised per process.
 DEFAULT_CACHE_TRACES = 4
 
 
-#: Whether the unparsable-REPRO_TRACE_CACHE warning has been emitted (once
-#: per process; reset by tests via :func:`_reset_limit_warning`).
-_warned_invalid_limit = False
-
-
-def _reset_limit_warning() -> None:
-    global _warned_invalid_limit
-    _warned_invalid_limit = False
-
-
-def _cache_limit() -> int:
-    """The configured trace-cache size: ``REPRO_TRACE_CACHE`` or the default.
-
-    Negative values clamp to 0 (memoisation disabled); an unparsable value
-    falls back to the default and warns once per process instead of being
-    silently swallowed.
-    """
-    global _warned_invalid_limit
-    raw = os.environ.get("REPRO_TRACE_CACHE")
-    if raw is None:
-        return DEFAULT_CACHE_TRACES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        if not _warned_invalid_limit:
-            _warned_invalid_limit = True
-            warnings.warn(
-                f"ignoring unparsable REPRO_TRACE_CACHE value {raw!r}; "
-                f"using the default of {DEFAULT_CACHE_TRACES}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return DEFAULT_CACHE_TRACES
-
-
-class CompiledTrace:
-    """Flat structure-of-arrays compilation of one instruction stream.
-
-    Each instruction becomes one row across parallel ``array`` columns:
-    program counter, dense opcode id, opclass/branch flag bitmask, register
-    ids (destination and up to two sources, ``NO_REGISTER`` when absent —
-    the source ids carry the stream's dependence structure), effective
-    memory address, branch target and sequence number.  The front end
-    fetches by column index instead of materialising per-instruction
-    objects, which removes object construction and attribute chasing from
-    the per-fetch hot path entirely.
-
-    Columns grow lazily as :meth:`ensure` pulls from the source stream, so
-    an infinite generator compiles incrementally exactly as far as a run
-    consumes it.  With ``keep_objects=True`` the source ``Instruction``
-    objects are retained and served back verbatim by :meth:`instruction_at`
-    (used when wrapping caller-supplied iterators, preserving object
-    identity for legacy consumers); otherwise :meth:`instruction_at`
-    reconstructs an equal ``Instruction`` from the columns on demand.
-    """
-
-    __slots__ = (
-        "pc",
-        "op",
-        "flags",
-        "dest",
-        "src0",
-        "src1",
-        "address",
-        "target",
-        "seq",
-        "_iterator",
-        "_objects",
-        "_exhausted",
-    )
-
-    def __init__(
-        self,
-        instructions: Iterable[Instruction] | Iterator[Instruction],
-        *,
-        keep_objects: bool = False,
-    ) -> None:
-        self.pc = array("Q")
-        self.op = array("B")
-        self.flags = array("B")
-        self.dest = array("b")
-        self.src0 = array("b")
-        self.src1 = array("b")
-        self.address = array("Q")
-        self.target = array("Q")
-        self.seq = array("q")
-        self._iterator = iter(instructions)
-        self._objects: list[Instruction] | None = [] if keep_objects else None
-        self._exhausted = False
-
-    @property
-    def length(self) -> int:
-        """Number of instructions compiled into the columns so far."""
-        return len(self.seq)
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the source stream has ended (never, for generators)."""
-        return self._exhausted
-
-    def ensure(self, count: int) -> int:
-        """Compile the stream up to *count* rows; return the available length."""
-        seq = self.seq
-        length = len(seq)
-        if length >= count or self._exhausted:
-            return length
-        pc = self.pc
-        op = self.op
-        flags = self.flags
-        dest = self.dest
-        src0 = self.src0
-        src1 = self.src1
-        address = self.address
-        target = self.target
-        iterator = self._iterator
-        objects = self._objects
-        opcode_id = OPCODE_ID
-        opclass_flags = OPCLASS_FLAGS
-        reg_index = register_index
-        while length < count:
-            inst = next(iterator, None)
-            if inst is None:
-                self._exhausted = True
-                break
-            sources = inst.sources
-            if len(sources) > 2:
-                raise ValueError(
-                    "compiled traces encode at most two source operands, got "
-                    f"{sources!r}"
-                )
-            oid = opcode_id[inst.op]
-            bits = opclass_flags[oid]
-            if inst.is_branch:
-                bits |= FLAG_BRANCH
-                if inst.taken:
-                    bits |= FLAG_TAKEN
-            pc.append(inst.pc)
-            op.append(oid)
-            flags.append(bits)
-            d = inst.dest
-            dest.append(NO_REGISTER if d is None else reg_index(d))
-            n = len(sources)
-            src0.append(reg_index(sources[0]) if n else NO_REGISTER)
-            src1.append(reg_index(sources[1]) if n > 1 else NO_REGISTER)
-            address.append(inst.address if inst.address is not None else 0)
-            target.append(inst.target if inst.target is not None else 0)
-            seq.append(inst.seq)
-            if objects is not None:
-                objects.append(inst)
-            length += 1
-        return length
-
-    def instruction_at(self, index: int) -> Instruction:
-        """The ``Instruction`` at *index* (original object or column rebuild)."""
-        objects = self._objects
-        if objects is not None:
-            return objects[index]
-        bits = self.flags[index]
-        d = self.dest[index]
-        s0 = self.src0[index]
-        if s0 == NO_REGISTER:
-            sources: tuple[str, ...] = ()
-        else:
-            s1 = self.src1[index]
-            if s1 == NO_REGISTER:
-                sources = (REGISTER_NAMES[s0],)
-            else:
-                sources = (REGISTER_NAMES[s0], REGISTER_NAMES[s1])
-        is_branch = bool(bits & FLAG_BRANCH)
-        return Instruction(
-            pc=self.pc[index],
-            op=OPCLASSES[self.op[index]],
-            sources=sources,
-            dest=None if d == NO_REGISTER else REGISTER_NAMES[d],
-            address=self.address[index] if bits & FLAG_MEMORY else None,
-            is_branch=is_branch,
-            taken=bool(bits & FLAG_TAKEN),
-            target=self.target[index] if is_branch else None,
-            seq=self.seq[index],
-        )
-
-
-def _generator_stream(generator: SyntheticTraceGenerator) -> Iterator[Instruction]:
-    """Adapt a (never-ending) synthetic generator to the iterator protocol."""
-    next_instruction = generator._next_instruction
-    while True:
-        yield next_instruction()
-
-
 class ReplayableTrace:
-    """A lazily materialised, replayable view of one generator's stream.
+    """One ``(profile, seed)`` trace and its shared compiled columns."""
 
-    Presents the same consumption API as the generator itself
-    (``instructions()`` / ``generate()`` / iteration, plus the ``profile``
-    and ``seed`` attributes), with one deliberate difference: every call to
-    :meth:`instructions` starts a fresh iterator from sequence number 0 —
-    that replay-from-the-start semantics is what lets many simulation jobs
-    share one trace.  :meth:`generate` remains stateful exactly like the
-    generator's ("the *next* count instructions"), so warm-up-then-continue
-    consumption patterns work unchanged; note that on a *cached* trace that
-    cursor is shared by everyone holding the same object, just as it would
-    be on a shared generator.
-    """
-
-    __slots__ = (
-        "profile",
-        "seed",
-        "_generator",
-        "_materialised",
-        "_generate_cursor",
-        "_compiled",
-    )
+    __slots__ = ("profile", "seed", "compiled")
 
     def __init__(self, profile: WorkloadProfile, *, seed: int) -> None:
         self.profile = profile
         self.seed = seed
-        self._generator = SyntheticTraceGenerator(profile, seed=seed)
-        self._materialised: list[Instruction] = []
-        self._generate_cursor = 0
-        self._compiled: CompiledTrace | None = None
-
-    def instructions(self) -> Iterator[Instruction]:
-        """Yield the dynamic instruction stream from the beginning, forever."""
-        materialised = self._materialised
-        next_instruction = self._generator._next_instruction
-        index = 0
-        while True:
-            if index == len(materialised):
-                materialised.append(next_instruction())
-            yield materialised[index]
-            index += 1
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return self.instructions()
-
-    def generate(self, count: int) -> list[Instruction]:
-        """Return the next *count* instructions (stateful, like the generator)."""
-        materialised = self._materialised
-        next_instruction = self._generator._next_instruction
-        start = self._generate_cursor
-        end = start + count
-        while len(materialised) < end:
-            materialised.append(next_instruction())
-        self._generate_cursor = end
-        return materialised[start:end]
-
-    @property
-    def materialised_length(self) -> int:
-        """Number of instructions materialised so far (for tests/diagnostics)."""
-        return len(self._materialised)
-
-    @property
-    def compiled(self) -> CompiledTrace:
-        """The flat-column compilation of this trace (built once, shared).
-
-        The compilation replays a fresh deterministic generator for the same
-        ``(profile, seed)`` so the columns are bit-exact regardless of how
-        much of the object stream was materialised, and it is cached on the
-        trace: every simulation job sharing this cached trace reads the same
-        columns, which is what makes the compiled fast path's trace work
-        once-per-process like the object path's.
-        """
-        if self._compiled is None:
-            self._compiled = CompiledTrace(
-                _generator_stream(
-                    SyntheticTraceGenerator(self.profile, seed=self.seed)
-                )
-            )
-        return self._compiled
+        self.compiled = CompiledTrace(SyntheticTraceGenerator(profile, seed=seed))
 
 
 _cache: "OrderedDict[tuple[str, int], ReplayableTrace]" = OrderedDict()
@@ -332,24 +62,15 @@ def _profile_key(profile: WorkloadProfile) -> str:
 
 
 def cached_trace(profile: WorkloadProfile, *, seed: int) -> ReplayableTrace:
-    """A (possibly shared) replayable trace for ``(profile, seed)``.
-
-    With memoisation disabled (``REPRO_TRACE_CACHE=0``) a fresh, uncached
-    :class:`ReplayableTrace` is returned, which behaves exactly like the
-    plain generator.
-    """
-    limit = _cache_limit()
-    if limit <= 0:
-        return ReplayableTrace(profile, seed=seed)
+    """The shared trace for ``(profile, seed)``, built once while it stays cached."""
     key = (_profile_key(profile), seed)
     trace = _cache.get(key)
     if trace is None:
-        trace = ReplayableTrace(profile, seed=seed)
-        _cache[key] = trace
+        trace = _cache[key] = ReplayableTrace(profile, seed=seed)
+        while len(_cache) > DEFAULT_CACHE_TRACES:
+            _cache.popitem(last=False)
     else:
         _cache.move_to_end(key)
-    while len(_cache) > limit:
-        _cache.popitem(last=False)
     return trace
 
 

@@ -603,9 +603,8 @@ class TestSweepThroughEngine:
         processor = MCDProcessor(
             best_overall_synchronous_spec(), control=None, phase_adaptive=False, seed=0
         )
-        trace = make_trace(quick_profile)
         direct = processor.run(
-            trace.instructions(),
+            make_trace(quick_profile),
             max_instructions=700,
             warmup_instructions=1200,
             workload_name=quick_profile.name,
@@ -627,9 +626,8 @@ class TestSweepThroughEngine:
             phase_adaptive=False,
             seed=0,
         )
-        trace = make_trace(quick_profile)
         direct = processor.run(
-            trace.instructions(),
+            make_trace(quick_profile),
             max_instructions=700,
             warmup_instructions=1200,
             workload_name=quick_profile.name,

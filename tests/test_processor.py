@@ -19,9 +19,8 @@ from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
 def run_machine(spec, profile, *, window=1500, warmup=1500, phase_adaptive=False,
                 control=None, trace_seed=11):
     processor = MCDProcessor(spec, phase_adaptive=phase_adaptive, control=control)
-    trace = SyntheticTraceGenerator(profile, seed=trace_seed)
     return processor.run(
-        trace.instructions(),
+        SyntheticTraceGenerator(profile, seed=trace_seed),
         max_instructions=window,
         warmup_instructions=warmup,
         workload_name=profile.name,
@@ -208,9 +207,8 @@ class TestPhaseAdaptiveExecution:
         processor = MCDProcessor(
             base_adaptive_spec(), phase_adaptive=True, control=self.control(6000)
         )
-        trace = SyntheticTraceGenerator(profile, seed=11)
         processor.run(
-            trace.instructions(), max_instructions=6000,
+            SyntheticTraceGenerator(profile, seed=11), max_instructions=6000,
             warmup_instructions=3000, workload_name=profile.name,
         )
         controller = processor._int_queue_controller

@@ -2,60 +2,32 @@
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
-
 from repro.workloads import get_workload
 from repro.workloads.generator import SyntheticTraceGenerator
 from repro.workloads.trace_cache import (
     DEFAULT_CACHE_TRACES,
     ReplayableTrace,
-    _cache_limit,
-    _reset_limit_warning,
     cached_trace,
     clear_trace_cache,
 )
 
 
 class TestReplayableTrace:
-    def test_replay_matches_fresh_generation(self):
+    def test_columns_match_the_generators_rows(self):
         profile = get_workload("gcc")
         fresh = SyntheticTraceGenerator(profile, seed=1234).generate(3_000)
-        replayed = ReplayableTrace(profile, seed=1234).generate(3_000)
-        assert replayed == fresh
-        assert [inst.seq for inst in replayed] == [inst.seq for inst in fresh]
+        compiled = ReplayableTrace(profile, seed=1234).compiled
+        assert compiled.ensure(3_000) == 3_000
+        assert [compiled.instruction_at(i) for i in range(3_000)] == fresh
+        assert [compiled.instruction_at(i).seq for i in range(3_000)] == list(range(3_000))
 
-    def test_second_consumer_replays_the_same_objects(self):
-        trace = ReplayableTrace(get_workload("gcc"), seed=7)
-        first_iter = trace.instructions()
-        first = [next(first_iter) for _ in range(500)]
-        second_iter = trace.instructions()
-        second = [next(second_iter) for _ in range(500)]
-        assert all(a is b for a, b in zip(first, second))
-        assert trace.materialised_length == 500
-
-    def test_generate_is_stateful_like_the_generator(self):
-        profile = get_workload("gcc")
-        generator = SyntheticTraceGenerator(profile, seed=9)
-        trace = ReplayableTrace(profile, seed=9)
-        assert trace.generate(300) == generator.generate(300)
-        # The second call continues the stream, exactly as the generator does.
-        assert trace.generate(300) == generator.generate(300)
-
-    def test_interleaved_consumers_stay_consistent(self):
-        trace = ReplayableTrace(get_workload("em3d"), seed=5)
-        ahead = trace.instructions()
-        behind = trace.instructions()
-        lead = [next(ahead) for _ in range(200)]
-        follow = [next(behind) for _ in range(200)]
-        assert all(a is b for a, b in zip(lead, follow))
-
-    def test_extends_on_demand(self):
-        trace = ReplayableTrace(get_workload("gcc"), seed=2)
-        trace.generate(100)
-        trace.generate(250)
-        assert trace.materialised_length == 350
+    def test_ensure_compiles_exactly_the_rows_asked_for(self):
+        compiled = ReplayableTrace(get_workload("gcc"), seed=2).compiled
+        assert compiled.ensure(100) == 100
+        assert compiled.ensure(350) == 350
+        assert compiled.ensure(200) == 350
+        assert compiled.length == 350
+        assert not compiled.exhausted
 
 
 class TestCachedTrace:
@@ -68,6 +40,7 @@ class TestCachedTrace:
     def test_same_profile_and_seed_share_a_trace(self):
         profile = get_workload("gcc")
         assert cached_trace(profile, seed=1) is cached_trace(profile, seed=1)
+        assert cached_trace(profile, seed=1).compiled is cached_trace(profile, seed=1).compiled
 
     def test_different_seeds_get_distinct_traces(self):
         profile = get_workload("gcc")
@@ -98,50 +71,10 @@ class TestCachedTrace:
         edited = profile.with_overrides(load_fraction=profile.load_fraction + 0.01)
         assert cached_trace(profile, seed=1) is not cached_trace(edited, seed=1)
 
-    def test_disabled_via_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        profile = get_workload("gcc")
-        assert cached_trace(profile, seed=1) is not cached_trace(profile, seed=1)
-
-    def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+    def test_cache_is_bounded(self):
         gcc = get_workload("gcc")
-        first = cached_trace(gcc, seed=1)
-        cached_trace(gcc, seed=2)
-        cached_trace(gcc, seed=3)  # evicts seed=1
-        assert cached_trace(gcc, seed=1) is not first
-
-
-class TestCacheLimitParsing:
-    def setup_method(self):
-        clear_trace_cache()
-        _reset_limit_warning()
-
-    def teardown_method(self):
-        clear_trace_cache()
-        _reset_limit_warning()
-
-    def test_default_without_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        assert _cache_limit() == DEFAULT_CACHE_TRACES
-
-    def test_negative_values_clamp_to_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "-3")
-        assert _cache_limit() == 0
-        # Clamped-to-zero behaves exactly like an explicit 0: no memoisation.
-        profile = get_workload("gcc")
-        assert cached_trace(profile, seed=1) is not cached_trace(profile, seed=1)
-
-    def test_unparsable_value_warns_once_and_uses_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_TRACE_CACHE"):
-            assert _cache_limit() == DEFAULT_CACHE_TRACES
-        # The warning is one-time per process.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert _cache_limit() == DEFAULT_CACHE_TRACES
-        assert not caught
-
-    def test_valid_values_parse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "7")
-        assert _cache_limit() == 7
+        first = cached_trace(gcc, seed=0)
+        recent = [cached_trace(gcc, seed=seed) for seed in range(1, DEFAULT_CACHE_TRACES + 1)]
+        # The oldest trace was evicted; the DEFAULT_CACHE_TRACES newest stay.
+        assert all(cached_trace(gcc, seed=seed) is trace for seed, trace in enumerate(recent, 1))
+        assert cached_trace(gcc, seed=0) is not first

@@ -18,6 +18,7 @@ from repro.workloads import (
     spec2000_suite,
     workload_names,
 )
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.generator import CODE_BASE, HOT_DATA_BASE
 from repro.workloads.phases import (
     burst_schedule,
@@ -316,6 +317,33 @@ class TestProfileValidate:
         with pytest.raises(ValueError, match="mean_dependence_distance"):
             profile.validate()
 
+    @pytest.mark.parametrize(
+        ("build", "context"),
+        [
+            (
+                lambda kb: WorkloadProfile(
+                    name="x", suite="t", hot_data_kb=kb, data_footprint_kb=1.0
+                ),
+                "profile 'x'",
+            ),
+            (
+                lambda kb: ScenarioSpec(
+                    name="x",
+                    family="t",
+                    phases=(PhaseSpec(length=100, overrides={"hot_data_kb": kb}),),
+                ).build_profile(),
+                "profile 'x', phase 0",
+            ),
+        ],
+        ids=["base", "phase"],
+    )
+    def test_hot_region_below_one_word_rejected(self, build, context):
+        # int(0.0005 * 1024) == 0 bytes would divide by zero in generation.
+        with pytest.raises(ValueError, match=rf"{context}: hot_data_kb \(0.0005\)"):
+            build(0.0005)
+        # Exactly one 8-byte word is the smallest legal hot region.
+        assert len(SyntheticTraceGenerator(build(8 / 1024), seed=1).generate(2_000)) == 2_000
+
     def test_boundary_values_accepted(self):
         # Exactly-on-the-boundary values are legal: fractions of 0 and 1, a
         # hot region equal to the footprint, distance exactly 1.
@@ -441,15 +469,11 @@ class TestGeneratorExtremes:
         clear_trace_cache()
         try:
             fresh = SyntheticTraceGenerator(profile, seed=8).generate(3_000)
-            cached = cached_trace(profile, seed=8)
-            first = cached.generate(3_000)
-            assert first == fresh
-            # A second consumer (fresh iterator) replays the same objects.
-            replayed = []
-            iterator = cached.instructions()
-            for _ in range(3_000):
-                replayed.append(next(iterator))
-            assert all(x is y for x, y in zip(first, replayed))
+            compiled = cached_trace(profile, seed=8).compiled
+            assert compiled.ensure(3_000) == 3_000
+            assert [compiled.instruction_at(i) for i in range(3_000)] == fresh
+            # A second consumer reads the same columns.
+            assert cached_trace(profile, seed=8).compiled is compiled
         finally:
             clear_trace_cache()
 
