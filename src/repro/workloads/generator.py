@@ -111,7 +111,7 @@ class CompiledTrace:
         "_exhausted",
     )
 
-    def __init__(self, source: SyntheticTraceGenerator | Iterable[Instruction] = ()) -> None:
+    def __init__(self, source: SyntheticTraceGenerator | Iterable[Instruction]) -> None:
         self.pc = array("Q")
         self.op = array("B")
         self.flags = array("B")

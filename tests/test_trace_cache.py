@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.workloads import get_workload
-from repro.workloads.generator import SyntheticTraceGenerator
 from repro.workloads.trace_cache import (
     DEFAULT_CACHE_TRACES,
     ReplayableTrace,
@@ -13,14 +12,6 @@ from repro.workloads.trace_cache import (
 
 
 class TestReplayableTrace:
-    def test_columns_match_the_generators_rows(self):
-        profile = get_workload("gcc")
-        fresh = SyntheticTraceGenerator(profile, seed=1234).generate(3_000)
-        compiled = ReplayableTrace(profile, seed=1234).compiled
-        assert compiled.ensure(3_000) == 3_000
-        assert [compiled.instruction_at(i) for i in range(3_000)] == fresh
-        assert [compiled.instruction_at(i).seq for i in range(3_000)] == list(range(3_000))
-
     def test_ensure_compiles_exactly_the_rows_asked_for(self):
         compiled = ReplayableTrace(get_workload("gcc"), seed=2).compiled
         assert compiled.ensure(100) == 100
