@@ -2,24 +2,17 @@
 
 The front-end domain couples each instruction-cache configuration with a
 hybrid branch predictor (McFarling-style): a gshare component, a local-history
-component and a metapredictor choosing between them.  Table sizes follow
-Tables 2 and 3 of the paper and grow with the instruction-cache
-configuration.
+component and a metapredictor choosing between them, all held as flat tables
+in one :class:`HybridPredictor` whose ``predict_and_update`` predicts and
+trains in one call.  Table sizes follow Tables 2 and 3 of the paper and grow
+with the instruction-cache configuration.
 """
 
-from repro.branch.counters import SaturatingCounter
-from repro.branch.gshare import GShatePredictorError, GsharePredictor
-from repro.branch.local import LocalHistoryPredictor
-from repro.branch.hybrid import HybridPredictor, PredictorStats, build_predictor
+from repro.branch.hybrid import HybridPredictor, build_predictor
 from repro.branch.btb import BranchTargetBuffer
 
 __all__ = [
-    "SaturatingCounter",
-    "GsharePredictor",
-    "GShatePredictorError",
-    "LocalHistoryPredictor",
     "HybridPredictor",
-    "PredictorStats",
     "build_predictor",
     "BranchTargetBuffer",
 ]

@@ -1,27 +1,16 @@
-"""Hybrid (gshare + local + metapredictor) branch predictor."""
+"""Hybrid (gshare + local + metapredictor) branch predictor.
+
+One class owns every table as a flat list of two-bit counters (0..3, taken
+when >= 2) or histories: the gshare table and its global history register,
+the local pattern history table (PHT, per-branch histories) and branch
+history table (BHT, counters indexed by a local history), and the meta table
+choosing between the two components.  ``predict_and_update`` computes each
+index once, predicts and trains every table in one call.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.branch.gshare import GsharePredictor
-from repro.branch.local import LocalHistoryPredictor
 from repro.timing.tables import BranchPredictorGeometry
-
-
-@dataclass(slots=True)
-class PredictorStats:
-    """Aggregate prediction counters."""
-
-    predictions: int = 0
-    mispredictions: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of correct predictions (1.0 when nothing was predicted)."""
-        if not self.predictions:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
 
 
 class HybridPredictor:
@@ -32,75 +21,85 @@ class HybridPredictor:
     supplies the prediction.  Both components are always trained; the
     metapredictor is trained toward whichever component was correct when they
     disagree.
+
+    The gshare component XORs the branch's word address with the global
+    history to index its table.  The local component keeps a
+    ``local_history_bits``-wide history per branch in the PHT, and that
+    history indexes the BHT.
     """
 
     def __init__(self, geometry: BranchPredictorGeometry) -> None:
-        self.geometry = geometry
-        self._gshare = GsharePredictor(
-            geometry.global_history_bits, geometry.gshare_entries
-        )
-        self._local = LocalHistoryPredictor(
-            geometry.local_history_bits,
-            geometry.local_bht_entries,
-            geometry.local_pht_entries,
-        )
-        if geometry.meta_entries <= 0 or geometry.meta_entries & (
-            geometry.meta_entries - 1
+        for name in (
+            "gshare_entries",
+            "meta_entries",
+            "local_bht_entries",
+            "local_pht_entries",
         ):
-            raise ValueError("meta_entries must be a power of two")
+            entries = getattr(geometry, name)
+            if entries <= 0 or entries & (entries - 1):
+                raise ValueError(f"{name} must be a power of two, got {entries}")
+        for name in ("global_history_bits", "local_history_bits"):
+            if getattr(geometry, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        self.geometry = geometry
+        self._history = 0
+        self._history_mask = (1 << geometry.global_history_bits) - 1
+        self._gshare = [1] * geometry.gshare_entries
+        self._gshare_mask = geometry.gshare_entries - 1
+        self._local_history_mask = (1 << geometry.local_history_bits) - 1
+        self._pht = [0] * geometry.local_pht_entries
+        self._pht_mask = geometry.local_pht_entries - 1
+        self._bht = [1] * geometry.local_bht_entries
+        self._bht_mask = geometry.local_bht_entries - 1
         # Meta counter >= 2 selects the gshare component.
         self._meta = [2] * geometry.meta_entries
         self._meta_mask = geometry.meta_entries - 1
-        self.stats = PredictorStats()
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def gshare(self) -> GsharePredictor:
-        """The global-history component."""
-        return self._gshare
-
-    @property
-    def local(self) -> LocalHistoryPredictor:
-        """The local-history component."""
-        return self._local
-
-    def _meta_index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._gshare.history) & self._meta_mask
-
-    def predict(self, pc: int) -> bool:
-        """Predict the direction of the branch at *pc* (no state change)."""
-        if self._meta[self._meta_index(pc)] >= 2:
-            return self._gshare.predict(pc)
-        return self._local.predict(pc)
 
     def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Predict *pc*, then train every component with the real outcome.
+        """Predict *pc*, then train every table with the real outcome.
 
         Returns True when the prediction was correct.
         """
-        meta_index = self._meta_index(pc)
-        gshare_prediction = self._gshare.predict(pc)
-        local_prediction = self._local.predict(pc)
-        use_gshare = self._meta[meta_index] >= 2
-        prediction = gshare_prediction if use_gshare else local_prediction
+        word = pc >> 2
+        history = self._history
+        global_index = word ^ history
+        gshare = self._gshare
+        gshare_index = global_index & self._gshare_mask
+        gshare_counter = gshare[gshare_index]
+        pht = self._pht
+        pht_index = word & self._pht_mask
+        local_history = pht[pht_index]
+        bht = self._bht
+        bht_index = local_history & self._bht_mask
+        local_counter = bht[bht_index]
+        gshare_prediction = gshare_counter >= 2
+        local_prediction = local_counter >= 2
+        meta = self._meta
+        meta_index = global_index & self._meta_mask
+        meta_counter = meta[meta_index]
+        prediction = gshare_prediction if meta_counter >= 2 else local_prediction
 
         # Train the metapredictor only when the components disagree.
         if gshare_prediction != local_prediction:
-            counter = self._meta[meta_index]
-            if gshare_prediction == taken and counter < 3:
-                self._meta[meta_index] = counter + 1
-            elif local_prediction == taken and counter > 0:
-                self._meta[meta_index] = counter - 1
+            if gshare_prediction == taken:
+                if meta_counter < 3:
+                    meta[meta_index] = meta_counter + 1
+            elif meta_counter > 0:
+                meta[meta_index] = meta_counter - 1
 
-        self._local.update(pc, taken)
-        self._gshare.update(pc, taken)  # also shifts the global history
-
-        correct = prediction == taken
-        self.stats.predictions += 1
-        if not correct:
-            self.stats.mispredictions += 1
-        return correct
+        if taken:
+            if local_counter < 3:
+                bht[bht_index] = local_counter + 1
+            if gshare_counter < 3:
+                gshare[gshare_index] = gshare_counter + 1
+        else:
+            if local_counter > 0:
+                bht[bht_index] = local_counter - 1
+            if gshare_counter > 0:
+                gshare[gshare_index] = gshare_counter - 1
+        pht[pht_index] = ((local_history << 1) | taken) & self._local_history_mask
+        self._history = ((history << 1) | taken) & self._history_mask
+        return prediction == taken
 
 
 def build_predictor(geometry: BranchPredictorGeometry) -> HybridPredictor:

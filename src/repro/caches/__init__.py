@@ -1,20 +1,20 @@
-"""Cache substrate: MRU-ordered set-associative caches, the Accounting Cache
-of Dropsho et al. (A/B partitions with exact what-if accounting), the main
-memory model, and the load/store-domain cache hierarchy."""
+"""Cache substrate: the Accounting Cache of Dropsho et al. (A/B partitions
+with exact what-if accounting over MRU-ordered sets), the main memory model,
+and the load/store-domain cache hierarchy.
 
-from repro.caches.mru import MRUSet
-from repro.caches.cache import AccessOutcome, SetAssociativeCache
-from repro.caches.accounting import AccountingCache, CacheIntervalStats
+Every cache is an :class:`AccountingCache` whose sets are flat MRU-ordered
+tag lists built on first touch; one ``access`` call does the whole probe.
+:meth:`CacheHierarchy.access_data` returns the completion time in
+picoseconds, and the hierarchy's counters carry the per-level outcomes."""
+
+from repro.caches.accounting import AccessOutcome, AccountingCache, CacheIntervalStats
 from repro.caches.memory import MainMemory
-from repro.caches.hierarchy import CacheHierarchy, MemoryAccessResult
+from repro.caches.hierarchy import CacheHierarchy
 
 __all__ = [
-    "MRUSet",
     "AccessOutcome",
-    "SetAssociativeCache",
     "AccountingCache",
     "CacheIntervalStats",
     "MainMemory",
     "CacheHierarchy",
-    "MemoryAccessResult",
 ]

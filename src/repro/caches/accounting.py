@@ -8,7 +8,15 @@ swapped (which the MRU ordering captures implicitly).  Because every set
 keeps exact MRU ordering, simple per-MRU-position hit counters are enough to
 reconstruct the number of A hits, B hits and misses that *any* partitioning
 would have experienced over an interval — the property the phase-adaptive
-controller exploits to avoid exploring configurations online.
+controller exploits to avoid exploring configurations online.  With true-LRU
+replacement the ordering has the *stack property*: an access hits in a cache
+of ``a`` ways if and only if the block's MRU position is below ``a``.
+
+Each set is a plain list of tags in MRU order, created on the set's first
+touch, so building a cache costs one list however large the physical array
+is.  :meth:`AccountingCache.access` performs the whole probe in one call: set
+index and tag, MRU update and LRU eviction, the interval counters, the
+probe-width histogram and the outcome.
 
 Two operating modes are supported:
 
@@ -22,10 +30,23 @@ Two operating modes are supported:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
-from repro.caches.cache import AccessOutcome, SetAssociativeCache
 from repro.timing.cacti import CacheGeometry
+
+
+class AccessOutcome(enum.Enum):
+    """Where an access was satisfied."""
+
+    HIT_A = "hit_a"
+    HIT_B = "hit_b"
+    MISS = "miss"
+
+
+_HIT_A = AccessOutcome.HIT_A
+_HIT_B = AccessOutcome.HIT_B
+_MISS = AccessOutcome.MISS
 
 
 @dataclass(slots=True)
@@ -40,14 +61,6 @@ class CacheIntervalStats:
     def __post_init__(self) -> None:
         if not self.hits_by_mru_position:
             self.hits_by_mru_position = [0] * self.ways
-
-    def record(self, mru_position: int) -> None:
-        """Record one access that hit at *mru_position* (or missed if negative)."""
-        self.accesses += 1
-        if mru_position < 0:
-            self.misses += 1
-        else:
-            self.hits_by_mru_position[mru_position] += 1
 
     def hits_within(self, ways: int) -> int:
         """Hits that a cache restricted to the first *ways* MRU positions sees."""
@@ -76,8 +89,11 @@ class CacheIntervalStats:
             self.hits_by_mru_position[index] = 0
 
 
-class AccountingCache(SetAssociativeCache):
+class AccountingCache:
     """Set-associative cache with A/B partitioning and what-if accounting.
+
+    The cache is a timing/occupancy model only: it tracks which block
+    addresses are resident, not their data.
 
     Parameters
     ----------
@@ -100,17 +116,16 @@ class AccountingCache(SetAssociativeCache):
         b_enabled: bool = True,
         name: str = "accounting-cache",
     ) -> None:
-        super().__init__(geometry, name=name)
-        if not 1 <= a_ways <= geometry.associativity:
-            raise ValueError(
-                f"a_ways must be in [1, {geometry.associativity}], got {a_ways}"
-            )
-        self._a_ways = a_ways
+        self.name = name
+        self.geometry = geometry
+        self._ways = geometry.associativity
+        self._block_bytes = geometry.block_bytes
+        self._num_sets = geometry.num_sets
+        #: Resident tags per set in MRU order; ``None`` until first touched.
+        self._sets: list[list[int] | None] = [None] * self._num_sets
+        self.set_a_ways(a_ways)
         self._b_enabled = b_enabled
-        self.interval_stats = CacheIntervalStats(ways=geometry.associativity)
-        self.lifetime_a_hits = 0
-        self.lifetime_b_hits = 0
-        self.lifetime_misses = 0
+        self.interval_stats = CacheIntervalStats(ways=self._ways)
         #: Probe-width histogram for energy accounting (observation-only):
         #: ways activated by a probe -> number of such probes.  An A access
         #: activates the current ``a_ways``; the fallback B probe activates
@@ -118,6 +133,11 @@ class AccountingCache(SetAssociativeCache):
         self.access_profile: dict[int, int] = {}
 
     # ------------------------------------------------------------------ API
+
+    @property
+    def num_sets(self) -> int:
+        """Number of sets in the cache."""
+        return self._num_sets
 
     @property
     def a_ways(self) -> int:
@@ -134,14 +154,12 @@ class AccountingCache(SetAssociativeCache):
         """Width of the B partition under the current configuration."""
         if not self._b_enabled:
             return 0
-        return self.geometry.associativity - self._a_ways
+        return self._ways - self._a_ways
 
     def set_a_ways(self, a_ways: int) -> None:
         """Repartition the cache so the A partition spans *a_ways* ways."""
-        if not 1 <= a_ways <= self.geometry.associativity:
-            raise ValueError(
-                f"a_ways must be in [1, {self.geometry.associativity}], got {a_ways}"
-            )
+        if not 1 <= a_ways <= self._ways:
+            raise ValueError(f"a_ways must be in [1, {self._ways}], got {a_ways}")
         self._a_ways = a_ways
 
     def set_b_enabled(self, enabled: bool) -> None:
@@ -149,35 +167,51 @@ class AccountingCache(SetAssociativeCache):
         self._b_enabled = enabled
 
     def access(self, address: int) -> AccessOutcome:
-        """Access *address* and classify the outcome under the current config."""
-        position = self.lookup(address)
-        self.interval_stats.record(position)
+        """Access *address* and classify the outcome under the current config.
+
+        The block moves to MRU position 0 (installed on a miss, evicting the
+        LRU block of a full set).  The interval counters record the block's
+        previous MRU position, or a miss of the whole physical array; the
+        probe-width histogram records the A probe and, on an A miss with the
+        B partition enabled, the B probe.
+        """
+        block = address // self._block_bytes
+        num_sets = self._num_sets
+        index = block % num_sets
+        tag = block // num_sets
+        stats = self.interval_stats
+        stats.accesses += 1
         a_ways = self._a_ways
         profile = self.access_profile
         profile[a_ways] = profile.get(a_ways, 0) + 1
-        if 0 <= position < a_ways:
-            self.lifetime_a_hits += 1
-            return AccessOutcome.HIT_A
+        blocks = self._sets[index]
+        if blocks is None:
+            self._sets[index] = [tag]
+        elif tag in blocks:
+            position = blocks.index(tag)
+            stats.hits_by_mru_position[position] += 1
+            if position:
+                del blocks[position]
+                blocks.insert(0, tag)
+            if position < a_ways:
+                return _HIT_A
+            if self._b_enabled:
+                # The A miss fell through to a B-partition probe, activating
+                # the remaining ways of the physical array.
+                b_ways = self._ways - a_ways
+                profile[b_ways] = profile.get(b_ways, 0) + 1
+                return _HIT_B
+            return _MISS
+        else:
+            if len(blocks) >= self._ways:
+                blocks.pop()
+            blocks.insert(0, tag)
+        stats.misses += 1
         if self._b_enabled:
-            # The A miss fell through to a B-partition probe (hit or not),
-            # activating the remaining ways of the physical array.
-            b_ways = self.geometry.associativity - a_ways
+            b_ways = self._ways - a_ways
             if b_ways:
                 profile[b_ways] = profile.get(b_ways, 0) + 1
-            if position >= a_ways:
-                self.lifetime_b_hits += 1
-                self.stats.b_hits += 1
-                return AccessOutcome.HIT_B
-        self.lifetime_misses += 1
-        return AccessOutcome.MISS
-
-    def snapshot_interval(self) -> CacheIntervalStats:
-        """Return a copy of the current interval counters."""
-        copy = CacheIntervalStats(ways=self.interval_stats.ways)
-        copy.accesses = self.interval_stats.accesses
-        copy.misses = self.interval_stats.misses
-        copy.hits_by_mru_position = list(self.interval_stats.hits_by_mru_position)
-        return copy
+        return _MISS
 
     def reset_interval(self) -> None:
         """Reset the per-interval counters (called by the controller)."""

@@ -16,26 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caches.accounting import AccountingCache
-from repro.caches.cache import AccessOutcome
+from repro.caches.accounting import AccessOutcome, AccountingCache
 from repro.caches.memory import MainMemory
 from repro.clocks.time import Picoseconds
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, DCacheL2Config
 
-
-@dataclass(slots=True)
-class MemoryAccessResult:
-    """Outcome of one data access to the hierarchy."""
-
-    completion_ps: Picoseconds
-    l1_outcome: AccessOutcome
-    l2_outcome: AccessOutcome | None
-    went_to_memory: bool
-
-    @property
-    def latency_ps(self) -> Picoseconds:
-        """Convenience alias (completion minus request time is tracked by caller)."""
-        return self.completion_ps
+_HIT_A = AccessOutcome.HIT_A
+_HIT_B = AccessOutcome.HIT_B
 
 
 @dataclass(slots=True)
@@ -115,13 +102,6 @@ class CacheHierarchy:
         self.stats = HierarchyStats()
         for cache in (self.l1d, self.l2):
             cache.reset_interval()
-            cache.stats.accesses = 0
-            cache.stats.hits = 0
-            cache.stats.misses = 0
-            cache.stats.b_hits = 0
-            cache.lifetime_a_hits = 0
-            cache.lifetime_b_hits = 0
-            cache.lifetime_misses = 0
             cache.reset_access_profile()
 
     # -------------------------------------------------------------- accesses
@@ -133,48 +113,27 @@ class CacheHierarchy:
         is_store: bool,
         now_ps: Picoseconds,
         period_ps: Picoseconds,
-    ) -> MemoryAccessResult:
-        """Access the data hierarchy and return when the data is available."""
+    ) -> Picoseconds:
+        """Access the data hierarchy; return when the data is available (ps)."""
+        stats = self.stats
         if is_store:
-            self.stats.stores += 1
+            stats.stores += 1
         else:
-            self.stats.loads += 1
-
+            stats.loads += 1
         l1_a, l1_b = self._config.l1_latency
-        l2_a, l2_b = self._config.l2_latency
-
-        l1_outcome = self.l1d.access(address)
+        outcome = self.l1d.access(address)
         completion = now_ps + l1_a * period_ps
-        if l1_outcome is AccessOutcome.HIT_A:
-            self.stats.l1_hits_a += 1
-            return MemoryAccessResult(completion, l1_outcome, None, False)
-        if l1_outcome is AccessOutcome.HIT_B:
-            self.stats.l1_hits_b += 1
-            completion += (l1_b or 0) * period_ps
-            return MemoryAccessResult(completion, l1_outcome, None, False)
-
+        if outcome is _HIT_A:
+            stats.l1_hits_a += 1
+            return completion
+        if outcome is _HIT_B:
+            stats.l1_hits_b += 1
+            return completion + (l1_b or 0) * period_ps
         # L1 miss: the full A (+B) probe time was spent before going below.
-        self.stats.l1_misses += 1
+        stats.l1_misses += 1
         if self.l1d.b_enabled and l1_b is not None:
             completion += l1_b * period_ps
-
-        l2_outcome = self.l2.access(address)
-        completion += l2_a * period_ps
-        if l2_outcome is AccessOutcome.HIT_A:
-            self.stats.l2_hits_a += 1
-            return MemoryAccessResult(completion, l1_outcome, l2_outcome, False)
-        if l2_outcome is AccessOutcome.HIT_B:
-            self.stats.l2_hits_b += 1
-            completion += (l2_b or 0) * period_ps
-            return MemoryAccessResult(completion, l1_outcome, l2_outcome, False)
-
-        self.stats.l2_misses += 1
-        if self.l2.b_enabled and l2_b is not None:
-            completion += l2_b * period_ps
-        completion = self.memory.access(
-            address, self.l2.geometry.block_bytes, completion
-        )
-        return MemoryAccessResult(completion, l1_outcome, l2_outcome, True)
+        return self._access_l2(address, completion, period_ps)
 
     def access_l2_for_instruction(
         self, address: int, *, now_ps: Picoseconds, period_ps: Picoseconds
@@ -185,16 +144,23 @@ class CacheHierarchy:
         to the front end (before cross-domain synchronisation back).
         """
         self.stats.instruction_l2_accesses += 1
+        return self._access_l2(address, now_ps, period_ps)
+
+    def _access_l2(
+        self, address: int, now_ps: Picoseconds, period_ps: Picoseconds
+    ) -> Picoseconds:
+        """Probe the L2 at *now_ps*, going to memory on a miss."""
+        stats = self.stats
         l2_a, l2_b = self._config.l2_latency
         outcome = self.l2.access(address)
         completion = now_ps + l2_a * period_ps
-        if outcome is AccessOutcome.HIT_A:
-            self.stats.l2_hits_a += 1
+        if outcome is _HIT_A:
+            stats.l2_hits_a += 1
             return completion
-        if outcome is AccessOutcome.HIT_B:
-            self.stats.l2_hits_b += 1
+        if outcome is _HIT_B:
+            stats.l2_hits_b += 1
             return completion + (l2_b or 0) * period_ps
-        self.stats.l2_misses += 1
+        stats.l2_misses += 1
         if self.l2.b_enabled and l2_b is not None:
             completion += l2_b * period_ps
         return self.memory.access(address, self.l2.geometry.block_bytes, completion)

@@ -67,9 +67,20 @@ class ArchitecturalParameters:
     mispredict_integer_cycles_adaptive: int = 9
 
 
+def check_index(name: str, index: int, count: int) -> None:
+    """Raise a ``ValueError`` naming *name* unless ``0 <= index < count``."""
+    if not 0 <= index < count:
+        raise ValueError(f"{name} must be in [0, {count - 1}], got {index}")
+
+
 @dataclass(frozen=True, slots=True)
 class AdaptiveConfigIndices:
-    """One point in the adaptive (or synchronous) configuration space."""
+    """One point in the adaptive (or synchronous) configuration space.
+
+    The I-cache index ranges over the sixteen synchronous configurations; an
+    adaptive machine accepts only the first four (see
+    :func:`adaptive_mcd_spec`).
+    """
 
     icache_index: int = 0
     dcache_index: int = 0
@@ -77,6 +88,8 @@ class AdaptiveConfigIndices:
     fp_queue_size: int = 16
 
     def __post_init__(self) -> None:
+        check_index("icache_index", self.icache_index, len(OPTIMIZED_ICACHE_CONFIGS))
+        check_index("dcache_index", self.dcache_index, len(OPTIMAL_DCACHE_CONFIGS))
         if self.int_queue_size not in ISSUE_QUEUE_SIZES:
             raise ValueError(f"unsupported integer queue size {self.int_queue_size}")
         if self.fp_queue_size not in ISSUE_QUEUE_SIZES:
@@ -98,11 +111,12 @@ class AdaptiveConfigIndices:
                 "ic", "dc", "iq", "fq",
             ):
                 raise ValueError(key)
-            return cls(
+            values = (
                 int(icache[2:]), int(dcache[2:]), int(int_queue[2:]), int(fp_queue[2:])
             )
         except (ValueError, IndexError) as error:
             raise ValueError(f"malformed configuration key {key!r}") from error
+        return cls(*values)
 
     def to_dict(self) -> dict[str, int]:
         """Plain-data form for JSON payloads and job fingerprints."""
@@ -209,6 +223,7 @@ def adaptive_mcd_spec(
     will be driven by the phase-adaptive controllers.
     """
     indices = indices if indices is not None else AdaptiveConfigIndices()
+    check_index("icache_index", indices.icache_index, len(ADAPTIVE_ICACHE_CONFIGS))
     parameters = parameters if parameters is not None else ArchitecturalParameters()
     icache = ADAPTIVE_ICACHE_CONFIGS[indices.icache_index]
     dcache = ADAPTIVE_DCACHE_CONFIGS[indices.dcache_index]

@@ -313,6 +313,20 @@ class MCDProcessor:
         physical_icache = (
             ADAPTIVE_ICACHE_CONFIGS[-1].icache if self.spec.is_adaptive else None
         )
+        # The miss service closes over the objects it uses, not over the
+        # processor, so the front end holds no reference back to it and a
+        # finished processor is freed by reference counting.
+        transfer = self.sync.transfer
+        fe_clock = self._fe_clock
+        ls_clock = self._ls_clock
+        access_l2 = self.hierarchy.access_l2_for_instruction
+
+        def service_icache_miss(address: int, now: Picoseconds) -> Picoseconds:
+            """Service an I-cache miss from the unified L2 across the boundary."""
+            request = transfer(now, fe_clock, ls_clock)
+            ready = access_l2(address, now_ps=request, period_ps=ls_clock.period_ps)
+            return transfer(ready, ls_clock, fe_clock)
+
         self.frontend = FrontEnd(
             trace,
             icache_config=self.spec.icache,
@@ -321,7 +335,7 @@ class MCDProcessor:
             fetch_queue_capacity=self.params.fetch_queue_entries,
             decode_cycles=self.params.decode_cycles,
             use_b_partition=self.spec.use_b_partitions,
-            icache_miss_handler=self._service_icache_miss,
+            icache_miss_handler=service_icache_miss,
         )
         if warmup_instructions > 0:
             self._warm_up(warmup_instructions)
@@ -1207,20 +1221,18 @@ class MCDProcessor:
                     lsq_stats.loads_forwarded += 1
                     performed += 1
                     continue
-                result = access_data(
+                inst.completion_time = access_data(
                     inst.address, is_store=False, now_ps=now, period_ps=period
                 )
-                inst.completion_time = result.completion_ps
                 inst.exec_domain = _LOAD_STORE_DOMAIN
                 inst.memory_issued = True
                 lsq.unissued -= 1
                 lsq_stats.loads_performed += 1
                 performed += 1
             else:
-                result = access_data(
+                inst.completion_time = access_data(
                     inst.address, is_store=True, now_ps=now, period_ps=period
                 )
-                inst.completion_time = result.completion_ps
                 inst.exec_domain = _LOAD_STORE_DOMAIN
                 inst.memory_issued = True
                 lsq.unissued -= 1
@@ -1254,16 +1266,6 @@ class MCDProcessor:
         redirect = self.sync.transfer(resolved, int_clock, fe_clock)
         redirect += extra_fe * fe_clock.period_ps
         frontend.resume_after_branch(branch, redirect)
-
-    def _service_icache_miss(self, address: int, now: Picoseconds) -> Picoseconds:
-        """Service an I-cache miss from the unified L2 across the boundary."""
-        fe_clock = self.clocks[Domain.FRONT_END]
-        ls_clock = self.clocks[Domain.LOAD_STORE]
-        request = self.sync.transfer(now, fe_clock, ls_clock)
-        ready = self.hierarchy.access_l2_for_instruction(
-            address, now_ps=request, period_ps=ls_clock.period_ps
-        )
-        return self.sync.transfer(ready, ls_clock, fe_clock)
 
     # ------------------------------------------------------------ adaptation
 
@@ -1378,37 +1380,43 @@ class MCDProcessor:
     def _apply_cache_change(
         self, structure: str, domain: Domain, new_index: int, now: Picoseconds
     ) -> None:
+        # The closures below capture the objects they touch, never ``self``:
+        # a run that ends with this change still pending leaves no reference
+        # cycle through the processor.
         clock = self.clocks[domain]
         if structure == "dcache":
             config = ADAPTIVE_DCACHE_CONFIGS[new_index]
             new_frequency = config.frequency_ghz
-            apply_structure = lambda: self.hierarchy.apply_config(config)  # noqa: E731
+            hierarchy = self.hierarchy
+            apply_structure = lambda: hierarchy.apply_config(config)  # noqa: E731
         else:
             config = ADAPTIVE_ICACHE_CONFIGS[new_index]
             new_frequency = config.frequency_ghz
             frontend = self.frontend
             assert frontend is not None
+            use_b_partition = self.spec.use_b_partitions
             apply_structure = lambda: frontend.apply_icache_config(  # noqa: E731
-                config, use_b_partition=self.spec.use_b_partitions
+                config, use_b_partition=use_b_partition
             )
         lock_time = self.pll.sample_lock_ps(self._last_interval_duration)
         upsizing = new_frequency < clock.frequency_ghz
-        self._changes_in_progress.add(domain)
+        changes_in_progress = self._changes_in_progress
+        changes_in_progress.add(domain)
         fire_time = now + lock_time
-        trace_freq = self._trace_freq
+        recorder = self.recorder if self._trace_freq else None
+        rob = self.rob
 
         def finish() -> None:
             old_frequency = clock.frequency_ghz
             if upsizing:
                 apply_structure()
             clock.set_frequency(new_frequency)
-            self._changes_in_progress.discard(domain)
-            if trace_freq:
-                assert self.recorder is not None
-                self.recorder.emit(
+            changes_in_progress.discard(domain)
+            if recorder is not None:
+                recorder.emit(
                     FREQUENCY_CHANGE,
                     fire_time,
-                    self.rob.total_committed,
+                    rob.total_committed,
                     domain=domain.value,
                     old_ghz=old_frequency,
                     new_ghz=new_frequency,
@@ -1444,26 +1452,28 @@ class MCDProcessor:
         new_size: int,
         now: Picoseconds,
     ) -> None:
+        # As in _apply_cache_change, ``finish`` does not capture ``self``.
         clock = self.clocks[domain]
         new_frequency = ISSUE_QUEUE_FREQUENCY_GHZ[new_size]
         upsizing = new_size > queue.capacity
         lock_time = self.pll.sample_lock_ps(self._last_interval_duration or None)
-        self._changes_in_progress.add(domain)
+        changes_in_progress = self._changes_in_progress
+        changes_in_progress.add(domain)
         fire_time = now + lock_time
-        trace_freq = self._trace_freq
+        recorder = self.recorder if self._trace_freq else None
+        rob = self.rob
 
         def finish() -> None:
             old_frequency = clock.frequency_ghz
             if upsizing:
                 queue.set_capacity(new_size)
             clock.set_frequency(new_frequency)
-            self._changes_in_progress.discard(domain)
-            if trace_freq:
-                assert self.recorder is not None
-                self.recorder.emit(
+            changes_in_progress.discard(domain)
+            if recorder is not None:
+                recorder.emit(
                     FREQUENCY_CHANGE,
                     fire_time,
-                    self.rob.total_committed,
+                    rob.total_committed,
                     domain=domain.value,
                     old_ghz=old_frequency,
                     new_ghz=new_frequency,

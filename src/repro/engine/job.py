@@ -27,11 +27,13 @@ from repro.core.configuration import (
     adaptive_mcd_spec,
     base_adaptive_spec,
     best_overall_synchronous_spec,
+    check_index,
     synchronous_spec,
 )
 from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.synchronization import DEFAULT_WINDOW_FRACTION
 from repro.obs.options import TraceOptions
+from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads.characteristics import WorkloadProfile
 from repro.workloads.trace_cache import cached_trace
 
@@ -199,6 +201,10 @@ class SimulationJob:
             object.__setattr__(self, "spec_kind", SpecKind(self.spec_kind))
         if self.phase_adaptive and self.spec_kind not in _ADAPTIVE_KINDS:
             raise ValueError("phase-adaptive runs require an adaptive machine spec")
+        if self.indices is not None and self.spec_kind in _ADAPTIVE_KINDS:
+            check_index(
+                "icache_index", self.indices.icache_index, len(ADAPTIVE_ICACHE_CONFIGS)
+            )
         if self.window is not None and self.window <= 0:
             raise ValueError("window must be positive")
         if self.warmup is not None and self.warmup < 0:

@@ -26,8 +26,7 @@ from typing import Callable, Iterable
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.hybrid import HybridPredictor, build_predictor
-from repro.caches.accounting import AccountingCache
-from repro.caches.cache import AccessOutcome
+from repro.caches.accounting import AccessOutcome, AccountingCache
 from repro.clocks.time import Picoseconds
 from repro.timing.cacti import CacheGeometry
 from repro.isa.instruction import Instruction
@@ -44,6 +43,9 @@ from repro.isa.registers import NO_REGISTER
 from repro.pipeline.dyninst import DynInst
 from repro.timing.tables import ICacheConfig
 from repro.workloads.generator import CompiledTrace
+
+_HIT_B = AccessOutcome.HIT_B
+_MISS = AccessOutcome.MISS
 
 #: Upper bound on the DynInst free list (enough to cover ROB + queues with
 #: slack; beyond this, retired records are simply dropped to the GC).
@@ -237,32 +239,13 @@ class FrontEnd:
         """Skip *count* instructions (bulk warm-up reads columns directly)."""
         self._cursor += count
 
-    def warm(self, instruction: Instruction) -> None:
-        """Warm the I-cache and branch predictor without timing effects."""
-        pc = instruction.pc
-        block = pc // self.icache.geometry.block_bytes
-        if block != self._last_block:
-            self.icache.access(pc)
-            self._last_block = block
-        if instruction.is_branch:
-            taken = instruction.taken
-            self.predictor.predict_and_update(pc, taken)
-            if taken:
-                self.btb.update(pc, instruction.target or 0)
-
     def reset_warm_state(self) -> None:
         """Clear warmup bookkeeping and statistics before a measured run."""
         self._last_block = None
         self._measured_from = self._cursor
         self.icache.reset_interval()
-        self.icache.stats.accesses = 0
-        self.icache.stats.hits = 0
-        self.icache.stats.misses = 0
-        self.icache.stats.b_hits = 0
         self.icache.reset_access_profile()
         self.stats = FrontEndStats()
-        self.predictor.stats.predictions = 0
-        self.predictor.stats.mispredictions = 0
 
     def recycle(self, insts: Iterable[DynInst]) -> None:
         """Return retired DynInst records to the fetch pool.
@@ -336,13 +319,13 @@ class FrontEnd:
                 outcome = icache.access(pc)
                 stats.icache_accesses += 1
                 last_block = block
-                if outcome is AccessOutcome.HIT_B:
+                if outcome is _HIT_B:
                     # The fetch pipeline keeps running; instructions from this
                     # block simply become available to dispatch B-latency
                     # cycles later.
                     stats.icache_b_hits += 1
                     extra_decode_delay = (self.icache_config.l1_latency[1] or 0) * period_ps
-                elif outcome is AccessOutcome.MISS:
+                elif outcome is _MISS:
                     stats.icache_misses += 1
                     if self._icache_miss_handler is not None:
                         ready = self._icache_miss_handler(pc, now)

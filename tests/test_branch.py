@@ -1,82 +1,81 @@
 """Tests for the branch-prediction substrate."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.branch import (
-    BranchTargetBuffer,
-    GsharePredictor,
-    HybridPredictor,
-    LocalHistoryPredictor,
-    SaturatingCounter,
-    build_predictor,
+from repro.branch import BranchTargetBuffer, HybridPredictor, build_predictor
+from repro.timing.tables import (
+    ADAPTIVE_ICACHE_CONFIGS,
+    OPTIMIZED_ICACHE_CONFIGS,
+    BranchPredictorGeometry,
 )
-from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS, OPTIMIZED_ICACHE_CONFIGS
+
+BASE_GEOMETRY = ADAPTIVE_ICACHE_CONFIGS[0].predictor
 
 
-class TestSaturatingCounter:
-    def test_initial_prediction_weakly_not_taken(self):
-        assert SaturatingCounter().prediction is False
-
-    def test_trains_toward_taken(self):
-        counter = SaturatingCounter()
-        counter.update(True)
-        counter.update(True)
-        assert counter.prediction is True
-
-    def test_saturation(self):
-        counter = SaturatingCounter()
-        for _ in range(10):
-            counter.update(True)
-        assert counter.value == 3
-        for _ in range(10):
-            counter.update(False)
-        assert counter.value == 0
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
+def narrow_geometry(global_history_bits, local_history_bits):
+    """1024-entry tables with the given history widths."""
+    return BranchPredictorGeometry(
+        global_history_bits=global_history_bits,
+        gshare_entries=1024,
+        meta_entries=1024,
+        local_history_bits=local_history_bits,
+        local_bht_entries=1024,
+        local_pht_entries=1024,
+    )
 
 
 class TestGshare:
     def test_learns_a_strongly_biased_branch(self):
-        predictor = GsharePredictor(history_bits=12, table_entries=4096)
+        predictor = HybridPredictor(BASE_GEOMETRY)
         pc = 0x4000
         for _ in range(50):
-            predictor.update(pc, True)
-        assert predictor.predict(pc) is True
+            predictor.predict_and_update(pc, True)
+        assert predictor.predict_and_update(pc, True) is True
 
     def test_history_shifts(self):
-        predictor = GsharePredictor(history_bits=4, table_entries=1024)
-        predictor.update(0x100, True)
-        predictor.update(0x100, False)
-        assert predictor.history == 0b10
+        """Each outcome shifts into the global history, so a branch that
+        repeats the previous branch's random outcome becomes predictable (its
+        own local history is random)."""
+        predictor = HybridPredictor(narrow_geometry(2, 10))
+        rng = random.Random(5)
+        correct = 0
+        for iteration in range(600):
+            outcome = rng.random() < 0.5
+            predictor.predict_and_update(0x100, outcome)
+            hit = predictor.predict_and_update(0x200, outcome)
+            if iteration >= 500:
+                correct += hit
+        assert correct >= 95
 
     def test_table_size_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            GsharePredictor(history_bits=4, table_entries=1000)
+            HybridPredictor(dataclasses.replace(BASE_GEOMETRY, gshare_entries=1000))
 
 
 class TestLocalPredictor:
     def test_learns_an_alternating_pattern(self):
-        predictor = LocalHistoryPredictor(history_bits=10, bht_entries=1024, pht_entries=1024)
+        # One bit of global history holds only the interleaved random
+        # branch's outcome, so only the local component can learn the
+        # alternating branch.
+        predictor = HybridPredictor(narrow_geometry(1, 10))
+        rng = random.Random(11)
         pc = 0x770
         outcome = True
-        for _ in range(200):
-            predictor.update(pc, outcome)
-            outcome = not outcome
         correct = 0
-        for _ in range(100):
-            if predictor.predict(pc) == outcome:
-                correct += 1
-            predictor.update(pc, outcome)
+        for iteration in range(300):
+            predictor.predict_and_update(0x1000, rng.random() < 0.5)
+            hit = predictor.predict_and_update(pc, outcome)
+            if iteration >= 200:
+                correct += hit
             outcome = not outcome
         assert correct >= 95
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LocalHistoryPredictor(history_bits=10, bht_entries=1000, pht_entries=1024)
+            HybridPredictor(dataclasses.replace(BASE_GEOMETRY, local_bht_entries=1000))
 
 
 class TestHybridPredictor:
@@ -98,17 +97,18 @@ class TestHybridPredictor:
         for _ in range(10):
             for pc, direction in branches.items():
                 total += 1
-                if predictor.predict(pc) == direction:
-                    correct += 1
-                predictor.predict_and_update(pc, direction)
+                correct += predictor.predict_and_update(pc, direction)
         assert correct / total > 0.97
 
-    def test_accuracy_tracks_stats(self):
-        predictor = build_predictor(ADAPTIVE_ICACHE_CONFIGS[0].predictor)
-        for _ in range(20):
-            predictor.predict_and_update(0x2000, True)
-        assert predictor.stats.predictions == 20
-        assert 0.0 <= predictor.stats.accuracy <= 1.0
+    @pytest.mark.parametrize("field", ["meta_entries", "local_pht_entries"])
+    def test_table_sizes_must_be_powers_of_two(self, field):
+        with pytest.raises(ValueError, match=field):
+            HybridPredictor(dataclasses.replace(BASE_GEOMETRY, **{field: 1000}))
+
+    @pytest.mark.parametrize("field", ["global_history_bits", "local_history_bits"])
+    def test_history_bits_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=field):
+            HybridPredictor(dataclasses.replace(BASE_GEOMETRY, **{field: 0}))
 
     def test_larger_predictor_not_worse_on_many_branches(self):
         """More predictor capacity (Table 2 scaling) should not hurt accuracy
@@ -128,8 +128,6 @@ class TestHybridPredictor:
         # random, so neither predictor can do much better than its static
         # bias here; the point of the test is that both stay functional and
         # train without error on a large, heavily aliased population.
-        assert small.stats.predictions == total
-        assert large.stats.predictions == total
         assert small_correct / total > 0.3
         assert large_correct / total > 0.3
 

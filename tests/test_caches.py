@@ -1,128 +1,110 @@
-"""Tests for the MRU cache substrate and the Accounting Cache."""
+"""Tests for the Accounting Cache: MRU order, set mapping and accounting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.caches import (
-    AccessOutcome,
-    AccountingCache,
-    CacheIntervalStats,
-    MRUSet,
-    SetAssociativeCache,
-)
+from repro.caches import AccessOutcome, AccountingCache, CacheIntervalStats
 from repro.timing.cacti import CacheGeometry
 
 
-class TestMRUSet:
+def cache_of(ways):
+    """A cache of *ways* ways and 256 sets, all of them in the A partition."""
+    geometry = CacheGeometry(size_kb=16 * ways, associativity=ways, sub_banks=32)
+    return AccountingCache(geometry, a_ways=ways)
+
+
+def in_set_zero(cache, block):
+    """Address of the *block*-th distinct block that maps to set 0."""
+    return block * cache.num_sets * 64
+
+
+def mru_position(cache, address):
+    """Access *address*; return the block's previous MRU position (-1 on a
+    miss), read off the interval counters."""
+    stats = cache.interval_stats
+    before = list(stats.hits_by_mru_position)
+    cache.access(address)
+    for position, count in enumerate(stats.hits_by_mru_position):
+        if count != before[position]:
+            return position
+    return -1
+
+
+class TestMRUOrder:
     def test_miss_then_hit(self):
-        mru = MRUSet(ways=4)
-        assert mru.access(10) == -1
-        assert mru.access(10) == 0
+        cache = cache_of(4)
+        assert mru_position(cache, 0x2800) == -1
+        assert mru_position(cache, 0x2800) == 0
 
     def test_mru_ordering(self):
-        mru = MRUSet(ways=4)
-        for tag in (1, 2, 3):
-            mru.access(tag)
-        assert mru.tags_in_mru_order() == (3, 2, 1)
-        assert mru.access(1) == 2
-        assert mru.tags_in_mru_order() == (1, 3, 2)
+        cache = cache_of(4)
+        for block in (1, 2, 3):
+            mru_position(cache, in_set_zero(cache, block))
+        # MRU order is now 3, 2, 1.
+        assert mru_position(cache, in_set_zero(cache, 1)) == 2
+        # ... and now 1, 3, 2.
+        assert mru_position(cache, in_set_zero(cache, 3)) == 1
+        assert mru_position(cache, in_set_zero(cache, 2)) == 2
 
     def test_eviction_is_lru(self):
-        mru = MRUSet(ways=2)
-        mru.access(1)
-        mru.access(2)
-        mru.access(3)  # evicts 1
-        assert mru.probe(1) == -1
-        assert mru.probe(2) == 1
-        assert mru.probe(3) == 0
-
-    def test_probe_does_not_touch_recency(self):
-        mru = MRUSet(ways=4)
-        mru.access(1)
-        mru.access(2)
-        assert mru.probe(1) == 1
-        assert mru.tags_in_mru_order() == (2, 1)
-
-    def test_invalidate(self):
-        mru = MRUSet(ways=4)
-        mru.access(7)
-        assert mru.invalidate(7)
-        assert not mru.invalidate(7)
-        assert mru.probe(7) == -1
-
-    def test_flush(self):
-        mru = MRUSet(ways=4)
-        for tag in range(4):
-            mru.access(tag)
-        mru.flush()
-        assert mru.occupancy == 0
+        cache = cache_of(2)
+        for block in (1, 2, 3):  # the third block evicts block 1
+            mru_position(cache, in_set_zero(cache, block))
+        assert mru_position(cache, in_set_zero(cache, 2)) == 1
+        assert mru_position(cache, in_set_zero(cache, 1)) == -1
 
     def test_requires_at_least_one_way(self):
         with pytest.raises(ValueError):
-            MRUSet(ways=0)
+            AccountingCache(CacheGeometry(size_kb=32, associativity=0, sub_banks=32))
 
     @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=200))
     @settings(max_examples=50)
-    def test_stack_property(self, tags):
+    def test_stack_property(self, blocks):
         """The LRU stack property: a hit in a small cache implies a hit in any
         larger cache for the same access sequence."""
-        small = MRUSet(ways=2)
-        large = MRUSet(ways=6)
-        for tag in tags:
-            pos_small = small.access(tag)
-            pos_large = large.access(tag)
+        small = cache_of(2)
+        large = cache_of(6)
+        for block in blocks:
+            pos_small = mru_position(small, in_set_zero(small, block))
+            pos_large = mru_position(large, in_set_zero(large, block))
             if pos_small >= 0:
                 assert 0 <= pos_large <= pos_small
 
 
-class TestSetAssociativeCache:
-    def geometry(self, size_kb=32, assoc=4):
-        return CacheGeometry(size_kb=size_kb, associativity=assoc, sub_banks=32)
-
+class TestSetMapping:
     def test_block_and_set_mapping(self):
-        cache = SetAssociativeCache(self.geometry())
-        assert cache.block_address(0x1234) == 0x1200
-        assert cache.set_index(0x1240) != cache.set_index(0x1240 + 64 * cache.num_sets + 64)
+        cache = cache_of(1)
+        stride = cache.num_sets * 64
+        cache.access(0x1200)
+        assert cache.access(0x1234) is AccessOutcome.HIT_A  # same 64-byte block
+        assert cache.access(0x1240) is AccessOutcome.MISS  # the next block
+        # One set and one block further on: a different set, so no eviction.
+        cache.access(0x1240 + stride + 64)
+        assert cache.access(0x1240) is AccessOutcome.HIT_A
+        # A whole stride on: the same set, which evicts the block.
+        cache.access(0x1240 + stride)
+        assert cache.access(0x1240) is AccessOutcome.MISS
 
     def test_lookup_miss_then_hit(self):
-        cache = SetAssociativeCache(self.geometry())
-        assert cache.lookup(0x4000) == -1
-        assert cache.lookup(0x4000) == 0
-        assert cache.stats.accesses == 2
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        cache = cache_of(4)
+        assert cache.access(0x4000) is AccessOutcome.MISS
+        assert cache.access(0x4000) is AccessOutcome.HIT_A
+        stats = cache.interval_stats
+        assert stats.accesses == 2
+        assert stats.misses == 1
+        assert stats.hits_by_mru_position == [1, 0, 0, 0]
 
     def test_same_block_different_words_hit(self):
-        cache = SetAssociativeCache(self.geometry())
-        cache.lookup(0x4000)
-        assert cache.lookup(0x4038) == 0
-
-    def test_contains_and_invalidate(self):
-        cache = SetAssociativeCache(self.geometry())
-        cache.lookup(0x8000)
-        assert cache.contains(0x8000)
-        assert cache.invalidate(0x8000)
-        assert not cache.contains(0x8000)
-
-    def test_flush_empties_cache(self):
-        cache = SetAssociativeCache(self.geometry())
-        for index in range(100):
-            cache.lookup(index * 64)
-        cache.flush()
-        assert cache.resident_blocks() == 0
+        cache = cache_of(4)
+        cache.access(0x4000)
+        assert mru_position(cache, 0x4038) == 0
 
     def test_conflict_evictions_in_direct_mapped(self):
-        cache = SetAssociativeCache(self.geometry(assoc=1))
+        cache = cache_of(1)
         stride = cache.num_sets * 64
-        cache.lookup(0)
-        cache.lookup(stride)  # maps to the same set, evicts block 0
-        assert cache.lookup(0) == -1
-
-    def test_miss_rate(self):
-        cache = SetAssociativeCache(self.geometry())
-        assert cache.stats.miss_rate == 0.0
-        cache.lookup(0)
-        assert cache.stats.miss_rate == 1.0
+        cache.access(0)
+        cache.access(stride)  # maps to the same set, evicts block 0
+        assert cache.access(0) is AccessOutcome.MISS
 
 
 class TestAccountingCache:
@@ -170,12 +152,25 @@ class TestAccountingCache:
         assert b_hits1 == 4
 
     def test_what_if_without_b_moves_hits_to_misses(self):
-        stats = CacheIntervalStats(ways=4)
-        stats.record(0)
-        stats.record(2)
-        stats.record(-1)
+        # One hit at MRU position 0, one at position 2 and one miss.
+        stats = CacheIntervalStats(
+            ways=4, accesses=3, misses=1, hits_by_mru_position=[1, 0, 1, 0]
+        )
         assert stats.what_if(1, b_enabled=True) == (1, 1, 1)
         assert stats.what_if(1, b_enabled=False) == (1, 0, 2)
+
+    @pytest.mark.parametrize("b_enabled", [True, False])
+    def test_probe_width_histogram(self, b_enabled):
+        cache = AccountingCache(self.geometry(), a_ways=1, b_enabled=b_enabled)
+        sets = cache.num_sets
+        cache.access(0x1000)  # miss: A probe, then B probe when enabled
+        cache.access(0x1000)  # A hit
+        cache.access(0x1000 + sets * 64)  # miss
+        cache.access(0x1000)  # MRU position 1: B hit, or a miss without B
+        if b_enabled:
+            assert cache.access_profile == {1: 4, 7: 3}
+        else:
+            assert cache.access_profile == {1: 4}
 
     def test_interval_reset(self):
         cache = AccountingCache(self.geometry(), a_ways=1)
@@ -183,14 +178,6 @@ class TestAccountingCache:
         cache.reset_interval()
         assert cache.interval_stats.accesses == 0
         assert sum(cache.interval_stats.hits_by_mru_position) == 0
-
-    def test_snapshot_is_independent_copy(self):
-        cache = AccountingCache(self.geometry(), a_ways=1)
-        cache.access(0x1000)
-        snapshot = cache.snapshot_interval()
-        cache.access(0x2000)
-        assert snapshot.accesses == 1
-        assert cache.interval_stats.accesses == 2
 
     def test_set_a_ways_bounds(self):
         cache = AccountingCache(self.geometry(), a_ways=1)

@@ -50,6 +50,26 @@ class TestConfigIndices:
         indices = AdaptiveConfigIndices(1, 2, 32, 48)
         assert indices.describe() == "ic1/dc2/iq32/fq48"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("icache_index", -1), ("icache_index", 16), ("dcache_index", -1), ("dcache_index", 4)],
+    )
+    def test_out_of_range_indices_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdaptiveConfigIndices(**{field: value})
+
+    def test_from_key_rejects_out_of_range_indices(self):
+        with pytest.raises(ValueError, match=r"icache_index must be in \[0, 15\]"):
+            AdaptiveConfigIndices.from_key("ic-1/dc-2/iq16/fq16")
+        with pytest.raises(ValueError, match=r"dcache_index must be in \[0, 3\]"):
+            AdaptiveConfigIndices.from_key("ic0/dc4/iq16/fq16")
+
+    def test_spec_builders_accept_their_whole_range_only(self):
+        assert synchronous_spec(AdaptiveConfigIndices(15, 3)).icache.name
+        assert adaptive_mcd_spec(AdaptiveConfigIndices(3, 3)).icache.name == "64k4W"
+        with pytest.raises(ValueError, match=r"icache_index must be in \[0, 3\]"):
+            adaptive_mcd_spec(AdaptiveConfigIndices(icache_index=4))
+
     def test_adaptive_space_has_256_points(self):
         assert len(list(adaptive_configuration_space())) == 256
 

@@ -88,6 +88,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             AdaptiveConfigIndices.from_key("not/a/key")
 
+    @pytest.mark.parametrize("kind", list(SpecKind))
+    def test_job_indices_must_fit_the_spec_kind(self, quick_profile, kind):
+        # Sixteen synchronous I-cache configurations, four adaptive ones.
+        indices = AdaptiveConfigIndices(icache_index=4)
+        if kind in (SpecKind.ADAPTIVE, SpecKind.BASE_ADAPTIVE):
+            with pytest.raises(ValueError, match=r"icache_index must be in \[0, 3\]"):
+                SimulationJob(profile=quick_profile, spec_kind=kind, indices=indices)
+        else:
+            job = SimulationJob(profile=quick_profile, spec_kind=kind, indices=indices)
+            assert job.build_spec().icache.name
+
     def test_run_result_dict_roundtrip(self, quick_profile):
         result = run_job(_jobs(quick_profile)[2])  # phase-adaptive: has changes
         assert result.configuration_changes

@@ -32,9 +32,7 @@ def branchy_trace(count, taken_every=10, mispredictable=False):
 def make_frontend(trace, warm_blocks=0, **kwargs):
     frontend = FrontEnd(trace, icache_config=ADAPTIVE_ICACHE_CONFIGS[0], **kwargs)
     for block in range(warm_blocks):
-        frontend.warm(
-            Instruction(pc=0x40_0000 + block * 64, op=OpClass.INT_ALU, dest="r8")
-        )
+        frontend.icache.access(0x40_0000 + block * 64)
     frontend.reset_warm_state()
     return frontend
 
@@ -90,7 +88,7 @@ class TestFetch:
         source = list(straight_line_trace(64))
         frontend = make_frontend(iter(source))
         for instruction in source[:32]:
-            frontend.warm(instruction)
+            frontend.icache.access(instruction.pc)
         frontend.reset_warm_state()
         fetched = frontend.fetch_cycle(0, PERIOD)
         assert fetched

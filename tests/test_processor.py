@@ -1,6 +1,8 @@
 """Integration tests for the MCD processor simulator."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core import (
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
+from repro.scenarios.library import get_scenario
 from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
 
 
@@ -218,3 +221,70 @@ class TestPhaseAdaptiveExecution:
         assert any(
             max(d.scores, key=d.scores.get) > 16 for d in controller.decisions
         )
+
+
+class TestProcessorLifetime:
+    """A finished processor holds no reference cycle, so reference counting
+    frees it (and its caches) without a cyclic-GC pass."""
+
+    @staticmethod
+    def freed_by_refcount(make_processor, profile, *, window, warmup, trace_seed=1234):
+        gc.collect()
+        gc.disable()
+        try:
+            processor = make_processor()
+            processor.run(
+                SyntheticTraceGenerator(profile, seed=trace_seed),
+                max_instructions=window,
+                warmup_instructions=warmup,
+            )
+            pending = bool(processor._pending_events)
+            alive = weakref.ref(processor)
+            del processor
+            return alive() is None, pending
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "make_processor",
+        [
+            lambda: MCDProcessor(best_overall_synchronous_spec()),
+            lambda: MCDProcessor(adaptive_mcd_spec(AdaptiveConfigIndices(1, 1))),
+            lambda: MCDProcessor(base_adaptive_spec(), phase_adaptive=True),
+            lambda: MCDProcessor(adaptive_mcd_spec(), jitter_fraction=0.05),
+        ],
+        ids=["synchronous", "fixed-mcd", "phase-adaptive", "jittered"],
+    )
+    def test_finished_processor_is_freed(self, tiny_profile, make_processor):
+        freed, _ = self.freed_by_refcount(
+            make_processor, tiny_profile, window=1500, warmup=1500
+        )
+        assert freed
+
+    def test_freed_with_a_reconfiguration_pending(self):
+        profile = get_scenario("paper-apsi-capacity").build_profile()
+        freed, pending = self.freed_by_refcount(
+            lambda: MCDProcessor(
+                base_adaptive_spec(),
+                phase_adaptive=True,
+                control=AdaptiveControlParams(interval_instructions=1000),
+            ),
+            profile,
+            window=3000,
+            warmup=2000,
+        )
+        assert pending
+        assert freed
+
+    def test_construction_builds_cache_sets_lazily(self):
+        MCDProcessor(base_adaptive_spec())  # first-use caches outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            processor = MCDProcessor(base_adaptive_spec())
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert processor.hierarchy.l2.num_sets > 200
+        assert added < 200
