@@ -34,7 +34,6 @@ def print_trace(workload_name: str, structure: str, window: int) -> None:
             f"{change.configuration}"
         )
         previous = change.configuration
-    improvements = result.improvement_over
     print(f"  ({len(result.configuration_changes)} controller decisions recorded)")
 
 

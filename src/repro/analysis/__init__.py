@@ -33,7 +33,6 @@ _SWEEP_EXPORTS = {
     "WorkloadComparison",
     "average_improvements",
     "best_synchronous_configuration",
-    "evaluate_configuration",
     "program_adaptive_search",
     "run_phase_adaptive",
     "run_program_adaptive",
@@ -78,7 +77,6 @@ __all__ = [
     "SweepResult",
     "WorkloadComparison",
     "best_synchronous_configuration",
-    "evaluate_configuration",
     "program_adaptive_search",
     "run_phase_adaptive",
     "run_program_adaptive",

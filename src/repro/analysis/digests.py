@@ -7,25 +7,24 @@ their field partition is a *contract*, not a convention:
   hashes exactly this serialisation, so adding observation-only activity
   fields can never move a pinned timing digest — only a change to simulated
   behaviour can.
-* :data:`FAST_PATH_OBSERVABILITY_FIELDS` — counters describing how a run
-  was *simulated* (work-horizon skip, compiled-trace reuse), not what the
-  machine did.  Excluded from both digests and from result
-  equality.
+* :data:`FAST_PATH_OBSERVABILITY_FIELDS` — the ``compare=False`` fields of
+  ``RunResult``: counters describing how a run was *simulated* (work-horizon
+  skip, compiled-trace reuse), not what the machine did.  Excluded from
+  both digests and from result equality.
 * Everything else — activity counters and structural sizes hashed by
   ``energy_digest`` together with the derived energy report.
 
-The partition is enforced mechanically by ``python -m repro.checks`` (the
-``digest-purity`` rule audits it against the committed classification in
-``src/repro/checks/snapshots/digest_fields.json``), which is why the
-definitions live here in the package rather than in the test helpers that
-originally grew them; ``tests/golden_digests.py`` re-exports these names
-and pins the recorded golden values.
+``tests/fingerprint_schema.json`` records each field's class, so moving a
+field between classes fails ``tests/test_fingerprint_schema.py`` until
+``FINGERPRINT_VERSION`` is bumped; ``tests/golden_digests.py`` re-exports
+these names and pins the recorded golden values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 from repro.analysis.metrics import RunResult
 
@@ -73,15 +72,13 @@ TIMING_DIGEST_FIELDS = (
 )
 
 #: Observation-only counters describing how a run was *simulated* (compiled
-#: trace columns, the work-horizon skip), not what the machine did.  They
-#: vary with the fast-path knobs while the simulated behaviour is
-#: bit-identical, so they are excluded from the energy digest exactly as the
-#: timing fields are (and were never part of the timing digest).
+#: trace columns, the work-horizon skip), not what the machine did: the
+#: fields ``RunResult`` declares with ``compare=False``.  They vary with the
+#: fast-path knobs while the simulated behaviour is bit-identical, so they
+#: are excluded from the energy digest exactly as the timing fields are (and
+#: were never part of the timing digest).
 FAST_PATH_OBSERVABILITY_FIELDS = frozenset(
-    {
-        "horizon_skipped_edges",
-        "compiled_trace_cache_hits",
-    }
+    spec.name for spec in fields(RunResult) if not spec.compare
 )
 
 

@@ -34,14 +34,16 @@ class ConfigurationChange:
 class RunResult:
     """Everything measured during one simulation run.
 
-    Every field carries a digest classification — ``timing`` (hashed by
-    ``result_digest``; frozen set), ``energy`` (hashed by ``energy_digest``),
-    ``excluded`` or ``process-dependent`` — recorded in
-    ``src/repro/checks/snapshots/digest_fields.json``.  Adding a field
-    without classifying it there (and bumping ``FINGERPRINT_VERSION``) fails
-    ``python -m repro.checks``: an unclassified counter would land in the
-    energy digest by default and, if its value depends on how the run was
-    simulated, silently fork digests between hosts.
+    Every field has a digest class, read off the code: ``timing`` if it is
+    in ``TIMING_DIGEST_FIELDS`` (hashed by ``result_digest``; frozen set),
+    ``process-dependent`` if it is in :attr:`PROCESS_DEPENDENT_FIELDS`,
+    ``excluded`` if it is declared ``compare=False``, and ``energy`` (hashed
+    by ``energy_digest``) otherwise.  ``tests/fingerprint_schema.json``
+    records the class of every field, so adding or reclassifying a field
+    fails ``tests/test_fingerprint_schema.py`` until ``FINGERPRINT_VERSION``
+    is bumped: a new counter lands in the energy digest by default and, if
+    its value depends on how the run was simulated, would silently fork
+    digests between hosts.
     """
 
     workload: str

@@ -30,7 +30,8 @@ synchronous baseline runs a single global clock with inter-domain
 synchronisation disabled, so every improvement — baseline and grid point —
 is measured against the same jitter-free synchronous row.
 
-Run as a module for the CLI::
+Run as a module for the CLI, which prints the jitter-free Figure 6 table per
+workload and then the sensitivity surface::
 
     PYTHONPATH=src python -m repro.analysis.sensitivity --workloads gcc em3d --quick
 """
@@ -38,10 +39,11 @@ Run as a module for the CLI::
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_table, improvement_table
 from repro.analysis.sweep import (
     WorkloadComparison,
     _phase_adaptive_job,
@@ -57,6 +59,7 @@ from repro.engine import (
     SimulationJob,
     default_control_params,
     make_engine,
+    parse_workers,
 )
 from repro.obs.logging import add_logging_arguments, configure_logging
 from repro.workloads.characteristics import WorkloadProfile
@@ -108,9 +111,8 @@ FULL_GRIDS: Mapping[str, tuple[float, ...]] = {
     "queue_hysteresis_values": DEFAULT_QUEUE_HYSTERESIS,
 }
 
-#: CI-sized parameterisation, shared by the CLI ``--quick`` flag and the
-#: example script so they cannot drift apart: one value per axis plus small
-#: windows.
+#: CI-sized parameterisation behind the CLI's ``--quick`` flag: one value
+#: per axis plus small windows.
 QUICK_GRIDS: Mapping[str, tuple[float, ...]] = {
     "jitter_fractions": (0.05,),
     "sync_window_fractions": (0.45,),
@@ -316,12 +318,73 @@ def _scaled_interval(
     control: AdaptiveControlParams | None,
 ) -> int:
     """The adaptation interval at *scale* times a profile's default."""
+    if not scale > 0:  # NaN fails too
+        raise ValueError(f"{AXIS_INTERVAL} must be positive, got {scale:g}")
     if control is not None:
         base = control.interval_instructions
     else:
         resolved_window = window if window is not None else profile.simulation_window
         base = default_control_params(resolved_window).interval_instructions
     return max(100, int(round(base * scale)))
+
+
+def _grid_plan(
+    profiles: Sequence[WorkloadProfile],
+    *,
+    jitter_fractions: Sequence[float],
+    sync_window_fractions: Sequence[float],
+    interval_scales: Sequence[float],
+    cache_hysteresis_values: Sequence[float],
+    queue_hysteresis_values: Sequence[float],
+    window: int | None,
+    warmup: int | None,
+    control: AdaptiveControlParams | None,
+    trace_seed: int,
+    seed: int,
+) -> tuple[list[SensitivityPoint], list[SimulationJob]]:
+    """The grid points and the Phase-Adaptive job of every (point, profile).
+
+    Those jobs do not depend on the baseline, so they are built first:
+    building a job checks its timing knobs and resolving its controller
+    parameters checks the hysteresis values, so a bad grid value raises
+    :class:`ValueError` before anything is simulated.
+    """
+    axes = (
+        SensitivityAxis(AXIS_JITTER, tuple(jitter_fractions)),
+        SensitivityAxis(AXIS_SYNC_WINDOW, tuple(sync_window_fractions)),
+        SensitivityAxis(AXIS_INTERVAL, tuple(interval_scales)),
+        SensitivityAxis(AXIS_CACHE_HYSTERESIS, tuple(cache_hysteresis_values)),
+        SensitivityAxis(AXIS_QUEUE_HYSTERESIS, tuple(queue_hysteresis_values)),
+    )
+    points = [
+        SensitivityPoint(axis=axis.name, value=value)
+        for axis in axes
+        for value in axis.values
+    ]
+    jobs = []
+    for point in points:
+        _, phase_kwargs = _point_job_kwargs(point.axis, point.value)
+        for profile in profiles:
+            resolved_phase_kwargs = dict(phase_kwargs)
+            scale = resolved_phase_kwargs.pop("_interval_scale", None)
+            if scale is not None:
+                resolved_phase_kwargs["control_overrides"] = {
+                    "interval_instructions": _scaled_interval(
+                        scale, profile, window, control
+                    )
+                }
+            job = _phase_adaptive_job(
+                profile,
+                window=window,
+                warmup=warmup,
+                control=control,
+                trace_seed=trace_seed,
+                seed=seed,
+                **resolved_phase_kwargs,
+            )
+            job.resolved_control()
+            jobs.append(job)
+    return points, jobs
 
 
 def sensitivity_sweep(
@@ -351,10 +414,24 @@ def sensitivity_sweep(
     movement of the Figure 6 result attributable to that knob alone.
 
     Pass empty sequences to drop an axis.  All grid jobs are submitted as a
-    single engine batch.
+    single engine batch.  A grid value out of its knob's range raises
+    :class:`ValueError` naming the knob before anything is simulated.
     """
     eng = _resolve_engine(engine)
     profiles = list(profiles)
+    points, phase_jobs = _grid_plan(
+        profiles,
+        jitter_fractions=jitter_fractions,
+        sync_window_fractions=sync_window_fractions,
+        interval_scales=interval_scales,
+        cache_hysteresis_values=cache_hysteresis_values,
+        queue_hysteresis_values=queue_hysteresis_values,
+        window=window,
+        warmup=warmup,
+        control=control,
+        trace_seed=trace_seed,
+        seed=seed,
+    )
     baseline = compare_workloads(
         profiles,
         search_mode=search_mode,
@@ -366,32 +443,11 @@ def sensitivity_sweep(
         engine=eng,
     )
 
-    axes = (
-        SensitivityAxis(AXIS_JITTER, tuple(jitter_fractions)),
-        SensitivityAxis(AXIS_SYNC_WINDOW, tuple(sync_window_fractions)),
-        SensitivityAxis(AXIS_INTERVAL, tuple(interval_scales)),
-        SensitivityAxis(AXIS_CACHE_HYSTERESIS, tuple(cache_hysteresis_values)),
-        SensitivityAxis(AXIS_QUEUE_HYSTERESIS, tuple(queue_hysteresis_values)),
-    )
-
-    points = [
-        SensitivityPoint(axis=axis.name, value=value)
-        for axis in axes
-        for value in axis.values
-    ]
-
     jobs: list[SimulationJob] = []
+    phase_iter = iter(phase_jobs)
     for point in points:
-        program_kwargs, phase_kwargs = _point_job_kwargs(point.axis, point.value)
+        program_kwargs, _ = _point_job_kwargs(point.axis, point.value)
         for profile, row in zip(profiles, baseline):
-            resolved_phase_kwargs = dict(phase_kwargs)
-            scale = resolved_phase_kwargs.pop("_interval_scale", None)
-            if scale is not None:
-                resolved_phase_kwargs["control_overrides"] = {
-                    "interval_instructions": _scaled_interval(
-                        scale, profile, window, control
-                    )
-                }
             jobs.append(
                 _program_adaptive_job(
                     profile,
@@ -403,17 +459,7 @@ def sensitivity_sweep(
                     **program_kwargs,
                 )
             )
-            jobs.append(
-                _phase_adaptive_job(
-                    profile,
-                    window=window,
-                    warmup=warmup,
-                    control=control,
-                    trace_seed=trace_seed,
-                    seed=seed,
-                    **resolved_phase_kwargs,
-                )
-            )
+            jobs.append(next(phase_iter))
     results = eng.run_all(jobs)
 
     cursor = 0
@@ -535,13 +581,15 @@ def _grid(
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    An unknown workload or a bad worker count, window, warm-up or grid value
+    prints one ``error:`` line and exits 2 before anything is simulated.
+    """
     from repro.workloads import get_workload
 
     args = _parse_args(argv)
     configure_logging(args)
-    profiles = [get_workload(name) for name in args.workloads]
-    engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
 
     window, warmup = args.window, args.warmup
     defaults = QUICK_GRIDS if args.quick else FULL_GRIDS
@@ -561,7 +609,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.queue_hysteresis, defaults["queue_hysteresis_values"]
         ),
     }
+    try:
+        profiles = [get_workload(name) for name in args.workloads]
+        workers = parse_workers(args.workers)
+        if window is not None and window < 1:
+            raise ValueError(f"--window must be at least 1, got {window}")
+        if warmup is not None and warmup < 0:
+            raise ValueError(f"--warmup must not be negative, got {warmup}")
+        _grid_plan(
+            profiles,
+            window=window,
+            warmup=warmup,
+            control=None,
+            trace_seed=DEFAULT_TRACE_SEED,
+            seed=0,
+            **grids,
+        )
+    except (KeyError, ValueError) as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
 
+    engine = make_engine(workers=workers, cache_dir=args.cache_dir)
     report = sensitivity_sweep(
         profiles, window=window, warmup=warmup, engine=engine, **grids
     )
@@ -572,6 +640,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"{engine.stats.cache_hits} cache hits)"
     )
     print()
+    print("Jitter-free Figure 6 baseline:")
+    print(improvement_table(report.baseline))
+    print()
+    print("Sensitivity surface (means over the workloads):")
     print(report.render())
     return 0
 

@@ -75,7 +75,6 @@ __all__ = [
     "comparison_jobs",
     "default_control_params",
     "default_warmup",
-    "evaluate_configuration",
     "make_trace",
     "program_adaptive_search",
     "run_phase_adaptive",
@@ -381,47 +380,6 @@ def run_phase_adaptive(
         sync_window_fraction=sync_window_fraction,
         control_overrides=control_overrides,
     )
-    return _resolve_engine(engine).run(job)
-
-
-def evaluate_configuration(
-    profile: WorkloadProfile,
-    indices: AdaptiveConfigIndices,
-    *,
-    style: str = "adaptive",
-    window: int | None = None,
-    warmup: int | None = None,
-    trace_seed: int = DEFAULT_TRACE_SEED,
-    seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    engine: ExperimentEngine | None = None,
-) -> RunResult:
-    """Simulate one explicit configuration point (adaptive or synchronous)."""
-    if style == "adaptive":
-        job = _program_adaptive_job(
-            profile,
-            indices,
-            window=window,
-            warmup=warmup,
-            trace_seed=trace_seed,
-            seed=seed,
-            jitter_fraction=jitter_fraction,
-            sync_window_fraction=sync_window_fraction,
-        )
-    elif style == "synchronous":
-        job = _synchronous_job(
-            profile,
-            indices,
-            window=window,
-            warmup=warmup,
-            trace_seed=trace_seed,
-            seed=seed,
-            jitter_fraction=jitter_fraction,
-            sync_window_fraction=sync_window_fraction,
-        )
-    else:
-        raise ValueError(f"unknown style {style!r}; use 'adaptive' or 'synchronous'")
     return _resolve_engine(engine).run(job)
 
 

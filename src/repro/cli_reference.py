@@ -41,7 +41,6 @@ __all__ = [
 PARSER_BUILDERS: dict[str, str] = {
     "repro.analysis.hardware_cost": "repro.analysis.hardware_cost:build_parser",
     "repro.analysis.sensitivity": "repro.analysis.sensitivity:build_parser",
-    "repro.checks": "repro.checks.cli:build_parser",
     "repro.cli_reference": "repro.cli_reference:build_parser",
     "repro.engine": "repro.engine.cli:build_parser",
     "repro.obs": "repro.obs.cli:build_parser",

@@ -990,24 +990,6 @@ class MCDProcessor:
 
     # --------------------------------------------------------- exec domains
 
-    def _operand_ready(self, inst: DynInst, now: Picoseconds, domain: Domain) -> bool:
-        consumer_clock = self.clocks[domain]
-        for producer in inst.producers:
-            if producer is None:
-                continue
-            completion = producer.completion_time
-            if completion is None:
-                return False
-            if producer.exec_domain != domain.value:
-                producer_clock = self._clock_by_name.get(producer.exec_domain)
-                if producer_clock is not None:
-                    completion = self.sync.transfer(
-                        completion, producer_clock, consumer_clock, record=False
-                    )
-            if completion > now:
-                return False
-        return True
-
     def _wake_windows(self, domain_name: str) -> dict[str, int]:
         """Wake-up addends per producer domain for consumer *domain_name*.
 
@@ -1065,10 +1047,10 @@ class MCDProcessor:
         the next scan; callers consume it immediately.
 
         Inline equivalent of ``queue.ready_entries(now, operand_ready)``: the
-        wake-up check runs for every queue entry every cycle, so the
-        per-entry callback indirection of :meth:`_operand_ready` is flattened
-        into one loop, and the cross-domain synchronisation call is reduced
-        to its precomputed window addend (see :meth:`_wake_windows`).
+        wake-up check runs for every queue entry every cycle, so it is one
+        loop with no per-entry callback, and each cross-domain
+        synchronisation call is reduced to its precomputed window addend
+        (see :meth:`_wake_windows`).
         """
         entries = queue.pending_entries()
         if not entries:

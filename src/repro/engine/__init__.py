@@ -75,8 +75,8 @@ _default_engine: ExperimentEngine | None = None
 
 
 def parse_workers(workers: int | str | None) -> int:
-    """The worker count *workers* names: an int (or its decimal string),
-    ``"auto"`` (one worker per available core) or ``None`` (serial).
+    """The worker count *workers* names: a non-negative int (or its decimal
+    string), ``"auto"`` (one worker per available core) or ``None`` (serial).
 
     Raises :class:`ValueError` for anything else.
     """
@@ -85,9 +85,12 @@ def parse_workers(workers: int | str | None) -> int:
     if workers == "auto":
         return default_worker_count()
     try:
-        return int(workers)
+        count = int(workers)
     except ValueError:
         raise ValueError(f"workers must be an integer or 'auto', got {workers!r}") from None
+    if count < 0:
+        raise ValueError(f"workers must not be negative, got {count}")
+    return count
 
 
 def make_engine(

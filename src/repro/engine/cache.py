@@ -245,7 +245,6 @@ class ResultCache:
         """
         if self._directory is None:
             return 0
-        # repro: allow(det-wallclock) — temp-reaper age guard: compares host-file mtimes against the host clock; nothing simulation-visible flows from it
         cutoff = None if max_age_seconds is None else time.time() - max_age_seconds
         removed = 0
         for path in sorted(self._directory.glob(".tmp-*")):

@@ -47,13 +47,12 @@ DEFAULT_TRACE_SEED = 1234
 #: (timing tables, spec fields) need no bump: the fingerprint hashes the
 #: fully resolved :class:`MachineSpec`, so those invalidate automatically.
 #:
-#: Schema changes are *enforced* to bump: the ``schema-guard`` rule of
-#: ``python -m repro.checks`` compares this module's introspected
-#: :class:`SimulationJob` field/payload structure (plus the ``RunResult``
-#: store schema) against the committed snapshot in
-#: ``src/repro/checks/snapshots/fingerprint_schema.json`` and fails CI when
-#: either changes under an unchanged version.  After a deliberate bump, run
-#: ``python -m repro.checks --update-snapshots`` and commit the result.
+#: Schema changes are *enforced* to bump: ``tests/test_fingerprint_schema.py``
+#: compares this module's introspected :class:`SimulationJob` field/payload
+#: structure (plus the ``RunResult`` fields and their digest classes)
+#: against the committed ``tests/fingerprint_schema.json`` and fails tier-1
+#: when either changes under an unchanged version.  After a deliberate bump,
+#: run tier-1 and commit the snapshot its failure message prints.
 FINGERPRINT_VERSION = 7  # v7: RunResult lost the fast_forward_invocations,
 # fast_forward_cycles and steady_stretches_skipped counters when one
 # work-horizon skip replaced the fast-forward and event-horizon scheduling

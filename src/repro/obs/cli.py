@@ -9,8 +9,8 @@ Six subcommands; an unreadable trace or ledger file
     Runs the job directly (never through the engine cache — trace options
     are excluded from fingerprints, so a cache hit would skip the
     simulation and produce no trace).  An unknown target, event type or
-    malformed ``--sample`` prints ``error:`` and exits 2 before any file is
-    opened.
+    malformed ``--sample``, a ``--window`` below 1 or a negative ``--warmup``
+    prints ``error:`` and exits 2 before any file is opened.
 
 ``summarize``
     Event counts, the reconfiguration ledger and per-structure controller
@@ -262,6 +262,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else f"{args.target}.trace.jsonl"
     # Bad input is reported before anything runs or any file is opened.
     try:
+        if window is not None and window < 1:
+            raise ValueError(f"--window must be at least 1, got {window}")
+        if warmup is not None and warmup < 0:
+            raise ValueError(f"--warmup must not be negative, got {warmup}")
         sampling: dict[str, int] = {}
         for entry in args.sample:
             name, _, stride = entry.partition("=")

@@ -128,7 +128,6 @@ def wallclock_timestamp() -> float:
     let an operator line a ledger up against run logs.  Nothing
     simulation-visible reads them — summaries ignore timestamp fields.
     """
-    # repro: allow(det-wallclock) — ledger record timestamps: operator-facing provenance only; excluded from fingerprints, digests and ledger summaries
     return time.time()
 
 

@@ -5,9 +5,9 @@ dispatch tables, trace memoisation) must be *bit-identical*: the digest of a
 ``RunResult`` for a fixed (workload, machine, seed, window) must never change
 unless the simulator's modelling intentionally changes.  This module defines
 the representative job set; the digest functions and the field partition
-behind them live in :mod:`repro.analysis.digests` (re-exported here), where
-``python -m repro.checks`` audits them.  The recorded golden values live in
-``tests/test_golden_values.py``.
+behind them live in :mod:`repro.analysis.digests` (re-exported here), and
+``tests/test_fingerprint_schema.py`` pins each field's class.  The recorded
+golden values live in ``tests/test_golden_values.py``.
 
 Run as a script to print the current digests::
 

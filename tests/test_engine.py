@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
 import pytest
 
-from repro.analysis.metrics import RunResult
+from repro.analysis.metrics import ConfigurationChange, RunResult
 from repro.analysis.sweep import (
     compare_workload,
     compare_workloads,
@@ -15,6 +16,7 @@ from repro.analysis.sweep import (
     run_synchronous,
 )
 from repro.core.configuration import AdaptiveConfigIndices, best_overall_synchronous_spec
+from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.processor import MCDProcessor
 from repro.engine import (
     CacheVersionError,
@@ -25,13 +27,15 @@ from repro.engine import (
     SerialExecutor,
     SimulationJob,
     SpecKind,
+    canonical_payload,
     make_engine,
     make_trace,
     run_job,
 )
 from repro.engine.cli import inspect_store
 from repro.engine.cli import main as engine_main
-from repro.workloads import PhaseSpec, WorkloadProfile, full_suite
+from repro.scenarios.spec import ScenarioSpec
+from repro.workloads import PhaseSpec, WorkloadProfile, full_suite, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +67,85 @@ def _jobs(profile: WorkloadProfile) -> list[SimulationJob]:
     ]
 
 
+#: Every engine data-plane type, as (example factory, fingerprinted, persisted).
+#: Fingerprinted types feed ``canonical_payload``; persisted ones are stored
+#: through ``to_dict``/``from_dict`` by the result cache or scenario files.
+DATA_PLANE = {
+    "SimulationJob": (
+        lambda: SimulationJob(
+            profile=get_workload("gcc"),
+            window=2_000,
+            warmup=1_000,
+            phase_adaptive=True,
+            control_overrides={"cache_hysteresis": 0.1},
+            jitter_fraction=0.05,
+        ),
+        True,
+        False,
+    ),
+    "WorkloadProfile": (lambda: get_workload("apsi"), True, True),
+    "PhaseSpec": (lambda: PhaseSpec(length=4_000, overrides={"load_fraction": 0.4}), True, True),
+    "AdaptiveConfigIndices": (lambda: AdaptiveConfigIndices(1, 2, 32, 64), True, False),
+    "MachineSpec": (lambda: SimulationJob(profile=get_workload("gcc")).build_spec(), True, False),
+    "AdaptiveControlParams": (
+        lambda: AdaptiveControlParams(interval_instructions=2_500),
+        True,
+        False,
+    ),
+    "ConfigurationChange": (
+        lambda: ConfigurationChange(100, 42, "load_store", "dcache", "dc1", 1),
+        False,
+        True,
+    ),
+    "RunResult": (
+        lambda: RunResult(
+            workload="gcc",
+            machine="phase_adaptive",
+            style="mcd_adaptive",
+            committed_instructions=1_000,
+            execution_time_ps=123_456,
+            domain_cycles={"front_end": 10, "integer": 12},
+            final_frequencies_ghz={"front_end": 1.0},
+            cache_access_profile={"l1d": {"1": 3, "4": 2}},
+            configuration_changes=[
+                ConfigurationChange(500, 1_000, "integer", "int_queue", "iq32", 1)
+            ],
+            compiled_trace_cache_hits=7,
+        ),
+        False,
+        True,
+    ),
+    "ScenarioSpec": (
+        lambda: ScenarioSpec(
+            name="contract-example",
+            family="contract",
+            description="data-plane contract example",
+            base="gcc",
+            overrides={"load_fraction": 0.31},
+            phases=(PhaseSpec(length=3_000),),
+        ),
+        False,
+        True,
+    ),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("make, fingerprinted, persisted", DATA_PLANE.values(), ids=DATA_PLANE)
+    def test_data_plane_contract(self, make, fingerprinted, persisted):
+        """Executors pickle these types across processes and stores persist
+        them, so both trips must be lossless; all but the incrementally filled
+        RunResult are frozen, so a value cannot change after being hashed."""
+        example = make()
+        cls = type(example)
+        assert dataclasses.is_dataclass(cls)
+        assert cls is RunResult or cls.__dataclass_params__.frozen
+        if fingerprinted:
+            json.dumps(canonical_payload(example), sort_keys=True)
+        assert pickle.loads(pickle.dumps(example)) == example
+        if persisted:
+            assert cls.from_dict(json.loads(json.dumps(example.to_dict()))) == example
+
     def test_phase_spec_pickle_roundtrip(self):
         phase = PhaseSpec(length=500, overrides={"load_fraction": 0.3})
         clone = pickle.loads(pickle.dumps(phase))
@@ -462,6 +544,8 @@ class TestEngineAndCache:
         assert parallel.cache.directory == tmp_path
         with pytest.raises(ValueError, match="workers must be an integer or 'auto'"):
             make_engine(workers="2.5")
+        with pytest.raises(ValueError, match="workers must not be negative, got -3"):
+            make_engine(workers=-3)
 
 
 def _store_bytes(directory) -> dict[str, bytes]:

@@ -454,6 +454,8 @@ def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
         ["gzip", "--sample", "nosuch=2"],
         ["gzip", "--events", "nosuch"],
         ["gzip", "--events", f"{SYNC_PENALTY},nosuch"],
+        ["gzip", "--window", "0"],
+        ["gzip", "--warmup", "-5"],
     ],
     ids=[
         "unknown-target",
@@ -464,6 +466,8 @@ def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
         "sample-unknown-event",
         "unknown-event",
         "known-and-unknown-event",
+        "zero-window",
+        "negative-warmup",
     ],
 )
 def test_cli_trace_rejects_unknown_target(tmp_path, capsys, argv):

@@ -406,6 +406,11 @@ class TestCli:
                 id="fractional-workers",
             ),
             pytest.param(
+                ["matrix", "--quick", "--workers", "-3", "--scenarios", "arch-mixed"],
+                "workers must not be negative",
+                id="negative-workers",
+            ),
+            pytest.param(
                 ["run", "arch-mixed", "--window", "0"],
                 "--window must be at least 1",
                 id="zero-window",

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import sensitivity
 from repro.analysis.sensitivity import (
     AXIS_CACHE_HYSTERESIS,
     AXIS_INTERVAL,
     AXIS_JITTER,
     AXIS_SYNC_WINDOW,
     SensitivityAxis,
+    main,
     sensitivity_sweep,
 )
 from repro.engine import ExperimentEngine, ResultCache, SerialExecutor
@@ -119,3 +121,57 @@ class TestSensitivitySweep:
             assert first.axis == second.axis
             assert first.value == second.value
             assert first.per_workload == second.per_workload
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("bad input reached the simulation")
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0])
+def test_non_positive_interval_scale_rejected_before_the_baseline(
+    quick_profile, monkeypatch, scale
+):
+    monkeypatch.setattr(sensitivity, "compare_workloads", _unreachable)
+    with pytest.raises(ValueError, match="interval_scale must be positive"):
+        sensitivity_sweep(
+            [quick_profile],
+            jitter_fractions=(),
+            sync_window_fractions=(),
+            interval_scales=(scale,),
+            cache_hysteresis_values=(),
+            queue_hysteresis_values=(),
+            window=700,
+            warmup=1_200,
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--jitter", "-0.5"], "jitter_fraction must be in [0, 0.5)", id="jitter"),
+        pytest.param(
+            ["--sync-window", "1.5"], "sync_window_fraction must be in [0, 1)", id="sync-window"
+        ),
+        pytest.param(["--interval-scale", "0"], "interval_scale must be positive", id="scale-0"),
+        pytest.param(
+            ["--interval-scale", "-2"], "interval_scale must be positive", id="scale-negative"
+        ),
+        pytest.param(
+            ["--cache-hysteresis", "0.7"], "cache_hysteresis must be in [0, 0.5)", id="hysteresis"
+        ),
+        pytest.param(["--workers", "abc"], "workers must be an integer or 'auto'", id="workers"),
+        pytest.param(["--workers", "-3"], "workers must not be negative", id="negative-workers"),
+        pytest.param(["--workloads", "nosuch"], "unknown workload 'nosuch'", id="workload"),
+        pytest.param(["--window", "0"], "--window must be at least 1", id="window"),
+        pytest.param(["--warmup", "-1"], "--warmup must not be negative", id="warmup"),
+    ],
+)
+def test_cli_rejects_bad_input_before_simulating(monkeypatch, capsys, tmp_path, argv, message):
+    monkeypatch.setattr(sensitivity, "sensitivity_sweep", _unreachable)
+    store = tmp_path / "store"
+    assert main(["--workloads", "gcc", *argv, "--cache-dir", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not store.exists()
