@@ -177,16 +177,18 @@ def scan(source: str, filename: str = "<fixture>") -> list[tuple[str, int]]:
     return visitor.findings
 
 
+def file_findings(relative: str, text: str) -> list[tuple[str, str, str]]:
+    """``(file, rule, stripped source line)`` of every finding in one file."""
+    lines = text.splitlines()
+    return [(relative, rule, lines[line - 1].strip()) for rule, line in scan(text, relative)]
+
+
 def tree_findings() -> list[tuple[str, str, str]]:
     """``(file, rule, stripped source line)`` of every finding under src/repro."""
     findings = []
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
         relative = path.relative_to(ROOT).as_posix()
-        findings.extend(
-            (relative, rule, lines[line - 1].strip()) for rule, line in scan(text, str(path))
-        )
+        findings.extend(file_findings(relative, path.read_text(encoding="utf-8")))
     return findings
 
 
@@ -204,18 +206,42 @@ def test_tree_findings_equal_the_allowlist():
     assert not problems, "\n".join(problems)
 
 
+SITE = ("src/repro/x.py", BUILTIN_HASH, "seed = hash('x')")
+
+
+def test_allowed_site_passes():
+    findings = file_findings("src/repro/x.py", "seed = hash('x')\n")
+    assert findings == [SITE]
+    assert allowlist_mismatch(findings, {SITE: "reason"}) == []
+
+
 def test_stale_allowlist_entry_fails():
-    site = ("src/repro/x.py", BUILTIN_HASH, "seed = hash('x')")
-    assert allowlist_mismatch([], {site: "reason"}) == [
-        f"ALLOWED entry matches nothing: {site}"
+    findings = file_findings("src/repro/x.py", "seed = 1\n")
+    assert allowlist_mismatch(findings, {SITE: "reason"}) == [
+        f"ALLOWED entry matches nothing: {SITE}"
+    ]
+
+
+def test_allowlist_entry_with_unknown_rule_fails():
+    # A misspelt rule covers nothing: the finding stays and the entry is stale.
+    misspelt = ("src/repro/x.py", "det-no-such-rule", "seed = hash('x')")
+    findings = file_findings("src/repro/x.py", "seed = hash('x')\n")
+    assert allowlist_mismatch(findings, {misspelt: "reason"}) == [
+        f"src/repro/x.py: det-builtin-hash: \"seed = hash('x')\" ({RULES[BUILTIN_HASH]})",
+        f"ALLOWED entry matches nothing: {misspelt}",
     ]
 
 
 def test_allowlist_entry_covers_one_site():
-    site = ("src/repro/x.py", BUILTIN_HASH, "seed = hash('x')")
-    assert allowlist_mismatch([site], {site: "reason"}) == []
-    [problem] = allowlist_mismatch([site, site], {site: "reason"})
-    assert problem.startswith("src/repro/x.py: det-builtin-hash: \"seed = hash('x')\"")
+    # Neither another line nor a second copy of the allowed line is covered.
+    source = "seed = hash('x')\nother = hash('y')\nseed = hash('x')\n"
+    findings = file_findings("src/repro/x.py", source)
+    assert len(findings) == 3
+    problems = allowlist_mismatch(findings, {SITE: "reason"})
+    assert [problem.partition(" (")[0] for problem in problems] == [
+        "src/repro/x.py: det-builtin-hash: \"other = hash('y')\"",
+        "src/repro/x.py: det-builtin-hash: \"seed = hash('x')\"",
+    ]
 
 
 #: Sources the lint flags, with the ``(rule, line)`` findings expected of each.

@@ -95,6 +95,15 @@ def test_committed_snapshot_matches_live_schema():
     assert problem is None, problem
 
 
+def test_live_schema_sections():
+    live = live_schema()
+    assert live["fingerprint_version"] >= 5
+    assert "profile" in live["payload_keys"]
+    assert "trace_seed" in live["run_keys"]
+    assert live["run_result_fields"]["workload"] == "timing"
+    assert live["run_result_fields"]["compiled_trace_cache_hits"] == "process-dependent"
+
+
 def test_digest_partition_is_consistent():
     excluded = {spec.name for spec in fields(RunResult) if not spec.compare}
     for spec in fields(RunResult):
@@ -110,6 +119,14 @@ def test_run_result_field_addition_without_bump_fails():
     problem = schema_problem(live, committed_schema())
     assert problem.endswith("bump FINGERPRINT_VERSION in src/repro/engine/job.py")
     assert "run_result_fields: added new_counter" in problem
+
+
+def test_field_without_recorded_class_fails():
+    committed = committed_schema()
+    del committed["run_result_fields"]["fetched"]
+    problem = schema_problem(live_schema(), committed)
+    assert "bump FINGERPRINT_VERSION" in problem
+    assert "run_result_fields: added fetched" in problem
 
 
 def test_job_field_addition_without_bump_fails():
