@@ -4,8 +4,8 @@ The paper estimates the dedicated hardware needed by the phase-adaptive cache
 controller at roughly 4 650 equivalent gates per adaptable cache (or cache
 pair) — about 10 K gates in total for the two controllers — plus a few
 hundred bits of timestamp storage for the ILP tracker.  This module rebuilds
-that estimate from the same component inventory so the benchmark harness can
-regenerate Table 4.
+that estimate from the same component inventory;
+``python -m repro.analysis.hardware_cost`` prints it as Table 4.
 """
 
 from __future__ import annotations

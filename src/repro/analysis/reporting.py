@@ -1,4 +1,4 @@
-"""Plain-text report tables for the benchmark harness."""
+"""Plain-text report tables for the CLIs and examples."""
 
 from __future__ import annotations
 

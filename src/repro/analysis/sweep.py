@@ -14,8 +14,8 @@ search modes.  The factored mode sweeps one structure at a time around the
 base configuration and then combines the per-structure winners; in this
 model the structures live in different clock domains and interact only
 weakly, so the factored search finds the same winner at a small fraction of
-the cost.  The exhaustive mode is retained for fidelity and for the
-benchmark harness's slow path.
+the cost.  The exhaustive mode is retained for fidelity (the scenario CLI's
+``--search-mode`` and the design-space example's ``--mode``).
 
 All simulation goes through the :mod:`repro.engine` subsystem: every runner
 builds :class:`~repro.engine.SimulationJob` descriptions and submits them to

@@ -7,16 +7,10 @@ ran* (:class:`ResultCache`).  The sweep layer submits jobs through an
 makes every experiment driver batchable, parallelisable and memoised.
 
 A process-wide default engine backs the convenience ``engine=None`` paths in
-:mod:`repro.analysis.sweep`.  It is serial with an in-memory cache unless
-configured via environment variables:
-
-``REPRO_ENGINE_WORKERS``
-    Worker-process count for the default engine (``0``/``1`` = serial,
-    ``auto`` = one per available core).
-``REPRO_ENGINE_CACHE_DIR``
-    Directory for a persistent on-disk result cache.
-``REPRO_ENGINE_CACHE``
-    Set to ``0`` to disable result caching entirely.
+:mod:`repro.analysis.sweep` and :mod:`repro.scenarios`.  It is serial with an
+in-memory cache: callers that want workers or a disk store pass
+``engine=make_engine(...)``, and the sweep CLIs take ``--workers`` and
+``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -99,7 +93,7 @@ def make_engine(
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = True,
 ) -> ExperimentEngine:
-    """Build an engine from simple knobs (the CLI/benchmark entry point).
+    """Build an engine from simple knobs (the CLI entry point).
 
     ``workers`` is read by :func:`parse_workers`; ``0``/``1`` run serially.
     """
@@ -113,9 +107,5 @@ def default_engine() -> ExperimentEngine:
     """The process-wide engine used when callers do not pass one."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = make_engine(
-            workers=os.environ.get("REPRO_ENGINE_WORKERS") or None,
-            cache_dir=os.environ.get("REPRO_ENGINE_CACHE_DIR") or None,
-            use_cache=os.environ.get("REPRO_ENGINE_CACHE", "1") != "0",
-        )
+        _default_engine = make_engine()
     return _default_engine

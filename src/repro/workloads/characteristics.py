@@ -149,8 +149,8 @@ class WorkloadProfile:
         dynamic parameters for ``length`` instructions.
 
     ``simulation_window`` is the scaled-down stand-in for the 100 M-200 M
-    instruction windows of Tables 6-8 and is what the benchmark harness uses
-    by default.
+    instruction windows of Tables 6-8 and is what a job simulates when it
+    names no window.
     """
 
     name: str
@@ -192,7 +192,7 @@ class WorkloadProfile:
     simulation_window: int = 24_000
 
     # Provenance: the dataset and simulation window the paper used
-    # (Tables 6-8), recorded for the workload-inventory benchmark.
+    # (Tables 6-8), recorded as documentation (see DOC_ONLY_FIELDS).
     paper_dataset: str = "reference"
     paper_window: str = ""
 

@@ -127,10 +127,16 @@ class TestFrequencyTables:
         assert [c.ways for c in ADAPTIVE_ICACHE_CONFIGS] == [1, 2, 3, 4]
 
     def test_icache_predictor_scales_with_cache(self):
+        """Table 2: the gshare PHT grows from 16 K to 64 K entries."""
         small = ADAPTIVE_ICACHE_CONFIGS[0].predictor
         large = ADAPTIVE_ICACHE_CONFIGS[-1].predictor
-        assert large.gshare_entries > small.gshare_entries
+        assert (small.gshare_entries, large.gshare_entries) == (16_384, 65_536)
         assert large.local_bht_entries > small.local_bht_entries
+
+    def test_adaptive_icache_frequency_falls_strictly_with_size(self):
+        """Figure 3: each larger adaptive I-cache is strictly slower."""
+        freqs = [c.frequency_ghz for c in ADAPTIVE_ICACHE_CONFIGS]
+        assert all(larger < smaller for smaller, larger in zip(freqs, freqs[1:]))
 
     def test_icache_dm_to_2way_drop_is_large(self):
         """Figure 3: ~31% frequency drop from direct-mapped to 2-way."""
@@ -146,7 +152,10 @@ class TestFrequencyTables:
         assert 1.20 <= optimal / adaptive <= 1.35
 
     def test_sixteen_optimized_icache_configs(self):
-        assert len(OPTIMIZED_ICACHE_CONFIGS) == 16
+        """Table 3: sixteen synchronous I-caches from 4 KB to 64 KB."""
+        sizes = [c.size_kb for c in OPTIMIZED_ICACHE_CONFIGS]
+        assert len(sizes) == 16
+        assert (min(sizes), max(sizes)) == (4, 64)
 
     def test_optimized_direct_mapped_faster_than_same_size_set_associative(self):
         assert (
@@ -170,6 +179,13 @@ class TestFrequencyTables:
         assert set(ISSUE_QUEUE_FREQUENCY_CURVE) == set(range(16, 68, 4))
         values = [ISSUE_QUEUE_FREQUENCY_CURVE[s] for s in range(16, 68, 4)]
         assert values == sorted(values, reverse=True)
+
+    def test_issue_queue_curve_steps_most_from_16_to_20_entries(self):
+        """Figure 4: the 16 -> 20 entry step (2 -> 3 selection levels) is the big one."""
+        first_step = 1 - ISSUE_QUEUE_FREQUENCY_CURVE[20] / ISSUE_QUEUE_FREQUENCY_CURVE[16]
+        later_steps = 1 - ISSUE_QUEUE_FREQUENCY_CURVE[64] / ISSUE_QUEUE_FREQUENCY_CURVE[20]
+        assert first_step > 0.15
+        assert first_step > later_steps / 2
 
     def test_lookup_by_name_and_index(self):
         assert adaptive_dcache_config(0).name == "32k1W/256k1W"
