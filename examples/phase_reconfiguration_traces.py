@@ -1,10 +1,14 @@
-"""Reproduce the flavour of Figure 7: reconfiguration traces over time.
+"""Print Figure 7's reconfiguration traces: configurations over time.
 
-``apsi`` shows periodic phases in its data-cache capacity needs, so the D/L2
-pair oscillates between the smallest and a larger configuration; ``art``
-cycles its integer issue queue with the ILP of its phases.  This example runs
-both workloads on the phase-adaptive machine and prints a text timeline of
-the configurations chosen by the hardware controllers.
+In the paper, ``apsi``'s D/L2 pair oscillates between the smallest and a
+larger configuration with the data-cache phases of the program, and
+``art``'s integer issue queue follows the ILP of its phases.  This example
+runs both workloads on the phase-adaptive machine and prints a text
+timeline of the configurations the hardware controllers choose.  In this
+model art's integer queue does leave 16 entries, but at the default window
+of 24 000 apsi's D/L2 stays at 32k1W/256k1W for all six intervals: the
+cache controller's cost model does not charge misses the B-partition probes
+they pay (ROADMAP item 1).
 
 Usage::
 

@@ -18,8 +18,7 @@ picoseconds throughout.
 from __future__ import annotations
 
 from math import inf
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.memory import MainMemory
@@ -42,6 +41,8 @@ from repro.isa.opcodes import (
     FLAG_MEMORY,
     FLAG_STORE,
     FLAG_TAKEN,
+    OPCLASSES,
+    OPCODE_ID,
     OpClass,
 )
 from repro.isa.registers import FP_BASE_INDEX
@@ -69,19 +70,20 @@ from repro.timing.tables import (
     BranchPredictorGeometry,
 )
 
-_INT_COMPLEX_OPS = frozenset({OpClass.INT_MULT, OpClass.INT_DIV})
-_FP_COMPLEX_OPS = frozenset({OpClass.FP_MULT, OpClass.FP_DIV, OpClass.FP_SQRT})
+# Issue works on dense opcode ids (``DynInst.op_id``): the latency table is a
+# tuple indexed by id, and the functional-unit pools test complex ops as ints.
+_LATENCY_BY_OP_ID = tuple(EXECUTION_LATENCY[op] for op in OPCLASSES)
+_INT_COMPLEX_OPS = frozenset(OPCODE_ID[op] for op in (OpClass.INT_MULT, OpClass.INT_DIV))
+_FP_COMPLEX_OPS = frozenset(
+    OPCODE_ID[op] for op in (OpClass.FP_MULT, OpClass.FP_DIV, OpClass.FP_SQRT)
+)
 
-# Hoisted hot-loop constants: domain name strings (compared against
-# ``DynInst.exec_domain`` every wake-up check) and the issue-order sort key.
+# Hoisted hot-loop constants: domain name strings (``DynInst.exec_domain``
+# values and wake-up window keys).
 _FRONT_END_DOMAIN = Domain.FRONT_END.value
 _INTEGER_DOMAIN = Domain.INTEGER.value
 _FLOATING_POINT_DOMAIN = Domain.FLOATING_POINT.value
 _LOAD_STORE_DOMAIN = Domain.LOAD_STORE.value
-_SEQ_KEY = attrgetter("seq")
-
-#: Shared empty result for wake-up scans of an empty queue.
-_NO_READY: tuple = ()
 
 #: The work horizon when no domain can bound its next work from the machine
 #: state (only a deadlocked machine gets here).
@@ -95,6 +97,21 @@ _DEADLOCK_LIMIT = 2_000_000
 #: (matching the front end's pool capacity — keeping more would never be
 #: reused).
 _RETIRED_KEEP_LIMIT = 512
+
+
+def _wake_consumers(
+    consumers: list[DynInst],
+    schedule_int: Callable[[DynInst], None],
+    schedule_fp: Callable[[DynInst], None],
+) -> None:
+    """Count down the consumers of a producer whose completion time was just
+    set, scheduling each whose last in-flight producer it was; then empty
+    the list, so that producer and consumer stop referring to each other."""
+    for consumer in consumers:
+        consumer.waits -= 1
+        if not consumer.waits:
+            (schedule_fp if consumer.is_fp else schedule_int)(consumer)
+    consumers.clear()
 
 
 class MCDProcessor:
@@ -125,7 +142,7 @@ class MCDProcessor:
         domain's clock edges before it in bulk, applying the counter updates
         those idle edges would have made (stall cycles, commit-attempt
         synchronisation statistics, issue-queue occupancy samples)
-        arithmetically — see :meth:`_skip_idle_edges`.  Bit-identical by
+        arithmetically — see :meth:`_horizon_skipper`.  Bit-identical by
         construction, jitter-correct (bulk skips land on the memoised
         jittered edges) and on by default; ``False`` walks every edge one at
         a time, the reference path the identity tests compare against.
@@ -177,21 +194,14 @@ class MCDProcessor:
         self._int_clock = self.clocks[Domain.INTEGER]
         self._fp_clock = self.clocks[Domain.FLOATING_POINT]
         self._ls_clock = self.clocks[Domain.LOAD_STORE]
-        # Wake-up synchronisation windows by (consumer, producer) domain,
-        # rebuilt whenever any domain's period changes (see _wake_windows).
-        self._wake_window_periods: tuple[Picoseconds, ...] | None = None
-        self._wake_window_table: dict[str, dict[str, int]] = {}
-        # Epoch stamp for memoised per-instruction wake-up times: advanced on
-        # every wake-window rebuild, so a frequency change invalidates every
-        # cached ``DynInst.wake_time`` at once.
-        self._wake_epoch = 0
-        # Scratch list reused by every wake-up scan (one per execution-domain
-        # edge; the scans never overlap, and each caller consumes the result
-        # before the next scan runs), sparing the allocator and the GC.
-        self._ready_scratch: list[DynInst] = []
         self.sync = SynchronizationModel(
             enabled=spec.inter_domain_sync, window_fraction=sync_window_fraction
         )
+        # Wake-up synchronisation windows by (consumer, producer) domain,
+        # rebuilt whenever any domain's period changes (see
+        # _build_wake_windows).
+        self._wake_window_table: dict[str, dict[str, int]] = {}
+        self._build_wake_windows()
         self.pll = PLLModel(
             mean_us=self.control.pll_mean_us,
             min_us=self.control.pll_min_us,
@@ -219,8 +229,16 @@ class MCDProcessor:
         self.lsq = LoadStoreQueue(params.load_store_queue_entries)
         self.int_regs = PhysicalRegisterFile(params.physical_int_registers)
         self.fp_regs = PhysicalRegisterFile(params.physical_fp_registers)
-        self.int_queue = IssueQueue(spec.int_queue_size, name="int-queue")
-        self.fp_queue = IssueQueue(spec.fp_queue_size, name="fp-queue")
+        self.int_queue = IssueQueue(
+            spec.int_queue_size,
+            name="int-queue",
+            windows=self._wake_windows(_INTEGER_DOMAIN),
+        )
+        self.fp_queue = IssueQueue(
+            spec.fp_queue_size,
+            name="fp-queue",
+            windows=self._wake_windows(_FLOATING_POINT_DOMAIN),
+        )
         self.int_units = FunctionalUnitPool(
             alus=params.int_alus,
             complex_units=params.int_complex_units,
@@ -274,7 +292,7 @@ class MCDProcessor:
             if self._trace_sync:
                 # Penalties recorded inside SynchronizationModel.transfer
                 # reach the recorder through this callback; the inlined
-                # penalty sites in _commit and _skip_idle_edges (which bypass
+                # penalty sites in _commit and the horizon skip (which bypass
                 # transfer) emit directly under the same boolean.
                 self.sync.on_penalty = self._emit_sync_penalty
         else:
@@ -492,11 +510,13 @@ class MCDProcessor:
         # Hot bindings: the loop body runs once per processed clock edge, so
         # every attribute lookup it avoids matters.  The edge selection is an
         # explicit four-way compare (ties resolve in Domain declaration
-        # order, exactly as ``min(Domain, key=...)`` did).  The ROB and
-        # fetch-queue containers are mutated only in place, so binding them
-        # once keeps the quiescence check to two truth tests.
+        # order, exactly as ``min(Domain, key=...)`` did).  The ROB,
+        # fetch-queue and pending-event containers are mutated only in
+        # place, so binding them once keeps the quiescence and event checks
+        # to truth tests.
         rob_entries = rob._entries
         fq_entries = frontend.fetch_queue._entries
+        pending_events = self._pending_events
         fe_clock = self._fe_clock
         int_clock = self._int_clock
         fp_clock = self._fp_clock
@@ -505,8 +525,7 @@ class MCDProcessor:
         int_cycle = self._integer_cycle
         fp_cycle = self._floating_point_cycle
         ls_cycle = self._load_store_cycle
-        horizon_scheduling = self._horizon_enabled
-        skip_idle_edges = self._skip_idle_edges
+        skip_idle_edges = self._horizon_skipper() if self._horizon_enabled else None
         retired = self._retired
         # Jitter never changes mid-run, so on jitter-free machines the
         # per-edge ``clock.advance()`` call reduces to its two attribute
@@ -530,7 +549,7 @@ class MCDProcessor:
                     retired.clear()
                 if frontend.trace_exhausted:
                     break
-            if horizon_scheduling:
+            if skip_idle_edges is not None:
                 # Before an edge is selected, so the skip never consumes
                 # edges past the run's final cycle.
                 skip_idle_edges()
@@ -554,7 +573,7 @@ class MCDProcessor:
                 clock = ls_clock
                 cycle = ls_cycle
 
-            if self._pending_events:
+            if pending_events:
                 self._process_pending_events(edge)
             cycle(edge)
             if jitter_free:
@@ -577,8 +596,9 @@ class MCDProcessor:
                 idle_iterations = 0
                 last_committed = committed
 
-    def _skip_idle_edges(self) -> None:
-        """Consume every clock edge before the work horizon, in bulk.
+    def _horizon_skipper(self) -> Callable[[], None]:
+        """Build this run's work-horizon skip: a call that consumes every
+        clock edge before the work horizon, in bulk.
 
         The work horizon is the earliest time at which any domain can do
         more than per-cycle bookkeeping, read off the machine state:
@@ -588,8 +608,9 @@ class MCDProcessor:
           when no ROB, register, issue-queue or LSQ hazard blocks it
           (dispatch); fetch's ``stall_until``, or the next edge when fetch
           can run (fetch);
-        - integer and floating point: the issue queue's earliest incoming
-          arrival or entry wake-up (:meth:`_issue_queue_horizon`);
+        - integer and floating point: the next edge while the issue queue
+          holds a woken entry, otherwise the earlier of its incoming head's
+          arrival and its wake-up heap's top key;
         - load/store: the earliest ``lsq_arrival_time`` of an unissued entry;
         - the earliest pending reconfiguration event, which fires at the
           first edge of any domain at or after its time.
@@ -613,137 +634,178 @@ class MCDProcessor:
         - each issue queue's per-cycle occupancy sample.
 
         Edges at the horizon itself are left to the main loop, which
-        processes them in the usual domain order.
+        processes them in the usual domain order.  The skip closes over the
+        run's clocks, queues, LSQ and front end, which are only ever mutated
+        in place, so each call reloads none of them.  It is not stored on
+        the processor, which would make the two refer to each other.
         """
+        frontend = self.frontend
+        assert frontend is not None
         fe_clock = self._fe_clock
         int_clock = self._int_clock
         fp_clock = self._fp_clock
         ls_clock = self._ls_clock
-        fe_next = fe_clock.next_edge
-        int_next = int_clock.next_edge
-        fp_next = fp_clock.next_edge
-        ls_next = ls_clock.next_edge
-        floor = fe_next
-        if int_next < floor:
-            floor = int_next
-        if fp_next < floor:
-            floor = fp_next
-        if ls_next < floor:
-            floor = ls_next
-
-        # A domain's candidates never precede its own next edge, so each
-        # domain is consulted only while that edge is below the horizon
-        # found so far; once the horizon reaches the earliest edge, nothing
-        # further is computed.
-        horizon = _NO_BOUND
-        if self._pending_events:
-            horizon = min(event[0] for event in self._pending_events)
-        frontend = self.frontend
-        assert frontend is not None
+        fe_edge_at_or_after = fe_clock.edge_at_or_after
+        pending_events = self._pending_events
         fetch_queue = frontend.fetch_queue
         fq_entries = fetch_queue._entries
+        fq_capacity = fetch_queue._capacity
         rob_entries = self.rob._entries
-        sync_enabled = self.sync.enabled
-        if fe_next < horizon and frontend._waiting_branch is None:
-            stall_until = frontend._stall_until
-            if stall_until > fe_next:
-                edge = fe_clock.edge_at_or_after(stall_until)
-                if edge < horizon:
-                    horizon = edge
-            elif (
-                len(fq_entries) < fetch_queue._capacity
-                and not frontend.trace_exhausted
-            ):
-                horizon = fe_next
-        if fe_next < horizon and rob_entries:
-            head = rob_entries[0]
-            completion = head.completion_time
-            if completion is not None:
-                if sync_enabled:
-                    completion += self._wake_windows(_FRONT_END_DOMAIN)[
-                        head.exec_domain
-                    ]
-                edge = fe_clock.edge_at_or_after(completion)
-                if edge < horizon:
-                    horizon = edge
-        if fe_next < horizon and fq_entries:
-            inst = fq_entries[0]
-            ready = inst.dispatch_ready_time
-            if ready < horizon and not self._dispatch_blocked(inst):
-                edge = fe_clock.edge_at_or_after(ready)
-                if edge < horizon:
-                    horizon = edge
-        if int_next < horizon:
-            edge = self._issue_queue_horizon(self.int_queue, int_clock, _INTEGER_DOMAIN)
-            if edge < horizon:
-                horizon = edge
-        if fp_next < horizon:
-            edge = self._issue_queue_horizon(
-                self.fp_queue, fp_clock, _FLOATING_POINT_DOMAIN
-            )
-            if edge < horizon:
-                horizon = edge
+        int_queue = self.int_queue
+        int_incoming = int_queue._incoming
+        int_heap = int_queue._heap
+        int_ready = int_queue._ready
+        fp_queue = self.fp_queue
+        fp_incoming = fp_queue._incoming
+        fp_heap = fp_queue._heap
+        fp_ready = fp_queue._ready
         lsq = self.lsq
-        if ls_next < horizon and lsq.unissued:
-            earliest = _NO_BOUND
-            for inst in lsq._entries:
-                if not inst.memory_issued:
-                    arrival = inst.lsq_arrival_time
-                    if arrival is not None and arrival < earliest:
-                        earliest = arrival
-                        if arrival <= ls_next:
-                            break
-            if earliest < horizon:
-                edge = ls_clock.edge_at_or_after(earliest)
-                if edge < horizon:
-                    horizon = edge
-        if not floor < horizon < _NO_BOUND:
-            return
+        lsq_entries = lsq._entries
+        fe_windows = self._wake_windows(_FRONT_END_DOMAIN)
+        sync = self.sync
+        sync_enabled = sync.enabled
+        dispatch_blocked = self._dispatch_blocked
+        trace_horizon = self._trace_horizon
+        no_bound = _NO_BOUND
+        processor = self
 
-        skipped = 0
-        if fe_next < horizon:
-            head = rob_entries[0] if sync_enabled and rob_entries else None
-            if head is not None and head.completion_time is not None:
-                # Every skipped edge makes the same commit attempt: the
-                # capture edge of the head's completion does not move.
+        def skip_idle_edges() -> None:
+            fe_next = fe_clock.next_edge
+            int_next = int_clock.next_edge
+            fp_next = fp_clock.next_edge
+            ls_next = ls_clock.next_edge
+            floor = fe_next
+            if int_next < floor:
+                floor = int_next
+            if fp_next < floor:
+                floor = fp_next
+            if ls_next < floor:
+                floor = ls_next
+
+            # A domain's candidates never precede its own next edge, so each
+            # domain is consulted only while that edge is below the horizon
+            # found so far; once the horizon reaches the earliest edge,
+            # nothing further is computed.
+            horizon = no_bound
+            if pending_events:
+                horizon = min(event[0] for event in pending_events)
+            if fe_next < horizon and frontend._waiting_branch is None:
+                stall_until = frontend._stall_until
+                if stall_until > fe_next:
+                    edge = fe_edge_at_or_after(stall_until)
+                    if edge < horizon:
+                        horizon = edge
+                elif len(fq_entries) < fq_capacity and not frontend.trace_exhausted:
+                    horizon = fe_next
+            if fe_next < horizon and rob_entries:
+                head = rob_entries[0]
                 completion = head.completion_time
-                window = self._wake_windows(_FRONT_END_DOMAIN)[head.exec_domain]
-                penalised = fe_clock.edge_at_or_after(completion) - completion < window
-            else:
-                head = None
-            count = fe_clock.skip_edges_before(horizon)
-            stats = frontend.stats
-            if frontend._waiting_branch is not None:
-                stats.branch_stall_cycles += count
-            elif frontend._stall_until > fe_next:
-                stats.fetch_stall_cycles += count
-            if head is not None:
-                sync_stats = self.sync.stats
-                sync_stats.transfers += count
-                if penalised:
-                    sync_stats.penalties += count
-                    if self._trace_sync:
-                        for _ in range(count):
-                            self._emit_sync_penalty(
-                                completion, head.exec_domain, _FRONT_END_DOMAIN
-                            )
-            skipped = count
-        for queue, clock in ((self.int_queue, int_clock), (self.fp_queue, fp_clock)):
-            if clock.next_edge < horizon:
-                count = clock.skip_edges_before(horizon)
-                queue.occupancy_samples += count
-                queue.occupancy_accumulator += count * (
-                    len(queue._entries) + len(queue._incoming)
-                )
+                if completion is not None:
+                    # Windows are all 0 on a machine without synchronisation.
+                    # Each bound already due is the domain's next edge.
+                    due = completion + fe_windows[head.exec_domain]
+                    edge = fe_next if due <= fe_next else fe_edge_at_or_after(due)
+                    if edge < horizon:
+                        horizon = edge
+            if fe_next < horizon and fq_entries:
+                inst = fq_entries[0]
+                ready = inst.dispatch_ready_time
+                if ready < horizon and not dispatch_blocked(inst):
+                    edge = fe_next if ready <= fe_next else fe_edge_at_or_after(ready)
+                    if edge < horizon:
+                        horizon = edge
+            if int_next < horizon:
+                if int_ready:
+                    horizon = int_next
+                else:
+                    earliest = int_incoming[0].queue_arrival_time if int_incoming else no_bound
+                    if int_heap and int_heap[0][0] < earliest:
+                        earliest = int_heap[0][0]
+                    if earliest <= int_next:
+                        horizon = int_next
+                    elif earliest < horizon:
+                        edge = int_clock.edge_at_or_after(earliest)
+                        if edge < horizon:
+                            horizon = edge
+            if fp_next < horizon:
+                if fp_ready:
+                    horizon = fp_next
+                else:
+                    earliest = fp_incoming[0].queue_arrival_time if fp_incoming else no_bound
+                    if fp_heap and fp_heap[0][0] < earliest:
+                        earliest = fp_heap[0][0]
+                    if earliest <= fp_next:
+                        horizon = fp_next
+                    elif earliest < horizon:
+                        edge = fp_clock.edge_at_or_after(earliest)
+                        if edge < horizon:
+                            horizon = edge
+            if ls_next < horizon and lsq.unissued:
+                earliest = no_bound
+                for inst in lsq_entries:
+                    if not inst.memory_issued:
+                        arrival = inst.lsq_arrival_time
+                        if arrival is not None and arrival < earliest:
+                            earliest = arrival
+                            if arrival <= ls_next:
+                                break
+                if earliest <= ls_next:
+                    horizon = ls_next
+                elif earliest < horizon:
+                    edge = ls_clock.edge_at_or_after(earliest)
+                    if edge < horizon:
+                        horizon = edge
+            if not floor < horizon < no_bound:
+                return
+
+            skipped = 0
+            if fe_next < horizon:
+                head = rob_entries[0] if sync_enabled and rob_entries else None
+                if head is not None and head.completion_time is not None:
+                    # Every skipped edge makes the same commit attempt: the
+                    # capture edge of the head's completion does not move.
+                    completion = head.completion_time
+                    window = fe_windows[head.exec_domain]
+                    penalised = fe_edge_at_or_after(completion) - completion < window
+                else:
+                    head = None
+                count = fe_clock.skip_edges_before(horizon)
+                stats = frontend.stats
+                if frontend._waiting_branch is not None:
+                    stats.branch_stall_cycles += count
+                elif frontend._stall_until > fe_next:
+                    stats.fetch_stall_cycles += count
+                if head is not None:
+                    sync_stats = sync.stats
+                    sync_stats.transfers += count
+                    if penalised:
+                        sync_stats.penalties += count
+                        if processor._trace_sync:
+                            for _ in range(count):
+                                processor._emit_sync_penalty(
+                                    completion, head.exec_domain, _FRONT_END_DOMAIN
+                                )
+                skipped = count
+            if int_next < horizon:
+                count = int_clock.skip_edges_before(horizon)
+                int_queue.occupancy_samples += count
+                int_queue.occupancy_accumulator += count * int_queue.occupancy
                 skipped += count
-        if ls_next < horizon:
-            skipped += ls_clock.skip_edges_before(horizon)
-        self.horizon_skipped_edges += skipped
-        if self._trace_horizon:
-            assert self.recorder is not None
-            self.recorder.emit(
-                HORIZON_SKIP, horizon, self.rob.total_committed, edges=skipped
-            )
+            if fp_next < horizon:
+                count = fp_clock.skip_edges_before(horizon)
+                fp_queue.occupancy_samples += count
+                fp_queue.occupancy_accumulator += count * fp_queue.occupancy
+                skipped += count
+            if ls_next < horizon:
+                skipped += ls_clock.skip_edges_before(horizon)
+            processor.horizon_skipped_edges += skipped
+            if trace_horizon:
+                assert processor.recorder is not None
+                processor.recorder.emit(
+                    HORIZON_SKIP, horizon, processor.rob.total_committed, edges=skipped
+                )
+
+        return skip_idle_edges
 
     def _dispatch_blocked(self, inst: DynInst) -> bool:
         """True when a structural hazard stops *inst* from dispatching.
@@ -760,74 +822,25 @@ class MCDProcessor:
             if regfile._total <= regfile._allocated:
                 return True
         queue = self.fp_queue if inst.is_fp else self.int_queue
-        if len(queue._entries) + len(queue._incoming) >= queue._capacity:
+        if queue.occupancy >= queue._capacity:
             return True
         lsq = self.lsq
         return inst.is_memory_op and len(lsq._entries) >= lsq._capacity
 
-    def _issue_queue_horizon(
-        self, queue: IssueQueue, clock: DomainClock, domain_name: str
-    ) -> float:
-        """First edge of *clock* at which *queue* can admit or issue an entry.
-
-        That is the earliest incoming arrival or the earliest wake-up time
-        over entries whose producers have all completed, aligned to the
-        domain's clock; ``_NO_BOUND`` when neither exists.
-        """
-        next_edge = clock.next_edge
-        earliest = _NO_BOUND
-        for inst in queue._incoming:
-            arrival = inst.queue_arrival_time
-            if arrival < earliest:
-                earliest = arrival
-        entries = queue._entries
-        if entries and earliest > next_edge:
-            windows = self._wake_windows(domain_name)
-            epoch = self._wake_epoch
-            for inst in entries:
-                if inst.wake_epoch == epoch:
-                    wake = inst.wake_time
-                else:
-                    # Memoised as in _ready_entries; a producer still in
-                    # flight leaves the entry unbounded.
-                    wake = 0
-                    for producer in inst.producers:
-                        if producer is None:
-                            continue
-                        completion = producer.completion_time
-                        if completion is None:
-                            wake = _NO_BOUND
-                            break
-                        exec_domain = producer.exec_domain
-                        if exec_domain != domain_name:
-                            completion += windows[exec_domain]
-                        if completion > wake:
-                            wake = completion
-                    else:
-                        inst.wake_time = wake
-                        inst.wake_epoch = epoch
-                if wake < earliest:
-                    earliest = wake
-                    if wake <= next_edge:
-                        break
-        if earliest == _NO_BOUND:
-            return _NO_BOUND
-        return clock.edge_at_or_after(earliest)
-
     def _process_pending_events(self, now: Picoseconds) -> None:
-        due = [event for event in self._pending_events if event[0] <= now]
+        pending = self._pending_events
+        due = [event for event in pending if event[0] <= now]
         if not due:
             return
-        self._pending_events = [
-            event for event in self._pending_events if event[0] > now
-        ]
+        pending[:] = [event for event in pending if event[0] > now]
         for _, action in sorted(due, key=lambda event: event[0]):
             action()
-        # Domain frequencies change only inside pending-event actions (the
-        # reconfiguration ``finish`` closures), so the wake-window table is
-        # invalidated eagerly here and its per-call validity check reduces
-        # to one ``is None`` test (see :meth:`_wake_windows`).
-        self._wake_window_periods = None
+        # Domain periods change only inside pending-event actions (the
+        # reconfiguration ``finish`` closures), so the wake-up windows are
+        # rebuilt here, and every scheduled entry is re-keyed under them.
+        self._build_wake_windows()
+        self.int_queue.rekey()
+        self.fp_queue.rekey()
 
     # ------------------------------------------------------------ front end
 
@@ -854,122 +867,153 @@ class MCDProcessor:
         entries = rob._entries
         if not entries or entries[0].completion_time is None:
             return
-        clock_by_name = self._clock_by_name
         sync = self.sync
         # Disabled synchronisation makes transfer the identity (and records
         # nothing), so the call is skipped outright on synchronous machines.
         sync_enabled = sync.enabled
         sync_stats = sync.stats
-        windows_fe = self._wake_windows(_FRONT_END_DOMAIN) if sync_enabled else None
+        windows_fe = self._wake_windows(_FRONT_END_DOMAIN)
         last_writer = self._last_writer
+        int_regs = self.int_regs
+        fp_regs = self.fp_regs
+        lsq = self.lsq
+        lsq_entries = lsq._entries
         phase_adaptive = self.phase_adaptive
         trace_sync = self._trace_sync
         retired = self._retired
-        committed = 0
+        committed = transfers = 0
         retire_width = self._retire_width
-        while committed < retire_width:
-            if not entries:
-                break
+        while committed < retire_width and entries:
             head = entries[0]
             completion = head.completion_time
             if completion is None:
                 break
-            producer_clock = (
-                clock_by_name.get(head.exec_domain) if sync_enabled else None
-            )
-            if producer_clock is not None and producer_clock is not fe_clock:
+            exec_domain = head.exec_domain
+            if sync_enabled and exec_domain != _FRONT_END_DOMAIN:
                 # Inline ``sync.transfer(completion, producer, fe_clock)``:
                 # the commit check runs at ``now == fe_clock.next_edge``, so
                 # for a completed head the capture edge clamps to *now* and
                 # the synchroniser outcome reduces to the precomputed window
-                # compare (see :meth:`_wake_windows`); only a head completing
-                # in the future needs the true capture edge, and then solely
-                # for the penalty statistic — it cannot commit this cycle
-                # either way.  Statistics recording is identical to the call.
-                window = windows_fe[head.exec_domain]
-                sync_stats.transfers += 1
+                # compare (see :meth:`_build_wake_windows`); only a head
+                # completing in the future needs the true capture edge, and
+                # then solely for the penalty statistic — it cannot commit
+                # this cycle either way.  Statistics recording is identical
+                # to the call.
+                window = windows_fe[exec_domain]
+                transfers += 1
                 if completion > now:
                     if fe_clock.edge_at_or_after(completion) - completion < window:
                         sync_stats.penalties += 1
                         if trace_sync:
-                            self._emit_sync_penalty(
-                                completion, head.exec_domain, _FRONT_END_DOMAIN
-                            )
+                            self._emit_sync_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
                 if now - completion < window:
                     sync_stats.penalties += 1
                     if trace_sync:
-                        self._emit_sync_penalty(
-                            completion, head.exec_domain, _FRONT_END_DOMAIN
-                        )
+                        self._emit_sync_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
             elif completion > now:
                 break
-            rob.commit_head()
-            head.commit_time = now
+            entries.popleft()
+            rob.total_committed += 1
             committed += 1
-            self._last_commit_time = now
             dest = head.dest
             if dest >= 0:
-                if dest >= FP_BASE_INDEX:
-                    self.fp_regs.release()
-                else:
-                    self.int_regs.release()
+                regfile = fp_regs if dest >= FP_BASE_INDEX else int_regs
+                regfile._allocated -= 1
+                if regfile._allocated < regfile._logical:
+                    raise RuntimeError("physical register file underflow")
                 if last_writer.get(dest) is head:
                     del last_writer[dest]
             if head.is_memory_op:
-                self.lsq.release(head)
+                # Commit is in program order, so an issued memory op is the
+                # LSQ head.
+                if lsq_entries and lsq_entries[0] is head and head.memory_issued:
+                    del lsq_entries[0]
+                else:
+                    lsq.release(head)
             if len(retired) < _RETIRED_KEEP_LIMIT:
                 retired.append(head)
             if phase_adaptive:
                 self._on_commit(now)
+        sync_stats.transfers += transfers
+        if committed:
+            self._last_commit_time = now
 
     def _dispatch(self, now: Picoseconds, fe_clock: DomainClock) -> None:
         frontend = self.frontend
-        fetch_queue = frontend.fetch_queue
         # Cheap early-out (same container binding as the main loop): nothing
         # decoded and ready means nothing to dispatch this cycle.
-        fq_entries = fetch_queue._entries
+        fq_entries = frontend.fetch_queue._entries
         if not fq_entries or fq_entries[0].dispatch_ready_time > now:
             return
         rob = self.rob
+        rob_entries = rob._entries
+        rob_capacity = rob._capacity
         lsq = self.lsq
+        lsq_entries = lsq._entries
+        lsq_capacity = lsq._capacity
         dispatch_blocked = self._dispatch_blocked
         last_writer = self._last_writer
         last_writer_get = last_writer.get
+        int_regs = self.int_regs
+        fp_regs = self.fp_regs
+        int_queue = self.int_queue
+        fp_queue = self.fp_queue
         sync = self.sync
         sync_enabled = sync.enabled
-        sync_stats = sync.stats
         int_clock = self._int_clock
         fp_clock = self._fp_clock
         feed_controllers = self.phase_adaptive and self.control.adapt_queues
         dispatched = 0
         decode_width = self._decode_width
-        while dispatched < decode_width:
-            inst = fq_entries[0] if fq_entries else None
-            if inst is None or inst.dispatch_ready_time > now or dispatch_blocked(inst):
+        while dispatched < decode_width and fq_entries:
+            inst = fq_entries[0]
+            if inst.dispatch_ready_time > now or dispatch_blocked(inst):
                 break
-
-            fetch_queue.pop()
+            # dispatch_blocked has ruled out a full ROB, register file,
+            # issue queue and LSQ; the overflow checks below only guard
+            # that rule.
+            fq_entries.popleft()
+            # Rename.  Each operand names its in-flight producer, if any; a
+            # producer still without a completion time will wake this entry.
             source_count = inst.source_count
             if source_count == 0:
-                inst.producers = ()
+                producers: tuple[DynInst | None, ...] = ()
             elif source_count == 1:
-                inst.producers = (last_writer_get(inst.src0),)
+                producers = (last_writer_get(inst.src0),)
             else:
-                inst.producers = (
-                    last_writer_get(inst.src0),
-                    last_writer_get(inst.src1),
-                )
+                producers = (last_writer_get(inst.src0), last_writer_get(inst.src1))
+            inst.producers = producers
+            waits = 0
+            for producer in producers:
+                if producer is not None and producer.completion_time is None:
+                    producer.consumers.append(inst)
+                    waits += 1
+            inst.waits = waits
             dest = inst.dest
             if dest >= 0:
-                (self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs).allocate()
+                regfile = fp_regs if dest >= FP_BASE_INDEX else int_regs
+                if regfile._allocated >= regfile._total:
+                    raise RuntimeError("physical register file overflow")
+                regfile._allocated += 1
+                regfile.allocations += 1
                 last_writer[dest] = inst
-            rob.dispatch(inst)
+            if len(rob_entries) >= rob_capacity:
+                raise RuntimeError("dispatch into a full reorder buffer")
+            rob_entries.append(inst)
             if inst.is_memory_op:
-                lsq.allocate(inst)
-            inst.dispatch_time = now
-            is_fp_op = inst.is_fp
+                if len(lsq_entries) >= lsq_capacity:
+                    raise RuntimeError("allocation into a full load/store queue")
+                lsq_entries.append(inst)
+                lsq.stats.allocations += 1
+                lsq.unissued += 1
+            if inst.is_fp:
+                queue = fp_queue
+                queue_clock = fp_clock
+            else:
+                queue = int_queue
+                queue_clock = int_clock
             if sync_enabled:
                 # Inline ``sync.transfer(now, fe_clock, queue_clock,
                 # fifo=True)``: dispatch runs while the front-end edge *now*
@@ -977,21 +1021,30 @@ class MCDProcessor:
                 # capture edge ``edge_at_or_after(now)`` clamps to its
                 # ``next_edge``, and a FIFO crossing never pays the extra
                 # arbitration cycle — the call reduces to one attribute read
-                # plus the transfer count it would have recorded.
-                sync_stats.transfers += 1
-                arrival = (fp_clock if is_fp_op else int_clock).next_edge
+                # plus the transfer count it would have recorded (added
+                # below).
+                inst.queue_arrival_time = queue_clock.next_edge
             else:
-                arrival = now
-            (self.fp_queue if is_fp_op else self.int_queue).dispatch(inst, arrival)
+                inst.queue_arrival_time = now
+            if queue.occupancy >= queue._capacity:
+                raise RuntimeError(f"{queue.name}: dispatch into a full queue")
+            queue._incoming.append(inst)
+            queue.occupancy += 1
+            queue.operand_reads += source_count
+            if not waits:
+                queue.schedule(inst)
             dispatched += 1
 
             if feed_controllers:
                 self._feed_queue_controllers(inst, now)
+        rob.total_dispatched += dispatched
+        if sync_enabled:
+            sync.stats.transfers += dispatched
 
     # --------------------------------------------------------- exec domains
 
-    def _wake_windows(self, domain_name: str) -> dict[str, int]:
-        """Wake-up addends per producer domain for consumer *domain_name*.
+    def _build_wake_windows(self) -> None:
+        """Compute the wake-up windows from the current domain periods.
 
         The wake-up check always runs at ``now == consumer.next_edge`` (the
         edge being processed), where the synchronised readiness test
@@ -1006,118 +1059,64 @@ class MCDProcessor:
           unsafe window after *completion* (``now - completion < window``),
           i.e. ready iff ``completion + window <= now``.
 
-        This turns the per-producer synchronisation call in the wake-up scan
-        into one integer add.  Windows are 0 within a domain and on the
-        fully synchronous machine (transfers are free there).  Domain
-        frequencies change only inside pending-event actions, and the event
-        pump invalidates the table eagerly after running any (see
-        :meth:`_process_pending_events`), so the per-call validity check is
-        a single ``is None`` test; every rebuild advances ``_wake_epoch``,
-        invalidating the memoised per-instruction wake-up times with it.
+        This turns the per-producer synchronisation call of a wake-up into
+        one integer add.  Windows are 0 within a domain and on the fully
+        synchronous machine (transfers are free there).  The table is built
+        in the constructor and rebuilt, in place, after every pending-event
+        action (:meth:`_process_pending_events`), the only code that changes
+        a domain's period; so the issue queues and the horizon skip hold
+        its rows by reference.
         """
-        if self._wake_window_periods is None:
-            clock_by_name = self._clock_by_name
-            fraction = self.sync.window_fraction if self.sync.enabled else 0.0
-            self._wake_window_table = {
-                consumer: {
-                    producer: (
-                        int(fraction * min(pclock.period_ps, cclock.period_ps))
-                        if pclock is not cclock
-                        else 0
-                    )
-                    for producer, pclock in clock_by_name.items()
-                }
-                for consumer, cclock in clock_by_name.items()
-            }
-            self._wake_window_periods = (
-                self._fe_clock.period_ps,
-                self._int_clock.period_ps,
-                self._fp_clock.period_ps,
-                self._ls_clock.period_ps,
-            )
-            self._wake_epoch += 1
+        clock_by_name = self._clock_by_name
+        fraction = self.sync.window_fraction if self.sync.enabled else 0.0
+        for consumer, cclock in clock_by_name.items():
+            windows = self._wake_window_table.setdefault(consumer, {})
+            for producer, pclock in clock_by_name.items():
+                windows[producer] = (
+                    int(fraction * min(pclock.period_ps, cclock.period_ps))
+                    if pclock is not cclock
+                    else 0
+                )
+
+    def _wake_windows(self, domain_name: str) -> dict[str, int]:
+        """Wake-up addends per producer domain for consumer *domain_name*."""
         return self._wake_window_table[domain_name]
-
-    def _ready_entries(
-        self, queue: IssueQueue, now: Picoseconds, domain_name: str
-    ) -> Sequence[DynInst]:
-        """Operand-ready queue entries, oldest first.
-
-        The returned sequence is a reused scratch buffer, valid only until
-        the next scan; callers consume it immediately.
-
-        Inline equivalent of ``queue.ready_entries(now, operand_ready)``: the
-        wake-up check runs for every queue entry every cycle, so it is one
-        loop with no per-entry callback, and each cross-domain
-        synchronisation call is reduced to its precomputed window addend
-        (see :meth:`_wake_windows`).
-        """
-        entries = queue.pending_entries()
-        if not entries:
-            return _NO_READY
-        windows = self._wake_windows(domain_name)
-        # Read the epoch only after _wake_windows, which advances it when a
-        # frequency change invalidates the windows (and with them every
-        # memoised wake time).
-        epoch = self._wake_epoch
-        ready = self._ready_scratch
-        ready.clear()
-        for inst in entries:
-            if inst.wake_epoch == epoch:
-                # Memoised: every producer's completion is final once set,
-                # so the wake-up time computed on a previous scan holds for
-                # as long as the windows do.
-                if inst.wake_time <= now:
-                    ready.append(inst)
-                continue
-            wake = 0
-            for producer in inst.producers:
-                if producer is None:
-                    continue
-                completion = producer.completion_time
-                if completion is None:
-                    break
-                exec_domain = producer.exec_domain
-                if exec_domain != domain_name:
-                    completion += windows[exec_domain]
-                if completion > wake:
-                    wake = completion
-            else:
-                inst.wake_time = wake
-                inst.wake_epoch = epoch
-                if wake <= now:
-                    ready.append(inst)
-        ready.sort(key=_SEQ_KEY)
-        return ready
 
     def _integer_cycle(self, now: Picoseconds) -> None:
         queue = self.int_queue
-        if queue._incoming:
+        incoming = queue._incoming
+        if incoming and incoming[0].queue_arrival_time <= now:
             queue.admit_arrivals(now)
-        if queue._entries:
+        heap = queue._heap
+        if heap and heap[0][0] <= now:
+            queue.wake_up(now)
+        ready = queue._ready
+        if ready:
             clock = self._int_clock
             period = clock.period_ps
             units = self.int_units
             units.begin_cycle(now)
-            ready = self._ready_entries(queue, now, _INTEGER_DOMAIN)
+            try_reserve = units.try_reserve
             issue_width = self._issue_width
-            execution_latency = EXECUTION_LATENCY
+            latency_by_op = _LATENCY_BY_OP_ID
             sync = self.sync
             sync_enabled = sync.enabled
+            schedule_int = queue.schedule
+            schedule_fp = self.fp_queue.schedule
             issued = 0
-            for inst in ready:
-                if issued >= issue_width:
-                    break
-                op = inst.op
-                latency_ps = execution_latency[op] * period
-                if not units.try_reserve(op, now, latency_ps):
+            index = 0
+            # Oldest first; an entry without a free unit stays ready.
+            while issued < issue_width and index < len(ready):
+                inst = ready[index]
+                op_id = inst.op_id
+                latency_ps = latency_by_op[op_id] * period
+                if not try_reserve(op_id, now, latency_ps):
+                    index += 1
                     continue
-                queue.remove(inst)
-                inst.issue_time = now
+                del ready[index]
                 issued += 1
                 if inst.is_memory_op:
                     agen = now + period
-                    inst.agen_time = agen
                     if sync_enabled:
                         # Inline ``sync.transfer(agen, clock, ls_clock,
                         # fifo=True)``: a FIFO crossing pays only the edge
@@ -1125,47 +1124,60 @@ class MCDProcessor:
                         # call is the capture-edge lookup plus the transfer
                         # count it would have recorded.
                         sync.stats.transfers += 1
-                        inst.lsq_arrival_time = self._ls_clock.edge_at_or_after(
-                            agen
-                        )
+                        inst.lsq_arrival_time = self._ls_clock.edge_at_or_after(agen)
                     else:
                         inst.lsq_arrival_time = agen
                 else:
                     completion = now + latency_ps
                     inst.completion_time = completion
                     inst.exec_domain = _INTEGER_DOMAIN
+                    if inst.consumers:
+                        _wake_consumers(inst.consumers, schedule_int, schedule_fp)
                     if inst.mispredicted:
                         self._schedule_branch_redirect(inst, completion, clock)
+            queue.occupancy -= issued
+            queue.total_issued += issued
         # Inline occupancy sample (one per processed edge, as always).
         queue.occupancy_samples += 1
-        queue.occupancy_accumulator += len(queue._entries) + len(queue._incoming)
+        queue.occupancy_accumulator += queue.occupancy
 
     def _floating_point_cycle(self, now: Picoseconds) -> None:
         queue = self.fp_queue
-        if queue._incoming:
+        incoming = queue._incoming
+        if incoming and incoming[0].queue_arrival_time <= now:
             queue.admit_arrivals(now)
-        if queue._entries:
+        heap = queue._heap
+        if heap and heap[0][0] <= now:
+            queue.wake_up(now)
+        ready = queue._ready
+        if ready:
             period = self._fp_clock.period_ps
             units = self.fp_units
             units.begin_cycle(now)
-            ready = self._ready_entries(queue, now, _FLOATING_POINT_DOMAIN)
+            try_reserve = units.try_reserve
             issue_width = self._issue_width
-            execution_latency = EXECUTION_LATENCY
+            latency_by_op = _LATENCY_BY_OP_ID
+            schedule_int = self.int_queue.schedule
+            schedule_fp = queue.schedule
             issued = 0
-            for inst in ready:
-                if issued >= issue_width:
-                    break
-                op = inst.op
-                latency_ps = execution_latency[op] * period
-                if not units.try_reserve(op, now, latency_ps):
+            index = 0
+            while issued < issue_width and index < len(ready):
+                inst = ready[index]
+                op_id = inst.op_id
+                latency_ps = latency_by_op[op_id] * period
+                if not try_reserve(op_id, now, latency_ps):
+                    index += 1
                     continue
-                queue.remove(inst)
-                inst.issue_time = now
+                del ready[index]
                 issued += 1
                 inst.completion_time = now + latency_ps
                 inst.exec_domain = _FLOATING_POINT_DOMAIN
+                if inst.consumers:
+                    _wake_consumers(inst.consumers, schedule_int, schedule_fp)
+            queue.occupancy -= issued
+            queue.total_issued += issued
         queue.occupancy_samples += 1
-        queue.occupancy_accumulator += len(queue._entries) + len(queue._incoming)
+        queue.occupancy_accumulator += queue.occupancy
 
     def _load_store_cycle(self, now: Picoseconds) -> None:
         lsq = self.lsq
@@ -1173,16 +1185,17 @@ class MCDProcessor:
             # Every occupant has issued already (or the queue is empty):
             # the scan below would be a pure no-op.
             return
-        clock = self._ls_clock
-        period = clock.period_ps
+        period = self._ls_clock.period_ps
         cache_ports = self._cache_ports
         access_data = self.hierarchy.access_data
         lsq_stats = lsq.stats
+        schedule_int = self.int_queue.schedule
+        schedule_fp = self.fp_queue.schedule
         performed = 0
         # Performing an access never mutates the LSQ entry list (entries
         # leave only at commit), so the program-ordered list is iterated
         # directly.
-        for inst in lsq.pending_entries():
+        for inst in lsq._entries:
             if performed >= cache_ports:
                 break
             if inst.memory_issued:
@@ -1190,36 +1203,27 @@ class MCDProcessor:
             arrival = inst.lsq_arrival_time
             if arrival is None or arrival > now:
                 continue
-            if inst.is_load:
-                older_store = lsq.pending_older_store(inst)
-                if older_store is not None:
-                    forwardable = lsq.forwardable_store(inst, now)
-                    if forwardable is None:
+            if not inst.is_store:
+                if lsq.pending_older_store(inst) is not None:
+                    if lsq.forwardable_store(inst, now) is None:
                         continue
-                    inst.completion_time = now + period
-                    inst.exec_domain = _LOAD_STORE_DOMAIN
-                    inst.memory_issued = True
-                    lsq.unissued -= 1
+                    completion = now + period
                     lsq_stats.loads_forwarded += 1
-                    performed += 1
-                    continue
-                inst.completion_time = access_data(
-                    inst.address, is_store=False, now_ps=now, period_ps=period
-                )
-                inst.exec_domain = _LOAD_STORE_DOMAIN
-                inst.memory_issued = True
-                lsq.unissued -= 1
-                lsq_stats.loads_performed += 1
-                performed += 1
+                else:
+                    completion = access_data(
+                        inst.address, is_store=False, now_ps=now, period_ps=period
+                    )
+                    lsq_stats.loads_performed += 1
             else:
-                inst.completion_time = access_data(
-                    inst.address, is_store=True, now_ps=now, period_ps=period
-                )
-                inst.exec_domain = _LOAD_STORE_DOMAIN
-                inst.memory_issued = True
-                lsq.unissued -= 1
+                completion = access_data(inst.address, is_store=True, now_ps=now, period_ps=period)
                 lsq_stats.stores_performed += 1
-                performed += 1
+            inst.completion_time = completion
+            inst.exec_domain = _LOAD_STORE_DOMAIN
+            inst.memory_issued = True
+            performed += 1
+            if inst.consumers:
+                _wake_consumers(inst.consumers, schedule_int, schedule_fp)
+        lsq.unissued -= performed
 
     #: Pipeline depth already represented by the explicit fetch/decode/dispatch
     #: and issue modelling.  The configured misprediction penalties (Table 5)

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 from repro.clocks.time import Picoseconds
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import IS_FLOATING_POINT, OpClass
+from repro.isa.opcodes import IS_FLOATING_POINT, OPCLASSES, OPCODE_ID, OpClass
 from repro.isa.registers import NO_REGISTER, register_index
+
+_NOP_ID = OPCODE_ID[OpClass.NOP]
 
 
 class DynInst:
     """One in-flight dynamic instruction.
 
     A :class:`DynInst` carries the timing state the pipeline needs — when it
-    was fetched, dispatched, issued and completed, which domain produced its
-    result, and which in-flight producers its source operands depend on —
-    together with the decoded instruction fields themselves: program counter,
-    opcode, dense register ids (``NO_REGISTER`` when absent), effective
-    address and branch target.
+    may dispatch, when it reaches its issue queue and the LSQ, when it
+    completes, which domain produced its result, which in-flight producers
+    its source operands depend on and which consumers wait on it — together
+    with the decoded instruction fields themselves: program counter, dense
+    opcode id, dense register ids (``NO_REGISTER`` when absent) and effective
+    address.
 
     On the compiled-trace fast path the fields are populated directly from
     flat column reads and the instance is recycled through a free list once
@@ -25,38 +28,30 @@ class DynInst:
     ``Instruction`` instead and keeps a reference to it.
 
     Deliberately a plain ``__slots__`` class with *identity* equality: queue
-    entries are unique in-flight objects, and the containers that remove them
-    (:meth:`IssueQueue.remove`, LSQ release) rely on fast identity scans
-    rather than field-by-field comparison.
+    entries are unique in-flight objects, and LSQ release relies on a fast
+    identity scan rather than field-by-field comparison.
     """
 
     __slots__ = (
         "instruction",
         "producers",
-        "fetch_time",
         "dispatch_ready_time",
-        "dispatch_time",
         "queue_arrival_time",
-        "issue_time",
-        "agen_time",
         "lsq_arrival_time",
         "completion_time",
-        "commit_time",
         "exec_domain",
         "mispredicted",
-        "squashed",
         "memory_issued",
-        # Memoised operand wake-up time (see MCDProcessor._ready_entries):
-        # valid only while ``wake_epoch`` matches the processor's current
-        # wake-window epoch, which advances on any domain frequency change.
-        "wake_time",
-        "wake_epoch",
+        # Producer-driven wake-up (see IssueQueue.schedule): the entries
+        # that wait on this one's result, and how many of this one's own
+        # producers are still in flight.
+        "consumers",
+        "waits",
         # Decoded instruction fields (column reads on the fast path).
         "seq",
-        "op",
+        "op_id",
         "is_branch",
         "is_memory_op",
-        "is_load",
         "is_store",
         "is_fp",
         "pc",
@@ -65,7 +60,6 @@ class DynInst:
         "src1",
         "source_count",
         "address",
-        "target",
     )
 
     def __init__(self, instruction: Instruction | None = None) -> None:
@@ -74,28 +68,25 @@ class DynInst:
         #: rename time (``None`` entries mean the operand was already
         #: architecturally ready).
         self.producers: tuple[DynInst | None, ...] = ()
-        self.fetch_time: Picoseconds = 0
         self.dispatch_ready_time: Picoseconds = 0
-        self.dispatch_time: Picoseconds | None = None
         self.queue_arrival_time: Picoseconds | None = None
-        self.issue_time: Picoseconds | None = None
-        self.agen_time: Picoseconds | None = None
         self.lsq_arrival_time: Picoseconds | None = None
         self.completion_time: Picoseconds | None = None
-        self.commit_time: Picoseconds | None = None
         #: Name of the domain whose clock produced ``completion_time``.
         self.exec_domain: str = "integer"
         self.mispredicted = False
-        self.squashed = False
         self.memory_issued = False
-        self.wake_time: Picoseconds = 0
-        self.wake_epoch = -1
+        #: Dispatched consumers waiting on this result; emptied once the
+        #: completion time is set, so the two never refer to each other
+        #: after the wake-up.
+        self.consumers: list[DynInst] = []
+        #: Producers still without a completion time, counted at dispatch.
+        self.waits = 0
         if instruction is not None:
             self.seq = instruction.seq
-            self.op = instruction.op
+            self.op_id = OPCODE_ID[instruction.op]
             self.is_branch = instruction.is_branch
             self.is_memory_op = instruction.is_memory_op
-            self.is_load = instruction.is_load
             self.is_store = instruction.is_store
             self.is_fp = IS_FLOATING_POINT[instruction.op]
             self.pc = instruction.pc
@@ -107,13 +98,11 @@ class DynInst:
             self.src1 = register_index(sources[1]) if count > 1 else NO_REGISTER
             self.source_count = count
             self.address = instruction.address if instruction.address is not None else 0
-            self.target = instruction.target if instruction.target is not None else 0
         else:
             self.seq = -1
-            self.op = OpClass.NOP
+            self.op_id = _NOP_ID
             self.is_branch = False
             self.is_memory_op = False
-            self.is_load = False
             self.is_store = False
             self.is_fp = False
             self.pc = 0
@@ -122,7 +111,11 @@ class DynInst:
             self.src1 = NO_REGISTER
             self.source_count = 0
             self.address = 0
-            self.target = 0
+
+    @property
+    def op(self) -> OpClass:
+        """The operation class (decoded from ``op_id``)."""
+        return OPCLASSES[self.op_id]
 
     @property
     def completed(self) -> bool:

@@ -33,11 +33,9 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     FLAG_BRANCH,
     FLAG_FP,
-    FLAG_LOAD,
     FLAG_MEMORY,
     FLAG_STORE,
     FLAG_TAKEN,
-    OPCLASSES,
 )
 from repro.isa.registers import NO_REGISTER
 from repro.pipeline.dyninst import DynInst
@@ -75,16 +73,6 @@ class FetchQueue:
             raise ValueError("fetch queue capacity must be positive")
         self._capacity = capacity
         self._entries: deque[DynInst] = deque()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of buffered instructions."""
-        return self._capacity
-
-    @property
-    def occupancy(self) -> int:
-        """Number of buffered instructions."""
-        return len(self._entries)
 
     @property
     def has_space(self) -> bool:
@@ -259,39 +247,40 @@ class FrontEnd:
                 break
             inst.instruction = None
             inst.producers = ()
-            inst.dispatch_time = None
             inst.queue_arrival_time = None
-            inst.issue_time = None
-            inst.agen_time = None
             inst.lsq_arrival_time = None
             inst.completion_time = None
-            inst.commit_time = None
             inst.exec_domain = "integer"
             inst.mispredicted = False
-            inst.squashed = False
             inst.memory_issued = False
-            inst.wake_epoch = -1
             pool.append(inst)
 
     # ------------------------------------------------------------ fetch step
 
-    def fetch_cycle(self, now: Picoseconds, period_ps: Picoseconds) -> list[DynInst]:
-        """Fetch up to ``fetch_width`` instructions at front-end edge *now*."""
+    def fetch_cycle(self, now: Picoseconds, period_ps: Picoseconds) -> int:
+        """Fetch up to ``fetch_width`` instructions at front-end edge *now*.
+
+        The fetched instructions are appended to the fetch queue; returns
+        how many there were.
+        """
         stats = self.stats
         if self._waiting_branch is not None:
             stats.branch_stall_cycles += 1
-            return []
+            return 0
         if now < self._stall_until:
             stats.fetch_stall_cycles += 1
-            return []
+            return 0
 
-        fetched: list[DynInst] = []
-        fetch_queue = self.fetch_queue
+        fq_entries = self.fetch_queue._entries
+        fq_append = fq_entries.append
         icache = self.icache
         trace = self._trace
-        cursor = self._cursor
+        start = cursor = self._cursor
         limit = cursor + self.fetch_width
-        available = trace.ensure(limit)
+        # Fetch stops at the fetch width, the end of the compiled trace and
+        # the fetch queue's free space, whichever comes first.
+        space = self.fetch_queue._capacity - len(fq_entries)
+        end = min(limit, trace.ensure(limit), cursor + space)
         pc_col = trace.pc
         op_col = trace.op
         flags_col = trace.flags
@@ -301,30 +290,28 @@ class FrontEnd:
         addr_col = trace.address
         target_col = trace.target
         seq_col = trace.seq
-        opclasses = OPCLASSES
         pool = self._pool
         predictor = self.predictor
         btb = self.btb
         last_block = self._last_block
         block_bytes = icache.geometry.block_bytes
         decode_delay = self.decode_cycles * period_ps
-        extra_decode_delay = 0
-        while cursor < limit and cursor < available:
-            if not fetch_queue.has_space:
-                break
-
+        dispatch_ready = now + decode_delay
+        icache_accesses = icache_b_hits = branches = 0
+        while cursor < end:
             pc = pc_col[cursor]
             block = pc // block_bytes
             if block != last_block:
                 outcome = icache.access(pc)
-                stats.icache_accesses += 1
+                icache_accesses += 1
                 last_block = block
                 if outcome is _HIT_B:
                     # The fetch pipeline keeps running; instructions from this
                     # block simply become available to dispatch B-latency
                     # cycles later.
-                    stats.icache_b_hits += 1
-                    extra_decode_delay = (self.icache_config.l1_latency[1] or 0) * period_ps
+                    icache_b_hits += 1
+                    extra_delay = (self.icache_config.l1_latency[1] or 0) * period_ps
+                    dispatch_ready = now + decode_delay + extra_delay
                 elif outcome is _MISS:
                     stats.icache_misses += 1
                     if self._icache_miss_handler is not None:
@@ -340,12 +327,11 @@ class FrontEnd:
             bits = flags_col[cursor]
             dyninst = pool.pop() if pool else DynInst()
             dyninst.seq = seq_col[cursor]
-            dyninst.op = opclasses[op_col[cursor]]
-            dyninst.is_branch = is_branch = bool(bits & FLAG_BRANCH)
-            dyninst.is_memory_op = bool(bits & FLAG_MEMORY)
-            dyninst.is_load = bool(bits & FLAG_LOAD)
-            dyninst.is_store = bool(bits & FLAG_STORE)
-            dyninst.is_fp = bool(bits & FLAG_FP)
+            dyninst.op_id = op_col[cursor]
+            dyninst.is_branch = is_branch = bits & FLAG_BRANCH != 0
+            dyninst.is_memory_op = bits & FLAG_MEMORY != 0
+            dyninst.is_store = bits & FLAG_STORE != 0
+            dyninst.is_fp = bits & FLAG_FP != 0
             dyninst.pc = pc
             dyninst.dest = dest_col[cursor]
             src0 = src0_col[cursor]
@@ -359,21 +345,17 @@ class FrontEnd:
             else:
                 dyninst.source_count = 0
             dyninst.address = addr_col[cursor]
-            dyninst.target = target_col[cursor]
-            dyninst.fetch_time = now
-            dyninst.dispatch_ready_time = now + decode_delay + extra_decode_delay
-            fetch_queue.push(dyninst)
-            fetched.append(dyninst)
-            stats.fetched += 1
+            dyninst.dispatch_ready_time = dispatch_ready
+            fq_append(dyninst)
             cursor += 1
 
             if is_branch:
-                stats.branches += 1
-                taken = bool(bits & FLAG_TAKEN)
+                branches += 1
+                taken = bits & FLAG_TAKEN != 0
                 correct = predictor.predict_and_update(pc, taken)
                 predicted_target = btb.lookup(pc)
                 if taken:
-                    btb.update(pc, dyninst.target)
+                    btb.update(pc, target_col[cursor - 1])  # the branch's row
                 if not correct:
                     dyninst.mispredicted = True
                     stats.mispredictions += 1
@@ -390,4 +372,8 @@ class FrontEnd:
                     break
         self._cursor = cursor
         self._last_block = last_block
-        return fetched
+        stats.fetched += cursor - start
+        stats.icache_accesses += icache_accesses
+        stats.icache_b_hits += icache_b_hits
+        stats.branches += branches
+        return cursor - start

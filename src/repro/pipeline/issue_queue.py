@@ -1,4 +1,4 @@
-"""Resizable out-of-order issue queue.
+"""Resizable out-of-order issue queue with producer-driven wake-up.
 
 The queue holds dispatched instructions until their source operands are ready
 and a functional unit is available, then issues them oldest-first.  Capacity
@@ -6,32 +6,72 @@ is one of 16/32/48/64 entries and can be changed at run time by the queue
 controller; shrinking never discards occupants — the new bound only applies
 to subsequent dispatches, which models draining the tail of a real resizable
 queue.
+
+Wake-up is keyed by producer completion rather than rescanned every cycle.
+An entry is scheduled once, when its last in-flight producer gets a
+completion time (or at dispatch, when none is in flight): its key is the
+first time at which it can issue, and it waits on a heap until the domain's
+clock reaches that key.  Woken entries move to a ready list kept in program
+order, from which the processor issues oldest-first.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import defaultdict, deque
+from heapq import heappop, heappush
+from operator import attrgetter
+
 from repro.clocks.time import Picoseconds
 from repro.pipeline.dyninst import DynInst
 
+_SEQ_KEY = attrgetter("seq")
+
 
 class IssueQueue:
-    """One domain's issue queue."""
+    """One domain's issue queue.
 
-    def __init__(self, capacity: int, *, name: str = "issue-queue") -> None:
+    Parameters
+    ----------
+    capacity:
+        Entries that may hold slots at once.
+    name:
+        Label used in error messages and controller traces.
+    windows:
+        Synchronisation window, in picoseconds, added to a producer's
+        completion time per producer domain name before a consumer in this
+        queue's domain may see the result.  The processor owns the mapping
+        and updates it in place when a domain's period changes; by default
+        every window is 0 (no synchronisation).
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        *,
+        name: str = "issue-queue",
+        windows: dict[str, int] | None = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("issue queue capacity must be positive")
         self.name = name
         self._capacity = capacity
-        self._entries: list[DynInst] = []
+        self._windows: dict[str, int] = windows if windows is not None else defaultdict(int)
         # Instructions dispatched but not yet past the synchronisation
-        # boundary into this domain, keyed by their arrival time.
-        self._incoming: list[DynInst] = []
+        # boundary into this domain.  Arrival times never decrease (each is
+        # the domain's next edge at dispatch), so the head arrives first.
+        self._incoming: deque[DynInst] = deque()
+        # ``(key, seq, inst)`` of scheduled entries, earliest key first.
+        self._heap: list[tuple[Picoseconds, int, DynInst]] = []
+        # Woken, not yet issued entries, in program (``seq``) order.
+        self._ready: list[DynInst] = []
+        #: Instructions holding queue slots: dispatched and not yet issued.
+        self.occupancy = 0
         self.total_issued = 0
         self.occupancy_samples = 0
         self.occupancy_accumulator = 0
-        # Energy-accounting activity (observation-only): queue writes and the
-        # register-file source reads those entries will perform at issue.
-        self.total_dispatched = 0
+        # Energy-accounting activity (observation-only): the register-file
+        # source reads the dispatched entries perform at issue.
         self.operand_reads = 0
 
     # ------------------------------------------------------------------ API
@@ -42,9 +82,9 @@ class IssueQueue:
         return self._capacity
 
     @property
-    def occupancy(self) -> int:
-        """Number of instructions currently holding queue slots."""
-        return len(self._entries) + len(self._incoming)
+    def total_dispatched(self) -> int:
+        """Queue writes so far: every dispatched entry, issued or not."""
+        return self.total_issued + self.occupancy
 
     @property
     def has_space(self) -> bool:
@@ -58,61 +98,67 @@ class IssueQueue:
         self._capacity = capacity
 
     def dispatch(self, inst: DynInst, arrival_time: Picoseconds) -> None:
-        """Accept a dispatched instruction that arrives at *arrival_time*."""
-        if not self.has_space:
+        """Accept a dispatched instruction that arrives at *arrival_time*.
+
+        ``inst.waits`` must already count its producers still in flight;
+        with none, the entry is scheduled at once.
+        """
+        if self.occupancy >= self._capacity:
             raise RuntimeError(f"{self.name}: dispatch into a full queue")
         inst.queue_arrival_time = arrival_time
         self._incoming.append(inst)
-        self.total_dispatched += 1
+        self.occupancy += 1
         self.operand_reads += inst.source_count
+        if not inst.waits:
+            self.schedule(inst)
+
+    def schedule(self, inst: DynInst) -> None:
+        """Key *inst* for issue once every producer has a completion time.
+
+        The key is the later of the entry's arrival and its operands' wake
+        time — each producer's completion plus the window from the
+        producer's domain — so the entry can issue at the first edge of
+        this domain at or after it.
+        """
+        wake = inst.queue_arrival_time
+        windows = self._windows
+        for producer in inst.producers:
+            if producer is not None:
+                completion = producer.completion_time + windows[producer.exec_domain]
+                if completion > wake:
+                    wake = completion
+        heappush(self._heap, (wake, inst.seq, inst))
 
     def admit_arrivals(self, now: Picoseconds) -> None:
-        """Move instructions whose synchronised arrival time has passed."""
-        if not self._incoming:
-            return
-        still_waiting: list[DynInst] = []
-        for inst in self._incoming:
-            if inst.queue_arrival_time is not None and inst.queue_arrival_time <= now:
-                self._entries.append(inst)
+        """Let every instruction whose synchronised arrival time has passed in."""
+        incoming = self._incoming
+        while incoming and incoming[0].queue_arrival_time <= now:
+            incoming.popleft()
+
+    def wake_up(self, now: Picoseconds) -> list[DynInst]:
+        """Move every entry keyed at or before *now* to the ready list.
+
+        Returns the ready list itself, oldest first; the processor removes
+        the entries it issues.
+        """
+        heap = self._heap
+        ready = self._ready
+        while heap and heap[0][0] <= now:
+            inst = heappop(heap)[2]
+            if ready and ready[-1].seq > inst.seq:
+                insort(ready, inst, key=_SEQ_KEY)
             else:
-                still_waiting.append(inst)
-        self._incoming = still_waiting
-
-    def pending_entries(self) -> list[DynInst]:
-        """The admitted entries, in insertion order (read-only view).
-
-        This is the internal list itself, exposed so the processor's wake-up
-        loop can scan it without a per-cycle copy; callers must not mutate
-        it.  Use :meth:`ready_entries` for the safe, filtering variant.
-        """
-        return self._entries
-
-    def ready_entries(self, now: Picoseconds, operand_ready) -> list[DynInst]:
-        """Return queue entries whose operands are ready, oldest first.
-
-        ``operand_ready(inst, now)`` is supplied by the processor and applies
-        cross-domain synchronisation to producer completion times.
-        """
-        ready = [inst for inst in self._entries if operand_ready(inst, now)]
-        ready.sort(key=lambda inst: inst.seq)
+                ready.append(inst)
         return ready
 
-    def remove(self, inst: DynInst) -> None:
-        """Remove an issued instruction from the queue."""
-        self._entries.remove(inst)
-        self.total_issued += 1
-
-    def squash(self, predicate) -> int:
-        """Drop every entry for which *predicate* holds; return the count."""
-        before = self.occupancy
-        self._entries = [inst for inst in self._entries if not predicate(inst)]
-        self._incoming = [inst for inst in self._incoming if not predicate(inst)]
-        return before - self.occupancy
-
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy for average-occupancy statistics."""
-        self.occupancy_samples += 1
-        self.occupancy_accumulator += self.occupancy
+    def rekey(self) -> None:
+        """Re-schedule every scheduled or woken entry under the current windows."""
+        entries = [entry for _, _, entry in self._heap]
+        entries += self._ready
+        self._heap.clear()
+        self._ready.clear()
+        for inst in entries:
+            self.schedule(inst)
 
     @property
     def average_occupancy(self) -> float:
@@ -123,10 +169,11 @@ class IssueQueue:
 
     def reset(self) -> None:
         """Empty the queue (used between runs)."""
-        self._entries.clear()
         self._incoming.clear()
+        self._heap.clear()
+        self._ready.clear()
+        self.occupancy = 0
         self.total_issued = 0
         self.occupancy_samples = 0
         self.occupancy_accumulator = 0
-        self.total_dispatched = 0
         self.operand_reads = 0

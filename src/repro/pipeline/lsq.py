@@ -40,18 +40,13 @@ class LoadStoreQueue:
         self._entries: list[DynInst] = []
         self.stats = LSQStats()
         # Occupants whose cache access has not been issued yet.  Maintained
-        # by allocate/release/squash here and decremented by the processor at
-        # the point it marks an entry ``memory_issued``; lets the load/store
+        # by allocate/release here and by the processor, which dispatches,
+        # issues and commits memory operations inline; lets the load/store
         # cycle (and horizon scheduling) skip edges with nothing to issue
         # without scanning the queue.
         self.unissued = 0
 
     # ------------------------------------------------------------------ API
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of memory operations in flight."""
-        return self._capacity
 
     @property
     def occupancy(self) -> int:
@@ -106,21 +101,6 @@ class LoadStoreQueue:
             if entry.completed and (entry.completion_time or 0) <= now:
                 match = entry
         return match
-
-    def pending_entries(self) -> list[DynInst]:
-        """The queue entries in program order (read-only view, no copy)."""
-        return self._entries
-
-    def occupants(self) -> tuple[DynInst, ...]:
-        """Snapshot of all memory operations currently in the queue."""
-        return tuple(self._entries)
-
-    def squash(self, predicate) -> int:
-        """Remove entries matching *predicate*; return how many were removed."""
-        before = len(self._entries)
-        self._entries = [inst for inst in self._entries if not predicate(inst)]
-        self.unissued = sum(1 for inst in self._entries if not inst.memory_issued)
-        return before - len(self._entries)
 
     def reset(self) -> None:
         """Empty the queue (used between runs)."""

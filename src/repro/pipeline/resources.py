@@ -20,7 +20,9 @@ class FunctionalUnitPool:
     complex_units:
         Number of unpipelined multiply/divide units.
     complex_ops:
-        The operation classes routed to the complex units.
+        The operations routed to the complex units, in whatever form
+        :meth:`try_reserve` is given them (the processor passes dense opcode
+        ids, so the membership test hashes an int).
     """
 
     def __init__(
@@ -28,7 +30,7 @@ class FunctionalUnitPool:
         *,
         alus: int,
         complex_units: int,
-        complex_ops: frozenset[OpClass],
+        complex_ops: frozenset[int] | frozenset[OpClass],
     ) -> None:
         if alus < 1 or complex_units < 0:
             raise ValueError("invalid functional unit counts")
@@ -36,7 +38,6 @@ class FunctionalUnitPool:
         self._complex_units = complex_units
         self._complex_ops = complex_ops
         self._alu_slots_used = 0
-        self._current_cycle_time: Picoseconds = -1
         self._complex_busy_until: list[Picoseconds] = [0] * complex_units
         # Energy-accounting activity (observation-only).
         self.alu_ops = 0
@@ -44,10 +45,9 @@ class FunctionalUnitPool:
 
     def begin_cycle(self, now: Picoseconds) -> None:
         """Reset per-cycle issue-slot accounting."""
-        self._current_cycle_time = now
         self._alu_slots_used = 0
 
-    def try_reserve(self, op: OpClass, now: Picoseconds, latency_ps: Picoseconds) -> bool:
+    def try_reserve(self, op: int | OpClass, now: Picoseconds, latency_ps: Picoseconds) -> bool:
         """Reserve a unit for *op* this cycle; return False if none is free."""
         if op in self._complex_ops:
             for index, busy_until in enumerate(self._complex_busy_until):
@@ -61,13 +61,6 @@ class FunctionalUnitPool:
         self._alu_slots_used += 1
         self.alu_ops += 1
         return True
-
-    def reset(self) -> None:
-        """Release every unit (used between runs)."""
-        self._alu_slots_used = 0
-        self._complex_busy_until = [0] * self._complex_units
-        self.alu_ops = 0
-        self.complex_ops_executed = 0
 
 
 class PhysicalRegisterFile:
@@ -87,11 +80,6 @@ class PhysicalRegisterFile:
         self._allocated = logical
         # Energy-accounting activity (observation-only): rename writes.
         self.allocations = 0
-
-    @property
-    def total(self) -> int:
-        """Total number of physical registers."""
-        return self._total
 
     @property
     def free(self) -> int:
@@ -114,8 +102,3 @@ class PhysicalRegisterFile:
         self._allocated -= count
         if self._allocated < self._logical:
             raise RuntimeError("physical register file underflow")
-
-    def reset(self) -> None:
-        """Return to the initial state with only logical registers mapped."""
-        self._allocated = self._logical
-        self.allocations = 0

@@ -19,16 +19,6 @@ class ReorderBuffer:
         self.total_dispatched = 0
 
     @property
-    def capacity(self) -> int:
-        """Maximum number of in-flight instructions."""
-        return self._capacity
-
-    @property
-    def occupancy(self) -> int:
-        """Number of instructions currently in flight."""
-        return len(self._entries)
-
-    @property
     def has_space(self) -> bool:
         """True if another instruction may be dispatched."""
         return len(self._entries) < self._capacity
@@ -37,10 +27,6 @@ class ReorderBuffer:
     def head(self) -> DynInst | None:
         """Oldest in-flight instruction, or ``None`` when empty."""
         return self._entries[0] if self._entries else None
-
-    def is_empty(self) -> bool:
-        """True when no instructions are in flight."""
-        return not self._entries
 
     def dispatch(self, inst: DynInst) -> None:
         """Append a newly dispatched instruction."""

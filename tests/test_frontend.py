@@ -40,27 +40,34 @@ def make_frontend(trace, warm_blocks=0, **kwargs):
 PERIOD = 575  # ~1.74 GHz front end
 
 
+def fetch(frontend, now):
+    """One fetch cycle at *now*: the instructions it appended to the fetch queue."""
+    count = frontend.fetch_cycle(now, PERIOD)
+    entries = list(frontend.fetch_queue._entries)
+    return entries[len(entries) - count :]
+
+
 class TestFetch:
     def test_fetches_up_to_width(self):
         frontend = make_frontend(straight_line_trace(100), warm_blocks=4, fetch_width=8)
-        fetched = frontend.fetch_cycle(0, PERIOD)
+        fetched = fetch(frontend, 0)
         assert len(fetched) == 8
 
     def test_fetch_queue_capacity_limits_fetch(self):
         frontend = make_frontend(
             straight_line_trace(100), warm_blocks=4, fetch_queue_capacity=4
         )
-        assert len(frontend.fetch_cycle(0, PERIOD)) == 4
-        assert len(frontend.fetch_cycle(PERIOD, PERIOD)) == 0
+        assert len(fetch(frontend, 0)) == 4
+        assert len(fetch(frontend, PERIOD)) == 0
 
     def test_dispatch_ready_time_includes_decode(self):
         frontend = make_frontend(straight_line_trace(10), warm_blocks=2, decode_cycles=2)
-        fetched = frontend.fetch_cycle(1000, PERIOD)
+        fetched = fetch(frontend, 1000)
         assert all(inst.dispatch_ready_time == 1000 + 2 * PERIOD for inst in fetched)
 
     def test_taken_branch_ends_fetch_cycle(self):
         frontend = make_frontend(branchy_trace(100, taken_every=4), warm_blocks=4)
-        fetched = frontend.fetch_cycle(0, PERIOD)
+        fetched = fetch(frontend, 0)
         assert fetched[-1].is_branch or len(fetched) == 8
         assert len(fetched) <= 4 + 1  # cannot fetch past the taken branch
 
@@ -77,11 +84,11 @@ class TestFetch:
             return now + 50 * PERIOD
 
         frontend = make_frontend(straight_line_trace(64), icache_miss_handler=miss_handler)
-        first = frontend.fetch_cycle(0, PERIOD)
+        first = fetch(frontend, 0)
         assert not first  # the very first block access misses the cold I-cache
         assert calls
-        assert not frontend.fetch_cycle(PERIOD, PERIOD)  # still stalled
-        later = frontend.fetch_cycle(51 * PERIOD, PERIOD)
+        assert not fetch(frontend, PERIOD)  # still stalled
+        later = fetch(frontend, 51 * PERIOD)
         assert later
 
     def test_warm_avoids_cold_miss(self):
@@ -90,7 +97,7 @@ class TestFetch:
         for instruction in source[:32]:
             frontend.icache.access(instruction.pc)
         frontend.reset_warm_state()
-        fetched = frontend.fetch_cycle(0, PERIOD)
+        fetched = fetch(frontend, 0)
         assert fetched
         assert frontend.stats.icache_misses == 0
 
@@ -104,7 +111,7 @@ class TestBranchHandling:
         now = 0
         mispredicted = None
         for _ in range(40):
-            fetched = frontend.fetch_cycle(now, PERIOD)
+            fetched = fetch(frontend, now)
             now += PERIOD
             for inst in fetched:
                 if inst.mispredicted:
@@ -114,17 +121,17 @@ class TestBranchHandling:
                 break
         assert mispredicted is not None
         assert frontend.waiting_for_branch is mispredicted
-        stalled = frontend.fetch_cycle(now, PERIOD)
+        stalled = fetch(frontend, now)
         assert stalled == []
         frontend.resume_after_branch(mispredicted, now + 5 * PERIOD)
         assert frontend.waiting_for_branch is None
-        assert frontend.fetch_cycle(now + 6 * PERIOD, PERIOD)
+        assert fetch(frontend, now + 6 * PERIOD)
 
     def test_resume_ignores_unrelated_branch(self):
         instructions = list(branchy_trace(40, taken_every=2))
         frontend = make_frontend(iter(instructions))
         other = instructions[0]
-        fetched = frontend.fetch_cycle(0, PERIOD)
+        fetched = fetch(frontend, 0)
         waiting = frontend.waiting_for_branch
         if waiting is not None:
             frontend.resume_after_branch(fetched[0], 10_000)

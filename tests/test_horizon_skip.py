@@ -1,14 +1,18 @@
-"""The work-horizon skip is a pure wall-clock optimisation.
+"""The work-horizon skip and the keyed wake-up are pure wall-clock optimisations.
 
 With ``horizon_scheduling`` on, the main loop consumes every clock edge before
-the machine's work horizon in bulk (``MCDProcessor._skip_idle_edges``); with it
+the machine's work horizon in bulk (``MCDProcessor._horizon_skipper``); with it
 off, every edge is walked one at a time.  These tests hold the two paths to
 the same result: whole-``RunResult`` equality on every machine style, machine
 states built by hand that pin each bulk side-effect rule against a per-edge
-walk, and generated short jobs.
+walk, and generated short jobs.  The issue queues' wake-up heaps are held to
+a rescan of every admitted entry at every integer and floating-point edge,
+on generated jobs and across a period change that re-keys them.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,7 +213,7 @@ def skip_and_walk(build, next_work) -> tuple[MCDProcessor, dict, dict]:
     skipping, walking = build(), build()
     horizon = next_work(skipping)
     before = machine_state(skipping)
-    skipping._skip_idle_edges()
+    skipping._horizon_skipper()()
     assert min(clock.next_edge for clock in skipping.clocks.values()) == horizon
     walk_edges_before(walking, horizon)
     after = machine_state(skipping)
@@ -295,7 +299,7 @@ def test_branch_stall_stretch_with_an_occupied_issue_queue(jitter):
         return processor
 
     def issue_edge(processor: MCDProcessor) -> int:
-        (producer,) = processor.int_queue.pending_entries()[0].producers
+        (producer,) = processor.rob.head.producers
         int_clock = processor.clocks[Domain.INTEGER]
         return int_clock.edge_at_or_after(producer.completion_time)
 
@@ -358,6 +362,187 @@ def test_pending_reconfiguration_event_caps_the_horizon():
         assert event_time <= clock.next_edge < event_time + clock.period_ps
     assert after["pending_events"] == 1
     assert not fired
+
+
+# ------------------------------------------------------------ wake-up
+
+
+def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[DynInst]:
+    """The reference wake-up: rescan every admitted, unissued entry of a queue.
+
+    This is the arithmetic of the per-edge scan the wake-up heaps replaced:
+    an entry is ready at edge *now* once every producer has completed and
+    ``completion + window <= now``, the window being the synchronisation
+    window from the producer's domain (0 within the domain).  Ready entries
+    issue oldest first.
+    """
+    windows = processor._wake_windows(domain_name)
+    is_fp = domain_name == Domain.FLOATING_POINT.value
+    ready = []
+    for inst in processor.rob._entries:
+        if inst.is_fp != is_fp or inst.queue_arrival_time > now:
+            continue  # another queue's entry, or not admitted yet
+        if inst.completion_time is not None or inst.lsq_arrival_time is not None:
+            continue  # issued
+        wake = 0
+        for producer in inst.producers:
+            if producer is None:
+                continue
+            completion = producer.completion_time
+            if completion is None:
+                break
+            exec_domain = producer.exec_domain
+            if exec_domain != domain_name:
+                completion += windows[exec_domain]
+            if completion > wake:
+                wake = completion
+        else:
+            if wake <= now:
+                ready.append(inst)
+    ready.sort(key=attrgetter("seq"))
+    return ready
+
+
+def check_wake_up(processor: MCDProcessor, after_edge=None) -> None:
+    """Make every integer and FP edge check its queue against the rescan.
+
+    The entries the heaps make ready at an edge (the ready list once every
+    key at or before the edge is popped) must be exactly those
+    :func:`rescan_ready` finds, in the same order.  *after_edge*, if given,
+    is called with the domain name and edge after the edge's work.
+    """
+    for attribute, queue, domain in (
+        ("_integer_cycle", processor.int_queue, Domain.INTEGER.value),
+        ("_floating_point_cycle", processor.fp_queue, Domain.FLOATING_POINT.value),
+    ):
+
+        def checked(now, cycle=getattr(processor, attribute), queue=queue, domain=domain):
+            assert queue.wake_up(now) == rescan_ready(processor, domain, now)
+            cycle(now)
+            if after_edge is not None:
+                after_edge(domain, now)
+
+        setattr(processor, attribute, checked)
+
+
+@given(
+    workload=st.sampled_from(("gcc", "em3d", "mst", "art", "apsi", "adpcm_encode")),
+    spec_kind=st.sampled_from(tuple(SpecKind)),
+    phase_adaptive=st.booleans(),
+    jitter=st.sampled_from((0.0, 0.05)),
+    sync_window=st.sampled_from((0.0, 0.1, 0.3, 0.6)),
+    skip=st.booleans(),
+)
+@settings(max_examples=10, deadline=10_000)
+def test_generated_jobs_wake_up_matches_a_rescan(
+    workload, spec_kind, phase_adaptive, jitter, sync_window, skip
+):
+    adaptive = spec_kind in (SpecKind.ADAPTIVE, SpecKind.BASE_ADAPTIVE)
+    job = SimulationJob(
+        profile=get_workload(workload),
+        spec_kind=spec_kind,
+        phase_adaptive=phase_adaptive and adaptive,
+        window=500,
+        warmup=300,
+        jitter_fraction=jitter,
+        sync_window_fraction=sync_window,
+    )
+    processor = MCDProcessor(
+        job.build_spec(),
+        control=job.resolved_control(),
+        phase_adaptive=job.phase_adaptive,
+        seed=job.seed,
+        jitter_fraction=job.jitter_fraction,
+        sync_window_fraction=job.resolved_sync_window_fraction(),
+        horizon_scheduling=skip,
+    )
+    check_wake_up(processor)
+    result = processor.run(
+        make_trace(job.profile, seed=job.trace_seed),
+        max_instructions=job.resolved_window(),
+        warmup_instructions=job.resolved_warmup(),
+        workload_name=job.profile.name,
+    )
+    assert result.committed_instructions >= job.resolved_window()
+
+
+@pytest.mark.parametrize(
+    "changed, ratio",
+    [(Domain.INTEGER, 2.0), (Domain.LOAD_STORE, 0.5)],
+    ids=["faster-consumer", "slower-producer"],
+)
+def test_period_change_rekeys_waiting_entries(changed, ratio):
+    """Entries keyed under the old windows wait on load/store producers when a
+    reconfiguration changes a period; each issues at the first integer edge
+    at which the rescan, under the new windows, finds it ready."""
+    processor = drained_processor()
+    integer = Domain.INTEGER.value
+    load_store = Domain.LOAD_STORE.value
+    int_clock = processor.clocks[Domain.INTEGER]
+    period = int_clock.period_ps
+    start = int_clock.next_edge
+    event_time = start + 3 * period + period // 2
+    # Fetch stays stalled, so only the hand-built entries run.
+    processor.frontend._stall_until = start + 1_000 * period
+    old_window = processor._wake_windows(integer)[load_store]
+    # Wake times under the old window on, and half-way between, integer
+    # edges of the old period; at most a few entries wake per edge, so the
+    # integer ALUs never hold one back.
+    completions = [
+        start + cycles * period - old_window + shift
+        for cycles in range(4, 10)
+        for shift in (0, period // 2)
+    ]
+    consumers = []
+    for index, completion in enumerate(completions):
+        producer = DynInst()
+        producer.exec_domain = load_store
+        producer.completion_time = completion
+        consumer = DynInst()
+        consumer.seq = index
+        consumer.producers = (producer,)
+        processor.rob.dispatch(consumer)
+        processor.int_queue.dispatch(consumer, start)
+        consumers.append(consumer)
+    clock = processor.clocks[changed]
+    new_frequency = clock.frequency_ghz * ratio
+    processor._pending_events.append((event_time, lambda: clock.set_frequency(new_frequency)))
+
+    first_ready: dict[int, int] = {}
+    issued_at: dict[int, int] = {}
+    int_edges: list[int] = []
+
+    def after_edge(domain: str, now: int) -> None:
+        if domain != integer:
+            return
+        int_edges.append(now)
+        for inst in consumers:
+            if inst.completion_time is not None:
+                issued_at.setdefault(inst.seq, now)
+
+    check_wake_up(processor, after_edge)
+    cycle = processor._integer_cycle
+
+    def integer_cycle(now):
+        for inst in rescan_ready(processor, integer, now):
+            first_ready.setdefault(inst.seq, now)
+        cycle(now)
+
+    processor._integer_cycle = integer_cycle
+    walk_edges_before(processor, event_time + 12 * period)
+
+    new_window = processor._wake_windows(integer)[load_store]
+    assert new_window != old_window
+    assert len(issued_at) == len(consumers)
+    assert issued_at == first_ready
+    # Some entry's ready edge moved with the window, so the old keys would
+    # have issued it at another edge.
+    moved = []
+    for inst in consumers:
+        old_wake = inst.producers[0].completion_time + old_window
+        if next(edge for edge in int_edges if edge >= old_wake) != first_ready[inst.seq]:
+            moved.append(inst.seq)
+    assert moved
 
 
 # ------------------------------------------------------------ deadlock

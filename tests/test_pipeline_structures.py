@@ -36,26 +36,48 @@ class TestIssueQueue:
         queue = IssueQueue(capacity=4)
         queue.dispatch(make_inst(0), arrival_time=1000)
         queue.admit_arrivals(now=500)
-        assert not queue.ready_entries(500, lambda inst, now: True)
+        assert not queue.wake_up(500)
         queue.admit_arrivals(now=1000)
-        assert len(queue.ready_entries(1000, lambda inst, now: True)) == 1
+        assert len(queue.wake_up(1000)) == 1
 
     def test_ready_entries_oldest_first(self):
         queue = IssueQueue(capacity=8)
-        for seq in (5, 2, 9):
-            queue.dispatch(make_inst(seq), arrival_time=0)
+        for seq, completion in ((5, 100), (2, 300), (9, 200)):
+            producer = make_inst(seq + 100)
+            producer.completion_time = completion
+            inst = make_inst(seq)
+            inst.producers = (producer,)
+            queue.dispatch(inst, arrival_time=0)
         queue.admit_arrivals(0)
-        ready = queue.ready_entries(0, lambda inst, now: True)
+        # Woken in key order (5, 9, 2), listed oldest first.
+        ready = queue.wake_up(300)
         assert [inst.seq for inst in ready] == [2, 5, 9]
 
-    def test_remove_counts_issues(self):
-        queue = IssueQueue(capacity=4)
-        inst = make_inst(0)
+    def test_wake_up_waits_for_the_producers_window(self):
+        queue = IssueQueue(capacity=4, windows={"load_store": 40, "integer": 0})
+        producer = make_inst(0)
+        producer.completion_time = 1000
+        producer.exec_domain = "load_store"
+        inst = make_inst(1)
+        inst.producers = (producer, None)
         queue.dispatch(inst, arrival_time=0)
-        queue.admit_arrivals(0)
-        queue.remove(inst)
-        assert queue.total_issued == 1
-        assert queue.occupancy == 0
+        assert not queue.wake_up(1039)
+        assert queue.wake_up(1040) == [inst]
+
+    def test_rekey_applies_new_windows(self):
+        windows = {"load_store": 40}
+        queue = IssueQueue(capacity=4, windows=windows)
+        producer = make_inst(0)
+        producer.completion_time = 1000
+        producer.exec_domain = "load_store"
+        inst = make_inst(1)
+        inst.producers = (producer,)
+        queue.dispatch(inst, arrival_time=0)
+        assert queue.wake_up(1040) == [inst]
+        windows["load_store"] = 80
+        queue.rekey()
+        assert not queue.wake_up(1040)
+        assert queue.wake_up(1080) == [inst]
 
     def test_resize_does_not_discard_occupants(self):
         queue = IssueQueue(capacity=4)
@@ -64,22 +86,6 @@ class TestIssueQueue:
         queue.set_capacity(2)
         assert queue.occupancy == 4
         assert not queue.has_space
-
-    def test_squash(self):
-        queue = IssueQueue(capacity=8)
-        for seq in range(6):
-            queue.dispatch(make_inst(seq), arrival_time=0)
-        queue.admit_arrivals(0)
-        removed = queue.squash(lambda inst: inst.seq >= 3)
-        assert removed == 3
-        assert queue.occupancy == 3
-
-    def test_occupancy_statistics(self):
-        queue = IssueQueue(capacity=4)
-        queue.dispatch(make_inst(0), arrival_time=0)
-        queue.sample_occupancy()
-        queue.sample_occupancy()
-        assert queue.average_occupancy == 1.0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
