@@ -36,14 +36,12 @@ from repro.engine.job import (
     make_trace,
 )
 from repro.engine.runner import run_job
-from repro.obs.metrics import EngineMetrics
 from repro.obs.options import TraceOptions
 
 __all__ = [
     "CacheStats",
     "CacheVersionError",
     "DEFAULT_TRACE_SEED",
-    "EngineMetrics",
     "EngineStats",
     "Executor",
     "ExperimentEngine",

@@ -8,17 +8,19 @@ served from the cache, and everything comes back in submission order.
 Results are checkpointed *incrementally*: every finished simulation is
 written to the result cache the moment its executor yields it, so a batch
 killed part-way through keeps all completed work — the substrate of the
-``matrix --resume`` workflow.  Executors stream results back to the calling
+``matrix --resume`` workflow.  An attached run ledger gets a record when a
+batch is submitted and one per simulated job as its result is stored
+(:mod:`repro.obs.ledger`), so the ledger of a killed batch accounts for
+every result it left.  Executors stream results back to the calling
 thread, so the engine is single-threaded and needs no lock.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
-import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.analysis.metrics import RunResult
@@ -26,16 +28,21 @@ from repro.engine.cache import ResultCache
 from repro.engine.executors import Executor, JobRunner, SerialExecutor
 from repro.engine.job import SimulationJob
 from repro.engine.runner import run_job
-from repro.obs.ledger import LedgerWriter, wallclock_timestamp
+from repro.obs.ledger import LedgerWriter, batch_record, job_record
 from repro.obs.logging import get_logger
-from repro.obs.metrics import EngineMetrics
 
 _LOGGER = get_logger("repro.engine")
 
-#: Distinguishes engine instances within and across processes in ledger
-#: records: metrics snapshots are cumulative per engine, so readers need to
-#: know where one engine's history ends and a re-run's begins.
-_ENGINE_SESSION_COUNTER = itertools.count()
+
+def _timed(runner: JobRunner, job: SimulationJob) -> tuple[RunResult, float]:
+    """*runner*'s result for *job*, and the seconds the call took.
+
+    Module-level, so that a process pool ships it (bound to a module-level
+    runner) to its workers: each job is timed in the process that runs it.
+    """
+    started = time.perf_counter()
+    result = runner(job)
+    return result, time.perf_counter() - started
 
 
 @dataclass(slots=True)
@@ -67,17 +74,13 @@ class ExperimentEngine:
         self.cache = cache
         self.runner = runner
         self.stats = EngineStats()
-        #: Wall-clock/latency/utilization accounting across this engine's
-        #: batches (observation-only; see :class:`repro.obs.metrics`).
-        self.metrics = EngineMetrics()
         #: When set, ``run_all`` logs a progress line on the ``repro.engine``
         #: logger (INFO) at most once per this many seconds.
         self.heartbeat_seconds: float | None = None
-        #: When set, every ``run_all`` batch appends an accounting record
-        #: (see :mod:`repro.obs.ledger`).  Observability-only: nothing here
-        #: flows into fingerprints, results or digests.
+        #: When set, ``run_all`` appends a record per batch and per simulated
+        #: job (see :mod:`repro.obs.ledger`).  Observability-only: nothing
+        #: here flows into fingerprints, results or digests.
         self.ledger: LedgerWriter | None = None
-        self._engine_session = f"{os.getpid()}.{next(_ENGINE_SESSION_COUNTER)}"
 
     def run(self, job: SimulationJob) -> RunResult:
         """Run one job (through the cache)."""
@@ -112,79 +115,41 @@ class ExperimentEngine:
             else:
                 pending[fingerprint] = [position]
 
+        if self.ledger is not None and jobs:
+            self.ledger.append(
+                batch_record(
+                    executor=self.executor.name,
+                    workers=self.executor.workers,
+                    jobs=len(jobs),
+                    duplicates=duplicates,
+                    cached=served,
+                )
+            )
+
         unique_jobs = [jobs[positions[0]] for positions in pending.values()]
-        stream = self.executor.imap_jobs(unique_jobs, self.runner)
-        # Metrics/heartbeat accounting is observation-only: per-result
-        # inter-arrival time stands in for job wall-clock (exact under the
-        # serial executor), arrival-since-batch-start is the queue latency.
+        stream = self.executor.imap_jobs(unique_jobs, partial(_timed, self.runner))
         heartbeat = self.heartbeat_seconds
         batch_start = time.perf_counter()
-        last_arrival = batch_start
         next_beat = batch_start + heartbeat if heartbeat is not None else None
-        completed = 0
-        job_seconds: dict[str, float] = {}
-        for (fingerprint, positions), result in zip(pending.items(), stream):
-            arrival = time.perf_counter()
+        for completed, (job, (fingerprint, positions), (result, seconds)) in enumerate(
+            zip(unique_jobs, pending.items(), stream), start=1
+        ):
             self.stats.simulations += 1
-            self.metrics.record_job(arrival - last_arrival, arrival - batch_start)
-            job_seconds[fingerprint] = arrival - last_arrival
             if self.cache is not None:
                 self.cache.put(fingerprint, result)
-            last_arrival = arrival
-            completed += 1
-            if next_beat is not None and arrival >= next_beat:
+            if self.ledger is not None:
+                self.ledger.append(job_record(fingerprint, job.describe(), seconds, result))
+            if next_beat is not None and (now := time.perf_counter()) >= next_beat:
                 assert heartbeat is not None
-                next_beat = arrival + heartbeat
+                next_beat = now + heartbeat
                 _LOGGER.info(
                     "progress: %d/%d simulation(s) done, %.1fs elapsed, last %s",
                     completed,
                     len(unique_jobs),
-                    arrival - batch_start,
-                    jobs[positions[0]].describe(),
+                    now - batch_start,
+                    job.describe(),
                 )
             results[positions[0]] = result
             for position in positions[1:]:
                 results[position] = copy.deepcopy(result)
-        if unique_jobs:
-            self.metrics.record_batch(time.perf_counter() - batch_start, self.executor.workers)
-        if self.ledger is not None and jobs:
-            self.ledger.append(
-                self._ledger_record(
-                    jobs=len(jobs),
-                    duplicates=duplicates,
-                    cached=sorted(served),
-                    simulated=list(pending),
-                    job_seconds={fp: round(seconds, 6) for fp, seconds in job_seconds.items()},
-                    batch_seconds=round(time.perf_counter() - batch_start, 6),
-                )
-            )
         return results  # type: ignore[return-value]
-
-    def _ledger_record(self, **payload: object) -> dict[str, object]:
-        """One ``batch`` ledger record: the payload plus engine-wide accounting.
-
-        Every record carries the executor mode, the engine session token,
-        the cache's hit/miss/store counters and the engine's cumulative
-        :class:`EngineMetrics` snapshot — enough for
-        ``python -m repro.obs ledger summarize`` to rebuild the campaign
-        view with no process left alive.
-        """
-        cache_stats = None
-        if self.cache is not None:
-            stats = self.cache.stats
-            cache_stats = {
-                "memory_hits": stats.memory_hits,
-                "disk_hits": stats.disk_hits,
-                "misses": stats.misses,
-                "stores": stats.stores,
-            }
-        return {
-            "record": "batch",
-            "t": round(wallclock_timestamp(), 3),
-            "engine_session": self._engine_session,
-            "executor": type(self.executor).__name__.removesuffix("Executor").lower(),
-            "workers": self.executor.workers,
-            "cache": cache_stats,
-            "metrics": self.metrics.to_dict(),
-            **payload,
-        }

@@ -12,12 +12,15 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
 from repro.analysis.metrics import RunResult
 from repro.engine.job import SimulationJob
 
 JobRunner = Callable[[SimulationJob], RunResult]
+
+#: What a runner returns for one job; executors pass it through untouched.
+Output = TypeVar("Output")
 
 
 class Executor(Protocol):
@@ -31,8 +34,8 @@ class Executor(Protocol):
         ...
 
     def imap_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> Iterator[RunResult]:
+        self, jobs: Sequence[SimulationJob], runner: Callable[[SimulationJob], Output]
+    ) -> Iterator[Output]:
         """Run *jobs* through *runner*, yielding results in input order.
 
         Results become available as individual jobs finish, so the engine
@@ -53,8 +56,8 @@ class SerialExecutor:
         return 1
 
     def imap_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> Iterator[RunResult]:
+        self, jobs: Sequence[SimulationJob], runner: Callable[[SimulationJob], Output]
+    ) -> Iterator[Output]:
         for job in jobs:
             yield runner(job)
 
@@ -110,8 +113,8 @@ class ParallelExecutor:
         return max(1, math.ceil(job_count / (self.max_workers * 4)))
 
     def imap_jobs(
-        self, jobs: Sequence[SimulationJob], runner: JobRunner
-    ) -> Iterator[RunResult]:
+        self, jobs: Sequence[SimulationJob], runner: Callable[[SimulationJob], Output]
+    ) -> Iterator[Output]:
         if self.max_workers == 1 or len(jobs) <= 1:
             yield from SerialExecutor().imap_jobs(jobs, runner)
             return

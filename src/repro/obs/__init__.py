@@ -1,26 +1,23 @@
 """Telemetry and observability for the simulator and the experiment engine.
 
-Three layers, all observation-only (nothing here may influence a simulated
-result — the golden digests are pinned bit-identical with tracing on and
-off):
+Its modules are all observation-only (nothing here may influence a
+simulated result — the golden digests are pinned bit-identical with tracing
+and a ledger on and off):
 
 - :mod:`repro.obs.events` / :mod:`repro.obs.recorder` — typed,
   schema-versioned trace events from the processor's instrumentation hooks
   (controller decisions, reconfigurations, frequency changes, sync
   penalties, work-horizon skips), recorded through a
   :class:`TraceRecorder` into bounded ring buffers and JSONL files.
-- :mod:`repro.obs.metrics` — :class:`EngineMetrics`: per-job wall-clock and
-  queue-latency histograms plus worker utilization, accumulated by the
-  experiment engine and surfaced in campaign/sweep summaries; snapshots
-  round-trip through ``to_dict``/``from_dict`` and fuse with ``merge``.
 - :mod:`repro.obs.ledger` — the persistent, append-only run ledger
-  (JSONL): durable per-batch campaign accounting that ``--ledger`` runs
-  write and ``ledger summarize``/``report`` fuse into one campaign view.
+  (JSONL): a record per submitted batch and one per simulated job (its
+  seconds and work counters), which ``--ledger`` runs write and
+  ``ledger summarize``/``report`` sum into one campaign view.
 - :mod:`repro.obs.records` — the schema-versioned JSONL container that
   trace files and ledgers share: header builder, the one reader and the
   :class:`RecordFileError` base of both files' errors.
-- :mod:`repro.obs.report` — the rendered campaign report (throughput,
-  histograms, store health, reconfiguration totals).
+- :mod:`repro.obs.report` — the rendered campaign report (work totals, the
+  slowest jobs with their µs per processed edge, store health).
 - :mod:`repro.obs.logging` — the shared stdlib-logging setup
   (``-v``/``-q``) every ``python -m repro.*`` CLI adopts.
 
@@ -58,7 +55,6 @@ from repro.obs.ledger import (
     summarize_ledgers,
 )
 from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
-from repro.obs.metrics import EngineMetrics, Histogram
 from repro.obs.options import TraceOptions
 from repro.obs.recorder import JsonlSink, RingBufferSink, TraceRecorder, read_trace
 from repro.obs.records import RecordFileError
@@ -66,10 +62,8 @@ from repro.obs.records import RecordFileError
 __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
-    "EngineMetrics",
     "FREQUENCY_CHANGE",
     "HORIZON_SKIP",
-    "Histogram",
     "JsonlSink",
     "LEDGER_SCHEMA_VERSION",
     "LedgerSchemaError",

@@ -31,14 +31,13 @@ Six subcommands; an unreadable trace or ledger file
 ``ledger``
     Read persistent run ledgers (:mod:`repro.obs.ledger`):
     ``ledger summarize SOURCE...`` fuses ledger files, or every ledger in
-    a directory, into the campaign accounting (``--json`` for the
-    machine-readable form).
+    a directory, into the campaign accounting and the summed work of its
+    simulated jobs (``--json`` for the machine-readable form).
 
 ``report``
     Render the full campaign report from one or more ledgers: work
-    accounting, throughput/utilization, wall-clock and queue-latency
-    histograms, plus result-store health (``--store``) and reconfiguration
-    totals joined from traces (``--traces``).
+    accounting, the slowest jobs with their µs per processed edge, plus
+    result-store health (``--store``).
 """
 
 from __future__ import annotations
@@ -171,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help="result-cache store directory to include health for",
-    )
-    report.add_argument(
-        "--traces",
-        nargs="+",
-        default=[],
-        metavar="TRACE",
-        help="telemetry trace files to join reconfiguration totals from",
     )
     report.add_argument(
         "--markdown", action="store_true", help="Markdown tables instead of ASCII"
@@ -495,7 +487,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
         return 0
-    print(f"{summary.ledgers} ledger(s), {summary.records} batch record(s)")
+    print(f"{summary.ledgers} ledger(s), {summary.batches} batch record(s)")
     print(
         f"  jobs: {summary.jobs_submitted} submitted, "
         f"{len(summary.unique_fingerprints)} unique, "
@@ -503,9 +495,15 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         f"{summary.cache_hits} cache hit(s), "
         f"{summary.batch_duplicates} duplicate(s)"
     )
+    work = summary.work()
+    print(
+        f"  work: {work['seconds']:.3f}s, "
+        f"{work['committed_instructions']} committed instruction(s), "
+        f"{work['processed_edges']} processed edge(s), "
+        f"{work['skipped_edges']} skipped edge(s), "
+        f"{work['configuration_changes']} configuration change(s)"
+    )
     print(f"  campaign digest: {summary.fingerprint_digest()}")
-    for line in summary.metrics.summary_lines():
-        print(f"  {line}")
     return 0
 
 
@@ -527,7 +525,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 2
         store = inspect_store(directory)
     summary = summarize_ledgers(args.sources)
-    text = render_report(summary, store=store, traces=args.traces, markdown=args.markdown)
+    text = render_report(summary, store=store, markdown=args.markdown)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote report to {args.out}")

@@ -1,16 +1,22 @@
 """The persistent run ledger: append-only JSONL accounting of engine work.
 
-Every :class:`~repro.engine.engine.ExperimentEngine` batch can be appended
-to a **ledger file**, in the schema-versioned JSONL container that trace
-files also use (:mod:`repro.obs.records`).  Where a trace records what one
-*simulation* did, the ledger records what a *campaign* did: which job
-fingerprints ran where, how long each took, what the cache served, and the
-engine's cumulative :class:`~repro.obs.metrics.EngineMetrics` snapshot
-after each batch.  Ledgers are durable — an operator can query a campaign
-long after its process has exited — and each command writes its own file
-into a shared ``--ledger DIR``, which
-``python -m repro.obs ledger summarize DIR`` and ``report DIR`` read
-directly.
+An :class:`~repro.engine.engine.ExperimentEngine` with a ledger attached
+appends to a **ledger file**, in the schema-versioned JSONL container that
+trace files also use (:mod:`repro.obs.records`).  Where a trace records what
+one *simulation* did, the ledger records what a *campaign* did and where its
+time went:
+
+- a ``batch`` record when a batch is submitted: a wall-clock timestamp, the
+  executor, the submitted and duplicate job counts and the fingerprints the
+  result cache served;
+- a ``job`` record when a simulated job's result is stored: its fingerprint
+  and ``describe()`` label, the seconds its runner took in the process that
+  ran it, and its result's work counters (:data:`WORK_FIELDS`).
+
+A killed campaign's ledger therefore holds a job record for every result its
+store holds.  Each command writes its own file into a shared
+``--ledger DIR``, which ``python -m repro.obs ledger summarize DIR`` and
+``report DIR`` read directly.
 
 Ledgers are *observability-only*: nothing in them flows back into a
 simulation, a fingerprint or a digest.  They are also the one sanctioned
@@ -20,11 +26,13 @@ and nothing simulation-visible can read it back.
 
 File layout (``*.ledger.jsonl``)::
 
-    {"kind": "repro-obs-ledger", "meta": {...}, "schema": 1}   <- header
-    {"record": "batch", ...}                                   <- one per batch
+    {"kind": "repro-obs-ledger", "meta": {...}, "schema": 2}   <- header
+    {"record": "batch", ...}                                   <- per submitted batch
+    {"record": "job", ...}                                     <- per simulated job
 
-:func:`read_ledger` rejects foreign, stale, torn and unknown-record files
-with :class:`LedgerSchemaError` instead of misparsing them.
+:func:`read_ledger` rejects foreign, torn and unknown-record files, and
+files of another schema (schema 1 records carried no work counters), with
+:class:`LedgerSchemaError` instead of misparsing them.
 """
 
 from __future__ import annotations
@@ -34,10 +42,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.obs.metrics import EngineMetrics
 from repro.obs.records import RecordFileError, read_records, record_header
+
+if TYPE_CHECKING:
+    from repro.analysis.metrics import RunResult
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -45,6 +55,9 @@ __all__ = [
     "LedgerSchemaError",
     "LedgerSummary",
     "LedgerWriter",
+    "WORK_FIELDS",
+    "batch_record",
+    "job_record",
     "ledger_files",
     "open_ledger",
     "read_ledger",
@@ -53,7 +66,7 @@ __all__ = [
 
 #: Version of the ledger header and record layout.  Bump when a record type
 #: changes shape; readers refuse other versions.
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 #: Marker stored in the header line so arbitrary JSONL files (including
 #: trace files, which share the container format) are never misread.
@@ -62,20 +75,71 @@ _LEDGER_KIND = "repro-obs-ledger"
 #: Canonical file suffix; :func:`ledger_files` discovers by it.
 LEDGER_SUFFIX = ".ledger.jsonl"
 
-#: The one record type this build writes and reads.
-_RECORD_TYPE = "batch"
+#: The numeric fields of a ``job`` record, each summed by
+#: :func:`summarize_ledgers`.  Processed edges are the clock edges the main
+#: loop stepped one at a time: all domain cycles less the skipped ones.
+WORK_FIELDS = (
+    "seconds",
+    "committed_instructions",
+    "processed_edges",
+    "skipped_edges",
+    "configuration_changes",
+)
 
 
 class LedgerSchemaError(RecordFileError):
     """A ledger file is foreign, truncated, or from another schema version."""
 
 
+#: The fields every ``job`` record carries, with their JSON types.
+_JOB_FIELDS = {"fingerprint": str, "job": str, **dict.fromkeys(WORK_FIELDS, (int, float))}
+
+
 def _checked_record(record: Mapping[str, Any]) -> dict[str, Any]:
-    """*record* as a plain dict, refusing any record type but ``batch``."""
+    """*record* as a plain dict, refusing unknown types and malformed jobs."""
     kind = record.get("record")
-    if kind != _RECORD_TYPE:
-        raise ValueError(f"unknown ledger record type {kind!r}; expected {_RECORD_TYPE!r}")
+    if kind == "job":
+        for name, types in _JOB_FIELDS.items():
+            if not isinstance(record[name], types):
+                raise TypeError(f"job record field {name!r} is {record[name]!r}")
+    elif kind != "batch":
+        raise ValueError(f"unknown ledger record type {kind!r}; expected 'batch' or 'job'")
     return dict(record)
+
+
+def batch_record(
+    *, executor: str, workers: int, jobs: int, duplicates: int, cached: Sequence[str]
+) -> dict[str, Any]:
+    """The ``batch`` record of a submitted batch.
+
+    Its ``t`` is the host wall-clock, the one sanctioned wall-clock source
+    of the ledger layer: it lets an operator line a ledger up against run
+    logs, and nothing simulation-visible reads it back.
+    """
+    return {
+        "record": "batch",
+        "t": round(time.time(), 3),
+        "executor": executor,
+        "workers": workers,
+        "jobs": jobs,
+        "duplicates": duplicates,
+        "cached": sorted(cached),
+    }
+
+
+def job_record(fingerprint: str, label: str, seconds: float, result: RunResult) -> dict[str, Any]:
+    """The ``job`` record of one simulated job, *seconds* being its runner's time."""
+    skipped = result.horizon_skipped_edges
+    return {
+        "record": "job",
+        "fingerprint": fingerprint,
+        "job": label,
+        "seconds": round(seconds, 6),
+        "committed_instructions": result.committed_instructions,
+        "processed_edges": sum(result.domain_cycles.values()) - skipped,
+        "skipped_edges": skipped,
+        "configuration_changes": len(result.configuration_changes),
+    }
 
 
 class LedgerWriter:
@@ -121,16 +185,6 @@ class LedgerWriter:
         self.close()
 
 
-def wallclock_timestamp() -> float:
-    """Host wall-clock for ledger record timestamps (observability-only).
-
-    The one sanctioned wall-clock source of the ledger layer: timestamps
-    let an operator line a ledger up against run logs.  Nothing
-    simulation-visible reads them — summaries ignore timestamp fields.
-    """
-    return time.time()
-
-
 def open_ledger(
     directory: str | Path,
     *,
@@ -160,9 +214,10 @@ def read_ledger(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
 
     Raises :class:`LedgerSchemaError` when the file is not a ledger, was
     written under a different :data:`LEDGER_SCHEMA_VERSION`, or holds a
-    torn or malformed line or a record type other than ``batch`` — a torn
-    tail line (killed writer) must surface rather than silently shortening
-    the campaign's history.
+    torn or malformed line, a record type other than ``batch`` and ``job``
+    or a job record without its work counters — a torn tail line (killed
+    writer) must surface rather than silently shortening the campaign's
+    history.
     """
     return read_records(
         path,
@@ -197,29 +252,33 @@ def ledger_files(source: str | Path) -> list[Path]:
 class LedgerSummary:
     """The campaign view fused from one or more ledgers.
 
-    The job/fingerprint accounting is deterministic; the timing fields
-    (metrics, seconds, timestamps) are host-dependent by nature.
+    The job/fingerprint accounting and every work counter but ``seconds``
+    are deterministic; seconds and timestamps are host-dependent by nature.
     """
 
     ledgers: int = 0
-    records: int = 0
+    batches: int = 0
     jobs_submitted: int = 0
     cache_hits: int = 0
     batch_duplicates: int = 0
-    simulated_fingerprints: set[str] = field(default_factory=set)
     served_fingerprints: set[str] = field(default_factory=set)
     executor_modes: set[str] = field(default_factory=set)
-    metrics: EngineMetrics = field(default_factory=EngineMetrics)
+    #: Every ``job`` record, in file order.
+    jobs: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def simulations(self) -> int:
-        """Distinct fingerprints simulated across every ledger."""
-        return len(self.simulated_fingerprints)
+        """Simulated jobs: one ``job`` record each."""
+        return len(self.jobs)
 
     @property
     def unique_fingerprints(self) -> set[str]:
         """Every fingerprint the campaign touched (simulated or served)."""
-        return self.simulated_fingerprints | self.served_fingerprints
+        return {job["fingerprint"] for job in self.jobs} | self.served_fingerprints
+
+    def work(self) -> dict[str, float]:
+        """Each of :data:`WORK_FIELDS` summed over the job records."""
+        return {name: sum(job[name] for job in self.jobs) for name in WORK_FIELDS}
 
     def fingerprint_digest(self) -> str:
         """sha256 over the sorted unique fingerprints — the campaign identity.
@@ -234,7 +293,7 @@ class LedgerSummary:
         """Plain-data form for ``--json`` output."""
         return {
             "ledgers": self.ledgers,
-            "records": self.records,
+            "batches": self.batches,
             "jobs_submitted": self.jobs_submitted,
             "cache_hits": self.cache_hits,
             "batch_duplicates": self.batch_duplicates,
@@ -242,18 +301,16 @@ class LedgerSummary:
             "unique_jobs": len(self.unique_fingerprints),
             "fingerprint_digest": self.fingerprint_digest(),
             "executor_modes": sorted(self.executor_modes),
-            "metrics": self.metrics.to_dict(),
+            "work": self.work(),
         }
 
 
 def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
     """Fuse *sources* (ledger files or directories of them).
 
-    Validates every file via :func:`read_ledger`.  Metrics snapshots are
-    reloaded through :meth:`EngineMetrics.from_dict` and fused bucket-wise with
-    :meth:`EngineMetrics.merge`.  Because each record carries the writer's
-    *cumulative* metrics snapshot, only the final snapshot per engine
-    session of each file is merged (per-batch deltas would double-count).
+    Validates every file via :func:`read_ledger`.  Batch records add their
+    job counts; job records are kept whole, so the summary sums their work
+    however many processes appended to a file.
     """
     paths: list[Path] = []
     for source in sources:
@@ -262,12 +319,12 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
     for path in paths:
         _, records = read_ledger(path)
         summary.ledgers += 1
-        final_metrics: dict[str, Mapping[str, Any]] = {}
         for record in records:
-            summary.records += 1
-            simulated = [str(fp) for fp in record.get("simulated", [])]
+            if record["record"] == "job":
+                summary.jobs.append(record)
+                continue
+            summary.batches += 1
             served = [str(fp) for fp in record.get("cached", [])]
-            summary.simulated_fingerprints.update(simulated)
             summary.served_fingerprints.update(served)
             summary.jobs_submitted += int(record.get("jobs", 0))
             summary.cache_hits += len(served)
@@ -275,16 +332,4 @@ def summarize_ledgers(sources: Sequence[str | Path]) -> LedgerSummary:
             executor = record.get("executor")
             if executor:
                 summary.executor_modes.add(str(executor))
-            metrics_snapshot = record.get("metrics")
-            if isinstance(metrics_snapshot, Mapping):
-                # Snapshots are cumulative per engine session, so the last
-                # one per session wins; the session token distinguishes a
-                # re-run appending to its own ledger (each process starts
-                # fresh metrics).
-                final_metrics[str(record.get("engine_session", ""))] = metrics_snapshot
-        for snapshot in final_metrics.values():
-            try:
-                summary.metrics.merge(EngineMetrics.from_dict(snapshot))
-            except (ValueError, KeyError, TypeError) as error:
-                raise LedgerSchemaError(f"{path}: invalid metrics snapshot ({error})") from error
     return summary

@@ -2,33 +2,27 @@
 
 ``python -m repro.obs report`` fuses run ledgers through
 :func:`~repro.obs.ledger.summarize_ledgers` and renders the operator-facing
-summary in one place: work accounting (jobs, simulations, cache
-efficiency), engine throughput and utilization, the job wall-clock and
-queue-latency histograms as ASCII bars, and — when the operator points it
-at them — result-store health (``--store``, via
-:func:`repro.engine.cli.inspect_store`) and reconfiguration totals joined
-from telemetry traces (``--traces``, via
-:func:`repro.obs.recorder.read_trace`).
+summary in one place: work accounting (jobs, simulations, cache hits and
+the summed work counters of the simulated jobs), the
+:data:`SLOWEST_JOBS` slowest jobs with their µs per processed edge — so a
+slow job can be told from a large one — and, when the operator points it
+at one, result-store health (``--store``, via
+:func:`repro.engine.cli.inspect_store`).
 
-Pure rendering: everything here reads ledgers/traces/stores and formats
-text; nothing is written back, and nothing simulation-visible depends on
-it.
+Pure rendering: everything here reads ledgers and stores and formats text;
+nothing is written back, and nothing simulation-visible depends on it.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.obs.events import RECONFIGURATION
 from repro.obs.ledger import LedgerSummary
-from repro.obs.metrics import Histogram
-from repro.obs.recorder import read_trace
 
-__all__ = ["render_histogram", "render_report"]
+__all__ = ["SLOWEST_JOBS", "render_report"]
 
-#: Width (characters) of the widest histogram bar.
-_BAR_WIDTH = 30
+#: How many of the slowest simulated jobs the report lists.
+SLOWEST_JOBS = 10
 
 
 def _heading(title: str, markdown: bool) -> list[str]:
@@ -55,53 +49,19 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool
     return lines
 
 
-def render_histogram(histogram: Histogram, *, markdown: bool = False) -> list[str]:
-    """ASCII bucket bars for one histogram (empty buckets elided)."""
-    if not histogram.count:
-        return ["(no samples)"]
-    rows: list[list[str]] = []
-    peak = max(histogram.counts)
-    for index, count in enumerate(histogram.counts):
-        if not count:
-            continue
-        label = (
-            f"<= {format(histogram.bounds[index], 'g')}s"
-            if index < len(histogram.bounds)
-            else f"> {format(histogram.bounds[-1], 'g')}s"
-        )
-        bar = "#" * max(1, round(_BAR_WIDTH * count / peak))
-        rows.append([label, str(count), f"`{bar}`" if markdown else bar])
-    lines = _table(["bucket", "count", "share"], rows, markdown)
-    lines.append(
-        f"{histogram.count} sample(s): mean {histogram.mean:.3f}s, "
-        f"min {histogram.min:.3f}s, max {histogram.max:.3f}s"
-    )
-    return lines
-
-
-def _reconfiguration_totals(traces: Sequence[str | Path]) -> dict[str, Any]:
-    """Join reconfiguration counts per structure across trace files."""
-    totals: dict[str, int] = {}
-    events_seen = 0
-    for path in traces:
-        _, events = read_trace(path)
-        for event in events:
-            if event.type != RECONFIGURATION:
-                continue
-            events_seen += 1
-            structure = str(event.data.get("structure", "?"))
-            totals[structure] = totals.get(structure, 0) + 1
-    return {"traces": len(list(traces)), "reconfigurations": events_seen, "structures": totals}
+def _us_per_edge(work: Mapping[str, Any]) -> str:
+    """Microseconds per processed edge of a job record or work total."""
+    edges = work["processed_edges"]
+    return f"{work['seconds'] * 1e6 / edges:.1f}" if edges else "n/a"
 
 
 def render_report(
     summary: LedgerSummary,
     *,
     store: Mapping[str, Any] | None = None,
-    traces: Sequence[str | Path] | None = None,
     markdown: bool = False,
 ) -> str:
-    """Render the campaign report for *summary* (plus optional joins)."""
+    """Render the campaign report for *summary* (plus optional store health)."""
     lines: list[str] = []
     if markdown:
         lines += ["# Campaign report", ""]
@@ -114,7 +74,7 @@ def render_report(
         ["field", "value"],
         [
             ["ledgers", str(summary.ledgers)],
-            ["batch records", str(summary.records)],
+            ["batch records", str(summary.batches)],
             ["executor modes", executor],
             ["campaign digest", summary.fingerprint_digest()[:16]],
         ],
@@ -126,6 +86,7 @@ def render_report(
     jobs = summary.jobs_submitted
     hits = summary.cache_hits
     efficiency = f"{hits / jobs:.0%}" if jobs else "n/a"
+    work = summary.work()
     lines += _table(
         ["field", "value"],
         [
@@ -134,37 +95,33 @@ def render_report(
             ["simulations", str(summary.simulations)],
             ["cache hits", f"{hits} ({efficiency} of submitted)"],
             ["batch duplicates", str(summary.batch_duplicates)],
+            ["simulated seconds", f"{work['seconds']:.3f}"],
+            ["committed instructions", str(work["committed_instructions"])],
+            ["processed edges", str(work["processed_edges"])],
+            ["skipped edges", str(work["skipped_edges"])],
+            ["configuration changes", str(work["configuration_changes"])],
+            ["µs per processed edge", _us_per_edge(work)],
         ],
         markdown,
     )
     lines.append("")
 
-    lines += _heading("Engine", markdown)
-    metrics = summary.metrics
-    throughput = (
-        f"{metrics.jobs_completed / metrics.busy_seconds:.2f} jobs/s busy"
-        if metrics.busy_seconds > 0
-        else "n/a"
-    )
-    lines += _table(
-        ["field", "value"],
+    lines += _heading("Slowest jobs", markdown)
+    slowest = sorted(summary.jobs, key=lambda job: job["seconds"], reverse=True)
+    rows = [
         [
-            ["jobs completed", str(metrics.jobs_completed)],
-            ["batches", str(metrics.batches)],
-            ["busy seconds", f"{metrics.busy_seconds:.3f}"],
-            ["capacity seconds", f"{metrics.capacity_seconds:.3f}"],
-            ["worker utilization", f"{metrics.worker_utilization:.0%}"],
-            ["throughput", throughput],
-        ],
-        markdown,
-    )
-    lines.append("")
-
-    lines += _heading("Job wall-clock", markdown)
-    lines += render_histogram(metrics.job_seconds, markdown=markdown)
-    lines.append("")
-    lines += _heading("Queue latency", markdown)
-    lines += render_histogram(metrics.queue_latency, markdown=markdown)
+            job["job"],
+            f"{job['seconds']:.3f}",
+            _us_per_edge(job),
+            str(job["processed_edges"]),
+            str(job["committed_instructions"]),
+            str(job["skipped_edges"]),
+            str(job["configuration_changes"]),
+        ]
+        for job in slowest[:SLOWEST_JOBS]
+    ]
+    headers = ["job", "seconds", "µs/edge", "edges", "committed", "skipped", "changes"]
+    lines += _table(headers, rows, markdown) if rows else ["(no simulated jobs)"]
     lines.append("")
 
     if store is not None:
@@ -180,18 +137,6 @@ def render_report(
             ],
             markdown,
         )
-        lines.append("")
-
-    if traces:
-        totals = _reconfiguration_totals(traces)
-        lines += _heading("Reconfigurations (from traces)", markdown)
-        rows = [
-            [structure, str(count)]
-            for structure, count in sorted(totals["structures"].items())
-        ]
-        rows.append(["total", str(totals["reconfigurations"])])
-        lines += _table(["structure", "reconfigurations"], rows, markdown)
-        lines.append(f"joined from {totals['traces']} trace file(s)")
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"

@@ -25,10 +25,11 @@ one on-disk store and one ledger file::
     python -m repro.obs ledger summarize ledgers
     python -m repro.obs report ledgers --store store
 
-``--ledger DIR`` appends durable per-batch accounting records (job
-fingerprints, per-job wall-clock, cache counters, the engine's cumulative
-metrics snapshot) into one ``*.ledger.jsonl`` file per command.  It is
-observability-only and leaves every result digest bit-identical.
+``--ledger DIR`` appends durable accounting records into one
+``*.ledger.jsonl`` file per command: one per submitted batch (its job
+counts and cache hits) and one per simulated job, written as its result is
+stored (its label, seconds and work counters).  It is observability-only
+and leaves every result digest bit-identical.
 
 ``--resume`` reports how much of the planned job list is already cached,
 then simulates only the remainder (a warm store reports ``0 simulations``).
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--ledger",
             default=None,
             metavar="DIR",
-            help="append per-batch run-ledger records into DIR "
+            help="append per-batch and per-job run-ledger records into DIR "
             "(one *.ledger.jsonl per command; see python -m repro.obs ledger)",
         )
         sub.add_argument("--json", action="store_true", dest="as_json")
@@ -184,7 +185,7 @@ def _print_campaign(
 ) -> None:
     if as_json:
         # Machine-readable mode stays pure JSON (consumers parse stdout
-        # wholesale); cache/metrics accounting is a text-mode extra.
+        # wholesale); cache accounting is a text-mode extra.
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return
     print(
@@ -194,12 +195,9 @@ def _print_campaign(
     )
     print()
     print(result.render())
-    if engine is not None:
+    if engine is not None and engine.cache is not None:
         print()
-        if engine.cache is not None:
-            print(engine.cache.stats.describe())
-        for line in engine.metrics.summary_lines():
-            print(line)
+        print(engine.cache.stats.describe())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -45,7 +45,7 @@ ALLOWED = {
     (
         "src/repro/obs/ledger.py",
         WALLCLOCK,
-        "return time.time()",
+        '"t": round(time.time(), 3),',
     ): "ledger record timestamps: operator-facing provenance only; excluded from "
     "fingerprints, digests and ledger summaries",
 }

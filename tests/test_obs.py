@@ -5,8 +5,8 @@ traced run and an untraced run of the same job produce *bit-identical*
 result digests — the golden values pinned in ``tests/test_golden_values.py``
 must hold with a recorder attached.  The rest covers the recorder machinery
 (ring bounds, deterministic sampling, JSONL schema round-trip), the job
-integration (fingerprint exclusion), the engine metrics accumulator, the
-shared logging setup and the ``python -m repro.obs`` CLI.
+integration (fingerprint exclusion), the shared logging setup and the
+``python -m repro.obs`` CLI.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.logging import configure_logging
-from repro.obs.metrics import EngineMetrics, Histogram
 from repro.obs.recorder import (
     JsonlSink,
     RingBufferSink,
@@ -257,61 +256,6 @@ def test_trace_event_validates_its_type():
     assert EVENT_TYPES  # the registry is non-empty and frozen
     with pytest.raises(AttributeError):
         event.type = CONTROLLER_INTERVAL  # frozen
-
-
-# ------------------------------------------------------------- metrics
-
-
-def test_histogram_statistics():
-    histogram = Histogram()
-    for value in (0.002, 0.02, 0.2, 2.0):
-        histogram.record(value)
-    assert histogram.count == 4
-    assert histogram.mean == pytest.approx(0.5555, rel=1e-3)
-    assert histogram.min == 0.002 and histogram.max == 2.0
-    # Bucket-resolution percentiles return a bucket's upper bound.
-    assert histogram.percentile(0.5) in (0.03, 0.1)
-    assert histogram.percentile(1.0) >= 2.0
-    with pytest.raises(ValueError):
-        histogram.percentile(0.0)
-    with pytest.raises(ValueError):
-        Histogram(bounds=(1.0, 0.5))
-    assert Histogram().percentile(0.5) == 0.0
-
-
-def test_engine_metrics_accounting():
-    metrics = EngineMetrics()
-    assert metrics.summary_lines() == [
-        "engine metrics: no executor work (all jobs cached or deduplicated)"
-    ]
-    metrics.record_job(1.0, 1.0)
-    metrics.record_job(1.0, 2.0)
-    metrics.record_batch(elapsed_seconds=2.0, workers=2)
-    assert metrics.jobs_completed == 2
-    assert metrics.batches == 1
-    assert metrics.worker_utilization == pytest.approx(0.5)
-    snapshot = metrics.to_dict()
-    assert snapshot["jobs_completed"] == 2
-    assert snapshot["job_seconds"]["count"] == 2
-    lines = metrics.summary_lines()
-    assert lines[0].startswith("engine metrics: 2 job(s) in 1 batch(es)")
-    # Utilization is clamped at 100% even if busy time over-counts capacity.
-    metrics.record_job(100.0, 0.0)
-    assert metrics.worker_utilization == 1.0
-
-
-def test_engine_populates_metrics():
-    from repro.engine import ExperimentEngine, ResultCache, SerialExecutor
-
-    engine = ExperimentEngine(SerialExecutor(), ResultCache())
-    job = SimulationJob(profile=get_workload("gzip"), window=400, warmup=400)
-    engine.run_all([job])
-    assert engine.metrics.jobs_completed == 1
-    assert engine.metrics.batches == 1
-    # A warm re-run is served from the cache: no new executor work.
-    engine.run_all([job])
-    assert engine.metrics.jobs_completed == 1
-    assert engine.cache.stats.hits >= 1
 
 
 # -------------------------------------------------------------- cache stats

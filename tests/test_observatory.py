@@ -2,42 +2,41 @@
 
 The load-bearing property first: the ledger is observation-only (the
 golden digests are bit-identical with a ledger attached).  The rest covers
-the ledger writer, the metrics ``from_dict``/``merge`` round-trips, the
-campaign report renderer and the CLI surfaces.  Rejection of unreadable ledger files is tested with
-trace files in ``tests/test_records.py``.
+the ledger writer, the engine's batch and job records (each job timed in
+the process that ran it, and recorded as its result is stored), the
+campaign report renderer and the CLI surfaces.  Rejection of unreadable
+ledger files is tested with trace files in ``tests/test_records.py``.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from golden_digests import golden_jobs, result_digest
-from repro.engine import ExperimentEngine
+from repro.engine import ExperimentEngine, ParallelExecutor, run_job
 from repro.engine.cache import ResultCache
 from repro.engine.cli import inspect_store
 from repro.obs.cli import main as obs_main
 from repro.obs.ledger import (
+    WORK_FIELDS,
     LedgerSchemaError,
+    LedgerSummary,
     LedgerWriter,
     ledger_files,
     open_ledger,
     read_ledger,
     summarize_ledgers,
 )
-from repro.obs.metrics import EngineMetrics, Histogram
-from repro.obs.report import render_histogram, render_report
+from repro.obs.report import SLOWEST_JOBS, render_report
 from test_golden_values import GOLDEN_DIGESTS
 from test_records import KINDS
 
 
-def _sample_metrics(values=(0.002, 0.05, 0.4, 2.0)) -> EngineMetrics:
-    metrics = EngineMetrics()
-    for value in values:
-        metrics.record_job(value, value * 2)
-    metrics.record_batch(sum(values), 2)
-    return metrics
+def _job_records(path) -> list[dict]:
+    return [record for record in read_ledger(path)[1] if record["record"] == "job"]
 
 
 # ------------------------------------------------------------ bit-identity
@@ -56,66 +55,8 @@ def test_golden_digests_bit_identical_with_ledger_attached(name, tmp_path):
         "ledger must be observation-only"
     )
     # ...and the ledger actually recorded the work.
-    _, records = read_ledger(tmp_path / "golden.ledger.jsonl")
-    assert [job.fingerprint()] in [record["simulated"] for record in records]
-
-
-# ------------------------------------------------------- metrics round-trip
-
-
-def test_histogram_round_trips_through_dict():
-    histogram = Histogram()
-    for value in (0.0005, 0.02, 0.02, 5.0, 500.0):
-        histogram.record(value)
-    clone = Histogram.from_dict(histogram.to_dict())
-    assert clone.to_dict() == histogram.to_dict()
-
-
-def test_histogram_from_dict_rejects_inconsistent_counts():
-    payload = Histogram().to_dict()
-    payload["count"] = 3  # buckets still sum to 0
-    with pytest.raises(ValueError, match="bucket sum"):
-        Histogram.from_dict(payload)
-
-
-def test_histogram_merge_equals_combined_recording():
-    left, right, combined = Histogram(), Histogram(), Histogram()
-    for value in (0.002, 0.2, 2.0):
-        left.record(value)
-        combined.record(value)
-    for value in (0.0001, 0.05, 50.0):
-        right.record(value)
-        combined.record(value)
-    left.merge(right)
-    assert left.to_dict() == combined.to_dict()
-
-
-def test_histogram_merge_rejects_different_bounds():
-    with pytest.raises(ValueError, match="different bounds"):
-        Histogram().merge(Histogram(bounds=(1.0, 2.0)))
-
-
-def test_engine_metrics_round_trip_and_merge():
-    first = _sample_metrics()
-    second = _sample_metrics(values=(0.01, 0.3))
-    clone = EngineMetrics.from_dict(first.to_dict())
-    assert clone.to_dict() == first.to_dict()
-
-    combined = EngineMetrics()
-    for values in ((0.002, 0.05, 0.4, 2.0), (0.01, 0.3)):
-        for value in values:
-            combined.record_job(value, value * 2)
-        combined.record_batch(sum(values), 2)
-    first.merge(second)
-    # Scalar sums are float-associative; compare with approx, counts exactly.
-    assert first.jobs_completed == combined.jobs_completed
-    assert first.batches == combined.batches
-    assert first.busy_seconds == pytest.approx(combined.busy_seconds)
-    assert first.capacity_seconds == pytest.approx(combined.capacity_seconds)
-    assert first.job_seconds.counts == combined.job_seconds.counts
-    assert first.queue_latency.counts == combined.queue_latency.counts
-    assert first.job_seconds.total == pytest.approx(combined.job_seconds.total)
-    assert 0.0 < first.worker_utilization <= 1.0
+    jobs = _job_records(tmp_path / "golden.ledger.jsonl")
+    assert [record["fingerprint"] for record in jobs] == [job.fingerprint()]
 
 
 # ---------------------------------------------------------- ledger schema
@@ -124,10 +65,10 @@ def test_engine_metrics_round_trip_and_merge():
 def test_ledger_writer_round_trip(tmp_path):
     path = tmp_path / "run.ledger.jsonl"
     with LedgerWriter(path, meta={"label": "test"}) as writer:
-        writer.append({"record": "batch", "jobs": 2, "simulated": ["a", "b"]})
+        writer.append({"record": "batch", "jobs": 2, "cached": ["a", "b"]})
     meta, records = read_ledger(path)
     assert meta["label"] == "test"
-    assert records == [{"record": "batch", "jobs": 2, "simulated": ["a", "b"]}]
+    assert records == [{"record": "batch", "jobs": 2, "cached": ["a", "b"]}]
 
 
 def test_ledger_writer_is_append_only_across_reopens(tmp_path):
@@ -179,37 +120,94 @@ def test_engine_ledger_records_batches_and_cache_hits(tmp_path):
     engine.run_all(jobs)  # second pass served from cache
     engine.ledger.close()
     _, records = read_ledger(tmp_path / "warmup.ledger.jsonl")
-    assert len(records) == 2
-    cold, warm = records
-    assert cold["record"] == "batch"
-    assert sorted(cold["simulated"]) == sorted(job.fingerprint() for job in jobs)
-    assert cold["cached"] == []
-    assert warm["simulated"] == []
-    assert sorted(warm["cached"]) == sorted(job.fingerprint() for job in jobs)
-    for record in records:
-        assert record["executor"] == "serial"
-        assert record["engine_session"]
-        assert record["metrics"]["jobs_completed"] == 2
+    assert [record["record"] for record in records] == ["batch", "job", "job", "batch"]
+    cold, warm = records[0], records[3]
+    fingerprints = sorted(job.fingerprint() for job in jobs)
+    assert (cold["jobs"], cold["cached"], warm["cached"]) == (2, [], fingerprints)
+    for record in (cold, warm):
+        assert (record["executor"], record["workers"]) == ("serial", 1)
         assert isinstance(record["t"], float)
+    for job, record in zip(jobs, records[1:3]):
+        result = cache.get(job.fingerprint())
+        skipped = result.horizon_skipped_edges
+        assert record["fingerprint"] == job.fingerprint()
+        assert record["job"] == job.describe()
+        assert record["seconds"] > 0
+        assert record["committed_instructions"] == result.committed_instructions
+        assert record["processed_edges"] == sum(result.domain_cycles.values()) - skipped > 0
+        assert record["skipped_edges"] == skipped
+        assert record["configuration_changes"] == len(result.configuration_changes)
 
 
-def test_summarize_keeps_final_snapshot_per_engine_session(tmp_path):
-    """A re-run worker appends with fresh metrics; both sessions must count."""
+#: Seconds the napping runner sleeps before each job.
+NAP_SECONDS = 0.05
+
+
+def _napping_runner(job):
+    time.sleep(NAP_SECONDS)
+    return run_job(job)
+
+
+def test_parallel_jobs_are_timed_in_the_process_that_runs_them(tmp_path):
+    """Each worker takes a chunk of three jobs; every job's record holds at
+    least its own nap, not the time between results reaching the engine."""
+    engine = ExperimentEngine(ParallelExecutor(max_workers=2, chunk_size=3), runner=_napping_runner)
+    engine.ledger = open_ledger(tmp_path, label="parallel")
+    engine.run_all(list(golden_jobs().values())[:6])
+    engine.ledger.close()
+    seconds = [record["seconds"] for record in _job_records(tmp_path / "parallel.ledger.jsonl")]
+    assert len(seconds) == 6
+    assert min(seconds) >= NAP_SECONDS
+
+
+def test_a_killed_batch_leaves_a_job_record_per_stored_result(tmp_path, capsys):
+    jobs = list(golden_jobs().values())[:4]
+    killed_at = 3
+    calls = 0
+
+    def failing_runner(job):
+        nonlocal calls
+        calls += 1
+        if calls == killed_at:
+            raise RuntimeError("run killed")
+        return run_job(job)
+
+    engine = ExperimentEngine(cache=ResultCache(tmp_path / "store"), runner=failing_runner)
+    engine.ledger = open_ledger(tmp_path / "ledgers", label="killed")
+    with pytest.raises(RuntimeError, match="run killed"):
+        engine.run_all(jobs)
+    engine.ledger.close()
+    stored = ResultCache(tmp_path / "store").disk_fingerprints()
+    recorded = _job_records(tmp_path / "ledgers" / "killed.ledger.jsonl")
+    assert sorted(stored) == sorted(record["fingerprint"] for record in recorded)
+    assert len(recorded) == killed_at - 1
+    assert obs_main(["ledger", "summarize", str(tmp_path / "ledgers"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["batches"], payload["jobs_submitted"]) == (1, len(jobs))
+    assert payload["simulations"] == killed_at - 1
+
+
+def test_summarize_sums_the_work_of_every_invocation_appending_to_one_ledger(tmp_path):
+    """Two invocations, one engine and one job each, append to one file."""
     jobs = list(golden_jobs().values())[:2]
-    for job in jobs:  # two processes, one job each, same ledger file
+    for job in jobs:
         engine = ExperimentEngine(cache=ResultCache(directory=tmp_path / "cache"))
         engine.ledger = open_ledger(tmp_path, label="restart")
         engine.run_all([job])
         engine.ledger.close()
+    records = _job_records(tmp_path / "restart.ledger.jsonl")
     summary = summarize_ledgers([tmp_path / "restart.ledger.jsonl"])
-    assert summary.metrics.jobs_completed == 2
-    assert summary.simulations == 2
+    assert (summary.batches, summary.simulations) == (2, 2)
+    assert summary.work() == {name: sum(r[name] for r in records) for name in WORK_FIELDS}
+    assert summary.work()["committed_instructions"] >= sum(job.window for job in jobs)
 
 
-def test_summarize_names_a_corrupt_metrics_snapshot(tmp_path, capsys):
-    with LedgerWriter(tmp_path / "bad.ledger.jsonl") as writer:
-        writer.append({"record": "batch", "jobs": 1, "metrics": {"jobs_completed": 1}})
-    with pytest.raises(LedgerSchemaError, match="invalid metrics snapshot"):
+def test_a_job_record_without_its_work_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "bad.ledger.jsonl"
+    LedgerWriter(path).close()
+    job = {"record": "job", "fingerprint": "a", "job": "a/b/w1", "seconds": "1"}
+    path.write_text(path.read_text() + json.dumps(job) + "\n")
+    with pytest.raises(LedgerSchemaError, match=":2: invalid row: job record field 'seconds'"):
         summarize_ledgers([tmp_path])
     assert obs_main(["ledger", "summarize", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -230,12 +228,26 @@ def _ledgered_run(tmp_path, label="r"):
 def test_render_report_sections(tmp_path):
     summary = summarize_ledgers([_ledgered_run(tmp_path)])
     text = render_report(summary)
-    for section in ("Campaign", "Work", "Engine", "Job wall-clock", "Queue latency"):
+    for section in ("Campaign", "Work", "Slowest jobs", "µs per processed edge"):
         assert section in text
     assert summary.fingerprint_digest()[:16] in text
+    assert all(job["job"] in text for job in summary.jobs)
     markdown = render_report(summary, markdown=True)
-    assert "## Work" in markdown
+    assert "## Slowest jobs" in markdown
     assert "| field | value |" in markdown
+    assert "(no simulated jobs)" in render_report(LedgerSummary())
+
+
+def test_report_lists_the_slowest_jobs_with_their_us_per_edge():
+    work = {"committed_instructions": 100, "skipped_edges": 0, "configuration_changes": 0}
+    summary = LedgerSummary()
+    for index in range(SLOWEST_JOBS + 2):
+        job = {"fingerprint": str(index), "job": f"job-{index}", "seconds": index / 100}
+        summary.jobs.append({**job, "processed_edges": 1_000, **work})
+    lines = render_report(summary).splitlines()
+    rows = [line.split() for line in lines[lines.index("Slowest jobs") + 4 :]]
+    assert [row[0] for row in rows] == [f"job-{index}" for index in range(SLOWEST_JOBS + 1, 1, -1)]
+    assert rows[0][1:3] == ["0.110", "110.0"]
 
 
 def test_render_report_with_store(tmp_path):
@@ -246,10 +258,6 @@ def test_render_report_with_store(tmp_path):
     assert str(tmp_path / "cache") in text
 
 
-def test_render_histogram_empty():
-    assert render_histogram(Histogram()) == ["(no samples)"]
-
-
 # ------------------------------------------------------------ CLI surfaces
 
 
@@ -258,9 +266,10 @@ def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
 
     assert obs_main(["ledger", "summarize", ledgers, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["records"] == 1
-    assert payload["simulations"] == 4
-    assert payload["unique_jobs"] == 4
+    assert (payload["batches"], payload["simulations"], payload["unique_jobs"]) == (1, 4, 4)
+    assert payload["work"] == summarize_ledgers([ledgers]).work()
+    assert payload["work"]["committed_instructions"] >= 4 * 1_500
+    assert payload["work"]["processed_edges"] > 0
 
     report_path = tmp_path / "report.md"
     assert (
@@ -277,21 +286,21 @@ def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
         )
         == 0
     )
-    rendered = report_path.read_text()
+    rendered = report_path.read_text(encoding="utf-8")
     assert "## Work" in rendered
+    assert "## Slowest jobs" in rendered
     assert "## Result store" in rendered
 
 
-def test_ledger_written_by_the_previous_build_summarizes_and_reports(tmp_path, capsys):
-    """The previous build's header meta carried a key this build no longer
-    writes; its ledgers still go through `ledger summarize` and `report`."""
+def test_ledger_written_by_the_previous_build_is_rejected_by_the_cli(tmp_path, capsys):
+    """The previous build wrote schema 1, whose records carry no work."""
     parent = KINDS["ledger"]
     (tmp_path / "matrix.ledger.jsonl").write_text(parent.parent_header + parent.parent_row)
-    assert obs_main(["ledger", "summarize", str(tmp_path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert (payload["ledgers"], payload["records"], payload["simulations"]) == (1, 1, 1)
-    assert obs_main(["report", str(tmp_path)]) == 0
-    assert payload["fingerprint_digest"][:16] in capsys.readouterr().out
+    for command in (["ledger", "summarize", "--json"], ["report"]):
+        assert obs_main([*command, str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema 1, but this build reads schema 2" in captured.err
 
 
 def test_inspect_store_json_payload(tmp_path):

@@ -4,7 +4,8 @@ One reader (:func:`repro.obs.records.read_records`) serves both file kinds,
 so every way a file can be unreadable must raise that kind's named error —
 a :class:`RecordFileError` — through the reader and through the
 ``python -m repro.obs`` CLI, never a misparse or a bare ``TypeError``.
-Files written by earlier builds must still read back.
+Trace files written by the previous build must still read back; its
+schema-1 ledgers, whose records carry no work counters, are rejected.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ KINDS = {
         error=LedgerSchemaError,
         cli=["ledger", "summarize"],
         parent_header=(
-            '{"kind": "repro-obs-ledger", "meta": {"created": "2026-10-17T04:14:29+0000", '
-            '"fingerprint_version": 7, "label": "compat", "shard": "0/1"}, "schema": 1}\n'
+            '{"kind": "repro-obs-ledger", "meta": {"created": "2026-10-18T06:52:16+0000", '
+            '"fingerprint_version": 7, "label": "matrix"}, "schema": 1}\n'
         ),
         parent_row=(
             '{"cached": [], "duplicates": 0, "jobs": 1, "record": "batch", "simulated": ["a"]}\n'
@@ -115,7 +116,7 @@ def test_unreadable_file_raises_the_named_error(name, case, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", sorted(KINDS))
+@pytest.mark.parametrize("name", ["trace"])
 def test_file_written_by_the_previous_build_reads_back(name, tmp_path):
     spec = KINDS[name]
     path = tmp_path / f"parent.{name}.jsonl"
@@ -127,3 +128,11 @@ def test_file_written_by_the_previous_build_reads_back(name, tmp_path):
     fresh = tmp_path / f"fresh.{name}.jsonl"
     spec.write_empty(fresh, meta)
     assert fresh.read_text() == spec.parent_header
+
+
+def test_ledger_written_by_the_previous_build_is_rejected(tmp_path):
+    parent = KINDS["ledger"]
+    path = tmp_path / "parent.ledger.jsonl"
+    path.write_text(parent.parent_header + parent.parent_row)
+    with pytest.raises(LedgerSchemaError, match="schema 1, but this build reads schema 2"):
+        read_ledger(path)

@@ -467,11 +467,14 @@ class TestCli:
 
         assert [path.name for path in ledger_dir.iterdir()] == ["matrix.ledger.jsonl"]
         summary = summarize_ledgers([ledger_dir])
-        assert summary.records == 3
+        assert summary.batches == 3
         assert summary.simulations == planned
         assert summary.cache_hits == cached + planned
-        assert summary.metrics.jobs_completed == planned
         assert summary.executor_modes == {"serial", "parallel"}
+        assert {job["fingerprint"] for job in summary.jobs} == {
+            job.fingerprint() for job in _tiny_jobs(names)
+        }
+        assert summary.work()["committed_instructions"] >= planned * TINY_WINDOW
 
     def test_each_command_writes_its_own_ledger(self, tmp_path, capsys):
         """`run NAME` and `matrix` share a --ledger DIR without colliding, and
@@ -488,21 +491,22 @@ class TestCli:
         planned = _planned(names)
         run_summary = summarize_ledgers([ledger_dir / "run-arch-mixed.ledger.jsonl"])
         assert (run_summary.simulations, run_summary.cache_hits) == (cached, 0)
-        assert run_summary.metrics.jobs_completed == cached
         # The matrix found every job in the store the run filled.
         matrix_summary = summarize_ledgers([ledger_dir / "matrix.ledger.jsonl"])
         assert (matrix_summary.simulations, matrix_summary.cache_hits) == (
             planned - cached,
             cached,
         )
-        assert matrix_summary.metrics.jobs_completed == planned - cached
 
         fused = summarize_ledgers([ledger_dir])
         assert fused.ledgers == 2
-        for name in ("records", "simulations", "cache_hits"):
+        for name in ("batches", "simulations", "cache_hits"):
             total = getattr(run_summary, name) + getattr(matrix_summary, name)
             assert getattr(fused, name) == total
-        assert fused.metrics.jobs_completed == planned
+        run_work, matrix_work = run_summary.work(), matrix_summary.work()
+        summed = {name: run_work[name] + matrix_work[name] for name in run_work}
+        assert fused.work() == pytest.approx(summed)
+        assert fused.work()["processed_edges"] > run_work["processed_edges"] > 0
 
     @pytest.mark.parametrize(
         "command",
