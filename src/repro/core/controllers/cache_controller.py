@@ -118,23 +118,16 @@ class PhaseAdaptiveCacheController:
         self.b_hit_overlap_factor = b_hit_overlap_factor
         self._pending_candidate: int | None = None
         self._pending_count = 0
-        self._instructions_in_interval = 0
         self.decisions: list[CacheControllerDecision] = []
 
     # ------------------------------------------------------------------ API
 
-    def note_committed(self, count: int = 1) -> bool:
-        """Account *count* committed instructions; True when interval ends."""
-        self._instructions_in_interval += count
-        return self._instructions_in_interval >= self.interval_instructions
-
-    @property
-    def instructions_in_interval(self) -> int:
-        """Committed instructions accumulated in the current interval."""
-        return self._instructions_in_interval
-
     def evaluate_interval(self) -> CacheControllerDecision:
-        """Pick the best configuration for the next interval and reset counters."""
+        """Pick the best configuration for the next interval and reset counters.
+
+        Called once per ``interval_instructions`` committed instructions;
+        the processor counts the commits.
+        """
         costs = tuple(
             self._configuration_cost_ps(index)
             for index in range(len(self.frequencies_ghz))
@@ -171,7 +164,7 @@ class PhaseAdaptiveCacheController:
             best_index=best_index,
             previous_index=self.current_index,
             costs_ps=costs,
-            interval_instructions=self._instructions_in_interval,
+            interval_instructions=self.interval_instructions,
             raw_best_index=raw_best_index,
             margin=margin,
             pending_candidate=self._pending_candidate,
@@ -180,23 +173,9 @@ class PhaseAdaptiveCacheController:
         )
         self.decisions.append(decision)
         self.current_index = best_index
-        self._instructions_in_interval = 0
         for level in self.levels:
             level.cache.reset_interval()
         return decision
-
-    def force_reset_interval(self) -> None:
-        """Discard the current interval's counters without deciding.
-
-        The consecutive-decision streak is cleared too: a discarded interval
-        produced no decision, so it must not count toward (or carry over) the
-        ``consecutive_decisions_required`` run of identical winners.
-        """
-        self._instructions_in_interval = 0
-        self._pending_candidate = None
-        self._pending_count = 0
-        for level in self.levels:
-            level.cache.reset_interval()
 
     # ----------------------------------------------------------- internals
 

@@ -3,12 +3,12 @@
 The controller measures the *inherent* ILP of the instruction stream,
 independent of the microarchitecture, by tracking dependence heights through
 the rename map: every renamed instruction's destination receives a timestamp
-one larger than the largest timestamp among its sources.  Four trackers run
-simultaneously, one per candidate queue size N in {16, 32, 48, 64}; tracker N
-closes its window once N instructions of the tracked class (integer or
-floating point) have been observed, recording the maximum timestamp M_N seen
-so far.  N/M_N estimates the ILP a window of N instructions exposes; scaling
-each estimate by the frequency that queue size permits and taking the
+one larger than the largest timestamp among its sources.  The paper runs four
+trackers per queue, one per candidate queue size N in {16, 32, 48, 64};
+tracker N closes its window once N instructions of the tracked class (integer
+or floating point) have been observed, recording the maximum timestamp M_N
+seen so far.  N/M_N estimates the ILP a window of N instructions exposes;
+scaling each estimate by the frequency that queue size permits and taking the
 maximum gives the queue size that would have yielded the highest effective
 throughput over the recent past.
 
@@ -16,14 +16,32 @@ Timestamps saturate at the width the paper provisions (4 bits for the
 16-entry tracker, 5 for 32, 6 for 48 and 64), and windows for the less
 dominant instruction class terminate early when the dominant class fills the
 machine, exactly as described in the paper.
+
+The simulator computes all eight trackers (two queues, four sizes) with one
+:class:`ILPTracker`, which is exact because of two identities:
+
+* **Sizes.**  Clamping commutes with the height update:
+  ``min(max(a, b) + 1, s) == min(max(min(a, s), min(b, s)) + 1, s)``.  So the
+  timestamps of tracker N are the unsaturated dependence heights clamped at
+  N's saturation, and one list of heights serves all four sizes.  Tracker
+  N's window maximum is its class's running maximum height at the moment N's
+  window closes, clamped at N's saturation.
+* **Classes.**  The integer and floating-point trackers see the same stream
+  from the same reset with "tracked" and "other" swapped, so their timestamp
+  lists are equal.  Size N's window closes for both when the larger of the
+  two class counts reaches N, so both complete on the same instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.isa.registers import TOTAL_LOGICAL_REGS
 from repro.timing.tables import ISSUE_QUEUE_FREQUENCY_GHZ, ISSUE_QUEUE_SIZES
+
+if TYPE_CHECKING:
+    from repro.pipeline.dyninst import DynInst
 
 #: Timestamp width per tracked queue size (bits), per the paper.
 TIMESTAMP_BITS: dict[int, int] = {16: 4, 32: 5, 48: 6, 64: 6}
@@ -57,86 +75,109 @@ class QueueControllerDecision:
         return self.best_size != self.previous_size
 
 
-class _SizeTracker:
-    """Dependence-height tracker for a single candidate queue size."""
-
-    __slots__ = ("size", "max_timestamp", "count", "tracked_count", "other_count",
-                 "saturation", "timestamps", "complete")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.saturation = (1 << TIMESTAMP_BITS[size]) - 1
-        self.timestamps = [0] * TOTAL_LOGICAL_REGS
-        self.max_timestamp = 0
-        self.tracked_count = 0
-        self.other_count = 0
-        self.complete = False
-
-    def reset(self) -> None:
-        for index in range(TOTAL_LOGICAL_REGS):
-            self.timestamps[index] = 0
-        self.max_timestamp = 0
-        self.tracked_count = 0
-        self.other_count = 0
-        self.complete = False
-
-    def observe(self, dest: int | None, sources: tuple[int, ...], tracked: bool) -> None:
-        if self.complete:
-            return
-        height = 0
-        for source in sources:
-            value = self.timestamps[source]
-            if value > height:
-                height = value
-        height = min(height + 1, self.saturation)
-        if dest is not None:
-            self.timestamps[dest] = height
-        if tracked:
-            self.tracked_count += 1
-            if height > self.max_timestamp:
-                self.max_timestamp = height
-        else:
-            self.other_count += 1
-        # The window ends when either instruction class reaches the queue
-        # size: the less dominant class can never fill a deeper queue.
-        if self.tracked_count >= self.size or self.other_count >= self.size:
-            self.complete = True
-
-    @property
-    def ilp_estimate(self) -> float:
-        """Estimated ILP for this window (tracked instructions / height)."""
-        if self.max_timestamp == 0:
-            return float(self.tracked_count) if self.tracked_count else 1.0
-        return self.tracked_count / self.max_timestamp
-
-
 class ILPTracker:
-    """Simultaneous dependence-height tracking for all four queue sizes."""
+    """Dependence-height tracking for every queue size and both classes.
+
+    :meth:`observe` takes each renamed instruction and returns True on the
+    instruction that closes the widest window; :meth:`estimates` then gives
+    either class's ILP estimate per queue size, and :meth:`reset` starts the
+    next window.  See the module docstring for why one timestamp list and
+    one pair of counts reproduce the paper's eight trackers exactly.
+    """
+
+    __slots__ = (
+        "queue_sizes",
+        "saturations",
+        "timestamps",
+        "int_count",
+        "fp_count",
+        "int_height",
+        "fp_height",
+        "_closed",
+        "_next_close",
+    )
 
     def __init__(self, *, queue_sizes: tuple[int, ...] = ISSUE_QUEUE_SIZES) -> None:
         self.queue_sizes = queue_sizes
-        self._trackers = [_SizeTracker(size) for size in queue_sizes]
-
-    def observe(
-        self, dest: int | None, sources: tuple[int, ...], *, tracked: bool
-    ) -> None:
-        """Feed one renamed instruction to every active tracker."""
-        for tracker in self._trackers:
-            tracker.observe(dest, sources, tracked)
-
-    @property
-    def all_windows_complete(self) -> bool:
-        """True when every candidate size has a fresh estimate."""
-        return all(tracker.complete for tracker in self._trackers)
-
-    def estimates(self) -> dict[int, float]:
-        """Current ILP estimate per candidate queue size."""
-        return {tracker.size: tracker.ilp_estimate for tracker in self._trackers}
+        self.saturations = tuple((1 << TIMESTAMP_BITS[size]) - 1 for size in queue_sizes)
+        self.reset()
 
     def reset(self) -> None:
-        """Clear every tracker (hardware counter reset between windows)."""
-        for tracker in self._trackers:
-            tracker.reset()
+        """Clear the window (hardware counter reset between windows)."""
+        self.timestamps = [0] * TOTAL_LOGICAL_REGS
+        self.int_count = self.fp_count = 0
+        self.int_height = self.fp_height = 0
+        #: ``(int count, int height, fp count, fp height)`` at each closed
+        #: size's close, smallest size first.  Heights are unsaturated: each
+        #: size's saturation is applied when its estimate is read.
+        self._closed: list[tuple[int, int, int, int]] = []
+        self._next_close = self.queue_sizes[0]
+
+    def observe(self, inst: DynInst) -> bool:
+        """Feed one renamed instruction; True when the widest window closes.
+
+        Only the instruction's class, destination and first two sources are
+        read.  Once every window is closed, further instructions change no
+        estimate until :meth:`reset`.
+        """
+        timestamps = self.timestamps
+        source_count = inst.source_count
+        if source_count:
+            height = timestamps[inst.src0]
+            if source_count > 1:
+                other = timestamps[inst.src1]
+                if other > height:
+                    height = other
+            height += 1
+        else:
+            height = 1
+        dest = inst.dest
+        if dest >= 0:
+            timestamps[dest] = height
+        if inst.is_fp:
+            count = self.fp_count + 1
+            self.fp_count = count
+            if height > self.fp_height:
+                self.fp_height = height
+        else:
+            count = self.int_count + 1
+            self.int_count = count
+            if height > self.int_height:
+                self.int_height = height
+        # Counts grow by one per instruction, so the larger of the two
+        # reaches the next size exactly when the class just counted does.
+        if count == self._next_close:
+            return self._close_window()
+        return False
+
+    def _close_window(self) -> bool:
+        closed = self._closed
+        closed.append((self.int_count, self.int_height, self.fp_count, self.fp_height))
+        if len(closed) < len(self.queue_sizes):
+            self._next_close = self.queue_sizes[len(closed)]
+            return False
+        self._next_close = 0  # no count is 0 after an increment
+        return True
+
+    def estimates(self, *, fp: bool) -> dict[int, float]:
+        """One class's ILP estimate per queue size.
+
+        That class's instructions in the size's window over their maximum
+        height, clamped at the size's saturation (1.0 for a window with
+        none).  A size whose window is still open reads the running counts.
+        """
+        closed = self._closed
+        running = (self.int_count, self.int_height, self.fp_count, self.fp_height)
+        windows = closed + [running] * (len(self.queue_sizes) - len(closed))
+        estimates: dict[int, float] = {}
+        for size, saturation, (int_count, int_height, fp_count, fp_height) in zip(
+            self.queue_sizes, self.saturations, windows
+        ):
+            count, height = (fp_count, fp_height) if fp else (int_count, int_height)
+            if height > saturation:
+                height = saturation
+            estimates[size] = count / height if height else 1.0
+        return estimates
 
 
 class PhaseAdaptiveQueueController:
@@ -166,23 +207,19 @@ class PhaseAdaptiveQueueController:
         self.consecutive_decisions_required = consecutive_decisions_required
         self._pending_candidate: int | None = None
         self._pending_count = 0
-        self.tracker = ILPTracker(queue_sizes=queue_sizes)
         self.decisions: list[QueueControllerDecision] = []
 
-    def observe(self, dest: int | None, sources: tuple[int, ...], *, tracked: bool) -> bool:
-        """Feed one renamed instruction; True when a decision is available."""
-        self.tracker.observe(dest, sources, tracked=tracked)
-        return self.tracker.all_windows_complete
-
-    def evaluate(self) -> QueueControllerDecision:
+    def evaluate(self, estimates: dict[int, float]) -> QueueControllerDecision:
         """Pick the queue size with the best frequency-scaled effective ILP.
+
+        *estimates* holds this queue's class's ILP estimate per queue size
+        over the window just closed (:meth:`ILPTracker.estimates`).
 
         A change is only requested when the winning size beats the current
         size's score by the hysteresis margin for
         ``consecutive_decisions_required`` windows in a row; each change pays
         a PLL re-lock, so single noisy windows should not trigger one.
         """
-        estimates = self.tracker.estimates()
         scores = {
             size: min(estimates[size], float(size)) * self.frequencies_ghz[size]
             for size in self.queue_sizes
@@ -229,5 +266,4 @@ class PhaseAdaptiveQueueController:
         )
         self.decisions.append(decision)
         self.current_size = best_size
-        self.tracker.reset()
         return decision

@@ -30,7 +30,7 @@ from repro.core.controllers.cache_controller import (
     PhaseAdaptiveCacheController,
 )
 from repro.core.controllers.params import AdaptiveControlParams
-from repro.core.controllers.queue_controller import PhaseAdaptiveQueueController
+from repro.core.controllers.queue_controller import ILPTracker, PhaseAdaptiveQueueController
 from repro.core.domains import Domain
 from repro.core.pll import PLLModel
 from repro.core.synchronization import DEFAULT_WINDOW_FRACTION, SynchronizationModel
@@ -268,7 +268,13 @@ class MCDProcessor:
         self._icache_controller: PhaseAdaptiveCacheController | None = None
         self._int_queue_controller: PhaseAdaptiveQueueController | None = None
         self._fp_queue_controller: PhaseAdaptiveQueueController | None = None
-        self._interval_start_time: dict[str, Picoseconds] = {}
+        # The queue controllers' shared dependence-height tracker, fed by
+        # _dispatch; None when the queues do not adapt.
+        self._ilp_tracker: ILPTracker | None = None
+        # Commits left in the cache controllers' current adaptation interval,
+        # counted down by _commit; 0 when the caches do not adapt.
+        self._interval_countdown = 0
+        self._interval_start_time: Picoseconds = 0
         self._last_interval_duration: Picoseconds = 0
 
         # Work-horizon skip (see the constructor docstring).  The counter is
@@ -470,9 +476,9 @@ class MCDProcessor:
                 consecutive_decisions_required=control.cache_consecutive_decisions,
                 b_hit_overlap_factor=control.cache_b_hit_overlap_factor,
             )
-            self._interval_start_time["dcache"] = 0
-            self._interval_start_time["icache"] = 0
+            self._interval_countdown = control.interval_instructions
         if control.adapt_queues:
+            self._ilp_tracker = ILPTracker()
             self._int_queue_controller = PhaseAdaptiveQueueController(
                 name="int-queue",
                 initial_size=self.spec.int_queue_size,
@@ -878,7 +884,7 @@ class MCDProcessor:
         fp_regs = self.fp_regs
         lsq = self.lsq
         lsq_entries = lsq._entries
-        phase_adaptive = self.phase_adaptive
+        interval_countdown = self._interval_countdown
         trace_sync = self._trace_sync
         retired = self._retired
         committed = transfers = 0
@@ -934,8 +940,12 @@ class MCDProcessor:
                     lsq.release(head)
             if len(retired) < _RETIRED_KEEP_LIMIT:
                 retired.append(head)
-            if phase_adaptive:
-                self._on_commit(now)
+            # Both cache controllers end their intervals on the same commit.
+            if interval_countdown:
+                interval_countdown -= 1
+                if not interval_countdown:
+                    interval_countdown = self._end_cache_interval(now)
+        self._interval_countdown = interval_countdown
         sync_stats.transfers += transfers
         if committed:
             self._last_commit_time = now
@@ -964,7 +974,7 @@ class MCDProcessor:
         sync_enabled = sync.enabled
         int_clock = self._int_clock
         fp_clock = self._fp_clock
-        feed_controllers = self.phase_adaptive and self.control.adapt_queues
+        ilp_tracker = self._ilp_tracker
         dispatched = 0
         decode_width = self._decode_width
         while dispatched < decode_width and fq_entries:
@@ -1034,9 +1044,12 @@ class MCDProcessor:
             if not waits:
                 queue.schedule(inst)
             dispatched += 1
-
-            if feed_controllers:
-                self._feed_queue_controllers(inst, now)
+            # A window closes at its instruction, before the next one
+            # dispatches: a downsizing takes effect at once, and
+            # dispatch_blocked reads the new capacity for the rest of the
+            # group.
+            if ilp_tracker is not None and ilp_tracker.observe(inst):
+                self._end_queue_window(now)
         rob.total_dispatched += dispatched
         if sync_enabled:
             sync.stats.transfers += dispatched
@@ -1255,69 +1268,55 @@ class MCDProcessor:
 
     # ------------------------------------------------------------ adaptation
 
-    def _feed_queue_controllers(self, inst: DynInst, now: Picoseconds) -> None:
-        dest = inst.dest
-        dest_index = dest if dest >= 0 else None
-        source_count = inst.source_count
-        if source_count == 0:
-            source_indices: tuple[int, ...] = ()
-        elif source_count == 1:
-            source_indices = (inst.src0,)
-        else:
-            source_indices = (inst.src0, inst.src1)
-        is_fp_op = inst.is_fp
-        for controller, domain, queue in (
-            (self._int_queue_controller, Domain.INTEGER, self.int_queue),
-            (self._fp_queue_controller, Domain.FLOATING_POINT, self.fp_queue),
+    def _end_queue_window(self, now: Picoseconds) -> None:
+        """Evaluate both queue controllers on the instruction that closes
+        the ILP tracker's widest window (integer first), then reset it."""
+        tracker = self._ilp_tracker
+        assert tracker is not None
+        for controller, domain, queue, fp in (
+            (self._int_queue_controller, Domain.INTEGER, self.int_queue, False),
+            (self._fp_queue_controller, Domain.FLOATING_POINT, self.fp_queue, True),
         ):
-            if controller is None:
-                continue
-            tracked = is_fp_op if domain is Domain.FLOATING_POINT else not is_fp_op
-            if controller.observe(dest_index, source_indices, tracked=tracked):
-                decision = controller.evaluate()
-                if self._trace_interval:
-                    assert self.recorder is not None
-                    self.recorder.emit(
-                        CONTROLLER_INTERVAL,
-                        now,
-                        self.rob.total_committed,
-                        structure=controller.name,
-                        previous_size=decision.previous_size,
-                        best_size=decision.best_size,
-                        raw_best_size=decision.raw_best_size,
-                        scores={
-                            str(size): score
-                            for size, score in decision.scores.items()
-                        },
-                        ilp_estimates={
-                            str(size): estimate
-                            for size, estimate in decision.ilp_estimates.items()
-                        },
-                        margin=decision.margin,
-                        suppressed_by=decision.suppressed_by,
-                        pending_candidate=decision.pending_candidate,
-                        pending_count=decision.pending_count,
-                        changed=decision.changed,
-                    )
-                if decision.changed and domain not in self._changes_in_progress:
-                    self._apply_queue_change(
-                        controller, domain, queue, decision.best_size, now
-                    )
+            assert controller is not None
+            decision = controller.evaluate(tracker.estimates(fp=fp))
+            if self._trace_interval:
+                assert self.recorder is not None
+                self.recorder.emit(
+                    CONTROLLER_INTERVAL,
+                    now,
+                    self.rob.total_committed,
+                    structure=controller.name,
+                    previous_size=decision.previous_size,
+                    best_size=decision.best_size,
+                    raw_best_size=decision.raw_best_size,
+                    scores={str(size): score for size, score in decision.scores.items()},
+                    ilp_estimates={
+                        str(size): estimate for size, estimate in decision.ilp_estimates.items()
+                    },
+                    margin=decision.margin,
+                    suppressed_by=decision.suppressed_by,
+                    pending_candidate=decision.pending_candidate,
+                    pending_count=decision.pending_count,
+                    changed=decision.changed,
+                )
+            if decision.changed and domain not in self._changes_in_progress:
+                self._apply_queue_change(domain, queue, decision.best_size, now)
+        tracker.reset()
 
-    def _on_commit(self, now: Picoseconds) -> None:
-        for controller, structure in (
-            (self._dcache_controller, "dcache"),
-            (self._icache_controller, "icache"),
+    def _end_cache_interval(self, now: Picoseconds) -> int:
+        """Evaluate both cache controllers on the commit that ends an
+        adaptation interval (D/L2 first); return the next interval's length
+        in committed instructions."""
+        interval_duration = now - self._interval_start_time
+        self._interval_start_time = now
+        self._last_interval_duration = max(interval_duration, 1)
+        for controller, domain in (
+            (self._dcache_controller, Domain.LOAD_STORE),
+            (self._icache_controller, Domain.FRONT_END),
         ):
-            if controller is None:
-                continue
-            if not controller.note_committed():
-                continue
-            interval_duration = now - self._interval_start_time.get(structure, 0)
-            self._interval_start_time[structure] = now
-            self._last_interval_duration = max(interval_duration, 1)
+            assert controller is not None
+            structure = controller.name
             decision = controller.evaluate_interval()
-            domain = Domain.LOAD_STORE if structure == "dcache" else Domain.FRONT_END
             if self._trace_interval:
                 assert self.recorder is not None
                 self.recorder.emit(
@@ -1341,6 +1340,7 @@ class MCDProcessor:
                 self._apply_cache_change(structure, domain, decision.best_index, now)
             else:
                 self._record_configuration(structure, domain, decision.best_index, now)
+        return self.control.interval_instructions
 
     def _configuration_name(self, structure: str, index: int) -> str:
         if structure == "dcache":
@@ -1432,7 +1432,6 @@ class MCDProcessor:
 
     def _apply_queue_change(
         self,
-        controller: PhaseAdaptiveQueueController,
         domain: Domain,
         queue: IssueQueue,
         new_size: int,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -202,6 +203,22 @@ def _print_campaign(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    try:
+        code = _main(argv)
+        # Flush here, so a reader that has closed the pipe is seen inside
+        # the try rather than in the interpreter's final flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped (``... | head``).  Point stdout at devnull so
+        # the final flush cannot raise again, and exit with 1, as Python
+        # does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = _parse_args(argv)
     configure_logging(args)
 

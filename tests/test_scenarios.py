@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +314,28 @@ class TestCli:
         out = capsys.readouterr().out
         for name in scenario_names():
             assert name in out
+
+    def test_closed_stdout_pipe_ends_without_a_traceback(self):
+        # A reader that has stopped reading (``... | head``) ends the CLI
+        # quietly with exit 1, however little it printed.
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.scenarios", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in completed.stderr
+        assert "BrokenPipeError" not in completed.stderr
+        assert completed.returncode == 1
 
     def test_list_family_filter_and_json(self, capsys):
         assert scenarios_main(["list", "--family", "adversarial", "--json"]) == 0
