@@ -27,7 +27,8 @@ from golden_digests import (
     golden_jobs,
     result_digest,
 )
-from repro.engine import run_job
+from repro.engine import SimulationJob, SpecKind, run_job
+from repro.workloads import get_workload
 
 #: sha256 of the canonical JSON serialisation of each golden job's RunResult.
 #: The jitter-free digests were recorded from the pre-optimisation simulator;
@@ -48,6 +49,59 @@ GOLDEN_DIGESTS = {
     "em3d/program_adaptive_jittered_wide_window": "32062bfa9bba2cc895b950377bc1f5a24a1f8c51e1d812685e4f26162fb23fdf",
     "apsi-capacity/phase_adaptive_jittered_reconfig": "b4ae665a7972a94aa36f2c7799e0e68c20f5e2a576144a674dcb6a87397cbc93",
 }
+
+
+#: Phase-adaptive jobs whose cache controllers reconfigure: with no hysteresis
+#: margin, gcc's D/L2 goes 0 -> 2 and its I-cache 0 -> 3 -> 2, and mst's D/L2
+#: goes 0 -> 2 -> 0, so both the upsizing path (the structure waits for the
+#: PLL) and the downsizing path (it switches at once) run.  Each change is
+#: ``"committed structure configuration"``; the digest covers its times too.
+RECONFIGURATION_PINS = {
+    "gcc": (
+        "04ea68c70ea68c3f03037be8bdc4a298b73a4dc95e82351eafd39676695390ef",
+        ["498 int-queue 48"]
+        + [
+            f"{committed} {change}"
+            for committed in (500, 1_000, 1_500, 2_000, 2_500)
+            for change in ("dcache 128k4W/1024k4W", "icache 64k4W")
+        ]
+        + ["3000 dcache 128k4W/1024k4W", "3000 icache 48k3W"],
+    ),
+    "mst": (
+        "b5362ae90969bab43fa6575fd994c49383fc444cad14cc75c99cd23a40248f91",
+        [
+            f"{committed} {change}"
+            for committed, dcache in (
+                (500, "128k4W/1024k4W"),
+                (1_000, "128k4W/1024k4W"),
+                (1_500, "128k4W/1024k4W"),
+                (2_000, "128k4W/1024k4W"),
+                (2_500, "32k1W/256k1W"),
+                (3_000, "32k1W/256k1W"),
+            )
+            for change in (f"dcache {dcache}", "icache 16k1W")
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(RECONFIGURATION_PINS))
+def test_cache_reconfigurations_match_their_pins(workload):
+    job = SimulationJob(
+        profile=get_workload(workload),
+        spec_kind=SpecKind.BASE_ADAPTIVE,
+        use_b_partitions=True,
+        phase_adaptive=True,
+        window=3_000,
+        control_overrides={"cache_hysteresis": 0.0},
+    )
+    result = run_job(job)
+    digest, changes = RECONFIGURATION_PINS[workload]
+    assert [
+        f"{change.committed_instructions} {change.structure} {change.configuration}"
+        for change in result.configuration_changes
+    ] == changes
+    assert result_digest(result) == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
