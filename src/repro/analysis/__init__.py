@@ -32,7 +32,6 @@ _SWEEP_EXPORTS = {
     "SweepResult",
     "WorkloadComparison",
     "average_improvements",
-    "best_synchronous_configuration",
     "program_adaptive_search",
     "run_phase_adaptive",
     "run_program_adaptive",
@@ -76,7 +75,6 @@ __all__ = [
     "sensitivity_sweep",
     "SweepResult",
     "WorkloadComparison",
-    "best_synchronous_configuration",
     "program_adaptive_search",
     "run_phase_adaptive",
     "run_program_adaptive",

@@ -8,8 +8,8 @@ their field partition is a *contract*, not a convention:
   fields can never move a pinned timing digest — only a change to simulated
   behaviour can.
 * :data:`FAST_PATH_OBSERVABILITY_FIELDS` — the ``compare=False`` fields of
-  ``RunResult``: counters describing how a run was *simulated* (work-horizon
-  skip, compiled-trace reuse), not what the machine did.  Excluded from
+  ``RunResult``: counters describing how a run was *simulated* (the
+  work-horizon skip), not what the machine did.  Excluded from
   both digests and from result equality.
 * Everything else — activity counters and structural sizes hashed by
   ``energy_digest`` together with the derived energy report.
@@ -71,8 +71,8 @@ TIMING_DIGEST_FIELDS = (
     "configuration_changes",
 )
 
-#: Observation-only counters describing how a run was *simulated* (compiled
-#: trace columns, the work-horizon skip), not what the machine did: the
+#: Observation-only counters describing how a run was *simulated* (the
+#: work-horizon skip), not what the machine did: the
 #: fields ``RunResult`` declares with ``compare=False``.  They vary with the
 #: fast-path knobs while the simulated behaviour is bit-identical, so they
 #: are excluded from the energy digest exactly as the timing fields are (and

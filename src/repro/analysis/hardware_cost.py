@@ -168,4 +168,6 @@ def main(argv: object = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the CLI smoke test
-    raise SystemExit(main())
+    from repro.obs.logging import run_cli
+
+    raise SystemExit(run_cli(main))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.clocks.time import Picoseconds
 
@@ -36,7 +36,6 @@ class RunResult:
 
     Every field has a digest class, read off the code: ``timing`` if it is
     in ``TIMING_DIGEST_FIELDS`` (hashed by ``result_digest``; frozen set),
-    ``process-dependent`` if it is in :attr:`PROCESS_DEPENDENT_FIELDS`,
     ``excluded`` if it is declared ``compare=False``, and ``energy`` (hashed
     by ``energy_digest``) otherwise.  ``tests/fingerprint_schema.json``
     records the class of every field, so adding or reclassifying a field
@@ -117,22 +116,11 @@ class RunResult:
 
     # Simulator fast-path observability (how the run was *simulated*, not
     # what the machine did): idle clock edges of all four domains consumed
-    # by the work-horizon skip, and fetches served from pre-compiled trace
-    # columns.  Defaulted so old-schema JSON still deserialises, excluded
-    # from equality (``compare=False``) so a run is the same result however
-    # it was accelerated, and excluded from both result digests.
+    # by the work-horizon skip.  Defaulted so old-schema JSON still
+    # deserialises, excluded from equality (``compare=False``) so a run is
+    # the same result however it was accelerated, and excluded from both
+    # result digests.
     horizon_skipped_edges: int = field(default=0, compare=False)
-    compiled_trace_cache_hits: int = field(default=0, compare=False)
-
-    #: Observability fields whose values depend on *per-process* state (the
-    #: trace-compilation cache is warm for the second job on a trace, cold
-    #: for the first) rather than on the job alone.  The result cache resets
-    #: them to their defaults when persisting, so on-disk stores are
-    #: byte-identical however the job list was split across runs — the
-    #: property the cold-versus-resumed store ``diff -r`` check rests on.
-    PROCESS_DEPENDENT_FIELDS: ClassVar[tuple[str, ...]] = (
-        "compiled_trace_cache_hits",
-    )
 
     # ------------------------------------------------------------ derived
 

@@ -61,7 +61,7 @@ from repro.engine import (
     make_engine,
     parse_workers,
 )
-from repro.obs.logging import add_logging_arguments, configure_logging
+from repro.obs.logging import add_logging_arguments, configure_logging, run_cli
 from repro.workloads.characteristics import WorkloadProfile
 
 __all__ = [
@@ -649,4 +649,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the CLI smoke job
-    raise SystemExit(main())
+    raise SystemExit(run_cli(main))

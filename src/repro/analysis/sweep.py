@@ -2,20 +2,23 @@
 
 The paper evaluates three machines per application:
 
-* the best-overall **fully synchronous** processor, found by sweeping 1 024
-  configurations across the whole suite;
+* the best-overall **fully synchronous** processor, which the paper found by
+  sweeping 1 024 configurations across the whole suite (this module runs the
+  machine it names,
+  :func:`~repro.core.configuration.best_overall_synchronous_spec`);
 * the **Program-Adaptive** MCD machine, where the best of the 256 adaptive
   configurations is chosen per application by exhaustive offline search; and
 * the **Phase-Adaptive** MCD machine, which starts from the base (smallest /
   fastest) configuration and lets the hardware controllers adapt at run time.
 
-This module provides runners for each, plus both *exhaustive* and *factored*
-search modes.  The factored mode sweeps one structure at a time around the
-base configuration and then combines the per-structure winners; in this
-model the structures live in different clock domains and interact only
-weakly, so the factored search finds the same winner at a small fraction of
-the cost.  The exhaustive mode is retained for fidelity (the scenario CLI's
-``--search-mode`` and the design-space example's ``--mode``).
+This module provides runners for each, and the Program-Adaptive search in
+*exhaustive* and *factored* modes.  The factored mode sweeps one structure
+at a time around the base configuration and then combines the per-structure
+winners; in this model the structures live in different clock domains and
+interact only weakly, so the factored search finds the same winner at a
+small fraction of the cost.  The exhaustive mode is retained for fidelity
+(the scenario CLI's ``--search-mode`` and the design-space example's
+``--mode``).
 
 All simulation goes through the :mod:`repro.engine` subsystem: every runner
 builds :class:`~repro.engine.SimulationJob` descriptions and submits them to
@@ -39,11 +42,7 @@ from repro.energy import (
     energy_reduction,
     energy_report,
 )
-from repro.core.configuration import (
-    AdaptiveConfigIndices,
-    adaptive_configuration_space,
-    synchronous_configuration_space,
-)
+from repro.core.configuration import AdaptiveConfigIndices, adaptive_configuration_space
 from repro.core.controllers.params import AdaptiveControlParams
 from repro.engine import (
     DEFAULT_TRACE_SEED,
@@ -55,13 +54,7 @@ from repro.engine import (
     default_warmup,
     make_trace,
 )
-from repro.timing.tables import (
-    ADAPTIVE_DCACHE_CONFIGS,
-    ADAPTIVE_ICACHE_CONFIGS,
-    ISSUE_QUEUE_SIZES,
-    OPTIMAL_DCACHE_CONFIGS,
-    OPTIMIZED_ICACHE_CONFIGS,
-)
+from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ADAPTIVE_ICACHE_CONFIGS, ISSUE_QUEUE_SIZES
 from repro.workloads.characteristics import WorkloadProfile
 
 __all__ = [
@@ -69,7 +62,6 @@ __all__ = [
     "SweepResult",
     "WorkloadComparison",
     "average_improvements",
-    "best_synchronous_configuration",
     "compare_workload",
     "compare_workloads",
     "comparison_jobs",
@@ -96,12 +88,6 @@ class SweepResult:
     def configurations_evaluated(self) -> int:
         """Number of simulated configurations."""
         return len(self.evaluated)
-
-    def energy_by_configuration(self) -> dict[str, float]:
-        """Total energy (nJ) of every evaluated configuration."""
-        return {
-            key: energy_report(result).total_nj for key, result in self.evaluated.items()
-        }
 
 
 @dataclass(slots=True)
@@ -388,17 +374,15 @@ def run_phase_adaptive(
 # ---------------------------------------------------------------------------
 
 
-def _factored_candidates(style: str) -> list[AdaptiveConfigIndices]:
+def _factored_candidates() -> list[AdaptiveConfigIndices]:
     """One-structure-at-a-time candidates around the base configuration."""
-    icache_range = range(
-        len(OPTIMIZED_ICACHE_CONFIGS if style == "synchronous" else ADAPTIVE_ICACHE_CONFIGS)
-    )
-    dcache_range = range(
-        len(OPTIMAL_DCACHE_CONFIGS if style == "synchronous" else ADAPTIVE_DCACHE_CONFIGS)
-    )
     candidates: list[AdaptiveConfigIndices] = [AdaptiveConfigIndices()]
-    candidates.extend(AdaptiveConfigIndices(icache_index=i) for i in icache_range if i)
-    candidates.extend(AdaptiveConfigIndices(dcache_index=i) for i in dcache_range if i)
+    candidates.extend(
+        AdaptiveConfigIndices(icache_index=i) for i in range(len(ADAPTIVE_ICACHE_CONFIGS)) if i
+    )
+    candidates.extend(
+        AdaptiveConfigIndices(dcache_index=i) for i in range(len(ADAPTIVE_DCACHE_CONFIGS)) if i
+    )
     candidates.extend(
         AdaptiveConfigIndices(int_queue_size=size) for size in ISSUE_QUEUE_SIZES if size != 16
     )
@@ -408,16 +392,11 @@ def _factored_candidates(style: str) -> list[AdaptiveConfigIndices]:
     return candidates
 
 
-def _search_candidates(mode: str, style: str) -> list[AdaptiveConfigIndices]:
+def _search_candidates(mode: str) -> list[AdaptiveConfigIndices]:
     if mode == "exhaustive":
-        space = (
-            synchronous_configuration_space()
-            if style == "synchronous"
-            else adaptive_configuration_space()
-        )
-        candidates = list(space)
+        candidates = list(adaptive_configuration_space())
     elif mode == "factored":
-        candidates = _factored_candidates(style)
+        candidates = _factored_candidates()
     else:
         raise ValueError(f"unknown search mode {mode!r}")
     # Defensive de-duplication (insertion order preserved) so the engine sees
@@ -445,7 +424,7 @@ def program_adaptive_search(
     across workers.
     """
     eng = _resolve_engine(engine)
-    candidates = _search_candidates(mode, "adaptive")
+    candidates = _search_candidates(mode)
 
     def jobs_for(batch: Sequence[AdaptiveConfigIndices]) -> list[SimulationJob]:
         return [
@@ -530,59 +509,6 @@ def _get_fq(indices: AdaptiveConfigIndices) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Best-overall synchronous search
-# ---------------------------------------------------------------------------
-
-
-def best_synchronous_configuration(
-    profiles: Sequence[WorkloadProfile],
-    *,
-    mode: str = "factored",
-    window: int | None = None,
-    warmup: int | None = None,
-    trace_seed: int = DEFAULT_TRACE_SEED,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> tuple[AdaptiveConfigIndices, dict[str, float]]:
-    """Find the fully synchronous configuration with the best overall performance.
-
-    Returns the winning configuration and a mapping from configuration key to
-    its average normalised run time across *profiles* (lower is better).  The
-    exhaustive mode walks all 1 024 synchronous configurations; the factored
-    mode sweeps one structure at a time (28 configurations).  The whole
-    (profile × configuration) cross product is submitted as one engine batch.
-    """
-    eng = _resolve_engine(engine)
-    candidates = _search_candidates(mode, "synchronous")
-
-    jobs = [
-        _synchronous_job(
-            profile, indices, window=window, warmup=warmup, trace_seed=trace_seed, seed=seed
-        )
-        for profile in profiles
-        for indices in candidates
-    ]
-    results = eng.run_all(jobs)
-
-    per_config_times: dict[str, list[float]] = {c.describe(): [] for c in candidates}
-    for offset in range(0, len(jobs), len(candidates)):
-        times: dict[str, float] = {}
-        for indices, result in zip(candidates, results[offset : offset + len(candidates)]):
-            times[indices.describe()] = result.execution_time_ps / max(
-                1, result.committed_instructions
-            )
-        best_time = min(times.values())
-        for key, value in times.items():
-            per_config_times[key].append(value / best_time)
-
-    averages = {
-        key: sum(values) / len(values) for key, values in per_config_times.items() if values
-    }
-    best_key = min(averages, key=averages.get)
-    return _indices_from_key(best_key), averages
-
-
-# ---------------------------------------------------------------------------
 # Figure 6 driver
 # ---------------------------------------------------------------------------
 
@@ -642,7 +568,7 @@ def comparison_jobs(
     factored search's combined-winner jobs depend on these results and so
     cannot be enumerated up front.
     """
-    candidates = _search_candidates(search_mode, "adaptive")
+    candidates = _search_candidates(search_mode)
     jobs: list[SimulationJob] = []
     for profile in profiles:
         jobs.append(
@@ -717,7 +643,7 @@ def compare_workloads(
     experiment, which is what the sensitivity driver reports deltas over.
     """
     eng = _resolve_engine(engine)
-    candidates = _search_candidates(search_mode, "adaptive")
+    candidates = _search_candidates(search_mode)
     jobs = comparison_jobs(
         profiles,
         baseline_indices=baseline_indices,

@@ -2,7 +2,7 @@
 
 Renders ``docs/CLI.md`` from the *live* argument parsers of every
 ``python -m repro.*`` entrypoint, so the reference cannot drift from the
-code: ``tests/test_cli_reference.py`` (run by the CI docs job) regenerates
+code: ``tests/test_cli_reference.py`` (part of the tier-1 suite) regenerates
 the document and fails when the committed copy is stale.
 
 The renderer walks each parser's actions directly instead of calling
@@ -52,7 +52,7 @@ _HEADER = """\
 
 Every `python -m repro.*` entrypoint, generated from the live argument
 parsers by `python -m repro.cli_reference --write`.  **Do not edit by
-hand** — `tests/test_cli_reference.py` (run by the CI docs job) regenerates
+hand** — `tests/test_cli_reference.py` (part of the tier-1 suite) regenerates
 this document and fails when the committed copy is stale.
 """
 
@@ -230,4 +230,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.obs.logging import run_cli
+
+    raise SystemExit(run_cli(main))

@@ -139,17 +139,6 @@ def adaptive_configuration_space() -> Iterator[AdaptiveConfigIndices]:
         yield AdaptiveConfigIndices(ic, dc, iq, fq)
 
 
-def synchronous_configuration_space() -> Iterator[AdaptiveConfigIndices]:
-    """All 1024 fully synchronous configurations (16 x 4 x 4 x 4)."""
-    for ic, dc, iq, fq in itertools.product(
-        range(len(OPTIMIZED_ICACHE_CONFIGS)),
-        range(len(OPTIMAL_DCACHE_CONFIGS)),
-        ISSUE_QUEUE_SIZES,
-        ISSUE_QUEUE_SIZES,
-    ):
-        yield AdaptiveConfigIndices(ic, dc, iq, fq)
-
-
 @dataclass(frozen=True, slots=True)
 class MachineSpec:
     """A fully resolved machine to simulate."""

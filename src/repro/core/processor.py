@@ -17,6 +17,7 @@ picoseconds throughout.
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf
 from typing import Callable, Iterable, Iterator
 
@@ -520,8 +521,8 @@ class MCDProcessor:
         # fetch-queue and pending-event containers are mutated only in
         # place, so binding them once keeps the quiescence and event checks
         # to truth tests.
-        rob_entries = rob._entries
-        fq_entries = frontend.fetch_queue._entries
+        rob_entries = rob.entries
+        fq_entries = frontend.fetch_queue.entries
         pending_events = self._pending_events
         fe_clock = self._fe_clock
         int_clock = self._int_clock
@@ -654,19 +655,19 @@ class MCDProcessor:
         fe_edge_at_or_after = fe_clock.edge_at_or_after
         pending_events = self._pending_events
         fetch_queue = frontend.fetch_queue
-        fq_entries = fetch_queue._entries
-        fq_capacity = fetch_queue._capacity
-        rob_entries = self.rob._entries
+        fq_entries = fetch_queue.entries
+        fq_capacity = fetch_queue.capacity
+        rob_entries = self.rob.entries
         int_queue = self.int_queue
-        int_incoming = int_queue._incoming
-        int_heap = int_queue._heap
-        int_ready = int_queue._ready
+        int_incoming = int_queue.incoming
+        int_heap = int_queue.heap
+        int_ready = int_queue.ready
         fp_queue = self.fp_queue
-        fp_incoming = fp_queue._incoming
-        fp_heap = fp_queue._heap
-        fp_ready = fp_queue._ready
+        fp_incoming = fp_queue.incoming
+        fp_heap = fp_queue.heap
+        fp_ready = fp_queue.ready
         lsq = self.lsq
-        lsq_entries = lsq._entries
+        lsq_entries = lsq.entries
         fe_windows = self._wake_windows(_FRONT_END_DOMAIN)
         sync = self.sync
         sync_enabled = sync.enabled
@@ -695,8 +696,8 @@ class MCDProcessor:
             horizon = no_bound
             if pending_events:
                 horizon = min(event[0] for event in pending_events)
-            if fe_next < horizon and frontend._waiting_branch is None:
-                stall_until = frontend._stall_until
+            if fe_next < horizon and frontend.waiting_branch is None:
+                stall_until = frontend.stall_until
                 if stall_until > fe_next:
                     edge = fe_edge_at_or_after(stall_until)
                     if edge < horizon:
@@ -777,9 +778,9 @@ class MCDProcessor:
                     head = None
                 count = fe_clock.skip_edges_before(horizon)
                 stats = frontend.stats
-                if frontend._waiting_branch is not None:
+                if frontend.waiting_branch is not None:
                     stats.branch_stall_cycles += count
-                elif frontend._stall_until > fe_next:
+                elif frontend.stall_until > fe_next:
                     stats.fetch_stall_cycles += count
                 if head is not None:
                     sync_stats = sync.stats
@@ -820,18 +821,18 @@ class MCDProcessor:
         crossing into it included) or, for a memory operation, LSQ.
         """
         rob = self.rob
-        if len(rob._entries) >= rob._capacity:
+        if len(rob.entries) >= rob.capacity:
             return True
         dest = inst.dest
         if dest >= 0:
             regfile = self.fp_regs if dest >= FP_BASE_INDEX else self.int_regs
-            if regfile._total <= regfile._allocated:
+            if regfile.total <= regfile.allocated:
                 return True
         queue = self.fp_queue if inst.is_fp else self.int_queue
-        if queue.occupancy >= queue._capacity:
+        if queue.occupancy >= queue.capacity:
             return True
         lsq = self.lsq
-        return inst.is_memory_op and len(lsq._entries) >= lsq._capacity
+        return inst.is_memory_op and len(lsq.entries) >= lsq.capacity
 
     def _process_pending_events(self, now: Picoseconds) -> None:
         pending = self._pending_events
@@ -859,9 +860,9 @@ class MCDProcessor:
         # skips the fetch_cycle call entirely.  fetch_cycle performs the
         # same checks itself for direct callers.
         frontend = self.frontend
-        if frontend._waiting_branch is not None:
+        if frontend.waiting_branch is not None:
             frontend.stats.branch_stall_cycles += 1
-        elif now < frontend._stall_until:
+        elif now < frontend.stall_until:
             frontend.stats.fetch_stall_cycles += 1
         else:
             frontend.fetch_cycle(now, fe_clock.period_ps)
@@ -870,7 +871,7 @@ class MCDProcessor:
         # Cheap early-out before any further binding: most front-end cycles
         # commit nothing (empty ROB, or a head still executing).
         rob = self.rob
-        entries = rob._entries
+        entries = rob.entries
         if not entries or entries[0].completion_time is None:
             return
         sync = self.sync
@@ -882,8 +883,7 @@ class MCDProcessor:
         last_writer = self._last_writer
         int_regs = self.int_regs
         fp_regs = self.fp_regs
-        lsq = self.lsq
-        lsq_entries = lsq._entries
+        lsq_entries = self.lsq.entries
         interval_countdown = self._interval_countdown
         trace_sync = self._trace_sync
         retired = self._retired
@@ -926,18 +926,20 @@ class MCDProcessor:
             dest = head.dest
             if dest >= 0:
                 regfile = fp_regs if dest >= FP_BASE_INDEX else int_regs
-                regfile._allocated -= 1
-                if regfile._allocated < regfile._logical:
+                regfile.allocated -= 1
+                if regfile.allocated < regfile.logical:
                     raise RuntimeError("physical register file underflow")
                 if last_writer.get(dest) is head:
                     del last_writer[dest]
             if head.is_memory_op:
-                # Commit is in program order, so an issued memory op is the
-                # LSQ head.
-                if lsq_entries and lsq_entries[0] is head and head.memory_issued:
-                    del lsq_entries[0]
-                else:
-                    lsq.release(head)
+                # Commit is in program order, and a memory op completes only
+                # when its access issues, so it is the LSQ head.
+                if not (lsq_entries and lsq_entries[0] is head and head.memory_issued):
+                    raise RuntimeError(
+                        "a committing memory operation must have issued its access "
+                        "and be the load/store queue's head"
+                    )
+                del lsq_entries[0]
             if len(retired) < _RETIRED_KEEP_LIMIT:
                 retired.append(head)
             # Both cache controllers end their intervals on the same commit.
@@ -954,15 +956,15 @@ class MCDProcessor:
         frontend = self.frontend
         # Cheap early-out (same container binding as the main loop): nothing
         # decoded and ready means nothing to dispatch this cycle.
-        fq_entries = frontend.fetch_queue._entries
+        fq_entries = frontend.fetch_queue.entries
         if not fq_entries or fq_entries[0].dispatch_ready_time > now:
             return
         rob = self.rob
-        rob_entries = rob._entries
-        rob_capacity = rob._capacity
+        rob_entries = rob.entries
+        rob_capacity = rob.capacity
         lsq = self.lsq
-        lsq_entries = lsq._entries
-        lsq_capacity = lsq._capacity
+        lsq_entries = lsq.entries
+        lsq_capacity = lsq.capacity
         dispatch_blocked = self._dispatch_blocked
         last_writer = self._last_writer
         last_writer_get = last_writer.get
@@ -1004,9 +1006,9 @@ class MCDProcessor:
             dest = inst.dest
             if dest >= 0:
                 regfile = fp_regs if dest >= FP_BASE_INDEX else int_regs
-                if regfile._allocated >= regfile._total:
+                if regfile.allocated >= regfile.total:
                     raise RuntimeError("physical register file overflow")
-                regfile._allocated += 1
+                regfile.allocated += 1
                 regfile.allocations += 1
                 last_writer[dest] = inst
             if len(rob_entries) >= rob_capacity:
@@ -1036,9 +1038,9 @@ class MCDProcessor:
                 inst.queue_arrival_time = queue_clock.next_edge
             else:
                 inst.queue_arrival_time = now
-            if queue.occupancy >= queue._capacity:
+            if queue.occupancy >= queue.capacity:
                 raise RuntimeError(f"{queue.name}: dispatch into a full queue")
-            queue._incoming.append(inst)
+            queue.incoming.append(inst)
             queue.occupancy += 1
             queue.operand_reads += source_count
             if not waits:
@@ -1097,13 +1099,13 @@ class MCDProcessor:
 
     def _integer_cycle(self, now: Picoseconds) -> None:
         queue = self.int_queue
-        incoming = queue._incoming
+        incoming = queue.incoming
         if incoming and incoming[0].queue_arrival_time <= now:
             queue.admit_arrivals(now)
-        heap = queue._heap
+        heap = queue.heap
         if heap and heap[0][0] <= now:
             queue.wake_up(now)
-        ready = queue._ready
+        ready = queue.ready
         if ready:
             clock = self._int_clock
             period = clock.period_ps
@@ -1156,13 +1158,13 @@ class MCDProcessor:
 
     def _floating_point_cycle(self, now: Picoseconds) -> None:
         queue = self.fp_queue
-        incoming = queue._incoming
+        incoming = queue.incoming
         if incoming and incoming[0].queue_arrival_time <= now:
             queue.admit_arrivals(now)
-        heap = queue._heap
+        heap = queue.heap
         if heap and heap[0][0] <= now:
             queue.wake_up(now)
-        ready = queue._ready
+        ready = queue.ready
         if ready:
             period = self._fp_clock.period_ps
             units = self.fp_units
@@ -1208,7 +1210,7 @@ class MCDProcessor:
         # Performing an access never mutates the LSQ entry list (entries
         # leave only at commit), so the program-ordered list is iterated
         # directly.
-        for inst in lsq._entries:
+        for inst in lsq.entries:
             if performed >= cache_ports:
                 break
             if inst.memory_issued:
@@ -1300,7 +1302,18 @@ class MCDProcessor:
                     changed=decision.changed,
                 )
             if decision.changed and domain not in self._changes_in_progress:
-                self._apply_queue_change(domain, queue, decision.best_size, now)
+                size = decision.best_size
+                self._apply_change(
+                    controller.name,
+                    domain,
+                    size,
+                    str(size),
+                    now,
+                    apply_structure=partial(queue.set_capacity, size),
+                    new_frequency=ISSUE_QUEUE_FREQUENCY_GHZ[size],
+                    upsizing=size > queue.capacity,
+                    lock_basis=self._last_interval_duration or None,
+                )
         tracker.reset()
 
     def _end_cache_interval(self, now: Picoseconds) -> int:
@@ -1310,9 +1323,21 @@ class MCDProcessor:
         interval_duration = now - self._interval_start_time
         self._interval_start_time = now
         self._last_interval_duration = max(interval_duration, 1)
-        for controller, domain in (
-            (self._dcache_controller, Domain.LOAD_STORE),
-            (self._icache_controller, Domain.FRONT_END),
+        frontend = self.frontend
+        assert frontend is not None
+        for controller, domain, configs, apply_config in (
+            (
+                self._dcache_controller,
+                Domain.LOAD_STORE,
+                ADAPTIVE_DCACHE_CONFIGS,
+                self.hierarchy.apply_config,
+            ),
+            (
+                self._icache_controller,
+                Domain.FRONT_END,
+                ADAPTIVE_ICACHE_CONFIGS,
+                partial(frontend.apply_icache_config, use_b_partition=self.spec.use_b_partitions),
+            ),
         ):
             assert controller is not None
             structure = controller.name
@@ -1336,21 +1361,26 @@ class MCDProcessor:
                     interval_duration_ps=interval_duration,
                     changed=decision.changed,
                 )
+            index = decision.best_index
+            config = configs[index]
             if decision.changed and domain not in self._changes_in_progress:
-                self._apply_cache_change(structure, domain, decision.best_index, now)
+                self._apply_change(
+                    structure,
+                    domain,
+                    index,
+                    config.name,
+                    now,
+                    apply_structure=partial(apply_config, config),
+                    new_frequency=config.frequency_ghz,
+                    upsizing=config.frequency_ghz < self.clocks[domain].frequency_ghz,
+                    lock_basis=self._last_interval_duration,
+                )
             else:
-                self._record_configuration(structure, domain, decision.best_index, now)
+                self._record_configuration(structure, domain, index, config.name, now)
         return self.control.interval_instructions
 
-    def _configuration_name(self, structure: str, index: int) -> str:
-        if structure == "dcache":
-            return ADAPTIVE_DCACHE_CONFIGS[index].name
-        if structure == "icache":
-            return ADAPTIVE_ICACHE_CONFIGS[index].name
-        return str(index)
-
     def _record_configuration(
-        self, structure: str, domain: Domain, index: int, now: Picoseconds
+        self, structure: str, domain: Domain, index: int, configuration: str, now: Picoseconds
     ) -> None:
         self._configuration_changes.append(
             ConfigurationChange(
@@ -1358,34 +1388,37 @@ class MCDProcessor:
                 time_ps=now,
                 domain=domain.value,
                 structure=structure,
-                configuration=self._configuration_name(structure, index),
+                configuration=configuration,
                 index=index,
             )
         )
 
-    def _apply_cache_change(
-        self, structure: str, domain: Domain, new_index: int, now: Picoseconds
+    def _apply_change(
+        self,
+        structure: str,
+        domain: Domain,
+        index: int,
+        configuration: str,
+        now: Picoseconds,
+        *,
+        apply_structure: Callable[[], None],
+        new_frequency: float,
+        upsizing: bool,
+        lock_basis: Picoseconds | None,
     ) -> None:
-        # The closures below capture the objects they touch, never ``self``:
-        # a run that ends with this change still pending leaves no reference
-        # cycle through the processor.
+        """Resize one structure and retune its domain's clock.
+
+        The new frequency takes effect once the PLL re-locks; the lock time
+        is drawn from *lock_basis* (see :meth:`PLLModel.sample_lock_ps`).  A
+        downsized structure is safe at the old, slower frequency, so it
+        switches at once; an upsized one needs the new, slower clock, so it
+        switches with it.
+        """
+        # ``finish`` captures the objects it touches, never ``self``: a run
+        # that ends with this change still pending leaves no reference cycle
+        # through the processor.
         clock = self.clocks[domain]
-        if structure == "dcache":
-            config = ADAPTIVE_DCACHE_CONFIGS[new_index]
-            new_frequency = config.frequency_ghz
-            hierarchy = self.hierarchy
-            apply_structure = lambda: hierarchy.apply_config(config)  # noqa: E731
-        else:
-            config = ADAPTIVE_ICACHE_CONFIGS[new_index]
-            new_frequency = config.frequency_ghz
-            frontend = self.frontend
-            assert frontend is not None
-            use_b_partition = self.spec.use_b_partitions
-            apply_structure = lambda: frontend.apply_icache_config(  # noqa: E731
-                config, use_b_partition=use_b_partition
-            )
-        lock_time = self.pll.sample_lock_ps(self._last_interval_duration)
-        upsizing = new_frequency < clock.frequency_ghz
+        lock_time = self.pll.sample_lock_ps(lock_basis)
         changes_in_progress = self._changes_in_progress
         changes_in_progress.add(domain)
         fire_time = now + lock_time
@@ -1409,12 +1442,9 @@ class MCDProcessor:
                 )
 
         if not upsizing:
-            # Downsizing: the smaller structure is safe at the old (slower)
-            # frequency, so it switches immediately; the faster clock waits
-            # for the PLL to re-lock.
             apply_structure()
         self._pending_events.append((fire_time, finish))
-        self._record_configuration(structure, domain, new_index, now)
+        self._record_configuration(structure, domain, index, configuration, now)
         if self._trace_reconfig:
             assert self.recorder is not None
             self.recorder.emit(
@@ -1423,71 +1453,8 @@ class MCDProcessor:
                 self.rob.total_committed,
                 structure=structure,
                 domain=domain.value,
-                index=new_index,
-                configuration=self._configuration_name(structure, new_index),
-                upsizing=upsizing,
-                lock_time_ps=lock_time,
-                effective_time_ps=fire_time,
-            )
-
-    def _apply_queue_change(
-        self,
-        domain: Domain,
-        queue: IssueQueue,
-        new_size: int,
-        now: Picoseconds,
-    ) -> None:
-        # As in _apply_cache_change, ``finish`` does not capture ``self``.
-        clock = self.clocks[domain]
-        new_frequency = ISSUE_QUEUE_FREQUENCY_GHZ[new_size]
-        upsizing = new_size > queue.capacity
-        lock_time = self.pll.sample_lock_ps(self._last_interval_duration or None)
-        changes_in_progress = self._changes_in_progress
-        changes_in_progress.add(domain)
-        fire_time = now + lock_time
-        recorder = self.recorder if self._trace_freq else None
-        rob = self.rob
-
-        def finish() -> None:
-            old_frequency = clock.frequency_ghz
-            if upsizing:
-                queue.set_capacity(new_size)
-            clock.set_frequency(new_frequency)
-            changes_in_progress.discard(domain)
-            if recorder is not None:
-                recorder.emit(
-                    FREQUENCY_CHANGE,
-                    fire_time,
-                    rob.total_committed,
-                    domain=domain.value,
-                    old_ghz=old_frequency,
-                    new_ghz=new_frequency,
-                )
-
-        if not upsizing:
-            queue.set_capacity(new_size)
-        self._pending_events.append((fire_time, finish))
-        structure = "int-queue" if domain is Domain.INTEGER else "fp-queue"
-        self._configuration_changes.append(
-            ConfigurationChange(
-                committed_instructions=self.rob.total_committed,
-                time_ps=now,
-                domain=domain.value,
-                structure=structure,
-                configuration=str(new_size),
-                index=new_size,
-            )
-        )
-        if self._trace_reconfig:
-            assert self.recorder is not None
-            self.recorder.emit(
-                RECONFIGURATION,
-                now,
-                self.rob.total_committed,
-                structure=structure,
-                domain=domain.value,
-                index=new_size,
-                configuration=str(new_size),
+                index=index,
+                configuration=configuration,
                 upsizing=upsizing,
                 lock_time_ps=lock_time,
                 effective_time_ps=fire_time,
@@ -1614,6 +1581,5 @@ class MCDProcessor:
             },
             predictor_size_kb=self._predictor_size_kb(spec.icache.predictor),
             horizon_skipped_edges=self.horizon_skipped_edges,
-            compiled_trace_cache_hits=frontend.compiled_trace_cache_hits,
         )
         return result

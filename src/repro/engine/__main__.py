@@ -5,6 +5,7 @@ result-cache store (``inspect``: its entry and version census).
 """
 
 from repro.engine.cli import main
+from repro.obs.logging import run_cli
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_cli(main))

@@ -11,9 +11,10 @@ Disk entries are *versioned*: every file records the
 :data:`~repro.engine.job.FINGERPRINT_VERSION` it was written under, and the
 load path refuses entries from a different version with an error naming
 both versions — a stale cache directory must fail loudly rather than
-silently miss (or, worse, collide with) current fingerprints.  Entries are
-also *canonical* (:meth:`ResultCache.put`), so a store's bytes depend only
-on which jobs it holds, not on how the work was split across invocations.
+silently miss (or, worse, collide with) current fingerprints.  Every field
+of a stored result is a function of its job alone, so a store's bytes depend
+only on which jobs it holds, not on how the work was split across
+invocations.
 
 Stored results are returned as deep copies: :class:`RunResult` is mutable,
 and callers must never be able to corrupt the cache (or each other) through
@@ -27,7 +28,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.metrics import RunResult
@@ -186,30 +187,10 @@ class ResultCache:
         self.stats.misses += 1
         return None
 
-    @staticmethod
-    def _canonical(result: RunResult) -> RunResult:
-        """A deep copy with per-process observability fields reset.
-
-        Fields in :attr:`RunResult.PROCESS_DEPENDENT_FIELDS` reflect how
-        warm *this* process happened to be, not what the job computed;
-        resetting them makes cached (and persisted) results canonical, so
-        two stores covering the same fingerprints are byte-identical no
-        matter how the work was split across runs.
-        """
-        stored = copy.deepcopy(result)
-        defaults = {spec.name: spec.default for spec in fields(RunResult)}
-        for name in RunResult.PROCESS_DEPENDENT_FIELDS:
-            setattr(stored, name, defaults[name])
-        return stored
-
     def put(self, fingerprint: str, result: RunResult) -> None:
-        """Store *result* under *fingerprint* (memory, then disk if enabled).
-
-        The stored copy is canonicalised (:meth:`_canonical`): per-process
-        observability counters are reset so identical fingerprints always
-        persist identical bytes.
-        """
-        stored = self._canonical(result)
+        """Store a copy of *result* under *fingerprint* (memory, then disk if
+        enabled)."""
+        stored = copy.deepcopy(result)
         self._memory[fingerprint] = stored
         self.stats.stores += 1
         path = self._path(fingerprint)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.engine.cache import CacheVersionError, ResultCache
 from repro.engine.job import FINGERPRINT_VERSION
-from repro.obs.logging import add_logging_arguments, configure_logging
+from repro.obs.logging import add_logging_arguments, configure_logging, run_cli
 
 __all__ = ["build_parser", "inspect_store", "main"]
 
@@ -130,4 +130,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())
+    raise SystemExit(run_cli(main))

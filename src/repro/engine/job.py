@@ -53,7 +53,9 @@ DEFAULT_TRACE_SEED = 1234
 #: against the committed ``tests/fingerprint_schema.json`` and fails tier-1
 #: when either changes under an unchanged version.  After a deliberate bump,
 #: run tier-1 and commit the snapshot its failure message prints.
-FINGERPRINT_VERSION = 7  # v7: RunResult lost the fast_forward_invocations,
+FINGERPRINT_VERSION = 8  # v8: RunResult lost its compiled-trace cache-hit
+# counter, the one field the result cache reset before storing (simulated
+# results are bit-identical).  v7: RunResult lost the fast_forward_invocations,
 # fast_forward_cycles and steady_stretches_skipped counters when one
 # work-horizon skip replaced the fast-forward and event-horizon scheduling
 # (the bump records the store-schema change; simulated results are

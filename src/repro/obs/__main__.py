@@ -1,8 +1,7 @@
 """Module entry point: ``python -m repro.obs``."""
 
-import sys
-
 from repro.obs.cli import main
+from repro.obs.logging import run_cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(run_cli(main))

@@ -4,7 +4,9 @@ One place defines the verbosity flags (``-v``/``--verbose``, ``-q``/
 ``--quiet``) and the handler/format they control, so the engine, obs,
 scenarios and sensitivity CLIs behave identically: diagnostics go to a
 ``repro``-rooted logger on *stderr* (primary results stay on stdout, where
-scripts and the CI greps read them).
+scripts and the CI greps read them).  Every entry point runs its ``main``
+through :func:`run_cli`, so a reader that stops reading stdout (``... |
+head``) ends the command quietly.
 
 Default level is WARNING; each ``-v`` lowers it one step (INFO, then
 DEBUG), each ``-q`` raises it (ERROR, then CRITICAL).  The engine's
@@ -16,13 +18,15 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
-from typing import IO
+from typing import IO, Callable
 
 __all__ = [
     "add_logging_arguments",
     "configure_logging",
     "get_logger",
+    "run_cli",
     "verbosity_from_args",
 ]
 
@@ -88,3 +92,22 @@ def configure_logging(
     # Diagnostics must not propagate into an application's root handlers too.
     logger.propagate = False
     return logger
+
+
+def run_cli(main: Callable[[], int]) -> int:
+    """Run a CLI's *main* and return its exit code.
+
+    A reader that has closed the pipe (``... | head``) ends the command with
+    exit code 1, as Python does on EPIPE, but without a traceback.
+    """
+    try:
+        code = main()
+        # Flush here, so a closed pipe is seen inside the try rather than in
+        # the interpreter's final flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code

@@ -9,6 +9,11 @@ slow job can be told from a large one — and, when the operator points it
 at one, result-store health (``--store``, via
 :func:`repro.engine.cli.inspect_store`).
 
+µs per processed edge divides a job's whole runner time by the clock edges
+its measured window processed.  The runner time also covers set-up,
+warm-up and, for the first job on a trace in its process, the trace's
+compile, none of which processes an edge, so short jobs read high.
+
 Pure rendering: everything here reads ledgers and stores and formats text;
 nothing is written back, and nothing simulation-visible depends on it.
 """
@@ -50,7 +55,8 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool
 
 
 def _us_per_edge(work: Mapping[str, Any]) -> str:
-    """Microseconds per processed edge of a job record or work total."""
+    """Microseconds of runner time per processed edge of a job record or
+    work total (see the module docstring for what the time covers)."""
     edges = work["processed_edges"]
     return f"{work['seconds'] * 1e6 / edges:.1f}" if edges else "n/a"
 

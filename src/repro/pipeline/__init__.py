@@ -3,9 +3,13 @@ fully synchronous baseline: dynamic-instruction bookkeeping, issue queues,
 reorder buffer, load/store queue, register files and functional units, and
 the fetch/rename front end.
 
-The processor's per-instruction paths (dispatch, issue, commit) update these
-structures' deques, lists and counters directly, making the same capacity
-checks as the structures' own methods, which serve every other caller."""
+The structures hold state; :class:`~repro.core.processor.MCDProcessor` is
+the one implementation of dispatch, issue and commit.  Its per-instruction
+paths read and update the structures' public fields (``entries``,
+``capacity``, ``allocated``, ``incoming``/``heap``/``ready``, ...) directly
+and make every capacity check themselves.  The structures keep only
+methods the processor calls, such as issue-queue wake-up and re-keying, LSQ
+store forwarding, functional-unit reservation and fetch."""
 
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.resources import FunctionalUnitPool, PhysicalRegisterFile

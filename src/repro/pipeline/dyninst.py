@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.clocks.time import Picoseconds
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import IS_FLOATING_POINT, OPCLASSES, OPCODE_ID, OpClass
-from repro.isa.registers import NO_REGISTER, register_index
+from repro.isa.opcodes import OPCLASSES, OPCODE_ID, OpClass
+from repro.isa.registers import NO_REGISTER
 
 _NOP_ID = OPCODE_ID[OpClass.NOP]
 
@@ -21,19 +20,19 @@ class DynInst:
     opcode id, dense register ids (``NO_REGISTER`` when absent) and effective
     address.
 
-    On the compiled-trace fast path the fields are populated directly from
-    flat column reads and the instance is recycled through a free list once
-    the machine drains, so no per-instruction objects are allocated at all;
-    the legacy constructor form ``DynInst(instruction=...)`` decodes a trace
-    ``Instruction`` instead and keeps a reference to it.
+    Fetch is the only producer of records: it fills the decoded fields from
+    the compiled trace's columns, and the processor writes the timing state
+    as the instruction moves through dispatch, issue and commit.  The
+    constructor builds a blank record (a NOP with no registers); retired
+    records return to the front end's free list once the machine drains, so
+    the steady state allocates none.
 
     Deliberately a plain ``__slots__`` class with *identity* equality: queue
-    entries are unique in-flight objects, and LSQ release relies on a fast
-    identity scan rather than field-by-field comparison.
+    entries are unique in-flight objects, which commit and the rename map
+    compare with ``is``.
     """
 
     __slots__ = (
-        "instruction",
         "producers",
         "dispatch_ready_time",
         "queue_arrival_time",
@@ -47,7 +46,7 @@ class DynInst:
         # producers are still in flight.
         "consumers",
         "waits",
-        # Decoded instruction fields (column reads on the fast path).
+        # Decoded instruction fields, filled by fetch from the trace columns.
         "seq",
         "op_id",
         "is_branch",
@@ -62,8 +61,7 @@ class DynInst:
         "address",
     )
 
-    def __init__(self, instruction: Instruction | None = None) -> None:
-        self.instruction = instruction
+    def __init__(self) -> None:
         #: Producers of each source operand that were still in flight at
         #: rename time (``None`` entries mean the operand was already
         #: architecturally ready).
@@ -82,35 +80,18 @@ class DynInst:
         self.consumers: list[DynInst] = []
         #: Producers still without a completion time, counted at dispatch.
         self.waits = 0
-        if instruction is not None:
-            self.seq = instruction.seq
-            self.op_id = OPCODE_ID[instruction.op]
-            self.is_branch = instruction.is_branch
-            self.is_memory_op = instruction.is_memory_op
-            self.is_store = instruction.is_store
-            self.is_fp = IS_FLOATING_POINT[instruction.op]
-            self.pc = instruction.pc
-            dest = instruction.dest
-            self.dest = NO_REGISTER if dest is None else register_index(dest)
-            sources = instruction.sources
-            count = len(sources)
-            self.src0 = register_index(sources[0]) if count else NO_REGISTER
-            self.src1 = register_index(sources[1]) if count > 1 else NO_REGISTER
-            self.source_count = count
-            self.address = instruction.address if instruction.address is not None else 0
-        else:
-            self.seq = -1
-            self.op_id = _NOP_ID
-            self.is_branch = False
-            self.is_memory_op = False
-            self.is_store = False
-            self.is_fp = False
-            self.pc = 0
-            self.dest = NO_REGISTER
-            self.src0 = NO_REGISTER
-            self.src1 = NO_REGISTER
-            self.source_count = 0
-            self.address = 0
+        self.seq = -1
+        self.op_id = _NOP_ID
+        self.is_branch = False
+        self.is_memory_op = False
+        self.is_store = False
+        self.is_fp = False
+        self.pc = 0
+        self.dest = NO_REGISTER
+        self.src0 = NO_REGISTER
+        self.src1 = NO_REGISTER
+        self.source_count = 0
+        self.address = 0
 
     @property
     def op(self) -> OpClass:
@@ -125,12 +106,7 @@ class DynInst:
     def describe(self) -> str:
         """Readable one-line rendering for debugging."""
         state = "completed" if self.completed else "in-flight"
-        rendering = (
-            self.instruction.describe()
-            if self.instruction is not None
-            else f"{self.op.value}@{self.pc:#x}"
-        )
-        return f"[{self.seq}] {rendering} ({state})"
+        return f"[{self.seq}] {self.op.value}@{self.pc:#x} ({state})"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<DynInst {self.describe()}>"

@@ -66,36 +66,17 @@ class FrontEndStats:
 
 
 class FetchQueue:
-    """Fixed-capacity queue between fetch and dispatch."""
+    """Fixed-capacity queue between fetch and dispatch.
+
+    Fetch appends to ``entries`` while fewer than ``capacity`` are buffered;
+    the processor's dispatch takes them from the head.
+    """
 
     def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError("fetch queue capacity must be positive")
-        self._capacity = capacity
-        self._entries: deque[DynInst] = deque()
-
-    @property
-    def has_space(self) -> bool:
-        """True when fetch may insert another instruction."""
-        return len(self._entries) < self._capacity
-
-    def push(self, inst: DynInst) -> None:
-        """Append a fetched instruction."""
-        if not self.has_space:
-            raise RuntimeError("fetch queue overflow")
-        self._entries.append(inst)
-
-    def peek(self) -> DynInst | None:
-        """Oldest buffered instruction, or ``None``."""
-        return self._entries[0] if self._entries else None
-
-    def pop(self) -> DynInst:
-        """Remove and return the oldest buffered instruction."""
-        return self._entries.popleft()
-
-    def clear(self) -> None:
-        """Drop the buffer contents."""
-        self._entries.clear()
+        self.capacity = capacity
+        self.entries: deque[DynInst] = deque()
 
 
 class FrontEnd:
@@ -148,11 +129,6 @@ class FrontEnd:
                 compiled = CompiledTrace(trace)
         self._trace = compiled
         self._cursor = 0
-        #: Rows already compiled before this run started — fetches below this
-        #: watermark are compiled-trace cache hits (columns built by an
-        #: earlier run in the same process).
-        self._premat = compiled.length
-        self._measured_from = 0
         self._pool: list[DynInst] = []
         self.fetch_width = fetch_width
         self.decode_cycles = decode_cycles
@@ -174,8 +150,10 @@ class FrontEnd:
         self.btb = BranchTargetBuffer()
         self._icache_miss_handler = icache_miss_handler
 
-        self._stall_until: Picoseconds = 0
-        self._waiting_branch: DynInst | None = None
+        #: Time before which fetch is stalled (redirect or I-cache refill).
+        self.stall_until: Picoseconds = 0
+        #: The unresolved mispredicted branch fetch is stalled on, if any.
+        self.waiting_branch: DynInst | None = None
         self._last_block: int | None = None
 
     # ------------------------------------------------------------------ API
@@ -195,21 +173,6 @@ class FrontEnd:
         """True once the trace has been fully consumed."""
         return self._trace.exhausted and self._cursor >= self._trace.length
 
-    @property
-    def waiting_for_branch(self) -> DynInst | None:
-        """The unresolved mispredicted branch fetch is stalled on, if any."""
-        return self._waiting_branch
-
-    @property
-    def stall_until(self) -> Picoseconds:
-        """Time before which fetch is stalled (redirect or I-cache refill)."""
-        return self._stall_until
-
-    @property
-    def compiled_trace_cache_hits(self) -> int:
-        """Measured-run fetches served from pre-compiled trace columns."""
-        return max(0, min(self._cursor, self._premat) - self._measured_from)
-
     def apply_icache_config(self, config: ICacheConfig, *, use_b_partition: bool) -> None:
         """Repartition the I-cache for *config* (contents are preserved)."""
         self.icache_config = config
@@ -218,9 +181,9 @@ class FrontEnd:
 
     def resume_after_branch(self, branch: DynInst, redirect_time: Picoseconds) -> None:
         """Called by the processor when a mispredicted branch resolves."""
-        if self._waiting_branch is branch:
-            self._waiting_branch = None
-            self._stall_until = max(self._stall_until, redirect_time)
+        if self.waiting_branch is branch:
+            self.waiting_branch = None
+            self.stall_until = max(self.stall_until, redirect_time)
             self._last_block = None
 
     def advance_cursor(self, count: int) -> None:
@@ -230,7 +193,6 @@ class FrontEnd:
     def reset_warm_state(self) -> None:
         """Clear warmup bookkeeping and statistics before a measured run."""
         self._last_block = None
-        self._measured_from = self._cursor
         self.icache.reset_interval()
         self.icache.reset_access_profile()
         self.stats = FrontEndStats()
@@ -245,7 +207,6 @@ class FrontEnd:
         for inst in insts:
             if len(pool) >= _POOL_CAPACITY:
                 break
-            inst.instruction = None
             inst.producers = ()
             inst.queue_arrival_time = None
             inst.lsq_arrival_time = None
@@ -264,14 +225,15 @@ class FrontEnd:
         how many there were.
         """
         stats = self.stats
-        if self._waiting_branch is not None:
+        if self.waiting_branch is not None:
             stats.branch_stall_cycles += 1
             return 0
-        if now < self._stall_until:
+        if now < self.stall_until:
             stats.fetch_stall_cycles += 1
             return 0
 
-        fq_entries = self.fetch_queue._entries
+        fetch_queue = self.fetch_queue
+        fq_entries = fetch_queue.entries
         fq_append = fq_entries.append
         icache = self.icache
         trace = self._trace
@@ -279,7 +241,7 @@ class FrontEnd:
         limit = cursor + self.fetch_width
         # Fetch stops at the fetch width, the end of the compiled trace and
         # the fetch queue's free space, whichever comes first.
-        space = self.fetch_queue._capacity - len(fq_entries)
+        space = fetch_queue.capacity - len(fq_entries)
         end = min(limit, trace.ensure(limit), cursor + space)
         pc_col = trace.pc
         op_col = trace.op
@@ -318,7 +280,7 @@ class FrontEnd:
                         ready = self._icache_miss_handler(pc, now)
                     else:
                         ready = now + 20 * period_ps
-                    self._stall_until = max(ready, now + period_ps)
+                    self.stall_until = max(ready, now + period_ps)
                     # The cursor does not advance: the same instruction is
                     # refetched after the refill (hitting the now-warm block,
                     # as ``last_block`` already points at it).
@@ -359,14 +321,14 @@ class FrontEnd:
                 if not correct:
                     dyninst.mispredicted = True
                     stats.mispredictions += 1
-                    self._waiting_branch = dyninst
+                    self.waiting_branch = dyninst
                     break
                 if taken:
                     if predicted_target is None:
                         # Correctly predicted direction but unknown target:
                         # one fetch bubble while the target is computed.
                         stats.btb_misses += 1
-                        self._stall_until = now + period_ps
+                        self.stall_until = now + period_ps
                     # Cannot fetch past a taken branch in the same cycle.
                     last_block = None
                     break

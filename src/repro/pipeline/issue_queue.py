@@ -13,6 +13,10 @@ completion time (or at dispatch, when none is in flight): its key is the
 first time at which it can issue, and it waits on a heap until the domain's
 clock reaches that key.  Woken entries move to a ready list kept in program
 order, from which the processor issues oldest-first.
+
+The processor dispatches into the queue itself: it appends the entry to
+``incoming``, counts it in ``occupancy`` and, with no producer in flight,
+schedules it.
 """
 
 from __future__ import annotations
@@ -55,16 +59,18 @@ class IssueQueue:
         if capacity < 1:
             raise ValueError("issue queue capacity must be positive")
         self.name = name
-        self._capacity = capacity
+        #: Entries that may hold slots at once; the processor's dispatch
+        #: stops while ``occupancy`` is at it.
+        self.capacity = capacity
         self._windows: dict[str, int] = windows if windows is not None else defaultdict(int)
-        # Instructions dispatched but not yet past the synchronisation
-        # boundary into this domain.  Arrival times never decrease (each is
-        # the domain's next edge at dispatch), so the head arrives first.
-        self._incoming: deque[DynInst] = deque()
-        # ``(key, seq, inst)`` of scheduled entries, earliest key first.
-        self._heap: list[tuple[Picoseconds, int, DynInst]] = []
-        # Woken, not yet issued entries, in program (``seq``) order.
-        self._ready: list[DynInst] = []
+        #: Instructions dispatched but not yet past the synchronisation
+        #: boundary into this domain.  Arrival times never decrease (each is
+        #: the domain's next edge at dispatch), so the head arrives first.
+        self.incoming: deque[DynInst] = deque()
+        #: ``(key, seq, inst)`` of scheduled entries, earliest key first.
+        self.heap: list[tuple[Picoseconds, int, DynInst]] = []
+        #: Woken, not yet issued entries, in program (``seq``) order.
+        self.ready: list[DynInst] = []
         #: Instructions holding queue slots: dispatched and not yet issued.
         self.occupancy = 0
         self.total_issued = 0
@@ -77,40 +83,15 @@ class IssueQueue:
     # ------------------------------------------------------------------ API
 
     @property
-    def capacity(self) -> int:
-        """Current configured capacity."""
-        return self._capacity
-
-    @property
     def total_dispatched(self) -> int:
         """Queue writes so far: every dispatched entry, issued or not."""
         return self.total_issued + self.occupancy
-
-    @property
-    def has_space(self) -> bool:
-        """True if a new instruction may be dispatched into the queue."""
-        return self.occupancy < self._capacity
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the queue; occupants above the new bound drain naturally."""
         if capacity < 1:
             raise ValueError("issue queue capacity must be positive")
-        self._capacity = capacity
-
-    def dispatch(self, inst: DynInst, arrival_time: Picoseconds) -> None:
-        """Accept a dispatched instruction that arrives at *arrival_time*.
-
-        ``inst.waits`` must already count its producers still in flight;
-        with none, the entry is scheduled at once.
-        """
-        if self.occupancy >= self._capacity:
-            raise RuntimeError(f"{self.name}: dispatch into a full queue")
-        inst.queue_arrival_time = arrival_time
-        self._incoming.append(inst)
-        self.occupancy += 1
-        self.operand_reads += inst.source_count
-        if not inst.waits:
-            self.schedule(inst)
+        self.capacity = capacity
 
     def schedule(self, inst: DynInst) -> None:
         """Key *inst* for issue once every producer has a completion time.
@@ -127,11 +108,11 @@ class IssueQueue:
                 completion = producer.completion_time + windows[producer.exec_domain]
                 if completion > wake:
                     wake = completion
-        heappush(self._heap, (wake, inst.seq, inst))
+        heappush(self.heap, (wake, inst.seq, inst))
 
     def admit_arrivals(self, now: Picoseconds) -> None:
         """Let every instruction whose synchronised arrival time has passed in."""
-        incoming = self._incoming
+        incoming = self.incoming
         while incoming and incoming[0].queue_arrival_time <= now:
             incoming.popleft()
 
@@ -141,8 +122,8 @@ class IssueQueue:
         Returns the ready list itself, oldest first; the processor removes
         the entries it issues.
         """
-        heap = self._heap
-        ready = self._ready
+        heap = self.heap
+        ready = self.ready
         while heap and heap[0][0] <= now:
             inst = heappop(heap)[2]
             if ready and ready[-1].seq > inst.seq:
@@ -153,10 +134,10 @@ class IssueQueue:
 
     def rekey(self) -> None:
         """Re-schedule every scheduled or woken entry under the current windows."""
-        entries = [entry for _, _, entry in self._heap]
-        entries += self._ready
-        self._heap.clear()
-        self._ready.clear()
+        entries = [entry for _, _, entry in self.heap]
+        entries += self.ready
+        self.heap.clear()
+        self.ready.clear()
         for inst in entries:
             self.schedule(inst)
 
@@ -166,14 +147,3 @@ class IssueQueue:
         if not self.occupancy_samples:
             return 0.0
         return self.occupancy_accumulator / self.occupancy_samples
-
-    def reset(self) -> None:
-        """Empty the queue (used between runs)."""
-        self._incoming.clear()
-        self._heap.clear()
-        self._ready.clear()
-        self.occupancy = 0
-        self.total_issued = 0
-        self.occupancy_samples = 0
-        self.occupancy_accumulator = 0
-        self.operand_reads = 0

@@ -30,55 +30,30 @@ class LSQStats:
 
 
 class LoadStoreQueue:
-    """Occupancy and ordering model of the load/store queue."""
+    """Occupancy and ordering model of the load/store queue.
+
+    The processor appends a memory operation to ``entries`` at dispatch,
+    while fewer than ``capacity`` hold slots, and removes it from the head
+    at commit.
+    """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("load/store queue capacity must be positive")
-        self._capacity = capacity
-        # Program-ordered list of memory operations currently occupying slots.
-        self._entries: list[DynInst] = []
+        self.capacity = capacity
+        #: Program-ordered memory operations currently occupying slots.
+        self.entries: list[DynInst] = []
         self.stats = LSQStats()
-        # Occupants whose cache access has not been issued yet.  Maintained
-        # by allocate/release here and by the processor, which dispatches,
-        # issues and commits memory operations inline; lets the load/store
-        # cycle (and horizon scheduling) skip edges with nothing to issue
-        # without scanning the queue.
+        # Occupants whose cache access has not been issued yet, counted by
+        # the processor at dispatch and at issue; lets the load/store cycle
+        # (and horizon scheduling) skip edges with nothing to issue without
+        # scanning the queue.
         self.unissued = 0
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def occupancy(self) -> int:
-        """Memory operations currently holding slots."""
-        return len(self._entries)
-
-    @property
-    def has_space(self) -> bool:
-        """True when another memory operation can be allocated."""
-        return len(self._entries) < self._capacity
-
-    def allocate(self, inst: DynInst) -> None:
-        """Reserve a slot at dispatch time (program order is preserved)."""
-        if not self.has_space:
-            raise RuntimeError("allocation into a full load/store queue")
-        self._entries.append(inst)
-        self.stats.allocations += 1
-        self.unissued += 1
-
-    def release(self, inst: DynInst) -> None:
-        """Free the slot at commit time."""
-        try:
-            self._entries.remove(inst)
-        except ValueError:
-            return
-        if not inst.memory_issued:
-            self.unissued -= 1
 
     def pending_older_store(self, load: DynInst) -> DynInst | None:
         """Return an older, not-yet-performed store to the same double word."""
         load_dword = load.address & _DWORD_MASK
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.seq >= load.seq:
                 break
             if not entry.is_store or entry.completed:
@@ -91,7 +66,7 @@ class LoadStoreQueue:
         """Return an older, completed store to the same double word, if any."""
         load_dword = load.address & _DWORD_MASK
         match: DynInst | None = None
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.seq >= load.seq:
                 break
             if not entry.is_store:
@@ -101,9 +76,3 @@ class LoadStoreQueue:
             if entry.completed and (entry.completion_time or 0) <= now:
                 match = entry
         return match
-
-    def reset(self) -> None:
-        """Empty the queue (used between runs)."""
-        self._entries.clear()
-        self.stats = LSQStats()
-        self.unissued = 0

@@ -67,38 +67,18 @@ class PhysicalRegisterFile:
     """Occupancy model of one physical register file.
 
     Registers are allocated at dispatch and freed at commit.  Only the count
-    matters for timing, so the model is a simple counter with the logical
-    registers permanently resident (as in the paper's 96-entry files backing
-    32 logical registers).
+    matters for timing, so the model is a counter with the logical registers
+    permanently resident (as in the paper's 96-entry files backing 32
+    logical registers): the processor raises ``allocated`` for each renamed
+    destination while it is below ``total``, and lowers it at commit, never
+    below ``logical``.
     """
 
     def __init__(self, total: int, logical: int = 32) -> None:
         if total <= logical:
             raise ValueError("physical register file must exceed the logical count")
-        self._total = total
-        self._logical = logical
-        self._allocated = logical
+        self.total = total
+        self.logical = logical
+        self.allocated = logical
         # Energy-accounting activity (observation-only): rename writes.
         self.allocations = 0
-
-    @property
-    def free(self) -> int:
-        """Number of registers currently available for renaming."""
-        return self._total - self._allocated
-
-    def can_allocate(self, count: int = 1) -> bool:
-        """True if *count* registers can be allocated."""
-        return self.free >= count
-
-    def allocate(self, count: int = 1) -> None:
-        """Allocate *count* registers (dispatch)."""
-        if not self.can_allocate(count):
-            raise RuntimeError("physical register file overflow")
-        self._allocated += count
-        self.allocations += count
-
-    def release(self, count: int = 1) -> None:
-        """Release *count* registers (commit)."""
-        self._allocated -= count
-        if self._allocated < self._logical:
-            raise RuntimeError("physical register file underflow")

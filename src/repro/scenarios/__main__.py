@@ -5,7 +5,8 @@ Dispatches to :mod:`repro.scenarios.cli`: browse the scenario library
 (``run``), or drive the campaign matrix (``matrix``, with ``--resume``).
 """
 
+from repro.obs.logging import run_cli
 from repro.scenarios.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_cli(main))

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
 from repro.analysis.reporting import format_table
 from repro.engine import CacheVersionError, ExperimentEngine, make_engine, parse_workers
-from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
+from repro.obs.logging import add_logging_arguments, configure_logging, get_logger, run_cli
 from repro.scenarios.campaign import CampaignResult, campaign_jobs, run_campaign
 from repro.scenarios.library import (
     FAMILIES,
@@ -203,22 +202,6 @@ def _print_campaign(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    try:
-        code = _main(argv)
-        # Flush here, so a reader that has closed the pipe is seen inside
-        # the try rather than in the interpreter's final flush.
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped (``... | head``).  Point stdout at devnull so
-        # the final flush cannot raise again, and exit with 1, as Python
-        # does on EPIPE.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
-    return code
-
-
-def _main(argv: Sequence[str] | None) -> int:
     args = _parse_args(argv)
     configure_logging(args)
 
@@ -357,4 +340,4 @@ def _run_or_matrix(
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())
+    raise SystemExit(run_cli(main))

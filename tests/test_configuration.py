@@ -11,10 +11,7 @@ from repro.core import (
     best_overall_synchronous_spec,
     synchronous_spec,
 )
-from repro.core.configuration import (
-    adaptive_configuration_space,
-    synchronous_configuration_space,
-)
+from repro.core.configuration import adaptive_configuration_space
 from repro.core.domains import Domain
 from repro.timing.tables import ISSUE_QUEUE_FREQUENCY_GHZ
 
@@ -72,9 +69,6 @@ class TestConfigIndices:
 
     def test_adaptive_space_has_256_points(self):
         assert len(list(adaptive_configuration_space())) == 256
-
-    def test_synchronous_space_has_1024_points(self):
-        assert len(list(synchronous_configuration_space())) == 1024
 
 
 class TestAdaptiveSpec:

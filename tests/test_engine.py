@@ -110,7 +110,7 @@ DATA_PLANE = {
             configuration_changes=[
                 ConfigurationChange(500, 1_000, "integer", "int_queue", "iq32", 1)
             ],
-            compiled_trace_cache_hits=7,
+            horizon_skipped_edges=7,
         ),
         False,
         True,
@@ -625,21 +625,21 @@ class TestStoreBytes:
         assert _store_bytes(tmp_path) == serial_store_bytes
 
 
-class TestCanonicalisation:
-    def test_process_dependent_counters_are_reset_on_put(self, quick_profile, tmp_path):
+class TestPut:
+    def test_put_stores_a_copy(self, quick_profile, tmp_path):
         job = _jobs(quick_profile)[0]
         fingerprint = job.fingerprint()
         result = run_job(job)
-        result.compiled_trace_cache_hits = 7
+        committed = result.committed_instructions
 
         cache = ResultCache(tmp_path / "store")
         cache.put(fingerprint, result)
+        # Changing the caller's object afterwards reaches neither tier.
+        result.committed_instructions += 7
 
         on_disk = json.loads((tmp_path / "store" / f"{fingerprint}.json").read_text())
-        assert on_disk["result"]["compiled_trace_cache_hits"] == 0
-        assert cache.get(fingerprint).compiled_trace_cache_hits == 0
-        # the caller's object is untouched
-        assert result.compiled_trace_cache_hits == 7
+        assert on_disk["result"]["committed_instructions"] == committed
+        assert cache.get(fingerprint).committed_instructions == committed
 
 
 def _inspected_store(profile, directory) -> None:

@@ -8,8 +8,6 @@ that produced it, ``SimulationJob``'s fields, the fingerprint payload's keys
 and every ``RunResult`` field with its digest class:
 
 * ``timing`` — in ``TIMING_DIGEST_FIELDS``, hashed by ``result_digest``;
-* ``process-dependent`` — in ``RunResult.PROCESS_DEPENDENT_FIELDS``: excluded,
-  and reset by the result cache before persisting;
 * ``excluded`` — declared ``compare=False``, hashed by neither digest;
 * ``energy`` — everything else, hashed by ``energy_digest``.
 
@@ -39,8 +37,6 @@ def digest_class(spec: Field) -> str:
     """The digest class of one ``RunResult`` field, read off the code."""
     if spec.name in TIMING_DIGEST_FIELDS:
         return "timing"
-    if spec.name in RunResult.PROCESS_DEPENDENT_FIELDS:
-        return "process-dependent"
     if not spec.compare:
         return "excluded"
     return "energy"
@@ -101,7 +97,6 @@ def test_live_schema_sections():
     assert "profile" in live["payload_keys"]
     assert "trace_seed" in live["run_keys"]
     assert live["run_result_fields"]["workload"] == "timing"
-    assert live["run_result_fields"]["compiled_trace_cache_hits"] == "process-dependent"
 
 
 def test_digest_partition_is_consistent():
@@ -109,7 +104,6 @@ def test_digest_partition_is_consistent():
     for spec in fields(RunResult):
         # A digest-hashed timing field must take part in result equality.
         assert not (spec.name in TIMING_DIGEST_FIELDS and spec.name in excluded), spec.name
-    assert set(RunResult.PROCESS_DEPENDENT_FIELDS) <= excluded
     assert set(TIMING_DIGEST_FIELDS) <= {spec.name for spec in fields(RunResult)}
 
 
@@ -151,12 +145,6 @@ def test_run_result_field_removal_without_bump_fails():
         pytest.param("loads", "timing", "energy", id="timing-to-energy"),
         pytest.param("fetched", "energy", "excluded", id="energy-to-excluded"),
         pytest.param("horizon_skipped_edges", "excluded", "energy", id="excluded-to-energy"),
-        pytest.param(
-            "compiled_trace_cache_hits",
-            "process-dependent",
-            "excluded",
-            id="process-dependent-demoted",
-        ),
     ],
 )
 def test_field_reclassified_without_bump_fails(name, was, now):

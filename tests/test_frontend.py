@@ -43,7 +43,7 @@ PERIOD = 575  # ~1.74 GHz front end
 def fetch(frontend, now):
     """One fetch cycle at *now*: the instructions it appended to the fetch queue."""
     count = frontend.fetch_cycle(now, PERIOD)
-    entries = list(frontend.fetch_queue._entries)
+    entries = list(frontend.fetch_queue.entries)
     return entries[len(entries) - count :]
 
 
@@ -120,11 +120,11 @@ class TestBranchHandling:
             if mispredicted:
                 break
         assert mispredicted is not None
-        assert frontend.waiting_for_branch is mispredicted
+        assert frontend.waiting_branch is mispredicted
         stalled = fetch(frontend, now)
         assert stalled == []
         frontend.resume_after_branch(mispredicted, now + 5 * PERIOD)
-        assert frontend.waiting_for_branch is None
+        assert frontend.waiting_branch is None
         assert fetch(frontend, now + 6 * PERIOD)
 
     def test_resume_ignores_unrelated_branch(self):
@@ -132,17 +132,17 @@ class TestBranchHandling:
         frontend = make_frontend(iter(instructions))
         other = instructions[0]
         fetched = fetch(frontend, 0)
-        waiting = frontend.waiting_for_branch
+        waiting = frontend.waiting_branch
         if waiting is not None:
             frontend.resume_after_branch(fetched[0], 10_000)
-            assert frontend.waiting_for_branch is waiting
+            assert frontend.waiting_branch is waiting
 
     def test_prediction_statistics_recorded(self):
         frontend = make_frontend(branchy_trace(200, taken_every=5))
         now = 0
         for _ in range(200):
             frontend.fetch_cycle(now, PERIOD)
-            waiting = frontend.waiting_for_branch
+            waiting = frontend.waiting_branch
             if waiting is not None:
                 frontend.resume_after_branch(waiting, now + PERIOD)
             now += PERIOD

@@ -149,16 +149,32 @@ def drained_processor(*, jitter: float = 0.0) -> MCDProcessor:
     processor, _ = simulate(job, skip=True)
     frontend = processor.frontend
     assert frontend is not None
-    processor.rob.reset()
-    frontend.fetch_queue.clear()
-    frontend._waiting_branch = None
-    frontend._stall_until = 0
-    processor.lsq.reset()
-    processor.int_queue.reset()
-    processor.fp_queue.reset()
+    processor.rob.entries.clear()
+    frontend.fetch_queue.entries.clear()
+    frontend.waiting_branch = None
+    frontend.stall_until = 0
+    processor.lsq.entries.clear()
+    processor.lsq.unissued = 0
+    for queue in (processor.int_queue, processor.fp_queue):
+        queue.incoming.clear()
+        queue.heap.clear()
+        queue.ready.clear()
+        queue.occupancy = 0
     processor._pending_events.clear()
     processor._changes_in_progress.clear()
     return processor
+
+
+def enter_int_queue(processor: MCDProcessor, inst: DynInst, arrival: int) -> None:
+    """Dispatch *inst* into the ROB and the integer queue, arriving at
+    *arrival*, as ``MCDProcessor._dispatch`` does for an instruction whose
+    producers all have completion times."""
+    processor.rob.entries.append(inst)
+    queue = processor.int_queue
+    inst.queue_arrival_time = arrival
+    queue.incoming.append(inst)
+    queue.occupancy += 1
+    queue.schedule(inst)
 
 
 def walk_edges_before(processor: MCDProcessor, horizon: int) -> None:
@@ -240,14 +256,14 @@ def test_commit_attempts_of_a_cross_domain_head(inside, jitter):
         # One picosecond before a front-end edge is inside the window; one
         # after it leaves nearly a whole period to the next edge.
         head.completion_time = edge - 1 if inside else edge + 1
-        processor.rob.dispatch(head)
+        processor.rob.entries.append(head)
         # Fetch stays stalled past the commit, so the commit sets the horizon.
-        processor.frontend._stall_until = edge + 40 * fe_clock.period_ps
+        processor.frontend.stall_until = edge + 40 * fe_clock.period_ps
         return processor
 
     def commit_edge(processor: MCDProcessor) -> int:
         window = processor._wake_windows(Domain.FRONT_END.value)[Domain.LOAD_STORE.value]
-        completion = processor.rob.head.completion_time + window
+        completion = processor.rob.entries[0].completion_time + window
         return processor.clocks[Domain.FRONT_END].edge_at_or_after(completion)
 
     _, before, after = skip_and_walk(build, commit_edge)
@@ -263,7 +279,7 @@ def test_fetch_stall_stretch(jitter):
     def build() -> MCDProcessor:
         processor = drained_processor(jitter=jitter)
         fe_clock = processor.clocks[Domain.FRONT_END]
-        processor.frontend._stall_until = (
+        processor.frontend.stall_until = (
             fe_clock.next_edge + 30 * fe_clock.period_ps + fe_clock.period_ps // 2
         )
         return processor
@@ -292,14 +308,13 @@ def test_branch_stall_stretch_with_an_occupied_issue_queue(jitter):
         branch = DynInst()
         branch.mispredicted = True
         branch.producers = (producer,)
-        processor.rob.dispatch(branch)
-        processor.int_queue.dispatch(branch, int_clock.next_edge)
+        enter_int_queue(processor, branch, int_clock.next_edge)
         processor.int_queue.admit_arrivals(int_clock.next_edge)
-        processor.frontend._waiting_branch = branch
+        processor.frontend.waiting_branch = branch
         return processor
 
     def issue_edge(processor: MCDProcessor) -> int:
-        (producer,) = processor.rob.head.producers
+        (producer,) = processor.rob.entries[0].producers
         int_clock = processor.clocks[Domain.INTEGER]
         return int_clock.edge_at_or_after(producer.completion_time)
 
@@ -322,14 +337,14 @@ def test_full_fetch_queue_past_stall_until_counts_no_stalls(jitter):
         processor = drained_processor(jitter=jitter)
         fe_clock = processor.clocks[Domain.FRONT_END]
         fetch_queue = processor.frontend.fetch_queue
-        while fetch_queue.has_space:
+        while len(fetch_queue.entries) < fetch_queue.capacity:
             inst = DynInst()
             inst.dispatch_ready_time = fe_clock.next_edge + 25 * fe_clock.period_ps
-            fetch_queue.push(inst)
+            fetch_queue.entries.append(inst)
         return processor
 
     def dispatch_edge(processor: MCDProcessor) -> int:
-        ready = processor.frontend.fetch_queue.peek().dispatch_ready_time
+        ready = processor.frontend.fetch_queue.entries[0].dispatch_ready_time
         return processor.clocks[Domain.FRONT_END].edge_at_or_after(ready)
 
     _, before, after = skip_and_walk(build, dispatch_edge)
@@ -346,7 +361,7 @@ def test_pending_reconfiguration_event_caps_the_horizon():
         processor = drained_processor()
         fe_clock = processor.clocks[Domain.FRONT_END]
         period = fe_clock.period_ps
-        processor.frontend._stall_until = fe_clock.next_edge + 100 * period
+        processor.frontend.stall_until = fe_clock.next_edge + 100 * period
         event_time = fe_clock.next_edge + 10 * period + period // 2
         processor._pending_events.append((event_time, lambda: fired.append(True)))
         return processor
@@ -379,7 +394,7 @@ def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[Dy
     windows = processor._wake_windows(domain_name)
     is_fp = domain_name == Domain.FLOATING_POINT.value
     ready = []
-    for inst in processor.rob._entries:
+    for inst in processor.rob.entries:
         if inst.is_fp != is_fp or inst.queue_arrival_time > now:
             continue  # another queue's entry, or not admitted yet
         if inst.completion_time is not None or inst.lsq_arrival_time is not None:
@@ -483,7 +498,7 @@ def test_period_change_rekeys_waiting_entries(changed, ratio):
     start = int_clock.next_edge
     event_time = start + 3 * period + period // 2
     # Fetch stays stalled, so only the hand-built entries run.
-    processor.frontend._stall_until = start + 1_000 * period
+    processor.frontend.stall_until = start + 1_000 * period
     old_window = processor._wake_windows(integer)[load_store]
     # Wake times under the old window on, and half-way between, integer
     # edges of the old period; at most a few entries wake per edge, so the
@@ -501,8 +516,7 @@ def test_period_change_rekeys_waiting_entries(changed, ratio):
         consumer = DynInst()
         consumer.seq = index
         consumer.producers = (producer,)
-        processor.rob.dispatch(consumer)
-        processor.int_queue.dispatch(consumer, start)
+        enter_int_queue(processor, consumer, start)
         consumers.append(consumer)
     clock = processor.clocks[changed]
     new_frequency = clock.frequency_ghz * ratio
@@ -554,7 +568,7 @@ def test_deadlock_guard_fires_on_a_head_that_never_completes(monkeypatch, skip):
     job = SimulationJob(profile=get_workload("gcc"), window=400, warmup=200)
     processor = MCDProcessor(job.build_spec(), horizon_scheduling=skip)
     # A ROB head no domain will ever execute: nothing behind it can commit.
-    processor.rob.dispatch(DynInst())
+    processor.rob.entries.append(DynInst())
     with pytest.raises(RuntimeError, match="500 main-loop iterations"):
         processor.run(
             make_trace(job.profile, seed=job.trace_seed),

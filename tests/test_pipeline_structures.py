@@ -1,44 +1,93 @@
-"""Tests for the pipeline building blocks (queues, ROB, LSQ, resources)."""
+"""Tests for the pipeline building blocks (queues, ROB, LSQ, resources).
+
+The processor is the one implementation of dispatch and commit, so the
+capacity and ordering rules of the ROB, LSQ, register files and issue queues
+are tested through ``MCDProcessor._dispatch`` and ``_commit``, on a machine
+whose fetch queue each test fills by hand.  Wake-up, re-keying and store
+forwarding are methods of the structures themselves.
+"""
 
 import pytest
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
+from repro.core import ArchitecturalParameters, MCDProcessor, best_overall_synchronous_spec
+from repro.core.domains import Domain
+from repro.isa.opcodes import OPCODE_ID, OpClass, is_floating_point, is_memory
+from repro.isa.registers import NO_REGISTER, register_index
 from repro.pipeline import (
     DynInst,
-    FetchQueue,
+    FrontEnd,
     FunctionalUnitPool,
     IssueQueue,
     LoadStoreQueue,
     PhysicalRegisterFile,
-    ReorderBuffer,
 )
 
 
-def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=None):
-    instruction = Instruction(
-        pc=0x1000 + seq * 4, op=op, dest=dest, sources=sources, address=address,
-    )
-    instruction.seq = seq
-    return DynInst(instruction=instruction)
+def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=0):
+    """A fetched instruction: the fields fetch fills from the trace columns."""
+    inst = DynInst()
+    inst.seq = seq
+    inst.op_id = OPCODE_ID[op]
+    inst.is_memory_op = is_memory(op)
+    inst.is_store = op is OpClass.STORE
+    inst.is_fp = is_floating_point(op)
+    inst.pc = 0x1000 + seq * 4
+    inst.dest = NO_REGISTER if dest is None else register_index(dest)
+    registers = [register_index(name) for name in sources] + [NO_REGISTER, NO_REGISTER]
+    inst.src0, inst.src1 = registers[:2]
+    inst.source_count = len(sources)
+    inst.address = address
+    return inst
+
+
+def machine(**parameters):
+    """A synchronous machine with an empty front end; *parameters* override
+    Table 5's sizes."""
+    spec = best_overall_synchronous_spec(parameters=ArchitecturalParameters(**parameters))
+    processor = MCDProcessor(spec)
+    processor.frontend = FrontEnd((), icache_config=spec.icache)
+    return processor
+
+
+def dispatch(processor, *insts, now=0):
+    """Queue *insts* for dispatch, decoded and ready, and run one dispatch."""
+    processor.frontend.fetch_queue.entries.extend(insts)
+    processor._dispatch(now, processor.clocks[Domain.FRONT_END])
+
+
+def commit(processor, now):
+    processor._commit(now, processor.clocks[Domain.FRONT_END])
+
+
+def schedule(queue, inst, arrival=0):
+    """Key *inst*, arriving at *arrival*, as dispatch does when none of its
+    producers is still in flight."""
+    inst.queue_arrival_time = arrival
+    queue.schedule(inst)
 
 
 class TestIssueQueue:
     def test_capacity_enforced(self):
-        queue = IssueQueue(capacity=2)
-        queue.dispatch(make_inst(0), arrival_time=0)
-        queue.dispatch(make_inst(1), arrival_time=0)
-        assert not queue.has_space
-        with pytest.raises(RuntimeError):
-            queue.dispatch(make_inst(2), arrival_time=0)
+        processor = machine()
+        queue = processor.int_queue
+        queue.set_capacity(2)
+        insts = [make_inst(seq) for seq in range(3)]
+        dispatch(processor, *insts)
+        assert list(queue.incoming) == insts[:2]
+        assert queue.occupancy == 2
+        assert list(processor.frontend.fetch_queue.entries) == insts[2:]
 
     def test_arrivals_respect_time(self):
         queue = IssueQueue(capacity=4)
-        queue.dispatch(make_inst(0), arrival_time=1000)
+        inst = make_inst(0)
+        queue.incoming.append(inst)
+        schedule(queue, inst, arrival=1000)
         queue.admit_arrivals(now=500)
+        assert list(queue.incoming) == [inst]
         assert not queue.wake_up(500)
         queue.admit_arrivals(now=1000)
-        assert len(queue.wake_up(1000)) == 1
+        assert not queue.incoming
+        assert queue.wake_up(1000) == [inst]
 
     def test_ready_entries_oldest_first(self):
         queue = IssueQueue(capacity=8)
@@ -47,8 +96,7 @@ class TestIssueQueue:
             producer.completion_time = completion
             inst = make_inst(seq)
             inst.producers = (producer,)
-            queue.dispatch(inst, arrival_time=0)
-        queue.admit_arrivals(0)
+            schedule(queue, inst)
         # Woken in key order (5, 9, 2), listed oldest first.
         ready = queue.wake_up(300)
         assert [inst.seq for inst in ready] == [2, 5, 9]
@@ -60,7 +108,7 @@ class TestIssueQueue:
         producer.exec_domain = "load_store"
         inst = make_inst(1)
         inst.producers = (producer, None)
-        queue.dispatch(inst, arrival_time=0)
+        schedule(queue, inst)
         assert not queue.wake_up(1039)
         assert queue.wake_up(1040) == [inst]
 
@@ -72,7 +120,7 @@ class TestIssueQueue:
         producer.exec_domain = "load_store"
         inst = make_inst(1)
         inst.producers = (producer,)
-        queue.dispatch(inst, arrival_time=0)
+        schedule(queue, inst)
         assert queue.wake_up(1040) == [inst]
         windows["load_store"] = 80
         queue.rekey()
@@ -80,12 +128,13 @@ class TestIssueQueue:
         assert queue.wake_up(1080) == [inst]
 
     def test_resize_does_not_discard_occupants(self):
-        queue = IssueQueue(capacity=4)
-        for seq in range(4):
-            queue.dispatch(make_inst(seq), arrival_time=0)
+        processor = machine()
+        queue = processor.int_queue
+        insts = [make_inst(seq) for seq in range(5)]
+        dispatch(processor, *insts[:4])
         queue.set_capacity(2)
         assert queue.occupancy == 4
-        assert not queue.has_space
+        assert processor._dispatch_blocked(insts[4])
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -94,58 +143,72 @@ class TestIssueQueue:
 
 class TestReorderBuffer:
     def test_in_order_commit(self):
-        rob = ReorderBuffer(capacity=8)
-        first, second = make_inst(0), make_inst(1)
-        rob.dispatch(first)
-        rob.dispatch(second)
-        assert rob.head is first
-        assert rob.commit_head() is first
-        assert rob.commit_head() is second
+        processor = machine()
+        rob = processor.rob
+        first, second = make_inst(0), make_inst(1, dest="r9")
+        dispatch(processor, first, second)
+        second.completion_time = 0
+        commit(processor, now=1000)
+        # The completed second instruction waits behind the first.
+        assert list(rob.entries) == [first, second]
+        first.completion_time = 500
+        commit(processor, now=1000)
+        assert not rob.entries
         assert rob.total_committed == 2
 
     def test_capacity(self):
-        rob = ReorderBuffer(capacity=2)
-        rob.dispatch(make_inst(0))
-        rob.dispatch(make_inst(1))
-        assert not rob.has_space
-        with pytest.raises(RuntimeError):
-            rob.dispatch(make_inst(2))
-
-    def test_empty_head_is_none(self):
-        assert ReorderBuffer().head is None
+        processor = machine(reorder_buffer_entries=2)
+        insts = [make_inst(seq) for seq in range(3)]
+        dispatch(processor, *insts)
+        assert list(processor.rob.entries) == insts[:2]
+        assert processor.rob.total_dispatched == 2
+        assert list(processor.frontend.fetch_queue.entries) == insts[2:]
 
 
 class TestLoadStoreQueue:
     def test_allocation_and_release(self):
-        lsq = LoadStoreQueue(capacity=2)
+        processor = machine()
+        lsq = processor.lsq
         load = make_inst(0, op=OpClass.LOAD, address=0x100)
-        lsq.allocate(load)
-        assert lsq.occupancy == 1
-        lsq.release(load)
-        assert lsq.occupancy == 0
+        dispatch(processor, load)
+        assert lsq.entries == [load]
+        assert lsq.unissued == lsq.stats.allocations == 1
+        processor._integer_cycle(0)  # address generation
+        processor._load_store_cycle(load.lsq_arrival_time)
+        assert load.memory_issued
+        assert lsq.unissued == 0
+        commit(processor, now=load.completion_time)
+        assert not lsq.entries
+        assert processor.rob.total_committed == 1
+
+    def test_commit_requires_the_issued_head(self):
+        processor = machine()
+        load = make_inst(0, op=OpClass.LOAD, address=0x100)
+        dispatch(processor, load)
+        # Completed without its access having issued.
+        load.completion_time = 0
+        with pytest.raises(RuntimeError, match="load/store queue's head"):
+            commit(processor, now=0)
 
     def test_pending_older_store_blocks_same_dword(self):
         lsq = LoadStoreQueue()
         store = make_inst(0, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x100)
         load = make_inst(1, op=OpClass.LOAD, address=0x104)  # same double word
-        lsq.allocate(store)
-        lsq.allocate(load)
+        lsq.entries += [store, load]
         assert lsq.pending_older_store(load) is store
 
     def test_unrelated_store_does_not_block(self):
         lsq = LoadStoreQueue()
         store = make_inst(0, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x200)
         load = make_inst(1, op=OpClass.LOAD, address=0x100)
-        lsq.allocate(store)
-        lsq.allocate(load)
+        lsq.entries += [store, load]
         assert lsq.pending_older_store(load) is None
 
     def test_forwarding_requires_completed_store(self):
         lsq = LoadStoreQueue()
         store = make_inst(0, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x100)
         load = make_inst(2, op=OpClass.LOAD, address=0x100)
-        lsq.allocate(store)
-        lsq.allocate(load)
+        lsq.entries += [store, load]
         assert lsq.forwardable_store(load, now=100) is None
         store.completion_time = 50
         assert lsq.forwardable_store(load, now=100) is store
@@ -155,15 +218,15 @@ class TestLoadStoreQueue:
         load = make_inst(1, op=OpClass.LOAD, address=0x100)
         younger_store = make_inst(5, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x100)
         younger_store.completion_time = 0
-        lsq.allocate(load)
-        lsq.allocate(younger_store)
+        lsq.entries += [load, younger_store]
         assert lsq.forwardable_store(load, now=100) is None
 
     def test_capacity(self):
-        lsq = LoadStoreQueue(capacity=1)
-        lsq.allocate(make_inst(0, op=OpClass.LOAD, address=0))
-        with pytest.raises(RuntimeError):
-            lsq.allocate(make_inst(1, op=OpClass.LOAD, address=64))
+        processor = machine(load_store_queue_entries=1)
+        loads = [make_inst(seq, op=OpClass.LOAD, address=64 * seq) for seq in range(2)]
+        dispatch(processor, *loads)
+        assert processor.lsq.entries == loads[:1]
+        assert list(processor.frontend.fetch_queue.entries) == loads[1:]
 
 
 class TestFunctionalUnits:
@@ -188,21 +251,29 @@ class TestFunctionalUnits:
 
 class TestPhysicalRegisterFile:
     def test_allocate_release(self):
-        regs = PhysicalRegisterFile(total=40, logical=32)
-        assert regs.free == 8
-        regs.allocate(8)
-        assert not regs.can_allocate()
-        regs.release(3)
-        assert regs.free == 3
+        processor = machine()
+        regs = processor.int_regs
+        inst = make_inst(0)
+        dispatch(processor, inst)
+        assert regs.allocated == regs.logical + 1
+        assert regs.allocations == 1
+        inst.completion_time = 0
+        commit(processor, now=0)
+        assert regs.allocated == regs.logical
 
     def test_overflow_and_underflow(self):
-        regs = PhysicalRegisterFile(total=34, logical=32)
-        regs.allocate(2)
-        with pytest.raises(RuntimeError):
-            regs.allocate()
-        regs.release(2)
-        with pytest.raises(RuntimeError):
-            regs.release()
+        processor = machine(physical_int_registers=33)
+        insts = [make_inst(seq) for seq in range(2)]
+        dispatch(processor, *insts)
+        # One free register: the second destination waits for it.
+        assert list(processor.rob.entries) == insts[:1]
+        # A destination that commits without having been renamed.
+        processor = machine()
+        unrenamed = make_inst(0)
+        unrenamed.completion_time = 0
+        processor.rob.entries.append(unrenamed)
+        with pytest.raises(RuntimeError, match="underflow"):
+            commit(processor, now=0)
 
     def test_must_exceed_logical(self):
         with pytest.raises(ValueError):
@@ -211,17 +282,9 @@ class TestPhysicalRegisterFile:
 
 class TestFetchQueue:
     def test_fifo_order(self):
-        queue = FetchQueue(capacity=4)
-        first, second = make_inst(0), make_inst(1)
-        queue.push(first)
-        queue.push(second)
-        assert queue.peek() is first
-        assert queue.pop() is first
-        assert queue.pop() is second
-
-    def test_capacity(self):
-        queue = FetchQueue(capacity=1)
-        queue.push(make_inst(0))
-        assert not queue.has_space
-        with pytest.raises(RuntimeError):
-            queue.push(make_inst(1))
+        processor = machine()
+        insts = [make_inst(seq, sources=()) for seq in range(10)]
+        dispatch(processor, *insts)
+        # Oldest first, up to the decode width.
+        assert list(processor.rob.entries) == insts[:8]
+        assert list(processor.frontend.fetch_queue.entries) == insts[8:]

@@ -19,6 +19,7 @@ from repro.engine import (
     SerialExecutor,
     run_job,
 )
+from repro.obs import JsonlSink, TraceRecorder
 from repro.obs.ledger import summarize_ledgers
 from repro.scenarios import (
     ARCHETYPES,
@@ -315,16 +316,33 @@ class TestCli:
         for name in scenario_names():
             assert name in out
 
-    def test_closed_stdout_pipe_ends_without_a_traceback(self):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["repro.scenarios", "list"],
+            ["repro.obs", "timeline", "{trace}"],
+            ["repro.obs", "diff", "{trace}", "{trace}"],
+            ["repro.engine", "inspect", "{store}"],
+            ["repro.analysis.hardware_cost"],
+            ["repro.cli_reference"],
+        ],
+        ids=lambda command: "-".join(command[:2]).removeprefix("repro."),
+    )
+    def test_closed_stdout_pipe_ends_without_a_traceback(self, command, tmp_path):
         # A reader that has stopped reading (``... | head``) ends the CLI
         # quietly with exit 1, however little it printed.
+        trace = tmp_path / "trace.jsonl"
+        with TraceRecorder([JsonlSink(trace, meta={"job": "closed-pipe"})]) as recorder:
+            recorder.emit(CONTROLLER_INTERVAL, 1_000, 500, structure="dcache", best_index=2)
+        (tmp_path / "store").mkdir()
+        arguments = [part.format(trace=trace, store=tmp_path / "store") for part in command]
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             completed = subprocess.run(
-                [sys.executable, "-m", "repro.scenarios", "list"],
+                [sys.executable, "-m", *arguments],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,

@@ -53,14 +53,12 @@ class TestHelpers:
         assert _indices_from_key(indices.describe()) == indices
 
     def test_factored_candidates_cover_each_dimension(self):
-        candidates = _factored_candidates("adaptive")
+        candidates = _factored_candidates()
         assert AdaptiveConfigIndices() in candidates
         assert any(c.icache_index == 3 for c in candidates)
         assert any(c.dcache_index == 3 for c in candidates)
         assert any(c.int_queue_size == 64 for c in candidates)
         assert any(c.fp_queue_size == 64 for c in candidates)
-        sync_candidates = _factored_candidates("synchronous")
-        assert any(c.icache_index == 15 for c in sync_candidates)
 
 
 class TestRunners:
