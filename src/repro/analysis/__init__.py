@@ -5,7 +5,6 @@ from repro.analysis.metrics import (
     ConfigurationChange,
     RunResult,
     relative_improvement,
-    geometric_mean,
 )
 from repro.analysis.reporting import energy_table, format_table, improvement_table
 
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigurationChange",
     "RunResult",
     "relative_improvement",
-    "geometric_mean",
     "HardwareComponent",
     "phase_adaptive_cache_hardware",
     "total_equivalent_gates",

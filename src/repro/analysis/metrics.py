@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.clocks.time import Picoseconds
 
@@ -239,16 +238,3 @@ def relative_improvement(baseline: RunResult, candidate: RunResult) -> float:
         candidate_tpi = candidate.execution_time_ps / max(1, candidate.committed_instructions)
         return baseline_tpi / candidate_tpi - 1.0
     return baseline.execution_time_ps / candidate.execution_time_ps - 1.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of ``1 + value`` minus one (for averaging improvements)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    product = 0.0
-    for value in values:
-        if value <= -1.0:
-            raise ValueError("improvement values must be greater than -100%")
-        product += math.log1p(value)
-    return math.expm1(product / len(values))

@@ -17,29 +17,23 @@ class BranchTargetBuffer:
             raise ValueError("entries must be a positive multiple of associativity")
         self._sets = entries // associativity
         self._assoc = associativity
+        #: Each set's ``(pc, target)`` entries in MRU order.
         self._table: list[list[tuple[int, int]]] = [[] for _ in range(self._sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) % self._sets
 
     def lookup(self, pc: int) -> int | None:
         """Return the predicted target for *pc*, or ``None`` on a BTB miss."""
-        entry_set = self._table[self._index(pc)]
+        entry_set = self._table[(pc >> 2) % self._sets]
         for position, (tag, target) in enumerate(entry_set):
             if tag == pc:
                 if position:
                     del entry_set[position]
                     entry_set.insert(0, (tag, target))
-                self.hits += 1
                 return target
-        self.misses += 1
         return None
 
     def update(self, pc: int, target: int) -> None:
         """Install or refresh the target for the branch at *pc*."""
-        entry_set = self._table[self._index(pc)]
+        entry_set = self._table[(pc >> 2) % self._sets]
         for position, (tag, _) in enumerate(entry_set):
             if tag == pc:
                 del entry_set[position]

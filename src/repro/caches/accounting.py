@@ -14,9 +14,16 @@ of ``a`` ways if and only if the block's MRU position is below ``a``.
 
 Each set is a plain list of tags in MRU order, created on the set's first
 touch, so building a cache costs one list however large the physical array
-is.  :meth:`AccountingCache.access` performs the whole probe in one call: set
-index and tag, MRU update and LRU eviction, the interval counters, the
-probe-width histogram and the outcome.
+is.  Two entry points share one MRU rule (an absent block is installed at
+MRU, evicting the LRU block of a full set; a present block moves to MRU),
+and a property test holds them to equal set lists:
+
+* :meth:`AccountingCache.access` performs one measured probe in one call:
+  set index and tag, MRU update and LRU eviction, the interval counters,
+  the probe-width histogram and the outcome.
+* :meth:`AccountingCache.warm` applies the MRU update to a whole stream of
+  addresses for warm-up, counts nothing, and returns the addresses
+  ``access`` would have classed a miss, which is what the next level sees.
 
 Two operating modes are supported:
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.timing.cacti import CacheGeometry
 
@@ -213,10 +221,45 @@ class AccountingCache:
                 profile[b_ways] = profile.get(b_ways, 0) + 1
         return _MISS
 
+    def warm(self, addresses: Iterable[int]) -> list[int]:
+        """Apply :meth:`access`'s MRU update to each address, counting nothing.
+
+        Returns, in order, the addresses that :meth:`access` would have
+        classed ``MISS`` under the current ``a_ways`` and ``b_enabled``: the
+        absent blocks and, with the B partition disabled, the blocks found
+        beyond the A partition.  Neither the interval counters nor the
+        probe-width histogram change.
+        """
+        block_bytes = self._block_bytes
+        num_sets = self._num_sets
+        ways = self._ways
+        sets = self._sets
+        # A present block misses only at or beyond this MRU position.
+        reach = ways if self._b_enabled else self._a_ways
+        misses: list[int] = []
+        miss = misses.append
+        for address in addresses:
+            block = address // block_bytes
+            index = block % num_sets
+            tag = block // num_sets
+            blocks = sets[index]
+            if blocks is None:
+                sets[index] = [tag]
+                miss(address)
+            elif tag in blocks:
+                position = blocks.index(tag)
+                if position:
+                    del blocks[position]
+                    blocks.insert(0, tag)
+                    if position >= reach:
+                        miss(address)
+            else:
+                if len(blocks) >= ways:
+                    blocks.pop()
+                blocks.insert(0, tag)
+                miss(address)
+        return misses
+
     def reset_interval(self) -> None:
         """Reset the per-interval counters (called by the controller)."""
         self.interval_stats.reset()
-
-    def reset_access_profile(self) -> None:
-        """Zero the energy-accounting probe histogram (post-warm-up)."""
-        self.access_profile.clear()

@@ -97,13 +97,6 @@ class CacheHierarchy:
         self._b_enabled = enabled
         self.apply_config(self._config)
 
-    def reset_statistics(self) -> None:
-        """Zero every counter while keeping cache contents (post-warm-up)."""
-        self.stats = HierarchyStats()
-        for cache in (self.l1d, self.l2):
-            cache.reset_interval()
-            cache.reset_access_profile()
-
     # -------------------------------------------------------------- accesses
 
     def access_data(

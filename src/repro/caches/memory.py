@@ -90,9 +90,3 @@ class MainMemory:
             self.stats.row_hits += 1
         self.stats.busy_ps += latency
         return completion
-
-    def reset(self) -> None:
-        """Forget open-row and occupancy state (used between runs)."""
-        self._open_rows = [None] * self._banks
-        self._channel_free_at = 0
-        self.stats = MemoryStats()

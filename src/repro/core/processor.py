@@ -18,6 +18,7 @@ picoseconds throughout.
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress, islice
 from math import inf
 from typing import Callable, Iterable, Iterator
 
@@ -40,7 +41,6 @@ from repro.isa.opcodes import (
     EXECUTION_LATENCY,
     FLAG_BRANCH,
     FLAG_MEMORY,
-    FLAG_STORE,
     FLAG_TAKEN,
     OPCLASSES,
     OPCODE_ID,
@@ -93,6 +93,11 @@ _NO_BOUND = inf
 #: Main-loop iterations without a commit after which the simulator assumes a
 #: modelling bug rather than spinning forever.
 _DEADLOCK_LIMIT = 2_000_000
+
+#: ``bytes.translate`` tables that keep one bit of each row's flags byte,
+#: selecting the branch rows and the memory rows of a warm-up slice.
+_BRANCH_BIT = bytes(bits & FLAG_BRANCH for bits in range(256))
+_MEMORY_BIT = bytes(bits & FLAG_MEMORY for bits in range(256))
 
 #: Retired DynInst records kept for recycling between quiescent points
 #: (matching the front end's pool capacity — keeping more would never be
@@ -279,8 +284,8 @@ class MCDProcessor:
         self._last_interval_duration: Picoseconds = 0
 
         # Work-horizon skip (see the constructor docstring).  The counter is
-        # observational only — excluded from result digests — and reset with
-        # the warm-up reset so it describes the measured window.
+        # observational only — excluded from result digests — and describes
+        # the measured window, since warm-up walks no clock edge.
         self._horizon_enabled = horizon_scheduling
         #: Idle clock edges of all four domains consumed by the skip.
         self.horizon_skipped_edges = 0
@@ -373,50 +378,51 @@ class MCDProcessor:
     # ------------------------------------------------------------ internals
 
     def _warm_up(self, count: int) -> None:
-        # Stream the warm-up window straight out of the compiled columns:
-        # the I-cache once per block, the predictor/BTB per branch and the
-        # data hierarchy per memory op, with no per-instruction object.
+        # Functional warming: one pass per structure over the warm-up slice
+        # of the compiled columns.  The I-cache, the predictor/BTB pair and
+        # the data caches share no state, so separate passes leave what one
+        # interleaved row loop would.  Only MRU stacks, predictor tables and
+        # BTB sets change, never a latency, counter, histogram or the main
+        # memory, so the measured window starts from zeroed counters.
         frontend = self.frontend
         assert frontend is not None
         trace = frontend.trace
         start = frontend.cursor
         end = min(trace.ensure(start + count), start + count)
-        ls_period = self.clocks[Domain.LOAD_STORE].period_ps
+        # The passes iterate over the columns instead of slicing them: copies
+        # of the pc, target and address slices would add 24 bytes a row to
+        # the peak memory.
+        flags = trace.flags[start:end].tobytes()
+        # The I-cache is probed once per run of rows in one fetch block.
         icache = frontend.icache
-        icache_access = icache.access
         block_bytes = icache.geometry.block_bytes
-        predict = frontend.predictor.predict_and_update
-        btb_update = frontend.btb.update
-        access_data = self.hierarchy.access_data
-        pc_col = trace.pc
-        flags_col = trace.flags
-        addr_col = trace.address
-        target_col = trace.target
+        fetch_blocks = []
         last_block = None
-        for index in range(start, end):
-            pc = pc_col[index]
+        for pc in islice(trace.pc, start, end):
             block = pc // block_bytes
             if block != last_block:
-                icache_access(pc)
+                fetch_blocks.append(pc)
                 last_block = block
-            bits = flags_col[index]
-            if bits & FLAG_BRANCH:
-                taken = bool(bits & FLAG_TAKEN)
-                predict(pc, taken)
-                if taken:
-                    btb_update(pc, target_col[index])
-            if bits & FLAG_MEMORY:
-                access_data(
-                    addr_col[index],
-                    is_store=bool(bits & FLAG_STORE),
-                    now_ps=0,
-                    period_ps=ls_period,
-                )
+        icache.warm(fetch_blocks)
+        predict = frontend.predictor.predict_and_update
+        btb_update = frontend.btb.update
+        branches = flags.translate(_BRANCH_BIT)
+        for pc, bits, target in zip(
+            compress(islice(trace.pc, start, end), branches),
+            compress(flags, branches),
+            compress(islice(trace.target, start, end), branches),
+        ):
+            taken = bits & FLAG_TAKEN != 0
+            predict(pc, taken)
+            if taken:
+                btb_update(pc, target)
+        hierarchy = self.hierarchy
+        hierarchy.l2.warm(
+            hierarchy.l1d.warm(
+                compress(islice(trace.address, start, end), flags.translate(_MEMORY_BIT))
+            )
+        )
         frontend.advance_cursor(end - start)
-        frontend.reset_warm_state()
-        self.hierarchy.reset_statistics()
-        self.memory.reset()
-        self.horizon_skipped_edges = 0
 
     def _emit_sync_penalty(
         self, time_ps: Picoseconds, producer: str, consumer: str
@@ -856,9 +862,8 @@ class MCDProcessor:
         self._commit(now, fe_clock)
         self._dispatch(now, fe_clock)
         # Stalled fetch cycles (unresolved branch, I-cache refill) only bump
-        # a counter; the checks are inlined here so the common stalled cycle
-        # skips the fetch_cycle call entirely.  fetch_cycle performs the
-        # same checks itself for direct callers.
+        # a counter; the checks live here, so the common stalled cycle skips
+        # the fetch_cycle call entirely.
         frontend = self.frontend
         if frontend.waiting_branch is not None:
             frontend.stats.branch_stall_cycles += 1
@@ -1312,7 +1317,7 @@ class MCDProcessor:
                     apply_structure=partial(queue.set_capacity, size),
                     new_frequency=ISSUE_QUEUE_FREQUENCY_GHZ[size],
                     upsizing=size > queue.capacity,
-                    lock_basis=self._last_interval_duration or None,
+                    lock_basis=self._last_interval_duration,
                 )
         tracker.reset()
 
@@ -1404,7 +1409,7 @@ class MCDProcessor:
         apply_structure: Callable[[], None],
         new_frequency: float,
         upsizing: bool,
-        lock_basis: Picoseconds | None,
+        lock_basis: Picoseconds,
     ) -> None:
         """Resize one structure and retune its domain's clock.
 

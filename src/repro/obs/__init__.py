@@ -8,7 +8,7 @@ and a ledger on and off):
   schema-versioned trace events from the processor's instrumentation hooks
   (controller decisions, reconfigurations, frequency changes, sync
   penalties, work-horizon skips), recorded through a
-  :class:`TraceRecorder` into bounded ring buffers and JSONL files.
+  :class:`TraceRecorder` into JSONL files or any sink of the caller's.
 - :mod:`repro.obs.ledger` — the persistent, append-only run ledger
   (JSONL): a record per submitted batch and one per simulated job (its
   seconds and work counters), which ``--ledger`` runs write and
@@ -56,7 +56,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
 from repro.obs.options import TraceOptions
-from repro.obs.recorder import JsonlSink, RingBufferSink, TraceRecorder, read_trace
+from repro.obs.recorder import JsonlSink, TraceRecorder, read_trace
 from repro.obs.records import RecordFileError
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "PHASE_BOUNDARY",
     "RECONFIGURATION",
     "RecordFileError",
-    "RingBufferSink",
     "SCHEMA_VERSION",
     "SYNC_PENALTY",
     "TraceEvent",

@@ -7,15 +7,11 @@ The recorder is the single object the instrumentation hooks talk to.  A
 the disabled path does no event work at all and the golden digests are
 bit-identical with tracing on and off.
 
-Sinks receive every surviving event:
-
-:class:`RingBufferSink`
-    A bounded in-memory ring (``collections.deque(maxlen=...)``) for
-    programmatic inspection; old events fall off the front.
-:class:`JsonlSink`
-    One JSON object per line, first line a schema-versioned header (the
-    :mod:`repro.obs.records` container).  :func:`read_trace` round-trips
-    the file and rejects other schemas.
+Sinks receive every surviving event.  :class:`JsonlSink` writes one JSON
+object per line, the first line a schema-versioned header (the
+:mod:`repro.obs.records` container); :func:`read_trace` round-trips the file
+and rejects other schemas.  Any object with ``write(event)`` and ``close()``
+is a sink.
 
 Sampling is deterministic and per event type: ``sampling={"sync-penalty":
 100}`` keeps the 1st, 101st, 201st... sync-penalty event, counted in
@@ -26,7 +22,6 @@ stream — no clocks, no RNG.
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
@@ -35,7 +30,6 @@ from repro.obs.records import read_records, record_header
 
 __all__ = [
     "JsonlSink",
-    "RingBufferSink",
     "TraceRecorder",
     "read_trace",
 ]
@@ -53,30 +47,6 @@ class TraceSink(Protocol):
 
     def close(self) -> None:  # pragma: no cover - protocol
         ...
-
-
-class RingBufferSink:
-    """Keep the most recent *capacity* events in memory."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("ring capacity must be positive")
-        self.capacity = capacity
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
-
-    def write(self, event: TraceEvent) -> None:
-        self._ring.append(event)
-
-    def close(self) -> None:
-        """Nothing to release; the ring stays readable after close."""
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """The buffered events, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
 
 class JsonlSink:

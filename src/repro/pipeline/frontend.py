@@ -60,7 +60,6 @@ class FrontEndStats:
     icache_misses: int = 0
     branches: int = 0
     mispredictions: int = 0
-    btb_misses: int = 0
     fetch_stall_cycles: int = 0
     branch_stall_cycles: int = 0
 
@@ -190,13 +189,6 @@ class FrontEnd:
         """Skip *count* instructions (bulk warm-up reads columns directly)."""
         self._cursor += count
 
-    def reset_warm_state(self) -> None:
-        """Clear warmup bookkeeping and statistics before a measured run."""
-        self._last_block = None
-        self.icache.reset_interval()
-        self.icache.reset_access_profile()
-        self.stats = FrontEndStats()
-
     def recycle(self, insts: Iterable[DynInst]) -> None:
         """Return retired DynInst records to the fetch pool.
 
@@ -222,16 +214,11 @@ class FrontEnd:
         """Fetch up to ``fetch_width`` instructions at front-end edge *now*.
 
         The fetched instructions are appended to the fetch queue; returns
-        how many there were.
+        how many there were.  The caller counts stalled cycles instead of
+        calling: fetch is stalled while ``waiting_branch`` is set and before
+        ``stall_until``.
         """
         stats = self.stats
-        if self.waiting_branch is not None:
-            stats.branch_stall_cycles += 1
-            return 0
-        if now < self.stall_until:
-            stats.fetch_stall_cycles += 1
-            return 0
-
         fetch_queue = self.fetch_queue
         fq_entries = fetch_queue.entries
         fq_append = fq_entries.append
@@ -327,7 +314,6 @@ class FrontEnd:
                     if predicted_target is None:
                         # Correctly predicted direction but unknown target:
                         # one fetch bubble while the target is computed.
-                        stats.btb_misses += 1
                         self.stall_until = now + period_ps
                     # Cannot fetch past a taken branch in the same cycle.
                     last_block = None

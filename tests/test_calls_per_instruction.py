@@ -1,17 +1,25 @@
-"""Python calls per committed instruction in the main loop, bounded per machine class.
+"""Python calls per unit of simulated work, bounded per machine class.
 
 Wall-clock time is too noisy to gate in tier-1, but the number of Python
-function calls ``MCDProcessor._main_loop`` makes per committed instruction is
-deterministic on a given job, and each call is a large share of the
-per-instruction cost of this interpreter-bound simulator.  A change that puts
-a call back on a per-instruction path (say, one per queue controller or per
-tracked queue size at dispatch) fails here; one that removes calls lowers the
-bound in the same diff.  The counts agree to within 0.06 across CPython 3.10
-to 3.12.
+function calls a stage makes per unit of work is deterministic on a given
+job, and each call is a large share of the cost of this interpreter-bound
+simulator.  Two stages are counted:
+
+* ``MCDProcessor._main_loop``, per committed instruction.  A change that puts
+  a call back on a per-instruction path (say, one per queue controller or
+  per tracked queue size at dispatch) fails here.
+* ``MCDProcessor._warm_up``, per warm-up row.  Warm-up makes one pass per
+  structure, so its only per-row calls are the predictor's and the BTB's on
+  branch rows; a change that sends rows through a per-row method again (the
+  measured run's cache hierarchy, say) fails here.
+
+A change that removes calls lowers the bounds in the same diff.  The
+main-loop counts agree to within 0.06 across CPython 3.10 to 3.12.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import sys
 
@@ -24,8 +32,9 @@ from repro.workloads import get_workload
 WINDOW = 2_000
 WARMUP = 3_000
 
-#: Job options and the bound on calls per committed instruction, which is
-#: the measured count rounded up to one decimal.
+#: Job options and the bounds on main-loop calls per committed instruction
+#: and on warm-up calls per warm-up row, each the measured count rounded up
+#: to one decimal.
 JOBS = {
     "phase_adaptive_em3d": (
         dict(
@@ -34,15 +43,48 @@ JOBS = {
             use_b_partitions=True,
             phase_adaptive=True,
         ),
-        20.4,
+        20.3,
+        0.2,
     ),
-    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.8),
-    "synchronous_apsi": (dict(workload="apsi", spec_kind=SpecKind.BEST_SYNCHRONOUS), 16.5),
+    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.6, 0.2),
+    "synchronous_apsi": (
+        dict(workload="apsi", spec_kind=SpecKind.BEST_SYNCHRONOUS),
+        16.3,
+        0.2,
+    ),
 }
 
 
-def calls_per_committed_instruction(job: SimulationJob) -> float:
-    """Python ``call`` events inside ``_main_loop``, per committed instruction."""
+def counted(stage, calls: dict[str, int], name: str):
+    """*stage*, with the Python ``call`` events inside it added to ``calls[name]``."""
+
+    def count_calls(frame, event, arg):
+        if event == "call":
+            calls[name] += 1
+
+    def run(*args):
+        # A cyclic-GC pass would run finalizers of garbage that earlier
+        # tests left behind, so collect it first and keep the pass out.
+        gc.collect()
+        gc.disable()
+        sys.setprofile(count_calls)
+        try:
+            return stage(*args)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+
+    return run
+
+
+@functools.cache
+def calls_per_unit(name: str) -> tuple[float, float]:
+    """Main-loop calls per committed instruction and warm-up calls per
+    warm-up row of the job *name*."""
+    options = dict(JOBS[name][0])
+    job = SimulationJob(
+        profile=get_workload(options.pop("workload")), window=WINDOW, warmup=WARMUP, **options
+    )
     trace = make_trace(job.profile, seed=job.trace_seed)
     # Compile the rows the run reads first (fetch runs ahead of commit), so
     # trace generation is not counted whatever ran earlier in the process.
@@ -53,42 +95,30 @@ def calls_per_committed_instruction(job: SimulationJob) -> float:
         phase_adaptive=job.phase_adaptive,
         seed=job.seed,
     )
-    main_loop = processor._main_loop
-    calls = 0
-
-    def count_calls(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    def counted_main_loop(max_instructions: int) -> None:
-        # A cyclic-GC pass would run finalizers of garbage that earlier
-        # tests left behind, so collect it first and keep the pass out.
-        gc.collect()
-        gc.disable()
-        sys.setprofile(count_calls)
-        try:
-            main_loop(max_instructions)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-
-    processor._main_loop = counted_main_loop
+    calls = {"main_loop": 0, "warm_up": 0}
+    processor._main_loop = counted(processor._main_loop, calls, "main_loop")
+    processor._warm_up = counted(processor._warm_up, calls, "warm_up")
     processor.run(
         trace,
         max_instructions=job.resolved_window(),
         warmup_instructions=job.resolved_warmup(),
         workload_name=job.profile.name,
     )
-    return calls / processor.rob.total_committed
+    return (
+        calls["main_loop"] / processor.rob.total_committed,
+        calls["warm_up"] / job.resolved_warmup(),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_main_loop_calls_per_committed_instruction_within_bound(name):
-    options, bound = JOBS[name]
-    options = dict(options)
-    job = SimulationJob(
-        profile=get_workload(options.pop("workload")), window=WINDOW, warmup=WARMUP, **options
-    )
-    calls = calls_per_committed_instruction(job)
+    calls, _ = calls_per_unit(name)
+    bound = JOBS[name][1]
     assert calls <= bound, f"{name}: {calls:.3f} Python calls per committed instruction"
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_warm_up_calls_per_row_within_bound(name):
+    _, calls = calls_per_unit(name)
+    bound = JOBS[name][2]
+    assert calls <= bound, f"{name}: {calls:.3f} Python calls per warm-up row"

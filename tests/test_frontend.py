@@ -1,6 +1,8 @@
 """Tests for the fetch engine / front end."""
 
 
+from repro.core.configuration import base_adaptive_spec
+from repro.core.processor import MCDProcessor
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.pipeline.frontend import FrontEnd
@@ -31,9 +33,7 @@ def branchy_trace(count, taken_every=10, mispredictable=False):
 
 def make_frontend(trace, warm_blocks=0, **kwargs):
     frontend = FrontEnd(trace, icache_config=ADAPTIVE_ICACHE_CONFIGS[0], **kwargs)
-    for block in range(warm_blocks):
-        frontend.icache.access(0x40_0000 + block * 64)
-    frontend.reset_warm_state()
+    frontend.icache.warm(0x40_0000 + block * 64 for block in range(warm_blocks))
     return frontend
 
 
@@ -45,6 +45,25 @@ def fetch(frontend, now):
     count = frontend.fetch_cycle(now, PERIOD)
     entries = list(frontend.fetch_queue.entries)
     return entries[len(entries) - count :]
+
+
+def driven_by_processor(frontend):
+    """A processor whose front-end cycle drives *frontend*.  That cycle is
+    where stalls are applied: it counts a stall cycle instead of fetching
+    while ``waiting_branch`` is set or before ``stall_until``."""
+    processor = MCDProcessor(base_adaptive_spec())
+    processor.frontend = frontend
+    return processor
+
+
+def front_end_cycle(processor, now):
+    """One front-end cycle of *processor* at *now*: the instructions it
+    fetched (dispatch runs first, so they are the fetch queue's tail)."""
+    frontend = processor.frontend
+    cursor = frontend.cursor
+    processor._front_end_cycle(now)
+    entries = list(frontend.fetch_queue.entries)
+    return entries[len(entries) - (frontend.cursor - cursor) :]
 
 
 class TestFetch:
@@ -84,19 +103,20 @@ class TestFetch:
             return now + 50 * PERIOD
 
         frontend = make_frontend(straight_line_trace(64), icache_miss_handler=miss_handler)
+        processor = driven_by_processor(frontend)
         first = fetch(frontend, 0)
         assert not first  # the very first block access misses the cold I-cache
         assert calls
-        assert not fetch(frontend, PERIOD)  # still stalled
-        later = fetch(frontend, 51 * PERIOD)
+        assert frontend.stall_until == 50 * PERIOD
+        assert not front_end_cycle(processor, PERIOD)  # still stalled
+        assert frontend.stats.fetch_stall_cycles == 1
+        later = front_end_cycle(processor, 51 * PERIOD)
         assert later
 
     def test_warm_avoids_cold_miss(self):
         source = list(straight_line_trace(64))
         frontend = make_frontend(iter(source))
-        for instruction in source[:32]:
-            frontend.icache.access(instruction.pc)
-        frontend.reset_warm_state()
+        frontend.icache.warm(instruction.pc for instruction in source[:32])
         fetched = fetch(frontend, 0)
         assert fetched
         assert frontend.stats.icache_misses == 0
@@ -108,10 +128,11 @@ class TestBranchHandling:
         # the predictor the other way first.
         instructions = list(branchy_trace(40, taken_every=2))
         frontend = make_frontend(iter(instructions))
+        processor = driven_by_processor(frontend)
         now = 0
         mispredicted = None
         for _ in range(40):
-            fetched = fetch(frontend, now)
+            fetched = front_end_cycle(processor, now)
             now += PERIOD
             for inst in fetched:
                 if inst.mispredicted:
@@ -121,11 +142,12 @@ class TestBranchHandling:
                 break
         assert mispredicted is not None
         assert frontend.waiting_branch is mispredicted
-        stalled = fetch(frontend, now)
+        stalled = front_end_cycle(processor, now)
         assert stalled == []
+        assert frontend.stats.branch_stall_cycles == 1
         frontend.resume_after_branch(mispredicted, now + 5 * PERIOD)
         assert frontend.waiting_branch is None
-        assert fetch(frontend, now + 6 * PERIOD)
+        assert front_end_cycle(processor, now + 6 * PERIOD)
 
     def test_resume_ignores_unrelated_branch(self):
         instructions = list(branchy_trace(40, taken_every=2))
@@ -139,9 +161,10 @@ class TestBranchHandling:
 
     def test_prediction_statistics_recorded(self):
         frontend = make_frontend(branchy_trace(200, taken_every=5))
+        processor = driven_by_processor(frontend)
         now = 0
         for _ in range(200):
-            frontend.fetch_cycle(now, PERIOD)
+            front_end_cycle(processor, now)
             waiting = frontend.waiting_branch
             if waiting is not None:
                 frontend.resume_after_branch(waiting, now + PERIOD)

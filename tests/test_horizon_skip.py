@@ -93,16 +93,26 @@ def test_engine_path_skips_by_default():
 
 
 def test_skip_counter_describes_the_measured_window():
+    # Warm-up walks no clock edge, so the counter is still zero when the
+    # main loop starts and counts only the measured window's skips.
     job = SimulationJob(profile=get_workload("gcc"), window=1_200, warmup=800)
     _, clean = simulate(job, skip=True)
-    polluted = MCDProcessor(job.build_spec(), seed=job.seed)
-    polluted.horizon_skipped_edges = 10**9
-    result = polluted.run(
+    observed = MCDProcessor(job.build_spec(), seed=job.seed)
+    main_loop = observed._main_loop
+    at_main_loop = []
+
+    def observed_main_loop(max_instructions: int) -> None:
+        at_main_loop.append(observed.horizon_skipped_edges)
+        main_loop(max_instructions)
+
+    observed._main_loop = observed_main_loop
+    result = observed.run(
         make_trace(job.profile, seed=job.trace_seed),
         max_instructions=job.resolved_window(),
         warmup_instructions=job.resolved_warmup(),
         workload_name=job.profile.name,
     )
+    assert at_main_loop == [0]
     assert result.horizon_skipped_edges == clean.horizon_skipped_edges
 
 

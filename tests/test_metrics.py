@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     ConfigurationChange,
     RunResult,
-    geometric_mean,
     relative_improvement,
 )
 
@@ -83,12 +82,3 @@ class TestImprovementHelpers:
         broken = make_result(time_ps=0)
         with pytest.raises(ValueError):
             relative_improvement(baseline, broken)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0.1, 0.1]) == pytest.approx(0.1)
-        assert geometric_mean([0.0, 0.21]) == pytest.approx(0.1, abs=0.01)
-
-    def test_geometric_mean_rejects_total_loss(self):
-        with pytest.raises(ValueError):
-            geometric_mean([-1.0])

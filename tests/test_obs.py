@@ -4,7 +4,7 @@ The load-bearing property is at the top: tracing is observation-only, so a
 traced run and an untraced run of the same job produce *bit-identical*
 result digests — the golden values pinned in ``tests/test_golden_values.py``
 must hold with a recorder attached.  The rest covers the recorder machinery
-(ring bounds, deterministic sampling, JSONL schema round-trip), the job
+(type filtering, deterministic sampling, JSONL schema round-trip), the job
 integration (fingerprint exclusion), the shared logging setup and the
 ``python -m repro.obs`` CLI.
 """
@@ -42,14 +42,22 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.logging import configure_logging
-from repro.obs.recorder import (
-    JsonlSink,
-    RingBufferSink,
-    TraceRecorder,
-    read_trace,
-)
+from repro.obs.recorder import JsonlSink, TraceRecorder, read_trace
 from repro.workloads import get_workload, workload_names
 from test_golden_values import GOLDEN_DIGESTS
+
+class ListSink:
+    """Keep every event the recorder passes on, in emission order."""
+
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+
+    def write(self, event: TraceEvent) -> None:
+        self.events.append(event)
+
+    def close(self) -> None:
+        """Nothing to release; the events stay readable."""
+
 
 #: Golden jobs re-run with a recorder attached: one phase-adaptive job per
 #: workload (the controller hooks fire) plus a jittered one (the sync-penalty
@@ -67,20 +75,20 @@ _TRACED_GOLDEN_JOBS = (
 @pytest.mark.parametrize("name", _TRACED_GOLDEN_JOBS)
 def test_traced_run_matches_golden_timing_digest(name):
     """A recorder observing every event type must not move a golden digest."""
-    ring = RingBufferSink(capacity=100_000)
-    recorder = TraceRecorder([ring])
+    sink = ListSink()
+    recorder = TraceRecorder([sink])
     job = golden_jobs()[name]
     result = run_job(job, recorder=recorder)
     assert result_digest(result) == GOLDEN_DIGESTS[name], (
         f"tracing changed the RunResult of {name}; instrumentation must be "
         "observation-only"
     )
-    assert ring.events, "the traced golden job emitted no events at all"
+    assert sink.events, "the traced golden job emitted no events at all"
 
 
 def test_traced_run_matches_golden_energy_digest():
     name = "gcc/phase_adaptive"
-    recorder = TraceRecorder([RingBufferSink(capacity=100_000)])
+    recorder = TraceRecorder([ListSink()])
     result = run_job(golden_jobs()[name], recorder=recorder)
     assert energy_digest(result) == ENERGY_GOLDEN_DIGESTS[name]
 
@@ -110,8 +118,8 @@ def test_events_add_up_to_the_run_counters(skip):
         warmup=1_000,
         jitter_fraction=0.05,
     )
-    ring = RingBufferSink(capacity=1_000_000)
-    recorder = TraceRecorder([ring], event_types=(SYNC_PENALTY, HORIZON_SKIP))
+    sink = ListSink()
+    recorder = TraceRecorder([sink], event_types=(SYNC_PENALTY, HORIZON_SKIP))
     processor = MCDProcessor(
         job.build_spec(),
         seed=job.seed,
@@ -124,8 +132,8 @@ def test_events_add_up_to_the_run_counters(skip):
         max_instructions=job.resolved_window(),
         warmup_instructions=job.resolved_warmup(),
     )
-    events = ring.events
-    assert len(events) == sum(recorder.emitted.values())  # none fell off
+    events = sink.events
+    assert len(events) == sum(recorder.emitted.values())
     penalties = [event for event in events if event.type == SYNC_PENALTY]
     assert len(penalties) == result.sync_penalties > 0
     skipped = sum(event.data["edges"] for event in events if event.type == HORIZON_SKIP)
@@ -190,38 +198,27 @@ def test_trace_options_validation():
 # ------------------------------------------------------------- recorder
 
 
-def test_ring_buffer_sink_is_bounded():
-    ring = RingBufferSink(capacity=3)
-    recorder = TraceRecorder([ring])
-    for index in range(10):
-        recorder.emit(SYNC_PENALTY, index, index, producer="integer")
-    assert len(ring) == 3
-    assert [event.time_ps for event in ring.events] == [7, 8, 9]
-    with pytest.raises(ValueError):
-        RingBufferSink(capacity=0)
-
-
 def test_recorder_type_filter_and_counters():
-    ring = RingBufferSink(capacity=100)
-    recorder = TraceRecorder([ring], event_types=[CONTROLLER_INTERVAL])
+    sink = ListSink()
+    recorder = TraceRecorder([sink], event_types=[CONTROLLER_INTERVAL])
     assert recorder.wants(CONTROLLER_INTERVAL)
     assert not recorder.wants(SYNC_PENALTY)
     recorder.emit(CONTROLLER_INTERVAL, 10, 1, structure="dcache")
     recorder.emit(SYNC_PENALTY, 20, 1, producer="integer")
     assert recorder.seen == {CONTROLLER_INTERVAL: 1}
     assert recorder.emitted == {CONTROLLER_INTERVAL: 1}
-    assert len(ring) == 1
+    assert len(sink.events) == 1
     with pytest.raises(ValueError):
         TraceRecorder([], event_types=["bogus"])
 
 
 def test_sampling_is_deterministic_and_keeps_the_first_event():
     def emitted_times(stride):
-        ring = RingBufferSink(capacity=100)
-        recorder = TraceRecorder([ring], sampling={SYNC_PENALTY: stride})
+        sink = ListSink()
+        recorder = TraceRecorder([sink], sampling={SYNC_PENALTY: stride})
         for index in range(10):
             recorder.emit(SYNC_PENALTY, index, index)
-        return [event.time_ps for event in ring.events]
+        return [event.time_ps for event in sink.events]
 
     # Keeps the 1st, (n+1)-th, ... event, counted in emission order.
     assert emitted_times(3) == [0, 3, 6, 9]
