@@ -8,8 +8,8 @@ times using the period supplied by the caller, so the same object serves both
 the MCD machine (whose period changes over time) and the synchronous
 baseline.
 
-Instruction-cache misses from the front end also probe the unified L2 through
-:meth:`CacheHierarchy.access_l2_for_instruction`.
+Instruction-cache misses from the front end also probe the unified L2, through
+:meth:`CacheHierarchy.access_l2`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class HierarchyStats:
     l2_hits_a: int = 0
     l2_hits_b: int = 0
     l2_misses: int = 0
-    instruction_l2_accesses: int = 0
 
 
 class CacheHierarchy:
@@ -126,23 +125,12 @@ class CacheHierarchy:
         stats.l1_misses += 1
         if self.l1d.b_enabled and l1_b is not None:
             completion += l1_b * period_ps
-        return self._access_l2(address, completion, period_ps)
+        return self.access_l2(address, completion, period_ps)
 
-    def access_l2_for_instruction(
-        self, address: int, *, now_ps: Picoseconds, period_ps: Picoseconds
-    ) -> Picoseconds:
-        """Service an instruction-cache miss from the unified L2 / memory.
-
-        Returns the absolute time at which the instruction line is available
-        to the front end (before cross-domain synchronisation back).
-        """
-        self.stats.instruction_l2_accesses += 1
-        return self._access_l2(address, now_ps, period_ps)
-
-    def _access_l2(
-        self, address: int, now_ps: Picoseconds, period_ps: Picoseconds
-    ) -> Picoseconds:
-        """Probe the L2 at *now_ps*, going to memory on a miss."""
+    def access_l2(self, address: int, now_ps: Picoseconds, period_ps: Picoseconds) -> Picoseconds:
+        """Probe the L2 at *now_ps*, going to memory on a miss; return when
+        the block is available (ps).  Serves L1-D misses and the front
+        end's I-cache misses alike."""
         stats = self.stats
         l2_a, l2_b = self._config.l2_latency
         outcome = self.l2.access(address)

@@ -34,9 +34,6 @@ class AdaptiveControlParams:
     memory_time_ns:
         Constant estimate of a main-memory access, used as the beyond-L2 term
         in the D/L2 controller's cost function.
-    decision_latency_cycles:
-        Cycles the dedicated controller hardware needs to produce a decision
-        (the paper estimates roughly 32 cycles with bit-serial multipliers).
     cache_hysteresis / queue_hysteresis:
         Relative margin by which an alternative configuration's score must
         beat the current one before a (PLL-relock-costing) change is
@@ -56,7 +53,6 @@ class AdaptiveControlParams:
     pll_max_us: float = 20.0
     icache_miss_time_ns: float = 20.0
     memory_time_ns: float = 94.0
-    decision_latency_cycles: int = 32
     cache_hysteresis: float = 0.08
     cache_consecutive_decisions: int = 1
     cache_b_hit_overlap_factor: float = 0.5
@@ -66,8 +62,6 @@ class AdaptiveControlParams:
     def __post_init__(self) -> None:
         if self.interval_instructions < 100:
             raise ValueError("interval_instructions must be at least 100")
-        if self.decision_latency_cycles < 0:
-            raise ValueError("decision_latency_cycles must be non-negative")
         if not 0 <= self.cache_hysteresis < 0.5:
             raise ValueError("cache_hysteresis must be in [0, 0.5)")
         if not 0 <= self.queue_hysteresis < 0.5:

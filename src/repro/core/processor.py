@@ -22,6 +22,7 @@ from itertools import compress, islice
 from math import inf
 from typing import Callable, Iterable, Iterator
 
+from repro.caches.accounting import AccessOutcome
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.memory import MainMemory
 from repro.clocks.clock import DomainClock
@@ -40,13 +41,15 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     EXECUTION_LATENCY,
     FLAG_BRANCH,
+    FLAG_FP,
     FLAG_MEMORY,
+    FLAG_STORE,
     FLAG_TAKEN,
     OPCLASSES,
     OPCODE_ID,
     OpClass,
 )
-from repro.isa.registers import FP_BASE_INDEX
+from repro.isa.registers import FP_BASE_INDEX, NO_REGISTER
 from repro.obs.events import (
     CONTROLLER_INTERVAL,
     FREQUENCY_CHANGE,
@@ -85,6 +88,8 @@ _FRONT_END_DOMAIN = Domain.FRONT_END.value
 _INTEGER_DOMAIN = Domain.INTEGER.value
 _FLOATING_POINT_DOMAIN = Domain.FLOATING_POINT.value
 _LOAD_STORE_DOMAIN = Domain.LOAD_STORE.value
+_HIT_B = AccessOutcome.HIT_B
+_MISS = AccessOutcome.MISS
 
 #: The work horizon when no domain can bound its next work from the machine
 #: state (only a deadlocked machine gets here).
@@ -99,10 +104,11 @@ _DEADLOCK_LIMIT = 2_000_000
 _BRANCH_BIT = bytes(bits & FLAG_BRANCH for bits in range(256))
 _MEMORY_BIT = bytes(bits & FLAG_MEMORY for bits in range(256))
 
-#: Retired DynInst records kept for recycling between quiescent points
-#: (matching the front end's pool capacity — keeping more would never be
-#: reused).
-_RETIRED_KEEP_LIMIT = 512
+#: Upper bound on the DynInst free list and on the committed records kept
+#: for it between quiescent points (enough to cover the ROB and the queues
+#: with slack; beyond this, committed records are left to reference
+#: counting).
+_POOL_CAPACITY = 512
 
 
 def _wake_consumers(
@@ -259,9 +265,10 @@ class MCDProcessor:
         self.frontend: FrontEnd | None = None
         # Rename map keyed by dense register index (0..63).
         self._last_writer: dict[int, DynInst] = {}
-        # Committed DynInst records awaiting recycling into the front end's
-        # pool; handed over at quiescent points, when nothing in flight can
-        # still read them (bounded — see _RETIRED_KEEP_LIMIT).
+        # The DynInst free list fetch draws from, and the committed records
+        # awaiting it; they join it at quiescent points, when nothing in
+        # flight can still read them (both bounded by _POOL_CAPACITY).
+        self._pool: list[DynInst] = []
         self._retired: list[DynInst] = []
         self._pending_events: list[tuple[Picoseconds, Callable[[], None]]] = []
         self._changes_in_progress: set[Domain] = set()
@@ -343,20 +350,6 @@ class MCDProcessor:
         physical_icache = (
             ADAPTIVE_ICACHE_CONFIGS[-1].icache if self.spec.is_adaptive else None
         )
-        # The miss service closes over the objects it uses, not over the
-        # processor, so the front end holds no reference back to it and a
-        # finished processor is freed by reference counting.
-        transfer = self.sync.transfer
-        fe_clock = self._fe_clock
-        ls_clock = self._ls_clock
-        access_l2 = self.hierarchy.access_l2_for_instruction
-
-        def service_icache_miss(address: int, now: Picoseconds) -> Picoseconds:
-            """Service an I-cache miss from the unified L2 across the boundary."""
-            request = transfer(now, fe_clock, ls_clock)
-            ready = access_l2(address, now_ps=request, period_ps=ls_clock.period_ps)
-            return transfer(ready, ls_clock, fe_clock)
-
         self.frontend = FrontEnd(
             trace,
             icache_config=self.spec.icache,
@@ -365,7 +358,6 @@ class MCDProcessor:
             fetch_queue_capacity=self.params.fetch_queue_entries,
             decode_cycles=self.params.decode_cycles,
             use_b_partition=self.spec.use_b_partitions,
-            icache_miss_handler=service_icache_miss,
         )
         if warmup_instructions > 0:
             self._warm_up(warmup_instructions)
@@ -422,7 +414,7 @@ class MCDProcessor:
                 compress(islice(trace.address, start, end), flags.translate(_MEMORY_BIT))
             )
         )
-        frontend.advance_cursor(end - start)
+        frontend.cursor = end
 
     def _emit_sync_penalty(
         self, time_ps: Picoseconds, producer: str, consumer: str
@@ -554,12 +546,10 @@ class MCDProcessor:
         while rob.total_committed < max_instructions:
             if not rob_entries and not fq_entries:
                 # Quiescent point: nothing is in flight anywhere, so the
-                # committed records collected since the last drain can no
-                # longer be read as producers — recycle them into the fetch
-                # pool.
+                # records committed since the last drain can no longer be
+                # read as producers.
                 if retired:
-                    frontend.recycle(retired)
-                    retired.clear()
+                    self._recycle_retired()
                 if frontend.trace_exhausted:
                     break
             if skip_idle_edges is not None:
@@ -608,6 +598,27 @@ class MCDProcessor:
             else:
                 idle_iterations = 0
                 last_committed = committed
+        # A producer still without a completion time and its consumers refer
+        # to each other (its ``consumers`` list, their ``producers`` tuples).
+        # Emptying those lists for the records left in flight leaves a
+        # finished processor to reference counting.
+        for inst in rob_entries:
+            inst.consumers.clear()
+
+    def _recycle_retired(self) -> None:
+        """Reset the records committed since the last quiescent point and
+        add them to the free list, up to ``_POOL_CAPACITY``."""
+        pool = self._pool
+        for inst in islice(self._retired, _POOL_CAPACITY - len(pool)):
+            inst.producers = ()
+            inst.queue_arrival_time = None
+            inst.lsq_arrival_time = None
+            inst.completion_time = None
+            inst.exec_domain = _INTEGER_DOMAIN
+            inst.mispredicted = False
+            inst.memory_issued = False
+            pool.append(inst)
+        self._retired.clear()
 
     def _horizon_skipper(self) -> Callable[[], None]:
         """Build this run's work-horizon skip: a call that consumes every
@@ -863,14 +874,14 @@ class MCDProcessor:
         self._dispatch(now, fe_clock)
         # Stalled fetch cycles (unresolved branch, I-cache refill) only bump
         # a counter; the checks live here, so the common stalled cycle skips
-        # the fetch_cycle call entirely.
+        # the _fetch call entirely.
         frontend = self.frontend
         if frontend.waiting_branch is not None:
             frontend.stats.branch_stall_cycles += 1
         elif now < frontend.stall_until:
             frontend.stats.fetch_stall_cycles += 1
         else:
-            frontend.fetch_cycle(now, fe_clock.period_ps)
+            self._fetch(now, fe_clock)
 
     def _commit(self, now: Picoseconds, fe_clock: DomainClock) -> None:
         # Cheap early-out before any further binding: most front-end cycles
@@ -945,7 +956,7 @@ class MCDProcessor:
                         "and be the load/store queue's head"
                     )
                 del lsq_entries[0]
-            if len(retired) < _RETIRED_KEEP_LIMIT:
+            if len(retired) < _POOL_CAPACITY:
                 retired.append(head)
             # Both cache controllers end their intervals on the same commit.
             if interval_countdown:
@@ -1060,6 +1071,127 @@ class MCDProcessor:
         rob.total_dispatched += dispatched
         if sync_enabled:
             sync.stats.transfers += dispatched
+
+    def _fetch(self, now: Picoseconds, fe_clock: DomainClock) -> None:
+        """Fetch up to ``fetch_width`` instructions at front-end edge *now*
+        into the fetch queue.
+
+        The caller gates it: fetch is stalled while ``waiting_branch`` is set
+        and before ``stall_until``.  An I-cache miss is served from the
+        unified L2, across the crossing to the load/store clock and back, and
+        stalls fetch until the block arrives.
+        """
+        frontend = self.frontend
+        stats = frontend.stats
+        fetch_queue = frontend.fetch_queue
+        fq_entries = fetch_queue.entries
+        fq_append = fq_entries.append
+        icache = frontend.icache
+        trace = frontend.trace
+        start = cursor = frontend.cursor
+        limit = cursor + frontend.fetch_width
+        # Fetch stops at the fetch width, the end of the compiled trace and
+        # the fetch queue's free space, whichever comes first.
+        space = fetch_queue.capacity - len(fq_entries)
+        end = min(limit, trace.ensure(limit), cursor + space)
+        pc_col = trace.pc
+        op_col = trace.op
+        flags_col = trace.flags
+        dest_col = trace.dest
+        src0_col = trace.src0
+        src1_col = trace.src1
+        addr_col = trace.address
+        target_col = trace.target
+        seq_col = trace.seq
+        pool = self._pool
+        predictor = frontend.predictor
+        btb = frontend.btb
+        last_block = frontend.last_block
+        block_bytes = icache.geometry.block_bytes
+        period = fe_clock.period_ps
+        decode_delay = frontend.decode_cycles * period
+        dispatch_ready = now + decode_delay
+        icache_accesses = icache_b_hits = branches = 0
+        while cursor < end:
+            pc = pc_col[cursor]
+            block = pc // block_bytes
+            if block != last_block:
+                outcome = icache.access(pc)
+                icache_accesses += 1
+                last_block = block
+                if outcome is _HIT_B:
+                    # The fetch pipeline keeps running; instructions from this
+                    # block simply become available to dispatch B-latency
+                    # cycles later.
+                    icache_b_hits += 1
+                    extra_delay = (frontend.icache_config.l1_latency[1] or 0) * period
+                    dispatch_ready = now + decode_delay + extra_delay
+                elif outcome is _MISS:
+                    stats.icache_misses += 1
+                    # The request crosses to the load/store clock, probes the
+                    # unified L2 there, and the block crosses back.
+                    ls_clock = self._ls_clock
+                    transfer = self.sync.transfer
+                    refill = self.hierarchy.access_l2(
+                        pc, transfer(now, fe_clock, ls_clock), ls_clock.period_ps
+                    )
+                    frontend.stall_until = max(transfer(refill, ls_clock, fe_clock), now + period)
+                    # The cursor does not advance: the same instruction is
+                    # refetched after the refill (hitting the now-warm block,
+                    # as ``last_block`` already points at it).
+                    break
+
+            bits = flags_col[cursor]
+            dyninst = pool.pop() if pool else DynInst()
+            dyninst.seq = seq_col[cursor]
+            dyninst.op_id = op_col[cursor]
+            dyninst.is_branch = is_branch = bits & FLAG_BRANCH != 0
+            dyninst.is_memory_op = bits & FLAG_MEMORY != 0
+            dyninst.is_store = bits & FLAG_STORE != 0
+            dyninst.is_fp = bits & FLAG_FP != 0
+            dyninst.pc = pc
+            dyninst.dest = dest_col[cursor]
+            src0 = src0_col[cursor]
+            src1 = src1_col[cursor]
+            dyninst.src0 = src0
+            dyninst.src1 = src1
+            if src1 != NO_REGISTER:
+                dyninst.source_count = 2
+            elif src0 != NO_REGISTER:
+                dyninst.source_count = 1
+            else:
+                dyninst.source_count = 0
+            dyninst.address = addr_col[cursor]
+            dyninst.dispatch_ready_time = dispatch_ready
+            fq_append(dyninst)
+            cursor += 1
+
+            if is_branch:
+                branches += 1
+                taken = bits & FLAG_TAKEN != 0
+                correct = predictor.predict_and_update(pc, taken)
+                predicted_target = btb.lookup(pc)
+                if taken:
+                    btb.update(pc, target_col[cursor - 1])  # the branch's row
+                if not correct:
+                    dyninst.mispredicted = True
+                    stats.mispredictions += 1
+                    frontend.waiting_branch = dyninst
+                    break
+                if taken:
+                    if predicted_target is None:
+                        # Correctly predicted direction but unknown target:
+                        # one fetch bubble while the target is computed.
+                        frontend.stall_until = now + period
+                    # Cannot fetch past a taken branch in the same cycle.
+                    last_block = None
+                    break
+        frontend.cursor = cursor
+        frontend.last_block = last_block
+        stats.fetched += cursor - start
+        stats.icache_accesses += icache_accesses
+        stats.icache_b_hits += icache_b_hits
+        stats.branches += branches
 
     # --------------------------------------------------------- exec domains
 
@@ -1271,7 +1403,11 @@ class MCDProcessor:
         resolved = completion + extra_int * int_clock.period_ps
         redirect = self.sync.transfer(resolved, int_clock, fe_clock)
         redirect += extra_fe * fe_clock.period_ps
-        frontend.resume_after_branch(branch, redirect)
+        # Fetch resumes only if it is stalled on this branch.
+        if frontend.waiting_branch is branch:
+            frontend.waiting_branch = None
+            frontend.stall_until = max(frontend.stall_until, redirect)
+            frontend.last_block = None
 
     # ------------------------------------------------------------ adaptation
 

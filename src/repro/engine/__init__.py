@@ -36,7 +36,6 @@ from repro.engine.job import (
     make_trace,
 )
 from repro.engine.runner import run_job
-from repro.obs.options import TraceOptions
 
 __all__ = [
     "CacheStats",
@@ -51,7 +50,6 @@ __all__ = [
     "SerialExecutor",
     "SimulationJob",
     "SpecKind",
-    "TraceOptions",
     "canonical_payload",
     "default_control_params",
     "default_engine",

@@ -32,7 +32,6 @@ from repro.core.configuration import (
 )
 from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.synchronization import DEFAULT_WINDOW_FRACTION
-from repro.obs.options import TraceOptions
 from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads.characteristics import WorkloadProfile
 from repro.workloads.trace_cache import cached_trace
@@ -53,9 +52,12 @@ DEFAULT_TRACE_SEED = 1234
 #: against the committed ``tests/fingerprint_schema.json`` and fails tier-1
 #: when either changes under an unchanged version.  After a deliberate bump,
 #: run tier-1 and commit the snapshot its failure message prints.
-FINGERPRINT_VERSION = 8  # v8: RunResult lost its compiled-trace cache-hit
-# counter, the one field the result cache reset before storing (simulated
-# results are bit-identical).  v7: RunResult lost the fast_forward_invocations,
+FINGERPRINT_VERSION = 9  # v9: SimulationJob lost its observation-only trace
+# field and AdaptiveControlParams its unread decision-latency knob, which
+# left the control payload (simulated results are bit-identical).  v8:
+# RunResult lost its compiled-trace cache-hit counter, the one field the
+# result cache reset before storing (simulated results are bit-identical).
+# v7: RunResult lost the fast_forward_invocations,
 # fast_forward_cycles and steady_stretches_skipped counters when one
 # work-horizon skip replaced the fast-forward and event-horizon scheduling
 # (the bump records the store-schema change; simulated results are
@@ -93,7 +95,7 @@ def default_control_params(window: int) -> AdaptiveControlParams:
     "interval comparable to lock time" relationship under window scaling.
     """
     interval = max(500, window // 6)
-    return AdaptiveControlParams(interval_instructions=interval, pll_interval_scaled=True)
+    return AdaptiveControlParams(interval_instructions=interval)
 
 
 def make_trace(profile: WorkloadProfile, seed: int = DEFAULT_TRACE_SEED):
@@ -171,14 +173,6 @@ class SimulationJob:
     window-scaled defaults; it therefore requires a phase-adaptive job.  All
     three knobs are part of the fingerprint, so jittered runs are cached and
     parallelised exactly like jitter-free ones.
-
-    ``trace`` attaches observation-only telemetry recording
-    (:class:`~repro.obs.options.TraceOptions`) to the run.  It is
-    deliberately **excluded** from :meth:`payload` and therefore from the
-    fingerprint: tracing never changes a result, so a traced job and its
-    untraced twin share a cache entry (which also means a cache hit skips
-    the simulation and writes no trace — drivers that must produce a trace
-    file run the job directly through :func:`~repro.engine.runner.run_job`).
     """
 
     profile: WorkloadProfile
@@ -195,7 +189,6 @@ class SimulationJob:
     jitter_fraction: float = 0.0
     sync_window_fraction: float | None = None
     control_overrides: Mapping[str, Any] | None = None
-    trace: TraceOptions | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.spec_kind, SpecKind):
@@ -232,8 +225,6 @@ class SimulationJob:
                     f"unknown AdaptiveControlParams fields: {sorted(unknown)}"
                 )
             object.__setattr__(self, "control_overrides", dict(self.control_overrides))
-        if self.trace is not None and not isinstance(self.trace, TraceOptions):
-            raise TypeError("trace must be a repro.obs.options.TraceOptions")
 
     # ------------------------------------------------------------ resolution
 

@@ -5,15 +5,12 @@ processes by reference; it reproduces exactly the construction sequence the
 sweep layer historically performed inline (spec build, controller defaults,
 deterministic trace, processor run).
 
-Tracing: when the job carries :class:`~repro.obs.options.TraceOptions` (or
-the caller passes a ready-made recorder), the processor is handed a
-:class:`~repro.obs.recorder.TraceRecorder` and the run's event stream is
-written to the configured JSONL file.  This is strictly observation-only —
-the result is bit-identical to the untraced run — and the trace options are
-excluded from the job fingerprint, so the engine's result cache will serve
-a traced job from an untraced twin's entry *without simulating* (and thus
-without writing a trace).  Drivers that need the trace file call
-``run_job`` directly, bypassing the cache.
+Tracing: a caller that passes a :class:`~repro.obs.recorder.TraceRecorder`
+receives the run's event stream through it (``python -m repro.obs trace``
+does, with a JSONL sink).  This is strictly observation-only — the result is
+bit-identical to the untraced run — so the recorder is not part of the job
+or its fingerprint, and a traced run goes through ``run_job`` directly,
+never through the engine's result cache.
 """
 
 from __future__ import annotations
@@ -21,33 +18,15 @@ from __future__ import annotations
 from repro.analysis.metrics import RunResult
 from repro.core.processor import MCDProcessor
 from repro.engine.job import SimulationJob, make_trace
-from repro.obs.recorder import JsonlSink, TraceRecorder
-
-
-def _recorder_for(job: SimulationJob) -> TraceRecorder:
-    """Build the JSONL-backed recorder described by ``job.trace``."""
-    options = job.trace
-    assert options is not None
-    sink = JsonlSink(
-        options.path,
-        meta={"job": job.describe(), "fingerprint": job.fingerprint()},
-    )
-    return TraceRecorder(
-        [sink], event_types=options.events, sampling=options.sampling
-    )
+from repro.obs.recorder import TraceRecorder
 
 
 def run_job(job: SimulationJob, *, recorder: TraceRecorder | None = None) -> RunResult:
     """Simulate *job* and return its :class:`RunResult`.
 
-    *recorder* overrides the job's own :class:`TraceOptions`; when it is
-    ``None`` and the job carries trace options, a JSONL-backed recorder is
-    built from them and closed (flushing the file) when the run finishes.
+    *recorder*, when given, receives the run's trace events; the caller
+    owns it and closes it.
     """
-    owns_recorder = False
-    if recorder is None and job.trace is not None:
-        recorder = _recorder_for(job)
-        owns_recorder = True
     processor = MCDProcessor(
         job.build_spec(),
         control=job.resolved_control(),
@@ -61,14 +40,9 @@ def run_job(job: SimulationJob, *, recorder: TraceRecorder | None = None) -> Run
     # its compiled flat-column form, built once per (profile, seed) per
     # process and shared by every job on the same cached trace.
     trace = make_trace(job.profile, seed=job.trace_seed)
-    try:
-        return processor.run(
-            trace,
-            max_instructions=job.resolved_window(),
-            warmup_instructions=job.resolved_warmup(),
-            workload_name=job.profile.name,
-        )
-    finally:
-        if owns_recorder:
-            assert recorder is not None
-            recorder.close()
+    return processor.run(
+        trace,
+        max_instructions=job.resolved_window(),
+        warmup_instructions=job.resolved_warmup(),
+        workload_name=job.profile.name,
+    )

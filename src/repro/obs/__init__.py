@@ -26,9 +26,10 @@ them (``summarize``, ``timeline``, ``diff``) and reads run ledgers
 (``ledger summarize``, ``report``).
 
 This package ``__init__`` deliberately imports only the engine-independent
-modules: :mod:`repro.engine.job` imports :class:`TraceOptions` from here,
-so pulling :mod:`repro.obs.driver` (which imports the engine) in at package
-level would create an import cycle.
+modules: the simulator core imports :mod:`repro.obs.events` and
+:mod:`repro.obs.recorder`, so pulling :mod:`repro.obs.driver` (which imports
+the engine, and through it the core) in at package level would create an
+import cycle.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.obs.ledger import (
     summarize_ledgers,
 )
 from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
-from repro.obs.options import TraceOptions
 from repro.obs.recorder import JsonlSink, TraceRecorder, read_trace
 from repro.obs.records import RecordFileError
 
@@ -75,7 +75,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SYNC_PENALTY",
     "TraceEvent",
-    "TraceOptions",
     "TraceRecorder",
     "TraceSchemaError",
     "add_logging_arguments",

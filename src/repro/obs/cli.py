@@ -6,11 +6,12 @@ Six subcommands; an unreadable trace or ledger file
 ``trace``
     Run one phase-adaptive simulation of a scenario or benchmark workload
     with the trace recorder attached and write the JSONL event stream.
-    Runs the job directly (never through the engine cache — trace options
-    are excluded from fingerprints, so a cache hit would skip the
+    Runs the job directly (never through the engine cache — the recorder
+    is not part of the job's fingerprint, so a cache hit would skip the
     simulation and produce no trace).  An unknown target, event type or
-    malformed ``--sample``, a ``--window`` below 1 or a negative ``--warmup``
-    prints ``error:`` and exits 2 before any file is opened.
+    malformed ``--sample``, a ``--window`` below 1, a negative ``--warmup``
+    or an empty ``--out`` prints ``error:`` and exits 2 before any file is
+    opened.
 
 ``summarize``
     Event counts, the reconfiguration ledger and per-structure controller
@@ -55,8 +56,7 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.logging import add_logging_arguments, configure_logging
-from repro.obs.options import TraceOptions
-from repro.obs.recorder import read_trace
+from repro.obs.recorder import TraceRecorder, read_trace
 from repro.obs.records import RecordFileError
 
 __all__ = ["build_parser", "main"]
@@ -254,6 +254,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else f"{args.target}.trace.jsonl"
     # Bad input is reported before anything runs or any file is opened.
     try:
+        if not out:
+            raise ValueError("--out must name the JSONL output file")
         if window is not None and window < 1:
             raise ValueError(f"--window must be at least 1, got {window}")
         if warmup is not None and warmup < 0:
@@ -264,8 +266,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             if not stride.strip().isdigit():
                 raise ValueError(f"--sample expects TYPE=N, got {entry!r}")
             sampling[name.strip()] = int(stride)
-        # Rejects unknown event types and strides below 1.
-        TraceOptions(out, events=events, sampling=sampling or None)
+        # Rejects unknown event types and strides below 1; a recorder with
+        # no sink opens no file.
+        TraceRecorder((), event_types=events, sampling=sampling or None)
         resolve_target(args.target)
     except (KeyError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)

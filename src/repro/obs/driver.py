@@ -3,9 +3,9 @@
 The driver builds the same phase-adaptive job the campaign and sweep layers
 run (``BASE_ADAPTIVE`` spec, B partitions, phase-adaptive controllers) and
 executes it through :func:`repro.engine.runner.run_job` **directly**, never
-through the engine cache: trace options are excluded from the job
-fingerprint, so a warm cache would serve the result without simulating —
-and therefore without producing a trace.
+through the engine cache: the recorder is not part of the job fingerprint,
+so a warm cache would serve the result without simulating — and therefore
+without producing a trace.
 
 Scenario phase boundaries are synthesised here, not emitted by the
 processor: the simulator has no notion of the scenario phase program (the

@@ -20,12 +20,12 @@ class DynInst:
     opcode id, dense register ids (``NO_REGISTER`` when absent) and effective
     address.
 
-    Fetch is the only producer of records: it fills the decoded fields from
-    the compiled trace's columns, and the processor writes the timing state
-    as the instruction moves through dispatch, issue and commit.  The
-    constructor builds a blank record (a NOP with no registers); retired
-    records return to the front end's free list once the machine drains, so
-    the steady state allocates none.
+    The processor's fetch is the only producer of records: it fills the
+    decoded fields from the compiled trace's columns, and the rest of the
+    processor writes the timing state as the instruction moves through
+    dispatch, issue and commit.  The constructor builds a blank record (a
+    NOP with no registers); committed records return to the processor's
+    free list whenever the machine drains.
 
     Deliberately a plain ``__slots__`` class with *identity* equality: queue
     entries are unique in-flight objects, which commit and the rename map

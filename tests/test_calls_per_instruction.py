@@ -46,7 +46,7 @@ JOBS = {
         20.3,
         0.2,
     ),
-    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.6, 0.2),
+    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.5, 0.2),
     "synchronous_apsi": (
         dict(workload="apsi", spec_kind=SpecKind.BEST_SYNCHRONOUS),
         16.3,

@@ -1,4 +1,4 @@
-"""Tests for the fetch engine / front end."""
+"""Tests for fetch: the processor's fetch step over the front end's state."""
 
 
 from repro.core.configuration import base_adaptive_spec
@@ -31,104 +31,115 @@ def branchy_trace(count, taken_every=10, mispredictable=False):
         yield instruction
 
 
-def make_frontend(trace, warm_blocks=0, **kwargs):
+PERIOD = 575  # the base adaptive machine's front end, ~1.74 GHz
+
+
+def fetching(trace, warm_blocks=0, **kwargs):
+    """A base adaptive processor fetching *trace* through a front end built
+    with *kwargs*, its I-cache warm for the first *warm_blocks* blocks."""
+    processor = MCDProcessor(base_adaptive_spec())
+    assert processor._fe_clock.period_ps == PERIOD
     frontend = FrontEnd(trace, icache_config=ADAPTIVE_ICACHE_CONFIGS[0], **kwargs)
     frontend.icache.warm(0x40_0000 + block * 64 for block in range(warm_blocks))
-    return frontend
-
-
-PERIOD = 575  # ~1.74 GHz front end
-
-
-def fetch(frontend, now):
-    """One fetch cycle at *now*: the instructions it appended to the fetch queue."""
-    count = frontend.fetch_cycle(now, PERIOD)
-    entries = list(frontend.fetch_queue.entries)
-    return entries[len(entries) - count :]
-
-
-def driven_by_processor(frontend):
-    """A processor whose front-end cycle drives *frontend*.  That cycle is
-    where stalls are applied: it counts a stall cycle instead of fetching
-    while ``waiting_branch`` is set or before ``stall_until``."""
-    processor = MCDProcessor(base_adaptive_spec())
     processor.frontend = frontend
     return processor
 
 
-def front_end_cycle(processor, now):
-    """One front-end cycle of *processor* at *now*: the instructions it
-    fetched (dispatch runs first, so they are the fetch queue's tail)."""
-    frontend = processor.frontend
-    cursor = frontend.cursor
-    processor._front_end_cycle(now)
+def appended(frontend, cursor):
+    """The fetch queue's tail fetched since the trace was at *cursor*."""
     entries = list(frontend.fetch_queue.entries)
     return entries[len(entries) - (frontend.cursor - cursor) :]
 
 
+def fetch(processor, now):
+    """One fetch step of *processor* at *now*: the instructions it appended
+    to the fetch queue."""
+    cursor = processor.frontend.cursor
+    processor._fetch(now, processor._fe_clock)
+    return appended(processor.frontend, cursor)
+
+
+def front_end_cycle(processor, now):
+    """One front-end cycle of *processor* at *now*: the instructions it
+    fetched (dispatch runs first, so they are the fetch queue's tail).  That
+    cycle is where stalls are applied: it counts a stall cycle instead of
+    fetching while ``waiting_branch`` is set or before ``stall_until``."""
+    cursor = processor.frontend.cursor
+    processor._front_end_cycle(now)
+    return appended(processor.frontend, cursor)
+
+
+def resolve(processor, branch, now):
+    """Resolve *branch* on the integer clock at *now*, as its issue does."""
+    processor._schedule_branch_redirect(branch, now, processor._int_clock)
+
+
 class TestFetch:
     def test_fetches_up_to_width(self):
-        frontend = make_frontend(straight_line_trace(100), warm_blocks=4, fetch_width=8)
-        fetched = fetch(frontend, 0)
+        processor = fetching(straight_line_trace(100), warm_blocks=4, fetch_width=8)
+        fetched = fetch(processor, 0)
         assert len(fetched) == 8
 
     def test_fetch_queue_capacity_limits_fetch(self):
-        frontend = make_frontend(
-            straight_line_trace(100), warm_blocks=4, fetch_queue_capacity=4
-        )
-        assert len(fetch(frontend, 0)) == 4
-        assert len(fetch(frontend, PERIOD)) == 0
+        processor = fetching(straight_line_trace(100), warm_blocks=4, fetch_queue_capacity=4)
+        assert len(fetch(processor, 0)) == 4
+        assert len(fetch(processor, PERIOD)) == 0
 
     def test_dispatch_ready_time_includes_decode(self):
-        frontend = make_frontend(straight_line_trace(10), warm_blocks=2, decode_cycles=2)
-        fetched = fetch(frontend, 1000)
+        processor = fetching(straight_line_trace(10), warm_blocks=2, decode_cycles=2)
+        fetched = fetch(processor, 1000)
         assert all(inst.dispatch_ready_time == 1000 + 2 * PERIOD for inst in fetched)
 
     def test_taken_branch_ends_fetch_cycle(self):
-        frontend = make_frontend(branchy_trace(100, taken_every=4), warm_blocks=4)
-        fetched = fetch(frontend, 0)
+        processor = fetching(branchy_trace(100, taken_every=4), warm_blocks=4)
+        fetched = fetch(processor, 0)
         assert fetched[-1].is_branch or len(fetched) == 8
         assert len(fetched) <= 4 + 1  # cannot fetch past the taken branch
 
     def test_trace_exhaustion(self):
-        frontend = make_frontend(straight_line_trace(3), warm_blocks=1)
-        frontend.fetch_cycle(0, PERIOD)
-        assert frontend.trace_exhausted
+        processor = fetching(straight_line_trace(3), warm_blocks=1)
+        fetch(processor, 0)
+        assert processor.frontend.trace_exhausted
 
     def test_icache_miss_stalls_fetch(self):
-        calls = []
-
-        def miss_handler(address, now):
-            calls.append(address)
-            return now + 50 * PERIOD
-
-        frontend = make_frontend(straight_line_trace(64), icache_miss_handler=miss_handler)
-        processor = driven_by_processor(frontend)
-        first = fetch(frontend, 0)
+        processor = fetching(straight_line_trace(64))
+        frontend = processor.frontend
+        # The refill as an identical processor computes it: the request
+        # crosses to the load/store clock, probes the unified L2 there (cold,
+        # so main memory answers), and the block crosses back.
+        twin = MCDProcessor(base_adaptive_spec())
+        fe_clock, ls_clock = twin._fe_clock, twin._ls_clock
+        request = twin.sync.transfer(0, fe_clock, ls_clock)
+        refill = twin.hierarchy.access_l2(0x40_0000, request, ls_clock.period_ps)
+        ready = twin.sync.transfer(refill, ls_clock, fe_clock)
+        first = fetch(processor, 0)
         assert not first  # the very first block access misses the cold I-cache
-        assert calls
-        assert frontend.stall_until == 50 * PERIOD
+        assert processor.hierarchy.stats.l2_misses == 1
+        assert processor.memory.stats.accesses == 1
+        assert processor.sync.stats.transfers == 2
+        assert frontend.stall_until == ready
         assert not front_end_cycle(processor, PERIOD)  # still stalled
         assert frontend.stats.fetch_stall_cycles == 1
-        later = front_end_cycle(processor, 51 * PERIOD)
+        assert not front_end_cycle(processor, ready - PERIOD)  # one edge before the block
+        assert frontend.stats.fetch_stall_cycles == 2
+        later = front_end_cycle(processor, ready)
         assert later
 
     def test_warm_avoids_cold_miss(self):
         source = list(straight_line_trace(64))
-        frontend = make_frontend(iter(source))
-        frontend.icache.warm(instruction.pc for instruction in source[:32])
-        fetched = fetch(frontend, 0)
+        processor = fetching(iter(source))
+        processor.frontend.icache.warm(instruction.pc for instruction in source[:32])
+        fetched = fetch(processor, 0)
         assert fetched
-        assert frontend.stats.icache_misses == 0
+        assert processor.frontend.stats.icache_misses == 0
 
 
 class TestBranchHandling:
     def test_misprediction_stalls_until_resumed(self):
         # A single hard-to-predict branch: force a misprediction by training
         # the predictor the other way first.
-        instructions = list(branchy_trace(40, taken_every=2))
-        frontend = make_frontend(iter(instructions))
-        processor = driven_by_processor(frontend)
+        processor = fetching(branchy_trace(40, taken_every=2), warm_blocks=1)
+        frontend = processor.frontend
         now = 0
         mispredicted = None
         for _ in range(40):
@@ -145,29 +156,31 @@ class TestBranchHandling:
         stalled = front_end_cycle(processor, now)
         assert stalled == []
         assert frontend.stats.branch_stall_cycles == 1
-        frontend.resume_after_branch(mispredicted, now + 5 * PERIOD)
+        resolve(processor, mispredicted, now)
         assert frontend.waiting_branch is None
-        assert front_end_cycle(processor, now + 6 * PERIOD)
+        assert frontend.stall_until > now  # the redirect penalty
+        assert front_end_cycle(processor, frontend.stall_until)
 
     def test_resume_ignores_unrelated_branch(self):
-        instructions = list(branchy_trace(40, taken_every=2))
-        frontend = make_frontend(iter(instructions))
-        other = instructions[0]
-        fetched = fetch(frontend, 0)
+        processor = fetching(branchy_trace(40, taken_every=2), warm_blocks=1)
+        frontend = processor.frontend
+        fetched = fetch(processor, 0)
         waiting = frontend.waiting_branch
-        if waiting is not None:
-            frontend.resume_after_branch(fetched[0], 10_000)
-            assert frontend.waiting_branch is waiting
+        assert waiting is not None and fetched[0] is not waiting
+        stall_until = frontend.stall_until
+        resolve(processor, fetched[0], 10_000)
+        assert frontend.waiting_branch is waiting
+        assert frontend.stall_until == stall_until
 
     def test_prediction_statistics_recorded(self):
-        frontend = make_frontend(branchy_trace(200, taken_every=5))
-        processor = driven_by_processor(frontend)
+        processor = fetching(branchy_trace(200, taken_every=5), warm_blocks=1)
+        frontend = processor.frontend
         now = 0
         for _ in range(200):
             front_end_cycle(processor, now)
             waiting = frontend.waiting_branch
             if waiting is not None:
-                frontend.resume_after_branch(waiting, now + PERIOD)
+                resolve(processor, waiting, now)
             now += PERIOD
         assert frontend.stats.branches > 0
         assert frontend.stats.mispredictions <= frontend.stats.branches

@@ -107,7 +107,7 @@ class TestCacheHierarchy:
     def test_instruction_miss_service_from_l2(self):
         hierarchy = CacheHierarchy()
         period = 568
-        first = hierarchy.access_l2_for_instruction(0x40_0000, now_ps=0, period_ps=period)
+        first = hierarchy.access_l2(0x40_0000, now_ps=0, period_ps=period)
         assert first > 80_000  # cold: memory
-        second = hierarchy.access_l2_for_instruction(0x40_0000, now_ps=first, period_ps=period)
+        second = hierarchy.access_l2(0x40_0000, now_ps=first, period_ps=period)
         assert second - first == 12 * period  # now an L2 A-partition hit

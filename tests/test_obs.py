@@ -4,9 +4,8 @@ The load-bearing property is at the top: tracing is observation-only, so a
 traced run and an untraced run of the same job produce *bit-identical*
 result digests — the golden values pinned in ``tests/test_golden_values.py``
 must hold with a recorder attached.  The rest covers the recorder machinery
-(type filtering, deterministic sampling, JSONL schema round-trip), the job
-integration (fingerprint exclusion), the shared logging setup and the
-``python -m repro.obs`` CLI.
+(type filtering, deterministic sampling, JSONL schema round-trip), the shared
+logging setup and the ``python -m repro.obs`` CLI.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from repro.core.processor import MCDProcessor
 from repro.engine import (
     SimulationJob,
     SpecKind,
-    TraceOptions,
-    canonical_payload,
     make_trace,
     run_job,
 )
@@ -139,60 +136,6 @@ def test_events_add_up_to_the_run_counters(skip):
     skipped = sum(event.data["edges"] for event in events if event.type == HORIZON_SKIP)
     assert skipped == result.horizon_skipped_edges
     assert (skipped > 0) is skip
-
-
-# ------------------------------------------------------- job integration
-
-
-def test_trace_options_do_not_change_the_fingerprint(tmp_path):
-    profile = get_workload("gzip")
-    plain = SimulationJob(profile=profile, window=800, warmup=800)
-    traced = SimulationJob(
-        profile=profile,
-        window=800,
-        warmup=800,
-        trace=TraceOptions(path=str(tmp_path / "t.jsonl")),
-    )
-    assert plain.fingerprint() == traced.fingerprint()
-    # payload() is the fingerprint input; the trace options must not appear.
-    assert plain.payload() == traced.payload()
-    assert str(tmp_path) not in json.dumps(canonical_payload(traced.payload()))
-
-
-def test_job_trace_field_rejects_non_trace_options():
-    with pytest.raises(TypeError):
-        SimulationJob(profile=get_workload("gzip"), trace="trace.jsonl")
-
-
-def test_runner_builds_recorder_from_job_trace_options(tmp_path):
-    path = tmp_path / "job.trace.jsonl"
-    job = SimulationJob(
-        profile=get_workload("gzip"),
-        window=400,
-        warmup=400,
-        phase_adaptive=True,
-        trace=TraceOptions(path=str(path)),
-    )
-    run_job(job)
-    meta, events = read_trace(path)
-    assert meta["fingerprint"] == job.fingerprint()
-    assert events, "a phase-adaptive run should emit at least one event"
-
-
-def test_trace_options_validation():
-    with pytest.raises(ValueError):
-        TraceOptions(path="")
-    with pytest.raises(ValueError):
-        TraceOptions(path="t.jsonl", events=("no-such-event",))
-    with pytest.raises(ValueError):
-        TraceOptions(path="t.jsonl", sampling={"no-such-event": 2})
-    with pytest.raises(ValueError):
-        TraceOptions(path="t.jsonl", sampling={SYNC_PENALTY: 0})
-    options = TraceOptions(
-        path="t.jsonl", events=[CONTROLLER_INTERVAL], sampling={SYNC_PENALTY: "3"}
-    )
-    assert options.events == (CONTROLLER_INTERVAL,)
-    assert options.sampling == {SYNC_PENALTY: 3}
 
 
 # ------------------------------------------------------------- recorder
@@ -397,6 +340,7 @@ def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
         ["gzip", "--events", f"{SYNC_PENALTY},nosuch"],
         ["gzip", "--window", "0"],
         ["gzip", "--warmup", "-5"],
+        ["gzip", "--out", ""],
     ],
     ids=[
         "unknown-target",
@@ -409,11 +353,13 @@ def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
         "known-and-unknown-event",
         "zero-window",
         "negative-warmup",
+        "empty-out",
     ],
 )
 def test_cli_trace_rejects_unknown_target(tmp_path, capsys, argv):
     out = tmp_path / "trace.jsonl"
-    assert obs_main(["trace", *argv, "--quick", "--out", str(out)]) == 2
+    # *argv* comes last, so its own --out overrides the default one.
+    assert obs_main(["trace", "--quick", "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []

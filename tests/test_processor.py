@@ -223,12 +223,24 @@ class TestPhaseAdaptiveExecution:
         )
 
 
+#: The machines the lifetime tests run over ``tiny_profile``.
+LIFETIME_MACHINES = {
+    "synchronous": lambda: MCDProcessor(best_overall_synchronous_spec()),
+    "fixed-mcd": lambda: MCDProcessor(adaptive_mcd_spec(AdaptiveConfigIndices(1, 1))),
+    "phase-adaptive": lambda: MCDProcessor(base_adaptive_spec(), phase_adaptive=True),
+    "jittered": lambda: MCDProcessor(adaptive_mcd_spec(), jitter_fraction=0.05),
+}
+
+
 class TestProcessorLifetime:
     """A finished processor holds no reference cycle, so reference counting
     frees it (and its caches) without a cyclic-GC pass."""
 
     @staticmethod
-    def freed_by_refcount(make_processor, profile, *, window, warmup, trace_seed=1234):
+    def finish_and_drop(make_processor, profile, *, window, warmup, trace_seed=1234):
+        """Run a processor and drop it: whether reference counting freed it,
+        whether a reconfiguration was still pending, and how many objects a
+        cyclic-GC pass then found."""
         gc.collect()
         gc.disable()
         try:
@@ -241,40 +253,42 @@ class TestProcessorLifetime:
             pending = bool(processor._pending_events)
             alive = weakref.ref(processor)
             del processor
-            return alive() is None, pending
+            return alive() is None, pending, gc.collect()
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize(
-        "make_processor",
-        [
-            lambda: MCDProcessor(best_overall_synchronous_spec()),
-            lambda: MCDProcessor(adaptive_mcd_spec(AdaptiveConfigIndices(1, 1))),
-            lambda: MCDProcessor(base_adaptive_spec(), phase_adaptive=True),
-            lambda: MCDProcessor(adaptive_mcd_spec(), jitter_fraction=0.05),
-        ],
-        ids=["synchronous", "fixed-mcd", "phase-adaptive", "jittered"],
-    )
-    def test_finished_processor_is_freed(self, tiny_profile, make_processor):
-        freed, _ = self.freed_by_refcount(
-            make_processor, tiny_profile, window=1500, warmup=1500
-        )
+    def finish_and_drop_machine(self, name, profile):
+        """:meth:`finish_and_drop` for a machine of ``LIFETIME_MACHINES`` on
+        *profile*, or for a run that ends with a reconfiguration pending."""
+        if name == "reconfiguration-pending":
+            return self.finish_and_drop(
+                lambda: MCDProcessor(
+                    base_adaptive_spec(),
+                    phase_adaptive=True,
+                    control=AdaptiveControlParams(interval_instructions=1000),
+                ),
+                get_scenario("paper-apsi-capacity").build_profile(),
+                window=3000,
+                warmup=2000,
+            )
+        return self.finish_and_drop(LIFETIME_MACHINES[name], profile, window=1500, warmup=1500)
+
+    @pytest.mark.parametrize("name", list(LIFETIME_MACHINES))
+    def test_finished_processor_is_freed(self, tiny_profile, name):
+        freed, _, _ = self.finish_and_drop_machine(name, tiny_profile)
         assert freed
 
     def test_freed_with_a_reconfiguration_pending(self):
-        profile = get_scenario("paper-apsi-capacity").build_profile()
-        freed, pending = self.freed_by_refcount(
-            lambda: MCDProcessor(
-                base_adaptive_spec(),
-                phase_adaptive=True,
-                control=AdaptiveControlParams(interval_instructions=1000),
-            ),
-            profile,
-            window=3000,
-            warmup=2000,
-        )
+        freed, pending, _ = self.finish_and_drop_machine("reconfiguration-pending", None)
         assert pending
         assert freed
+
+    @pytest.mark.parametrize("name", [*LIFETIME_MACHINES, "reconfiguration-pending"])
+    def test_finished_run_leaves_no_reference_cycle(self, tiny_profile, name):
+        # Records still in flight when the run stops (a producer without a
+        # completion time and its consumers) must not refer to each other.
+        _, _, unreachable = self.finish_and_drop_machine(name, tiny_profile)
+        assert unreachable == 0
 
     def test_construction_builds_cache_sets_lazily(self):
         MCDProcessor(base_adaptive_spec())  # first-use caches outside the count

@@ -150,7 +150,7 @@ def reference_warm_up(processor: MCDProcessor, count: int) -> None:
                 now_ps=0,
                 period_ps=processor._ls_clock.period_ps,
             )
-    frontend.advance_cursor(end - start)
+    frontend.cursor = end
 
 
 def warmed(machine: str, trace, count: int, *, reference: bool = False) -> MCDProcessor:
