@@ -83,12 +83,12 @@ def main() -> None:
     baseline = run_synchronous(profile, window=args.window, engine=engine)
 
     rows = []
-    for key, result in sorted(
+    for indices, result in sorted(
         sweep.evaluated.items(), key=lambda item: item[1].execution_time_ps
     ):
         rows.append(
             (
-                key,
+                indices.describe(),
                 f"{result.execution_time_us:.2f}",
                 f"{result.improvement_over(baseline) * 100:+.1f}%",
             )

@@ -20,7 +20,6 @@ _HARDWARE_COST_EXPORTS = {
     "ilp_tracker_storage_bits",
 }
 _SENSITIVITY_EXPORTS = {
-    "SensitivityAxis",
     "SensitivityPoint",
     "SensitivityReport",
     "WorkloadSensitivity",
@@ -37,9 +36,6 @@ _SWEEP_EXPORTS = {
     "run_synchronous",
     "compare_workload",
     "compare_workloads",
-    "default_control_params",
-    "default_warmup",
-    "make_trace",
 }
 
 
@@ -66,7 +62,6 @@ __all__ = [
     "phase_adaptive_cache_hardware",
     "total_equivalent_gates",
     "ilp_tracker_storage_bits",
-    "SensitivityAxis",
     "SensitivityPoint",
     "SensitivityReport",
     "WorkloadSensitivity",

@@ -25,10 +25,14 @@ sensitivity, as the paper reports it):
 * ``cache_hysteresis`` / ``queue_hysteresis`` — the controllers' change
   margins.
 
-The timing-uncertainty knobs apply to the MCD machines only; the fully
-synchronous baseline runs a single global clock with inter-domain
-synchronisation disabled, so every improvement — baseline and grid point —
-is measured against the same jitter-free synchronous row.
+The knobs apply to the MCD machines only: the fully synchronous baseline
+runs a single global clock with inter-domain synchronisation disabled, so the
+paper models it free of inter-domain timing uncertainty, and it has no
+controllers.  Every improvement — baseline and grid point — is therefore
+measured against the same jitter-free synchronous row.  A grid point's jobs
+are the baseline's Program- and Phase-Adaptive jobs, built by the
+:mod:`repro.analysis.sweep` recipes, with one field changed by
+:func:`dataclasses.replace`.
 
 Run as a module for the CLI, which prints the jitter-free Figure 6 table per
 workload and then the sensitivity surface::
@@ -40,24 +44,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from repro.analysis.reporting import format_table, improvement_table
 from repro.analysis.sweep import (
     WorkloadComparison,
-    _phase_adaptive_job,
-    _program_adaptive_job,
-    _resolve_engine,
     compare_workloads,
+    phase_adaptive_job,
+    program_adaptive_job,
 )
-from repro.core.controllers.params import AdaptiveControlParams
 from repro.energy import energy_reduction
 from repro.engine import (
     DEFAULT_TRACE_SEED,
     ExperimentEngine,
     SimulationJob,
-    default_control_params,
+    default_engine,
     make_engine,
     parse_workers,
 )
@@ -70,7 +72,6 @@ __all__ = [
     "QUICK_GRIDS",
     "QUICK_WARMUP",
     "QUICK_WINDOW",
-    "SensitivityAxis",
     "SensitivityPoint",
     "SensitivityReport",
     "WorkloadSensitivity",
@@ -122,18 +123,6 @@ QUICK_GRIDS: Mapping[str, tuple[float, ...]] = {
 }
 QUICK_WINDOW = 1_500
 QUICK_WARMUP = 2_500
-
-
-@dataclass(slots=True)
-class SensitivityAxis:
-    """One knob and the values it sweeps over."""
-
-    name: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in AXES:
-            raise ValueError(f"unknown sensitivity axis {self.name!r}; known: {AXES}")
 
 
 @dataclass(slots=True)
@@ -285,105 +274,53 @@ class SensitivityReport:
         )
 
 
-def _point_job_kwargs(
-    axis: str, value: float
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """(program-job kwargs, phase-job kwargs) realising one grid point.
+def _vary(job: SimulationJob, axis: str, value: float) -> SimulationJob:
+    """*job* with the knob of one grid point moved to *value*.
 
-    Timing-uncertainty knobs apply to both MCD machines; controller knobs
-    only exist on the phase-adaptive machine, so the Program-Adaptive job for
-    those points is identical to the baseline's and is served from the
-    engine's result cache rather than re-simulated.
+    Each axis is named after the field it sets (a :class:`SimulationJob`
+    field, or for the hysteresis axes an ``AdaptiveControlParams`` one),
+    except the interval scale, which multiplies the job's resolved interval.
+    The controller knobs exist only on the phase-adaptive machine, so they
+    leave any other job as it is; the engine then serves it from the
+    baseline's cached result rather than re-simulating it.  The changed job
+    is rebuilt by :func:`dataclasses.replace`, so an out-of-range value
+    raises :class:`ValueError` naming the knob.
     """
-    if axis == AXIS_JITTER:
-        knob: dict[str, Any] = {"jitter_fraction": value}
-        return knob, dict(knob)
-    if axis == AXIS_SYNC_WINDOW:
-        knob = {"sync_window_fraction": value}
-        return knob, dict(knob)
-    if axis == AXIS_CACHE_HYSTERESIS:
-        return {}, {"control_overrides": {"cache_hysteresis": value}}
-    if axis == AXIS_QUEUE_HYSTERESIS:
-        return {}, {"control_overrides": {"queue_hysteresis": value}}
-    if axis == AXIS_INTERVAL:
-        # Resolved per profile below: the default interval is window-scaled.
-        return {}, {"_interval_scale": value}
-    raise ValueError(f"unknown sensitivity axis {axis!r}")
-
-
-def _scaled_interval(
-    scale: float,
-    profile: WorkloadProfile,
-    window: int | None,
-    control: AdaptiveControlParams | None,
-) -> int:
-    """The adaptation interval at *scale* times a profile's default."""
-    if not scale > 0:  # NaN fails too
-        raise ValueError(f"{AXIS_INTERVAL} must be positive, got {scale:g}")
-    if control is not None:
-        base = control.interval_instructions
-    else:
-        resolved_window = window if window is not None else profile.simulation_window
-        base = default_control_params(resolved_window).interval_instructions
-    return max(100, int(round(base * scale)))
-
-
-def _grid_plan(
-    profiles: Sequence[WorkloadProfile],
-    *,
-    jitter_fractions: Sequence[float],
-    sync_window_fractions: Sequence[float],
-    interval_scales: Sequence[float],
-    cache_hysteresis_values: Sequence[float],
-    queue_hysteresis_values: Sequence[float],
-    window: int | None,
-    warmup: int | None,
-    control: AdaptiveControlParams | None,
-    trace_seed: int,
-    seed: int,
-) -> tuple[list[SensitivityPoint], list[SimulationJob]]:
-    """The grid points and the Phase-Adaptive job of every (point, profile).
-
-    Those jobs do not depend on the baseline, so they are built first:
-    building a job checks its timing knobs and resolving its controller
-    parameters checks the hysteresis values, so a bad grid value raises
-    :class:`ValueError` before anything is simulated.
-    """
-    axes = (
-        SensitivityAxis(AXIS_JITTER, tuple(jitter_fractions)),
-        SensitivityAxis(AXIS_SYNC_WINDOW, tuple(sync_window_fractions)),
-        SensitivityAxis(AXIS_INTERVAL, tuple(interval_scales)),
-        SensitivityAxis(AXIS_CACHE_HYSTERESIS, tuple(cache_hysteresis_values)),
-        SensitivityAxis(AXIS_QUEUE_HYSTERESIS, tuple(queue_hysteresis_values)),
+    if axis in (AXIS_JITTER, AXIS_SYNC_WINDOW):
+        return replace(job, **{axis: value})
+    if not job.phase_adaptive:
+        return job
+    if axis != AXIS_INTERVAL:
+        return replace(job, control_overrides={axis: value})
+    if not value > 0:  # NaN fails too
+        raise ValueError(f"{AXIS_INTERVAL} must be positive, got {value:g}")
+    interval = job.resolved_control().interval_instructions
+    return replace(
+        job, control_overrides={"interval_instructions": max(100, round(interval * value))}
     )
+
+
+def _phase_grid(
+    profiles: Sequence[WorkloadProfile],
+    grids: Sequence[Sequence[float]],
+    run: Mapping[str, int | None],
+) -> tuple[list[SensitivityPoint], list[SimulationJob]]:
+    """The grid points and each point's Phase-Adaptive job per profile.
+
+    *grids* holds one value sequence per axis, in :data:`AXES` order.  These
+    jobs do not depend on the baseline, so they are built first and a bad
+    grid value fails before anything is simulated.
+    """
     points = [
-        SensitivityPoint(axis=axis.name, value=value)
-        for axis in axes
-        for value in axis.values
+        SensitivityPoint(axis=axis, value=value)
+        for axis, values in zip(AXES, grids)
+        for value in values
     ]
-    jobs = []
-    for point in points:
-        _, phase_kwargs = _point_job_kwargs(point.axis, point.value)
-        for profile in profiles:
-            resolved_phase_kwargs = dict(phase_kwargs)
-            scale = resolved_phase_kwargs.pop("_interval_scale", None)
-            if scale is not None:
-                resolved_phase_kwargs["control_overrides"] = {
-                    "interval_instructions": _scaled_interval(
-                        scale, profile, window, control
-                    )
-                }
-            job = _phase_adaptive_job(
-                profile,
-                window=window,
-                warmup=warmup,
-                control=control,
-                trace_seed=trace_seed,
-                seed=seed,
-                **resolved_phase_kwargs,
-            )
-            job.resolved_control()
-            jobs.append(job)
+    jobs = [
+        _vary(phase_adaptive_job(profile, **run), point.axis, point.value)
+        for point in points
+        for profile in profiles
+    ]
     return points, jobs
 
 
@@ -398,7 +335,6 @@ def sensitivity_sweep(
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
     engine: ExperimentEngine | None = None,
@@ -417,48 +353,28 @@ def sensitivity_sweep(
     single engine batch.  A grid value out of its knob's range raises
     :class:`ValueError` naming the knob before anything is simulated.
     """
-    eng = _resolve_engine(engine)
+    eng = engine if engine is not None else default_engine()
     profiles = list(profiles)
-    points, phase_jobs = _grid_plan(
+    run = dict(window=window, warmup=warmup, trace_seed=trace_seed, seed=seed)
+    points, phase_jobs = _phase_grid(
         profiles,
-        jitter_fractions=jitter_fractions,
-        sync_window_fractions=sync_window_fractions,
-        interval_scales=interval_scales,
-        cache_hysteresis_values=cache_hysteresis_values,
-        queue_hysteresis_values=queue_hysteresis_values,
-        window=window,
-        warmup=warmup,
-        control=control,
-        trace_seed=trace_seed,
-        seed=seed,
+        (
+            jitter_fractions,
+            sync_window_fractions,
+            interval_scales,
+            cache_hysteresis_values,
+            queue_hysteresis_values,
+        ),
+        run,
     )
-    baseline = compare_workloads(
-        profiles,
-        search_mode=search_mode,
-        window=window,
-        warmup=warmup,
-        control=control,
-        trace_seed=trace_seed,
-        seed=seed,
-        engine=eng,
-    )
+    baseline = compare_workloads(profiles, search_mode=search_mode, engine=eng, **run)
 
     jobs: list[SimulationJob] = []
     phase_iter = iter(phase_jobs)
     for point in points:
-        program_kwargs, _ = _point_job_kwargs(point.axis, point.value)
         for profile, row in zip(profiles, baseline):
-            jobs.append(
-                _program_adaptive_job(
-                    profile,
-                    row.program_best_indices,
-                    window=window,
-                    warmup=warmup,
-                    trace_seed=trace_seed,
-                    seed=seed,
-                    **program_kwargs,
-                )
-            )
+            program_job = program_adaptive_job(profile, row.program_best_indices, **run)
+            jobs.append(_vary(program_job, point.axis, point.value))
             jobs.append(next(phase_iter))
     results = eng.run_all(jobs)
 
@@ -616,15 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError(f"--window must be at least 1, got {window}")
         if warmup is not None and warmup < 0:
             raise ValueError(f"--warmup must not be negative, got {warmup}")
-        _grid_plan(
-            profiles,
-            window=window,
-            warmup=warmup,
-            control=None,
-            trace_seed=DEFAULT_TRACE_SEED,
-            seed=0,
-            **grids,
-        )
+        _phase_grid(profiles, list(grids.values()), {"window": window, "warmup": warmup})
     except (KeyError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2

@@ -11,27 +11,35 @@ The paper evaluates three machines per application:
 * the **Phase-Adaptive** MCD machine, which starts from the base (smallest /
   fastest) configuration and lets the hardware controllers adapt at run time.
 
-This module provides runners for each, and the Program-Adaptive search in
-*exhaustive* and *factored* modes.  The factored mode sweeps one structure
-at a time around the base configuration and then combines the per-structure
-winners; in this model the structures live in different clock domains and
-interact only weakly, so the factored search finds the same winner at a
-small fraction of the cost.  The exhaustive mode is retained for fidelity
-(the scenario CLI's ``--search-mode`` and the design-space example's
-``--mode``).
+Each machine has one recipe that turns a profile into its
+:class:`~repro.engine.SimulationJob`: :func:`synchronous_job`,
+:func:`program_adaptive_job` and :func:`phase_adaptive_job`.  The drivers
+here and in the sensitivity, campaign and traced-run modules build their
+jobs through them and take only the window, the warm-up and the seeds; any
+other machine (jittered, or with overridden controller parameters) is a
+``SimulationJob``, such as a recipe's job with one field changed by
+:func:`dataclasses.replace`.
+
+The Program-Adaptive search runs in *exhaustive* and *factored* modes.  The
+factored mode sweeps one structure at a time around the base configuration
+and then combines the per-structure winners; in this model the structures
+live in different clock domains and interact only weakly, so the factored
+search finds the same winner at a small fraction of the cost.  The
+exhaustive mode is retained for fidelity (the scenario CLI's
+``--search-mode`` and the design-space example's ``--mode``).
 
 All simulation goes through the :mod:`repro.engine` subsystem: every runner
-builds :class:`~repro.engine.SimulationJob` descriptions and submits them to
-an :class:`~repro.engine.ExperimentEngine`, so candidate batches can execute
-on worker processes and identical (machine, workload, seed) combinations are
-served from the result cache instead of being re-simulated.  Pass ``engine=``
-to control placement and caching; the default is the process-wide engine
-(serial, in-memory cache) configured in :mod:`repro.engine`.
+submits its jobs to an :class:`~repro.engine.ExperimentEngine`, so candidate
+batches can execute on worker processes and identical (machine, workload,
+seed) combinations are served from the result cache instead of being
+re-simulated.  Pass ``engine=`` to control placement and caching; the
+default is the process-wide engine (serial, in-memory cache) configured in
+:mod:`repro.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.metrics import RunResult, relative_improvement
@@ -43,35 +51,30 @@ from repro.energy import (
     energy_report,
 )
 from repro.core.configuration import AdaptiveConfigIndices, adaptive_configuration_space
-from repro.core.controllers.params import AdaptiveControlParams
 from repro.engine import (
     DEFAULT_TRACE_SEED,
     ExperimentEngine,
     SimulationJob,
     SpecKind,
-    default_control_params,
     default_engine,
-    default_warmup,
-    make_trace,
 )
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ADAPTIVE_ICACHE_CONFIGS, ISSUE_QUEUE_SIZES
 from repro.workloads.characteristics import WorkloadProfile
 
 __all__ = [
-    "DEFAULT_TRACE_SEED",
     "SweepResult",
     "WorkloadComparison",
     "average_improvements",
     "compare_workload",
     "compare_workloads",
     "comparison_jobs",
-    "default_control_params",
-    "default_warmup",
-    "make_trace",
+    "phase_adaptive_job",
+    "program_adaptive_job",
     "program_adaptive_search",
     "run_phase_adaptive",
     "run_program_adaptive",
     "run_synchronous",
+    "synchronous_job",
 ]
 
 
@@ -82,7 +85,7 @@ class SweepResult:
     workload: str
     best_indices: AdaptiveConfigIndices
     best_result: RunResult
-    evaluated: dict[str, RunResult] = field(default_factory=dict)
+    evaluated: dict[AdaptiveConfigIndices, RunResult] = field(default_factory=dict)
 
     @property
     def configurations_evaluated(self) -> int:
@@ -182,90 +185,50 @@ class WorkloadComparison:
 
 
 # ---------------------------------------------------------------------------
-# Job construction
+# Job recipes: one per machine
 # ---------------------------------------------------------------------------
 
 
-def _resolve_engine(engine: ExperimentEngine | None) -> ExperimentEngine:
-    return engine if engine is not None else default_engine()
+def synchronous_job(profile: WorkloadProfile, **run: Any) -> SimulationJob:
+    """The best-overall fully synchronous machine running *profile*.
+
+    *run* is the window, warm-up and seeds: :class:`SimulationJob`'s
+    ``window``, ``warmup``, ``trace_seed`` and ``seed``.
+    """
+    return SimulationJob(profile=profile, spec_kind=SpecKind.BEST_SYNCHRONOUS, **run)
 
 
-def _synchronous_job(
-    profile: WorkloadProfile,
-    indices: AdaptiveConfigIndices | None,
-    *,
-    window: int | None,
-    warmup: int | None,
-    trace_seed: int,
-    seed: int,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
+def program_adaptive_job(
+    profile: WorkloadProfile, indices: AdaptiveConfigIndices, **run: Any
 ) -> SimulationJob:
-    return SimulationJob(
-        profile=profile,
-        spec_kind=SpecKind.BEST_SYNCHRONOUS if indices is None else SpecKind.SYNCHRONOUS,
-        indices=indices,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-    )
+    """The adaptive MCD machine fixed at *indices* running *profile*.
 
-
-def _program_adaptive_job(
-    profile: WorkloadProfile,
-    indices: AdaptiveConfigIndices,
-    *,
-    window: int | None,
-    warmup: int | None,
-    trace_seed: int,
-    seed: int,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-) -> SimulationJob:
-    # Whole-program runs use only the A partitions: a miss in A goes straight
-    # to the next level of the hierarchy, as in the paper.
+    Whole-program runs use only the A partitions: a miss in A goes straight
+    to the next level of the hierarchy, as in the paper.  *run* is as for
+    :func:`synchronous_job`.
+    """
     return SimulationJob(
         profile=profile,
         spec_kind=SpecKind.ADAPTIVE,
         indices=indices,
         use_b_partitions=False,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
+        **run,
     )
 
 
-def _phase_adaptive_job(
-    profile: WorkloadProfile,
-    *,
-    window: int | None,
-    warmup: int | None,
-    control: AdaptiveControlParams | None,
-    trace_seed: int,
-    seed: int,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    control_overrides: Mapping[str, Any] | None = None,
-) -> SimulationJob:
+def phase_adaptive_job(profile: WorkloadProfile, **run: Any) -> SimulationJob:
+    """The phase-adaptive MCD machine running *profile*.
+
+    It starts in the base (smallest / fastest) configuration with B
+    partitions enabled and the hardware controllers active, at the
+    window-scaled control defaults.  *run* is as for :func:`synchronous_job`.
+    """
     return SimulationJob(
         profile=profile,
         spec_kind=SpecKind.BASE_ADAPTIVE,
         use_b_partitions=True,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
         phase_adaptive=True,
-        control=control,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-        control_overrides=control_overrides,
+        **run,
     )
 
 
@@ -274,34 +237,25 @@ def _phase_adaptive_job(
 # ---------------------------------------------------------------------------
 
 
+def _resolve_engine(engine: ExperimentEngine | None) -> ExperimentEngine:
+    return engine if engine is not None else default_engine()
+
+
 def run_synchronous(
     profile: WorkloadProfile,
-    indices: AdaptiveConfigIndices | None = None,
     *,
     window: int | None = None,
     warmup: int | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
     engine: ExperimentEngine | None = None,
 ) -> RunResult:
-    """Simulate *profile* on a fully synchronous machine.
+    """Simulate *profile* on the paper's best-overall synchronous machine.
 
-    Without *indices* the paper's best-overall synchronous configuration is
-    used (64 KB direct-mapped I-cache, 32 KB/256 KB direct-mapped D/L2 and
-    16-entry issue queues).
+    That machine has a 64 KB direct-mapped I-cache, 32 KB/256 KB
+    direct-mapped D/L2 and 16-entry issue queues.
     """
-    job = _synchronous_job(
-        profile,
-        indices,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-    )
+    job = synchronous_job(profile, window=window, warmup=warmup, trace_seed=trace_seed, seed=seed)
     return _resolve_engine(engine).run(job)
 
 
@@ -313,24 +267,11 @@ def run_program_adaptive(
     warmup: int | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
     engine: ExperimentEngine | None = None,
 ) -> RunResult:
-    """Simulate *profile* on the adaptive MCD machine fixed at *indices*.
-
-    As in the paper's whole-program experiments, only the A partitions are
-    used: a miss in A goes straight to the next level of the hierarchy.
-    """
-    job = _program_adaptive_job(
-        profile,
-        indices,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
+    """Simulate *profile* on the adaptive MCD machine fixed at *indices*."""
+    job = program_adaptive_job(
+        profile, indices, window=window, warmup=warmup, trace_seed=trace_seed, seed=seed
     )
     return _resolve_engine(engine).run(job)
 
@@ -340,31 +281,13 @@ def run_phase_adaptive(
     *,
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    control_overrides: Mapping[str, Any] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> RunResult:
-    """Simulate *profile* on the phase-adaptive MCD machine.
-
-    The machine starts in the base (smallest / fastest) configuration with B
-    partitions enabled and the hardware controllers active.
-    ``control_overrides`` patches individual controller parameters (interval,
-    hysteresis, ...) on top of the window-scaled defaults.
-    """
-    job = _phase_adaptive_job(
-        profile,
-        window=window,
-        warmup=warmup,
-        control=control,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-        control_overrides=control_overrides,
+    """Simulate *profile* on the phase-adaptive MCD machine."""
+    job = phase_adaptive_job(
+        profile, window=window, warmup=warmup, trace_seed=trace_seed, seed=seed
     )
     return _resolve_engine(engine).run(job)
 
@@ -373,35 +296,85 @@ def run_phase_adaptive(
 # Per-application Program-Adaptive search
 # ---------------------------------------------------------------------------
 
-
-def _factored_candidates() -> list[AdaptiveConfigIndices]:
-    """One-structure-at-a-time candidates around the base configuration."""
-    candidates: list[AdaptiveConfigIndices] = [AdaptiveConfigIndices()]
-    candidates.extend(
-        AdaptiveConfigIndices(icache_index=i) for i in range(len(ADAPTIVE_ICACHE_CONFIGS)) if i
-    )
-    candidates.extend(
-        AdaptiveConfigIndices(dcache_index=i) for i in range(len(ADAPTIVE_DCACHE_CONFIGS)) if i
-    )
-    candidates.extend(
-        AdaptiveConfigIndices(int_queue_size=size) for size in ISSUE_QUEUE_SIZES if size != 16
-    )
-    candidates.extend(
-        AdaptiveConfigIndices(fp_queue_size=size) for size in ISSUE_QUEUE_SIZES if size != 16
-    )
-    return candidates
+#: The values each structure takes in the adaptive configuration space.
+_STRUCTURE_VALUES: dict[str, Sequence[int]] = {
+    "icache_index": range(len(ADAPTIVE_ICACHE_CONFIGS)),
+    "dcache_index": range(len(ADAPTIVE_DCACHE_CONFIGS)),
+    "int_queue_size": ISSUE_QUEUE_SIZES,
+    "fp_queue_size": ISSUE_QUEUE_SIZES,
+}
 
 
 def _search_candidates(mode: str) -> list[AdaptiveConfigIndices]:
+    """The configurations a search simulates first, in submission order.
+
+    ``exhaustive`` is all 256.  ``factored`` is the base configuration, then
+    every one-structure variation of it, one structure at a time.
+    """
     if mode == "exhaustive":
-        candidates = list(adaptive_configuration_space())
-    elif mode == "factored":
-        candidates = _factored_candidates()
-    else:
+        return list(adaptive_configuration_space())
+    if mode != "factored":
         raise ValueError(f"unknown search mode {mode!r}")
-    # Defensive de-duplication (insertion order preserved) so the engine sees
-    # each distinct configuration exactly once per batch.
-    return list({c.describe(): c for c in candidates}.values())
+    base = AdaptiveConfigIndices()
+    return [base] + [
+        replace(base, **{name: value})
+        for name, values in _STRUCTURE_VALUES.items()
+        for value in values
+        if value != getattr(base, name)
+    ]
+
+
+def _combine_factored_winners(
+    evaluated: Mapping[AdaptiveConfigIndices, RunResult],
+) -> AdaptiveConfigIndices:
+    """Each structure's fastest value among the runs that vary only it.
+
+    A run counts for a structure when every other structure is at its base
+    value, so the base configuration counts for all four.  The first of
+    equally fast runs wins, and a structure keeps its base value when no run
+    counts for it.
+    """
+    base = AdaptiveConfigIndices()
+    combined = {}
+    for name in _STRUCTURE_VALUES:
+        value, best_time = getattr(base, name), None
+        for indices, result in evaluated.items():
+            if replace(indices, **{name: getattr(base, name)}) != base:
+                continue  # another structure differs from the base
+            if best_time is None or result.execution_time_ps < best_time:
+                value, best_time = getattr(indices, name), result.execution_time_ps
+        combined[name] = value
+    return AdaptiveConfigIndices(**combined)
+
+
+def _finish_searches(
+    engine: ExperimentEngine,
+    profiles: Sequence[WorkloadProfile],
+    mode: str,
+    candidate_results: Sequence[Sequence[RunResult]],
+    run: Mapping[str, Any],
+) -> list[SweepResult]:
+    """Complete one search per profile from its candidates' results.
+
+    The factored winners not yet evaluated are simulated as one batch, and
+    each search then takes its fastest configuration (the first on a tie).
+    """
+    candidates = _search_candidates(mode)
+    evaluated = [dict(zip(candidates, results)) for results in candidate_results]
+    if mode == "factored":
+        missing = [
+            (profile, row, combined)
+            for profile, row in zip(profiles, evaluated)
+            if (combined := _combine_factored_winners(row)) not in row
+        ]
+        jobs = [program_adaptive_job(profile, combined, **run) for profile, _, combined in missing]
+        for (_, row, combined), result in zip(missing, engine.run_all(jobs)):
+            row[combined] = result
+    searches = []
+    for profile, row in zip(profiles, evaluated):
+        best = min(row, key=lambda indices: row[indices].execution_time_ps)
+        searches.append(SweepResult(profile.name, best, row[best], row))
+    return searches
 
 
 def program_adaptive_search(
@@ -419,93 +392,14 @@ def program_adaptive_search(
     ``mode="exhaustive"`` evaluates all 256 configurations, as the paper did;
     ``mode="factored"`` (default) sweeps each structure independently around
     the base configuration, combines the per-structure winners, and verifies
-    the combination — 14-17 simulations instead of 256.  The candidate batch
+    the combination — 13-14 simulations instead of 256.  The candidate batch
     is submitted to the engine in one call, so a parallel executor spreads it
     across workers.
     """
     eng = _resolve_engine(engine)
-    candidates = _search_candidates(mode)
-
-    def jobs_for(batch: Sequence[AdaptiveConfigIndices]) -> list[SimulationJob]:
-        return [
-            _program_adaptive_job(
-                profile,
-                indices,
-                window=window,
-                warmup=warmup,
-                trace_seed=trace_seed,
-                seed=seed,
-            )
-            for indices in batch
-        ]
-
-    results = eng.run_all(jobs_for(candidates))
-    evaluated = {
-        indices.describe(): result for indices, result in zip(candidates, results)
-    }
-
-    if mode == "factored":
-        combined = _combine_factored_winners(evaluated)
-        if combined.describe() not in evaluated:
-            evaluated[combined.describe()] = eng.run_all(jobs_for([combined]))[0]
-
-    best_key = min(evaluated, key=lambda key: evaluated[key].execution_time_ps)
-    return SweepResult(
-        workload=profile.name,
-        best_indices=_indices_from_key(best_key),
-        best_result=evaluated[best_key],
-        evaluated=evaluated,
-    )
-
-
-def _indices_from_key(key: str) -> AdaptiveConfigIndices:
-    # Keys look like "ic1/dc2/iq16/fq32".
-    return AdaptiveConfigIndices.from_key(key)
-
-
-def _combine_factored_winners(evaluated: Mapping[str, RunResult]) -> AdaptiveConfigIndices:
-    """Combine the best value of each structure found by the factored sweep."""
-    base = AdaptiveConfigIndices()
-
-    def best_for(extract, default):
-        best_value, best_time = default, None
-        for key, result in evaluated.items():
-            indices = _indices_from_key(key)
-            others_default = (
-                (indices.icache_index == base.icache_index or extract is _get_ic),
-                (indices.dcache_index == base.dcache_index or extract is _get_dc),
-                (indices.int_queue_size == base.int_queue_size or extract is _get_iq),
-                (indices.fp_queue_size == base.fp_queue_size or extract is _get_fq),
-            )
-            if not all(others_default):
-                continue
-            if best_time is None or result.execution_time_ps < best_time:
-                best_time = result.execution_time_ps
-                best_value = extract(indices)
-        return best_value
-
-    return AdaptiveConfigIndices(
-        icache_index=best_for(_get_ic, base.icache_index),
-        dcache_index=best_for(_get_dc, base.dcache_index),
-        int_queue_size=best_for(_get_iq, base.int_queue_size),
-        fp_queue_size=best_for(_get_fq, base.fp_queue_size),
-    )
-
-
-def _get_ic(indices: AdaptiveConfigIndices) -> int:
-    return indices.icache_index
-
-
-def _get_dc(indices: AdaptiveConfigIndices) -> int:
-    return indices.dcache_index
-
-
-def _get_iq(indices: AdaptiveConfigIndices) -> int:
-    return indices.int_queue_size
-
-
-def _get_fq(indices: AdaptiveConfigIndices) -> int:
-    return indices.fp_queue_size
+    run = dict(window=window, warmup=warmup, trace_seed=trace_seed, seed=seed)
+    jobs = [program_adaptive_job(profile, indices, **run) for indices in _search_candidates(mode)]
+    return _finish_searches(eng, [profile], mode, [eng.run_all(jobs)], run)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,31 +410,21 @@ def _get_fq(indices: AdaptiveConfigIndices) -> int:
 def compare_workload(
     profile: WorkloadProfile,
     *,
-    baseline_indices: AdaptiveConfigIndices | None = None,
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    control_overrides: Mapping[str, Any] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> WorkloadComparison:
     """Run the full three-machine comparison for one workload (Figure 6 row)."""
     return compare_workloads(
         [profile],
-        baseline_indices=baseline_indices,
         search_mode=search_mode,
         window=window,
         warmup=warmup,
-        control=control,
         trace_seed=trace_seed,
         seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-        control_overrides=control_overrides,
         engine=engine,
     )[0]
 
@@ -548,16 +432,11 @@ def compare_workload(
 def comparison_jobs(
     profiles: Sequence[WorkloadProfile],
     *,
-    baseline_indices: AdaptiveConfigIndices | None = None,
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    control_overrides: Mapping[str, Any] | None = None,
 ) -> list[SimulationJob]:
     """The statically enumerable jobs of a Figure 6 comparison batch.
 
@@ -568,61 +447,24 @@ def comparison_jobs(
     factored search's combined-winner jobs depend on these results and so
     cannot be enumerated up front.
     """
+    run = dict(window=window, warmup=warmup, trace_seed=trace_seed, seed=seed)
     candidates = _search_candidates(search_mode)
     jobs: list[SimulationJob] = []
     for profile in profiles:
-        jobs.append(
-            _synchronous_job(
-                profile,
-                baseline_indices,
-                window=window,
-                warmup=warmup,
-                trace_seed=trace_seed,
-                seed=seed,
-            )
-        )
-        jobs.append(
-            _phase_adaptive_job(
-                profile,
-                window=window,
-                warmup=warmup,
-                control=control,
-                trace_seed=trace_seed,
-                seed=seed,
-                jitter_fraction=jitter_fraction,
-                sync_window_fraction=sync_window_fraction,
-                control_overrides=control_overrides,
-            )
-        )
-        jobs.extend(
-            _program_adaptive_job(
-                profile,
-                indices,
-                window=window,
-                warmup=warmup,
-                trace_seed=trace_seed,
-                seed=seed,
-                jitter_fraction=jitter_fraction,
-                sync_window_fraction=sync_window_fraction,
-            )
-            for indices in candidates
-        )
+        jobs.append(synchronous_job(profile, **run))
+        jobs.append(phase_adaptive_job(profile, **run))
+        jobs.extend(program_adaptive_job(profile, indices, **run) for indices in candidates)
     return jobs
 
 
 def compare_workloads(
     profiles: Sequence[WorkloadProfile],
     *,
-    baseline_indices: AdaptiveConfigIndices | None = None,
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    jitter_fraction: float = 0.0,
-    sync_window_fraction: float | None = None,
-    control_overrides: Mapping[str, Any] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[WorkloadComparison]:
     """Run the Figure 6 comparison for every workload in *profiles*.
@@ -633,79 +475,23 @@ def compare_workloads(
     second, much smaller batch evaluates the factored search's combined
     winners where they were not already simulated.  Results are identical to
     calling :func:`compare_workload` per profile.
-
-    The timing-uncertainty knobs (``jitter_fraction``,
-    ``sync_window_fraction``) and the controller overrides apply to the MCD
-    machines only: the fully synchronous baseline runs a single global clock
-    with inter-domain synchronisation disabled, so the paper models it free
-    of inter-domain timing uncertainty.  Improvements under a knob setting
-    are therefore measured against the same baseline row as the jitter-free
-    experiment, which is what the sensitivity driver reports deltas over.
     """
     eng = _resolve_engine(engine)
-    candidates = _search_candidates(search_mode)
-    jobs = comparison_jobs(
-        profiles,
-        baseline_indices=baseline_indices,
-        search_mode=search_mode,
-        window=window,
-        warmup=warmup,
-        control=control,
-        trace_seed=trace_seed,
-        seed=seed,
-        jitter_fraction=jitter_fraction,
-        sync_window_fraction=sync_window_fraction,
-        control_overrides=control_overrides,
-    )
-    results = eng.run_all(jobs)
-
-    stride = 2 + len(candidates)
-    evaluated_per_profile: list[dict[str, RunResult]] = []
-    combined_jobs: list[SimulationJob] = []
-    combined_slots: list[tuple[int, AdaptiveConfigIndices]] = []
-    for row, profile in enumerate(profiles):
-        offset = row * stride
-        evaluated = {
-            indices.describe(): result
-            for indices, result in zip(
-                candidates, results[offset + 2 : offset + stride]
-            )
-        }
-        evaluated_per_profile.append(evaluated)
-        if search_mode == "factored":
-            combined = _combine_factored_winners(evaluated)
-            if combined.describe() not in evaluated:
-                combined_slots.append((row, combined))
-                combined_jobs.append(
-                    _program_adaptive_job(
-                        profile,
-                        combined,
-                        window=window,
-                        warmup=warmup,
-                        trace_seed=trace_seed,
-                        seed=seed,
-                        jitter_fraction=jitter_fraction,
-                        sync_window_fraction=sync_window_fraction,
-                    )
-                )
-    for (row, combined), result in zip(combined_slots, eng.run_all(combined_jobs)):
-        evaluated_per_profile[row][combined.describe()] = result
-
-    comparisons: list[WorkloadComparison] = []
-    for row, profile in enumerate(profiles):
-        offset = row * stride
-        evaluated = evaluated_per_profile[row]
-        best_key = min(evaluated, key=lambda key: evaluated[key].execution_time_ps)
-        comparisons.append(
-            WorkloadComparison(
-                workload=profile.name,
-                synchronous=results[offset],
-                program_adaptive=evaluated[best_key],
-                phase_adaptive=results[offset + 1],
-                program_best_indices=_indices_from_key(best_key),
-            )
+    run = dict(window=window, warmup=warmup, trace_seed=trace_seed, seed=seed)
+    results = eng.run_all(comparison_jobs(profiles, search_mode=search_mode, **run))
+    stride = 2 + len(_search_candidates(search_mode))
+    rows = [results[offset : offset + stride] for offset in range(0, len(results), stride)]
+    searches = _finish_searches(eng, profiles, search_mode, [row[2:] for row in rows], run)
+    return [
+        WorkloadComparison(
+            workload=profile.name,
+            synchronous=row[0],
+            program_adaptive=search.best_result,
+            phase_adaptive=row[1],
+            program_best_indices=search.best_indices,
         )
-    return comparisons
+        for profile, row, search in zip(profiles, rows, searches)
+    ]
 
 
 def average_improvements(comparisons: Iterable[WorkloadComparison]) -> tuple[float, float]:

@@ -102,22 +102,6 @@ class AdaptiveConfigIndices:
             f"/iq{self.int_queue_size}/fq{self.fp_queue_size}"
         )
 
-    @classmethod
-    def from_key(cls, key: str) -> "AdaptiveConfigIndices":
-        """Parse a :meth:`describe` key back into indices."""
-        try:
-            icache, dcache, int_queue, fp_queue = key.split("/")
-            if (icache[:2], dcache[:2], int_queue[:2], fp_queue[:2]) != (
-                "ic", "dc", "iq", "fq",
-            ):
-                raise ValueError(key)
-            values = (
-                int(icache[2:]), int(dcache[2:]), int(int_queue[2:]), int(fp_queue[2:])
-            )
-        except (ValueError, IndexError) as error:
-            raise ValueError(f"malformed configuration key {key!r}") from error
-        return cls(*values)
-
     def to_dict(self) -> dict[str, int]:
         """Plain-data form for JSON payloads and job fingerprints."""
         return {

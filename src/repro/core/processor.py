@@ -309,11 +309,24 @@ class MCDProcessor:
             self._trace_sync = recorder.wants(SYNC_PENALTY)
             self._trace_horizon = recorder.wants(HORIZON_SKIP)
             if self._trace_sync:
-                # Penalties recorded inside SynchronizationModel.transfer
-                # reach the recorder through this callback; the inlined
-                # penalty sites in _commit and the horizon skip (which bypass
-                # transfer) emit directly under the same boolean.
-                self.sync.on_penalty = self._emit_sync_penalty
+                # The one penalty hook: SynchronizationModel.transfer calls
+                # it, and so do the inlined penalty sites in _commit and the
+                # horizon skip (which bypass transfer) under the same
+                # boolean.  It closes over the recorder and the ROB, never
+                # ``self``, so the model holds no reference back to the
+                # processor and reference counting frees a traced run.
+                rob = self.rob
+
+                def emit_sync_penalty(time_ps: Picoseconds, producer: str, consumer: str) -> None:
+                    recorder.emit(
+                        SYNC_PENALTY,
+                        time_ps,
+                        rob.total_committed,
+                        producer=producer,
+                        consumer=consumer,
+                    )
+
+                self.sync.on_penalty = emit_sync_penalty
         else:
             self._trace_interval = False
             self._trace_reconfig = False
@@ -415,19 +428,6 @@ class MCDProcessor:
             )
         )
         frontend.cursor = end
-
-    def _emit_sync_penalty(
-        self, time_ps: Picoseconds, producer: str, consumer: str
-    ) -> None:
-        """Trace hook: one recorded synchronisation penalty (see __init__)."""
-        assert self.recorder is not None
-        self.recorder.emit(
-            SYNC_PENALTY,
-            time_ps,
-            self.rob.total_committed,
-            producer=producer,
-            consumer=consumer,
-        )
 
     def _build_controllers(self) -> None:
         frontend = self.frontend
@@ -806,9 +806,7 @@ class MCDProcessor:
                         sync_stats.penalties += count
                         if processor._trace_sync:
                             for _ in range(count):
-                                processor._emit_sync_penalty(
-                                    completion, head.exec_domain, _FRONT_END_DOMAIN
-                                )
+                                sync.on_penalty(completion, head.exec_domain, _FRONT_END_DOMAIN)
                 skipped = count
             if int_next < horizon:
                 count = int_clock.skip_edges_before(horizon)
@@ -927,12 +925,12 @@ class MCDProcessor:
                     if fe_clock.edge_at_or_after(completion) - completion < window:
                         sync_stats.penalties += 1
                         if trace_sync:
-                            self._emit_sync_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
+                            sync.on_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
                 if now - completion < window:
                     sync_stats.penalties += 1
                     if trace_sync:
-                        self._emit_sync_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
+                        sync.on_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
             elif completion > now:
                 break

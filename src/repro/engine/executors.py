@@ -85,7 +85,6 @@ class ParallelExecutor:
         max_workers: int | None = None,
         *,
         chunk_size: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -93,15 +92,12 @@ class ParallelExecutor:
             raise ValueError("chunk_size must be at least 1")
         self.max_workers = max_workers if max_workers is not None else default_worker_count()
         self.chunk_size = chunk_size
-        self._start_method = start_method
 
     @property
     def workers(self) -> int:
         return self.max_workers
 
     def _context(self):
-        if self._start_method is not None:
-            return multiprocessing.get_context(self._start_method)
         methods = multiprocessing.get_all_start_methods()
         # Fork keeps warm-interpreter start-up cost out of the sweep; fall
         # back to the platform default where fork is unavailable.

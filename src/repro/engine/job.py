@@ -8,8 +8,7 @@ stable content fingerprint so identical runs are recognised across sweeps,
 experiment drivers, processes and sessions.
 
 This module also owns the run-parameter defaults (warm-up length, adaptation
-interval scaling, trace construction) that the sweep layer historically
-defined; :mod:`repro.analysis.sweep` re-exports them for compatibility.
+interval scaling, trace construction).
 """
 
 from __future__ import annotations
@@ -170,9 +169,10 @@ class SimulationJob:
     :class:`AdaptiveControlParams` fields on top of the resolved controller
     parameters (``dataclasses.replace`` semantics) — how sensitivity sweeps
     vary the adaptation interval or hysteresis without re-deriving the
-    window-scaled defaults; it therefore requires a phase-adaptive job.  All
-    three knobs are part of the fingerprint, so jittered runs are cached and
-    parallelised exactly like jitter-free ones.
+    window-scaled defaults; it therefore requires a phase-adaptive job.  An
+    out-of-range value of any of the three raises :class:`ValueError` when
+    the job is built.  All three knobs are part of the fingerprint, so
+    jittered runs are cached and parallelised exactly like jitter-free ones.
     """
 
     profile: WorkloadProfile
@@ -225,6 +225,7 @@ class SimulationJob:
                     f"unknown AdaptiveControlParams fields: {sorted(unknown)}"
                 )
             object.__setattr__(self, "control_overrides", dict(self.control_overrides))
+            self.resolved_control()  # checks the overridden values' ranges
 
     # ------------------------------------------------------------ resolution
 

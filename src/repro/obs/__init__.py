@@ -28,8 +28,8 @@ them (``summarize``, ``timeline``, ``diff``) and reads run ledgers
 This package ``__init__`` deliberately imports only the engine-independent
 modules: the simulator core imports :mod:`repro.obs.events` and
 :mod:`repro.obs.recorder`, so pulling :mod:`repro.obs.driver` (which imports
-the engine, and through it the core) in at package level would create an
-import cycle.
+the experiment drivers, and through them the engine and the core) in at
+package level would create an import cycle.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Traced-run driver: record a telemetry trace for a scenario or workload.
 
-The driver builds the same phase-adaptive job the campaign and sweep layers
-run (``BASE_ADAPTIVE`` spec, B partitions, phase-adaptive controllers) and
+The driver builds its job with the phase-adaptive recipe the campaign and
+sweep layers use (:func:`repro.analysis.sweep.phase_adaptive_job`) and
 executes it through :func:`repro.engine.runner.run_job` **directly**, never
 through the engine cache: the recorder is not part of the job fingerprint,
 so a warm cache would serve the result without simulating — and therefore
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.metrics import RunResult
-from repro.engine.job import DEFAULT_TRACE_SEED, SimulationJob, SpecKind
+from repro.analysis.sweep import phase_adaptive_job
+from repro.engine.job import DEFAULT_TRACE_SEED
 from repro.engine.runner import run_job
 from repro.obs.events import PHASE_BOUNDARY
 from repro.obs.recorder import JsonlSink, TraceRecorder
@@ -29,7 +30,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.characteristics import WorkloadProfile
 from repro.workloads.suites import get_workload, workload_names
 
-__all__ = ["TracedRun", "resolve_target", "run_traced", "traced_job"]
+__all__ = ["TracedRun", "resolve_target", "run_traced"]
 
 
 @dataclass(slots=True)
@@ -59,32 +60,6 @@ def resolve_target(name: str) -> tuple[WorkloadProfile, ScenarioSpec | None]:
             f"'python -m repro.scenarios list' for scenarios; known workloads: "
             f"{', '.join(sorted(workload_names()))}"
         ) from None
-
-
-def traced_job(
-    profile: WorkloadProfile,
-    *,
-    window: int | None = None,
-    warmup: int | None = None,
-    trace_seed: int = DEFAULT_TRACE_SEED,
-    seed: int = 0,
-) -> SimulationJob:
-    """The phase-adaptive job the campaign/sweep layers would run.
-
-    Mirrors the sweep layer's phase-adaptive job construction: base adaptive
-    machine, B partitions enabled, controllers on, window-scaled control
-    defaults (``control=None`` resolves them).
-    """
-    return SimulationJob(
-        profile=profile,
-        spec_kind=SpecKind.BASE_ADAPTIVE,
-        use_b_partitions=True,
-        window=window,
-        warmup=warmup,
-        trace_seed=trace_seed,
-        phase_adaptive=True,
-        seed=seed,
-    )
 
 
 def _emit_phase_boundaries(
@@ -139,7 +114,7 @@ def run_traced(
 ) -> TracedRun:
     """Trace one phase-adaptive run of scenario/workload *name* to *path*."""
     profile, spec = resolve_target(name)
-    job = traced_job(
+    job = phase_adaptive_job(
         profile, window=window, warmup=warmup, trace_seed=trace_seed, seed=seed
     )
     sink = JsonlSink(

@@ -19,13 +19,12 @@ counted) and the synchronisation penalties the phase-adaptive run paid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.metrics import RunResult
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import WorkloadComparison, compare_workloads, comparison_jobs
 from repro.core.configuration import AdaptiveConfigIndices
-from repro.core.controllers.params import AdaptiveControlParams
 from repro.engine import (
     DEFAULT_TRACE_SEED,
     ExperimentEngine,
@@ -250,10 +249,8 @@ def campaign_jobs(
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    control_overrides: Mapping[str, Any] | None = None,
 ) -> list[SimulationJob]:
     """The statically enumerable job list of a campaign over *scenarios*.
 
@@ -271,10 +268,8 @@ def campaign_jobs(
         search_mode=search_mode,
         window=window,
         warmup=warmup,
-        control=control,
         trace_seed=trace_seed,
         seed=seed,
-        control_overrides=control_overrides,
     )
 
 
@@ -284,10 +279,8 @@ def run_campaign(
     search_mode: str = "factored",
     window: int | None = None,
     warmup: int | None = None,
-    control: AdaptiveControlParams | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
-    control_overrides: Mapping[str, Any] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> CampaignResult:
     """Run the scenario × machine-style matrix through the engine.
@@ -318,10 +311,8 @@ def run_campaign(
         search_mode=search_mode,
         window=window,
         warmup=warmup,
-        control=control,
         trace_seed=trace_seed,
         seed=seed,
-        control_overrides=control_overrides,
         engine=eng,
     )
 

@@ -55,12 +55,6 @@ class TestConfigIndices:
         with pytest.raises(ValueError, match=field):
             AdaptiveConfigIndices(**{field: value})
 
-    def test_from_key_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError, match=r"icache_index must be in \[0, 15\]"):
-            AdaptiveConfigIndices.from_key("ic-1/dc-2/iq16/fq16")
-        with pytest.raises(ValueError, match=r"dcache_index must be in \[0, 3\]"):
-            AdaptiveConfigIndices.from_key("ic0/dc4/iq16/fq16")
-
     def test_spec_builders_accept_their_whole_range_only(self):
         assert synchronous_spec(AdaptiveConfigIndices(15, 3)).icache.name
         assert adaptive_mcd_spec(AdaptiveConfigIndices(3, 3)).icache.name == "64k4W"

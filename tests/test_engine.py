@@ -164,12 +164,6 @@ class TestSerialization:
         )
         assert WorkloadProfile.from_dict(profile.to_dict()) == profile
 
-    def test_indices_key_roundtrip(self):
-        indices = AdaptiveConfigIndices(2, 3, 48, 32)
-        assert AdaptiveConfigIndices.from_key(indices.describe()) == indices
-        with pytest.raises(ValueError):
-            AdaptiveConfigIndices.from_key("not/a/key")
-
     @pytest.mark.parametrize("kind", list(SpecKind))
     def test_job_indices_must_fit_the_spec_kind(self, quick_profile, kind):
         # Sixteen synchronous I-cache configurations, four adaptive ones.

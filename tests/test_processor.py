@@ -15,6 +15,7 @@ from repro.core import (
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
+from repro.obs.recorder import TraceRecorder
 from repro.scenarios.library import get_scenario
 from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
 
@@ -223,12 +224,25 @@ class TestPhaseAdaptiveExecution:
         )
 
 
-#: The machines the lifetime tests run over ``tiny_profile``.
+class ListSink(list):
+    """A trace sink keeping every event in memory."""
+
+    write = list.append
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+#: The machines the lifetime tests run over ``tiny_profile``.  The traced one
+#: records every event type, so each of the processor's trace hooks is set.
 LIFETIME_MACHINES = {
     "synchronous": lambda: MCDProcessor(best_overall_synchronous_spec()),
     "fixed-mcd": lambda: MCDProcessor(adaptive_mcd_spec(AdaptiveConfigIndices(1, 1))),
     "phase-adaptive": lambda: MCDProcessor(base_adaptive_spec(), phase_adaptive=True),
     "jittered": lambda: MCDProcessor(adaptive_mcd_spec(), jitter_fraction=0.05),
+    "traced": lambda: MCDProcessor(
+        base_adaptive_spec(), phase_adaptive=True, recorder=TraceRecorder([ListSink()])
+    ),
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis import sensitivity
@@ -10,7 +12,7 @@ from repro.analysis.sensitivity import (
     AXIS_INTERVAL,
     AXIS_JITTER,
     AXIS_SYNC_WINDOW,
-    SensitivityAxis,
+    FULL_GRIDS,
     main,
     sensitivity_sweep,
 )
@@ -101,10 +103,6 @@ class TestSensitivitySweep:
         for point in report.points:
             assert point.axis in text
 
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            SensitivityAxis("not_an_axis", (1.0,))
-
     def test_deterministic_across_engines(self, report, quick_profile):
         again = sensitivity_sweep(
             [quick_profile],
@@ -127,22 +125,39 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("bad input reached the simulation")
 
 
-@pytest.mark.parametrize("scale", [0.0, -2.0])
-def test_non_positive_interval_scale_rejected_before_the_baseline(
-    quick_profile, monkeypatch, scale
+@pytest.mark.parametrize(
+    "grid, value, message",
+    [
+        pytest.param("interval_scales", 0.0, "interval_scale must be positive", id="scale-0"),
+        pytest.param(
+            "interval_scales", -2.0, "interval_scale must be positive", id="scale-negative"
+        ),
+        pytest.param("jitter_fractions", -0.5, "jitter_fraction must be in [0, 0.5)", id="jitter"),
+        pytest.param(
+            "sync_window_fractions", 1.5, "sync_window_fraction must be in [0, 1)", id="sync-window"
+        ),
+        pytest.param(
+            "cache_hysteresis_values",
+            0.7,
+            "cache_hysteresis must be in [0, 0.5)",
+            id="cache-hysteresis",
+        ),
+        pytest.param(
+            "queue_hysteresis_values",
+            0.7,
+            "queue_hysteresis must be in [0, 0.5)",
+            id="queue-hysteresis",
+        ),
+    ],
+)
+def test_bad_grid_value_rejected_before_the_baseline(
+    quick_profile, monkeypatch, grid, value, message
 ):
     monkeypatch.setattr(sensitivity, "compare_workloads", _unreachable)
-    with pytest.raises(ValueError, match="interval_scale must be positive"):
-        sensitivity_sweep(
-            [quick_profile],
-            jitter_fractions=(),
-            sync_window_fractions=(),
-            interval_scales=(scale,),
-            cache_hysteresis_values=(),
-            queue_hysteresis_values=(),
-            window=700,
-            warmup=1_200,
-        )
+    grids = {name: () for name in FULL_GRIDS}
+    grids[grid] = (value,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sensitivity_sweep([quick_profile], window=700, warmup=1_200, **grids)
 
 
 @pytest.mark.parametrize(

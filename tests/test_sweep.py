@@ -2,23 +2,20 @@
 
 import pytest
 
+from repro.analysis.metrics import RunResult
 from repro.analysis.reporting import format_table, improvement_table
 from repro.analysis.sweep import (
-    DEFAULT_TRACE_SEED,
     _combine_factored_winners,
-    _factored_candidates,
-    _indices_from_key,
+    _search_candidates,
     average_improvements,
     compare_workload,
-    default_control_params,
-    default_warmup,
-    make_trace,
     program_adaptive_search,
     run_phase_adaptive,
     run_program_adaptive,
     run_synchronous,
 )
 from repro.core.configuration import AdaptiveConfigIndices
+from repro.engine import DEFAULT_TRACE_SEED, default_control_params, default_warmup, make_trace
 from repro.workloads import WorkloadProfile
 
 
@@ -48,12 +45,8 @@ class TestHelpers:
         trace = make_trace(quick_profile)
         assert trace.seed == DEFAULT_TRACE_SEED
 
-    def test_indices_key_roundtrip(self):
-        indices = AdaptiveConfigIndices(2, 3, 48, 32)
-        assert _indices_from_key(indices.describe()) == indices
-
     def test_factored_candidates_cover_each_dimension(self):
-        candidates = _factored_candidates()
+        candidates = _search_candidates("factored")
         assert AdaptiveConfigIndices() in candidates
         assert any(c.icache_index == 3 for c in candidates)
         assert any(c.dcache_index == 3 for c in candidates)
@@ -105,12 +98,37 @@ class TestSearchAndComparison:
             best_time <= result.execution_time_ps
             for result in sweep.evaluated.values()
         )
-        assert sweep.best_indices.describe() in sweep.evaluated
+        assert sweep.best_indices in sweep.evaluated
 
-    def test_combine_factored_winners_picks_per_dimension_best(self, quick_profile):
-        sweep = program_adaptive_search(quick_profile, window=800, warmup=1500)
-        combined = _combine_factored_winners(sweep.evaluated)
-        assert isinstance(combined, AdaptiveConfigIndices)
+    def test_combine_factored_winners_picks_per_dimension_best(self):
+        # Execution times in ps, in the order a factored search evaluates.
+        times = {
+            AdaptiveConfigIndices(): 100,
+            # ic1 and ic2 tie as the fastest I-cache: the first one wins.
+            AdaptiveConfigIndices(icache_index=1): 80,
+            AdaptiveConfigIndices(icache_index=2): 80,
+            AdaptiveConfigIndices(icache_index=3): 90,
+            AdaptiveConfigIndices(dcache_index=1): 95,
+            AdaptiveConfigIndices(dcache_index=2): 70,
+            AdaptiveConfigIndices(dcache_index=3): 110,
+            # No integer queue beats the base (one ties it), and every FP
+            # queue is slower: both keep the base size.
+            AdaptiveConfigIndices(int_queue_size=32): 100,
+            AdaptiveConfigIndices(int_queue_size=48): 120,
+            AdaptiveConfigIndices(int_queue_size=64): 130,
+            AdaptiveConfigIndices(fp_queue_size=32): 105,
+            AdaptiveConfigIndices(fp_queue_size=48): 140,
+            AdaptiveConfigIndices(fp_queue_size=64): 150,
+            # A run varying two structures counts for neither.
+            AdaptiveConfigIndices(icache_index=3, dcache_index=3): 10,
+        }
+        evaluated = {
+            indices: RunResult("w", "m", "adaptive_mcd", 1_000, time)
+            for indices, time in times.items()
+        }
+        assert _combine_factored_winners(evaluated) == AdaptiveConfigIndices(
+            icache_index=1, dcache_index=2, int_queue_size=16, fp_queue_size=16
+        )
 
     def test_compare_workload_produces_figure6_row(self, quick_profile):
         comparison = compare_workload(quick_profile, window=800, warmup=1500)
