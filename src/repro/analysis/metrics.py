@@ -134,13 +134,6 @@ class RunResult:
         return self.execution_time_ps / 1e3
 
     @property
-    def instructions_per_second(self) -> float:
-        """Committed instructions per second of simulated time."""
-        if self.execution_time_ps <= 0:
-            return 0.0
-        return self.committed_instructions / (self.execution_time_ps * 1e-12)
-
-    @property
     def front_end_ipc(self) -> float:
         """Committed instructions per front-end cycle."""
         cycles = self.domain_cycles.get("front_end", 0)

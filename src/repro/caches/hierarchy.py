@@ -76,11 +76,6 @@ class CacheHierarchy:
         """Currently applied configuration."""
         return self._config
 
-    @property
-    def b_enabled(self) -> bool:
-        """True when the B partitions are accessible."""
-        return self._b_enabled
-
     def apply_config(self, config: DCacheL2Config) -> None:
         """Repartition the L1-D and L2 according to *config*."""
         self._config = config
@@ -90,11 +85,6 @@ class CacheHierarchy:
         self.l1d.set_b_enabled(has_b)
         has_b_l2 = self._b_enabled and config.l2_latency[1] is not None
         self.l2.set_b_enabled(has_b_l2)
-
-    def set_b_enabled(self, enabled: bool) -> None:
-        """Globally enable or disable B-partition accesses."""
-        self._b_enabled = enabled
-        self.apply_config(self._config)
 
     # -------------------------------------------------------------- accesses
 

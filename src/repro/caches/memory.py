@@ -21,8 +21,6 @@ class MemoryStats:
     """Aggregate main-memory access counters."""
 
     accesses: int = 0
-    row_hits: int = 0
-    busy_ps: int = 0
 
 
 class MainMemory:
@@ -86,7 +84,4 @@ class MainMemory:
         transfer = (max(1, line_bytes // self._chunk_bytes)) * self._subsequent_chunk_ps
         self._channel_free_at = start + transfer
         self.stats.accesses += 1
-        if row_hit:
-            self.stats.row_hits += 1
-        self.stats.busy_ps += latency
         return completion

@@ -212,10 +212,6 @@ class DomainClock:
         self.next_edge = self._memo[landing]
         return count
 
-    def cycles_to_ps(self, cycles: int) -> Picoseconds:
-        """Convert a cycle count at the current frequency to picoseconds."""
-        return cycles * self.period_ps
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DomainClock({self.name!r}, {self.frequency_ghz:.3f} GHz, "

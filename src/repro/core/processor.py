@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import compress, islice
 from math import inf
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from repro.caches.accounting import AccessOutcome
 from repro.caches.hierarchy import CacheHierarchy
@@ -37,7 +37,6 @@ from repro.core.controllers.queue_controller import ILPTracker, PhaseAdaptiveQue
 from repro.core.domains import Domain
 from repro.core.pll import PLLModel
 from repro.core.synchronization import DEFAULT_WINDOW_FRACTION, SynchronizationModel
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     EXECUTION_LATENCY,
     FLAG_BRANCH,
@@ -73,6 +72,7 @@ from repro.timing.tables import (
     ISSUE_QUEUE_SIZES,
     BranchPredictorGeometry,
 )
+from repro.workloads.generator import CompiledTrace
 
 # Issue works on dense opcode ids (``DynInst.op_id``): the latency table is a
 # tuple indexed by id, and the functional-unit pools test complex ops as ints.
@@ -338,25 +338,23 @@ class MCDProcessor:
 
     def run(
         self,
-        trace: Iterable[Instruction] | Iterator[Instruction],
+        trace: CompiledTrace,
         *,
         max_instructions: int,
         warmup_instructions: int = 0,
         workload_name: str = "",
     ) -> RunResult:
-        """Simulate *trace* until ``max_instructions`` commit.
+        """Simulate *trace* until ``max_instructions`` commit, or until a
+        trace that ends has been fetched and drained.
 
         ``warmup_instructions`` instructions are first streamed through the
         caches and branch predictor with no timing effects, so that the
         measured window starts from a warm memory hierarchy (the stand-in for
         the paper's 100 M-instruction fast-forward windows).
 
-        *trace* may be anything the front end accepts: a ``CompiledTrace``,
-        a trace with a ``compiled`` attribute such as the ``ReplayableTrace``
-        that ``make_trace`` returns (its columns are shared by every run in
-        the process), a ``SyntheticTraceGenerator`` (compiled as the run
-        reads it), or an iterable of ``Instruction`` objects (encoded row by
-        row).
+        The run reads *trace*'s columns from row 0 and writes none of them
+        itself, so the shared trace ``make_trace`` returns serves every run
+        in the process.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -633,8 +631,8 @@ class MCDProcessor:
           (dispatch); fetch's ``stall_until``, or the next edge when fetch
           can run (fetch);
         - integer and floating point: the next edge while the issue queue
-          holds a woken entry, otherwise the earlier of its incoming head's
-          arrival and its wake-up heap's top key;
+          holds a woken entry, otherwise its wake-up heap's top key (an
+          entry is keyed no earlier than its arrival in the queue);
         - load/store: the earliest ``lsq_arrival_time`` of an unissued entry;
         - the earliest pending reconfiguration event, which fires at the
           first edge of any domain at or after its time.
@@ -676,11 +674,9 @@ class MCDProcessor:
         fq_capacity = fetch_queue.capacity
         rob_entries = self.rob.entries
         int_queue = self.int_queue
-        int_incoming = int_queue.incoming
         int_heap = int_queue.heap
         int_ready = int_queue.ready
         fp_queue = self.fp_queue
-        fp_incoming = fp_queue.incoming
         fp_heap = fp_queue.heap
         fp_ready = fp_queue.ready
         lsq = self.lsq
@@ -741,10 +737,8 @@ class MCDProcessor:
             if int_next < horizon:
                 if int_ready:
                     horizon = int_next
-                else:
-                    earliest = int_incoming[0].queue_arrival_time if int_incoming else no_bound
-                    if int_heap and int_heap[0][0] < earliest:
-                        earliest = int_heap[0][0]
+                elif int_heap:
+                    earliest = int_heap[0][0]
                     if earliest <= int_next:
                         horizon = int_next
                     elif earliest < horizon:
@@ -754,10 +748,8 @@ class MCDProcessor:
             if fp_next < horizon:
                 if fp_ready:
                     horizon = fp_next
-                else:
-                    earliest = fp_incoming[0].queue_arrival_time if fp_incoming else no_bound
-                    if fp_heap and fp_heap[0][0] < earliest:
-                        earliest = fp_heap[0][0]
+                elif fp_heap:
+                    earliest = fp_heap[0][0]
                     if earliest <= fp_next:
                         horizon = fp_next
                     elif earliest < horizon:
@@ -1054,7 +1046,6 @@ class MCDProcessor:
                 inst.queue_arrival_time = now
             if queue.occupancy >= queue.capacity:
                 raise RuntimeError(f"{queue.name}: dispatch into a full queue")
-            queue.incoming.append(inst)
             queue.occupancy += 1
             queue.operand_reads += source_count
             if not waits:
@@ -1198,8 +1189,9 @@ class MCDProcessor:
 
         The wake-up check always runs at ``now == consumer.next_edge`` (the
         edge being processed), where the synchronised readiness test
-        ``transfer(completion, producer, consumer, record=False) <= now``
-        reduces *exactly* to ``completion + window <= now`` with ``window =
+        ``transfer(completion, producer, consumer) <= now`` (the time it
+        returns, not the statistics it records) reduces *exactly* to
+        ``completion + window <= now`` with ``window =
         int(window_fraction * min(producer_period, consumer_period))``:
 
         - ``completion > now``: the consumer capture edge is a future edge,
@@ -1234,9 +1226,6 @@ class MCDProcessor:
 
     def _integer_cycle(self, now: Picoseconds) -> None:
         queue = self.int_queue
-        incoming = queue.incoming
-        if incoming and incoming[0].queue_arrival_time <= now:
-            queue.admit_arrivals(now)
         heap = queue.heap
         if heap and heap[0][0] <= now:
             queue.wake_up(now)
@@ -1245,7 +1234,7 @@ class MCDProcessor:
             clock = self._int_clock
             period = clock.period_ps
             units = self.int_units
-            units.begin_cycle(now)
+            units.begin_cycle()
             try_reserve = units.try_reserve
             issue_width = self._issue_width
             latency_by_op = _LATENCY_BY_OP_ID
@@ -1293,9 +1282,6 @@ class MCDProcessor:
 
     def _floating_point_cycle(self, now: Picoseconds) -> None:
         queue = self.fp_queue
-        incoming = queue.incoming
-        if incoming and incoming[0].queue_arrival_time <= now:
-            queue.admit_arrivals(now)
         heap = queue.heap
         if heap and heap[0][0] <= now:
             queue.wake_up(now)
@@ -1303,7 +1289,7 @@ class MCDProcessor:
         if ready:
             period = self._fp_clock.period_ps
             units = self.fp_units
-            units.begin_cycle(now)
+            units.begin_cycle()
             try_reserve = units.try_reserve
             issue_width = self._issue_width
             latency_by_op = _LATENCY_BY_OP_ID
@@ -1363,10 +1349,8 @@ class MCDProcessor:
                     completion = access_data(
                         inst.address, is_store=False, now_ps=now, period_ps=period
                     )
-                    lsq_stats.loads_performed += 1
             else:
                 completion = access_data(inst.address, is_store=True, now_ps=now, period_ps=period)
-                lsq_stats.stores_performed += 1
             inst.completion_time = completion
             inst.exec_domain = _LOAD_STORE_DOMAIN
             inst.memory_issued = True

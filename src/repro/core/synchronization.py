@@ -32,13 +32,6 @@ class SynchronizationStats:
     transfers: int = 0
     penalties: int = 0
 
-    @property
-    def penalty_rate(self) -> float:
-        """Fraction of transfers that paid the extra synchronisation cycle."""
-        if not self.transfers:
-            return 0.0
-        return self.penalties / self.transfers
-
 
 class SynchronizationModel:
     """Computes when a value produced in one domain is usable in another.
@@ -72,7 +65,6 @@ class SynchronizationModel:
         producer_clock: DomainClock,
         consumer_clock: DomainClock,
         *,
-        record: bool = True,
         fifo: bool = False,
     ) -> Picoseconds:
         """Return the earliest time the consumer domain can use the value.
@@ -86,9 +78,6 @@ class SynchronizationModel:
         "Hiding Synchronization Delays in a GALS Processor" result the paper
         builds on, such crossings are decoupled by the queue and do not pay
         the extra arbitration cycle — only the edge alignment.
-
-        ``record=False`` suppresses statistics, for callers that re-evaluate
-        the same transfer repeatedly (operand wake-up checks).
         """
         if not self.enabled or producer_clock is consumer_clock:
             return event_time
@@ -98,22 +87,14 @@ class SynchronizationModel:
             * min(producer_clock.period_ps, consumer_clock.period_ps)
         )
         delayed = (edge - event_time < window) and not fifo
-        if record:
-            self.stats.transfers += 1
-            if delayed:
-                self.stats.penalties += 1
-                if self.on_penalty is not None:
-                    self.on_penalty(
-                        event_time, producer_clock.name, consumer_clock.name
-                    )
+        self.stats.transfers += 1
         if delayed:
+            self.stats.penalties += 1
+            if self.on_penalty is not None:
+                self.on_penalty(event_time, producer_clock.name, consumer_clock.name)
             if consumer_clock.jitter_fraction:
                 # The extra cycle must land on a true jittered edge, not a
                 # nominal-period extrapolation the clock never produces.
                 return consumer_clock.edge_at_or_after(edge + 1)
             return edge + consumer_clock.period_ps
         return edge
-
-    def reset(self) -> None:
-        """Zero the statistics (used between runs)."""
-        self.stats = SynchronizationStats()

@@ -33,7 +33,7 @@ from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.synchronization import DEFAULT_WINDOW_FRACTION
 from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads.characteristics import WorkloadProfile
-from repro.workloads.trace_cache import cached_trace
+from repro.workloads.trace_cache import CompiledTrace, cached_trace
 
 #: Default trace seed so every machine sees the identical dynamic instruction
 #: stream for a given workload.
@@ -97,15 +97,14 @@ def default_control_params(window: int) -> AdaptiveControlParams:
     return AdaptiveControlParams(interval_instructions=interval)
 
 
-def make_trace(profile: WorkloadProfile, seed: int = DEFAULT_TRACE_SEED):
-    """The deterministic trace for *profile* (memoised per process).
-
-    Returns a :class:`~repro.workloads.trace_cache.ReplayableTrace`, which
-    :meth:`~repro.core.processor.MCDProcessor.run` accepts.  Sweeps that
-    simulate one workload under many machine configurations compile its
-    columns once and every job reads them from row 0.
+def make_trace(profile: WorkloadProfile, seed: int = DEFAULT_TRACE_SEED) -> CompiledTrace:
+    """The deterministic trace for *profile*: the process's shared
+    :class:`~repro.workloads.generator.CompiledTrace` for ``(profile, seed)``,
+    which :meth:`~repro.core.processor.MCDProcessor.run` reads.  Sweeps that
+    simulate one workload under many machine configurations write its rows
+    once, and every job reads them from row 0.
     """
-    return cached_trace(profile, seed=seed)
+    return cached_trace(profile, seed=seed).compiled
 
 
 class SpecKind(str, enum.Enum):
@@ -305,11 +304,22 @@ class SimulationJob:
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
-        """Short human-readable label for logs and progress output."""
+        """Short human-readable label for logs and progress output.
+
+        Workload, machine and window, then a suffix for each timing knob
+        and override that is set (override keys sorted), so the jobs of a
+        sensitivity sweep can be told apart in ledger records, reports and
+        the engine heartbeat.
+        """
         machine = self.spec_kind.value
         if self.indices is not None:
             machine = f"{machine}:{self.indices.describe()}"
-        label = f"{self.profile.name}/{machine}/w{self.resolved_window()}"
+        parts = [self.profile.name, machine, f"w{self.resolved_window()}"]
         if self.jitter_fraction:
-            label = f"{label}/j{self.jitter_fraction:g}"
-        return label
+            parts.append(f"j{self.jitter_fraction:g}")
+        if self.sync_window_fraction is not None:
+            parts.append(f"sync{self.sync_window_fraction:g}")
+        for overrides in (self.spec_overrides, self.control_overrides):
+            if overrides:
+                parts += [f"{key}={overrides[key]}" for key in sorted(overrides)]
+        return "/".join(parts)

@@ -36,12 +36,10 @@ def run_job(job: SimulationJob, *, recorder: TraceRecorder | None = None) -> Run
         sync_window_fraction=job.resolved_sync_window_fraction(),
         recorder=recorder,
     )
-    # The trace object itself (not an iterator) so the processor fetches from
-    # its compiled flat-column form, built once per (profile, seed) per
-    # process and shared by every job on the same cached trace.
-    trace = make_trace(job.profile, seed=job.trace_seed)
+    # The compiled columns are written once per (profile, seed) per process
+    # and shared by every job on the same cached trace.
     return processor.run(
-        trace,
+        make_trace(job.profile, seed=job.trace_seed),
         max_instructions=job.resolved_window(),
         warmup_instructions=job.resolved_warmup(),
         workload_name=job.profile.name,

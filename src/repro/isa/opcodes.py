@@ -52,40 +52,22 @@ EXECUTION_LATENCY: dict[OpClass, int] = {
     OpClass.NOP: 1,
 }
 
-_INT_CLASSES = frozenset(
-    {
-        OpClass.INT_ALU,
-        OpClass.INT_MULT,
-        OpClass.INT_DIV,
-        OpClass.BRANCH,
-        OpClass.LOAD,
-        OpClass.STORE,
-        OpClass.NOP,
-    }
-)
-
 _FP_CLASSES = frozenset(
     {OpClass.FP_ALU, OpClass.FP_MULT, OpClass.FP_DIV, OpClass.FP_SQRT}
 )
 
 _MEMORY_CLASSES = frozenset({OpClass.LOAD, OpClass.STORE})
 
-# Precomputed per-opclass dispatch tables.  The pipeline consults these for
-# every dynamic instruction, so they are plain dict lookups rather than set
-# membership behind a function call; the functions below stay as the
-# readable public API.
-IS_INTEGER: dict[OpClass, bool] = {op: op in _INT_CLASSES for op in OpClass}
-IS_FLOATING_POINT: dict[OpClass, bool] = {op: op in _FP_CLASSES for op in OpClass}
-IS_MEMORY: dict[OpClass, bool] = {op: op in _MEMORY_CLASSES for op in OpClass}
-USES_FP_QUEUE: dict[OpClass, bool] = dict(IS_FLOATING_POINT)
-
 # ---------------------------------------------------------------- flat encoding
 #
 # The compiled trace (:class:`repro.workloads.generator.CompiledTrace`) stores
-# instruction streams as flat array columns instead of object lists.  Opcodes
-# are encoded as dense ids, and the per-opclass predicates above are folded
-# into one flag bitmask per instruction so the pipeline decodes a dynamic
-# instruction with two integer reads.
+# instruction streams as flat array columns.  Opcodes are encoded as dense
+# ids, and the per-opclass predicates (memory access, load, store, floating
+# point) are folded into one flag bitmask per instruction so the pipeline
+# decodes a dynamic instruction with two integer reads.  An opclass that is
+# not floating point issues from the integer queue: loads and stores
+# generate their effective address in the integer domain, as in the MCD
+# model.
 
 #: Dense id -> OpClass decode table (declaration order).
 OPCLASSES: tuple[OpClass, ...] = tuple(OpClass)
@@ -93,7 +75,7 @@ OPCLASSES: tuple[OpClass, ...] = tuple(OpClass)
 OPCODE_ID: dict[OpClass, int] = {op: index for index, op in enumerate(OPCLASSES)}
 
 #: Per-instruction flag bits.  ``FLAG_BRANCH``/``FLAG_TAKEN`` are dynamic
-#: (an ``Instruction`` may be flagged a branch regardless of opclass, and the
+#: (a trace row may be flagged a branch regardless of opclass, and the
 #: outcome is per instance); the rest derive from the opclass alone.
 FLAG_BRANCH = 0x01
 FLAG_TAKEN = 0x02
@@ -104,38 +86,9 @@ FLAG_FP = 0x20
 
 #: Static flag bits of each opcode id (everything except branch/taken).
 OPCLASS_FLAGS: tuple[int, ...] = tuple(
-    (FLAG_MEMORY if IS_MEMORY[op] else 0)
+    (FLAG_MEMORY if op in _MEMORY_CLASSES else 0)
     | (FLAG_LOAD if op is OpClass.LOAD else 0)
     | (FLAG_STORE if op is OpClass.STORE else 0)
-    | (FLAG_FP if IS_FLOATING_POINT[op] else 0)
+    | (FLAG_FP if op in _FP_CLASSES else 0)
     for op in OPCLASSES
 )
-
-
-def is_integer(op: OpClass) -> bool:
-    """Return True if *op* executes on the integer domain's units."""
-    return IS_INTEGER[op]
-
-
-def is_floating_point(op: OpClass) -> bool:
-    """Return True if *op* executes on the floating-point domain's units."""
-    return IS_FLOATING_POINT[op]
-
-
-def is_memory(op: OpClass) -> bool:
-    """Return True if *op* accesses the data-cache hierarchy."""
-    return IS_MEMORY[op]
-
-
-def uses_int_queue(op: OpClass) -> bool:
-    """Return True if *op* is dispatched into the integer issue queue.
-
-    As in the MCD model, loads and stores compute their effective address in
-    the integer domain and therefore occupy an integer issue-queue slot.
-    """
-    return IS_INTEGER[op]
-
-
-def uses_fp_queue(op: OpClass) -> bool:
-    """Return True if *op* is dispatched into the floating-point issue queue."""
-    return USES_FP_QUEUE[op]

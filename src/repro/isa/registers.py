@@ -2,10 +2,11 @@
 
 The machine has 32 logical integer registers (``r0``..``r31``) and 32 logical
 floating-point registers (``f0``..``f31``), mirroring the Alpha-like target of
-the paper.  Register names are plain strings so traces remain cheap to build
-and easy to read; helpers here convert between names and dense indices used by
-the rename stage and by the ILP-tracking hardware model (Section 3.2 of the
-paper tracks timestamps for 32 + 32 logical registers).
+the paper.  Traces and the pipeline carry dense register indices (integer
+registers first, then floating point), as the rename stage and the
+ILP-tracking hardware model use them (Section 3.2 of the paper tracks
+timestamps for 32 + 32 logical registers); :func:`register_index` converts a
+name such as ``"r4"`` or ``"f17"`` to its index.
 """
 
 from __future__ import annotations
@@ -15,35 +16,8 @@ NUM_INT_REGS = 32
 #: Number of logical floating-point registers.
 NUM_FP_REGS = 32
 
-#: Type alias for a register name such as ``"r4"`` or ``"f17"``.
-RegisterName = str
 
-
-def int_reg(index: int) -> RegisterName:
-    """Return the name of logical integer register *index*."""
-    if not 0 <= index < NUM_INT_REGS:
-        raise ValueError(f"integer register index out of range: {index}")
-    return f"r{index}"
-
-
-def fp_reg(index: int) -> RegisterName:
-    """Return the name of logical floating-point register *index*."""
-    if not 0 <= index < NUM_FP_REGS:
-        raise ValueError(f"floating-point register index out of range: {index}")
-    return f"f{index}"
-
-
-def is_int_register(name: RegisterName) -> bool:
-    """Return True if *name* denotes an integer register."""
-    return name.startswith("r")
-
-
-def is_fp_register(name: RegisterName) -> bool:
-    """Return True if *name* denotes a floating-point register."""
-    return name.startswith("f")
-
-
-def register_index(name: RegisterName) -> int:
+def register_index(name: str) -> int:
     """Return the dense index of *name* within the combined register space.
 
     Integer registers map to ``0..31`` and floating-point registers map to
@@ -74,16 +48,3 @@ NO_REGISTER = -1
 
 #: First index of the floating-point half of the combined register space.
 FP_BASE_INDEX = NUM_INT_REGS
-
-#: Dense index -> name decode table (inverse of :func:`register_index`).
-REGISTER_NAMES: tuple[RegisterName, ...] = tuple(
-    [f"r{index}" for index in range(NUM_INT_REGS)]
-    + [f"f{index}" for index in range(NUM_FP_REGS)]
-)
-
-
-def register_name(index: int) -> RegisterName:
-    """Return the name of the register with dense *index* (0..63)."""
-    if not 0 <= index < TOTAL_LOGICAL_REGS:
-        raise ValueError(f"register index out of range: {index}")
-    return REGISTER_NAMES[index]

@@ -6,8 +6,8 @@ the front end's fetch state.
 The structures hold state; :class:`~repro.core.processor.MCDProcessor` is
 the one implementation of fetch, dispatch, issue and commit.  Its
 per-instruction paths read and update the structures' public fields
-(``entries``, ``capacity``, ``allocated``, ``incoming``/``heap``/``ready``,
-``cursor``, ``stall_until``, ...) directly and make every capacity check
+(``entries``, ``capacity``, ``allocated``, ``heap``/``ready``, ``cursor``,
+``stall_until``, ...) directly and make every capacity check
 themselves.  The structures keep only methods the processor calls, such as
 issue-queue wake-up and re-keying, LSQ store forwarding and functional-unit
 reservation."""

@@ -4,8 +4,8 @@ The front end holds the (resizable) instruction cache, the jointly sized
 hybrid branch predictor, a small BTB, the fetch queue and the position of
 fetch in the trace.  :class:`~repro.core.processor.MCDProcessor` is the one
 implementation of fetch, as it is of dispatch and commit: it reads the
-*compiled* flat-column trace
-(:class:`~repro.workloads.generator.CompiledTrace`) at ``cursor`` and fills
+trace's flat columns (:class:`~repro.workloads.generator.CompiledTrace`, the
+one trace type) at ``cursor`` and fills
 :class:`~repro.pipeline.dyninst.DynInst` records from its own free list.
 Fetch is trace driven: instructions come in committed program order, so
 there is no wrong-path fetch; a mispredicted branch instead stalls fetch
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.hybrid import HybridPredictor, build_predictor
 from repro.caches.accounting import AccountingCache
 from repro.clocks.time import Picoseconds
 from repro.timing.cacti import CacheGeometry
-from repro.isa.instruction import Instruction
 from repro.pipeline.dyninst import DynInst
 from repro.timing.tables import ICacheConfig
 from repro.workloads.generator import CompiledTrace
@@ -64,13 +62,8 @@ class FrontEnd:
     Parameters
     ----------
     trace:
-        The instruction stream in program order: a
-        :class:`~repro.workloads.generator.CompiledTrace`, an object
-        exposing a ``compiled`` attribute (e.g.
-        :class:`~repro.workloads.trace_cache.ReplayableTrace`), a
-        :class:`~repro.workloads.generator.SyntheticTraceGenerator`, or any
-        iterable of :class:`~repro.isa.instruction.Instruction` (encoded on
-        the fly).
+        The instruction stream in program order, as the columns of a
+        :class:`~repro.workloads.generator.CompiledTrace`.
     icache_config:
         The active I-cache / branch-predictor configuration.
     fetch_width:
@@ -85,7 +78,7 @@ class FrontEnd:
 
     def __init__(
         self,
-        trace: CompiledTrace | Iterable[Instruction],
+        trace: CompiledTrace,
         *,
         icache_config: ICacheConfig,
         physical_geometry: CacheGeometry | None = None,
@@ -94,16 +87,8 @@ class FrontEnd:
         decode_cycles: int = 2,
         use_b_partition: bool = True,
     ) -> None:
-        if isinstance(trace, CompiledTrace):
-            compiled = trace
-        else:
-            candidate = getattr(trace, "compiled", None)
-            if isinstance(candidate, CompiledTrace):
-                compiled = candidate
-            else:
-                compiled = CompiledTrace(trace)
         #: The compiled trace fetch reads, and the index of its next row.
-        self.trace = compiled
+        self.trace = trace
         self.cursor = 0
         self.fetch_width = fetch_width
         self.decode_cycles = decode_cycles
@@ -134,8 +119,8 @@ class FrontEnd:
 
     @property
     def trace_exhausted(self) -> bool:
-        """True once the trace has been fully consumed."""
-        return self.trace.exhausted and self.cursor >= self.trace.length
+        """True once fetch has read the last row of a trace that ends."""
+        return self.trace.finite and self.cursor >= self.trace.length
 
     def apply_icache_config(self, config: ICacheConfig, *, use_b_partition: bool) -> None:
         """Repartition the I-cache for *config* (contents are preserved)."""

@@ -14,15 +14,17 @@ first time at which it can issue, and it waits on a heap until the domain's
 clock reaches that key.  Woken entries move to a ready list kept in program
 order, from which the processor issues oldest-first.
 
-The processor dispatches into the queue itself: it appends the entry to
-``incoming``, counts it in ``occupancy`` and, with no producer in flight,
-schedules it.
+The processor dispatches into the queue itself: it counts the entry in
+``occupancy`` and, with no producer in flight, schedules it.  An entry's key
+is never earlier than its ``queue_arrival_time``, the edge at which it has
+crossed into this domain, so nothing else tracks the crossing: the entry
+holds its slot from dispatch and cannot issue before it arrives.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import defaultdict, deque
+from collections import defaultdict
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -63,10 +65,6 @@ class IssueQueue:
         #: stops while ``occupancy`` is at it.
         self.capacity = capacity
         self._windows: dict[str, int] = windows if windows is not None else defaultdict(int)
-        #: Instructions dispatched but not yet past the synchronisation
-        #: boundary into this domain.  Arrival times never decrease (each is
-        #: the domain's next edge at dispatch), so the head arrives first.
-        self.incoming: deque[DynInst] = deque()
         #: ``(key, seq, inst)`` of scheduled entries, earliest key first.
         self.heap: list[tuple[Picoseconds, int, DynInst]] = []
         #: Woken, not yet issued entries, in program (``seq``) order.
@@ -109,12 +107,6 @@ class IssueQueue:
                 if completion > wake:
                     wake = completion
         heappush(self.heap, (wake, inst.seq, inst))
-
-    def admit_arrivals(self, now: Picoseconds) -> None:
-        """Let every instruction whose synchronised arrival time has passed in."""
-        incoming = self.incoming
-        while incoming and incoming[0].queue_arrival_time <= now:
-            incoming.popleft()
 
     def wake_up(self, now: Picoseconds) -> list[DynInst]:
         """Move every entry keyed at or before *now* to the ready list.

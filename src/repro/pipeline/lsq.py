@@ -24,8 +24,6 @@ class LSQStats:
     """Aggregate load/store-queue statistics."""
 
     loads_forwarded: int = 0
-    loads_performed: int = 0
-    stores_performed: int = 0
     allocations: int = 0
 
 

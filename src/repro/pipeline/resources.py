@@ -35,7 +35,6 @@ class FunctionalUnitPool:
         if alus < 1 or complex_units < 0:
             raise ValueError("invalid functional unit counts")
         self._alus = alus
-        self._complex_units = complex_units
         self._complex_ops = complex_ops
         self._alu_slots_used = 0
         self._complex_busy_until: list[Picoseconds] = [0] * complex_units
@@ -43,7 +42,7 @@ class FunctionalUnitPool:
         self.alu_ops = 0
         self.complex_ops_executed = 0
 
-    def begin_cycle(self, now: Picoseconds) -> None:
+    def begin_cycle(self) -> None:
         """Reset per-cycle issue-slot accounting."""
         self._alu_slots_used = 0
 

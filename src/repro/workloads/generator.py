@@ -22,19 +22,10 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import (
-    FLAG_BRANCH,
-    FLAG_MEMORY,
-    FLAG_TAKEN,
-    OPCLASS_FLAGS,
-    OPCLASSES,
-    OPCODE_ID,
-    OpClass,
-)
-from repro.isa.registers import NO_REGISTER, REGISTER_NAMES, register_index
+from repro.isa.opcodes import FLAG_BRANCH, FLAG_TAKEN, OPCLASS_FLAGS, OPCODE_ID, OpClass
+from repro.isa.registers import NO_REGISTER, register_index
 from repro.workloads.characteristics import PHASE_OVERRIDABLE_FIELDS, WorkloadProfile
 
 #: Base virtual address of the code segment.
@@ -79,7 +70,8 @@ _TAKEN_FLAGS = _NOT_TAKEN_FLAGS | FLAG_TAKEN
 
 
 class CompiledTrace:
-    """Flat structure-of-arrays form of one instruction stream.
+    """Flat structure-of-arrays form of one instruction stream: the one
+    trace type the simulator reads.
 
     Each instruction is one row across nine parallel ``array`` columns:
     program counter, dense opcode id, opclass/branch flag bitmask, register
@@ -89,12 +81,10 @@ class CompiledTrace:
     number.  Fetch and warm-up read the columns by index, so the simulation
     never builds a per-instruction object.
 
-    The columns grow lazily as :meth:`ensure` asks for rows.  The source is
-    either a :class:`SyntheticTraceGenerator`, which writes its rows straight
-    into the columns, or any iterable of
-    :class:`~repro.isa.instruction.Instruction` (such as a hand-written test
-    trace), which is encoded row by row.  :meth:`instruction_at` rebuilds a
-    row as an ``Instruction``.
+    Built with a :class:`SyntheticTraceGenerator`, the trace has the
+    generator write rows into the columns as :meth:`ensure` asks for them,
+    and never ends.  Built without one, it holds the rows its caller
+    appended to the nine columns and ends at the last one.
     """
 
     __slots__ = (
@@ -107,11 +97,10 @@ class CompiledTrace:
         "address",
         "target",
         "seq",
-        "_source",
-        "_exhausted",
+        "_generator",
     )
 
-    def __init__(self, source: SyntheticTraceGenerator | Iterable[Instruction]) -> None:
+    def __init__(self, generator: SyntheticTraceGenerator | None = None) -> None:
         self.pc = array("Q")
         self.op = array("B")
         self.flags = array("B")
@@ -121,77 +110,25 @@ class CompiledTrace:
         self.address = array("Q")
         self.target = array("Q")
         self.seq = array("q")
-        self._source = source if isinstance(source, SyntheticTraceGenerator) else iter(source)
-        self._exhausted = False
+        self._generator = generator
 
     @property
     def length(self) -> int:
-        """Number of instructions compiled into the columns so far."""
+        """Number of rows in the columns so far."""
         return len(self.seq)
 
     @property
-    def exhausted(self) -> bool:
-        """True once the source stream has ended (never, for generators)."""
-        return self._exhausted
+    def finite(self) -> bool:
+        """True when the trace ends at its last row (it has no generator)."""
+        return self._generator is None
 
     def ensure(self, count: int) -> int:
-        """Compile the stream up to *count* rows; return the available length."""
+        """Write rows up to *count*; return the number of rows available."""
         length = len(self.seq)
-        if length >= count or self._exhausted:
-            return length
-        source = self._source
-        if isinstance(source, SyntheticTraceGenerator):
-            source._write_rows(self, count - length)
+        if length < count and self._generator is not None:
+            self._generator._write_rows(self, count - length)
             return count
-        while length < count:
-            inst = next(source, None)
-            if inst is None:
-                self._exhausted = True
-                break
-            sources = inst.sources
-            if len(sources) > 2:
-                raise ValueError(
-                    "compiled traces encode at most two source operands, got "
-                    f"{sources!r}"
-                )
-            registers = [register_index(name) for name in sources]
-            registers += [NO_REGISTER] * (2 - len(registers))
-            op = OPCODE_ID[inst.op]
-            bits = OPCLASS_FLAGS[op]
-            if inst.is_branch:
-                bits |= FLAG_BRANCH | (FLAG_TAKEN if inst.taken else 0)
-            self.pc.append(inst.pc)
-            self.op.append(op)
-            self.flags.append(bits)
-            self.dest.append(NO_REGISTER if inst.dest is None else register_index(inst.dest))
-            self.src0.append(registers[0])
-            self.src1.append(registers[1])
-            self.address.append(inst.address or 0)
-            self.target.append(inst.target or 0)
-            self.seq.append(inst.seq)
-            length += 1
         return length
-
-    def instruction_at(self, index: int) -> Instruction:
-        """The row at *index*, rebuilt as an ``Instruction``."""
-        bits = self.flags[index]
-        d = self.dest[index]
-        is_branch = bool(bits & FLAG_BRANCH)
-        return Instruction(
-            pc=self.pc[index],
-            op=OPCLASSES[self.op[index]],
-            sources=tuple(
-                REGISTER_NAMES[s]
-                for s in (self.src0[index], self.src1[index])
-                if s != NO_REGISTER
-            ),
-            dest=None if d == NO_REGISTER else REGISTER_NAMES[d],
-            address=self.address[index] if bits & FLAG_MEMORY else None,
-            is_branch=is_branch,
-            taken=bool(bits & FLAG_TAKEN),
-            target=self.target[index] if is_branch else None,
-            seq=self.seq[index],
-        )
 
 
 def _resolve_phase(profile: WorkloadProfile, overrides: Mapping[str, Any]) -> tuple:
@@ -229,9 +166,9 @@ class SyntheticTraceGenerator:
         (branch positions and biases) and the dynamic stream are both
         functions of ``(profile, seed)``.
 
-    ``CompiledTrace(generator)`` is the trace the simulator reads;
-    :meth:`generate` and :meth:`instructions` hand out the same rows as
-    ``Instruction`` objects.
+    ``CompiledTrace(generator)`` is the trace the simulator reads: the
+    generator writes the stream's next rows into its columns whenever
+    :meth:`CompiledTrace.ensure` asks for more.
     """
 
     def __init__(self, profile: WorkloadProfile, *, seed: int = 1234) -> None:
@@ -280,30 +217,6 @@ class SyntheticTraceGenerator:
         # since the accumulator update, next sequence number)
         first_phase = profile.phases[0].length if profile.phases else 0
         self._state = (0, first_phase, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def current_phase_index(self) -> int:
-        """Index of the phase of the most recently generated instruction."""
-        return self._state[0]
-
-    def instructions(self) -> Iterator[Instruction]:
-        """Yield the next dynamic instructions forever, one row at a time."""
-        rows = CompiledTrace(self)
-        index = 0
-        while True:
-            rows.ensure(index + 1)
-            yield rows.instruction_at(index)
-            index += 1
-
-    def generate(self, count: int) -> list[Instruction]:
-        """Return the next *count* dynamic instructions as a list."""
-        rows = CompiledTrace(self)
-        rows.ensure(count)
-        return [rows.instruction_at(index) for index in range(count)]
-
-    # ----------------------------------------------------------- internals
 
     def _write_rows(self, trace: CompiledTrace, count: int) -> None:
         """Append the stream's next *count* rows to *trace*'s columns."""

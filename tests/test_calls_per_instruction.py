@@ -43,13 +43,13 @@ JOBS = {
             use_b_partitions=True,
             phase_adaptive=True,
         ),
-        20.3,
+        19.6,
         0.2,
     ),
-    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.5, 0.2),
+    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 18.2, 0.2),
     "synchronous_apsi": (
         dict(workload="apsi", spec_kind=SpecKind.BEST_SYNCHRONOUS),
-        16.3,
+        15.9,
         0.2,
     ),
 }
@@ -88,7 +88,7 @@ def calls_per_unit(name: str) -> tuple[float, float]:
     trace = make_trace(job.profile, seed=job.trace_seed)
     # Compile the rows the run reads first (fetch runs ahead of commit), so
     # trace generation is not counted whatever ran earlier in the process.
-    trace.compiled.ensure(WARMUP + WINDOW + 1_000)
+    trace.ensure(WARMUP + WINDOW + 1_000)
     processor = MCDProcessor(
         job.build_spec(),
         control=job.resolved_control(),

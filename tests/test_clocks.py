@@ -92,10 +92,6 @@ class TestDomainClock:
         with pytest.raises(ValueError):
             clock.set_period_ps(0)
 
-    def test_cycles_to_ps(self):
-        clock = DomainClock("test", 2.0)
-        assert clock.cycles_to_ps(10) == 5000
-
     @given(st.integers(min_value=0, max_value=10**9))
     def test_edge_at_or_after_is_aligned_and_not_early(self, time_ps):
         clock = DomainClock("prop", 1.6)

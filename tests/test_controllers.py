@@ -14,10 +14,10 @@ from repro.core.controllers import (
     PhaseAdaptiveQueueController,
 )
 from repro.core.controllers.queue_controller import TIMESTAMP_BITS
+from repro.engine import make_trace
 from repro.isa.registers import NO_REGISTER, TOTAL_LOGICAL_REGS, register_index
 from repro.pipeline.dyninst import DynInst
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ISSUE_QUEUE_SIZES
-from repro.workloads import SyntheticTraceGenerator
 
 
 def make_dcache_controller(interval=1000, hysteresis=0.0, consecutive=1):
@@ -68,7 +68,7 @@ class TestCacheController:
             control=AdaptiveControlParams(interval_instructions=250),
         )
         result = processor.run(
-            SyntheticTraceGenerator(tiny_profile, seed=11),
+            make_trace(tiny_profile, seed=11),
             max_instructions=1000,
             warmup_instructions=500,
         )

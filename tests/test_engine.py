@@ -12,6 +12,7 @@ from repro.analysis.metrics import ConfigurationChange, RunResult
 from repro.analysis.sweep import (
     compare_workload,
     compare_workloads,
+    phase_adaptive_job,
     program_adaptive_search,
     run_synchronous,
 )
@@ -306,6 +307,30 @@ class TestFingerprint:
         # Untouched fields keep the window-scaled defaults.
         assert control.pll_interval_scaled == base.resolved_control().pll_interval_scaled
         assert base.fingerprint() != overridden.fingerprint()
+
+    def test_labels_tell_sweep_jobs_apart(self):
+        base = phase_adaptive_job(get_workload("gcc"), window=1500)
+        jobs = [
+            base,
+            dataclasses.replace(base, sync_window_fraction=0.45),
+            dataclasses.replace(base, control_overrides={"interval_instructions": 250}),
+            dataclasses.replace(base, control_overrides={"cache_hysteresis": 0}),
+        ]
+        labels = [job.describe() for job in jobs]
+        assert labels == [
+            "gcc/base_adaptive/w1500",
+            "gcc/base_adaptive/w1500/sync0.45",
+            "gcc/base_adaptive/w1500/interval_instructions=250",
+            "gcc/base_adaptive/w1500/cache_hysteresis=0",
+        ]
+        shallow = SimulationJob(
+            profile=get_workload("gcc"),
+            window=1500,
+            spec_overrides={"mispredict_integer_cycles": 7, "mispredict_front_end_cycles": 9},
+        )
+        assert shallow.describe() == (
+            "gcc/adaptive/w1500/mispredict_front_end_cycles=9/mispredict_integer_cycles=7"
+        )
 
     def test_knob_validation(self, quick_profile):
         with pytest.raises(ValueError):

@@ -3,32 +3,34 @@
 
 from repro.core.configuration import base_adaptive_spec
 from repro.core.processor import MCDProcessor
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.pipeline.frontend import FrontEnd
 from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS
+from repro.workloads.generator import CompiledTrace
+
+from tests.trace_rows import append_row
+
+R8 = 8  # the dense id of integer register r8
 
 
 def straight_line_trace(count, base_pc=0x40_0000):
+    trace = CompiledTrace()
     for index in range(count):
-        instruction = Instruction(pc=base_pc + index * 4, op=OpClass.INT_ALU, dest="r8")
-        instruction.seq = index
-        yield instruction
+        append_row(trace, base_pc + index * 4, OpClass.INT_ALU, dest=R8)
+    return trace
 
 
-def branchy_trace(count, taken_every=10, mispredictable=False):
+def branchy_trace(count, taken_every=10):
+    trace = CompiledTrace()
     pc = 0x40_0000
     for index in range(count):
         if index % taken_every == taken_every - 1:
-            instruction = Instruction(
-                pc=pc, op=OpClass.BRANCH, taken=True, target=0x40_0000
-            )
+            append_row(trace, pc, OpClass.BRANCH, taken=True, target=0x40_0000)
             pc = 0x40_0000
         else:
-            instruction = Instruction(pc=pc, op=OpClass.INT_ALU, dest="r8")
+            append_row(trace, pc, OpClass.INT_ALU, dest=R8)
             pc += 4
-        instruction.seq = index
-        yield instruction
+    return trace
 
 
 PERIOD = 575  # the base adaptive machine's front end, ~1.74 GHz
@@ -126,9 +128,9 @@ class TestFetch:
         assert later
 
     def test_warm_avoids_cold_miss(self):
-        source = list(straight_line_trace(64))
-        processor = fetching(iter(source))
-        processor.frontend.icache.warm(instruction.pc for instruction in source[:32])
+        trace = straight_line_trace(64)
+        processor = fetching(trace)
+        processor.frontend.icache.warm(trace.pc[:32])
         fetched = fetch(processor, 0)
         assert fetched
         assert processor.frontend.stats.icache_misses == 0

@@ -6,7 +6,7 @@ off, every edge is walked one at a time.  These tests hold the two paths to
 the same result: whole-``RunResult`` equality on every machine style, machine
 states built by hand that pin each bulk side-effect rule against a per-edge
 walk, and generated short jobs.  The issue queues' wake-up heaps are held to
-a rescan of every admitted entry at every integer and floating-point edge,
+a rescan of every arrived entry at every integer and floating-point edge,
 on generated jobs and across a period change that re-keys them.
 """
 
@@ -166,7 +166,6 @@ def drained_processor(*, jitter: float = 0.0) -> MCDProcessor:
     processor.lsq.entries.clear()
     processor.lsq.unissued = 0
     for queue in (processor.int_queue, processor.fp_queue):
-        queue.incoming.clear()
         queue.heap.clear()
         queue.ready.clear()
         queue.occupancy = 0
@@ -182,7 +181,6 @@ def enter_int_queue(processor: MCDProcessor, inst: DynInst, arrival: int) -> Non
     processor.rob.entries.append(inst)
     queue = processor.int_queue
     inst.queue_arrival_time = arrival
-    queue.incoming.append(inst)
     queue.occupancy += 1
     queue.schedule(inst)
 
@@ -319,7 +317,6 @@ def test_branch_stall_stretch_with_an_occupied_issue_queue(jitter):
         branch.mispredicted = True
         branch.producers = (producer,)
         enter_int_queue(processor, branch, int_clock.next_edge)
-        processor.int_queue.admit_arrivals(int_clock.next_edge)
         processor.frontend.waiting_branch = branch
         return processor
 
@@ -393,7 +390,7 @@ def test_pending_reconfiguration_event_caps_the_horizon():
 
 
 def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[DynInst]:
-    """The reference wake-up: rescan every admitted, unissued entry of a queue.
+    """The reference wake-up: rescan every arrived, unissued entry of a queue.
 
     This is the arithmetic of the per-edge scan the wake-up heaps replaced:
     an entry is ready at edge *now* once every producer has completed and
@@ -406,7 +403,7 @@ def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[Dy
     ready = []
     for inst in processor.rob.entries:
         if inst.is_fp != is_fp or inst.queue_arrival_time > now:
-            continue  # another queue's entry, or not admitted yet
+            continue  # another queue's entry, or not arrived yet
         if inst.completion_time is not None or inst.lsq_arrival_time is not None:
             continue  # issued
         wake = 0

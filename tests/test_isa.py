@@ -2,54 +2,28 @@
 
 import pytest
 
-from repro.isa import (
-    EXECUTION_LATENCY,
-    Instruction,
-    NUM_FP_REGS,
-    NUM_INT_REGS,
-    OpClass,
-    fp_reg,
-    int_reg,
-    is_floating_point,
-    is_fp_register,
-    is_int_register,
-    is_integer,
-    is_memory,
-    register_index,
-    uses_fp_queue,
-    uses_int_queue,
+from repro.isa import EXECUTION_LATENCY, NUM_FP_REGS, NUM_INT_REGS, OpClass, register_index
+from repro.isa.opcodes import (
+    FLAG_FP,
+    FLAG_LOAD,
+    FLAG_MEMORY,
+    FLAG_STORE,
+    OPCLASS_FLAGS,
+    OPCODE_ID,
 )
 from repro.isa.registers import TOTAL_LOGICAL_REGS
 
+FP_CLASSES = {OpClass.FP_ALU, OpClass.FP_MULT, OpClass.FP_DIV, OpClass.FP_SQRT}
+
+
+def flags(op: OpClass) -> int:
+    return OPCLASS_FLAGS[OPCODE_ID[op]]
+
 
 class TestRegisters:
-    def test_int_reg_names(self):
-        assert int_reg(0) == "r0"
-        assert int_reg(31) == "r31"
-
-    def test_fp_reg_names(self):
-        assert fp_reg(0) == "f0"
-        assert fp_reg(31) == "f31"
-
-    def test_int_reg_out_of_range(self):
-        with pytest.raises(ValueError):
-            int_reg(32)
-        with pytest.raises(ValueError):
-            int_reg(-1)
-
-    def test_fp_reg_out_of_range(self):
-        with pytest.raises(ValueError):
-            fp_reg(NUM_FP_REGS)
-
-    def test_register_classification(self):
-        assert is_int_register("r5")
-        assert not is_fp_register("r5")
-        assert is_fp_register("f5")
-        assert not is_int_register("f5")
-
     def test_register_index_dense_and_disjoint(self):
-        int_indices = {register_index(int_reg(i)) for i in range(NUM_INT_REGS)}
-        fp_indices = {register_index(fp_reg(i)) for i in range(NUM_FP_REGS)}
+        int_indices = {register_index(f"r{i}") for i in range(NUM_INT_REGS)}
+        fp_indices = {register_index(f"f{i}") for i in range(NUM_FP_REGS)}
         assert int_indices == set(range(NUM_INT_REGS))
         assert fp_indices == set(range(NUM_INT_REGS, TOTAL_LOGICAL_REGS))
         assert not int_indices & fp_indices
@@ -61,67 +35,31 @@ class TestRegisters:
 
 
 class TestOpClasses:
+    """The opclass rules the simulator relies on, as its flag bits state them:
+    the FP flag picks the floating-point queue and everything else issues
+    from the integer queue."""
+
     def test_every_class_has_a_latency(self):
         for op in OpClass:
             assert EXECUTION_LATENCY[op] >= 1
 
     def test_memory_classification(self):
-        assert is_memory(OpClass.LOAD)
-        assert is_memory(OpClass.STORE)
-        assert not is_memory(OpClass.INT_ALU)
+        assert {op for op in OpClass if flags(op) & FLAG_MEMORY} == {OpClass.LOAD, OpClass.STORE}
+        assert {op for op in OpClass if flags(op) & FLAG_LOAD} == {OpClass.LOAD}
+        assert {op for op in OpClass if flags(op) & FLAG_STORE} == {OpClass.STORE}
 
     def test_integer_and_fp_are_disjoint(self):
-        for op in OpClass:
-            assert not (is_integer(op) and is_floating_point(op))
+        assert {op for op in OpClass if flags(op) & FLAG_FP} == FP_CLASSES
 
     def test_queue_routing_covers_everything(self):
-        for op in OpClass:
-            assert uses_int_queue(op) != uses_fp_queue(op)
+        integer = {op for op in OpClass if not flags(op) & FLAG_FP}
+        assert integer | FP_CLASSES == set(OpClass)
+        assert OpClass.BRANCH in integer and OpClass.NOP in integer
 
     def test_memory_ops_use_integer_queue(self):
-        assert uses_int_queue(OpClass.LOAD)
-        assert uses_int_queue(OpClass.STORE)
+        assert not flags(OpClass.LOAD) & FLAG_FP
+        assert not flags(OpClass.STORE) & FLAG_FP
 
     def test_complex_ops_slower_than_alu(self):
         assert EXECUTION_LATENCY[OpClass.INT_MULT] > EXECUTION_LATENCY[OpClass.INT_ALU]
         assert EXECUTION_LATENCY[OpClass.FP_DIV] > EXECUTION_LATENCY[OpClass.FP_ALU]
-
-
-class TestInstruction:
-    def test_memory_instruction_requires_address(self):
-        with pytest.raises(ValueError):
-            Instruction(pc=0x1000, op=OpClass.LOAD, dest="r4")
-
-    def test_branch_gets_default_target(self):
-        branch = Instruction(pc=0x1000, op=OpClass.BRANCH, taken=False)
-        assert branch.is_branch
-        assert branch.target == 0x1004
-
-    def test_next_pc_taken_branch(self):
-        branch = Instruction(
-            pc=0x1000, op=OpClass.BRANCH, taken=True, target=0x2000
-        )
-        assert branch.next_pc == 0x2000
-
-    def test_next_pc_not_taken_branch(self):
-        branch = Instruction(
-            pc=0x1000, op=OpClass.BRANCH, taken=False, target=0x2000
-        )
-        assert branch.next_pc == 0x1004
-
-    def test_next_pc_sequential(self):
-        inst = Instruction(pc=0x1000, op=OpClass.INT_ALU, dest="r1")
-        assert inst.next_pc == 0x1004
-
-    def test_load_store_properties(self):
-        load = Instruction(pc=0, op=OpClass.LOAD, dest="r1", address=64)
-        store = Instruction(pc=4, op=OpClass.STORE, sources=("r1",), address=64)
-        assert load.is_load and not load.is_store
-        assert store.is_store and not store.is_load
-        assert load.is_memory_op and store.is_memory_op
-
-    def test_describe_mentions_key_fields(self):
-        inst = Instruction(pc=0x40, op=OpClass.LOAD, dest="r7", address=0x1234)
-        text = inst.describe()
-        assert "load" in text
-        assert "r7" in text

@@ -9,9 +9,21 @@ forwarding are methods of the structures themselves.
 
 import pytest
 
-from repro.core import ArchitecturalParameters, MCDProcessor, best_overall_synchronous_spec
+from repro.core import (
+    ArchitecturalParameters,
+    MCDProcessor,
+    base_adaptive_spec,
+    best_overall_synchronous_spec,
+)
 from repro.core.domains import Domain
-from repro.isa.opcodes import OPCODE_ID, OpClass, is_floating_point, is_memory
+from repro.isa.opcodes import (
+    FLAG_FP,
+    FLAG_MEMORY,
+    FLAG_STORE,
+    OPCLASS_FLAGS,
+    OPCODE_ID,
+    OpClass,
+)
 from repro.isa.registers import NO_REGISTER, register_index
 from repro.pipeline import (
     DynInst,
@@ -21,6 +33,7 @@ from repro.pipeline import (
     LoadStoreQueue,
     PhysicalRegisterFile,
 )
+from repro.workloads.generator import CompiledTrace
 
 
 def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=0):
@@ -28,9 +41,10 @@ def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=0):
     inst = DynInst()
     inst.seq = seq
     inst.op_id = OPCODE_ID[op]
-    inst.is_memory_op = is_memory(op)
-    inst.is_store = op is OpClass.STORE
-    inst.is_fp = is_floating_point(op)
+    flags = OPCLASS_FLAGS[inst.op_id]
+    inst.is_memory_op = flags & FLAG_MEMORY != 0
+    inst.is_store = flags & FLAG_STORE != 0
+    inst.is_fp = flags & FLAG_FP != 0
     inst.pc = 0x1000 + seq * 4
     inst.dest = NO_REGISTER if dest is None else register_index(dest)
     registers = [register_index(name) for name in sources] + [NO_REGISTER, NO_REGISTER]
@@ -45,7 +59,7 @@ def machine(**parameters):
     Table 5's sizes."""
     spec = best_overall_synchronous_spec(parameters=ArchitecturalParameters(**parameters))
     processor = MCDProcessor(spec)
-    processor.frontend = FrontEnd((), icache_config=spec.icache)
+    processor.frontend = FrontEnd(CompiledTrace(), icache_config=spec.icache)
     return processor
 
 
@@ -73,21 +87,27 @@ class TestIssueQueue:
         queue.set_capacity(2)
         insts = [make_inst(seq) for seq in range(3)]
         dispatch(processor, *insts)
-        assert list(queue.incoming) == insts[:2]
         assert queue.occupancy == 2
+        assert queue.total_dispatched == 2
         assert list(processor.frontend.fetch_queue.entries) == insts[2:]
 
     def test_arrivals_respect_time(self):
-        queue = IssueQueue(capacity=4)
+        # Dispatch keys an entry with no producer in flight at its arrival in
+        # the queue, the integer clock's next edge; it cannot issue before.
+        processor = MCDProcessor(base_adaptive_spec())
+        processor.frontend = FrontEnd(CompiledTrace(), icache_config=processor.spec.icache)
+        int_clock = processor.clocks[Domain.INTEGER]
+        int_clock.advance()
+        arrival = int_clock.next_edge
         inst = make_inst(0)
-        queue.incoming.append(inst)
-        schedule(queue, inst, arrival=1000)
-        queue.admit_arrivals(now=500)
-        assert list(queue.incoming) == [inst]
-        assert not queue.wake_up(500)
-        queue.admit_arrivals(now=1000)
-        assert not queue.incoming
-        assert queue.wake_up(1000) == [inst]
+        dispatch(processor, inst, now=0)
+        queue = processor.int_queue
+        assert inst.queue_arrival_time == arrival > 0
+        assert queue.heap == [(arrival, 0, inst)]
+        processor._integer_cycle(arrival - 1)
+        assert queue.total_issued == 0
+        processor._integer_cycle(arrival)
+        assert queue.total_issued == 1
 
     def test_ready_entries_oldest_first(self):
         queue = IssueQueue(capacity=8)
@@ -232,20 +252,20 @@ class TestLoadStoreQueue:
 class TestFunctionalUnits:
     def test_alu_slots_reset_each_cycle(self):
         pool = FunctionalUnitPool(alus=2, complex_units=1, complex_ops=frozenset({OpClass.INT_MULT}))
-        pool.begin_cycle(0)
+        pool.begin_cycle()
         assert pool.try_reserve(OpClass.INT_ALU, 0, 1000)
         assert pool.try_reserve(OpClass.INT_ALU, 0, 1000)
         assert not pool.try_reserve(OpClass.INT_ALU, 0, 1000)
-        pool.begin_cycle(1000)
+        pool.begin_cycle()
         assert pool.try_reserve(OpClass.INT_ALU, 1000, 1000)
 
     def test_complex_unit_busy_for_latency(self):
         pool = FunctionalUnitPool(alus=1, complex_units=1, complex_ops=frozenset({OpClass.INT_MULT}))
-        pool.begin_cycle(0)
+        pool.begin_cycle()
         assert pool.try_reserve(OpClass.INT_MULT, 0, 3000)
-        pool.begin_cycle(1000)
+        pool.begin_cycle()
         assert not pool.try_reserve(OpClass.INT_MULT, 1000, 3000)
-        pool.begin_cycle(3000)
+        pool.begin_cycle()
         assert pool.try_reserve(OpClass.INT_MULT, 3000, 3000)
 
 

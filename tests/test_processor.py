@@ -15,16 +15,19 @@ from repro.core import (
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
+from repro.engine import make_trace
 from repro.obs.recorder import TraceRecorder
 from repro.scenarios.library import get_scenario
-from repro.workloads import SyntheticTraceGenerator, WorkloadProfile
+from repro.workloads import WorkloadProfile
+
+from tests.trace_rows import copy_rows
 
 
 def run_machine(spec, profile, *, window=1500, warmup=1500, phase_adaptive=False,
                 control=None, trace_seed=11):
     processor = MCDProcessor(spec, phase_adaptive=phase_adaptive, control=control)
     return processor.run(
-        SyntheticTraceGenerator(profile, seed=trace_seed),
+        make_trace(profile, seed=trace_seed),
         max_instructions=window,
         warmup_instructions=warmup,
         workload_name=profile.name,
@@ -46,8 +49,8 @@ class TestBasicExecution:
     def test_finite_trace_drains_cleanly(self, tiny_profile):
         spec = best_overall_synchronous_spec()
         processor = MCDProcessor(spec)
-        trace = SyntheticTraceGenerator(tiny_profile, seed=1).generate(400)
-        result = processor.run(iter(trace), max_instructions=10_000)
+        trace = copy_rows(make_trace(tiny_profile, seed=1), 400)
+        result = processor.run(trace, max_instructions=10_000)
         assert 0 < result.committed_instructions <= 400
 
     def test_all_domains_tick(self, tiny_profile):
@@ -212,7 +215,7 @@ class TestPhaseAdaptiveExecution:
             base_adaptive_spec(), phase_adaptive=True, control=self.control(6000)
         )
         processor.run(
-            SyntheticTraceGenerator(profile, seed=11), max_instructions=6000,
+            make_trace(profile, seed=11), max_instructions=6000,
             warmup_instructions=3000, workload_name=profile.name,
         )
         controller = processor._int_queue_controller
@@ -260,7 +263,7 @@ class TestProcessorLifetime:
         try:
             processor = make_processor()
             processor.run(
-                SyntheticTraceGenerator(profile, seed=trace_seed),
+                make_trace(profile, seed=trace_seed),
                 max_instructions=window,
                 warmup_instructions=warmup,
             )

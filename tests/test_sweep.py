@@ -17,6 +17,7 @@ from repro.analysis.sweep import (
 from repro.core.configuration import AdaptiveConfigIndices
 from repro.engine import DEFAULT_TRACE_SEED, default_control_params, default_warmup, make_trace
 from repro.workloads import WorkloadProfile
+from repro.workloads.trace_cache import cached_trace
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestHelpers:
 
     def test_make_trace_uses_default_seed(self, quick_profile):
         trace = make_trace(quick_profile)
-        assert trace.seed == DEFAULT_TRACE_SEED
+        assert trace is cached_trace(quick_profile, seed=DEFAULT_TRACE_SEED).compiled
 
     def test_factored_candidates_cover_each_dimension(self):
         candidates = _search_candidates("factored")

@@ -43,30 +43,9 @@ class TestSynchronizationModel:
         consumer = DomainClock("b", 0.5)
         assert model.transfer(1900, producer, consumer, fifo=True) == 2000
 
-    def test_record_false_suppresses_stats(self):
-        model = SynchronizationModel(enabled=True)
-        producer = DomainClock("a", 1.0)
-        consumer = DomainClock("b", 0.7)
-        model.transfer(100, producer, consumer, record=False)
-        assert model.stats.transfers == 0
-
-    def test_penalty_rate(self):
-        model = SynchronizationModel(enabled=True)
-        producer = DomainClock("a", 1.7)
-        consumer = DomainClock("b", 1.1)
-        for time in range(0, 100_000, 777):
-            model.transfer(time, producer, consumer)
-        assert 0.0 < model.stats.penalty_rate < 1.0
-
     def test_window_fraction_validation(self):
         with pytest.raises(ValueError):
             SynchronizationModel(window_fraction=1.5)
-
-    def test_reset(self):
-        model = SynchronizationModel(enabled=True)
-        model.transfer(100, DomainClock("a", 1.0), DomainClock("b", 1.2))
-        model.reset()
-        assert model.stats.transfers == 0
 
 
 class TestTransferBoundaries:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.engine import make_trace
 from repro.workloads import get_workload
 from repro.workloads.trace_cache import (
     DEFAULT_CACHE_TRACES,
@@ -18,7 +19,7 @@ class TestReplayableTrace:
         assert compiled.ensure(350) == 350
         assert compiled.ensure(200) == 350
         assert compiled.length == 350
-        assert not compiled.exhausted
+        assert not compiled.finite
 
 
 class TestCachedTrace:
@@ -32,6 +33,14 @@ class TestCachedTrace:
         profile = get_workload("gcc")
         assert cached_trace(profile, seed=1) is cached_trace(profile, seed=1)
         assert cached_trace(profile, seed=1).compiled is cached_trace(profile, seed=1).compiled
+
+    def test_make_trace_is_the_shared_compiled_trace(self):
+        # perfbench compiles the columns through cached_trace(...).compiled
+        # before its timed jobs and then checks that they wrote no row, which
+        # holds only if every job reads this very object.
+        profile = get_workload("gcc")
+        for seed in (1, 1335):
+            assert make_trace(profile, seed=seed) is cached_trace(profile, seed=seed).compiled
 
     def test_different_seeds_get_distinct_traces(self):
         profile = get_workload("gcc")

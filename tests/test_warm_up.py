@@ -26,10 +26,12 @@ from repro.core.configuration import (
 )
 from repro.core.processor import MCDProcessor
 from repro.engine import make_trace
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FLAG_BRANCH, FLAG_MEMORY, FLAG_STORE, FLAG_TAKEN, OpClass
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads import get_workload
+from repro.workloads.generator import CompiledTrace
+
+from tests.trace_rows import append_row
 
 #: Every physical array a shipped machine builds its caches on.
 PHYSICAL_ARRAYS = {
@@ -86,36 +88,35 @@ MACHINES = {
 }
 
 
-def hand_written_trace() -> list[Instruction]:
+def hand_written_trace() -> CompiledTrace:
     """Rows that a flag or address shortcut would get wrong: a memory row at
     address 0, a row flagged both branch and memory, loads that conflict in
     the direct-mapped L1-D set 0 (L1 misses that hit the L2), and taken and
-    not-taken branches that share a fetch block with their neighbours."""
+    not-taken branches that share a fetch block with their neighbours.
+    Registers 1 to 5 are the integer registers r1 to r5."""
     conflict = ADAPTIVE_DCACHE_CONFIGS[-1].l1.num_sets * 64
     pc = 0x40_0000
-    rows = [
-        Instruction(pc=pc, op=OpClass.LOAD, dest="r1", address=0),
-        Instruction(pc=pc + 4, op=OpClass.STORE, sources=("r1",), address=conflict),
-        Instruction(
-            pc=pc + 8,
-            op=OpClass.LOAD,
-            dest="r2",
-            address=0x40,
-            is_branch=True,
-            taken=True,
-            target=pc + 0x1000,
-        ),
-        Instruction(pc=pc + 0x1000, op=OpClass.LOAD, dest="r3", address=0),
-        Instruction(pc=pc + 0x1004, op=OpClass.BRANCH, taken=False),
-        Instruction(pc=pc + 0x1008, op=OpClass.LOAD, dest="r4", address=2 * conflict),
-        Instruction(pc=pc + 0x100C, op=OpClass.INT_ALU, dest="r5", sources=("r4",)),
-        Instruction(pc=pc + 0x1010, op=OpClass.BRANCH, taken=True, target=pc),
-        Instruction(pc=pc, op=OpClass.LOAD, dest="r1", address=conflict + 8),
-        Instruction(pc=pc + 4, op=OpClass.STORE, sources=("r1",), address=0),
-    ]
-    for seq, row in enumerate(rows):
-        row.seq = seq
-    return rows
+    trace = CompiledTrace()
+    append_row(trace, pc, OpClass.LOAD, dest=1, address=0)
+    append_row(trace, pc + 4, OpClass.STORE, sources=(1,), address=conflict)
+    append_row(
+        trace,
+        pc + 8,
+        OpClass.LOAD,
+        dest=2,
+        address=0x40,
+        branch=True,
+        taken=True,
+        target=pc + 0x1000,
+    )
+    append_row(trace, pc + 0x1000, OpClass.LOAD, dest=3, address=0)
+    append_row(trace, pc + 0x1004, OpClass.BRANCH, taken=False)
+    append_row(trace, pc + 0x1008, OpClass.LOAD, dest=4, address=2 * conflict)
+    append_row(trace, pc + 0x100C, OpClass.INT_ALU, dest=5, sources=(4,))
+    append_row(trace, pc + 0x1010, OpClass.BRANCH, taken=True, target=pc)
+    append_row(trace, pc, OpClass.LOAD, dest=1, address=conflict + 8)
+    append_row(trace, pc + 4, OpClass.STORE, sources=(1,), address=0)
+    return trace
 
 
 class WarmedUp(Exception):
@@ -193,7 +194,7 @@ def warm_state(processor: MCDProcessor) -> dict:
 #: Trace builder, warm-up count and the cursor that count leaves.
 TRACES = {
     # The whole hand-written trace: the count runs past its end.
-    "hand_written": (hand_written_trace, 20, len(hand_written_trace())),
+    "hand_written": (hand_written_trace, 20, hand_written_trace().length),
     "em3d": (lambda: make_trace(get_workload("em3d")), 4_000, 4_000),
     "gcc": (lambda: make_trace(get_workload("gcc")), 4_000, 4_000),
 }

@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import FLAG_BRANCH, FLAG_MEMORY, FLAG_TAKEN, OPCLASSES, OpClass
+from repro.isa.registers import NO_REGISTER
 from repro.workloads import (
     BENCHMARK_SUITES,
     PhaseSpec,
@@ -19,7 +20,7 @@ from repro.workloads import (
     workload_names,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.workloads.generator import CODE_BASE, HOT_DATA_BASE
+from repro.workloads.generator import CODE_BASE, HOT_DATA_BASE, CompiledTrace
 from repro.workloads.phases import (
     burst_schedule,
     bursty_conflict_phases,
@@ -29,6 +30,29 @@ from repro.workloads.phases import (
     square_wave,
     triangle,
 )
+
+from tests.trace_rows import COLUMNS
+
+
+def rows(profile, count, seed=1234):
+    """A fresh trace of *profile* holding its first *count* rows."""
+    trace = CompiledTrace(SyntheticTraceGenerator(profile, seed=seed))
+    trace.ensure(count)
+    return trace
+
+
+def same_rows(first, second):
+    return all(getattr(first, column) == getattr(second, column) for column in COLUMNS)
+
+
+def memory_addresses(trace, start=0, end=None):
+    """The addresses of the memory rows among *trace*'s rows from *start* to
+    *end*, in row order."""
+    return [
+        address
+        for bits, address in zip(trace.flags[start:end], trace.address[start:end])
+        if bits & FLAG_MEMORY
+    ]
 
 
 class TestWorkloadProfile:
@@ -134,29 +158,24 @@ class TestPhaseHelpers:
 
 class TestGenerator:
     def test_determinism(self, tiny_profile):
-        first = SyntheticTraceGenerator(tiny_profile, seed=7).generate(2000)
-        second = SyntheticTraceGenerator(tiny_profile, seed=7).generate(2000)
-        assert [i.pc for i in first] == [i.pc for i in second]
-        assert [i.op for i in first] == [i.op for i in second]
-        assert [i.address for i in first] == [i.address for i in second]
+        assert same_rows(rows(tiny_profile, 2000, seed=7), rows(tiny_profile, 2000, seed=7))
 
     def test_different_seeds_differ(self, tiny_profile):
-        first = SyntheticTraceGenerator(tiny_profile, seed=1).generate(2000)
-        second = SyntheticTraceGenerator(tiny_profile, seed=2).generate(2000)
-        assert [i.address for i in first] != [i.address for i in second]
+        first = rows(tiny_profile, 2000, seed=1)
+        second = rows(tiny_profile, 2000, seed=2)
+        assert first.address != second.address
 
     def test_sequence_numbers_are_dense(self, tiny_profile):
-        trace = SyntheticTraceGenerator(tiny_profile).generate(500)
-        assert [inst.seq for inst in trace] == list(range(500))
+        assert list(rows(tiny_profile, 500).seq) == list(range(500))
 
     def test_instruction_mix_close_to_profile(self):
         profile = WorkloadProfile(
             name="mix", suite="t", load_fraction=0.3, store_fraction=0.1,
             fp_fraction=0.4, simulation_window=1000,
         )
-        trace = SyntheticTraceGenerator(profile, seed=3).generate(30_000)
-        counts = Counter(inst.op for inst in trace)
-        total = len(trace)
+        trace = rows(profile, 30_000, seed=3)
+        counts = Counter(OPCLASSES[op] for op in trace.op)
+        total = trace.length
         loads = counts[OpClass.LOAD] / total
         stores = counts[OpClass.STORE] / total
         assert abs(loads - 0.3 * (1 - _branch_share(counts, total))) < 0.08
@@ -165,33 +184,33 @@ class TestGenerator:
         assert fp_ops > 0
 
     def test_pcs_stay_within_code_footprint(self, tiny_profile):
-        trace = SyntheticTraceGenerator(tiny_profile).generate(5000)
+        trace = rows(tiny_profile, 5000)
         footprint_bytes = int(tiny_profile.code_footprint_kb * 1024)
-        for inst in trace:
-            assert CODE_BASE <= inst.pc < CODE_BASE + footprint_bytes
+        for pc in trace.pc:
+            assert CODE_BASE <= pc < CODE_BASE + footprint_bytes
 
     def test_data_addresses_stay_within_footprint(self, tiny_profile):
-        trace = SyntheticTraceGenerator(tiny_profile).generate(5000)
         footprint_bytes = int(tiny_profile.data_footprint_kb * 1024)
-        for inst in trace:
-            if inst.is_memory_op:
-                assert HOT_DATA_BASE <= inst.address < HOT_DATA_BASE + footprint_bytes + 64
+        for address in memory_addresses(rows(tiny_profile, 5000)):
+            assert HOT_DATA_BASE <= address < HOT_DATA_BASE + footprint_bytes + 64
 
     def test_branches_have_targets_and_memory_ops_addresses(self, tiny_profile):
-        for inst in SyntheticTraceGenerator(tiny_profile).generate(3000):
-            if inst.is_branch:
-                assert inst.target is not None
-            if inst.is_memory_op:
-                assert inst.address is not None
-            else:
-                assert inst.address is None
+        trace = rows(tiny_profile, 3000)
+        for bits, address, target in zip(trace.flags, trace.address, trace.target):
+            assert (target != 0) == bool(bits & FLAG_BRANCH)
+            assert (address != 0) == bool(bits & FLAG_MEMORY)
 
     def test_control_flow_is_consistent(self, tiny_profile):
         """The next instruction's PC must equal the previous instruction's
         architectural next PC (no teleporting in the trace)."""
-        trace = SyntheticTraceGenerator(tiny_profile).generate(4000)
-        for previous, current in zip(trace, trace[1:]):
-            assert current.pc == previous.next_pc
+        trace = rows(tiny_profile, 4000)
+        for index in range(1, trace.length):
+            previous = index - 1
+            if trace.flags[previous] & FLAG_TAKEN:
+                expected = trace.target[previous]
+            else:
+                expected = trace.pc[previous] + 4
+            assert trace.pc[index] == expected
 
     def test_phases_change_generation_parameters(self):
         profile = WorkloadProfile(
@@ -202,22 +221,16 @@ class TestGenerator:
                 PhaseSpec(length=2000, overrides={"hot_data_kb": 256.0}),
             ),
         )
-        generator = SyntheticTraceGenerator(profile, seed=11)
-        first_phase = generator.generate(2000)
-        second_phase = generator.generate(2000)
+        trace = rows(profile, 4000, seed=11)
 
-        def hot_region_share(instructions, region_kb):
-            memory_ops = [i for i in instructions if i.is_memory_op]
-            within = sum(
-                1
-                for i in memory_ops
-                if (i.address or 0) - HOT_DATA_BASE < region_kb * 1024
-            )
-            return within / max(1, len(memory_ops))
+        def hot_region_share(start, region_kb):
+            addresses = memory_addresses(trace, start, start + 2000)
+            within = sum(1 for address in addresses if address - HOT_DATA_BASE < region_kb * 1024)
+            return within / max(1, len(addresses))
 
         # Phase one confines its hot accesses to 8 KB; phase two spreads them
         # over 256 KB, so far fewer of its accesses land in the first 8 KB.
-        assert hot_region_share(first_phase, 8) > hot_region_share(second_phase, 8) + 0.2
+        assert hot_region_share(0, 8) > hot_region_share(2000, 8) + 0.2
 
     def test_larger_dependence_distance_raises_measured_ilp(self):
         serial = WorkloadProfile(name="serial", suite="t", mean_dependence_distance=2.0,
@@ -230,10 +243,9 @@ class TestGenerator:
     @settings(max_examples=15, deadline=None)
     def test_any_seed_produces_valid_instructions(self, seed):
         profile = WorkloadProfile(name="prop", suite="t", simulation_window=1000)
-        for inst in SyntheticTraceGenerator(profile, seed=seed).generate(400):
-            assert inst.pc >= CODE_BASE
-            if inst.is_memory_op:
-                assert inst.address is not None and inst.address % 8 == 0
+        trace = rows(profile, 400, seed=seed)
+        assert all(pc >= CODE_BASE for pc in trace.pc)
+        assert all(address % 8 == 0 for address in memory_addresses(trace))
 
 
 def _branch_share(counts, total):
@@ -242,13 +254,13 @@ def _branch_share(counts, total):
 
 def _dependence_height(profile, count=3000):
     """Average dependence-chain height per instruction over a window."""
-    trace = SyntheticTraceGenerator(profile, seed=5).generate(count)
-    timestamps: dict[str, int] = {}
+    trace = rows(profile, count, seed=5)
+    timestamps: dict[int, int] = {}
     height_total = 0
-    for inst in trace:
-        height = 1 + max((timestamps.get(s, 0) for s in inst.sources), default=0)
-        if inst.dest is not None:
-            timestamps[inst.dest] = height
+    for dest, *sources in zip(trace.dest, trace.src0, trace.src1):
+        height = 1 + max((timestamps.get(s, 0) for s in sources if s != NO_REGISTER), default=0)
+        if dest != NO_REGISTER:
+            timestamps[dest] = height
         height_total += height
     return height_total / count
 
@@ -342,7 +354,7 @@ class TestProfileValidate:
         with pytest.raises(ValueError, match=rf"{context}: hot_data_kb \(0.0005\)"):
             build(0.0005)
         # Exactly one 8-byte word is the smallest legal hot region.
-        assert len(SyntheticTraceGenerator(build(8 / 1024), seed=1).generate(2_000)) == 2_000
+        assert rows(build(8 / 1024), 2_000, seed=1).length == 2_000
 
     def test_boundary_values_accepted(self):
         # Exactly-on-the-boundary values are legal: fractions of 0 and 1, a
@@ -406,34 +418,31 @@ class TestGeneratorExtremes:
                 PhaseSpec(length=1, overrides={"hot_data_fraction": 1.0}),
             )
         )
-        generator = SyntheticTraceGenerator(profile, seed=3)
-        indices = []
-        for _ in range(64):
-            generator.generate(1)
-            indices.append(generator.current_phase_index)
-        # One-instruction phases flip the phase index on every instruction.
-        assert set(indices) == {0, 1}
-        assert all(a != b for a, b in zip(indices, indices[1:]))
+        trace = CompiledTrace(SyntheticTraceGenerator(profile, seed=3))
+        for count in range(1, 401):
+            trace.ensure(count)
+        # One-instruction phases flip the phase on every row, one row per
+        # step too: even rows touch only the cold region, odd rows only the
+        # hot one.
+        hot_end = HOT_DATA_BASE + int(profile.hot_data_kb * 1024)
+        regions = {
+            (seq % 2, address < hot_end)
+            for seq, bits, address in zip(trace.seq, trace.flags, trace.address)
+            if bits & FLAG_MEMORY
+        }
+        assert regions == {(0, False), (1, True)}
 
     def test_hot_fraction_zero_touches_only_the_cold_region(self):
         profile = self._profile(hot_data_fraction=0.0)
         hot_bytes = int(profile.hot_data_kb * 1024)
-        addresses = [
-            inst.address
-            for inst in SyntheticTraceGenerator(profile, seed=11).generate(4_000)
-            if inst.address is not None
-        ]
+        addresses = memory_addresses(rows(profile, 4_000, seed=11))
         assert addresses
         assert all(address >= HOT_DATA_BASE + hot_bytes for address in addresses)
 
     def test_hot_fraction_one_touches_only_the_hot_region(self):
         profile = self._profile(hot_data_fraction=1.0)
         hot_bytes = int(profile.hot_data_kb * 1024)
-        addresses = [
-            inst.address
-            for inst in SyntheticTraceGenerator(profile, seed=11).generate(4_000)
-            if inst.address is not None
-        ]
+        addresses = memory_addresses(rows(profile, 4_000, seed=11))
         assert addresses
         assert all(
             HOT_DATA_BASE <= address < HOT_DATA_BASE + hot_bytes for address in addresses
@@ -453,9 +462,7 @@ class TestGeneratorExtremes:
         original = self._profile(phases=phases)
         round_tripped = WorkloadProfile.from_dict(original.to_dict())
         assert round_tripped == original
-        a = SyntheticTraceGenerator(original, seed=5).generate(3_000)
-        b = SyntheticTraceGenerator(round_tripped, seed=5).generate(3_000)
-        assert a == b
+        assert same_rows(rows(original, 3_000, seed=5), rows(round_tripped, 3_000, seed=5))
 
     def test_extreme_phase_profile_replays_identically_from_the_cache(self):
         from repro.workloads.trace_cache import cached_trace, clear_trace_cache
@@ -468,10 +475,10 @@ class TestGeneratorExtremes:
         )
         clear_trace_cache()
         try:
-            fresh = SyntheticTraceGenerator(profile, seed=8).generate(3_000)
+            fresh = rows(profile, 3_000, seed=8)
             compiled = cached_trace(profile, seed=8).compiled
             assert compiled.ensure(3_000) == 3_000
-            assert [compiled.instruction_at(i) for i in range(3_000)] == fresh
+            assert same_rows(compiled, fresh)
             # A second consumer reads the same columns.
             assert cached_trace(profile, seed=8).compiled is compiled
         finally:
