@@ -143,6 +143,8 @@ class MCDProcessor:
         Seed for the PLL lock-time sampler and clock jitter.
     jitter_fraction:
         Optional peak-to-peak clock jitter as a fraction of each period.
+        Requires an adaptive spec: a synchronous machine has one global
+        clock, not four independent ones.
     sync_window_fraction:
         Fraction of the faster clock's period forming the unsafe capture
         window at domain crossings (0.3 in the paper; the knob behind the
@@ -182,6 +184,11 @@ class MCDProcessor:
     ) -> None:
         if phase_adaptive and not spec.is_adaptive:
             raise ValueError("phase-adaptive control requires an adaptive MCD spec")
+        if jitter_fraction and not spec.is_adaptive:
+            raise ValueError(
+                "jitter_fraction requires an adaptive MCD spec: a synchronous "
+                "machine runs one global clock"
+            )
         self.spec = spec
         self.params = spec.parameters
         self.control = control if control is not None else AdaptiveControlParams()
@@ -393,7 +400,7 @@ class MCDProcessor:
         start = frontend.cursor
         end = min(trace.ensure(start + count), start + count)
         # The passes iterate over the columns instead of slicing them: copies
-        # of the pc, target and address slices would add 24 bytes a row to
+        # of the pc, target and address slices would add 12 bytes a row to
         # the peak memory.
         flags = trace.flags[start:end].tobytes()
         # The I-cache is probed once per run of rows in one fetch block.
@@ -1091,7 +1098,6 @@ class MCDProcessor:
         src1_col = trace.src1
         addr_col = trace.address
         target_col = trace.target
-        seq_col = trace.seq
         pool = self._pool
         predictor = frontend.predictor
         btb = frontend.btb
@@ -1132,7 +1138,7 @@ class MCDProcessor:
 
             bits = flags_col[cursor]
             dyninst = pool.pop() if pool else DynInst()
-            dyninst.seq = seq_col[cursor]
+            dyninst.seq = cursor
             dyninst.op_id = op_col[cursor]
             dyninst.is_branch = is_branch = bits & FLAG_BRANCH != 0
             dyninst.is_memory_op = bits & FLAG_MEMORY != 0

@@ -168,10 +168,12 @@ class SimulationJob:
     :class:`AdaptiveControlParams` fields on top of the resolved controller
     parameters (``dataclasses.replace`` semantics) — how sensitivity sweeps
     vary the adaptation interval or hysteresis without re-deriving the
-    window-scaled defaults; it therefore requires a phase-adaptive job.  An
-    out-of-range value of any of the three raises :class:`ValueError` when
-    the job is built.  All three knobs are part of the fingerprint, so
-    jittered runs are cached and parallelised exactly like jitter-free ones.
+    window-scaled defaults; it therefore requires a phase-adaptive job.
+    Jitter requires an MCD machine: a synchronous one runs a single global
+    clock.  An out-of-range value of any of the three raises
+    :class:`ValueError` when the job is built.  All three knobs are part of
+    the fingerprint, so jittered runs are cached and parallelised exactly
+    like jitter-free ones.
     """
 
     profile: WorkloadProfile
@@ -210,6 +212,11 @@ class SimulationJob:
             object.__setattr__(self, "spec_overrides", dict(self.spec_overrides))
         if not 0 <= self.jitter_fraction < 0.5:
             raise ValueError("jitter_fraction must be in [0, 0.5)")
+        if self.jitter_fraction and self.spec_kind not in _ADAPTIVE_KINDS:
+            raise ValueError(
+                "jitter_fraction applies to MCD machines only: a synchronous "
+                "machine runs one global clock"
+            )
         if self.sync_window_fraction is not None and not (
             0 <= self.sync_window_fraction < 1
         ):

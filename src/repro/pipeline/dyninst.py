@@ -21,11 +21,13 @@ class DynInst:
     address.
 
     The processor's fetch is the only producer of records: it fills the
-    decoded fields from the compiled trace's columns, and the rest of the
-    processor writes the timing state as the instruction moves through
-    dispatch, issue and commit.  The constructor builds a blank record (a
-    NOP with no registers); committed records return to the processor's
-    free list whenever the machine drains.
+    decoded fields from the compiled trace's columns and sets ``seq`` to the
+    instruction's row index in the trace (program order: the issue queues'
+    tie-break and the LSQ's age test), and the rest of the processor writes
+    the timing state as the instruction moves through dispatch, issue and
+    commit.  The constructor builds a blank record (a NOP with no
+    registers); committed records return to the processor's free list
+    whenever the machine drains.
 
     Deliberately a plain ``__slots__`` class with *identity* equality: queue
     entries are unique in-flight objects, which commit and the rename map
@@ -46,7 +48,8 @@ class DynInst:
         # producers are still in flight.
         "consumers",
         "waits",
-        # Decoded instruction fields, filled by fetch from the trace columns.
+        # Decoded instruction fields, filled by fetch: ``seq`` is the row
+        # index, the others come from the trace columns.
         "seq",
         "op_id",
         "is_branch",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
+from math import log
 from typing import Any, Mapping
 
 from repro.isa.opcodes import FLAG_BRANCH, FLAG_TAKEN, OPCLASS_FLAGS, OPCODE_ID, OpClass
@@ -37,6 +38,9 @@ CODE_BASE = 0x0040_0000
 HOT_DATA_BASE = 0x1000_0000
 #: Bytes per instruction.
 INSTRUCTION_BYTES = 4
+#: The compiled trace's address columns hold 32-bit values, so the code and
+#: data segments must end at or below this address.
+ADDRESS_LIMIT = 1 << 32
 
 # Registers r1/f1 hold long-ready values ("far" dependences); destinations
 # rotate through a pool of scratch registers, and a source reaches back at
@@ -73,18 +77,22 @@ class CompiledTrace:
     """Flat structure-of-arrays form of one instruction stream: the one
     trace type the simulator reads.
 
-    Each instruction is one row across nine parallel ``array`` columns:
-    program counter, dense opcode id, opclass/branch flag bitmask, register
-    ids (destination and up to two sources, ``NO_REGISTER`` when absent —
-    the source ids carry the stream's dependence structure), effective
-    memory address (0 when none), branch target (0 when none) and sequence
-    number.  Fetch and warm-up read the columns by index, so the simulation
-    never builds a per-instruction object.
+    Each instruction is one row across eight parallel ``array`` columns,
+    17 bytes a row: program counter, dense opcode id, opclass/branch flag
+    bitmask, register ids (destination and up to two sources,
+    ``NO_REGISTER`` when absent — the source ids carry the stream's
+    dependence structure), effective memory address (0 when none) and
+    branch target (0 when none).  The program counter, address and target
+    columns hold 32-bit addresses; the generator rejects a profile whose
+    code or data would reach 2**32.  Rows are numbered by their position,
+    so no column holds a sequence number.  Fetch and warm-up read the
+    columns by index, so the simulation never builds a per-instruction
+    object.
 
     Built with a :class:`SyntheticTraceGenerator`, the trace has the
     generator write rows into the columns as :meth:`ensure` asks for them,
     and never ends.  Built without one, it holds the rows its caller
-    appended to the nine columns and ends at the last one.
+    appended to the eight columns and ends at the last one.
     """
 
     __slots__ = (
@@ -96,26 +104,24 @@ class CompiledTrace:
         "src1",
         "address",
         "target",
-        "seq",
         "_generator",
     )
 
     def __init__(self, generator: SyntheticTraceGenerator | None = None) -> None:
-        self.pc = array("Q")
+        self.pc = array("I")
         self.op = array("B")
         self.flags = array("B")
         self.dest = array("b")
         self.src0 = array("b")
         self.src1 = array("b")
-        self.address = array("Q")
-        self.target = array("Q")
-        self.seq = array("q")
+        self.address = array("I")
+        self.target = array("I")
         self._generator = generator
 
     @property
     def length(self) -> int:
         """Number of rows in the columns so far."""
-        return len(self.seq)
+        return len(self.pc)
 
     @property
     def finite(self) -> bool:
@@ -124,18 +130,33 @@ class CompiledTrace:
 
     def ensure(self, count: int) -> int:
         """Write rows up to *count*; return the number of rows available."""
-        length = len(self.seq)
+        length = len(self.pc)
         if length < count and self._generator is not None:
             self._generator._write_rows(self, count - length)
             return count
         return length
 
 
-def _resolve_phase(profile: WorkloadProfile, overrides: Mapping[str, Any]) -> tuple:
-    """One phase's dynamic knobs, in the order :meth:`_write_rows` unpacks them."""
+def _resolve_phase(
+    profile: WorkloadProfile, overrides: Mapping[str, Any], *, context: str
+) -> tuple:
+    """One phase's dynamic knobs, in the order :meth:`_write_rows` unpacks them.
+
+    Raises :class:`ValueError` naming *context* when the phase's data
+    region would reach :data:`ADDRESS_LIMIT`.
+    """
     values = {name: getattr(profile, name) for name in PHASE_OVERRIDABLE_FIELDS}
     values.update(overrides)
     hot_bytes = int(values["hot_data_kb"] * 1024)
+    # The cold region covers the remainder of the data footprint and is
+    # laid out directly after the hot region.
+    cold_bytes = max(64, int(values["data_footprint_kb"] * 1024) - hot_bytes)
+    data_end = HOT_DATA_BASE + hot_bytes + cold_bytes
+    if data_end > ADDRESS_LIMIT:
+        raise ValueError(
+            f"{context}: data_footprint_kb ({values['data_footprint_kb']!r}) ends the "
+            f"data segment at {data_end:#x}, beyond the trace's 32-bit addresses"
+        )
     return (
         values["load_fraction"],
         values["load_fraction"] + values["store_fraction"],
@@ -148,9 +169,7 @@ def _resolve_phase(profile: WorkloadProfile, overrides: Mapping[str, Any]) -> tu
         values["hot_data_fraction"],
         values["sequential_fraction"],
         hot_bytes,
-        # The cold region covers the remainder of the data footprint and is
-        # laid out directly after the hot region.
-        max(64, int(values["data_footprint_kb"] * 1024) - hot_bytes),
+        cold_bytes,
     )
 
 
@@ -168,7 +187,9 @@ class SyntheticTraceGenerator:
 
     ``CompiledTrace(generator)`` is the trace the simulator reads: the
     generator writes the stream's next rows into its columns whenever
-    :meth:`CompiledTrace.ensure` asks for more.
+    :meth:`CompiledTrace.ensure` asks for more.  A profile, or a phase
+    override, whose code or data segment would reach :data:`ADDRESS_LIMIT`
+    raises :class:`ValueError` here, before any row is written.
     """
 
     def __init__(self, profile: WorkloadProfile, *, seed: int = 1234) -> None:
@@ -186,6 +207,12 @@ class SyntheticTraceGenerator:
             2 * self._block_size, int(profile.code_footprint_kb * 1024 // INSTRUCTION_BYTES)
         )
         self._n_blocks = max(2, static_instructions // self._block_size)
+        code_end = CODE_BASE + self._n_blocks * self._block_size * INSTRUCTION_BYTES
+        if code_end > ADDRESS_LIMIT:
+            raise ValueError(
+                f"profile {profile.name!r}: code_footprint_kb ({profile.code_footprint_kb!r})"
+                f" ends the code segment at {code_end:#x}, beyond the trace's 32-bit addresses"
+            )
         window_blocks = int(
             profile.inner_window_kb * 1024 // (INSTRUCTION_BYTES * self._block_size)
         )
@@ -209,19 +236,21 @@ class SyntheticTraceGenerator:
                     self._static_branch_bias[slot] = bias
 
         # --- dynamic state ----------------------------------------------
-        overrides = [phase.overrides for phase in profile.phases] or [{}]
-        self._phase_params = [_resolve_phase(profile, each) for each in overrides]
+        context = f"profile {profile.name!r}"
+        self._phase_params = [
+            _resolve_phase(profile, phase.overrides, context=f"{context}, phase {index}")
+            for index, phase in enumerate(profile.phases)
+        ] or [_resolve_phase(profile, {}, context=context)]
         # (phase index, rows left in the phase, window start block, loop
         # iteration, block in window, instruction in block, int and fp
         # destination cursors, hot and cold sequential pointers, instructions
-        # since the accumulator update, next sequence number)
+        # since the accumulator update)
         first_phase = profile.phases[0].length if profile.phases else 0
-        self._state = (0, first_phase, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        self._state = (0, first_phase, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     def _write_rows(self, trace: CompiledTrace, count: int) -> None:
         """Append the stream's next *count* rows to *trace*'s columns."""
         rand = self._rng.random
-        expovariate = self._rng.expovariate
         randrange = self._rng.randrange
         phases = self.profile.phases
         phase_params = self._phase_params
@@ -243,14 +272,15 @@ class SyntheticTraceGenerator:
             hot_pointer,
             cold_pointer,
             since_accumulator,
-            seq,
         ) = self._state
 
         def pick(pool: tuple[int, ...], cursor: int, far: int) -> int:
             """A source: the far register or a recent destination from *pool*."""
             if not cursor or rand() < far_fraction:
                 return far
-            distance = 1 + int(expovariate(rate))
+            # self._rng.expovariate(rate) inlined: CPython's formula on the
+            # same draw, so every trace pin holds.
+            distance = 1 + int(-log(1.0 - rand()) / rate)
             if distance > cursor or distance > _RECENT_DESTS:
                 return far
             return pool[(cursor - distance) % _POOL_SIZE]
@@ -276,7 +306,6 @@ class SyntheticTraceGenerator:
         src1_append = trace.src1.append
         address_append = trace.address.append
         target_append = trace.target.append
-        seq_append = trace.seq.append
         while count:
             # One run of rows within a single phase.
             if phases:
@@ -302,7 +331,7 @@ class SyntheticTraceGenerator:
                 hot_bytes,
                 cold_bytes,
             ) = phase_params[phase_index]
-            for row_seq in range(seq, seq + run):
+            for _ in range(run):
                 block = (window_start + block_in_window) % n_blocks
                 slot = block * block_size + instr_in_block
                 pc = CODE_BASE + slot * INSTRUCTION_BYTES
@@ -396,8 +425,6 @@ class SyntheticTraceGenerator:
                 src1_append(src1)
                 address_append(address)
                 target_append(target)
-                seq_append(row_seq)
-            seq += run
         self._state = (
             phase_index,
             phase_remaining,
@@ -410,5 +437,4 @@ class SyntheticTraceGenerator:
             hot_pointer,
             cold_pointer,
             since_accumulator,
-            seq,
         )

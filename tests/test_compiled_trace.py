@@ -1,19 +1,24 @@
 """Properties of the compiled flat-array trace.
 
 The generator's columns are pinned in ``test_trace_columns.py``.  Here: a
-caller-filled trace ends at its last row, the generator writes the same
-stream whatever steps its rows are asked for in, and the observation-only
-fast-path counters never leak into a result digest.
+row is 17 bytes with 32-bit addresses, and a profile whose addresses would
+not fit is rejected before any row is written; a caller-filled trace ends
+at its last row, the generator writes the same stream whatever steps its
+rows are asked for in, and the observation-only fast-path counters never
+leak into a result digest.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.analysis.metrics import RunResult
 from repro.engine import SimulationJob, SpecKind, run_job
 from repro.isa.opcodes import OpClass
 from repro.scenarios import get_scenario
-from repro.workloads import get_workload
+from repro.workloads import PhaseSpec, WorkloadProfile, get_workload
 from repro.workloads.generator import CompiledTrace, SyntheticTraceGenerator
+from repro.workloads.trace_cache import cached_trace, clear_trace_cache
 
 from tests.golden_digests import (
     FAST_PATH_OBSERVABILITY_FIELDS,
@@ -21,6 +26,41 @@ from tests.golden_digests import (
     result_digest,
 )
 from tests.trace_rows import COLUMNS, append_row
+
+
+#: 4 GiB: a segment this large reaches 2**32 from any base address.
+HUGE_KB = 4_194_304
+
+
+class TestCompactLayout:
+    """Eight columns at 17 bytes a row, with 32-bit addresses."""
+
+    def test_a_row_is_17_bytes(self):
+        trace = CompiledTrace()
+        itemsize = {column: getattr(trace, column).itemsize for column in COLUMNS}
+        assert sum(itemsize.values()) == 17
+        assert itemsize["pc"] == itemsize["address"] == itemsize["target"] == 4
+
+    @pytest.mark.parametrize(
+        ("field", "in_phase"),
+        [("data_footprint_kb", False), ("data_footprint_kb", True), ("code_footprint_kb", False)],
+    )
+    def test_a_segment_past_32_bits_is_rejected_before_any_row(self, field, in_phase):
+        if in_phase:
+            phases = (PhaseSpec(length=500), PhaseSpec(length=500, overrides={field: HUGE_KB}))
+            profile = WorkloadProfile(name="huge", suite="test", phases=phases)
+            context = "profile 'huge', phase 1"
+        else:
+            profile = WorkloadProfile(name="huge", suite="test", **{field: HUGE_KB})
+            context = "profile 'huge'"
+        clear_trace_cache()
+        try:
+            # The second call raises too: the cache kept no partly written trace.
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{context}: {field} "):
+                    cached_trace(profile, seed=1)
+        finally:
+            clear_trace_cache()
 
 
 class TestEncodePath:
@@ -33,7 +73,6 @@ class TestEncodePath:
         append_row(trace, 0x104, OpClass.INT_ALU, dest=4, sources=(3,))
         assert trace.finite
         assert trace.ensure(500) == trace.length == 2
-        assert list(trace.seq) == [0, 1]
 
     def test_generate_continues_the_stream_across_phases(self):
         # Phases of 1 000 rows: the second step switches phase twice.

@@ -264,19 +264,29 @@ class TestFingerprint:
             )
 
     def test_timing_uncertainty_knobs_change_fingerprint(self, quick_profile):
-        base = SimulationJob(profile=quick_profile, spec_kind=SpecKind.BEST_SYNCHRONOUS)
+        base = SimulationJob(profile=quick_profile, spec_kind=SpecKind.ADAPTIVE)
         jittered = SimulationJob(
             profile=quick_profile,
-            spec_kind=SpecKind.BEST_SYNCHRONOUS,
+            spec_kind=SpecKind.ADAPTIVE,
             jitter_fraction=0.05,
         )
         windowed = SimulationJob(
             profile=quick_profile,
-            spec_kind=SpecKind.BEST_SYNCHRONOUS,
+            spec_kind=SpecKind.ADAPTIVE,
             sync_window_fraction=0.45,
         )
         fingerprints = {base.fingerprint(), jittered.fingerprint(), windowed.fingerprint()}
         assert len(fingerprints) == 3
+
+    @pytest.mark.parametrize("spec_kind", [SpecKind.SYNCHRONOUS, SpecKind.BEST_SYNCHRONOUS])
+    def test_jitter_requires_an_mcd_machine(self, quick_profile, spec_kind):
+        # One global clock: jittering its four domain clocks independently
+        # would model a machine that does not exist.
+        with pytest.raises(ValueError, match="jitter_fraction"):
+            SimulationJob(profile=quick_profile, spec_kind=spec_kind, jitter_fraction=0.05)
+        spec = SimulationJob(profile=quick_profile, spec_kind=spec_kind).build_spec()
+        with pytest.raises(ValueError, match="jitter_fraction"):
+            MCDProcessor(spec, jitter_fraction=0.05)
 
     def test_default_sync_window_shares_fingerprint_with_explicit(self, quick_profile):
         implicit = SimulationJob(profile=quick_profile, spec_kind=SpecKind.BEST_SYNCHRONOUS)
@@ -793,7 +803,7 @@ class TestSweepThroughEngine:
         jobs = [
             SimulationJob(
                 profile=quick_profile,
-                spec_kind=SpecKind.BEST_SYNCHRONOUS,
+                spec_kind=SpecKind.ADAPTIVE,
                 window=700,
                 warmup=1200,
                 jitter_fraction=0.05,

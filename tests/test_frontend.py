@@ -127,6 +127,25 @@ class TestFetch:
         later = front_end_cycle(processor, ready)
         assert later
 
+    def test_records_carry_their_row_index_as_seq(self):
+        # A cold I-cache: the first row misses and is refetched after the
+        # refill.  Every fourth row is a taken branch, which ends its cycle.
+        processor = fetching(branchy_trace(24, taken_every=4))
+        frontend = processor.frontend
+        assert not fetch(processor, 0)
+        assert frontend.stats.icache_misses == 1
+        now = frontend.stall_until
+        fetched = []
+        for _ in range(200):
+            fetched += front_end_cycle(processor, now)
+            if frontend.trace_exhausted:
+                break
+            if frontend.waiting_branch is not None:
+                resolve(processor, frontend.waiting_branch, now)
+            now += PERIOD
+        assert [inst.seq for inst in fetched] == list(range(24))
+        assert sum(inst.is_branch for inst in fetched) == 6
+
     def test_warm_avoids_cold_miss(self):
         trace = straight_line_trace(64)
         processor = fetching(trace)

@@ -125,7 +125,7 @@ def test_skip_counter_describes_the_measured_window():
 )
 @settings(max_examples=10, deadline=10_000)
 def test_generated_short_jobs_identical(workload, spec_kind, phase_adaptive, jitter, sync_window):
-    # Phase-adaptive control needs an adaptive machine.
+    # Phase-adaptive control and clock jitter need an adaptive machine.
     adaptive = spec_kind in (SpecKind.ADAPTIVE, SpecKind.BASE_ADAPTIVE)
     job = SimulationJob(
         profile=get_workload(workload),
@@ -133,7 +133,7 @@ def test_generated_short_jobs_identical(workload, spec_kind, phase_adaptive, jit
         phase_adaptive=phase_adaptive and adaptive,
         window=500,
         warmup=300,
-        jitter_fraction=jitter,
+        jitter_fraction=jitter if adaptive else 0.0,
         sync_window_fraction=sync_window,
     )
     assert simulate(job, skip=True)[1] == simulate(job, skip=False)[1]
@@ -466,7 +466,7 @@ def test_generated_jobs_wake_up_matches_a_rescan(
         phase_adaptive=phase_adaptive and adaptive,
         window=500,
         warmup=300,
-        jitter_fraction=jitter,
+        jitter_fraction=jitter if adaptive else 0.0,
         sync_window_fraction=sync_window,
     )
     processor = MCDProcessor(

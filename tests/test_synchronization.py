@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.clocks import DomainClock
 from repro.core import PLLModel, SynchronizationModel
+from repro.engine import SimulationJob, SpecKind, run_job
+from repro.workloads import get_workload
 
 
 class TestSynchronizationModel:
@@ -166,3 +168,49 @@ class TestPLLModel:
         first = [PLLModel(seed=9).sample_lock_ps() for _ in range(5)]
         second = [PLLModel(seed=9).sample_lock_ps() for _ in range(5)]
         assert first == second
+
+
+#: MCD machines whose crossings the processor synchronises inline (commit,
+#: the skip's bulk commit attempts, address generation), not through
+#: :class:`SynchronizationModel`'s own ``transfer``.
+MCD_MACHINES = {
+    "fixed": dict(spec_kind=SpecKind.ADAPTIVE),
+    "fixed_jittered": dict(spec_kind=SpecKind.ADAPTIVE, jitter_fraction=0.05),
+    "phase": dict(spec_kind=SpecKind.BASE_ADAPTIVE, use_b_partitions=True, phase_adaptive=True),
+    "phase_jittered": dict(
+        spec_kind=SpecKind.BASE_ADAPTIVE,
+        use_b_partitions=True,
+        phase_adaptive=True,
+        jitter_fraction=0.05,
+    ),
+}
+
+
+def gcc_run(sync_window_fraction, **machine):
+    return run_job(
+        SimulationJob(
+            profile=get_workload("gcc"),
+            window=1_500,
+            warmup=1_500,
+            sync_window_fraction=sync_window_fraction,
+            **machine,
+        )
+    )
+
+
+class TestProcessorWindowFraction:
+    """The window fraction drives the penalties a whole run records."""
+
+    @pytest.mark.parametrize("machine", sorted(MCD_MACHINES))
+    def test_penalties_follow_the_window_fraction(self, machine):
+        penalties = {}
+        for fraction in (0.0, 0.3, 0.95):
+            result = gcc_run(fraction, **MCD_MACHINES[machine])
+            assert result.sync_penalties <= result.sync_transfers
+            penalties[fraction] = result.sync_penalties
+        assert penalties[0.0] == 0
+        assert penalties[0.95] > penalties[0.3]
+
+    def test_synchronous_machine_has_no_crossings(self):
+        result = gcc_run(0.95, spec_kind=SpecKind.BEST_SYNCHRONOUS)
+        assert result.sync_transfers == result.sync_penalties == 0

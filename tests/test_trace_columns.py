@@ -1,12 +1,15 @@
 """Golden pins of the synthetic trace columns.
 
 Every (profile, trace seed) case compiles a prefix of its trace and compares
-the sha256 of each of the nine columns with the value pinned in
+the sha256 of each of the eight columns with the value pinned in
 ``trace_columns.json``, so a generator change fails as a named column of a
-named workload.  The cases cover every suite profile, every library scenario
-and every archetype builder at trace seeds 1234 and 1335 (the trace seeds of
-perfbench's ``--seed 0`` and its held-out ``--seed 101``).  At seed 1234 a
-phased profile is compiled past its first phase boundary.
+named workload.  The 32-bit ``pc``, ``address`` and ``target`` columns are
+hashed as 64-bit values, the width they were first pinned at, so a pin
+shows that the values, not only their layout, stayed the same.  The cases
+cover every suite profile, every library scenario and every archetype
+builder at trace seeds 1234 and 1335 (the trace seeds of perfbench's
+``--seed 0`` and its held-out ``--seed 101``).  At seed 1234 a phased
+profile is compiled past its first phase boundary.
 
 A declared modelling change to the trace re-pins these in the same diff, as
 it does the golden digests; run as a script to print the current pins::
@@ -31,7 +34,9 @@ from repro.workloads import WorkloadProfile, full_suite
 from repro.workloads.trace_cache import cached_trace, clear_trace_cache
 
 PINS = Path(__file__).with_name("trace_columns.json")
-COLUMNS = ("pc", "op", "flags", "dest", "src0", "src1", "address", "target", "seq")
+COLUMNS = ("pc", "op", "flags", "dest", "src0", "src1", "address", "target")
+#: Typecode each column is hashed at: the address columns at 64 bits.
+HASHED_TYPECODES = {"pc": "Q", "address": "Q", "target": "Q"}
 TRACE_SEEDS = (1234, 1335)
 #: Rows compiled per case; phased profiles at seed 1234 run this far past
 #: the end of their first phase.
@@ -60,7 +65,8 @@ def case_rows(profile: WorkloadProfile, seed: int) -> int:
 
 
 def column_digests(profile: WorkloadProfile, seed: int) -> dict[str, str]:
-    """sha256 of each compiled column (little-endian bytes) of one case."""
+    """sha256 of each compiled column (little-endian bytes, address columns
+    widened to 64 bits) of one case."""
     clear_trace_cache()
     try:
         compiled = cached_trace(profile, seed=seed).compiled
@@ -68,7 +74,8 @@ def column_digests(profile: WorkloadProfile, seed: int) -> dict[str, str]:
         assert compiled.ensure(rows) == rows
         digests = {}
         for name in COLUMNS:
-            column = array(getattr(compiled, name).typecode, getattr(compiled, name))
+            values = getattr(compiled, name)
+            column = array(HASHED_TYPECODES.get(name, values.typecode), values)
             if sys.byteorder == "big":
                 column.byteswap()
             digests[name] = hashlib.sha256(column.tobytes()).hexdigest()

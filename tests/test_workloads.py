@@ -165,9 +165,6 @@ class TestGenerator:
         second = rows(tiny_profile, 2000, seed=2)
         assert first.address != second.address
 
-    def test_sequence_numbers_are_dense(self, tiny_profile):
-        assert list(rows(tiny_profile, 500).seq) == list(range(500))
-
     def test_instruction_mix_close_to_profile(self):
         profile = WorkloadProfile(
             name="mix", suite="t", load_fraction=0.3, store_fraction=0.1,
@@ -426,8 +423,8 @@ class TestGeneratorExtremes:
         # hot one.
         hot_end = HOT_DATA_BASE + int(profile.hot_data_kb * 1024)
         regions = {
-            (seq % 2, address < hot_end)
-            for seq, bits, address in zip(trace.seq, trace.flags, trace.address)
+            (row % 2, address < hot_end)
+            for row, (bits, address) in enumerate(zip(trace.flags, trace.address))
             if bits & FLAG_MEMORY
         }
         assert regions == {(0, False), (1, True)}

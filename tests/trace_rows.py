@@ -1,11 +1,13 @@
 """Hand-made traces for tests.
 
 A :class:`~repro.workloads.generator.CompiledTrace` built without a
-generator holds the rows its caller appends to its nine columns and ends at
+generator holds the rows its caller appends to its eight columns and ends at
 the last one.  :func:`append_row` appends one row, and :func:`copy_rows`
-copies the first rows of another trace.  Registers are dense ids: integer
-register ``rN`` is ``N`` and floating-point register ``fN`` is ``32 + N``
-(``repro.isa.registers.register_index``).
+copies the first rows of another trace.  Rows are numbered by their
+position: fetch gives an instruction its row index as ``seq``.  Program
+counters, addresses and targets are 32-bit.  Registers are dense ids:
+integer register ``rN`` is ``N`` and floating-point register ``fN`` is
+``32 + N`` (``repro.isa.registers.register_index``).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from repro.isa.opcodes import FLAG_BRANCH, FLAG_TAKEN, OPCLASS_FLAGS, OPCODE_ID,
 from repro.isa.registers import NO_REGISTER
 from repro.workloads.generator import CompiledTrace
 
-#: The nine columns of a compiled trace.
-COLUMNS = ("pc", "op", "flags", "dest", "src0", "src1", "address", "target", "seq")
+#: The eight columns of a compiled trace.
+COLUMNS = ("pc", "op", "flags", "dest", "src0", "src1", "address", "target")
 
 
 def append_row(
@@ -30,7 +32,7 @@ def append_row(
     taken: bool = False,
     target: int = 0,
 ) -> None:
-    """Append one row to *trace*, numbered by its position.
+    """Append one row to *trace*.
 
     A ``BRANCH`` row is always a branch; *branch* flags a row of any other
     opclass as one too.  *taken* applies to branches only.
@@ -49,7 +51,6 @@ def append_row(
     trace.src1.append(src1)
     trace.address.append(address)
     trace.target.append(target)
-    trace.seq.append(trace.length)
 
 
 def copy_rows(source: CompiledTrace, count: int) -> CompiledTrace:
