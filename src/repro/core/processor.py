@@ -17,9 +17,13 @@ picoseconds throughout.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from functools import partial
+from heapq import heappop, heappush
 from itertools import compress, islice
 from math import inf
+from operator import attrgetter
 from typing import Callable
 
 from repro.caches.accounting import AccessOutcome
@@ -90,6 +94,7 @@ _FLOATING_POINT_DOMAIN = Domain.FLOATING_POINT.value
 _LOAD_STORE_DOMAIN = Domain.LOAD_STORE.value
 _HIT_B = AccessOutcome.HIT_B
 _MISS = AccessOutcome.MISS
+_SEQ_KEY = attrgetter("seq")
 
 #: The work horizon when no domain can bound its next work from the machine
 #: state (only a deadlocked machine gets here).
@@ -103,12 +108,6 @@ _DEADLOCK_LIMIT = 2_000_000
 #: selecting the branch rows and the memory rows of a warm-up slice.
 _BRANCH_BIT = bytes(bits & FLAG_BRANCH for bits in range(256))
 _MEMORY_BIT = bytes(bits & FLAG_MEMORY for bits in range(256))
-
-#: Upper bound on the DynInst free list and on the committed records kept
-#: for it between quiescent points (enough to cover the ROB and the queues
-#: with slack; beyond this, committed records are left to reference
-#: counting).
-_POOL_CAPACITY = 512
 
 
 def _wake_consumers(
@@ -272,11 +271,12 @@ class MCDProcessor:
         self.frontend: FrontEnd | None = None
         # Rename map keyed by dense register index (0..63).
         self._last_writer: dict[int, DynInst] = {}
-        # The DynInst free list fetch draws from, and the committed records
-        # awaiting it; they join it at quiescent points, when nothing in
-        # flight can still read them (both bounded by _POOL_CAPACITY).
-        self._pool: list[DynInst] = []
-        self._retired: list[DynInst] = []
+        # Committed records, oldest first, which fetch reuses once more than
+        # ``rob.capacity`` of them are held.  A consumer names a producer
+        # only if both were in the ROB when it dispatched, and reads it only
+        # until it issues; so by the time ``rob.capacity`` younger records
+        # have committed, every consumer of the oldest has issued.
+        self._retired: deque[DynInst] = deque()
         self._pending_events: list[tuple[Picoseconds, Callable[[], None]]] = []
         self._changes_in_progress: set[Domain] = set()
         self._last_commit_time: Picoseconds = 0
@@ -536,7 +536,6 @@ class MCDProcessor:
         fp_cycle = self._floating_point_cycle
         ls_cycle = self._load_store_cycle
         skip_idle_edges = self._horizon_skipper() if self._horizon_enabled else None
-        retired = self._retired
         # Jitter never changes mid-run, so on jitter-free machines the
         # per-edge ``clock.advance()`` call reduces to its two attribute
         # updates, inlined below.
@@ -549,14 +548,8 @@ class MCDProcessor:
         idle_iterations = 0
         last_committed = 0
         while rob.total_committed < max_instructions:
-            if not rob_entries and not fq_entries:
-                # Quiescent point: nothing is in flight anywhere, so the
-                # records committed since the last drain can no longer be
-                # read as producers.
-                if retired:
-                    self._recycle_retired()
-                if frontend.trace_exhausted:
-                    break
+            if not rob_entries and not fq_entries and frontend.trace_exhausted:
+                break
             if skip_idle_edges is not None:
                 # Before an edge is selected, so the skip never consumes
                 # edges past the run's final cycle.
@@ -604,26 +597,16 @@ class MCDProcessor:
                 idle_iterations = 0
                 last_committed = committed
         # A producer still without a completion time and its consumers refer
-        # to each other (its ``consumers`` list, their ``producers`` tuples).
-        # Emptying those lists for the records left in flight leaves a
-        # finished processor to reference counting.
+        # to each other (its ``consumers`` list, their ``producers`` tuples),
+        # and the ``producers`` tuples that committed and reused records
+        # keep from earlier instructions can close a loop too.  Emptying
+        # both for every record the run holds leaves a finished processor
+        # to reference counting.
         for inst in rob_entries:
             inst.consumers.clear()
-
-    def _recycle_retired(self) -> None:
-        """Reset the records committed since the last quiescent point and
-        add them to the free list, up to ``_POOL_CAPACITY``."""
-        pool = self._pool
-        for inst in islice(self._retired, _POOL_CAPACITY - len(pool)):
-            inst.producers = ()
-            inst.queue_arrival_time = None
-            inst.lsq_arrival_time = None
-            inst.completion_time = None
-            inst.exec_domain = _INTEGER_DOMAIN
-            inst.mispredicted = False
-            inst.memory_issued = False
-            pool.append(inst)
-        self._retired.clear()
+        for records in (self._retired, rob_entries, fq_entries):
+            for inst in records:
+                inst.producers = ()
 
     def _horizon_skipper(self) -> Callable[[], None]:
         """Build this run's work-horizon skip: a call that consumes every
@@ -640,14 +623,18 @@ class MCDProcessor:
         - integer and floating point: the next edge while the issue queue
           holds a woken entry, otherwise its wake-up heap's top key (an
           entry is keyed no earlier than its arrival in the queue);
-        - load/store: the earliest ``lsq_arrival_time`` of an unissued entry;
+        - load/store: the next edge while the LSQ holds an arrived entry
+          whose access is not performed, otherwise its heap's earliest
+          arrival;
         - the earliest pending reconfiguration event, which fires at the
           first edge of any domain at or after its time.
 
-        Each candidate is aligned to its domain's clock.  An unknown — a
-        producer that has not completed, an unresolved mispredicted branch, a
-        structural hazard — gives no bound, because the domain that will
-        resolve it has a bound of its own.  Nothing changes state before the
+        Each domain's earliest candidate is aligned to its clock; aligning
+        is monotone, so the front end aligns only the least of its three
+        times.  An unknown — a producer that has not completed, an
+        unresolved mispredicted branch, a structural hazard — gives no
+        bound, because the domain that will resolve it has a bound of its
+        own.  Nothing changes state before the
         horizon, so every edge strictly before it is idle; they are consumed
         with ``skip_edges_before`` and the only side effects they would have
         had are applied in bulk, exactly as the per-edge paths record them:
@@ -664,9 +651,10 @@ class MCDProcessor:
 
         Edges at the horizon itself are left to the main loop, which
         processes them in the usual domain order.  The skip closes over the
-        run's clocks, queues, LSQ and front end, which are only ever mutated
-        in place, so each call reloads none of them.  It is not stored on
-        the processor, which would make the two refer to each other.
+        run's clocks, queues, LSQ lists and front end, which are only ever
+        mutated in place, so each call reloads none of them.  It is not
+        stored on the processor, which would make the two refer to each
+        other.
         """
         frontend = self.frontend
         assert frontend is not None
@@ -686,8 +674,8 @@ class MCDProcessor:
         fp_queue = self.fp_queue
         fp_heap = fp_queue.heap
         fp_ready = fp_queue.ready
-        lsq = self.lsq
-        lsq_entries = lsq.entries
+        lsq_heap = self.lsq.heap
+        lsq_ready = self.lsq.ready
         fe_windows = self._wake_windows(_FRONT_END_DOMAIN)
         sync = self.sync
         sync_enabled = sync.enabled
@@ -716,29 +704,35 @@ class MCDProcessor:
             horizon = no_bound
             if pending_events:
                 horizon = min(event[0] for event in pending_events)
-            if fe_next < horizon and frontend.waiting_branch is None:
-                stall_until = frontend.stall_until
-                if stall_until > fe_next:
-                    edge = fe_edge_at_or_after(stall_until)
-                    if edge < horizon:
-                        horizon = edge
-                elif len(fq_entries) < fq_capacity and not frontend.trace_exhausted:
+            if fe_next < horizon:
+                # The earliest of fetch's, commit's and dispatch's times,
+                # unaligned; a time already due bounds at the next edge.
+                due = horizon
+                if frontend.waiting_branch is None:
+                    stall_until = frontend.stall_until
+                    if stall_until <= fe_next:
+                        if len(fq_entries) < fq_capacity and not frontend.trace_exhausted:
+                            due = fe_next
+                    elif stall_until < due:
+                        due = stall_until
+                if due > fe_next and rob_entries:
+                    head = rob_entries[0]
+                    completion = head.completion_time
+                    if completion is not None:
+                        # Windows are all 0 on a machine without
+                        # synchronisation.
+                        completion += fe_windows[head.exec_domain]
+                        if completion < due:
+                            due = completion
+                if due > fe_next and fq_entries:
+                    inst = fq_entries[0]
+                    ready = inst.dispatch_ready_time
+                    if ready < due and not dispatch_blocked(inst):
+                        due = ready
+                if due <= fe_next:
                     horizon = fe_next
-            if fe_next < horizon and rob_entries:
-                head = rob_entries[0]
-                completion = head.completion_time
-                if completion is not None:
-                    # Windows are all 0 on a machine without synchronisation.
-                    # Each bound already due is the domain's next edge.
-                    due = completion + fe_windows[head.exec_domain]
-                    edge = fe_next if due <= fe_next else fe_edge_at_or_after(due)
-                    if edge < horizon:
-                        horizon = edge
-            if fe_next < horizon and fq_entries:
-                inst = fq_entries[0]
-                ready = inst.dispatch_ready_time
-                if ready < horizon and not dispatch_blocked(inst):
-                    edge = fe_next if ready <= fe_next else fe_edge_at_or_after(ready)
+                elif due < horizon:
+                    edge = fe_edge_at_or_after(due)
                     if edge < horizon:
                         horizon = edge
             if int_next < horizon:
@@ -763,21 +757,17 @@ class MCDProcessor:
                         edge = fp_clock.edge_at_or_after(earliest)
                         if edge < horizon:
                             horizon = edge
-            if ls_next < horizon and lsq.unissued:
-                earliest = no_bound
-                for inst in lsq_entries:
-                    if not inst.memory_issued:
-                        arrival = inst.lsq_arrival_time
-                        if arrival is not None and arrival < earliest:
-                            earliest = arrival
-                            if arrival <= ls_next:
-                                break
-                if earliest <= ls_next:
+            if ls_next < horizon:
+                if lsq_ready:
                     horizon = ls_next
-                elif earliest < horizon:
-                    edge = ls_clock.edge_at_or_after(earliest)
-                    if edge < horizon:
-                        horizon = edge
+                elif lsq_heap:
+                    earliest = lsq_heap[0][0]
+                    if earliest <= ls_next:
+                        horizon = ls_next
+                    elif earliest < horizon:
+                        edge = ls_clock.edge_at_or_after(earliest)
+                        if edge < horizon:
+                            horizon = edge
             if not floor < horizon < no_bound:
                 return
 
@@ -832,7 +822,9 @@ class MCDProcessor:
         """True when a structural hazard stops *inst* from dispatching.
 
         A full ROB, destination register file, issue queue (arrivals still
-        crossing into it included) or, for a memory operation, LSQ.
+        crossing into it included) or, for a memory operation, LSQ.  This is
+        the horizon skip's test for the fetch-queue head; :meth:`_dispatch`
+        applies the same rule from free-slot counts it reads once per call.
         """
         rob = self.rob
         if len(rob.entries) >= rob.capacity:
@@ -899,7 +891,7 @@ class MCDProcessor:
         lsq_entries = self.lsq.entries
         interval_countdown = self._interval_countdown
         trace_sync = self._trace_sync
-        retired = self._retired
+        retired_append = self._retired.append
         committed = transfers = 0
         retire_width = self._retire_width
         while committed < retire_width and entries:
@@ -946,15 +938,19 @@ class MCDProcessor:
                     del last_writer[dest]
             if head.is_memory_op:
                 # Commit is in program order, and a memory op completes only
-                # when its access issues, so it is the LSQ head.
-                if not (lsq_entries and lsq_entries[0] is head and head.memory_issued):
+                # when the load/store unit performs its access (and sets its
+                # domain), so it is the LSQ head.
+                if not (
+                    lsq_entries
+                    and lsq_entries[0] is head
+                    and exec_domain == _LOAD_STORE_DOMAIN
+                ):
                     raise RuntimeError(
                         "a committing memory operation must have issued its access "
                         "and be the load/store queue's head"
                     )
                 del lsq_entries[0]
-            if len(retired) < _POOL_CAPACITY:
-                retired.append(head)
+            retired_append(head)
             # Both cache controllers end their intervals on the same commit.
             if interval_countdown:
                 interval_countdown -= 1
@@ -974,11 +970,8 @@ class MCDProcessor:
             return
         rob = self.rob
         rob_entries = rob.entries
-        rob_capacity = rob.capacity
         lsq = self.lsq
         lsq_entries = lsq.entries
-        lsq_capacity = lsq.capacity
-        dispatch_blocked = self._dispatch_blocked
         last_writer = self._last_writer
         last_writer_get = last_writer.get
         int_regs = self.int_regs
@@ -990,15 +983,30 @@ class MCDProcessor:
         int_clock = self._int_clock
         fp_clock = self._fp_clock
         ilp_tracker = self._ilp_tracker
+        # The structural hazards of _dispatch_blocked, as free slots read
+        # once and counted down: the ROB bounds the group, and nothing else
+        # frees a slot while the group dispatches.
+        limit = min(self._decode_width, rob.capacity - len(rob_entries))
+        lsq_free = lsq_slots = lsq.capacity - len(lsq_entries)
+        int_regs_free = int_regs_slots = int_regs.total - int_regs.allocated
+        fp_regs_free = fp_regs_slots = fp_regs.total - fp_regs.allocated
+        # Negative while a downsized queue still holds more occupants.
+        int_free = int_queue.capacity - int_queue.occupancy
+        fp_free = fp_queue.capacity - fp_queue.occupancy
         dispatched = 0
-        decode_width = self._decode_width
-        while dispatched < decode_width and fq_entries:
+        while dispatched < limit and fq_entries:
             inst = fq_entries[0]
-            if inst.dispatch_ready_time > now or dispatch_blocked(inst):
+            if inst.dispatch_ready_time > now:
                 break
-            # dispatch_blocked has ruled out a full ROB, register file,
-            # issue queue and LSQ; the overflow checks below only guard
-            # that rule.
+            is_fp = inst.is_fp
+            if (fp_free if is_fp else int_free) <= 0:
+                break
+            dest = inst.dest
+            if dest >= 0 and not (fp_regs_free if dest >= FP_BASE_INDEX else int_regs_free):
+                break
+            is_memory_op = inst.is_memory_op
+            if is_memory_op and not lsq_free:
+                break
             fq_entries.popleft()
             # Rename.  Each operand names its in-flight producer, if any; a
             # producer still without a completion time will wake this entry.
@@ -1016,27 +1024,22 @@ class MCDProcessor:
                     producer.consumers.append(inst)
                     waits += 1
             inst.waits = waits
-            dest = inst.dest
             if dest >= 0:
-                regfile = fp_regs if dest >= FP_BASE_INDEX else int_regs
-                if regfile.allocated >= regfile.total:
-                    raise RuntimeError("physical register file overflow")
-                regfile.allocated += 1
-                regfile.allocations += 1
+                if dest >= FP_BASE_INDEX:
+                    fp_regs_free -= 1
+                else:
+                    int_regs_free -= 1
                 last_writer[dest] = inst
-            if len(rob_entries) >= rob_capacity:
-                raise RuntimeError("dispatch into a full reorder buffer")
             rob_entries.append(inst)
-            if inst.is_memory_op:
-                if len(lsq_entries) >= lsq_capacity:
-                    raise RuntimeError("allocation into a full load/store queue")
+            if is_memory_op:
+                lsq_free -= 1
                 lsq_entries.append(inst)
-                lsq.stats.allocations += 1
-                lsq.unissued += 1
-            if inst.is_fp:
+            if is_fp:
+                fp_free -= 1
                 queue = fp_queue
                 queue_clock = fp_clock
             else:
+                int_free -= 1
                 queue = int_queue
                 queue_clock = int_clock
             if sync_enabled:
@@ -1051,19 +1054,26 @@ class MCDProcessor:
                 inst.queue_arrival_time = queue_clock.next_edge
             else:
                 inst.queue_arrival_time = now
-            if queue.occupancy >= queue.capacity:
-                raise RuntimeError(f"{queue.name}: dispatch into a full queue")
             queue.occupancy += 1
             queue.operand_reads += source_count
             if not waits:
                 queue.schedule(inst)
             dispatched += 1
             # A window closes at its instruction, before the next one
-            # dispatches: a downsizing takes effect at once, and
-            # dispatch_blocked reads the new capacity for the rest of the
-            # group.
+            # dispatches: a downsizing takes effect at once, so the queues'
+            # free slots are read again for the rest of the group.
             if ilp_tracker is not None and ilp_tracker.observe(inst):
                 self._end_queue_window(now)
+                int_free = int_queue.capacity - int_queue.occupancy
+                fp_free = fp_queue.capacity - fp_queue.occupancy
+        # Registers and LSQ slots taken by the group.
+        taken = int_regs_slots - int_regs_free
+        int_regs.allocated += taken
+        int_regs.allocations += taken
+        taken = fp_regs_slots - fp_regs_free
+        fp_regs.allocated += taken
+        fp_regs.allocations += taken
+        lsq.stats.allocations += lsq_slots - lsq_free
         rob.total_dispatched += dispatched
         if sync_enabled:
             sync.stats.transfers += dispatched
@@ -1098,7 +1108,9 @@ class MCDProcessor:
         src1_col = trace.src1
         addr_col = trace.address
         target_col = trace.target
-        pool = self._pool
+        retired = self._retired
+        # Committed records beyond the ROB's capacity can be reused.
+        reusable = len(retired) - self.rob.capacity
         predictor = frontend.predictor
         btb = frontend.btb
         last_block = frontend.last_block
@@ -1137,14 +1149,18 @@ class MCDProcessor:
                     break
 
             bits = flags_col[cursor]
-            dyninst = pool.pop() if pool else DynInst()
+            if reusable > 0:
+                reusable -= 1
+                dyninst = retired.popleft()
+                dyninst.completion_time = None
+                dyninst.exec_domain = _INTEGER_DOMAIN
+            else:
+                dyninst = DynInst()
             dyninst.seq = cursor
             dyninst.op_id = op_col[cursor]
-            dyninst.is_branch = is_branch = bits & FLAG_BRANCH != 0
             dyninst.is_memory_op = bits & FLAG_MEMORY != 0
             dyninst.is_store = bits & FLAG_STORE != 0
             dyninst.is_fp = bits & FLAG_FP != 0
-            dyninst.pc = pc
             dyninst.dest = dest_col[cursor]
             src0 = src0_col[cursor]
             src1 = src1_col[cursor]
@@ -1161,7 +1177,7 @@ class MCDProcessor:
             fq_append(dyninst)
             cursor += 1
 
-            if is_branch:
+            if bits & FLAG_BRANCH:
                 branches += 1
                 taken = bits & FLAG_TAKEN != 0
                 correct = predictor.predict_and_update(pc, taken)
@@ -1169,7 +1185,7 @@ class MCDProcessor:
                 if taken:
                     btb.update(pc, target_col[cursor - 1])  # the branch's row
                 if not correct:
-                    dyninst.mispredicted = True
+                    # Fetch stops here until this branch's redirect.
                     stats.mispredictions += 1
                     frontend.waiting_branch = dyninst
                     break
@@ -1248,6 +1264,9 @@ class MCDProcessor:
             sync_enabled = sync.enabled
             schedule_int = queue.schedule
             schedule_fp = self.fp_queue.schedule
+            # Fetch stops at a mispredicted branch, so the one in flight is
+            # the branch it waits on.
+            waiting_branch = self.frontend.waiting_branch
             issued = 0
             index = 0
             # Oldest first; an entry without a free unit stays ready.
@@ -1269,16 +1288,17 @@ class MCDProcessor:
                         # call is the capture-edge lookup plus the transfer
                         # count it would have recorded.
                         sync.stats.transfers += 1
-                        inst.lsq_arrival_time = self._ls_clock.edge_at_or_after(agen)
+                        arrival = self._ls_clock.edge_at_or_after(agen)
                     else:
-                        inst.lsq_arrival_time = agen
+                        arrival = agen
+                    heappush(self.lsq.heap, (arrival, inst.seq, inst))
                 else:
                     completion = now + latency_ps
                     inst.completion_time = completion
                     inst.exec_domain = _INTEGER_DOMAIN
                     if inst.consumers:
                         _wake_consumers(inst.consumers, schedule_int, schedule_fp)
-                    if inst.mispredicted:
+                    if inst is waiting_branch:
                         self._schedule_branch_redirect(inst, completion, clock)
             queue.occupancy -= issued
             queue.total_issued += issued
@@ -1323,9 +1343,17 @@ class MCDProcessor:
 
     def _load_store_cycle(self, now: Picoseconds) -> None:
         lsq = self.lsq
-        if lsq.unissued == 0:
-            # Every occupant has issued already (or the queue is empty):
-            # the scan below would be a pure no-op.
+        heap = lsq.heap
+        ready = lsq.ready
+        # Wake-up, as IssueQueue.wake_up: arrivals leave the heap in arrival
+        # order and join the ready list in program order.
+        while heap and heap[0][0] <= now:
+            inst = heappop(heap)[2]
+            if ready and ready[-1].seq > inst.seq:
+                insort(ready, inst, key=_SEQ_KEY)
+            else:
+                ready.append(inst)
+        if not ready:
             return
         period = self._ls_clock.period_ps
         cache_ports = self._cache_ports
@@ -1334,20 +1362,14 @@ class MCDProcessor:
         schedule_int = self.int_queue.schedule
         schedule_fp = self.fp_queue.schedule
         performed = 0
-        # Performing an access never mutates the LSQ entry list (entries
-        # leave only at commit), so the program-ordered list is iterated
-        # directly.
-        for inst in lsq.entries:
-            if performed >= cache_ports:
-                break
-            if inst.memory_issued:
-                continue
-            arrival = inst.lsq_arrival_time
-            if arrival is None or arrival > now:
-                continue
+        index = 0
+        # Oldest first; a load held by an older pending store stays ready.
+        while performed < cache_ports and index < len(ready):
+            inst = ready[index]
             if not inst.is_store:
                 if lsq.pending_older_store(inst) is not None:
                     if lsq.forwardable_store(inst, now) is None:
+                        index += 1
                         continue
                     completion = now + period
                     lsq_stats.loads_forwarded += 1
@@ -1357,13 +1379,12 @@ class MCDProcessor:
                     )
             else:
                 completion = access_data(inst.address, is_store=True, now_ps=now, period_ps=period)
+            del ready[index]
             inst.completion_time = completion
             inst.exec_domain = _LOAD_STORE_DOMAIN
-            inst.memory_issued = True
             performed += 1
             if inst.consumers:
                 _wake_consumers(inst.consumers, schedule_int, schedule_fp)
-        lsq.unissued -= performed
 
     #: Pipeline depth already represented by the explicit fetch/decode/dispatch
     #: and issue modelling.  The configured misprediction penalties (Table 5)

@@ -13,21 +13,23 @@ class DynInst:
     """One in-flight dynamic instruction.
 
     A :class:`DynInst` carries the timing state the pipeline needs — when it
-    may dispatch, when it reaches its issue queue and the LSQ, when it
-    completes, which domain produced its result, which in-flight producers
-    its source operands depend on and which consumers wait on it — together
-    with the decoded instruction fields themselves: program counter, dense
-    opcode id, dense register ids (``NO_REGISTER`` when absent) and effective
-    address.
+    may dispatch, when it reaches its issue queue, when it completes, which
+    domain produced its result, which in-flight producers its source
+    operands depend on and which consumers wait on it — together with the
+    decoded instruction fields themselves: dense opcode id, dense register
+    ids (``NO_REGISTER`` when absent) and effective address.
 
     The processor's fetch is the only producer of records: it fills the
     decoded fields from the compiled trace's columns and sets ``seq`` to the
-    instruction's row index in the trace (program order: the issue queues'
+    instruction's row index in the trace (program order: the queues'
     tie-break and the LSQ's age test), and the rest of the processor writes
     the timing state as the instruction moves through dispatch, issue and
     commit.  The constructor builds a blank record (a NOP with no
-    registers); committed records return to the processor's free list
-    whenever the machine drains.
+    registers).  Fetch reuses a committed record once ``rob.capacity``
+    younger ones have committed, by which time every consumer that names it
+    as a producer has issued; it then resets ``completion_time`` and
+    ``exec_domain`` and overwrites every other field before the record is
+    read again.
 
     Deliberately a plain ``__slots__`` class with *identity* equality: queue
     entries are unique in-flight objects, which commit and the rename map
@@ -38,11 +40,8 @@ class DynInst:
         "producers",
         "dispatch_ready_time",
         "queue_arrival_time",
-        "lsq_arrival_time",
         "completion_time",
         "exec_domain",
-        "mispredicted",
-        "memory_issued",
         # Producer-driven wake-up (see IssueQueue.schedule): the entries
         # that wait on this one's result, and how many of this one's own
         # producers are still in flight.
@@ -52,11 +51,9 @@ class DynInst:
         # index, the others come from the trace columns.
         "seq",
         "op_id",
-        "is_branch",
         "is_memory_op",
         "is_store",
         "is_fp",
-        "pc",
         "dest",
         "src0",
         "src1",
@@ -71,12 +68,11 @@ class DynInst:
         self.producers: tuple[DynInst | None, ...] = ()
         self.dispatch_ready_time: Picoseconds = 0
         self.queue_arrival_time: Picoseconds | None = None
-        self.lsq_arrival_time: Picoseconds | None = None
         self.completion_time: Picoseconds | None = None
-        #: Name of the domain whose clock produced ``completion_time``.
+        #: Name of the domain whose clock produced ``completion_time``; only
+        #: the load/store unit sets it to ``"load_store"``, so commit reads
+        #: it to tell a performed memory access.
         self.exec_domain: str = "integer"
-        self.mispredicted = False
-        self.memory_issued = False
         #: Dispatched consumers waiting on this result; emptied once the
         #: completion time is set, so the two never refer to each other
         #: after the wake-up.
@@ -85,11 +81,9 @@ class DynInst:
         self.waits = 0
         self.seq = -1
         self.op_id = _NOP_ID
-        self.is_branch = False
         self.is_memory_op = False
         self.is_store = False
         self.is_fp = False
-        self.pc = 0
         self.dest = NO_REGISTER
         self.src0 = NO_REGISTER
         self.src1 = NO_REGISTER
@@ -109,7 +103,7 @@ class DynInst:
     def describe(self) -> str:
         """Readable one-line rendering for debugging."""
         state = "completed" if self.completed else "in-flight"
-        return f"[{self.seq}] {self.op.value}@{self.pc:#x} ({state})"
+        return f"[{self.seq}] {self.op.value} ({state})"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<DynInst {self.describe()}>"

@@ -6,7 +6,7 @@ fetch in the trace.  :class:`~repro.core.processor.MCDProcessor` is the one
 implementation of fetch, as it is of dispatch and commit: it reads the
 trace's flat columns (:class:`~repro.workloads.generator.CompiledTrace`, the
 one trace type) at ``cursor`` and fills
-:class:`~repro.pipeline.dyninst.DynInst` records from its own free list.
+:class:`~repro.pipeline.dyninst.DynInst` records, reusing committed ones.
 Fetch is trace driven: instructions come in committed program order, so
 there is no wrong-path fetch; a mispredicted branch instead stalls fetch
 until the branch has resolved and the configured misprediction penalty has

@@ -7,6 +7,12 @@ the same double-word is still pending, in which case the load waits and then
 receives the value by forwarding (one load/store-domain cycle).  This models
 perfect memory disambiguation, which is the common SimpleScalar-style
 idealisation.
+
+Arrival drives the access, as producer completion drives issue in the issue
+queues: an entry waits on a heap keyed by its arrival time from address
+generation on, and moves to a ready list kept in program order once the
+load/store clock reaches that time.  The load/store unit performs ready
+entries oldest first; a load held by an older pending store stays ready.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ class LoadStoreQueue:
 
     The processor appends a memory operation to ``entries`` at dispatch,
     while fewer than ``capacity`` hold slots, and removes it from the head
-    at commit.
+    at commit.  At address generation it pushes the entry onto ``heap``
+    keyed by its arrival in the load/store domain; each load/store cycle
+    moves the arrived entries to ``ready`` and removes from it the entries
+    whose access it performs.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -41,12 +50,12 @@ class LoadStoreQueue:
         self.capacity = capacity
         #: Program-ordered memory operations currently occupying slots.
         self.entries: list[DynInst] = []
+        #: ``(arrival, seq, inst)`` of entries whose address is generated
+        #: and which have not arrived yet, earliest arrival first.
+        self.heap: list[tuple[Picoseconds, int, DynInst]] = []
+        #: Arrived entries whose access is not performed, in program order.
+        self.ready: list[DynInst] = []
         self.stats = LSQStats()
-        # Occupants whose cache access has not been issued yet, counted by
-        # the processor at dispatch and at issue; lets the load/store cycle
-        # (and horizon scheduling) skip edges with nothing to issue without
-        # scanning the queue.
-        self.unissued = 0
 
     def pending_older_store(self, load: DynInst) -> DynInst | None:
         """Return an older, not-yet-performed store to the same double word."""

@@ -1,9 +1,9 @@
 """Tests for the work-counter gates in the CI workflow.
 
-The fig6-quick and scenarios-calibrated steps each gate inline Python in
-``.github/workflows/ci.yml``; these tests run it as CI does, over a
-synthetic last line of ``perfbench/run.py`` output, so a gate that could
-never fail (or always fails) shows up in tier-1.
+The fig6-quick, scenarios-calibrated and jitter-sensitivity steps each gate
+inline Python in ``.github/workflows/ci.yml``; these tests run it as CI
+does, over a synthetic last line of ``perfbench/run.py`` output, so a gate
+that could never fail (or always fails) shows up in tier-1.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ GATE = _gate_source("perfbench-fig6.log")
 BOUNDS = _bounds(GATE)
 SCENARIOS_GATE = _gate_source("perfbench-scenarios.log")
 SCENARIOS_BOUNDS = _bounds(SCENARIOS_GATE)
+JITTER_GATE = _gate_source("perfbench-jitter.log")
+JITTER_BOUNDS = _bounds(JITTER_GATE)
 
 
 def _run_gate(
@@ -95,5 +97,28 @@ def test_scenarios_gate_passes_at_its_bounds(tmp_path):
 def test_scenarios_gate_fails_one_over_a_bound(tmp_path, counter):
     values = {**SCENARIOS_BOUNDS, counter: SCENARIOS_BOUNDS[counter] + 1}
     gate = _run_gate(tmp_path, values, SCENARIOS_GATE)
+    assert gate.returncode == 1
+    assert f"work counters over their bounds: [{counter!r}]" in gate.stderr
+
+
+def test_jitter_gate_bounds_the_jittered_work_counters():
+    assert set(JITTER_BOUNDS) == {
+        "core.main_loop_edges",
+        "core.warmup_insts",
+        "workloads.trace_insts",
+    }
+
+
+def test_jitter_gate_passes_at_its_bounds(tmp_path):
+    gate = _run_gate(tmp_path, JITTER_BOUNDS, JITTER_GATE)
+    assert gate.returncode == 0, gate.stderr
+    for name, bound in JITTER_BOUNDS.items():
+        assert f"{name} = {bound} (bound {bound})" in gate.stdout
+
+
+@pytest.mark.parametrize("counter", sorted(JITTER_BOUNDS))
+def test_jitter_gate_fails_one_over_a_bound(tmp_path, counter):
+    values = {**JITTER_BOUNDS, counter: JITTER_BOUNDS[counter] + 1}
+    gate = _run_gate(tmp_path, values, JITTER_GATE)
     assert gate.returncode == 1
     assert f"work counters over their bounds: [{counter!r}]" in gate.stderr

@@ -3,7 +3,7 @@
 
 from repro.core.configuration import base_adaptive_spec
 from repro.core.processor import MCDProcessor
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import FLAG_BRANCH, OpClass
 from repro.pipeline.frontend import FrontEnd
 from repro.timing.tables import ADAPTIVE_ICACHE_CONFIGS
 from repro.workloads.generator import CompiledTrace
@@ -71,6 +71,11 @@ def front_end_cycle(processor, now):
     return appended(processor.frontend, cursor)
 
 
+def is_branch(processor, inst):
+    """Whether *inst*'s trace row is a branch."""
+    return processor.frontend.trace.flags[inst.seq] & FLAG_BRANCH != 0
+
+
 def resolve(processor, branch, now):
     """Resolve *branch* on the integer clock at *now*, as its issue does."""
     processor._schedule_branch_redirect(branch, now, processor._int_clock)
@@ -95,7 +100,7 @@ class TestFetch:
     def test_taken_branch_ends_fetch_cycle(self):
         processor = fetching(branchy_trace(100, taken_every=4), warm_blocks=4)
         fetched = fetch(processor, 0)
-        assert fetched[-1].is_branch or len(fetched) == 8
+        assert is_branch(processor, fetched[-1]) or len(fetched) == 8
         assert len(fetched) <= 4 + 1  # cannot fetch past the taken branch
 
     def test_trace_exhaustion(self):
@@ -144,7 +149,7 @@ class TestFetch:
                 resolve(processor, frontend.waiting_branch, now)
             now += PERIOD
         assert [inst.seq for inst in fetched] == list(range(24))
-        assert sum(inst.is_branch for inst in fetched) == 6
+        assert sum(is_branch(processor, inst) for inst in fetched) == 6
 
     def test_warm_avoids_cold_miss(self):
         trace = straight_line_trace(64)
@@ -167,12 +172,13 @@ class TestBranchHandling:
             fetched = front_end_cycle(processor, now)
             now += PERIOD
             for inst in fetched:
-                if inst.mispredicted:
+                if inst is frontend.waiting_branch:
                     mispredicted = inst
                     break
             if mispredicted:
                 break
         assert mispredicted is not None
+        assert is_branch(processor, mispredicted)
         assert frontend.waiting_branch is mispredicted
         stalled = front_end_cycle(processor, now)
         assert stalled == []

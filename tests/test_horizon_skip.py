@@ -7,7 +7,9 @@ the same result: whole-``RunResult`` equality on every machine style, machine
 states built by hand that pin each bulk side-effect rule against a per-edge
 walk, and generated short jobs.  The issue queues' wake-up heaps are held to
 a rescan of every arrived entry at every integer and floating-point edge,
-on generated jobs and across a period change that re-keys them.
+on generated jobs and across a period change that re-keys them, and the
+load/store queue's ready list to a rescan of its arrived, unperformed
+entries after every load/store edge.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.processor as processor_module
 from repro.analysis.metrics import RunResult
+from repro.core import ArchitecturalParameters
 from repro.core.domains import Domain
 from repro.core.processor import MCDProcessor
 from repro.engine import SimulationJob, SpecKind, make_trace, run_job
@@ -164,7 +167,8 @@ def drained_processor(*, jitter: float = 0.0) -> MCDProcessor:
     frontend.waiting_branch = None
     frontend.stall_until = 0
     processor.lsq.entries.clear()
-    processor.lsq.unissued = 0
+    processor.lsq.heap.clear()
+    processor.lsq.ready.clear()
     for queue in (processor.int_queue, processor.fp_queue):
         queue.heap.clear()
         queue.ready.clear()
@@ -314,7 +318,6 @@ def test_branch_stall_stretch_with_an_occupied_issue_queue(jitter):
         producer.exec_domain = Domain.INTEGER.value
         producer.completion_time = int_clock.next_edge + 15 * int_clock.period_ps
         branch = DynInst()
-        branch.mispredicted = True
         branch.producers = (producer,)
         enter_int_queue(processor, branch, int_clock.next_edge)
         processor.frontend.waiting_branch = branch
@@ -400,11 +403,15 @@ def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[Dy
     """
     windows = processor._wake_windows(domain_name)
     is_fp = domain_name == Domain.FLOATING_POINT.value
+    lsq = processor.lsq
+    # A memory op has issued once its address is generated, when it enters
+    # the load/store queue's heap.
+    in_lsq = {id(inst) for inst in lsq.ready} | {id(inst) for _, _, inst in lsq.heap}
     ready = []
     for inst in processor.rob.entries:
         if inst.is_fp != is_fp or inst.queue_arrival_time > now:
             continue  # another queue's entry, or not arrived yet
-        if inst.completion_time is not None or inst.lsq_arrival_time is not None:
+        if inst.completion_time is not None or id(inst) in in_lsq:
             continue  # issued
         wake = 0
         for producer in inst.producers:
@@ -425,13 +432,42 @@ def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[Dy
     return ready
 
 
-def check_wake_up(processor: MCDProcessor, after_edge=None) -> None:
-    """Make every integer and FP edge check its queue against the rescan.
+class ProgramOrderList(list):
+    """A ready list that fails when an entry joins it out of program order."""
 
-    The entries the heaps make ready at an edge (the ready list once every
-    key at or before the edge is popped) must be exactly those
-    :func:`rescan_ready` finds, in the same order.  *after_edge*, if given,
-    is called with the domain name and edge after the edge's work.
+    def append(self, inst: DynInst) -> None:
+        assert not self or self[-1].seq < inst.seq
+        super().append(inst)
+
+    def insert(self, index, inst: DynInst) -> None:
+        super().insert(index, inst)
+        seqs = [entry.seq for entry in self[max(index - 1, 0) : index + 2]]
+        assert seqs == sorted(set(seqs))
+
+
+def rescan_lsq(processor: MCDProcessor, arrivals: dict[int, int], now: int) -> list[DynInst]:
+    """The reference load/store wake-up: every LSQ entry that has arrived by
+    *now* (its address generated, *arrivals* giving the arrival time by
+    ``seq``) and not performed its access, in program order."""
+    return [
+        inst
+        for inst in processor.lsq.entries
+        if inst.completion_time is None and arrivals.get(inst.seq, now + 1) <= now
+    ]
+
+
+def check_wake_up(processor: MCDProcessor, after_edge=None) -> None:
+    """Make every integer, FP and load/store edge check its queue against
+    the rescan.
+
+    The entries the issue queues' heaps make ready at an edge (the ready
+    list once every key at or before the edge is popped) must be exactly
+    those :func:`rescan_ready` finds, in the same order.  The load/store
+    queue wakes and performs in one step, so its ready list must stay in
+    program order through every insertion, and hold after each load/store
+    edge exactly what :func:`rescan_lsq` finds then.  *after_edge*, if
+    given, is called with the domain name and edge after an integer or FP
+    edge's work.
     """
     for attribute, queue, domain in (
         ("_integer_cycle", processor.int_queue, Domain.INTEGER.value),
@@ -446,6 +482,20 @@ def check_wake_up(processor: MCDProcessor, after_edge=None) -> None:
 
         setattr(processor, attribute, checked)
 
+    # Every entry passes through the heap before a load/store edge wakes
+    # it, so reading the heap before each edge sees every arrival time.
+    arrivals: dict[int, int] = {}
+    lsq = processor.lsq
+    lsq.ready = ProgramOrderList(lsq.ready)
+
+    def checked_load_store(now, cycle=processor._load_store_cycle):
+        for arrival, seq, _ in lsq.heap:
+            arrivals[seq] = arrival
+        cycle(now)
+        assert lsq.ready == rescan_lsq(processor, arrivals, now)
+
+    processor._load_store_cycle = checked_load_store
+
 
 @given(
     workload=st.sampled_from(("gcc", "em3d", "mst", "art", "apsi", "adpcm_encode")),
@@ -454,15 +504,19 @@ def check_wake_up(processor: MCDProcessor, after_edge=None) -> None:
     jitter=st.sampled_from((0.0, 0.05)),
     sync_window=st.sampled_from((0.0, 0.1, 0.3, 0.6)),
     skip=st.booleans(),
+    cache_ports=st.sampled_from((1, 2)),
 )
 @settings(max_examples=10, deadline=10_000)
 def test_generated_jobs_wake_up_matches_a_rescan(
-    workload, spec_kind, phase_adaptive, jitter, sync_window, skip
+    workload, spec_kind, phase_adaptive, jitter, sync_window, skip, cache_ports
 ):
+    # With one cache port, arrived entries wait longer, so an older memory
+    # op often arrives while a younger one is still ready.
     adaptive = spec_kind in (SpecKind.ADAPTIVE, SpecKind.BASE_ADAPTIVE)
     job = SimulationJob(
         profile=get_workload(workload),
         spec_kind=spec_kind,
+        spec_overrides={"parameters": ArchitecturalParameters(cache_ports=cache_ports)},
         phase_adaptive=phase_adaptive and adaptive,
         window=500,
         warmup=300,

@@ -35,6 +35,8 @@ from repro.pipeline import (
 )
 from repro.workloads.generator import CompiledTrace
 
+from tests.trace_rows import append_row
+
 
 def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=0):
     """A fetched instruction: the fields fetch fills from the trace columns."""
@@ -45,7 +47,6 @@ def make_inst(seq, op=OpClass.INT_ALU, dest="r8", sources=("r1",), address=0):
     inst.is_memory_op = flags & FLAG_MEMORY != 0
     inst.is_store = flags & FLAG_STORE != 0
     inst.is_fp = flags & FLAG_FP != 0
-    inst.pc = 0x1000 + seq * 4
     inst.dest = NO_REGISTER if dest is None else register_index(dest)
     registers = [register_index(name) for name in sources] + [NO_REGISTER, NO_REGISTER]
     inst.src0, inst.src1 = registers[:2]
@@ -192,11 +193,15 @@ class TestLoadStoreQueue:
         load = make_inst(0, op=OpClass.LOAD, address=0x100)
         dispatch(processor, load)
         assert lsq.entries == [load]
-        assert lsq.unissued == lsq.stats.allocations == 1
+        assert lsq.stats.allocations == 1
+        assert not lsq.heap and not lsq.ready
         processor._integer_cycle(0)  # address generation
-        processor._load_store_cycle(load.lsq_arrival_time)
-        assert load.memory_issued
-        assert lsq.unissued == 0
+        ((arrival, seq, queued),) = lsq.heap
+        assert (seq, queued) == (0, load)
+        assert not lsq.ready
+        processor._load_store_cycle(arrival)
+        assert load.completion_time is not None
+        assert not lsq.heap and not lsq.ready
         commit(processor, now=load.completion_time)
         assert not lsq.entries
         assert processor.rob.total_committed == 1
@@ -209,6 +214,32 @@ class TestLoadStoreQueue:
         load.completion_time = 0
         with pytest.raises(RuntimeError, match="load/store queue's head"):
             commit(processor, now=0)
+
+    def test_commit_requires_the_issued_head_on_a_reused_record(self):
+        # With a one-entry ROB, fetch reuses a committed record once two
+        # have committed: here a load that did perform its access.
+        processor = machine(reorder_buffer_entries=1)
+        loads = [make_inst(seq, op=OpClass.LOAD, address=0x100 + 64 * seq) for seq in range(2)]
+        for load in loads:
+            dispatch(processor, load)
+            processor._integer_cycle(0)  # address generation
+            ((arrival, _, _),) = processor.lsq.heap
+            processor._load_store_cycle(arrival)
+            commit(processor, now=load.completion_time)
+        trace = CompiledTrace()
+        append_row(trace, 0x40_0000, OpClass.LOAD, dest=8, sources=(1,), address=0x300)
+        processor.frontend = FrontEnd(trace, icache_config=processor.spec.icache)
+        processor.frontend.icache.warm([0x40_0000])
+        fe_clock = processor.clocks[Domain.FRONT_END]
+        processor._fetch(0, fe_clock)
+        (reused,) = processor.frontend.fetch_queue.entries
+        assert reused is loads[0]
+        processor._dispatch(reused.dispatch_ready_time, fe_clock)
+        assert processor.lsq.entries == [reused]
+        # Completed without its access having issued.
+        reused.completion_time = reused.dispatch_ready_time
+        with pytest.raises(RuntimeError, match="load/store queue's head"):
+            commit(processor, now=reused.completion_time)
 
     def test_pending_older_store_blocks_same_dword(self):
         lsq = LoadStoreQueue()

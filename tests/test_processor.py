@@ -3,22 +3,26 @@
 import dataclasses
 import gc
 import weakref
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from golden_digests import golden_jobs
 from repro.analysis.metrics import RunResult
 from repro.core import (
     AdaptiveConfigIndices,
     AdaptiveControlParams,
+    ArchitecturalParameters,
     MCDProcessor,
     adaptive_mcd_spec,
     base_adaptive_spec,
     best_overall_synchronous_spec,
 )
-from repro.engine import make_trace
+from repro.engine import SimulationJob, SpecKind, make_trace
 from repro.obs.recorder import TraceRecorder
 from repro.scenarios.library import get_scenario
-from repro.workloads import WorkloadProfile
+from repro.workloads import WorkloadProfile, get_workload
 
 from tests.trace_rows import copy_rows
 
@@ -319,3 +323,89 @@ class TestProcessorLifetime:
             gc.enable()
         assert processor.hierarchy.l2.num_sets > 200
         assert added < 200
+
+
+def unissued(processor, inst):
+    """Whether the dispatched *inst* has yet to issue, and so may still read
+    its producers (a memory op issues at address generation, when it enters
+    the load/store queue's heap)."""
+    if inst.completion_time is not None:
+        return False
+    lsq = processor.lsq
+    return inst not in lsq.ready and all(entry is not inst for _, _, entry in lsq.heap)
+
+
+class ReuseChecked(deque):
+    """A processor's committed records, where each reuse by fetch
+    (``popleft``) notes every in-flight record that has not issued and still
+    names the reused record as a producer."""
+
+    def __init__(self, processor):
+        super().__init__()
+        self.processor = processor
+        self.reuses = 0
+        self.violations = []
+
+    def popleft(self):
+        record = super().popleft()
+        self.reuses += 1
+        for inst in self.processor.rob.entries:
+            if record in inst.producers and unissued(self.processor, inst):
+                self.violations.append((record.seq, inst.seq))
+        return record
+
+
+def run_checking_reuse(job):
+    """Run *job* with its record reuse checked; the checked records."""
+    processor = MCDProcessor(
+        job.build_spec(),
+        control=job.resolved_control(),
+        phase_adaptive=job.phase_adaptive,
+        seed=job.seed,
+        jitter_fraction=job.jitter_fraction,
+        sync_window_fraction=job.resolved_sync_window_fraction(),
+    )
+    retired = processor._retired = ReuseChecked(processor)
+    processor.run(
+        make_trace(job.profile, seed=job.trace_seed),
+        max_instructions=job.resolved_window(),
+        warmup_instructions=job.resolved_warmup(),
+    )
+    return retired
+
+
+class TestRecordReuse:
+    """Fetch reuses a committed record only once every consumer naming it
+    as a producer has issued."""
+
+    @pytest.mark.parametrize("name", sorted(golden_jobs()))
+    def test_golden_jobs_reuse_no_record_still_named(self, name):
+        retired = run_checking_reuse(golden_jobs()[name])
+        assert retired.reuses > 0
+        assert retired.violations == []
+
+    @given(
+        workload=st.sampled_from(("gcc", "em3d", "mst", "art", "apsi", "adpcm_encode")),
+        spec_kind=st.sampled_from(tuple(SpecKind)),
+        phase_adaptive=st.booleans(),
+        jitter=st.sampled_from((0.0, 0.05)),
+        rob_entries=st.sampled_from((32, 256)),
+    )
+    @settings(max_examples=10, deadline=10_000)
+    def test_generated_jobs_reuse_no_record_still_named(
+        self, workload, spec_kind, phase_adaptive, jitter, rob_entries
+    ):
+        adaptive = spec_kind in (SpecKind.ADAPTIVE, SpecKind.BASE_ADAPTIVE)
+        parameters = ArchitecturalParameters(reorder_buffer_entries=rob_entries)
+        job = SimulationJob(
+            profile=get_workload(workload),
+            spec_kind=spec_kind,
+            spec_overrides={"parameters": parameters},
+            phase_adaptive=phase_adaptive and adaptive,
+            window=800,
+            warmup=300,
+            jitter_fraction=jitter if adaptive else 0.0,
+        )
+        retired = run_checking_reuse(job)
+        assert retired.reuses > 0
+        assert retired.violations == []
