@@ -23,7 +23,7 @@ from repro.core.configuration import (
 )
 from repro.core.controllers import (
     AdaptiveControlParams,
-    CacheControllerDecision,
+    ControllerDecision,
     ILPTracker,
     PhaseAdaptiveCacheController,
     PhaseAdaptiveQueueController,
@@ -44,7 +44,7 @@ __all__ = [
     "best_overall_synchronous_spec",
     "synchronous_spec",
     "AdaptiveControlParams",
-    "CacheControllerDecision",
+    "ControllerDecision",
     "ILPTracker",
     "PhaseAdaptiveCacheController",
     "PhaseAdaptiveQueueController",

@@ -12,27 +12,27 @@ Two controllers drive the phase-adaptive machine:
   frequency that queue size permits, and requests the best size.
 
 Both avoid any online exploration of the configuration space, which is the
-property the paper emphasises.
+property the paper emphasises.  Both damp their choice with one rule and
+record it as one :class:`ControllerDecision`
+(:mod:`repro.core.controllers.damping`).
 """
 
 from repro.core.controllers.params import AdaptiveControlParams
+from repro.core.controllers.damping import ControllerDecision
 from repro.core.controllers.cache_controller import (
-    CacheControllerDecision,
     CacheLevel,
     PhaseAdaptiveCacheController,
 )
 from repro.core.controllers.queue_controller import (
     ILPTracker,
     PhaseAdaptiveQueueController,
-    QueueControllerDecision,
 )
 
 __all__ = [
     "AdaptiveControlParams",
-    "CacheControllerDecision",
     "CacheLevel",
+    "ControllerDecision",
     "PhaseAdaptiveCacheController",
     "ILPTracker",
     "PhaseAdaptiveQueueController",
-    "QueueControllerDecision",
 ]

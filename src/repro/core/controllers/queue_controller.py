@@ -34,9 +34,9 @@ The simulator computes all eight trackers (two queues, four sizes) with one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.controllers.damping import ControllerDecision, DampedController
 from repro.isa.registers import TOTAL_LOGICAL_REGS
 from repro.timing.tables import ISSUE_QUEUE_FREQUENCY_GHZ, ISSUE_QUEUE_SIZES
 
@@ -45,34 +45,6 @@ if TYPE_CHECKING:
 
 #: Timestamp width per tracked queue size (bits), per the paper.
 TIMESTAMP_BITS: dict[int, int] = {16: 4, 32: 5, 48: 6, 64: 6}
-
-
-@dataclass(frozen=True, slots=True)
-class QueueControllerDecision:
-    """Result of one resize evaluation.
-
-    The trailing fields are pure diagnostics for the telemetry layer
-    (:mod:`repro.obs`): ``raw_best_size`` is the score-maximal queue size
-    *before* hysteresis/streak damping, ``margin`` the hysteresis margin that
-    applied, and ``suppressed_by`` names the damping mechanism
-    (``"hysteresis"``/``"streak"``, empty when the raw winner was taken).
-    They never influence the selection itself.
-    """
-
-    best_size: int
-    previous_size: int
-    scores: dict[int, float]
-    ilp_estimates: dict[int, float]
-    raw_best_size: int = -1
-    margin: float = 0.0
-    pending_candidate: int | None = None
-    pending_count: int = 0
-    suppressed_by: str = ""
-
-    @property
-    def changed(self) -> bool:
-        """True when the controller selected a different queue size."""
-        return self.best_size != self.previous_size
 
 
 class ILPTracker:
@@ -86,7 +58,6 @@ class ILPTracker:
     """
 
     __slots__ = (
-        "queue_sizes",
         "saturations",
         "timestamps",
         "int_count",
@@ -97,9 +68,8 @@ class ILPTracker:
         "_next_close",
     )
 
-    def __init__(self, *, queue_sizes: tuple[int, ...] = ISSUE_QUEUE_SIZES) -> None:
-        self.queue_sizes = queue_sizes
-        self.saturations = tuple((1 << TIMESTAMP_BITS[size]) - 1 for size in queue_sizes)
+    def __init__(self) -> None:
+        self.saturations = tuple((1 << TIMESTAMP_BITS[size]) - 1 for size in ISSUE_QUEUE_SIZES)
         self.reset()
 
     def reset(self) -> None:
@@ -111,7 +81,7 @@ class ILPTracker:
         #: size's close, smallest size first.  Heights are unsaturated: each
         #: size's saturation is applied when its estimate is read.
         self._closed: list[tuple[int, int, int, int]] = []
-        self._next_close = self.queue_sizes[0]
+        self._next_close = ISSUE_QUEUE_SIZES[0]
 
     def observe(self, inst: DynInst) -> bool:
         """Feed one renamed instruction; True when the widest window closes.
@@ -153,8 +123,8 @@ class ILPTracker:
     def _close_window(self) -> bool:
         closed = self._closed
         closed.append((self.int_count, self.int_height, self.fp_count, self.fp_height))
-        if len(closed) < len(self.queue_sizes):
-            self._next_close = self.queue_sizes[len(closed)]
+        if len(closed) < len(ISSUE_QUEUE_SIZES):
+            self._next_close = ISSUE_QUEUE_SIZES[len(closed)]
             return False
         self._next_close = 0  # no count is 0 after an increment
         return True
@@ -168,10 +138,10 @@ class ILPTracker:
         """
         closed = self._closed
         running = (self.int_count, self.int_height, self.fp_count, self.fp_height)
-        windows = closed + [running] * (len(self.queue_sizes) - len(closed))
+        windows = closed + [running] * (len(ISSUE_QUEUE_SIZES) - len(closed))
         estimates: dict[int, float] = {}
         for size, saturation, (int_count, int_height, fp_count, fp_height) in zip(
-            self.queue_sizes, self.saturations, windows
+            ISSUE_QUEUE_SIZES, self.saturations, windows
         ):
             count, height = (fp_count, fp_height) if fp else (int_count, int_height)
             if height > saturation:
@@ -180,90 +150,32 @@ class ILPTracker:
         return estimates
 
 
-class PhaseAdaptiveQueueController:
-    """Resize decision logic for one issue queue (integer or floating point)."""
+class PhaseAdaptiveQueueController(DampedController):
+    """Resize decision logic for one issue queue (integer or floating point).
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        initial_size: int = 16,
-        queue_sizes: tuple[int, ...] = ISSUE_QUEUE_SIZES,
-        frequencies_ghz: dict[int, float] | None = None,
-        hysteresis: float = 0.0,
-        consecutive_decisions_required: int = 1,
-    ) -> None:
-        if not 0 <= hysteresis < 0.5:
-            raise ValueError("hysteresis must be in [0, 0.5)")
-        if consecutive_decisions_required < 1:
-            raise ValueError("consecutive_decisions_required must be >= 1")
-        self.name = name
-        self.queue_sizes = queue_sizes
-        self.frequencies_ghz = dict(
-            frequencies_ghz if frequencies_ghz is not None else ISSUE_QUEUE_FREQUENCY_GHZ
-        )
-        self.current_size = initial_size
-        self.hysteresis = hysteresis
-        self.consecutive_decisions_required = consecutive_decisions_required
-        self._pending_candidate: int | None = None
-        self._pending_count = 0
-        self.decisions: list[QueueControllerDecision] = []
+    Configuration indices run over
+    :data:`~repro.timing.tables.ISSUE_QUEUE_SIZES`; ``hysteresis`` and
+    ``consecutive_decisions_required`` damp the choice
+    (:class:`~repro.core.controllers.damping.DampedController`).
+    """
 
-    def evaluate(self, estimates: dict[int, float]) -> QueueControllerDecision:
+    def evaluate(self, estimates: dict[int, float]) -> ControllerDecision:
         """Pick the queue size with the best frequency-scaled effective ILP.
 
         *estimates* holds this queue's class's ILP estimate per queue size
-        over the window just closed (:meth:`ILPTracker.estimates`).
-
-        A change is only requested when the winning size beats the current
-        size's score by the hysteresis margin for
-        ``consecutive_decisions_required`` windows in a row; each change pays
-        a PLL re-lock, so single noisy windows should not trigger one.
+        over the window just closed (:meth:`ILPTracker.estimates`).  The
+        highest score is the raw winner, the smaller size on a tie.
         """
-        scores = {
-            size: min(estimates[size], float(size)) * self.frequencies_ghz[size]
-            for size in self.queue_sizes
-        }
-        candidate = max(self.queue_sizes, key=lambda size: (scores[size], -size))
-        raw_best_size = candidate
-        margin = 0.0
-        suppressed_by = ""
-        if candidate != self.current_size:
-            # Growing the queue commits the domain to a much lower frequency,
-            # so it must win by the full hysteresis margin; shrinking back
-            # only needs a small one (it recovers frequency).
-            margin = self.hysteresis if candidate > self.current_size else 0.02
-            if scores[candidate] <= scores[self.current_size] * (1.0 + margin):
-                candidate = self.current_size
-                suppressed_by = "hysteresis"
-        if candidate == self.current_size:
-            self._pending_candidate = None
-            self._pending_count = 0
-            best_size = self.current_size
-        else:
-            if candidate == self._pending_candidate:
-                self._pending_count += 1
-            else:
-                self._pending_candidate = candidate
-                self._pending_count = 1
-            if self._pending_count >= self.consecutive_decisions_required:
-                best_size = candidate
-                self._pending_candidate = None
-                self._pending_count = 0
-            else:
-                best_size = self.current_size
-                suppressed_by = "streak"
-        decision = QueueControllerDecision(
-            best_size=best_size,
-            previous_size=self.current_size,
-            scores=scores,
-            ilp_estimates=estimates,
-            raw_best_size=raw_best_size,
-            margin=margin,
-            pending_candidate=self._pending_candidate,
-            pending_count=self._pending_count,
-            suppressed_by=suppressed_by,
+        # A list, not a generator: this runs twice per queue window, and each
+        # generator step is a Python call.
+        scores = tuple(
+            [
+                min(estimates[size], float(size)) * ISSUE_QUEUE_FREQUENCY_GHZ[size]
+                for size in ISSUE_QUEUE_SIZES
+            ]
         )
-        self.decisions.append(decision)
-        self.current_size = best_size
-        return decision
+        return self._decide(scores, scores.index(max(scores)))
+
+    def _holds(self, candidate: float, current: float, margin: float) -> bool:
+        # Scores: the candidate must exceed the current score by the margin.
+        return candidate <= current * (1.0 + margin)

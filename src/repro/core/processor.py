@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import compress, islice
 from math import inf
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.caches.accounting import AccessOutcome
 from repro.caches.hierarchy import CacheHierarchy
@@ -36,6 +36,7 @@ from repro.core.controllers.cache_controller import (
     CacheLevel,
     PhaseAdaptiveCacheController,
 )
+from repro.core.controllers.damping import ControllerDecision
 from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.controllers.queue_controller import ILPTracker, PhaseAdaptiveQueueController
 from repro.core.domains import Domain
@@ -216,10 +217,11 @@ class MCDProcessor:
             enabled=spec.inter_domain_sync, window_fraction=sync_window_fraction
         )
         # Wake-up synchronisation windows by (consumer, producer) domain,
-        # rebuilt whenever any domain's period changes (see
-        # _build_wake_windows).
+        # rebuilt in place whenever any domain's period changes (see
+        # _build_wake_windows), so each consumer's row is bound once.
         self._wake_window_table: dict[str, dict[str, int]] = {}
         self._build_wake_windows()
+        self._fe_windows = self._wake_window_table[_FRONT_END_DOMAIN]
         self.pll = PLLModel(
             mean_us=self.control.pll_mean_us,
             min_us=self.control.pll_min_us,
@@ -250,12 +252,12 @@ class MCDProcessor:
         self.int_queue = IssueQueue(
             spec.int_queue_size,
             name="int-queue",
-            windows=self._wake_windows(_INTEGER_DOMAIN),
+            windows=self._wake_window_table[_INTEGER_DOMAIN],
         )
         self.fp_queue = IssueQueue(
             spec.fp_queue_size,
             name="fp-queue",
-            windows=self._wake_windows(_FLOATING_POINT_DOMAIN),
+            windows=self._wake_window_table[_FLOATING_POINT_DOMAIN],
         )
         self.int_units = FunctionalUnitPool(
             alus=params.int_alus,
@@ -456,7 +458,6 @@ class MCDProcessor:
                 levels=dcache_levels,
                 frequencies_ghz=tuple(c.frequency_ghz for c in ADAPTIVE_DCACHE_CONFIGS),
                 beyond_last_level_ps=control.memory_time_ps,
-                interval_instructions=control.interval_instructions,
                 initial_index=self._current_dcache_index(),
                 hysteresis=control.cache_hysteresis,
                 consecutive_decisions_required=control.cache_consecutive_decisions,
@@ -474,7 +475,6 @@ class MCDProcessor:
                 levels=icache_levels,
                 frequencies_ghz=tuple(c.frequency_ghz for c in ADAPTIVE_ICACHE_CONFIGS),
                 beyond_last_level_ps=control.icache_miss_time_ps,
-                interval_instructions=control.interval_instructions,
                 initial_index=self._current_icache_index(),
                 hysteresis=control.cache_hysteresis,
                 consecutive_decisions_required=control.cache_consecutive_decisions,
@@ -485,13 +485,13 @@ class MCDProcessor:
             self._ilp_tracker = ILPTracker()
             self._int_queue_controller = PhaseAdaptiveQueueController(
                 name="int-queue",
-                initial_size=self.spec.int_queue_size,
+                initial_index=ISSUE_QUEUE_SIZES.index(self.spec.int_queue_size),
                 hysteresis=control.queue_hysteresis,
                 consecutive_decisions_required=control.queue_consecutive_decisions,
             )
             self._fp_queue_controller = PhaseAdaptiveQueueController(
                 name="fp-queue",
-                initial_size=self.spec.fp_queue_size,
+                initial_index=ISSUE_QUEUE_SIZES.index(self.spec.fp_queue_size),
                 hysteresis=control.queue_hysteresis,
                 consecutive_decisions_required=control.queue_consecutive_decisions,
             )
@@ -676,7 +676,7 @@ class MCDProcessor:
         fp_ready = fp_queue.ready
         lsq_heap = self.lsq.heap
         lsq_ready = self.lsq.ready
-        fe_windows = self._wake_windows(_FRONT_END_DOMAIN)
+        fe_windows = self._fe_windows
         sync = self.sync
         sync_enabled = sync.enabled
         dispatch_blocked = self._dispatch_blocked
@@ -884,7 +884,7 @@ class MCDProcessor:
         # nothing), so the call is skipped outright on synchronous machines.
         sync_enabled = sync.enabled
         sync_stats = sync.stats
-        windows_fe = self._wake_windows(_FRONT_END_DOMAIN)
+        windows_fe = self._fe_windows
         last_writer = self._last_writer
         int_regs = self.int_regs
         fp_regs = self.fp_regs
@@ -1228,8 +1228,8 @@ class MCDProcessor:
         synchronous machine (transfers are free there).  The table is built
         in the constructor and rebuilt, in place, after every pending-event
         action (:meth:`_process_pending_events`), the only code that changes
-        a domain's period; so the issue queues and the horizon skip hold
-        its rows by reference.
+        a domain's period; so the issue queues, the horizon skip and commit
+        hold its rows by reference.
         """
         clock_by_name = self._clock_by_name
         fraction = self.sync.window_fraction if self.sync.enabled else 0.0
@@ -1241,10 +1241,6 @@ class MCDProcessor:
                     if pclock is not cclock
                     else 0
                 )
-
-    def _wake_windows(self, domain_name: str) -> dict[str, int]:
-        """Wake-up addends per producer domain for consumer *domain_name*."""
-        return self._wake_window_table[domain_name]
 
     def _integer_cycle(self, now: Picoseconds) -> None:
         queue = self.int_queue
@@ -1430,29 +1426,14 @@ class MCDProcessor:
             (self._fp_queue_controller, Domain.FLOATING_POINT, self.fp_queue, True),
         ):
             assert controller is not None
-            decision = controller.evaluate(tracker.estimates(fp=fp))
+            estimates = tracker.estimates(fp=fp)
+            decision = controller.evaluate(estimates)
             if self._trace_interval:
-                assert self.recorder is not None
-                self.recorder.emit(
-                    CONTROLLER_INTERVAL,
-                    now,
-                    self.rob.total_committed,
-                    structure=controller.name,
-                    previous_size=decision.previous_size,
-                    best_size=decision.best_size,
-                    raw_best_size=decision.raw_best_size,
-                    scores={str(size): score for size, score in decision.scores.items()},
-                    ilp_estimates={
-                        str(size): estimate for size, estimate in decision.ilp_estimates.items()
-                    },
-                    margin=decision.margin,
-                    suppressed_by=decision.suppressed_by,
-                    pending_candidate=decision.pending_candidate,
-                    pending_count=decision.pending_count,
-                    changed=decision.changed,
+                self._trace_decision(
+                    now, decision, ISSUE_QUEUE_SIZES, ilp_estimates=list(estimates.values())
                 )
             if decision.changed and domain not in self._changes_in_progress:
-                size = decision.best_size
+                size = ISSUE_QUEUE_SIZES[decision.best]
                 self._apply_change(
                     controller.name,
                     domain,
@@ -1473,6 +1454,7 @@ class MCDProcessor:
         interval_duration = now - self._interval_start_time
         self._interval_start_time = now
         self._last_interval_duration = max(interval_duration, 1)
+        interval_instructions = self.control.interval_instructions
         frontend = self.frontend
         assert frontend is not None
         for controller, domain, configs, apply_config in (
@@ -1493,25 +1475,14 @@ class MCDProcessor:
             structure = controller.name
             decision = controller.evaluate_interval()
             if self._trace_interval:
-                assert self.recorder is not None
-                self.recorder.emit(
-                    CONTROLLER_INTERVAL,
+                self._trace_decision(
                     now,
-                    self.rob.total_committed,
-                    structure=structure,
-                    previous_index=decision.previous_index,
-                    best_index=decision.best_index,
-                    raw_best_index=decision.raw_best_index,
-                    costs_ps=list(decision.costs_ps),
-                    margin=decision.margin,
-                    suppressed_by=decision.suppressed_by,
-                    pending_candidate=decision.pending_candidate,
-                    pending_count=decision.pending_count,
-                    interval_instructions=decision.interval_instructions,
+                    decision,
+                    [config.name for config in configs],
+                    interval_instructions=interval_instructions,
                     interval_duration_ps=interval_duration,
-                    changed=decision.changed,
                 )
-            index = decision.best_index
+            index = decision.best
             config = configs[index]
             if decision.changed and domain not in self._changes_in_progress:
                 self._apply_change(
@@ -1527,7 +1498,35 @@ class MCDProcessor:
                 )
             else:
                 self._record_configuration(structure, domain, index, config.name, now)
-        return self.control.interval_instructions
+        return interval_instructions
+
+    def _trace_decision(
+        self,
+        now: Picoseconds,
+        decision: ControllerDecision,
+        configurations: Sequence[str | int],
+        **extra: object,
+    ) -> None:
+        """Emit one ``controller-interval`` event: the decision, the
+        configurations its indices name, and the structure's *extra* fields."""
+        assert self.recorder is not None
+        self.recorder.emit(
+            CONTROLLER_INTERVAL,
+            now,
+            self.rob.total_committed,
+            structure=decision.structure,
+            configurations=list(configurations),
+            previous_index=decision.previous,
+            best_index=decision.best,
+            raw_best_index=decision.raw_best,
+            values=list(decision.values),
+            margin=decision.margin,
+            suppressed_by=decision.suppressed_by,
+            pending_candidate=decision.pending_candidate,
+            pending_count=decision.pending_count,
+            changed=decision.changed,
+            **extra,
+        )
 
     def _record_configuration(
         self, structure: str, domain: Domain, index: int, configuration: str, now: Picoseconds

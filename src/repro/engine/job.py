@@ -51,9 +51,12 @@ DEFAULT_TRACE_SEED = 1234
 #: against the committed ``tests/fingerprint_schema.json`` and fails tier-1
 #: when either changes under an unchanged version.  After a deliberate bump,
 #: run tier-1 and commit the snapshot its failure message prints.
-FINGERPRINT_VERSION = 9  # v9: SimulationJob lost its observation-only trace
-# field and AdaptiveControlParams its unread decision-latency knob, which
-# left the control payload (simulated results are bit-identical).  v8:
+FINGERPRINT_VERSION = 10  # v10: SimulationJob lost its control field, which
+# nothing set; control_overrides is the one way to vary the controller
+# parameters (the payload keys and simulated results are unchanged).  v9:
+# SimulationJob lost its observation-only trace field and
+# AdaptiveControlParams its unread decision-latency knob, which left the
+# control payload (simulated results are bit-identical).  v8:
 # RunResult lost its compiled-trace cache-hit counter, the one field the
 # result cache reset before storing (simulated results are bit-identical).
 # v7: RunResult lost the fast_forward_invocations,
@@ -150,10 +153,11 @@ def canonical_payload(value: Any) -> Any:
 class SimulationJob:
     """One fully specified simulation run.
 
-    ``window``, ``warmup`` and ``control`` may be left ``None`` to inherit the
+    ``window`` and ``warmup`` may be left ``None`` to inherit the
     profile-derived defaults; fingerprints are computed over the *resolved*
     values, so an explicit parameter equal to its default hits the same cache
-    entry.
+    entry.  A phase-adaptive job runs the window-scaled controller
+    parameters (:func:`default_control_params`).
 
     ``spec_overrides`` patches individual :class:`MachineSpec` fields after
     the recipe is built (``dataclasses.replace`` semantics) — how the
@@ -185,7 +189,6 @@ class SimulationJob:
     warmup: int | None = None
     trace_seed: int = DEFAULT_TRACE_SEED
     phase_adaptive: bool = False
-    control: AdaptiveControlParams | None = None
     seed: int = 0
     jitter_fraction: float = 0.0
     sync_window_fraction: float | None = None
@@ -246,13 +249,12 @@ class SimulationJob:
         return default_warmup(self.profile, self.resolved_window())
 
     def resolved_control(self) -> AdaptiveControlParams | None:
-        """Controller parameters actually passed to the processor."""
-        control = self.control
-        if self.phase_adaptive and control is None:
-            control = default_control_params(self.resolved_window())
+        """Controller parameters actually passed to the processor (``None``
+        unless the job is phase-adaptive)."""
+        if not self.phase_adaptive:
+            return None
+        control = default_control_params(self.resolved_window())
         if self.control_overrides:
-            # control cannot be None here: overrides imply phase_adaptive,
-            # which guarantees the window-scaled defaults above.
             control = dataclasses.replace(control, **self.control_overrides)
         return control
 

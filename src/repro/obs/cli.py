@@ -18,8 +18,9 @@ Six subcommands; an unreadable trace or ledger file
     statistics of one trace file.
 
 ``timeline``
-    ASCII per-structure decision timeline: one character per controller
-    interval (the configuration chosen), with a marker row showing changes
+    ASCII per-structure decision timeline under a legend of what each
+    configuration index names: one character per controller interval (the
+    configuration index chosen), with a marker row showing changes
     (``*``), hysteresis-suppressed winners (``h``), streak-suppressed
     winners (``s``) and plain holds (``.``), plus scenario phase boundaries
     (``P``) aligned to the interval they fell in.  A ``--width`` below 1 or
@@ -194,16 +195,7 @@ def _interval_events(events: Sequence[TraceEvent]) -> dict[str, list[TraceEvent]
 
 def _decision_symbol(event: TraceEvent) -> str:
     """One timeline character naming the configuration an interval chose."""
-    data = event.data
-    if "best_index" in data:
-        return str(data["best_index"])
-    # Queue events carry sizes; map through the score table's sorted sizes
-    # so 16/32/48/64 render as 0..3.
-    sizes = sorted(int(size) for size in data.get("scores", {}))
-    try:
-        return str(sizes.index(int(data["best_size"])))
-    except (KeyError, ValueError):
-        return "?"
+    return str(event.data["best_index"])
 
 
 def _marker_symbol(event: TraceEvent) -> str:
@@ -401,14 +393,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         ".=hold, phs: P=phase boundary"
     )
     for structure, intervals in sorted(grouped.items()):
-        sizes = sorted(
-            {int(s) for e in intervals for s in e.data.get("scores", {})}
-        )
-        if sizes:
-            legend = " ".join(f"{i}={size}" for i, size in enumerate(sizes))
-            print(f"  {structure} (sizes: {legend})")
-        else:
-            print(f"  {structure}")
+        configurations = intervals[0].data["configurations"]
+        legend = " ".join(f"{i}={name}" for i, name in enumerate(configurations))
+        print(f"  {structure} ({legend})")
         rows = {
             "cfg": "".join(_decision_symbol(e) for e in intervals),
             "evt": "".join(_marker_symbol(e) for e in intervals),

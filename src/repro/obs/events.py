@@ -39,13 +39,20 @@ __all__ = [
 #: Version of the event payloads and the JSONL container format.  Bump when
 #: an event type changes shape; readers refuse other versions.  v2: the
 #: fast-forward event type is gone and horizon-skip covers all four domains.
-SCHEMA_VERSION = 2
+#: v3: every controller-interval event has one shape, in configuration
+#: indices.
+SCHEMA_VERSION = 3
 
 #: A phase-adaptive controller finished an adaptation interval.  Payload:
-#: ``structure``, ``kind`` ("cache"/"queue"), the per-configuration
-#: cost/score table, the raw (pre-hysteresis) winner, the applied margin,
-#: the pending-candidate streak and what — if anything — suppressed the
-#: raw winner ("hysteresis", "streak" or "").
+#: ``structure``; ``configurations``, what each index names (the
+#: configuration names of a cache, the sizes of an issue queue, smallest
+#: first); the decision as ``previous_index``, ``best_index``,
+#: ``raw_best_index`` (the winner before damping), ``values`` (a cache's
+#: cost in ps, lower wins; a queue's frequency-scaled ILP score, higher
+#: wins), ``margin``, ``suppressed_by`` ("hysteresis", "streak" or ""),
+#: ``pending_candidate``, ``pending_count`` and ``changed``.  Caches add
+#: ``interval_instructions`` and ``interval_duration_ps``; queues add
+#: ``ilp_estimates``, one per configuration.
 CONTROLLER_INTERVAL = "controller-interval"
 
 #: A controller-commanded reconfiguration was scheduled (PLL re-lock pending).

@@ -3,10 +3,12 @@
 Memory operations reach the load/store domain after their address has been
 generated in the integer domain.  The LSQ holds them until the data cache can
 be accessed.  Loads may bypass earlier stores except when an earlier store to
-the same double-word is still pending, in which case the load waits and then
-receives the value by forwarding (one load/store-domain cycle).  This models
-perfect memory disambiguation, which is the common SimpleScalar-style
-idealisation.
+the same double word has not performed yet, in which case the load is held.
+A held load takes its value by forwarding (one load/store-domain cycle) only
+while an older store to the same double word that has already performed is
+also in the queue; a load released when the pending store performs makes an
+ordinary cache access.  This models perfect memory disambiguation, which is
+the common SimpleScalar-style idealisation.
 
 Arrival drives the access, as producer completion drives issue in the issue
 queues: an entry waits on a heap keyed by its arrival time from address

@@ -6,10 +6,10 @@ scenario default), a profile delta applied on top of it, and a phase program
 built from :class:`~repro.workloads.characteristics.PhaseSpec` sequences.
 Specs are plain data — dict/JSON round-trippable, comparable by content — and
 *validated at construction*: building one immediately materialises its
-:class:`~repro.workloads.characteristics.WorkloadProfile` and runs
-:meth:`~repro.workloads.characteristics.WorkloadProfile.validate`, so a
-scenario whose phase overrides push a parameter out of range fails loudly at
-definition time, not mid-campaign.
+:class:`~repro.workloads.characteristics.WorkloadProfile`, whose
+construction checks every phase's effective parameters, so a scenario whose
+phase overrides push a parameter out of range fails loudly at definition
+time, not mid-campaign.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ScenarioSpec:
         overrides["phases"] = self.phases
         if self.simulation_window is not None:
             overrides["simulation_window"] = self.simulation_window
-        return base.with_overrides(**overrides).validate()
+        return base.with_overrides(**overrides)
 
     @property
     def phase_program_length(self) -> int:

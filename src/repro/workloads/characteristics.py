@@ -84,8 +84,8 @@ def _check_hot_region(hot_data_kb: float, *, context: str) -> None:
         )
 
 
-#: Dynamic parameters that must stay inside the unit interval, checked by
-#: :meth:`WorkloadProfile.validate` for the base profile and every phase.
+#: Dynamic parameters that must stay inside the unit interval, checked on
+#: construction for the base profile and every phase.
 _UNIT_FRACTION_FIELDS = (
     "load_fraction",
     "store_fraction",
@@ -197,47 +197,36 @@ class WorkloadProfile:
     paper_window: str = ""
 
     def __post_init__(self) -> None:
+        # The base profile's memory operations are capped tighter than a
+        # phase's; every other range rule is in _validate_dynamic_params.
         if not 0 <= self.load_fraction <= 0.6:
             raise ValueError("load_fraction out of range")
         if not 0 <= self.store_fraction <= 0.5:
             raise ValueError("store_fraction out of range")
-        if self.load_fraction + self.store_fraction + self.cond_branch_density > 0.85:
-            raise ValueError("instruction mix leaves no room for compute operations")
-        if not 0 <= self.fp_fraction <= 1:
-            raise ValueError("fp_fraction out of range")
         if self.block_size < 2:
             raise ValueError("block_size must be at least 2")
         if self.code_footprint_kb <= 0 or self.inner_window_kb <= 0:
             raise ValueError("code footprint parameters must be positive")
         if self.inner_window_kb > self.code_footprint_kb:
             raise ValueError("inner_window_kb cannot exceed code_footprint_kb")
-        if self.data_footprint_kb <= 0 or self.hot_data_kb <= 0:
-            raise ValueError("data footprint parameters must be positive")
-        _check_hot_region(self.hot_data_kb, context=f"profile {self.name!r}")
-        if self.hot_data_kb > self.data_footprint_kb:
-            raise ValueError("hot_data_kb cannot exceed data_footprint_kb")
-        if self.mean_dependence_distance < 1:
-            raise ValueError("mean_dependence_distance must be >= 1")
         if self.simulation_window <= 0:
             raise ValueError("simulation_window must be positive")
+        self.validate()
 
     # ------------------------------------------------------------ validation
 
     def validate(self) -> "WorkloadProfile":
-        """Validate the profile including the *effective* values of every phase.
+        """Check the dynamic parameters of the base profile and of every phase.
 
-        ``__post_init__`` guards the base fields, but phase overrides are
-        applied long after construction and can push a parameter out of range
-        (``hot_data_fraction`` of 2, a hot region larger than the footprint,
-        a memory mix above 100 %).  ``validate`` re-checks the dynamic
-        parameter set for the base profile and for each phase after its
-        overrides are applied, raising :class:`ValueError` with the offending
-        context and field named.  Returns ``self`` so constructors can chain
-        (``profile.validate()``).
+        Construction runs this, so a phase cannot push a parameter out of
+        range (``hot_data_fraction`` of 2, a hot region larger than the
+        footprint, a memory mix above 85 %) in any profile that exists.  Each
+        phase is checked with its overrides applied to the base values, and
+        a :class:`ValueError` names the offending context and field.
+        Returns ``self``.
         """
         # Structural fields (block_size, code layout, window) are not phase
-        # overridable, so ``__post_init__`` has already validated them on
-        # every construction path; only the dynamic set needs re-checking.
+        # overridable: ``__post_init__`` checks them once.
         base = {name: getattr(self, name) for name in sorted(PHASE_OVERRIDABLE_FIELDS)}
         self._validate_dynamic_params(base, context=f"profile {self.name!r}")
         for index, phase in enumerate(self.phases):

@@ -43,13 +43,13 @@ JOBS = {
             use_b_partitions=True,
             phase_adaptive=True,
         ),
-        16.9,
+        16.3,
         0.2,
     ),
-    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 15.9, 0.2),
+    "fixed_mcd_gcc": (dict(workload="gcc", spec_kind=SpecKind.ADAPTIVE), 15.4, 0.2),
     "synchronous_apsi": (
         dict(workload="apsi", spec_kind=SpecKind.BEST_SYNCHRONOUS),
-        13.6,
+        13.2,
         0.2,
     ),
 }

@@ -13,14 +13,18 @@ from repro.core.controllers import (
     PhaseAdaptiveCacheController,
     PhaseAdaptiveQueueController,
 )
+from repro.core.controllers.damping import DOWNSIZE_MARGIN
 from repro.core.controllers.queue_controller import TIMESTAMP_BITS
 from repro.engine import make_trace
 from repro.isa.registers import NO_REGISTER, TOTAL_LOGICAL_REGS, register_index
+from repro.obs.events import CONTROLLER_INTERVAL
+from repro.obs.recorder import TraceRecorder
 from repro.pipeline.dyninst import DynInst
 from repro.timing.tables import ADAPTIVE_DCACHE_CONFIGS, ISSUE_QUEUE_SIZES
+from test_processor import ListSink
 
 
-def make_dcache_controller(interval=1000, hysteresis=0.0, consecutive=1):
+def make_dcache_controller(**damping):
     geometry_l1 = ADAPTIVE_DCACHE_CONFIGS[-1].l1
     geometry_l2 = ADAPTIVE_DCACHE_CONFIGS[-1].l2
     l1 = AccountingCache(geometry_l1, a_ways=1, b_enabled=True, name="L1D")
@@ -41,9 +45,7 @@ def make_dcache_controller(interval=1000, hysteresis=0.0, consecutive=1):
         ),
         frequencies_ghz=tuple(c.frequency_ghz for c in ADAPTIVE_DCACHE_CONFIGS),
         beyond_last_level_ps=ns_to_ps(94.0),
-        interval_instructions=interval,
-        hysteresis=hysteresis,
-        consecutive_decisions_required=consecutive,
+        **damping,
     )
     return controller, l1, l2
 
@@ -62,10 +64,12 @@ class TestCacheController:
     def test_interval_accounting(self, tiny_profile):
         # The processor counts commits; both controllers decide on the
         # commit that ends each interval, and only then.
+        events = ListSink()
         processor = MCDProcessor(
             base_adaptive_spec(),
             phase_adaptive=True,
             control=AdaptiveControlParams(interval_instructions=250),
+            recorder=TraceRecorder([events], event_types=[CONTROLLER_INTERVAL]),
         )
         result = processor.run(
             make_trace(tiny_profile, seed=11),
@@ -74,7 +78,11 @@ class TestCacheController:
         )
         for controller in (processor._dcache_controller, processor._icache_controller):
             assert len(controller.decisions) == 4
-            assert {d.interval_instructions for d in controller.decisions} == {250}
+            assert [
+                event.data["interval_instructions"]
+                for event in events
+                if event.data["structure"] == controller.name
+            ] == [250] * 4
             assert [
                 change.committed_instructions
                 for change in result.configuration_changes
@@ -88,7 +96,7 @@ class TestCacheController:
             for block in range(8):
                 l1.access(0x1000 + block * 64)
         decision = controller.evaluate_interval()
-        assert decision.best_index == 0
+        assert decision.best == 0
 
     def test_capacity_bound_working_set_prefers_larger_config(self):
         controller, l1, l2 = make_dcache_controller()
@@ -101,65 +109,20 @@ class TestCacheController:
                 for set_index in range(0, 64):
                     l1.access(0x1000 + set_index * 64 + way * sets * 64)
         decision = controller.evaluate_interval()
-        assert decision.best_index >= 2
+        assert decision.best >= 2
 
     def test_decision_resets_interval_counters(self):
         controller, l1, _ = make_dcache_controller()
         l1.access(0x100)
-        decision = controller.evaluate_interval()
-        assert decision.interval_instructions == 1000
+        controller.evaluate_interval()
         assert l1.interval_stats.accesses == 0
-
-    def test_hysteresis_blocks_marginal_changes(self):
-        def marginal_interval(l1):
-            sets = l1.num_sets
-            # Mostly A hits plus a sprinkle of B hits: a larger configuration
-            # is slightly, but not decisively, cheaper.
-            for _ in range(6):
-                for set_index in range(64):
-                    l1.access(0x1000 + set_index * 64)
-            for _ in range(2):
-                for set_index in range(20):
-                    l1.access(0x1000 + set_index * 64 + sets * 64)
-                for set_index in range(20):
-                    l1.access(0x1000 + set_index * 64)
-
-        eager_controller, eager_l1, _ = make_dcache_controller(hysteresis=0.0)
-        marginal_interval(eager_l1)
-        eager_decision = eager_controller.evaluate_interval()
-
-        guarded_controller, guarded_l1, _ = make_dcache_controller(hysteresis=0.45)
-        marginal_interval(guarded_l1)
-        guarded_decision = guarded_controller.evaluate_interval()
-
-        # Whatever the eager controller does, the strongly guarded one must
-        # stay at the current configuration unless the win is overwhelming.
-        assert guarded_decision.best_index == 0
-        assert eager_decision.best_index >= guarded_decision.best_index
-
-    def test_consecutive_decisions_required(self):
-        controller, l1, l2 = make_dcache_controller(consecutive=2)
-        sets = l1.num_sets
-
-        def capacity_bound_interval():
-            for _ in range(20):
-                for way in range(4):
-                    for set_index in range(64):
-                        l1.access(0x1000 + set_index * 64 + way * sets * 64)
-
-        capacity_bound_interval()
-        first = controller.evaluate_interval()
-        assert first.best_index == 0  # change deferred
-        capacity_bound_interval()
-        second = controller.evaluate_interval()
-        assert second.best_index >= 2  # persistent need: change now allowed
 
     def test_costs_cover_every_configuration(self):
         controller, l1, _ = make_dcache_controller()
         l1.access(0x40)
         decision = controller.evaluate_interval()
-        assert len(decision.costs_ps) == len(ADAPTIVE_DCACHE_CONFIGS)
-        assert all(cost >= 0 for cost in decision.costs_ps)
+        assert len(decision.values) == len(ADAPTIVE_DCACHE_CONFIGS)
+        assert all(cost >= 0 for cost in decision.values)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -338,35 +301,105 @@ class TestQueueController:
         return decisions
 
     def test_serial_code_keeps_16_entry_queue(self):
-        controller = PhaseAdaptiveQueueController(name="int", initial_size=16)
+        controller = PhaseAdaptiveQueueController(name="int")
         decisions = self._run_windows(controller, stride=2)
-        assert all(d.best_size == 16 for d in decisions)
+        assert all(ISSUE_QUEUE_SIZES[d.best] == 16 for d in decisions)
 
     def test_highly_parallel_code_grows_the_queue(self):
-        controller = PhaseAdaptiveQueueController(name="int", initial_size=16)
+        controller = PhaseAdaptiveQueueController(name="int")
         decisions = self._run_windows(controller, stride=40, windows=6)
-        assert decisions[-1].best_size > 16
-
-    def test_consecutive_decision_damping(self):
-        controller = PhaseAdaptiveQueueController(
-            name="int", initial_size=16, consecutive_decisions_required=3
-        )
-        decisions = self._run_windows(controller, stride=40, windows=2)
-        # Not enough consecutive windows yet: stays at 16.
-        assert all(d.best_size == 16 for d in decisions)
+        assert ISSUE_QUEUE_SIZES[decisions[-1].best] > 16
 
     def test_scores_scale_ilp_by_frequency(self):
-        controller = PhaseAdaptiveQueueController(name="int", initial_size=16)
+        controller = PhaseAdaptiveQueueController(name="int")
         decisions = self._run_windows(controller, stride=2, windows=1)
-        scores = decisions[0].scores
-        assert set(scores) == {16, 32, 48, 64}
-        assert scores[16] >= scores[64]
+        scores = decisions[0].values
+        assert len(scores) == len(ISSUE_QUEUE_SIZES)  # one per size, 16 first
+        assert scores[0] >= scores[-1]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhaseAdaptiveQueueController(name="x", hysteresis=0.9)
-        with pytest.raises(ValueError):
-            PhaseAdaptiveQueueController(name="x", consecutive_decisions_required=0)
+
+#: Each controller built with damping options, and the value that beats the
+#: current configuration's 100 by a relative *gain* (costs fall, scores rise).
+DAMPED = {
+    "cache": (
+        lambda **damping: make_dcache_controller(**damping)[0],
+        lambda gain: 100.0 * (1.0 - gain),
+    ),
+    "queue": (
+        lambda **damping: PhaseAdaptiveQueueController(name="int-queue", **damping),
+        lambda gain: 100.0 * (1.0 + gain),
+    ),
+}
+
+
+def decide(controller, better, winner, gain):
+    """One interval whose raw winner, configuration *winner*, beats the
+    current configuration by *gain*; the other two are far worse."""
+    values = [better(-0.9)] * len(ISSUE_QUEUE_SIZES)
+    values[controller.current_index] = 100.0
+    values[winner] = better(gain)
+    return controller._decide(tuple(values), winner)
+
+
+@pytest.mark.parametrize("kind", sorted(DAMPED))
+def test_damping_rule(kind):
+    make, better = DAMPED[kind]
+    controller = make(initial_index=1, hysteresis=0.1)
+    # A raw winner short of its margin is held: a larger one needs
+    # ``hysteresis``, a smaller one DOWNSIZE_MARGIN.
+    up = decide(controller, better, 2, 0.05)
+    down = decide(controller, better, 0, DOWNSIZE_MARGIN / 2)
+    held = [(d.previous, d.best, d.raw_best, d.margin, d.suppressed_by) for d in (up, down)]
+    assert held == [(1, 1, 2, 0.1, "hysteresis"), (1, 1, 0, DOWNSIZE_MARGIN, "hysteresis")]
+    assert not up.changed and not down.changed
+    down = decide(controller, better, 0, 0.05)
+    assert (down.best, down.suppressed_by, down.changed) == (0, "", True)
+    up = decide(controller, better, 2, 0.15)
+    assert (up.previous, up.best, up.margin, up.changed) == (0, 2, 0.1, True)
+    assert len(controller.decisions) == 4 and controller.current_index == 2
+
+    # A change needs ``consecutive_decisions_required`` identical raw
+    # winners in a row; a hold or another winner restarts the count.
+    controller = make(hysteresis=0.1, consecutive_decisions_required=3)
+    streak = [decide(controller, better, 2, 0.5) for _ in range(2)]
+    streak.append(decide(controller, better, 2, 0.05))
+    streak.append(decide(controller, better, 3, 0.5))
+    streak += [decide(controller, better, 2, 0.5) for _ in range(3)]
+    states = [(d.best, d.suppressed_by, d.pending_candidate, d.pending_count) for d in streak]
+    assert states == [
+        (0, "streak", 2, 1),
+        (0, "streak", 2, 2),
+        (0, "hysteresis", None, 0),
+        (0, "streak", 3, 1),
+        (0, "streak", 2, 1),
+        (0, "streak", 2, 2),
+        (2, "", None, 0),
+    ]
+
+    for damping, message in (
+        (dict(hysteresis=0.5), "hysteresis"),
+        (dict(hysteresis=-0.01), "hysteresis"),
+        (dict(consecutive_decisions_required=0), "consecutive_decisions_required"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make(**damping)
+
+
+@pytest.mark.parametrize(
+    ("kind", "suppressed_by"), [("cache", ""), ("queue", "hysteresis")], ids=["cache", "queue"]
+)
+def test_a_winner_exactly_at_its_margin(kind, suppressed_by):
+    """A cache holds a cost above ``current * (1 - margin)``; a queue holds
+    a score up to ``current * (1 + margin)``."""
+    make, better = DAMPED[kind]
+    assert decide(make(hysteresis=0.1), better, 2, 0.1).suppressed_by == suppressed_by
+
+
+def test_ties_go_to_the_smaller_configuration():
+    cache, _, _ = make_dcache_controller(initial_index=3)
+    assert cache.evaluate_interval().raw_best == 0  # an empty interval costs nothing
+    queue = PhaseAdaptiveQueueController(name="int-queue", initial_index=3)
+    assert queue.evaluate(dict.fromkeys(ISSUE_QUEUE_SIZES, 0.0)).raw_best == 0
 
 
 class TestControlParams:

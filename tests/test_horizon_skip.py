@@ -274,7 +274,7 @@ def test_commit_attempts_of_a_cross_domain_head(inside, jitter):
         return processor
 
     def commit_edge(processor: MCDProcessor) -> int:
-        window = processor._wake_windows(Domain.FRONT_END.value)[Domain.LOAD_STORE.value]
+        window = processor._wake_window_table[Domain.FRONT_END.value][Domain.LOAD_STORE.value]
         completion = processor.rob.entries[0].completion_time + window
         return processor.clocks[Domain.FRONT_END].edge_at_or_after(completion)
 
@@ -401,7 +401,7 @@ def rescan_ready(processor: MCDProcessor, domain_name: str, now: int) -> list[Dy
     window from the producer's domain (0 within the domain).  Ready entries
     issue oldest first.
     """
-    windows = processor._wake_windows(domain_name)
+    windows = processor._wake_window_table[domain_name]
     is_fp = domain_name == Domain.FLOATING_POINT.value
     lsq = processor.lsq
     # A memory op has issued once its address is generated, when it enters
@@ -560,7 +560,7 @@ def test_period_change_rekeys_waiting_entries(changed, ratio):
     event_time = start + 3 * period + period // 2
     # Fetch stays stalled, so only the hand-built entries run.
     processor.frontend.stall_until = start + 1_000 * period
-    old_window = processor._wake_windows(integer)[load_store]
+    old_window = processor._wake_window_table[integer][load_store]
     # Wake times under the old window on, and half-way between, integer
     # edges of the old period; at most a few entries wake per edge, so the
     # integer ALUs never hold one back.
@@ -606,7 +606,7 @@ def test_period_change_rekeys_waiting_entries(changed, ratio):
     processor._integer_cycle = integer_cycle
     walk_edges_before(processor, event_time + 12 * period)
 
-    new_window = processor._wake_windows(integer)[load_store]
+    new_window = processor._wake_window_table[integer][load_store]
     assert new_window != old_window
     assert len(issued_at) == len(consumers)
     assert issued_at == first_ready

@@ -301,6 +301,55 @@ def test_cli_diff(cli_trace, tmp_path, capsys):
     assert obs_main(["diff", str(cli_trace), str(other)]) == 1
 
 
+#: The decision every controller-interval event carries.
+DECISION_KEYS = {
+    "structure",
+    "configurations",
+    "previous_index",
+    "best_index",
+    "raw_best_index",
+    "values",
+    "margin",
+    "suppressed_by",
+    "pending_candidate",
+    "pending_count",
+    "changed",
+}
+
+
+def test_every_controller_interval_has_one_shape(tmp_path, capsys):
+    path = tmp_path / "adv2x.trace.jsonl"
+    assert obs_main(["trace", "adv-period-2x-interval", "--quick", "--out", str(path)]) == 0
+    _, events = read_trace(path)
+    intervals = [event.data for event in events if event.type == CONTROLLER_INTERVAL]
+    extras = {
+        "dcache": {"interval_instructions", "interval_duration_ps"},
+        "icache": {"interval_instructions", "interval_duration_ps"},
+        "int-queue": {"ilp_estimates"},
+        "fp-queue": {"ilp_estimates"},
+    }
+    assert {data["structure"] for data in intervals} == set(extras)
+    for data in intervals:
+        assert set(data) == DECISION_KEYS | extras[data["structure"]]
+        configurations = data["configurations"]
+        assert len(data["values"]) == len(configurations)
+        for key in ("previous_index", "best_index", "raw_best_index"):
+            assert 0 <= data[key] < len(configurations)
+    queue_sizes = {tuple(d["configurations"]) for d in intervals if "ilp_estimates" in d}
+    assert queue_sizes == {(16, 32, 48, 64)}
+    # The timeline prints every structure's legend from ``configurations``.
+    capsys.readouterr()
+    assert obs_main(["timeline", str(path)]) == 0
+    out = capsys.readouterr().out
+    for legend in (
+        "dcache (0=32k1W/256k1W 1=64k2W/512k2W 2=128k4W/1024k4W 3=256k8W/2048k8W)",
+        "icache (0=16k1W 1=32k2W 2=48k3W 3=64k4W)",
+        "int-queue (0=16 1=32 2=48 3=64)",
+        "fp-queue (0=16 1=32 2=48 3=64)",
+    ):
+        assert f"  {legend}\n" in out
+
+
 def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
     path = tmp_path / "sampled.jsonl"
     code = obs_main(

@@ -4,8 +4,9 @@ One reader (:func:`repro.obs.records.read_records`) serves both file kinds,
 so every way a file can be unreadable must raise that kind's named error —
 a :class:`RecordFileError` — through the reader and through the
 ``python -m repro.obs`` CLI, never a misparse or a bare ``TypeError``.
-Trace files written by the previous build must still read back; its
-schema-1 ledgers, whose records carry no work counters, are rejected.
+Files written by earlier builds are rejected, naming both schemas: schema-2
+traces, whose controller-interval events came in two shapes, and schema-1
+ledgers, whose records carry no work counters.
 """
 
 from __future__ import annotations
@@ -116,18 +117,19 @@ def test_unreadable_file_raises_the_named_error(name, case, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["trace"])
-def test_file_written_by_the_previous_build_reads_back(name, tmp_path):
-    spec = KINDS[name]
-    path = tmp_path / f"parent.{name}.jsonl"
-    path.write_text(spec.parent_header + spec.parent_row)
-    meta, rows = spec.read(path)
-    assert meta == json.loads(spec.parent_header)["meta"]
-    assert len(rows) == 1
-    # This build writes the byte-identical header for the same metadata.
-    fresh = tmp_path / f"fresh.{name}.jsonl"
-    spec.write_empty(fresh, meta)
-    assert fresh.read_text() == spec.parent_header
+def test_trace_written_by_the_previous_build_is_rejected(tmp_path, capsys):
+    parent = KINDS["trace"]
+    path = tmp_path / "parent.trace.jsonl"
+    path.write_text(parent.parent_header + parent.parent_row)
+    with pytest.raises(TraceSchemaError, match="schema 2, but this build reads schema 3"):
+        read_trace(path)
+    assert obs_main(["summarize", str(path)]) == 1
+    assert "schema 2, but this build reads schema 3" in capsys.readouterr().err
+    # Only the schema number moved: this build writes the same header
+    # otherwise for the same metadata.
+    fresh = tmp_path / "fresh.trace.jsonl"
+    parent.write_empty(fresh, json.loads(parent.parent_header)["meta"])
+    assert fresh.read_text() == parent.parent_header.replace('"schema": 2', '"schema": 3')
 
 
 def test_ledger_written_by_the_previous_build_is_rejected(tmp_path):

@@ -263,7 +263,8 @@ def _dependence_height(profile, count=3000):
 
 
 class TestProfileValidate:
-    """Boundaries of WorkloadProfile.validate (the deep, per-phase checker)."""
+    """Boundaries of WorkloadProfile.validate (the deep, per-phase checker),
+    which construction runs."""
 
     def test_valid_profiles_chain(self, tiny_profile):
         assert tiny_profile.validate() is tiny_profile
@@ -273,58 +274,62 @@ class TestProfileValidate:
             profile.validate()
 
     def test_phase_override_fraction_above_one_rejected(self):
-        profile = WorkloadProfile(
-            name="x",
-            suite="t",
-            phases=(PhaseSpec(length=100, overrides={"hot_data_fraction": 1.5}),),
-        )
         with pytest.raises(ValueError, match=r"phase 0.*hot_data_fraction"):
-            profile.validate()
+            WorkloadProfile(
+                name="x",
+                suite="t",
+                phases=(PhaseSpec(length=100, overrides={"hot_data_fraction": 1.5}),),
+            )
+
+    def test_hand_built_profile_with_a_bad_phase_fails_on_construction(self):
+        # Before construction checked phases, this profile built and ran.
+        with pytest.raises(ValueError, match=r"'x', phase 0: hot_data_fraction"):
+            WorkloadProfile(
+                name="x",
+                suite="y",
+                phases=(PhaseSpec(1000, {"hot_data_fraction": 2.0, "load_fraction": 0.9}),),
+            )
 
     def test_phase_override_negative_footprint_rejected(self):
-        profile = WorkloadProfile(
-            name="x",
-            suite="t",
-            phases=(PhaseSpec(length=100, overrides={"data_footprint_kb": -1.0}),),
-        )
         with pytest.raises(ValueError, match="positive"):
-            profile.validate()
+            WorkloadProfile(
+                name="x",
+                suite="t",
+                phases=(PhaseSpec(length=100, overrides={"data_footprint_kb": -1.0}),),
+            )
 
     def test_phase_hot_region_beyond_footprint_rejected(self):
         # The base profile is consistent; only the phase's effective values
-        # break the invariant — exactly what __post_init__ cannot see.
-        profile = WorkloadProfile(
-            name="x",
-            suite="t",
-            data_footprint_kb=64.0,
-            hot_data_kb=16.0,
-            phases=(PhaseSpec(length=100, overrides={"hot_data_kb": 128.0}),),
-        )
+        # break the invariant.
         with pytest.raises(ValueError, match="cannot exceed"):
-            profile.validate()
+            WorkloadProfile(
+                name="x",
+                suite="t",
+                data_footprint_kb=64.0,
+                hot_data_kb=16.0,
+                phases=(PhaseSpec(length=100, overrides={"hot_data_kb": 128.0}),),
+            )
 
     def test_phase_memory_mix_overflow_rejected(self):
-        profile = WorkloadProfile(
-            name="x",
-            suite="t",
-            phases=(
-                PhaseSpec(
-                    length=100,
-                    overrides={"load_fraction": 0.6, "store_fraction": 0.5},
-                ),
-            ),
-        )
         with pytest.raises(ValueError, match="no room for compute"):
-            profile.validate()
+            WorkloadProfile(
+                name="x",
+                suite="t",
+                phases=(
+                    PhaseSpec(
+                        length=100,
+                        overrides={"load_fraction": 0.6, "store_fraction": 0.5},
+                    ),
+                ),
+            )
 
     def test_phase_dependence_distance_below_one_rejected(self):
-        profile = WorkloadProfile(
-            name="x",
-            suite="t",
-            phases=(PhaseSpec(length=100, overrides={"mean_dependence_distance": 0.5}),),
-        )
         with pytest.raises(ValueError, match="mean_dependence_distance"):
-            profile.validate()
+            WorkloadProfile(
+                name="x",
+                suite="t",
+                phases=(PhaseSpec(length=100, overrides={"mean_dependence_distance": 0.5}),),
+            )
 
     @pytest.mark.parametrize(
         ("build", "context"),
@@ -374,16 +379,15 @@ class TestProfileValidate:
         ).validate()
 
     def test_messages_name_the_offending_context(self):
-        profile = WorkloadProfile(
-            name="culprit",
-            suite="t",
-            phases=(
-                PhaseSpec(length=100),
-                PhaseSpec(length=100, overrides={"far_dependence_fraction": 2.0}),
-            ),
-        )
         with pytest.raises(ValueError, match=r"'culprit', phase 1"):
-            profile.validate()
+            WorkloadProfile(
+                name="culprit",
+                suite="t",
+                phases=(
+                    PhaseSpec(length=100),
+                    PhaseSpec(length=100, overrides={"far_dependence_fraction": 2.0}),
+                ),
+            )
 
 
 class TestGeneratorExtremes:
