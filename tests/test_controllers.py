@@ -117,6 +117,50 @@ class TestCacheController:
         controller.evaluate_interval()
         assert l1.interval_stats.accesses == 0
 
+    def test_hysteresis_blocks_marginal_changes(self):
+        def marginal_interval(l1):
+            sets = l1.num_sets
+            # Mostly A hits plus a sprinkle of B hits: a larger configuration
+            # is slightly, but not decisively, cheaper.
+            for _ in range(6):
+                for set_index in range(64):
+                    l1.access(0x1000 + set_index * 64)
+            for _ in range(2):
+                for set_index in range(20):
+                    l1.access(0x1000 + set_index * 64 + sets * 64)
+                for set_index in range(20):
+                    l1.access(0x1000 + set_index * 64)
+
+        eager_controller, eager_l1, _ = make_dcache_controller(hysteresis=0.0)
+        marginal_interval(eager_l1)
+        eager_decision = eager_controller.evaluate_interval()
+
+        guarded_controller, guarded_l1, _ = make_dcache_controller(hysteresis=0.45)
+        marginal_interval(guarded_l1)
+        guarded_decision = guarded_controller.evaluate_interval()
+
+        # Whatever the eager controller does, the strongly guarded one must
+        # stay at the current configuration unless the win is overwhelming.
+        assert guarded_decision.best == 0
+        assert eager_decision.best >= guarded_decision.best
+
+    def test_consecutive_decisions_required(self):
+        controller, l1, l2 = make_dcache_controller(consecutive_decisions_required=2)
+        sets = l1.num_sets
+
+        def capacity_bound_interval():
+            for _ in range(20):
+                for way in range(4):
+                    for set_index in range(64):
+                        l1.access(0x1000 + set_index * 64 + way * sets * 64)
+
+        capacity_bound_interval()
+        first = controller.evaluate_interval()
+        assert first.best == 0  # change deferred
+        capacity_bound_interval()
+        second = controller.evaluate_interval()
+        assert second.best >= 2  # persistent need: change now allowed
+
     def test_costs_cover_every_configuration(self):
         controller, l1, _ = make_dcache_controller()
         l1.access(0x40)
@@ -310,12 +354,24 @@ class TestQueueController:
         decisions = self._run_windows(controller, stride=40, windows=6)
         assert ISSUE_QUEUE_SIZES[decisions[-1].best] > 16
 
+    def test_consecutive_decision_damping(self):
+        controller = PhaseAdaptiveQueueController(name="int", consecutive_decisions_required=3)
+        decisions = self._run_windows(controller, stride=40, windows=2)
+        # Not enough consecutive windows yet: stays at 16.
+        assert all(ISSUE_QUEUE_SIZES[d.best] == 16 for d in decisions)
+
     def test_scores_scale_ilp_by_frequency(self):
         controller = PhaseAdaptiveQueueController(name="int")
         decisions = self._run_windows(controller, stride=2, windows=1)
         scores = decisions[0].values
         assert len(scores) == len(ISSUE_QUEUE_SIZES)  # one per size, 16 first
         assert scores[0] >= scores[-1]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PhaseAdaptiveQueueController(name="x", hysteresis=0.9)
+        with pytest.raises(ValueError):
+            PhaseAdaptiveQueueController(name="x", consecutive_decisions_required=0)
 
 
 #: Each controller built with damping options, and the value that beats the
