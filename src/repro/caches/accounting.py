@@ -153,11 +153,6 @@ class AccountingCache:
         return self._a_ways
 
     @property
-    def b_enabled(self) -> bool:
-        """True when the B partition is accessible."""
-        return self._b_enabled
-
-    @property
     def b_ways(self) -> int:
         """Width of the B partition under the current configuration."""
         if not self._b_enabled:

@@ -81,10 +81,12 @@ class CacheHierarchy:
         self._config = config
         self.l1d.set_a_ways(config.ways)
         self.l2.set_a_ways(config.ways)
-        has_b = self._b_enabled and config.l1_latency[1] is not None
-        self.l1d.set_b_enabled(has_b)
-        has_b_l2 = self._b_enabled and config.l2_latency[1] is not None
-        self.l2.set_b_enabled(has_b_l2)
+        # Each level's B flag, kept here too for the access paths: a miss
+        # spends the B probe time only when the level has a B partition.
+        self._l1_has_b = self._b_enabled and config.l1_latency[1] is not None
+        self.l1d.set_b_enabled(self._l1_has_b)
+        self._l2_has_b = self._b_enabled and config.l2_latency[1] is not None
+        self.l2.set_b_enabled(self._l2_has_b)
 
     # -------------------------------------------------------------- accesses
 
@@ -113,7 +115,7 @@ class CacheHierarchy:
             return completion + (l1_b or 0) * period_ps
         # L1 miss: the full A (+B) probe time was spent before going below.
         stats.l1_misses += 1
-        if self.l1d.b_enabled and l1_b is not None:
+        if self._l1_has_b:
             completion += l1_b * period_ps
         return self.access_l2(address, completion, period_ps)
 
@@ -132,6 +134,6 @@ class CacheHierarchy:
             stats.l2_hits_b += 1
             return completion + (l2_b or 0) * period_ps
         stats.l2_misses += 1
-        if self.l2.b_enabled and l2_b is not None:
+        if self._l2_has_b:
             completion += l2_b * period_ps
         return self.memory.access(address, self.l2.geometry.block_bytes, completion)

@@ -61,6 +61,9 @@ class MainMemory:
         self._open_row_fraction = open_row_fraction
         self._open_rows: list[int | None] = [None] * banks
         self._channel_free_at: Picoseconds = 0
+        #: Per line size: the fill latency with the row closed and open, and
+        #: the channel's transfer time.
+        self._fill_times: dict[int, tuple[Picoseconds, Picoseconds, Picoseconds]] = {}
         self.stats = MemoryStats()
 
     def line_fill_latency_ps(self, line_bytes: int, *, row_hit: bool = False) -> Picoseconds:
@@ -77,11 +80,17 @@ class MainMemory:
         bank = row % self._banks
         row_hit = self._open_rows[bank] == row
         self._open_rows[bank] = row
-        latency = self.line_fill_latency_ps(line_bytes, row_hit=row_hit)
+        times = self._fill_times.get(line_bytes)
+        if times is None:
+            times = self._fill_times[line_bytes] = (
+                self.line_fill_latency_ps(line_bytes),
+                self.line_fill_latency_ps(line_bytes, row_hit=True),
+                # The channel is busy only for the data-transfer portion of
+                # the access.
+                max(1, line_bytes // self._chunk_bytes) * self._subsequent_chunk_ps,
+            )
+        closed_row, open_row, transfer = times
         start = max(now_ps, self._channel_free_at)
-        completion = start + latency
-        # The channel is busy only for the data-transfer portion of the access.
-        transfer = (max(1, line_bytes // self._chunk_bytes)) * self._subsequent_chunk_ps
         self._channel_free_at = start + transfer
         self.stats.accesses += 1
-        return completion
+        return start + (open_row if row_hit else closed_row)

@@ -3,12 +3,121 @@
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
+from collections.abc import Iterator
+from itertools import accumulate
 
 from repro.clocks.time import Picoseconds, ghz_to_period_ps, period_ps_to_ghz
 
 #: 2**32 — the crc32 output range, used to map per-edge digests onto [0, 1).
 _CRC_RANGE = 4294967296.0
+
+#: Typecode of an edge table's sums: 4-byte unsigned integers.
+_SUM_TYPECODE = "I"
+
+#: The largest sum an edge table holds, about 4.3 ms of simulated time.  A
+#: table whose next sum would pass it is full, and its stream continues in
+#: a table that starts at its last edge.
+_SUM_LIMIT = (1 << (8 * array(_SUM_TYPECODE).itemsize)) - 1
+
+#: Number of jittered edge tables kept per process.
+DEFAULT_CACHE_EDGE_TABLES = 32
+
+
+def jitter_steps(
+    key: int, fraction: float, period_ps: Picoseconds, first: int, stop: int
+) -> Iterator[Picoseconds]:
+    """Jittered steps leading to edges *first* to *stop* - 1.
+
+    The step leading to edge *i* (its 1-based advance count) is a pure
+    function of ``(key, fraction, period_ps, i)``: the crc32 digest of *i*
+    under *key*, mapped to a uniform offset in ``[-fraction/2, +fraction/2)``
+    of the period and rounded to whole picoseconds.  With *fraction* below
+    0.5 and a positive period every step is at least 1 ps.
+    """
+    crc32 = zlib.crc32
+    return (
+        round(
+            period_ps
+            * (1.0 + (crc32(index.to_bytes(8, "little"), key) / _CRC_RANGE - 0.5) * fraction)
+        )
+        for index in range(first, stop)
+    )
+
+
+class _EdgeTable:
+    """Prefix sums of one jittered stream from one start edge index.
+
+    ``sums[k]`` is the time from edge ``start`` to edge ``start + k``, so
+    ``sums[0]`` is 0.  The table is append-only: it grows, one chunk per
+    :meth:`reach`, only as far as its furthest reader asks.
+    """
+
+    __slots__ = ("key", "fraction", "period_ps", "start", "sums", "full")
+
+    def __init__(self, key: int, fraction: float, period_ps: Picoseconds, start: int) -> None:
+        self.key = key
+        self.fraction = fraction
+        self.period_ps = period_ps
+        self.start = start
+        self.sums = array(_SUM_TYPECODE, (0,))
+        #: True once the next sum would pass :data:`_SUM_LIMIT`.
+        self.full = False
+
+    def reach(self, span: Picoseconds) -> bool:
+        """Extend the table until its last sum is at least *span*.
+
+        Returns False if the table fills first.  Each chunk evaluates steps
+        for new indices only, as many as the remaining gap holds whole
+        periods, plus one.
+        """
+        sums = self.sums
+        last = sums[-1]
+        while last < span:
+            if self.full:
+                return False
+            first = self.start + len(sums)
+            count = (span - last) // self.period_ps + 1
+            chunk = list(
+                accumulate(
+                    jitter_steps(self.key, self.fraction, self.period_ps, first, first + count),
+                    initial=last,
+                )
+            )
+            if chunk[-1] > _SUM_LIMIT:
+                del chunk[bisect_right(chunk, _SUM_LIMIT) :]
+                self.full = True
+            sums.extend(chunk[1:])
+            last = sums[-1]
+        return True
+
+
+_tables: OrderedDict[tuple[int, float, Picoseconds, int], _EdgeTable] = OrderedDict()
+
+
+def _edge_table(key: int, fraction: float, period_ps: Picoseconds, start: int) -> _EdgeTable:
+    """The process's table for one stream from edge *start*, created if absent.
+
+    Keeps the :data:`DEFAULT_CACHE_EDGE_TABLES` most recently used tables.
+    A clock holding an evicted table still extends it; the next clock that
+    asks for the same stream starts a new one.
+    """
+    ident = (key, fraction, period_ps, start)
+    table = _tables.get(ident)
+    if table is None:
+        table = _tables[ident] = _EdgeTable(key, fraction, period_ps, start)
+        while len(_tables) > DEFAULT_CACHE_EDGE_TABLES:
+            _tables.popitem(last=False)
+    else:
+        _tables.move_to_end(ident)
+    return table
+
+
+def clear_edge_tables() -> None:
+    """Drop every cached edge table (tests and memory-pressure escape hatch)."""
+    _tables.clear()
 
 
 class DomainClock:
@@ -26,17 +135,23 @@ class DomainClock:
     Jitter is a deterministic, *index-addressable* offset stream: the
     perturbation of edge *i* is a pure function of ``(name, seed, i)``
     (crc32-based, like the trace RNGs, so it is identical across interpreter
-    invocations and worker processes).  Because no generator state is
-    consumed, future edge times are known in advance, and the clock
-    memoises them: each jittered edge is computed once, under the current
-    period, and :meth:`advance`, :meth:`edge_at_or_after` and
-    :meth:`skip_edges_before` index or ``bisect`` the memo.  So every
-    prediction is a true jittered edge that :meth:`advance` will later
-    produce, and a bulk skip lands on precisely the ``next_edge`` the
-    equivalent individual advances would — which is what allows the
-    processor's work-horizon skip to stay enabled on jittered clocks.  A
-    frequency change clears the memo, and consumed entries are trimmed when
-    it is extended, so it holds at most the furthest look-ahead.
+    invocations and worker processes); :func:`jitter_steps` is the formula.
+    Because no generator state is consumed, future edge times are known in
+    advance, and every clock in the process that runs the same stream reads
+    one shared, append-only table of its edges: the prefix sums of its
+    steps from one start edge index, keyed by (jitter key, fraction, period,
+    start index).  A jittered clock holds only its table and the time of the
+    table's first edge; :meth:`advance` reads one entry, and
+    :meth:`edge_at_or_after` and :meth:`skip_edges_before` are one
+    ``bisect`` from the current edge.  So each jittered edge is computed once
+    per process, every prediction is a true jittered edge that
+    :meth:`advance` will later produce, and a bulk skip lands on precisely
+    the ``next_edge`` the equivalent individual advances would — which is
+    what allows the processor's work-horizon skip to stay enabled on
+    jittered clocks.  A frequency change takes the table for the new period
+    that starts at the current edge, so no step before it is evaluated
+    again.  Sums are 4-byte and relative to their table's start; a full
+    table's stream continues in a table that starts at its last edge.
 
     ``next_edge``, ``period_ps``, ``cycle_count`` and ``jitter_fraction`` are
     plain attributes (not properties): the simulator's main loop reads them
@@ -68,8 +183,8 @@ class DomainClock:
         "next_edge",
         "cycle_count",
         "_jitter_key",
-        "_memo",
-        "_memo_pos",
+        "_table",
+        "_base",
     )
 
     def __init__(
@@ -91,12 +206,12 @@ class DomainClock:
         self._jitter_key = (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
         self.next_edge: Picoseconds = start_time_ps
         self.cycle_count = 0
-        # The memo of future jittered edges: ``_memo[_memo_pos + k]`` is the
-        # edge ``k + 1`` advances past ``next_edge``, under the current
-        # period.  Entries before ``_memo_pos`` are consumed; they are trimmed
-        # when the memo is next extended.
-        self._memo: list[Picoseconds] = []
-        self._memo_pos = 0
+        # A jittered clock's edge ``cycle_count`` is at ``_base +
+        # _table.sums[cycle_count - _table.start]``.
+        self._table: _EdgeTable | None = None
+        self._base: Picoseconds = start_time_ps
+        if jitter_fraction:
+            self._table = _edge_table(self._jitter_key, jitter_fraction, self.period_ps, 0)
 
     # ------------------------------------------------------------------ API
 
@@ -114,62 +229,48 @@ class DomainClock:
         if period_ps <= 0:
             raise ValueError("period must be positive")
         self.period_ps = period_ps
-        # The memoised edges were stepped under the old period.
-        self._memo.clear()
-        self._memo_pos = 0
-
-    def _jitter_step(self, index: int) -> Picoseconds:
-        """Jittered step leading to edge *index* (1-based advance count).
-
-        A pure function of ``(name, seed, index)`` and the current period:
-        the crc32 digest of the edge index under the clock's key, mapped to a
-        uniform offset in ``[-jitter/2, +jitter/2)``.
-        """
-        draw = zlib.crc32(index.to_bytes(8, "little"), self._jitter_key) / _CRC_RANGE
-        offset = (draw - 0.5) * self.jitter_fraction
-        return max(1, int(round(self.period_ps * (1.0 + offset))))
+        if self.jitter_fraction:
+            self._table = _edge_table(
+                self._jitter_key, self.jitter_fraction, period_ps, self.cycle_count
+            )
+            self._base = self.next_edge
 
     def advance(self) -> Picoseconds:
         """Consume the current edge and return the time of the following one."""
-        index = self.cycle_count = self.cycle_count + 1
+        index = self.cycle_count + 1
         if self.jitter_fraction:
-            memo = self._memo
-            pos = self._memo_pos
-            if pos < len(memo):
-                self.next_edge = memo[pos]
-                self._memo_pos = pos + 1
-            else:
-                # Past the memo's end ``_memo_pos`` stays put: the memo reads
-                # as fully consumed, so its next extension starts from
-                # ``next_edge``, not from its stale last entry.
-                self.next_edge += self._jitter_step(index)
+            table = self._table
+            sums = table.sums
+            position = index - table.start
+            if position == len(sums):
+                # The furthest edge of the stream so far.
+                table, self._base, position = self._locate(self.next_edge + 1)
+                self._table = table
+                sums = table.sums
+            self.next_edge = self._base + sums[position]
         else:
             self.next_edge += self.period_ps
+        self.cycle_count = index
         return self.next_edge
 
-    def _memo_index(self, time_ps: Picoseconds) -> int:
-        """Memo position of the first jittered edge at or after *time_ps*.
+    def _locate(self, time_ps: Picoseconds) -> tuple[_EdgeTable, Picoseconds, int]:
+        """Table, base time and position of the first edge at or after
+        *time_ps*, which must be later than ``next_edge``.
 
-        Requires ``time_ps > next_edge``.  The memo is first extended, one
-        :meth:`_jitter_step` per new edge, until its last edge reaches
-        *time_ps*; consumed entries are trimmed on the way.
+        Extends the clock's table as far as *time_ps*; past a full table it
+        continues in the table that starts at the full one's last edge.
         """
-        memo = self._memo
-        if not memo or memo[-1] < time_ps:
-            # Any entry with an edge at or after *time_ps* would be
-            # unconsumed (it lies past ``next_edge``), so the memo falls
-            # short: drop the consumed prefix and extend from the last
-            # unconsumed edge, or from ``next_edge`` when none is left.
-            del memo[: self._memo_pos]
-            self._memo_pos = 0
-            edge = memo[-1] if memo else self.next_edge
-            index = self.cycle_count + len(memo)
-            step = self._jitter_step
-            while edge < time_ps:
-                index += 1
-                edge += step(index)
-                memo.append(edge)
-        return bisect_left(memo, time_ps, self._memo_pos)
+        table = self._table
+        base = self._base
+        low = self.cycle_count - table.start
+        while not table.reach(time_ps - base):
+            sums = table.sums
+            base += sums[-1]
+            table = _edge_table(
+                table.key, table.fraction, table.period_ps, table.start + len(sums) - 1
+            )
+            low = 0
+        return table, base, bisect_left(table.sums, time_ps - base, low)
 
     def edge_at_or_after(self, time_ps: Picoseconds) -> Picoseconds:
         """Return the first edge at or after *time_ps* without advancing.
@@ -187,7 +288,13 @@ class DomainClock:
             delta = time_ps - edge
             cycles = -(-delta // self.period_ps)  # ceiling division
             return edge + cycles * self.period_ps
-        return self._memo[self._memo_index(time_ps)]
+        table = self._table
+        sums = table.sums
+        span = time_ps - self._base
+        if sums[-1] >= span:
+            return self._base + sums[bisect_left(sums, span, self.cycle_count - table.start)]
+        table, base, position = self._locate(time_ps)
+        return base + table.sums[position]
 
     def skip_edges_before(self, time_ps: Picoseconds) -> int:
         """Consume every unconsumed edge strictly before *time_ps*.
@@ -205,11 +312,21 @@ class DomainClock:
             self.cycle_count += count
             self.next_edge += count * self.period_ps
             return count
-        landing = self._memo_index(time_ps)
-        count = landing - self._memo_pos + 1
-        self._memo_pos = landing + 1
-        self.cycle_count += count
-        self.next_edge = self._memo[landing]
+        table = self._table
+        sums = table.sums
+        base = self._base
+        span = time_ps - base
+        if sums[-1] >= span:
+            position = bisect_left(sums, span, self.cycle_count - table.start)
+        else:
+            table, base, position = self._locate(time_ps)
+            self._table = table
+            self._base = base
+            sums = table.sums
+        index = table.start + position
+        count = index - self.cycle_count
+        self.cycle_count = index
+        self.next_edge = base + sums[position]
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

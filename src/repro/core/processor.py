@@ -157,7 +157,7 @@ class MCDProcessor:
         those idle edges would have made (stall cycles, commit-attempt
         synchronisation statistics, issue-queue occupancy samples)
         arithmetically — see :meth:`_horizon_skipper`.  Bit-identical by
-        construction, jitter-correct (bulk skips land on the memoised
+        construction, jitter-correct (bulk skips land on true
         jittered edges) and on by default; ``False`` walks every edge one at
         a time, the reference path the identity tests compare against.
     recorder:
@@ -972,6 +972,7 @@ class MCDProcessor:
         rob_entries = rob.entries
         lsq = self.lsq
         lsq_entries = lsq.entries
+        pending_stores = lsq.pending_stores
         last_writer = self._last_writer
         last_writer_get = last_writer.get
         int_regs = self.int_regs
@@ -1034,6 +1035,8 @@ class MCDProcessor:
             if is_memory_op:
                 lsq_free -= 1
                 lsq_entries.append(inst)
+                if inst.is_store:
+                    pending_stores.append(inst)
             if is_fp:
                 fp_free -= 1
                 queue = fp_queue
@@ -1252,7 +1255,7 @@ class MCDProcessor:
             clock = self._int_clock
             period = clock.period_ps
             units = self.int_units
-            units.begin_cycle()
+            units.alu_slots_used = 0
             try_reserve = units.try_reserve
             issue_width = self._issue_width
             latency_by_op = _LATENCY_BY_OP_ID
@@ -1311,7 +1314,7 @@ class MCDProcessor:
         if ready:
             period = self._fp_clock.period_ps
             units = self.fp_units
-            units.begin_cycle()
+            units.alu_slots_used = 0
             try_reserve = units.try_reserve
             issue_width = self._issue_width
             latency_by_op = _LATENCY_BY_OP_ID
@@ -1354,6 +1357,7 @@ class MCDProcessor:
         period = self._ls_clock.period_ps
         cache_ports = self._cache_ports
         access_data = self.hierarchy.access_data
+        pending_stores = lsq.pending_stores
         lsq_stats = lsq.stats
         schedule_int = self.int_queue.schedule
         schedule_fp = self.fp_queue.schedule
@@ -1375,6 +1379,7 @@ class MCDProcessor:
                     )
             else:
                 completion = access_data(inst.address, is_store=True, now_ps=now, period_ps=period)
+                pending_stores.remove(inst)
             del ready[index]
             inst.completion_time = completion
             inst.exec_domain = _LOAD_STORE_DOMAIN

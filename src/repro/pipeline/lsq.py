@@ -40,10 +40,11 @@ class LoadStoreQueue:
 
     The processor appends a memory operation to ``entries`` at dispatch,
     while fewer than ``capacity`` hold slots, and removes it from the head
-    at commit.  At address generation it pushes the entry onto ``heap``
-    keyed by its arrival in the load/store domain; each load/store cycle
-    moves the arrived entries to ``ready`` and removes from it the entries
-    whose access it performs.
+    at commit; it also appends a store to ``pending_stores`` at dispatch,
+    and removes it when the load/store unit performs the store.  At address
+    generation it pushes the entry onto ``heap`` keyed by its arrival in the
+    load/store domain; each load/store cycle moves the arrived entries to
+    ``ready`` and removes from it the entries whose access it performs.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -57,18 +58,19 @@ class LoadStoreQueue:
         self.heap: list[tuple[Picoseconds, int, DynInst]] = []
         #: Arrived entries whose access is not performed, in program order.
         self.ready: list[DynInst] = []
+        #: Dispatched stores whose access is not performed, in program order.
+        self.pending_stores: list[DynInst] = []
         self.stats = LSQStats()
 
     def pending_older_store(self, load: DynInst) -> DynInst | None:
         """Return an older, not-yet-performed store to the same double word."""
         load_dword = load.address & _DWORD_MASK
-        for entry in self.entries:
-            if entry.seq >= load.seq:
+        seq = load.seq
+        for store in self.pending_stores:
+            if store.seq >= seq:
                 break
-            if not entry.is_store or entry.completed:
-                continue
-            if (entry.address & _DWORD_MASK) == load_dword:
-                return entry
+            if (store.address & _DWORD_MASK) == load_dword:
+                return store
         return None
 
     def forwardable_store(self, load: DynInst, now: Picoseconds) -> DynInst | None:

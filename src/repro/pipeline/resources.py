@@ -36,15 +36,13 @@ class FunctionalUnitPool:
             raise ValueError("invalid functional unit counts")
         self._alus = alus
         self._complex_ops = complex_ops
-        self._alu_slots_used = 0
+        #: ALU issue slots taken this cycle; the issuing domain zeroes it
+        #: before each cycle's issue.
+        self.alu_slots_used = 0
         self._complex_busy_until: list[Picoseconds] = [0] * complex_units
         # Energy-accounting activity (observation-only).
         self.alu_ops = 0
         self.complex_ops_executed = 0
-
-    def begin_cycle(self) -> None:
-        """Reset per-cycle issue-slot accounting."""
-        self._alu_slots_used = 0
 
     def try_reserve(self, op: int | OpClass, now: Picoseconds, latency_ps: Picoseconds) -> bool:
         """Reserve a unit for *op* this cycle; return False if none is free."""
@@ -55,9 +53,9 @@ class FunctionalUnitPool:
                     self.complex_ops_executed += 1
                     return True
             return False
-        if self._alu_slots_used >= self._alus:
+        if self.alu_slots_used >= self._alus:
             return False
-        self._alu_slots_used += 1
+        self.alu_slots_used += 1
         self.alu_ops += 1
         return True
 

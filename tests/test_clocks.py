@@ -1,7 +1,12 @@
 """Tests for the picosecond time base and domain clocks."""
 
+from contextlib import contextmanager
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, strategies as st
+
+import repro.clocks.clock as clock_module
 
 from repro.clocks import (
     DomainClock,
@@ -11,6 +16,7 @@ from repro.clocks import (
     ps_to_ns,
     us_to_ps,
 )
+from repro.clocks.clock import DEFAULT_CACHE_EDGE_TABLES, clear_edge_tables, jitter_steps
 
 
 class TestTimeConversions:
@@ -125,12 +131,12 @@ def advances_until(walker, time_ps: int) -> int:
 
 
 class StepwiseClock:
-    """A jittered clock without the memo: every query walks the offset stream
-    one ``_jitter_step`` at a time from ``next_edge``.
+    """A jittered clock without edge tables: every query walks the offset
+    stream one :func:`jitter_steps` evaluation at a time from ``next_edge``.
 
-    It borrows only ``_jitter_step`` (and the period it reads) from a twin
+    It borrows only the jitter key, fraction and current period of a twin
     :class:`DomainClock` and keeps its own edge state, so it is an
-    independent reference for the memoised clock.
+    independent reference for the tabled clock.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -138,16 +144,23 @@ class StepwiseClock:
         self.next_edge = self.stream.next_edge
         self.cycle_count = 0
 
+    def step(self, index: int) -> int:
+        stream = self.stream
+        (step,) = jitter_steps(
+            stream._jitter_key, stream.jitter_fraction, stream.period_ps, index, index + 1
+        )
+        return step
+
     def advance(self) -> int:
         self.cycle_count += 1
-        self.next_edge += self.stream._jitter_step(self.cycle_count)
+        self.next_edge += self.step(self.cycle_count)
         return self.next_edge
 
     def edge_at_or_after(self, time_ps: int) -> int:
         edge, index = self.next_edge, self.cycle_count
         while edge < time_ps:
             index += 1
-            edge += self.stream._jitter_step(index)
+            edge += self.step(index)
         return edge
 
     def skip_edges_before(self, time_ps: int) -> int:
@@ -159,18 +172,49 @@ class StepwiseClock:
 
 #: One step of an interleaved clock workload: an operation and its argument.
 #: Query times are offsets from the clock's ``next_edge``, so they land both
-#: inside and beyond the memo; ``advance`` repeats its argument many times.
-clock_operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=40)),
-        st.tuples(
-            st.sampled_from(["edge_at_or_after", "skip_edges_before"]),
-            st.integers(min_value=-2_000, max_value=80_000),
-        ),
-        st.tuples(st.just("set_frequency"), st.sampled_from([0.5, 0.8, 1.0, 1.6, 2.5])),
+#: inside and beyond the edges tabled so far; ``advance`` repeats its
+#: argument many times.
+clock_operation = st.one_of(
+    st.tuples(st.just("advance"), st.integers(min_value=1, max_value=40)),
+    st.tuples(
+        st.sampled_from(["edge_at_or_after", "skip_edges_before"]),
+        st.integers(min_value=-2_000, max_value=80_000),
     ),
-    max_size=40,
+    st.tuples(st.just("set_frequency"), st.sampled_from([0.5, 0.8, 1.0, 1.6, 2.5])),
 )
+clock_operations = st.lists(clock_operation, max_size=40)
+
+
+def apply_in_step(clock: DomainClock, reference: StepwiseClock, name: str, argument) -> None:
+    """Apply one operation to *clock* and *reference*; they must agree."""
+    if name == "advance":
+        for _ in range(argument):
+            assert clock.advance() == reference.advance()
+    elif name == "set_frequency":
+        clock.set_frequency(argument)
+        reference.set_frequency(argument)
+    else:
+        time_ps = reference.next_edge + argument
+        assert getattr(clock, name)(time_ps) == getattr(reference, name)(time_ps)
+    assert clock.next_edge == reference.next_edge
+    assert clock.cycle_count == reference.cycle_count
+
+
+@contextmanager
+def recorded_steps():
+    """Record the index of every jittered step evaluated inside the block."""
+    indices: list[int] = []
+
+    def recording(key, fraction, period_ps, first, stop):
+        indices.extend(range(first, stop))
+        return evaluate(key, fraction, period_ps, first, stop)
+
+    evaluate = clock_module.jitter_steps
+    clock_module.jitter_steps = recording
+    try:
+        yield indices
+    finally:
+        clock_module.jitter_steps = evaluate
 
 
 class TestJitteredClock:
@@ -267,8 +311,9 @@ class TestJitteredClock:
 
 
 class TestJitterMemo:
-    """The memo of future jittered edges is invisible: a memoised clock
-    reports exactly what :class:`StepwiseClock` computes edge by edge."""
+    """The per-process tables of jittered edges are invisible: a tabled
+    clock reports exactly what :class:`StepwiseClock` computes edge by edge,
+    whatever other clocks have read from its tables."""
 
     @given(
         jitter=st.sampled_from([0.05, 0.1, 0.45]),
@@ -279,21 +324,26 @@ class TestJitterMemo:
         clock = jittered_clock(jitter_fraction=jitter, seed=seed)
         reference = StepwiseClock(jitter_fraction=jitter, seed=seed)
         for name, argument in operations:
-            if name == "advance":
-                for _ in range(argument):
-                    assert clock.advance() == reference.advance()
-            elif name == "set_frequency":
-                clock.set_frequency(argument)
-                reference.set_frequency(argument)
-            else:
-                time_ps = reference.next_edge + argument
-                assert getattr(clock, name)(time_ps) == getattr(reference, name)(time_ps)
-            assert clock.next_edge == reference.next_edge
-            assert clock.cycle_count == reference.cycle_count
+            apply_in_step(clock, reference, name, argument)
+
+    @given(
+        jitter=st.sampled_from([0.05, 0.45]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        operations=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2), clock_operation), max_size=60
+        ),
+    )
+    def test_clocks_sharing_tables_match_independent_references(self, jitter, seed, operations):
+        clear_edge_tables()
+        clocks = [jittered_clock(jitter_fraction=jitter, seed=seed) for _ in range(3)]
+        references = [StepwiseClock(jitter_fraction=jitter, seed=seed) for _ in range(3)]
+        for which, (name, argument) in operations:
+            apply_in_step(clocks[which], references[which], name, argument)
 
     def test_advancing_past_the_memo_end_then_looking_ahead(self):
+        clear_edge_tables()
         clock, reference = jittered_clock(), StepwiseClock()
-        clock.edge_at_or_after(5_000)  # memoises about five edges
+        clock.edge_at_or_after(5_000)  # tables about five edges
         for _ in range(12):  # ...then runs past them
             assert clock.advance() == reference.advance()
         time_ps = reference.next_edge + 7_500
@@ -303,7 +353,7 @@ class TestJitterMemo:
 
     def test_frequency_change_drops_memoised_edges(self):
         clock, reference = jittered_clock(), StepwiseClock()
-        clock.edge_at_or_after(20_000)  # memoised under the 1 GHz period
+        clock.edge_at_or_after(20_000)  # tabled under the 1 GHz period
         clock.advance()
         reference.advance()
         clock.set_frequency(2.0)
@@ -312,18 +362,82 @@ class TestJitterMemo:
         assert clock.edge_at_or_after(time_ps) == reference.edge_at_or_after(time_ps)
         assert [clock.advance() for _ in range(30)] == [reference.advance() for _ in range(30)]
 
+    def test_frequency_change_evaluates_no_earlier_step(self):
+        clear_edge_tables()
+        clock = jittered_clock()
+        clock.edge_at_or_after(clock.next_edge + 50_000)
+        for _ in range(40):
+            clock.advance()
+        clock.skip_edges_before(clock.next_edge + 3_000)
+        changed_at = clock.cycle_count
+        with recorded_steps() as indices:
+            clock.set_frequency(2.0)
+            clock.edge_at_or_after(clock.next_edge + 10_000)
+            for _ in range(30):
+                clock.advance()
+        assert indices and min(indices) == changed_at + 1
+
+    def test_each_step_is_evaluated_once_per_process(self):
+        clear_edge_tables()
+        with recorded_steps() as first:
+            leader = jittered_clock()
+            leader.edge_at_or_after(40_000)
+            edges = [leader.advance() for _ in range(60)]
+        with recorded_steps() as second:
+            follower = jittered_clock()
+            assert follower.edge_at_or_after(40_000) == jittered_clock().edge_at_or_after(40_000)
+            assert [follower.advance() for _ in range(60)] == edges
+        assert sorted(first) == list(range(1, len(first) + 1))
+        assert second == []
+
+    @pytest.mark.parametrize("jitter", [0.05, 0.45])
+    def test_a_full_table_continues_where_it_left_off(self, jitter):
+        clear_edge_tables()
+        try:
+            with patch.object(clock_module, "_SUM_LIMIT", 20_000):
+                clock = jittered_clock(jitter_fraction=jitter)
+                reference = StepwiseClock(jitter_fraction=jitter)
+                # Past several full tables in one query, without advancing...
+                time_ps = reference.next_edge + 75_000
+                assert clock.edge_at_or_after(time_ps) == reference.edge_at_or_after(time_ps)
+                assert clock.cycle_count == 0
+                # ...then by single advances and by a skip across them.
+                for name, argument in [
+                    ("advance", 30),
+                    ("skip_edges_before", 50_000),
+                    ("set_frequency", 2.0),
+                    ("advance", 70),
+                    ("edge_at_or_after", 45_000),
+                    ("skip_edges_before", 45_000),
+                ]:
+                    apply_in_step(clock, reference, name, argument)
+                tables = list(clock_module._tables.values())
+                assert all(max(table.sums) <= 20_000 for table in tables)
+                assert sum(table.full for table in tables) >= 4
+        finally:
+            clear_edge_tables()
+
     def test_memo_stays_bounded_over_a_long_run(self):
+        clear_edge_tables()
         clock = jittered_clock()
         reach = 200 * clock.period_ps
-        # A jittered step is at least (1 - jitter/2) of the period, so a query
-        # ``reach`` ahead of ``next_edge`` memoises at most this many edges.
-        bound = reach // int(clock.period_ps * (1 - clock.jitter_fraction / 2)) + 2
-        longest = 0
+        # A chunk evaluates one step per whole period of the gap it bridges,
+        # plus one, and a step is at most (1 + jitter/2) periods, so the
+        # table ends at most this far past the furthest query.
+        slack = int(reach * clock.jitter_fraction / 2) + 2 * clock.period_ps
+        furthest = 0
         for cycle in range(20_000):
-            clock.edge_at_or_after(clock.next_edge + reach)
+            furthest = clock.next_edge + reach
+            clock.edge_at_or_after(furthest)
             if cycle % 1_000 == 999:
                 clock.skip_edges_before(clock.next_edge + reach // 2)
             clock.advance()
-            longest = max(longest, len(clock._memo))
+            table = clock._table
+            assert clock._base + table.sums[-1] <= furthest + slack
         assert clock.cycle_count > 20_000
-        assert longest <= bound
+        # Frequency changes start tables; the process keeps a bounded number.
+        for cycle in range(3 * DEFAULT_CACHE_EDGE_TABLES):
+            clock.set_frequency((0.8, 1.25)[cycle % 2])
+            clock.edge_at_or_after(clock.next_edge + reach)
+            clock.advance()
+        assert len(clock_module._tables) == DEFAULT_CACHE_EDGE_TABLES

@@ -16,6 +16,7 @@ from repro.analysis.sweep import (
     program_adaptive_search,
     run_synchronous,
 )
+from repro.clocks.clock import clear_edge_tables
 from repro.core.configuration import AdaptiveConfigIndices, best_overall_synchronous_spec
 from repro.core.controllers.params import AdaptiveControlParams
 from repro.core.processor import MCDProcessor
@@ -366,6 +367,25 @@ class TestExecutors:
         jobs = _jobs(quick_profile)
         serial = list(SerialExecutor().imap_jobs(jobs, run_job))
         parallel = list(ParallelExecutor(max_workers=2).imap_jobs(jobs, run_job))
+        assert serial == parallel
+
+    def test_parallel_matches_serial_with_jittered_jobs(self, quick_profile):
+        common = dict(profile=quick_profile, window=700, warmup=1200, jitter_fraction=0.05)
+        jobs = [
+            SimulationJob(
+                spec_kind=SpecKind.ADAPTIVE, indices=AdaptiveConfigIndices(1, 0, 16, 16), **common
+            ),
+            SimulationJob(
+                spec_kind=SpecKind.BASE_ADAPTIVE,
+                use_b_partitions=True,
+                phase_adaptive=True,
+                **common,
+            ),
+        ]
+        # Workers start from cleared edge tables and build their own.
+        clear_edge_tables()
+        parallel = list(ParallelExecutor(max_workers=2).imap_jobs(jobs, run_job))
+        serial = list(SerialExecutor().imap_jobs(jobs, run_job))
         assert serial == parallel
 
     def test_parallel_single_worker_falls_back(self, quick_profile):

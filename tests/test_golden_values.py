@@ -21,14 +21,17 @@ from __future__ import annotations
 
 import pytest
 
+import repro.clocks.clock as clock_module
 from golden_digests import (
     ENERGY_GOLDEN_DIGESTS,
     energy_digest,
     golden_jobs,
     result_digest,
 )
+from repro.clocks.clock import clear_edge_tables
 from repro.engine import SimulationJob, SpecKind, run_job
 from repro.workloads import get_workload
+from test_clocks import recorded_steps
 
 #: sha256 of the canonical JSON serialisation of each golden job's RunResult.
 #: The jitter-free digests were recorded from the pre-optimisation simulator;
@@ -127,3 +130,21 @@ def test_energy_accounting_matches_golden_digest(name):
         f"energy accounting for {name} diverged from the recorded breakdown; "
         "counter or energy-model changes must be intentional and declared"
     )
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN_DIGESTS if "jittered" in name))
+def test_jittered_digest_does_not_depend_on_edge_tables(name):
+    """A jittered job reads the same edges from cleared tables, from the
+    tables its first run left, and after the bound has evicted those."""
+    job = golden_jobs()[name]
+    clear_edge_tables()
+    cold = result_digest(run_job(job))
+    tables = set(clock_module._tables)
+    with recorded_steps() as evaluated:
+        warm = result_digest(run_job(job))
+    assert evaluated == []
+    for start in range(clock_module.DEFAULT_CACHE_EDGE_TABLES):
+        clock_module._edge_table(0, 0.25, 1_000, start)
+    assert not tables & set(clock_module._tables)
+    evicted = result_digest(run_job(job))
+    assert cold == warm == evicted == GOLDEN_DIGESTS[name]

@@ -169,6 +169,7 @@ def drained_processor(*, jitter: float = 0.0) -> MCDProcessor:
     processor.lsq.entries.clear()
     processor.lsq.heap.clear()
     processor.lsq.ready.clear()
+    processor.lsq.pending_stores.clear()
     for queue in (processor.int_queue, processor.fp_queue):
         queue.heap.clear()
         queue.ready.clear()

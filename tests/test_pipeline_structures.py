@@ -7,8 +7,11 @@ whose fetch queue each test fills by hand.  Wake-up, re-keying and store
 forwarding are methods of the structures themselves.
 """
 
+from __future__ import annotations
+
 import pytest
 
+from golden_digests import golden_jobs
 from repro.core import (
     ArchitecturalParameters,
     MCDProcessor,
@@ -16,6 +19,7 @@ from repro.core import (
     best_overall_synchronous_spec,
 )
 from repro.core.domains import Domain
+from repro.engine import run_job
 from repro.isa.opcodes import (
     FLAG_FP,
     FLAG_MEMORY,
@@ -246,6 +250,7 @@ class TestLoadStoreQueue:
         store = make_inst(0, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x100)
         load = make_inst(1, op=OpClass.LOAD, address=0x104)  # same double word
         lsq.entries += [store, load]
+        lsq.pending_stores.append(store)
         assert lsq.pending_older_store(load) is store
 
     def test_unrelated_store_does_not_block(self):
@@ -253,6 +258,7 @@ class TestLoadStoreQueue:
         store = make_inst(0, op=OpClass.STORE, dest=None, sources=("r1", "r2"), address=0x200)
         load = make_inst(1, op=OpClass.LOAD, address=0x100)
         lsq.entries += [store, load]
+        lsq.pending_stores.append(store)
         assert lsq.pending_older_store(load) is None
 
     def test_forwarding_requires_completed_store(self):
@@ -280,23 +286,58 @@ class TestLoadStoreQueue:
         assert list(processor.frontend.fetch_queue.entries) == loads[1:]
 
 
+def head_walk(lsq: LoadStoreQueue, load: DynInst) -> DynInst | None:
+    """The walk the pending-store list replaced: every LSQ entry older than
+    *load*, from the head, for a store to its double word that has not
+    performed."""
+    load_dword = load.address & ~0x7
+    for entry in lsq.entries:
+        if entry.seq >= load.seq:
+            break
+        if entry.is_store and not entry.completed and (entry.address & ~0x7) == load_dword:
+            return entry
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(golden_jobs()))
+def test_pending_store_walk_matches_the_head_walk(name, monkeypatch):
+    """At every call over a golden job, the pending stores are the LSQ's
+    unperformed stores in program order, and walking them finds the store
+    the head walk finds."""
+    calls = []
+    walk = LoadStoreQueue.pending_older_store
+
+    def checked(lsq, load):
+        assert lsq.pending_stores == [
+            entry for entry in lsq.entries if entry.is_store and not entry.completed
+        ]
+        found = walk(lsq, load)
+        assert found is head_walk(lsq, load)
+        calls.append(found)
+        return found
+
+    monkeypatch.setattr(LoadStoreQueue, "pending_older_store", checked)
+    run_job(golden_jobs()[name])
+    assert calls
+
+
 class TestFunctionalUnits:
     def test_alu_slots_reset_each_cycle(self):
         pool = FunctionalUnitPool(alus=2, complex_units=1, complex_ops=frozenset({OpClass.INT_MULT}))
-        pool.begin_cycle()
+        pool.alu_slots_used = 0
         assert pool.try_reserve(OpClass.INT_ALU, 0, 1000)
         assert pool.try_reserve(OpClass.INT_ALU, 0, 1000)
         assert not pool.try_reserve(OpClass.INT_ALU, 0, 1000)
-        pool.begin_cycle()
+        pool.alu_slots_used = 0
         assert pool.try_reserve(OpClass.INT_ALU, 1000, 1000)
 
     def test_complex_unit_busy_for_latency(self):
         pool = FunctionalUnitPool(alus=1, complex_units=1, complex_ops=frozenset({OpClass.INT_MULT}))
-        pool.begin_cycle()
+        pool.alu_slots_used = 0
         assert pool.try_reserve(OpClass.INT_MULT, 0, 3000)
-        pool.begin_cycle()
+        pool.alu_slots_used = 0
         assert not pool.try_reserve(OpClass.INT_MULT, 1000, 3000)
-        pool.begin_cycle()
+        pool.alu_slots_used = 0
         assert pool.try_reserve(OpClass.INT_MULT, 3000, 3000)
 
 
