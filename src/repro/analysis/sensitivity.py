@@ -63,7 +63,7 @@ from repro.engine import (
     make_engine,
     parse_workers,
 )
-from repro.obs.logging import add_logging_arguments, configure_logging, run_cli
+from repro.obs.logging import run_cli
 from repro.workloads.characteristics import WorkloadProfile
 
 __all__ = [
@@ -426,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis.sensitivity",
         description="Sweep the timing-uncertainty knobs and report Figure 6 deltas.",
     )
-    add_logging_arguments(parser)
     parser.add_argument(
         "--workloads",
         nargs="+",
@@ -505,7 +504,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.workloads import get_workload
 
     args = _parse_args(argv)
-    configure_logging(args)
 
     window, warmup = args.window, args.warmup
     defaults = QUICK_GRIDS if args.quick else FULL_GRIDS

@@ -102,15 +102,6 @@ class AdaptiveConfigIndices:
             f"/iq{self.int_queue_size}/fq{self.fp_queue_size}"
         )
 
-    def to_dict(self) -> dict[str, int]:
-        """Plain-data form for JSON payloads and job fingerprints."""
-        return {
-            "icache_index": self.icache_index,
-            "dcache_index": self.dcache_index,
-            "int_queue_size": self.int_queue_size,
-            "fp_queue_size": self.fp_queue_size,
-        }
-
 
 def adaptive_configuration_space() -> Iterator[AdaptiveConfigIndices]:
     """All 256 adaptive MCD configurations (4 x 4 x 4 x 4)."""
@@ -158,28 +149,6 @@ class MachineSpec:
             f"{self.style.value}: I${self.icache.name}, D$/L2 {self.dcache.name}, "
             f"IQ{self.int_queue_size}/FQ{self.fp_queue_size} [{freqs}]"
         )
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-data summary of the spec (for JSON payloads and reports).
-
-        Structure configurations are referenced by name — the timing tables
-        are the single source of truth for their geometry and frequency.
-        """
-        return {
-            "style": self.style.value,
-            "icache": self.icache.name,
-            "dcache": self.dcache.name,
-            "int_queue_size": self.int_queue_size,
-            "fp_queue_size": self.fp_queue_size,
-            "frequencies_ghz": {
-                domain.value: ghz for domain, ghz in self.frequencies_ghz.items()
-            },
-            "mispredict_front_end_cycles": self.mispredict_front_end_cycles,
-            "mispredict_integer_cycles": self.mispredict_integer_cycles,
-            "use_b_partitions": self.use_b_partitions,
-            "inter_domain_sync": self.inter_domain_sync,
-            "indices": self.indices.to_dict() if self.indices is not None else None,
-        }
 
 
 def adaptive_mcd_spec(

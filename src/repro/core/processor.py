@@ -54,13 +54,7 @@ from repro.isa.opcodes import (
     OpClass,
 )
 from repro.isa.registers import FP_BASE_INDEX, NO_REGISTER
-from repro.obs.events import (
-    CONTROLLER_INTERVAL,
-    FREQUENCY_CHANGE,
-    HORIZON_SKIP,
-    RECONFIGURATION,
-    SYNC_PENALTY,
-)
+from repro.obs.events import CONTROLLER_INTERVAL, FREQUENCY_CHANGE, RECONFIGURATION
 from repro.obs.recorder import TraceRecorder
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.frontend import FrontEnd
@@ -162,12 +156,12 @@ class MCDProcessor:
         a time, the reference path the identity tests compare against.
     recorder:
         Optional :class:`~repro.obs.recorder.TraceRecorder` receiving the
-        telemetry event stream (controller intervals, reconfigurations,
-        frequency changes, sync penalties, work-horizon skips).
-        Strictly observation-only: results are bit-identical with and
-        without a recorder, and the ``None`` default (the null object) adds
-        no work to the hot paths — every emission guard is a precomputed
-        boolean that is False.
+        events that explain the controllers' decisions (controller
+        intervals, reconfigurations, frequency changes).  Strictly
+        observation-only: results are bit-identical with and without a
+        recorder.  Every emission is once per adaptation interval or
+        reconfiguration, none per clock edge, so a recorder adds no work to
+        the hot paths.
     """
 
     def __init__(
@@ -306,42 +300,8 @@ class MCDProcessor:
         #: Idle clock edges of all four domains consumed by the skip.
         self.horizon_skipped_edges = 0
 
-        # Telemetry (observation-only).  The per-event-type booleans are
-        # precomputed so every hot-path emission guard is one local truth
-        # test; with no recorder they are all False and the disabled path
-        # performs no event work at all.
+        # Telemetry (observation-only).
         self.recorder = recorder
-        if recorder is not None:
-            self._trace_interval = recorder.wants(CONTROLLER_INTERVAL)
-            self._trace_reconfig = recorder.wants(RECONFIGURATION)
-            self._trace_freq = recorder.wants(FREQUENCY_CHANGE)
-            self._trace_sync = recorder.wants(SYNC_PENALTY)
-            self._trace_horizon = recorder.wants(HORIZON_SKIP)
-            if self._trace_sync:
-                # The one penalty hook: SynchronizationModel.transfer calls
-                # it, and so do the inlined penalty sites in _commit and the
-                # horizon skip (which bypass transfer) under the same
-                # boolean.  It closes over the recorder and the ROB, never
-                # ``self``, so the model holds no reference back to the
-                # processor and reference counting frees a traced run.
-                rob = self.rob
-
-                def emit_sync_penalty(time_ps: Picoseconds, producer: str, consumer: str) -> None:
-                    recorder.emit(
-                        SYNC_PENALTY,
-                        time_ps,
-                        rob.total_committed,
-                        producer=producer,
-                        consumer=consumer,
-                    )
-
-                self.sync.on_penalty = emit_sync_penalty
-        else:
-            self._trace_interval = False
-            self._trace_reconfig = False
-            self._trace_freq = False
-            self._trace_sync = False
-            self._trace_horizon = False
 
     # ------------------------------------------------------------------ run
 
@@ -680,7 +640,6 @@ class MCDProcessor:
         sync = self.sync
         sync_enabled = sync.enabled
         dispatch_blocked = self._dispatch_blocked
-        trace_horizon = self._trace_horizon
         no_bound = _NO_BOUND
         processor = self
 
@@ -793,9 +752,6 @@ class MCDProcessor:
                     sync_stats.transfers += count
                     if penalised:
                         sync_stats.penalties += count
-                        if processor._trace_sync:
-                            for _ in range(count):
-                                sync.on_penalty(completion, head.exec_domain, _FRONT_END_DOMAIN)
                 skipped = count
             if int_next < horizon:
                 count = int_clock.skip_edges_before(horizon)
@@ -810,11 +766,6 @@ class MCDProcessor:
             if ls_next < horizon:
                 skipped += ls_clock.skip_edges_before(horizon)
             processor.horizon_skipped_edges += skipped
-            if trace_horizon:
-                assert processor.recorder is not None
-                processor.recorder.emit(
-                    HORIZON_SKIP, horizon, processor.rob.total_committed, edges=skipped
-                )
 
         return skip_idle_edges
 
@@ -890,7 +841,6 @@ class MCDProcessor:
         fp_regs = self.fp_regs
         lsq_entries = self.lsq.entries
         interval_countdown = self._interval_countdown
-        trace_sync = self._trace_sync
         retired_append = self._retired.append
         committed = transfers = 0
         retire_width = self._retire_width
@@ -915,13 +865,9 @@ class MCDProcessor:
                 if completion > now:
                     if fe_clock.edge_at_or_after(completion) - completion < window:
                         sync_stats.penalties += 1
-                        if trace_sync:
-                            sync.on_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
                 if now - completion < window:
                     sync_stats.penalties += 1
-                    if trace_sync:
-                        sync.on_penalty(completion, exec_domain, _FRONT_END_DOMAIN)
                     break
             elif completion > now:
                 break
@@ -1433,7 +1379,7 @@ class MCDProcessor:
             assert controller is not None
             estimates = tracker.estimates(fp=fp)
             decision = controller.evaluate(estimates)
-            if self._trace_interval:
+            if self.recorder is not None:
                 self._trace_decision(
                     now, decision, ISSUE_QUEUE_SIZES, ilp_estimates=list(estimates.values())
                 )
@@ -1479,7 +1425,7 @@ class MCDProcessor:
             assert controller is not None
             structure = controller.name
             decision = controller.evaluate_interval()
-            if self._trace_interval:
+            if self.recorder is not None:
                 self._trace_decision(
                     now,
                     decision,
@@ -1576,7 +1522,7 @@ class MCDProcessor:
         changes_in_progress = self._changes_in_progress
         changes_in_progress.add(domain)
         fire_time = now + lock_time
-        recorder = self.recorder if self._trace_freq else None
+        recorder = self.recorder
         rob = self.rob
 
         def finish() -> None:
@@ -1599,9 +1545,8 @@ class MCDProcessor:
             apply_structure()
         self._pending_events.append((fire_time, finish))
         self._record_configuration(structure, domain, index, configuration, now)
-        if self._trace_reconfig:
-            assert self.recorder is not None
-            self.recorder.emit(
+        if recorder is not None:
+            recorder.emit(
                 RECONFIGURATION,
                 now,
                 self.rob.total_committed,

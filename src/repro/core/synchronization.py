@@ -16,7 +16,6 @@ consuming unit already performs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.clocks.clock import DomainClock
 from repro.clocks.time import Picoseconds
@@ -53,11 +52,6 @@ class SynchronizationModel:
         self.enabled = enabled
         self.window_fraction = window_fraction
         self.stats = SynchronizationStats()
-        #: Observation-only hook invoked as ``on_penalty(event_time,
-        #: producer_name, consumer_name)`` for every recorded penalty.  The
-        #: telemetry layer (:mod:`repro.obs`) attaches here; ``None`` (the
-        #: default) adds no work beyond the counter increment it shadows.
-        self.on_penalty: Callable[[Picoseconds, str, str], None] | None = None
 
     def transfer(
         self,
@@ -90,8 +84,6 @@ class SynchronizationModel:
         self.stats.transfers += 1
         if delayed:
             self.stats.penalties += 1
-            if self.on_penalty is not None:
-                self.on_penalty(event_time, producer_clock.name, consumer_clock.name)
             if consumer_clock.jitter_fraction:
                 # The extra cycle must land on a true jittered edge, not a
                 # nominal-period extrapolation the clock never produces.

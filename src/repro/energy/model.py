@@ -63,11 +63,6 @@ class StructureEnergy:
             "leakage_nj": self.leakage_nj,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StructureEnergy":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(slots=True)
 class EnergyReport:
@@ -187,15 +182,6 @@ class EnergyReport:
             "execution_time_ps": self.execution_time_ps,
             "structures": [entry.to_dict() for entry in self.structures],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EnergyReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        payload = dict(data)
-        payload["structures"] = [
-            StructureEnergy.from_dict(entry) for entry in payload.get("structures", [])
-        ]
-        return cls(**payload)
 
 
 # ---------------------------------------------------------------------------

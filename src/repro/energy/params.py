@@ -15,8 +15,7 @@ All energies are in nanojoules; leakage powers in milliwatts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 #: Frequency-voltage operating points (GHz -> volts), in ascending frequency
 #: order.  Linear interpolation between points, clamped at the ends; the
@@ -111,15 +110,6 @@ class EnergyParams:
     regfile_leakage_mw_per_entry: float = 0.0028
     predictor_leakage_mw_per_kb: float = 0.0045
     core_leakage_mw: float = 1.8
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON-safe, round-trips via :meth:`from_dict`)."""
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EnergyParams":
-        """Rebuild parameters from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 #: Shared default parameter set.

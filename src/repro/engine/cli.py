@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.engine.cache import CacheVersionError, ResultCache
 from repro.engine.job import FINGERPRINT_VERSION
-from repro.obs.logging import add_logging_arguments, configure_logging, run_cli
+from repro.obs.logging import run_cli
 
 __all__ = ["build_parser", "inspect_store", "main"]
 
@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.engine",
         description="Inspect persistent result-cache stores.",
     )
-    add_logging_arguments(parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     inspect_parser = subparsers.add_parser(
@@ -98,7 +97,6 @@ def inspect_store(directory: Path) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    configure_logging(args)
 
     # inspect is the only subcommand.
     directory = Path(args.directory)

@@ -18,6 +18,7 @@ thread, so the engine is single-threaded and needs no lock.
 from __future__ import annotations
 
 import copy
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -29,9 +30,6 @@ from repro.engine.executors import Executor, JobRunner, SerialExecutor
 from repro.engine.job import SimulationJob
 from repro.engine.runner import run_job
 from repro.obs.ledger import LedgerWriter, batch_record, job_record
-from repro.obs.logging import get_logger
-
-_LOGGER = get_logger("repro.engine")
 
 
 def _timed(runner: JobRunner, job: SimulationJob) -> tuple[RunResult, float]:
@@ -74,8 +72,8 @@ class ExperimentEngine:
         self.cache = cache
         self.runner = runner
         self.stats = EngineStats()
-        #: When set, ``run_all`` logs a progress line on the ``repro.engine``
-        #: logger (INFO) at most once per this many seconds.
+        #: When set, ``run_all`` prints a progress line to stderr at most
+        #: once per this many seconds.
         self.heartbeat_seconds: float | None = None
         #: When set, ``run_all`` appends a record per batch and per simulated
         #: job (see :mod:`repro.obs.ledger`).  Observability-only: nothing
@@ -142,12 +140,11 @@ class ExperimentEngine:
             if next_beat is not None and (now := time.perf_counter()) >= next_beat:
                 assert heartbeat is not None
                 next_beat = now + heartbeat
-                _LOGGER.info(
-                    "progress: %d/%d simulation(s) done, %.1fs elapsed, last %s",
-                    completed,
-                    len(unique_jobs),
-                    now - batch_start,
-                    job.describe(),
+                print(
+                    f"[repro.engine] progress: {completed}/{len(unique_jobs)} "
+                    f"simulation(s) done, {now - batch_start:.1f}s elapsed, "
+                    f"last {job.describe()}",
+                    file=sys.stderr,
                 )
             results[positions[0]] = result
             for position in positions[1:]:

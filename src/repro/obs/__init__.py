@@ -6,24 +6,24 @@ and a ledger on and off):
 
 - :mod:`repro.obs.events` / :mod:`repro.obs.recorder` — typed,
   schema-versioned trace events from the processor's instrumentation hooks
-  (controller decisions, reconfigurations, frequency changes, sync
-  penalties, work-horizon skips), recorded through a
-  :class:`TraceRecorder` into JSONL files or any sink of the caller's.
+  (controller decisions, reconfigurations, frequency changes), recorded
+  through a :class:`TraceRecorder` into JSONL files or any sink of the
+  caller's.
 - :mod:`repro.obs.ledger` — the persistent, append-only run ledger
   (JSONL): a record per submitted batch and one per simulated job (its
   seconds and work counters), which ``--ledger`` runs write and
-  ``ledger summarize``/``report`` sum into one campaign view.
+  ``report`` sums into one campaign view.
 - :mod:`repro.obs.records` — the schema-versioned JSONL container that
   trace files and ledgers share: header builder, the one reader and the
   :class:`RecordFileError` base of both files' errors.
 - :mod:`repro.obs.report` — the rendered campaign report (work totals, the
   slowest jobs with their µs per processed edge, store health).
-- :mod:`repro.obs.logging` — the shared stdlib-logging setup
-  (``-v``/``-q``) every ``python -m repro.*`` CLI adopts.
+- :mod:`repro.obs.logging` — :func:`~repro.obs.logging.run_cli`, which every
+  ``python -m repro.*`` entry point runs its ``main`` through.
 
 ``python -m repro.obs`` (:mod:`repro.obs.cli`) records traces and renders
 them (``summarize``, ``timeline``, ``diff``) and reads run ledgers
-(``ledger summarize``, ``report``).
+(``report``).
 
 This package ``__init__`` deliberately imports only the engine-independent
 modules: the simulator core imports :mod:`repro.obs.events` and
@@ -38,11 +38,9 @@ from repro.obs.events import (
     CONTROLLER_INTERVAL,
     EVENT_TYPES,
     FREQUENCY_CHANGE,
-    HORIZON_SKIP,
     PHASE_BOUNDARY,
     RECONFIGURATION,
     SCHEMA_VERSION,
-    SYNC_PENALTY,
     TraceEvent,
     TraceSchemaError,
 )
@@ -55,7 +53,6 @@ from repro.obs.ledger import (
     read_ledger,
     summarize_ledgers,
 )
-from repro.obs.logging import add_logging_arguments, configure_logging, get_logger
 from repro.obs.recorder import JsonlSink, TraceRecorder, read_trace
 from repro.obs.records import RecordFileError
 
@@ -63,7 +60,6 @@ __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
     "FREQUENCY_CHANGE",
-    "HORIZON_SKIP",
     "JsonlSink",
     "LEDGER_SCHEMA_VERSION",
     "LedgerSchemaError",
@@ -73,13 +69,9 @@ __all__ = [
     "RECONFIGURATION",
     "RecordFileError",
     "SCHEMA_VERSION",
-    "SYNC_PENALTY",
     "TraceEvent",
     "TraceRecorder",
     "TraceSchemaError",
-    "add_logging_arguments",
-    "configure_logging",
-    "get_logger",
     "open_ledger",
     "read_ledger",
     "read_trace",

@@ -1,6 +1,6 @@
 """``python -m repro.obs`` — record and render telemetry traces and ledgers.
 
-Six subcommands; an unreadable trace or ledger file
+Five subcommands; an unreadable trace or ledger file
 (:class:`~repro.obs.records.RecordFileError`) prints ``error:`` and exits 1:
 
 ``trace``
@@ -8,10 +8,9 @@ Six subcommands; an unreadable trace or ledger file
     with the trace recorder attached and write the JSONL event stream.
     Runs the job directly (never through the engine cache — the recorder
     is not part of the job's fingerprint, so a cache hit would skip the
-    simulation and produce no trace).  An unknown target, event type or
-    malformed ``--sample``, a ``--window`` below 1, a negative ``--warmup``
-    or an empty ``--out`` prints ``error:`` and exits 2 before any file is
-    opened.
+    simulation and produce no trace).  An unknown target, a ``--window``
+    below 1, a negative ``--warmup`` or an empty ``--out`` prints ``error:``
+    and exits 2 before any file is opened.
 
 ``summarize``
     Event counts, the reconfiguration ledger and per-structure controller
@@ -30,16 +29,13 @@ Six subcommands; an unreadable trace or ledger file
     Compare two traces: per-type event counts, per-structure decision
     sequences (first divergence) and reconfiguration ledgers.
 
-``ledger``
-    Read persistent run ledgers (:mod:`repro.obs.ledger`):
-    ``ledger summarize SOURCE...`` fuses ledger files, or every ledger in
-    a directory, into the campaign accounting and the summed work of its
-    simulated jobs (``--json`` for the machine-readable form).
-
 ``report``
-    Render the full campaign report from one or more ledgers: work
-    accounting, the slowest jobs with their µs per processed edge, plus
-    result-store health (``--store``).
+    Read persistent run ledgers (:mod:`repro.obs.ledger`): fuse ledger
+    files, or every ledger in a directory, and render the campaign report —
+    work accounting, the campaign digest, the slowest jobs with their µs per
+    processed edge, plus result-store health (``--store``).  ``--json``
+    prints the fused accounting and summed work instead
+    (:meth:`~repro.obs.ledger.LedgerSummary.to_dict`).
 """
 
 from __future__ import annotations
@@ -49,15 +45,8 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.obs.events import (
-    CONTROLLER_INTERVAL,
-    EVENT_TYPES,
-    PHASE_BOUNDARY,
-    RECONFIGURATION,
-    TraceEvent,
-)
-from repro.obs.logging import add_logging_arguments, configure_logging
-from repro.obs.recorder import TraceRecorder, read_trace
+from repro.obs.events import CONTROLLER_INTERVAL, PHASE_BOUNDARY, RECONFIGURATION, TraceEvent
+from repro.obs.recorder import read_trace
 from repro.obs.records import RecordFileError
 
 __all__ = ["build_parser", "main"]
@@ -75,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.obs",
         description="Record and render simulator telemetry traces.",
     )
-    add_logging_arguments(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     trace = sub.add_parser(
@@ -100,19 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help=f"small smoke-test run (window {QUICK_WINDOW}, warmup {QUICK_WARMUP})",
-    )
-    trace.add_argument(
-        "--events",
-        default=None,
-        help="comma-separated event types to record (default: all); "
-        f"known: {', '.join(sorted(EVENT_TYPES))}",
-    )
-    trace.add_argument(
-        "--sample",
-        action="append",
-        default=[],
-        metavar="TYPE=N",
-        help="keep every N-th event of TYPE (deterministic; repeatable)",
     )
     trace.add_argument("--seed", type=int, default=0, help="simulation seed")
     trace.add_argument(
@@ -145,20 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("left", help="first JSONL trace file")
     diff.add_argument("right", help="second JSONL trace file")
 
-    ledger = sub.add_parser("ledger", help="summarise persistent run ledgers")
-    ledger_sub = ledger.add_subparsers(dest="ledger_command", required=True)
-    ledger_summarize = ledger_sub.add_parser(
-        "summarize", help="fused campaign accounting of one or more ledgers"
-    )
-    ledger_summarize.add_argument(
-        "sources",
-        nargs="+",
-        help="ledger files or directories of *.ledger.jsonl",
-    )
-    ledger_summarize.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-
     report = sub.add_parser(
         "report", help="render the campaign report from run ledgers"
     )
@@ -172,8 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result-cache store directory to include health for",
     )
-    report.add_argument(
+    output = report.add_mutually_exclusive_group()
+    output.add_argument(
         "--markdown", action="store_true", help="Markdown tables instead of ASCII"
+    )
+    output.add_argument(
+        "--json",
+        action="store_true",
+        help="the fused accounting and summed work as JSON (no store health)",
     )
     report.add_argument(
         "--out", default=None, help="write the report to a file instead of stdout"
@@ -240,9 +207,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.quick:
         window = window if window is not None else QUICK_WINDOW
         warmup = warmup if warmup is not None else QUICK_WARMUP
-    events: tuple[str, ...] | None = None
-    if args.events:
-        events = tuple(name.strip() for name in args.events.split(",") if name.strip())
     out = args.out if args.out is not None else f"{args.target}.trace.jsonl"
     # Bad input is reported before anything runs or any file is opened.
     try:
@@ -252,15 +216,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise ValueError(f"--window must be at least 1, got {window}")
         if warmup is not None and warmup < 0:
             raise ValueError(f"--warmup must not be negative, got {warmup}")
-        sampling: dict[str, int] = {}
-        for entry in args.sample:
-            name, _, stride = entry.partition("=")
-            if not stride.strip().isdigit():
-                raise ValueError(f"--sample expects TYPE=N, got {entry!r}")
-            sampling[name.strip()] = int(stride)
-        # Rejects unknown event types and strides below 1; a recorder with
-        # no sink opens no file.
-        TraceRecorder((), event_types=events, sampling=sampling or None)
         resolve_target(args.target)
     except (KeyError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
@@ -270,8 +225,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         path=out,
         window=window,
         warmup=warmup,
-        events=events,
-        sampling=sampling or None,
         trace_seed=(
             args.trace_seed if args.trace_seed is not None else DEFAULT_TRACE_SEED
         ),
@@ -286,9 +239,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     total = sum(run.emitted.values())
     print(f"  {total} event(s) recorded:")
     for name in sorted(run.emitted):
-        seen = run.seen.get(name, run.emitted[name])
-        sampled = f" (of {seen} seen)" if seen != run.emitted[name] else ""
-        print(f"    {name:<20} {run.emitted[name]}{sampled}")
+        print(f"    {name:<20} {run.emitted[name]}")
     return 0
 
 
@@ -470,33 +421,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_ledger(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import summarize_ledgers
-
-    summary = summarize_ledgers(args.sources)
-    if args.json:
-        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(f"{summary.ledgers} ledger(s), {summary.batches} batch record(s)")
-    print(
-        f"  jobs: {summary.jobs_submitted} submitted, "
-        f"{len(summary.unique_fingerprints)} unique, "
-        f"{summary.simulations} simulation(s), "
-        f"{summary.cache_hits} cache hit(s), "
-        f"{summary.batch_duplicates} duplicate(s)"
-    )
-    work = summary.work()
-    print(
-        f"  work: {work['seconds']:.3f}s, "
-        f"{work['committed_instructions']} committed instruction(s), "
-        f"{work['processed_edges']} processed edge(s), "
-        f"{work['skipped_edges']} skipped edge(s), "
-        f"{work['configuration_changes']} configuration change(s)"
-    )
-    print(f"  campaign digest: {summary.fingerprint_digest()}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -505,6 +429,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     store = None
     if args.store is not None:
+        if args.json:
+            print("error: --json prints no store health; drop --store", file=sys.stderr)
+            return 2
         # Imported lazily: the engine layer is only needed when --store asks
         # for result-cache health.
         from repro.engine.cli import inspect_store
@@ -515,7 +442,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 2
         store = inspect_store(directory)
     summary = summarize_ledgers(args.sources)
-    text = render_report(summary, store=store, markdown=args.markdown)
+    if args.json:
+        text = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    else:
+        text = render_report(summary, store=store, markdown=args.markdown)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote report to {args.out}")
@@ -528,13 +458,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.obs``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    configure_logging(args)
     command = {
         "trace": _cmd_trace,
         "summarize": _cmd_summarize,
         "timeline": _cmd_timeline,
         "diff": _cmd_diff,
-        "ledger": _cmd_ledger,
         "report": _cmd_report,
     }[args.command]
     try:

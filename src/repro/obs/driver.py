@@ -41,8 +41,6 @@ class TracedRun:
     path: str
     job_label: str
     scenario: ScenarioSpec | None
-    #: Events offered per type (post type-filter, pre-sampling).
-    seen: dict[str, int]
     #: Events delivered to the trace file, per type.
     emitted: dict[str, int]
 
@@ -107,8 +105,6 @@ def run_traced(
     path: str,
     window: int | None = None,
     warmup: int | None = None,
-    events: tuple[str, ...] | None = None,
-    sampling: dict[str, int] | None = None,
     trace_seed: int = DEFAULT_TRACE_SEED,
     seed: int = 0,
 ) -> TracedRun:
@@ -128,7 +124,7 @@ def run_traced(
             "warmup": job.resolved_warmup(),
         },
     )
-    recorder = TraceRecorder([sink], event_types=events, sampling=sampling)
+    recorder = TraceRecorder([sink])
     try:
         result = run_job(job, recorder=recorder)
         if spec is not None:
@@ -145,6 +141,5 @@ def run_traced(
         path=path,
         job_label=job.describe(),
         scenario=spec,
-        seen=dict(recorder.seen),
         emitted=dict(recorder.emitted),
     )

@@ -1,9 +1,11 @@
 """Typed, schema-versioned trace events emitted by the simulator hooks.
 
-One :class:`TraceEvent` is one observation: a controller interval was
-evaluated, a reconfiguration was applied, a domain clock changed frequency,
-a synchronisation penalty was paid, the work-horizon skip consumed idle
-clock edges, or a scenario phase boundary passed.  Events are
+One :class:`TraceEvent` is one observation that explains a controller
+decision: a controller interval was evaluated, a reconfiguration was
+applied, a domain clock changed frequency, or a scenario phase boundary
+passed.  Per-edge activity (synchronisation penalties, edges the
+work-horizon skip consumed) is counted in the
+:class:`~repro.analysis.metrics.RunResult`, not traced.  Events are
 observation-only by construction — nothing in the simulator reads them back
 — so a traced run and an untraced run of the same job produce bit-identical
 :class:`~repro.analysis.metrics.RunResult` digests.
@@ -27,11 +29,9 @@ __all__ = [
     "CONTROLLER_INTERVAL",
     "EVENT_TYPES",
     "FREQUENCY_CHANGE",
-    "HORIZON_SKIP",
     "PHASE_BOUNDARY",
     "RECONFIGURATION",
     "SCHEMA_VERSION",
-    "SYNC_PENALTY",
     "TraceEvent",
     "TraceSchemaError",
 ]
@@ -40,8 +40,8 @@ __all__ = [
 #: an event type changes shape; readers refuse other versions.  v2: the
 #: fast-forward event type is gone and horizon-skip covers all four domains.
 #: v3: every controller-interval event has one shape, in configuration
-#: indices.
-SCHEMA_VERSION = 3
+#: indices.  v4: the per-edge sync-penalty and horizon-skip events are gone.
+SCHEMA_VERSION = 4
 
 #: A phase-adaptive controller finished an adaptation interval.  Payload:
 #: ``structure``; ``configurations``, what each index names (the
@@ -61,16 +61,6 @@ RECONFIGURATION = "reconfiguration"
 #: A domain clock's frequency actually changed (the re-lock completed).
 FREQUENCY_CHANGE = "frequency-change"
 
-#: A cross-domain transfer landed in the unsafe capture window and paid the
-#: extra synchroniser cycle.  Also emitted once per penalised commit attempt
-#: on a front-end edge the work-horizon skip consumed.
-SYNC_PENALTY = "sync-penalty"
-
-#: The work-horizon skip consumed idle clock edges of all four domains.
-#: Payload: ``edges``, the number of edges consumed; ``time_ps`` is the
-#: horizon the skip stopped at.
-HORIZON_SKIP = "horizon-skip"
-
 #: A scenario phase-program boundary fell inside the measured window
 #: (synthesised from the :class:`~repro.scenarios.spec.ScenarioSpec` by the
 #: trace driver, not emitted by the processor).
@@ -81,8 +71,6 @@ EVENT_TYPES = frozenset(
         CONTROLLER_INTERVAL,
         RECONFIGURATION,
         FREQUENCY_CHANGE,
-        SYNC_PENALTY,
-        HORIZON_SKIP,
         PHASE_BOUNDARY,
     }
 )

@@ -15,8 +15,8 @@ time went:
 
 A killed campaign's ledger therefore holds a job record for every result its
 store holds.  Each command writes its own file into a shared
-``--ledger DIR``, which ``python -m repro.obs ledger summarize DIR`` and
-``report DIR`` read directly.
+``--ledger DIR``, which ``python -m repro.obs report DIR`` reads
+directly.
 
 Ledgers are *observability-only*: nothing in them flows back into a
 simulation, a fingerprint or a digest.  They are also the one sanctioned

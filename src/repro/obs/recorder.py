@@ -1,31 +1,26 @@
-"""The :class:`TraceRecorder`: event stream, sinks and sampling.
+"""The :class:`TraceRecorder`: the event stream and its sinks.
 
 The recorder is the single object the instrumentation hooks talk to.  A
 ``None`` recorder *is* the null object — every hook in
 :class:`~repro.core.processor.MCDProcessor` guards its emission with one
-``is not None`` test (hoisted to a precomputed boolean on the hot paths), so
-the disabled path does no event work at all and the golden digests are
-bit-identical with tracing on and off.
+``is not None`` test, none of them on a per-edge path, so the disabled path
+does no event work at all and the golden digests are bit-identical with
+tracing on and off.
 
-Sinks receive every surviving event.  :class:`JsonlSink` writes one JSON
-object per line, the first line a schema-versioned header (the
+Sinks receive every event.  :class:`JsonlSink` writes one JSON object per
+line, the first line a schema-versioned header (the
 :mod:`repro.obs.records` container); :func:`read_trace` round-trips the file
 and rejects other schemas.  Any object with ``write(event)`` and ``close()``
 is a sink.
-
-Sampling is deterministic and per event type: ``sampling={"sync-penalty":
-100}`` keeps the 1st, 101st, 201st... sync-penalty event, counted in
-emission order, so two runs of the same job produce the identical sampled
-stream — no clocks, no RNG.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
-from repro.obs.events import EVENT_TYPES, SCHEMA_VERSION, TraceEvent, TraceSchemaError
+from repro.obs.events import SCHEMA_VERSION, TraceEvent, TraceSchemaError
 from repro.obs.records import read_records, record_header
 
 __all__ = [
@@ -75,68 +70,15 @@ class JsonlSink:
 
 
 class TraceRecorder:
-    """Fan trace events out to sinks, with type filtering and sampling.
+    """Fan trace events out to *sinks*, counting them per type."""
 
-    Parameters
-    ----------
-    sinks:
-        The sinks receiving surviving events.
-    event_types:
-        Event types to record (``None`` = all).  Filtering happens before
-        sampling and before any :class:`TraceEvent` is constructed, so an
-        unwanted type costs one set lookup.
-    sampling:
-        Per-type decimation: ``{type: n}`` keeps every *n*-th event of that
-        type (the 1st, ``n+1``-th, ...), counted deterministically in
-        emission order.  Types absent from the mapping are kept in full.
-    """
-
-    def __init__(
-        self,
-        sinks: Sequence[TraceSink] = (),
-        *,
-        event_types: Iterable[str] | None = None,
-        sampling: Mapping[str, int] | None = None,
-    ) -> None:
+    def __init__(self, sinks: Sequence[TraceSink] = ()) -> None:
         self._sinks = list(sinks)
-        if event_types is None:
-            self._wanted = EVENT_TYPES
-        else:
-            wanted = frozenset(event_types)
-            unknown = wanted - EVENT_TYPES
-            if unknown:
-                raise ValueError(f"unknown trace event types: {sorted(unknown)}")
-            self._wanted = wanted
-        self._sampling: dict[str, int] = {}
-        for event_type, stride in (sampling or {}).items():
-            if event_type not in EVENT_TYPES:
-                raise ValueError(f"unknown trace event type in sampling: {event_type!r}")
-            if int(stride) < 1:
-                raise ValueError("sampling strides must be >= 1")
-            self._sampling[event_type] = int(stride)
-        #: Events offered per type (post type-filter, pre-sampling).
-        self.seen: dict[str, int] = {}
-        #: Events actually delivered to the sinks, per type.
+        #: Events delivered to the sinks, per type.
         self.emitted: dict[str, int] = {}
 
-    def wants(self, event_type: str) -> bool:
-        """True when *event_type* passes the type filter.
-
-        The processor hoists ``recorder is not None and recorder.wants(t)``
-        into per-type booleans at construction, so hot-loop emission guards
-        are a single local truth test.
-        """
-        return event_type in self._wanted
-
     def emit(self, event_type: str, time_ps: int, committed: int, **data: Any) -> None:
-        """Record one event (subject to the type filter and sampling)."""
-        if event_type not in self._wanted:
-            return
-        seen = self.seen.get(event_type, 0)
-        self.seen[event_type] = seen + 1
-        stride = self._sampling.get(event_type, 1)
-        if stride > 1 and seen % stride:
-            return
+        """Record one event; an unknown *event_type* raises ``ValueError``."""
         event = TraceEvent(type=event_type, time_ps=time_ps, committed=committed, data=data)
         self.emitted[event_type] = self.emitted.get(event_type, 0) + 1
         for sink in self._sinks:

@@ -21,8 +21,7 @@ one on-disk store and one ledger file::
     python -m repro.scenarios matrix --quick --cache-dir store --ledger ledgers
     # an interrupted campaign resumes from its store
     python -m repro.scenarios matrix --quick --resume --cache-dir store
-    # summarize and render the campaign's ledger
-    python -m repro.obs ledger summarize ledgers
+    # render the campaign's ledger
     python -m repro.obs report ledgers --store store
 
 ``--ledger DIR`` appends durable accounting records into one
@@ -51,7 +50,7 @@ from typing import Sequence
 
 from repro.analysis.reporting import format_table
 from repro.engine import CacheVersionError, ExperimentEngine, make_engine, parse_workers
-from repro.obs.logging import add_logging_arguments, configure_logging, get_logger, run_cli
+from repro.obs.logging import run_cli
 from repro.scenarios.campaign import CampaignResult, campaign_jobs, run_campaign
 from repro.scenarios.library import (
     FAMILIES,
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.scenarios",
         description="Browse workload scenarios and run campaign matrices.",
     )
-    add_logging_arguments(parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_parser = subparsers.add_parser("list", help="list the scenario library")
@@ -110,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             const=30.0,
             default=None,
             metavar="SECONDS",
-            help="log an engine progress line at most every SECONDS seconds "
+            help="print an engine progress line to stderr at most every SECONDS seconds "
             "(default 30 when the flag is given without a value)",
         )
         sub.add_argument(
@@ -118,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="append per-batch and per-job run-ledger records into DIR "
-            "(one *.ledger.jsonl per command; see python -m repro.obs ledger)",
+            "(one *.ledger.jsonl per command; see python -m repro.obs report)",
         )
         sub.add_argument("--json", action="store_true", dest="as_json")
 
@@ -203,7 +201,6 @@ def _print_campaign(
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _parse_args(argv)
-    configure_logging(args)
 
     if args.command == "list":
         scenarios = [
@@ -256,9 +253,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     engine = make_engine(workers=workers, cache_dir=args.cache_dir)
     if args.heartbeat is not None:
         engine.heartbeat_seconds = args.heartbeat
-        # The progress line logs at INFO on repro.engine; the flag implies
-        # the user wants to see it regardless of the -v/-q level.
-        get_logger("repro.engine").setLevel("INFO")
 
     if args.ledger is not None:
         from repro.obs.ledger import open_ledger

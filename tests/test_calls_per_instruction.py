@@ -17,6 +17,13 @@ simulator.  Two stages are counted:
   branch rows; a change that sends rows through a per-row method again (the
   measured run's cache hierarchy, say) fails here.
 
+The two phase-adaptive jobs are counted again with a trace recorder
+attached.  A trace holds only the controllers' decisions, so tracing may add
+at most :data:`TRACED_EXTRA_CALLS` per committed instruction; a change that
+emits an event per skip or per synchronisation penalty again (10.2 and 16.9
+more calls per committed instruction before those events were deleted)
+fails here.
+
 A change that removes calls lowers the bounds in the same diff.  The
 main-loop counts agree to within 0.04 across CPython 3.10 to 3.13.
 """
@@ -31,7 +38,9 @@ import pytest
 
 from repro.core.processor import MCDProcessor
 from repro.engine import SimulationJob, SpecKind, make_trace
+from repro.obs.recorder import TraceRecorder
 from repro.workloads import get_workload
+from test_processor import ListSink
 
 WINDOW = 2_000
 WARMUP = 3_000
@@ -69,6 +78,11 @@ JOBS = {
     ),
 }
 
+#: The jobs counted again with a recorder, and the main-loop calls per
+#: committed instruction tracing may add to the untraced count.
+TRACED_JOBS = ("phase_adaptive_em3d", "phase_adaptive_jittered_gcc")
+TRACED_EXTRA_CALLS = 0.3
+
 
 def counted(stage, calls: dict[str, int], name: str):
     """*stage*, with the Python ``call`` events inside it added to ``calls[name]``."""
@@ -93,9 +107,9 @@ def counted(stage, calls: dict[str, int], name: str):
 
 
 @functools.cache
-def calls_per_unit(name: str) -> tuple[float, float]:
+def calls_per_unit(name: str, traced: bool = False) -> tuple[float, float]:
     """Main-loop calls per committed instruction and warm-up calls per
-    warm-up row of the job *name*."""
+    warm-up row of the job *name*, with a recorder attached if *traced*."""
     options = dict(JOBS[name][0])
     job = SimulationJob(
         profile=get_workload(options.pop("workload")), window=WINDOW, warmup=WARMUP, **options
@@ -113,6 +127,7 @@ def calls_per_unit(name: str) -> tuple[float, float]:
             phase_adaptive=job.phase_adaptive,
             seed=job.seed,
             jitter_fraction=job.jitter_fraction,
+            recorder=TraceRecorder([ListSink()]) if traced else None,
         )
         calls = {"main_loop": 0, "warm_up": 0}
         processor._main_loop = counted(processor._main_loop, calls, "main_loop")
@@ -141,3 +156,13 @@ def test_warm_up_calls_per_row_within_bound(name):
     _, calls = calls_per_unit(name)
     bound = JOBS[name][2]
     assert calls <= bound, f"{name}: {calls:.3f} Python calls per warm-up row"
+
+
+@pytest.mark.parametrize("name", TRACED_JOBS)
+def test_tracing_adds_few_main_loop_calls(name):
+    untraced, _ = calls_per_unit(name)
+    traced, _ = calls_per_unit(name, traced=True)
+    assert traced <= untraced + TRACED_EXTRA_CALLS, (
+        f"{name}: {traced:.3f} Python calls per committed instruction traced, "
+        f"{untraced:.3f} untraced"
+    )

@@ -69,7 +69,7 @@ class TestCacheController:
             base_adaptive_spec(),
             phase_adaptive=True,
             control=AdaptiveControlParams(interval_instructions=250),
-            recorder=TraceRecorder([events], event_types=[CONTROLLER_INTERVAL]),
+            recorder=TraceRecorder([events]),
         )
         result = processor.run(
             make_trace(tiny_profile, seed=11),
@@ -81,7 +81,7 @@ class TestCacheController:
             assert [
                 event.data["interval_instructions"]
                 for event in events
-                if event.data["structure"] == controller.name
+                if event.type == CONTROLLER_INTERVAL and event.data["structure"] == controller.name
             ] == [250] * 4
             assert [
                 change.committed_instructions

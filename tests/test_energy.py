@@ -19,7 +19,6 @@ from repro.analysis.reporting import energy_table
 from repro.core import AdaptiveConfigIndices
 from repro.energy import (
     EnergyParams,
-    EnergyReport,
     cache_access_energy_nj,
     cache_leakage_mw,
     ed2p_improvement,
@@ -149,10 +148,6 @@ class TestVoltageTable:
         ratio = voltage_for_frequency(frequency) / NOMINAL_VOLTAGE_V
         assert voltage_scale(frequency) == pytest.approx(ratio * ratio)
 
-    def test_params_round_trip(self):
-        params = EnergyParams(memory_access_nj=12.5)
-        assert EnergyParams.from_dict(params.to_dict()) == params
-
 
 class TestEnergyReport:
     def test_totals_are_structure_sums(self, phase_result):
@@ -192,11 +187,6 @@ class TestEnergyReport:
             report = energy_report(result)
             with pytest.raises(KeyError):
                 report.structure("adaptive_control")
-
-    def test_report_round_trip(self, phase_result):
-        report = energy_report(phase_result)
-        rebuilt = EnergyReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert rebuilt == report
 
     def test_render_mentions_metrics(self, phase_result):
         rendered = energy_report(phase_result).render()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import re
 
 import pytest
 
@@ -473,6 +474,22 @@ class TestEngineAndCache:
         assert results[0] == results[1] == results[2]
         assert results[0] is not results[1]
         assert engine.stats.batch_duplicates == 2
+
+    def test_heartbeat_prints_progress_to_stderr(self, quick_profile, capsys):
+        engine, _ = _counting_engine()
+        engine.heartbeat_seconds = 0.0
+        jobs = _jobs(quick_profile)[:2]
+        engine.run_all(jobs)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == len(jobs)
+        for done, (line, job) in enumerate(zip(lines, jobs), start=1):
+            assert re.fullmatch(
+                rf"\[repro\.engine\] progress: {done}/2 simulation\(s\) done, "
+                rf"\d+\.\ds elapsed, last {re.escape(job.describe())}",
+                line,
+            ), line
 
     def test_disk_cache_survives_engine_restart(self, quick_profile, tmp_path):
         job = _jobs(quick_profile)[3]

@@ -4,14 +4,13 @@ The load-bearing property is at the top: tracing is observation-only, so a
 traced run and an untraced run of the same job produce *bit-identical*
 result digests — the golden values pinned in ``tests/test_golden_values.py``
 must hold with a recorder attached.  The rest covers the recorder machinery
-(type filtering, deterministic sampling, JSONL schema round-trip), the shared
-logging setup and the ``python -m repro.obs`` CLI.
+(event-type validation, JSONL schema round-trip) and the ``python -m
+repro.obs`` CLI.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 
 import pytest
 
@@ -21,26 +20,13 @@ from golden_digests import (
     golden_jobs,
     result_digest,
 )
-from repro.core.processor import MCDProcessor
-from repro.engine import (
-    SimulationJob,
-    SpecKind,
-    make_trace,
-    run_job,
-)
+from repro.engine import run_job
 from repro.engine.cache import CacheStats
 from repro.obs.cli import main as obs_main
 from repro.obs.driver import resolve_target
-from repro.obs.events import (
-    CONTROLLER_INTERVAL,
-    EVENT_TYPES,
-    HORIZON_SKIP,
-    SYNC_PENALTY,
-    TraceEvent,
-)
-from repro.obs.logging import configure_logging
+from repro.obs.events import CONTROLLER_INTERVAL, EVENT_TYPES, RECONFIGURATION, TraceEvent
 from repro.obs.recorder import JsonlSink, TraceRecorder, read_trace
-from repro.workloads import get_workload, workload_names
+from repro.workloads import workload_names
 from test_golden_values import GOLDEN_DIGESTS
 
 class ListSink:
@@ -57,8 +43,7 @@ class ListSink:
 
 
 #: Golden jobs re-run with a recorder attached: one phase-adaptive job per
-#: workload (the controller hooks fire) plus a jittered one (the sync-penalty
-#: and jittered work-horizon skip hooks fire).
+#: workload (the controller hooks fire) plus a jittered one.
 _TRACED_GOLDEN_JOBS = (
     "gcc/phase_adaptive",
     "em3d/phase_adaptive",
@@ -103,75 +88,17 @@ def test_traced_and_untraced_runs_are_bit_identical(tmp_path):
     assert events
 
 
-@pytest.mark.parametrize("skip", [True, False], ids=["skip", "walk"])
-def test_events_add_up_to_the_run_counters(skip):
-    """On an unsampled MCD run, one sync-penalty event per recorded penalty
-    (including those of commit attempts the work-horizon skip consumed), and
-    horizon-skip events whose edges sum to the skipped-edge counter."""
-    job = SimulationJob(
-        profile=get_workload("gcc"),
-        spec_kind=SpecKind.ADAPTIVE,
-        window=1_500,
-        warmup=1_000,
-        jitter_fraction=0.05,
-    )
-    sink = ListSink()
-    recorder = TraceRecorder([sink], event_types=(SYNC_PENALTY, HORIZON_SKIP))
-    processor = MCDProcessor(
-        job.build_spec(),
-        seed=job.seed,
-        jitter_fraction=job.jitter_fraction,
-        horizon_scheduling=skip,
-        recorder=recorder,
-    )
-    result = processor.run(
-        make_trace(job.profile, seed=job.trace_seed),
-        max_instructions=job.resolved_window(),
-        warmup_instructions=job.resolved_warmup(),
-    )
-    events = sink.events
-    assert len(events) == sum(recorder.emitted.values())
-    penalties = [event for event in events if event.type == SYNC_PENALTY]
-    assert len(penalties) == result.sync_penalties > 0
-    skipped = sum(event.data["edges"] for event in events if event.type == HORIZON_SKIP)
-    assert skipped == result.horizon_skipped_edges
-    assert (skipped > 0) is skip
-
-
 # ------------------------------------------------------------- recorder
 
 
-def test_recorder_type_filter_and_counters():
+def test_recorder_rejects_an_unknown_event_type_by_name():
     sink = ListSink()
-    recorder = TraceRecorder([sink], event_types=[CONTROLLER_INTERVAL])
-    assert recorder.wants(CONTROLLER_INTERVAL)
-    assert not recorder.wants(SYNC_PENALTY)
+    recorder = TraceRecorder([sink])
     recorder.emit(CONTROLLER_INTERVAL, 10, 1, structure="dcache")
-    recorder.emit(SYNC_PENALTY, 20, 1, producer="integer")
-    assert recorder.seen == {CONTROLLER_INTERVAL: 1}
+    with pytest.raises(ValueError, match="'sync-penalty'"):
+        recorder.emit("sync-penalty", 20, 1, producer="integer")
     assert recorder.emitted == {CONTROLLER_INTERVAL: 1}
     assert len(sink.events) == 1
-    with pytest.raises(ValueError):
-        TraceRecorder([], event_types=["bogus"])
-
-
-def test_sampling_is_deterministic_and_keeps_the_first_event():
-    def emitted_times(stride):
-        sink = ListSink()
-        recorder = TraceRecorder([sink], sampling={SYNC_PENALTY: stride})
-        for index in range(10):
-            recorder.emit(SYNC_PENALTY, index, index)
-        return [event.time_ps for event in sink.events]
-
-    # Keeps the 1st, (n+1)-th, ... event, counted in emission order.
-    assert emitted_times(3) == [0, 3, 6, 9]
-    # Identical inputs produce the identical sampled stream (no RNG/clock).
-    assert emitted_times(3) == emitted_times(3)
-    assert emitted_times(1) == list(range(10))
-    with pytest.raises(ValueError):
-        TraceRecorder([], sampling={SYNC_PENALTY: 0})
-    with pytest.raises(ValueError):
-        TraceRecorder([], sampling={"bogus": 2})
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -179,11 +106,11 @@ def test_jsonl_round_trip(tmp_path):
     sink = JsonlSink(path, meta={"target": "unit-test"})
     recorder = TraceRecorder([sink])
     recorder.emit(CONTROLLER_INTERVAL, 1000, 42, structure="dcache", best_index=1)
-    recorder.emit(HORIZON_SKIP, 2000, 43, edges=7)
+    recorder.emit(RECONFIGURATION, 2000, 43, structure="int-queue")
     recorder.close()
     meta, events = read_trace(path)
     assert meta == {"target": "unit-test"}
-    assert [event.type for event in events] == [CONTROLLER_INTERVAL, HORIZON_SKIP]
+    assert [event.type for event in events] == [CONTROLLER_INTERVAL, RECONFIGURATION]
     assert events[0].data == {"structure": "dcache", "best_index": 1}
     assert events[1].time_ps == 2000 and events[1].committed == 43
 
@@ -191,7 +118,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_trace_event_validates_its_type():
     with pytest.raises(ValueError):
         TraceEvent(type="bogus", time_ps=0, committed=0)
-    event = TraceEvent(type=SYNC_PENALTY, time_ps=5, committed=2, data={"a": 1})
+    event = TraceEvent(type=RECONFIGURATION, time_ps=5, committed=2, data={"a": 1})
     assert TraceEvent.from_dict(event.to_dict()) == event
     assert EVENT_TYPES  # the registry is non-empty and frozen
     with pytest.raises(AttributeError):
@@ -204,26 +131,6 @@ def test_trace_event_validates_its_type():
 def test_cache_stats_describe():
     stats = CacheStats(memory_hits=2, disk_hits=1, misses=3, stores=4)
     assert stats.describe() == "cache: 3 hit(s) (2 memory, 1 disk), 3 miss(es), 4 store(s)"
-
-
-# ------------------------------------------------------------------ logging
-
-
-def test_configure_logging_is_idempotent():
-    logger = configure_logging(verbosity=0)
-    configure_logging(verbosity=0)
-    flagged = [
-        handler
-        for handler in logger.handlers
-        if getattr(handler, "_repro_obs_handler", False)
-    ]
-    assert len(flagged) == 1
-    assert logger.level == logging.WARNING
-    assert configure_logging(verbosity=1).level == logging.INFO
-    assert configure_logging(verbosity=2).level == logging.DEBUG
-    assert configure_logging(verbosity=-1).level == logging.ERROR
-    assert configure_logging(verbosity=99).level == logging.DEBUG
-    configure_logging(verbosity=0)  # restore the default for other tests
 
 
 # ---------------------------------------------------------------------- CLI
@@ -297,7 +204,7 @@ def test_cli_diff(cli_trace, tmp_path, capsys):
     other = tmp_path / "other.jsonl"
     sink = JsonlSink(other, meta={"target": "synthetic"})
     with TraceRecorder([sink]) as recorder:
-        recorder.emit(SYNC_PENALTY, 1, 1, producer="integer")
+        recorder.emit(RECONFIGURATION, 1, 1, structure="dcache")
     assert obs_main(["diff", str(cli_trace), str(other)]) == 1
 
 
@@ -321,7 +228,9 @@ def test_every_controller_interval_has_one_shape(tmp_path, capsys):
     path = tmp_path / "adv2x.trace.jsonl"
     assert obs_main(["trace", "adv-period-2x-interval", "--quick", "--out", str(path)]) == 0
     _, events = read_trace(path)
-    intervals = [event.data for event in events if event.type == CONTROLLER_INTERVAL]
+    # The trace holds only the decisions: 2 per cache and 19 per issue queue.
+    assert [event.type for event in events] == [CONTROLLER_INTERVAL] * 42
+    intervals = [event.data for event in events]
     extras = {
         "dcache": {"interval_instructions", "interval_duration_ps"},
         "icache": {"interval_instructions", "interval_duration_ps"},
@@ -350,56 +259,16 @@ def test_every_controller_interval_has_one_shape(tmp_path, capsys):
         assert f"  {legend}\n" in out
 
 
-def test_cli_trace_sampling_and_event_filter(tmp_path, capsys):
-    path = tmp_path / "sampled.jsonl"
-    code = obs_main(
-        [
-            "trace",
-            "gzip",
-            "--window",
-            "400",
-            "--warmup",
-            "400",
-            "--out",
-            str(path),
-            "--events",
-            f"{CONTROLLER_INTERVAL},{HORIZON_SKIP}",
-            "--sample",
-            f"{HORIZON_SKIP}=10",
-        ]
-    )
-    assert code == 0
-    _, events = read_trace(path)
-    types = {event.type for event in events}
-    assert types <= {CONTROLLER_INTERVAL, HORIZON_SKIP}
-    out = capsys.readouterr().out
-    assert "seen" in out  # the sampled type reports "N (of M seen)"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["no-such-target"],
-        ["gzip", "--sample", f"{SYNC_PENALTY}=x"],
-        ["gzip", "--sample", f"{SYNC_PENALTY}=0"],
-        ["gzip", "--sample", f"{SYNC_PENALTY}=-1"],
-        ["gzip", "--sample", SYNC_PENALTY],
-        ["gzip", "--sample", "nosuch=2"],
-        ["gzip", "--events", "nosuch"],
-        ["gzip", "--events", f"{SYNC_PENALTY},nosuch"],
         ["gzip", "--window", "0"],
         ["gzip", "--warmup", "-5"],
         ["gzip", "--out", ""],
     ],
     ids=[
         "unknown-target",
-        "sample-not-a-number",
-        "sample-zero-stride",
-        "sample-negative-stride",
-        "sample-missing-stride",
-        "sample-unknown-event",
-        "unknown-event",
-        "known-and-unknown-event",
         "zero-window",
         "negative-warmup",
         "empty-out",

@@ -181,7 +181,7 @@ def test_a_killed_batch_leaves_a_job_record_per_stored_result(tmp_path, capsys):
     recorded = _job_records(tmp_path / "ledgers" / "killed.ledger.jsonl")
     assert sorted(stored) == sorted(record["fingerprint"] for record in recorded)
     assert len(recorded) == killed_at - 1
-    assert obs_main(["ledger", "summarize", str(tmp_path / "ledgers"), "--json"]) == 0
+    assert obs_main(["report", str(tmp_path / "ledgers"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["batches"], payload["jobs_submitted"]) == (1, len(jobs))
     assert payload["simulations"] == killed_at - 1
@@ -209,7 +209,7 @@ def test_a_job_record_without_its_work_is_a_named_error(tmp_path, capsys):
     path.write_text(path.read_text() + json.dumps(job) + "\n")
     with pytest.raises(LedgerSchemaError, match=":2: invalid row: job record field 'seconds'"):
         summarize_ledgers([tmp_path])
-    assert obs_main(["ledger", "summarize", str(tmp_path)]) == 1
+    assert obs_main(["report", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -264,12 +264,14 @@ def test_render_report_with_store(tmp_path):
 def test_obs_ledger_cli_summarize_report(tmp_path, capsys):
     ledgers = str(_ledgered_run(tmp_path, label="cli"))
 
-    assert obs_main(["ledger", "summarize", ledgers, "--json"]) == 0
+    assert obs_main(["report", ledgers, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["batches"], payload["simulations"], payload["unique_jobs"]) == (1, 4, 4)
     assert payload["work"] == summarize_ledgers([ledgers]).work()
     assert payload["work"]["committed_instructions"] >= 4 * 1_500
     assert payload["work"]["processed_edges"] > 0
+    # The JSON form carries no store health, so a store is refused.
+    assert obs_main(["report", ledgers, "--json", "--store", str(tmp_path / "cache")]) == 2
 
     report_path = tmp_path / "report.md"
     assert (
@@ -296,7 +298,7 @@ def test_ledger_written_by_the_previous_build_is_rejected_by_the_cli(tmp_path, c
     """The previous build wrote schema 1, whose records carry no work."""
     parent = KINDS["ledger"]
     (tmp_path / "matrix.ledger.jsonl").write_text(parent.parent_header + parent.parent_row)
-    for command in (["ledger", "summarize", "--json"], ["report"]):
+    for command in (["report", "--json"], ["report"]):
         assert obs_main([*command, str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -240,7 +240,7 @@ class ListSink(list):
 
 
 #: The machines the lifetime tests run over ``tiny_profile``.  The traced one
-#: records every event type, so each of the processor's trace hooks is set.
+#: attaches a recorder, so every trace emission runs.
 LIFETIME_MACHINES = {
     "synchronous": lambda: MCDProcessor(best_overall_synchronous_spec()),
     "fixed-mcd": lambda: MCDProcessor(adaptive_mcd_spec(AdaptiveConfigIndices(1, 1))),

@@ -4,9 +4,9 @@ One reader (:func:`repro.obs.records.read_records`) serves both file kinds,
 so every way a file can be unreadable must raise that kind's named error —
 a :class:`RecordFileError` — through the reader and through the
 ``python -m repro.obs`` CLI, never a misparse or a bare ``TypeError``.
-Files written by earlier builds are rejected, naming both schemas: schema-2
-traces, whose controller-interval events came in two shapes, and schema-1
-ledgers, whose records carry no work counters.
+Files written by earlier builds are rejected, naming both schemas: schema-3
+traces, which held per-edge sync-penalty and horizon-skip events, and
+schema-1 ledgers, whose records carry no work counters.
 """
 
 from __future__ import annotations
@@ -51,16 +51,17 @@ KINDS = {
         cli=["summarize"],
         parent_header=(
             '{"kind": "repro-obs-trace", "meta": {"fingerprint": '
-            '"d88c60188b690bff13c67a12d63afd894d11ff38d93ee913394504eb50b6f95e", '
+            '"708143cdfeab6b7d6c7884682607f7ad4adc35154855a1833f77c17694402880", '
             '"job": "adv-period-2x-interval/base_adaptive/w1200", "kind": "scenario", '
             '"target": "adv-period-2x-interval", "warmup": 2000, "window": 1200}, '
-            '"schema": 2}\n'
+            '"schema": 3}\n'
         ),
         parent_row=(
-            '{"committed": 0, "data": {"edges": 4}, "time_ps": 575, "type": "horizon-skip"}\n'
+            '{"committed": 7319, "data": {"domain": "front_end", "new_ghz": 1.1, '
+            '"old_ghz": 1.7391304347826086}, "time_ps": 11908078, "type": "frequency-change"}\n'
         ),
-        unknown_row={"type": "fast-forward", "time_ps": 0, "committed": 0, "data": {}},
-        unknown_name="'fast-forward'",
+        unknown_row={"type": "horizon-skip", "time_ps": 575, "committed": 0, "data": {"edges": 4}},
+        unknown_name="'horizon-skip'",
     ),
     "ledger": FileKind(
         kind="repro-obs-ledger",
@@ -68,7 +69,7 @@ KINDS = {
         read=read_ledger,
         write_empty=lambda path, meta: LedgerWriter(path, meta=meta).close(),
         error=LedgerSchemaError,
-        cli=["ledger", "summarize"],
+        cli=["report"],
         parent_header=(
             '{"kind": "repro-obs-ledger", "meta": {"created": "2026-10-18T06:52:16+0000", '
             '"fingerprint_version": 7, "label": "matrix"}, "schema": 1}\n'
@@ -121,15 +122,15 @@ def test_trace_written_by_the_previous_build_is_rejected(tmp_path, capsys):
     parent = KINDS["trace"]
     path = tmp_path / "parent.trace.jsonl"
     path.write_text(parent.parent_header + parent.parent_row)
-    with pytest.raises(TraceSchemaError, match="schema 2, but this build reads schema 3"):
+    with pytest.raises(TraceSchemaError, match="schema 3, but this build reads schema 4"):
         read_trace(path)
     assert obs_main(["summarize", str(path)]) == 1
-    assert "schema 2, but this build reads schema 3" in capsys.readouterr().err
+    assert "schema 3, but this build reads schema 4" in capsys.readouterr().err
     # Only the schema number moved: this build writes the same header
     # otherwise for the same metadata.
     fresh = tmp_path / "fresh.trace.jsonl"
     parent.write_empty(fresh, json.loads(parent.parent_header)["meta"])
-    assert fresh.read_text() == parent.parent_header.replace('"schema": 2', '"schema": 3')
+    assert fresh.read_text() == parent.parent_header.replace('"schema": 3', '"schema": 4')
 
 
 def test_ledger_written_by_the_previous_build_is_rejected(tmp_path):

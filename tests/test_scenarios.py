@@ -20,6 +20,7 @@ from repro.engine import (
     run_job,
 )
 from repro.obs import JsonlSink, TraceRecorder
+from repro.obs.events import CONTROLLER_INTERVAL as CONTROLLER_INTERVAL_EVENT
 from repro.obs.ledger import summarize_ledgers
 from repro.scenarios import (
     ARCHETYPES,
@@ -333,7 +334,14 @@ class TestCli:
         # quietly with exit 1, however little it printed.
         trace = tmp_path / "trace.jsonl"
         with TraceRecorder([JsonlSink(trace, meta={"job": "closed-pipe"})]) as recorder:
-            recorder.emit(CONTROLLER_INTERVAL, 1_000, 500, structure="dcache", best_index=2)
+            recorder.emit(
+                CONTROLLER_INTERVAL_EVENT,
+                1_000,
+                500,
+                structure="dcache",
+                configurations=["a", "b", "c"],
+                best_index=2,
+            )
         (tmp_path / "store").mkdir()
         arguments = [part.format(trace=trace, store=tmp_path / "store") for part in command]
         src = Path(__file__).resolve().parents[1] / "src"
